@@ -2,9 +2,7 @@
 //! online phase needs to compute filter selectivities ψ(φ) and domain
 //! coverages in O(log n) ("smart selectivity computation", Section 5).
 
-use std::cell::UnsafeCell;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use squid_relation::{kernel, ColumnVec, FxHashMap, RowId, RowSet, Sym, Value};
 
@@ -703,32 +701,12 @@ fn entry_bytes(fp: &FilterFingerprint, set: &RowSet) -> usize {
 }
 
 /// One resident cache entry plus its CLOCK reference bit.
-///
-/// The reference bit is an `Arc<AtomicBool>` shared with every published
-/// [`ShardSnapshot`] entry for the same fingerprint: a lock-free shared-cache
-/// read hit promotes the entry with one Relaxed store, and the CLOCK hand
-/// (which only runs under the shard lock) observes the promotion on its next
-/// sweep. In the single-owner [`FilterSetCache`] the atomic is uncontended
-/// and costs the same as the plain bool it replaced.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Slot {
     fp: FilterFingerprint,
     set: Arc<RowSet>,
     bytes: usize,
-    referenced: Arc<AtomicBool>,
-}
-
-impl Clone for Slot {
-    fn clone(&self) -> Slot {
-        // Deep-copy the bit: a cloned cache must not share CLOCK state with
-        // its source (or with snapshots published from it).
-        Slot {
-            fp: self.fp.clone(),
-            set: Arc::clone(&self.set),
-            bytes: self.bytes,
-            referenced: Arc::new(AtomicBool::new(self.referenced.load(Ordering::Relaxed))),
-        }
-    }
+    referenced: bool,
 }
 
 /// Byte-bounded fingerprint → bitmap map with CLOCK (second-chance)
@@ -755,8 +733,8 @@ impl ClockMap {
     /// Resident set for `fp`, marking its slot referenced (touch-on-use).
     fn get(&mut self, fp: &FilterFingerprint) -> Option<&Arc<RowSet>> {
         let &i = self.map.get(fp)?;
-        let slot = self.slots[i].as_ref().expect("mapped slot is occupied");
-        slot.referenced.store(true, Ordering::Relaxed);
+        let slot = self.slots[i].as_mut().expect("mapped slot is occupied");
+        slot.referenced = true;
         Some(&slot.set)
     }
 
@@ -793,7 +771,7 @@ impl ClockMap {
             fp: fp.clone(),
             set,
             bytes,
-            referenced: Arc::new(AtomicBool::new(referenced)),
+            referenced,
         };
         let i = match self.free.pop() {
             Some(i) => {
@@ -823,8 +801,8 @@ impl ClockMap {
                 self.hand = 0;
             }
             match &mut self.slots[self.hand] {
-                Some(s) if s.referenced.load(Ordering::Relaxed) => {
-                    s.referenced.store(false, Ordering::Relaxed);
+                Some(s) if s.referenced => {
+                    s.referenced = false;
                     spared += 1;
                 }
                 Some(_) => {
@@ -844,26 +822,8 @@ impl ClockMap {
     /// again before the next pressure sweep become eviction candidates.
     fn decay(&mut self) {
         for s in self.slots.iter_mut().flatten() {
-            s.referenced.store(false, Ordering::Relaxed);
+            s.referenced = false;
         }
-    }
-
-    /// The resident entries as a fresh fingerprint → entry map sharing each
-    /// slot's set handle *and* reference bit — the payload of a published
-    /// [`ShardSnapshot`]. Lock-free read hits on the snapshot promote the
-    /// authoritative slot through the shared bit.
-    fn snapshot_map(&self) -> FxHashMap<FilterFingerprint, SnapEntry> {
-        let mut map = FxHashMap::with_capacity_and_hasher(self.map.len(), Default::default());
-        for slot in self.slots.iter().flatten() {
-            map.insert(
-                slot.fp.clone(),
-                SnapEntry {
-                    set: Arc::clone(&slot.set),
-                    referenced: Arc::clone(&slot.referenced),
-                },
-            );
-        }
-        map
     }
 
     fn clear(&mut self) {
@@ -1106,17 +1066,12 @@ pub const SHARED_CACHE_SHARDS: usize = 16;
 /// handles, so crossing the cache clones a pointer, never bitmap words.
 ///
 /// * **Sharding** — [`SHARED_CACHE_SHARDS`] independent shards, selected
-///   by fingerprint hash: unrelated filters never contend, and each shard's
-///   writer lock is held only for one admission (publish) or one lazy
-///   invalidation.
-/// * **Lock-free reads** — each shard publishes an epoch-stamped immutable
-///   snapshot of its contents into a small ring; a lookup pins the current
-///   ring slot, revalidates the epoch (seqlock-style), and clones
-///   `Arc<RowSet>` handles out of the snapshot — a read hit acquires no
-///   `Mutex` at all. Writers serialize through the shard lock, rebuild the
-///   snapshot, and bump the epoch; CLOCK reference bits are shared between
-///   the snapshot and the authoritative slots so lock-free hits still count
-///   as touches.
+///   by fingerprint hash, each a CLOCK map behind its own `Mutex`:
+///   unrelated filters never contend, and a lookup or publish holds its
+///   shard's lock only for one hash probe and one `Arc` clone (or one
+///   admission). Sessions keep what they fetch in their local
+///   [`FilterSetCache`], so a shard is visited once per filter per
+///   session, not once per turn.
 /// * **Byte bound** — the configured `max_resident_bytes` is split evenly
 ///   across shards; each shard runs CLOCK second-chance eviction over its
 ///   slots, so the fleet-wide footprint stays flat no matter how many
@@ -1135,38 +1090,14 @@ pub const SHARED_CACHE_SHARDS: usize = 16;
 /// and attached to one-shot sessions via [`FilterSetCache::attach_shared`].
 #[derive(Debug)]
 pub struct SharedFilterSetCache {
-    shards: Vec<Shard>,
+    shards: Vec<Mutex<SharedShard>>,
     /// Per-shard byte budget: `max_resident_bytes / SHARED_CACHE_SHARDS`
     /// (floor, so the summed residency never exceeds the configured total).
     shard_budget: usize,
     max_resident_bytes: usize,
 }
 
-/// Number of published-snapshot slots in each shard's ring. A writer
-/// publishing epoch `e + 1` reuses the slot that stopped being current at
-/// epoch `e + 2 - SNAPSHOT_SLOTS`; four slots give readers that much epoch
-/// slack before a writer ever has to spin-wait on a straggler's pin.
-const SNAPSHOT_SLOTS: usize = 4;
-
-/// One shard: writer state behind a `Mutex`, plus the lock-free read path —
-/// an epoch counter naming the current slot of a small snapshot ring, and
-/// atomic hit/miss tallies so read hits touch no lock at all.
-#[derive(Debug)]
-struct Shard {
-    /// Authoritative CLOCK map and generation tag. Mutated only under this
-    /// lock; every mutation republishes a [`ShardSnapshot`].
-    state: std::sync::Mutex<SharedShard>,
-    /// Snapshot epoch: `epoch % SNAPSHOT_SLOTS` names the published slot.
-    /// Written only by lock holders; SeqCst on both sides (see
-    /// [`Shard::read_snapshot`] for the ordering argument).
-    epoch: AtomicU64,
-    slots: [SnapSlot; SNAPSHOT_SLOTS],
-    /// Lookups served (snapshot or locked path). Relaxed: tallies only.
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-/// Writer-side shard state, everything the shard `Mutex` protects.
+/// One shard: everything here sits behind the shard's `Mutex`.
 #[derive(Debug, Default)]
 struct SharedShard {
     generation: u64,
@@ -1174,138 +1105,31 @@ struct SharedShard {
     /// High-water resident bytes — the warm-start sizing signal: how much
     /// budget this shard actually used at its fullest.
     peak_resident_bytes: usize,
+    /// Lookups that found / did not find a resident set.
+    hits: u64,
+    misses: u64,
 }
 
-/// One ring slot: a published snapshot handle plus its reader pin count.
-#[derive(Debug)]
-struct SnapSlot {
-    pins: AtomicU32,
-    snap: UnsafeCell<Arc<ShardSnapshot>>,
+impl SharedShard {
+    /// Lazy invalidation: an access carrying a different αDB generation
+    /// drops every entry before it proceeds.
+    fn retag(&mut self, generation: u64) {
+        if self.generation != generation {
+            self.inner.clear();
+            self.generation = generation;
+        }
+    }
 }
 
-// SAFETY: `snap` is written only by a publisher that holds the shard
-// `Mutex` (one writer at a time) and has observed `pins == 0` on a slot the
-// epoch no longer names, and read only by readers that pinned the slot and
-// then revalidated the epoch — the protocol in `Shard::read_snapshot` /
-// `Shard::publish_snapshot` proves write and read never overlap.
-unsafe impl Sync for SnapSlot {}
-
-/// An immutable published view of one shard: the generation its entries
-/// were computed against plus the fingerprint → set map. Readers clone
-/// `Arc` handles out of it without ever taking the shard lock.
-#[derive(Debug, Default)]
-struct ShardSnapshot {
-    generation: u64,
-    map: FxHashMap<FilterFingerprint, SnapEntry>,
-}
-
-/// One snapshot entry: the set handle plus the CLOCK reference bit it
-/// *shares* with the authoritative [`ClockMap`] slot, so a lock-free read
-/// hit still counts as a touch for second-chance eviction.
-#[derive(Debug)]
-struct SnapEntry {
-    set: Arc<RowSet>,
-    referenced: Arc<AtomicBool>,
-}
-
-impl Shard {
-    fn new(generation: u64) -> Shard {
-        Shard {
-            state: std::sync::Mutex::new(SharedShard {
-                generation,
-                ..SharedShard::default()
-            }),
-            epoch: AtomicU64::new(0),
-            slots: std::array::from_fn(|_| SnapSlot {
-                pins: AtomicU32::new(0),
-                snap: UnsafeCell::new(Arc::new(ShardSnapshot {
-                    generation,
-                    map: FxHashMap::default(),
-                })),
-            }),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
-    }
-
-    /// The current published snapshot, acquired with NO lock: load the
-    /// epoch, pin the slot it names, revalidate the epoch, clone the `Arc`.
-    ///
-    /// Why the pinned read can never race the publisher's slot write:
-    /// a publisher targets slot `(e + 1) % SNAPSHOT_SLOTS`, which the epoch
-    /// stopped naming several epochs ago, and loads `pins` (SeqCst) until it
-    /// reads 0. In the SeqCst total order the reader's `fetch_add` lands
-    /// either *before* that load — the publisher sees the pin and waits —
-    /// or *after* it, in which case the reader's revalidation load (also
-    /// SeqCst, still later in the order) must observe an epoch store that
-    /// has already moved past the slot's old epoch, so revalidation fails
-    /// and the reader unpins without touching `snap`. The Release unpin
-    /// pairs with the publisher's Acquire-or-stronger pin loop, making the
-    /// reader's `Arc` clone happen-before any later overwrite of the slot.
-    fn read_snapshot(&self) -> Arc<ShardSnapshot> {
-        loop {
-            let e = self.epoch.load(Ordering::SeqCst);
-            let slot = &self.slots[e as usize % SNAPSHOT_SLOTS];
-            slot.pins.fetch_add(1, Ordering::SeqCst);
-            if self.epoch.load(Ordering::SeqCst) == e {
-                // SAFETY: pinned + revalidated per the argument above — no
-                // publisher can be writing this slot concurrently.
-                let snap = unsafe { Arc::clone(&*slot.snap.get()) };
-                slot.pins.fetch_sub(1, Ordering::Release);
-                return snap;
-            }
-            // The epoch moved between the guess and the pin: the publisher
-            // may be rewriting this very slot, so back off and retry.
-            slot.pins.fetch_sub(1, Ordering::Release);
-            std::hint::spin_loop();
-        }
-    }
-
-    /// Lock the writer state, recovering from poisoning: no user code runs
-    /// under a shard lock, so a poisoned flag means some *other* session's
-    /// turn panicked — its entries are whole `Arc` values and stay
-    /// consistent, and one crashed session must not take the shared cache
-    /// down for every sibling on the fleet.
-    fn locked(&self) -> std::sync::MutexGuard<'_, SharedShard> {
-        self.state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
-    /// Publish `state` as a fresh snapshot in the next ring slot and bump
-    /// the epoch. Must be called with the shard `Mutex` held (single
-    /// publisher); `state` is the guarded value itself.
-    fn publish_snapshot(&self, state: &SharedShard) {
-        let snap = Arc::new(ShardSnapshot {
-            generation: state.generation,
-            map: state.inner.snapshot_map(),
-        });
-        // Only lock holders store the epoch, so a Relaxed load is exact.
-        let next = self.epoch.load(Ordering::Relaxed).wrapping_add(1);
-        let slot = &self.slots[next as usize % SNAPSHOT_SLOTS];
-        // Wait out any reader still pinned to the ring's oldest snapshot
-        // (it was current SNAPSHOT_SLOTS - 1 epochs ago; readers pin for
-        // the duration of one Arc clone, so this all but never spins).
-        // Yield after a short burst in case the pinned reader was preempted
-        // mid-clone on a saturated machine — spinning against a descheduled
-        // thread would otherwise burn a whole quantum.
-        let mut spins = 0u32;
-        while slot.pins.load(Ordering::SeqCst) != 0 {
-            spins += 1;
-            if spins > 64 {
-                std::thread::yield_now();
-            } else {
-                std::hint::spin_loop();
-            }
-        }
-        // SAFETY: we hold the shard Mutex (sole writer) and observed
-        // `pins == 0` on a slot the epoch does not name — per the protocol
-        // in `read_snapshot`, no reader can be dereferencing `snap`.
-        unsafe {
-            *slot.snap.get() = snap;
-        }
-        self.epoch.store(next, Ordering::SeqCst);
-    }
+/// Lock a shard, recovering from poisoning: no user code runs under a
+/// shard lock, so a poisoned flag means some *other* session's turn
+/// panicked — its entries are whole `Arc` values and stay consistent, and
+/// one crashed session must not take the shared cache down for every
+/// sibling on the fleet.
+fn lock(shard: &Mutex<SharedShard>) -> MutexGuard<'_, SharedShard> {
+    shard
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 /// Point-in-time aggregate counters of a [`SharedFilterSetCache`],
@@ -1373,7 +1197,12 @@ impl SharedFilterSetCache {
     pub fn new(generation: u64, max_resident_bytes: usize) -> SharedFilterSetCache {
         SharedFilterSetCache {
             shards: (0..SHARED_CACHE_SHARDS)
-                .map(|_| Shard::new(generation))
+                .map(|_| {
+                    Mutex::new(SharedShard {
+                        generation,
+                        ..SharedShard::default()
+                    })
+                })
                 .collect(),
             shard_budget: max_resident_bytes / SHARED_CACHE_SHARDS,
             max_resident_bytes,
@@ -1385,60 +1214,33 @@ impl SharedFilterSetCache {
         self.max_resident_bytes
     }
 
-    fn shard_for(&self, fp: &FilterFingerprint) -> &Shard {
+    /// Index of the shard that owns `fp`.
+    fn shard_index(fp: &FilterFingerprint) -> usize {
         use std::hash::BuildHasher;
         let h = squid_relation::FxBuildHasher::default().hash_one(fp);
         // Shard on the HIGH hash bits: each shard's inner FxHashMap (same
         // hasher) buckets on the low bits, so consuming those here would
         // leave every shard's keys clustered in 1/16 of its buckets.
-        &self.shards[(h >> 60) as usize % SHARED_CACHE_SHARDS]
+        (h >> 60) as usize % SHARED_CACHE_SHARDS
+    }
+
+    /// The locked shard that owns `fp`, retagged to `generation`.
+    fn shard_for(&self, fp: &FilterFingerprint, generation: u64) -> MutexGuard<'_, SharedShard> {
+        let mut shard = lock(&self.shards[Self::shard_index(fp)]);
+        shard.retag(generation);
+        shard
     }
 
     /// Resident set for `fp` computed against αDB `generation`, as a
-    /// shared handle; marks the entry hot (touch-on-use).
-    ///
-    /// The hot path acquires NO lock: the reader pins the shard's current
-    /// published snapshot ([`Shard::read_snapshot`]), probes its immutable
-    /// map, bumps an atomic tally, and promotes the entry through the
-    /// reference bit it shares with the authoritative CLOCK slot. Only a
-    /// generation mismatch — the lazy-invalidation path — falls back to the
-    /// shard lock, clears the stale shard, and republishes.
-    ///
-    /// A reader may observe the snapshot published just *before* a racing
-    /// publication; it then misses where a locked lookup might have hit.
-    /// That is the same outcome as the lookup arriving a moment earlier, so
-    /// callers (who compute-and-publish on miss) are unaffected.
+    /// shared handle; marks the entry hot (touch-on-use). Holds the
+    /// shard's lock for one hash probe and one `Arc` clone.
     pub fn lookup(&self, fp: &FilterFingerprint, generation: u64) -> Option<Arc<RowSet>> {
-        let shard = self.shard_for(fp);
-        let snap = shard.read_snapshot();
-        if snap.generation == generation {
-            return match snap.map.get(fp) {
-                Some(entry) => {
-                    entry.referenced.store(true, Ordering::Relaxed);
-                    shard.hits.fetch_add(1, Ordering::Relaxed);
-                    Some(Arc::clone(&entry.set))
-                }
-                None => {
-                    shard.misses.fetch_add(1, Ordering::Relaxed);
-                    None
-                }
-            };
-        }
-        // Stale snapshot generation: take the writer lock and revalidate
-        // (another session may already have retagged — and repopulated —
-        // the shard for this generation, so probe again under the lock).
-        drop(snap);
-        let mut state = shard.locked();
-        if state.generation != generation {
-            state.inner.clear();
-            state.generation = generation;
-            shard.publish_snapshot(&state);
-        }
-        let found = state.inner.get(fp).map(Arc::clone);
+        let mut shard = self.shard_for(fp, generation);
+        let found = shard.inner.get(fp).map(Arc::clone);
         if found.is_some() {
-            shard.hits.fetch_add(1, Ordering::Relaxed);
+            shard.hits += 1;
         } else {
-            shard.misses.fetch_add(1, Ordering::Relaxed);
+            shard.misses += 1;
         }
         found
     }
@@ -1446,24 +1248,14 @@ impl SharedFilterSetCache {
     /// Publish a freshly computed set so other sessions can reuse it.
     /// Admission is cold (reference bit clear): only a later cross-session
     /// [`lookup`](Self::lookup) promotes the entry, so unused publications
-    /// are evicted first when the shard's byte budget tightens. Publication
-    /// serializes through the shard `Mutex` and ends by publishing a fresh
-    /// snapshot for the lock-free readers.
+    /// are evicted first when the shard's byte budget tightens.
     pub fn publish(&self, fp: &FilterFingerprint, generation: u64, set: &Arc<RowSet>) {
-        let budget = self.shard_budget;
-        let shard = self.shard_for(fp);
-        let mut state = shard.locked();
-        let retagged = state.generation != generation;
-        if retagged {
-            state.inner.clear();
-            state.generation = generation;
-        }
-        let admitted = state.inner.insert(fp, Arc::clone(set), false, budget);
-        if admitted {
-            state.peak_resident_bytes = state.peak_resident_bytes.max(state.inner.resident_bytes);
-        }
-        if admitted || retagged {
-            shard.publish_snapshot(&state);
+        let mut shard = self.shard_for(fp, generation);
+        if shard
+            .inner
+            .insert(fp, Arc::clone(set), false, self.shard_budget)
+        {
+            shard.peak_resident_bytes = shard.peak_resident_bytes.max(shard.inner.resident_bytes);
         }
     }
 
@@ -1471,21 +1263,17 @@ impl SharedFilterSetCache {
     /// looked up again before the next pressure sweep become eviction
     /// candidates. The `SessionManager` TTL sweep calls this after evicting
     /// dead sessions, so their published-but-unused entries can't stay
-    /// pinned by a stale reference bit. No snapshot republish is needed:
-    /// reference bits are shared with the published entries, so the decay
-    /// is immediately visible to lock-free readers.
+    /// pinned by a stale reference bit.
     pub fn decay(&self) {
         for shard in &self.shards {
-            shard.locked().inner.decay();
+            lock(shard).inner.decay();
         }
     }
 
     /// Drop every entry in every shard (counters are preserved).
     pub fn clear(&self) {
         for shard in &self.shards {
-            let mut state = shard.locked();
-            state.inner.clear();
-            shard.publish_snapshot(&state);
+            lock(shard).inner.clear();
         }
     }
 
@@ -1493,12 +1281,12 @@ impl SharedFilterSetCache {
     pub fn resident_bytes(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.locked().inner.resident_bytes)
+            .map(|s| lock(s).inner.resident_bytes)
             .sum()
     }
 
-    /// Aggregate counters, summed across shards (inner state under each
-    /// shard's lock, hit/miss tallies from their atomics).
+    /// Aggregate counters, summed across shards (each read under its
+    /// shard's lock).
     pub fn stats(&self) -> SharedCacheStats {
         let n = self.shards.len();
         let mut stats = SharedCacheStats {
@@ -1515,11 +1303,9 @@ impl SharedFilterSetCache {
             max_resident_bytes: self.max_resident_bytes,
         };
         for shard in &self.shards {
-            let hits = shard.hits.load(Ordering::Relaxed);
-            let misses = shard.misses.load(Ordering::Relaxed);
-            let state = shard.locked();
-            stats.hits += hits;
-            stats.misses += misses;
+            let state = lock(shard);
+            stats.hits += state.hits;
+            stats.misses += state.misses;
             stats.evictions += state.inner.evictions;
             stats.entries += state.inner.len();
             stats.resident_bytes += state.inner.resident_bytes;
@@ -1527,8 +1313,8 @@ impl SharedFilterSetCache {
             stats
                 .per_shard_resident_bytes
                 .push(state.inner.resident_bytes);
-            stats.per_shard_hits.push(hits);
-            stats.per_shard_misses.push(misses);
+            stats.per_shard_hits.push(state.hits);
+            stats.per_shard_misses.push(state.misses);
             stats
                 .per_shard_peak_resident_bytes
                 .push(state.peak_resident_bytes);
@@ -1748,9 +1534,7 @@ mod tests {
         cache.insert_with(&fp(2), || one_row_set(2));
         // Age both, then touch only #2: the next admission must evict #1.
         cache.set_max_resident_bytes(per_entry * 2 + 1); // no-op, residency fits
-        for s in cache.inner.slots.iter_mut().flatten() {
-            s.referenced.store(false, Ordering::Relaxed);
-        }
+        cache.inner.decay();
         assert!(cache.lookup(&fp(2)).is_some());
         cache.insert_with(&fp(3), || one_row_set(3));
         assert!(cache.contains(&fp(2)), "touched entry must survive");
@@ -1915,81 +1699,40 @@ mod tests {
         assert!(after.resident_bytes <= shared.max_resident_bytes());
     }
 
-    /// The acceptance property of the seqlock read path: a lookup hit must
-    /// complete while another thread HOLDS the shard's writer Mutex. A
-    /// regression to lock-acquiring reads turns this into a timeout
-    /// failure instead of a deadlocked test run.
+    /// A shared `lookup` hit is a CLOCK touch: with a shard holding two
+    /// cold publications, the one a session looked up survives the next
+    /// admission's pressure sweep and its never-looked-up sibling is the
+    /// victim — even though the hand reaches the looked-up entry first.
     #[test]
-    fn read_hits_complete_while_shard_mutex_is_held() {
-        let shared = Arc::new(SharedFilterSetCache::new(7, 1 << 20));
-        let set = Arc::new(one_row_set(3));
-        shared.publish(&fp(3), 7, &set);
-        let guard = shared.shard_for(&fp(3)).state.lock().unwrap();
-        let (tx, rx) = std::sync::mpsc::channel();
-        let reader = Arc::clone(&shared);
-        std::thread::spawn(move || {
-            let _ = tx.send(reader.lookup(&fp(3), 7));
-        });
-        let got = rx
-            .recv_timeout(std::time::Duration::from_secs(30))
-            .expect("lookup must not block on the held shard Mutex");
-        assert_eq!(*got.expect("published entry hits"), *set);
-        drop(guard);
-        assert_eq!(shared.stats().hits, 1, "the lock-free hit was counted");
-    }
-
-    /// Hammer the seqlock core directly: one publisher burning through the
-    /// snapshot ring (thousands of slot reuses) while readers pin,
-    /// revalidate, and clone concurrently. Every snapshot a reader obtains
-    /// must be internally consistent — its map content matches its
-    /// generation stamp — and no reader may ever observe epochs running
-    /// backwards.
-    #[test]
-    fn seqlock_publish_storm_keeps_snapshots_coherent() {
-        const EPOCHS: u64 = 4_000;
-        let shard = Shard::new(0);
-        let stop = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            for _ in 0..3 {
-                scope.spawn(|| {
-                    let mut last = 0u64;
-                    while !stop.load(Ordering::Relaxed) {
-                        let snap = shard.read_snapshot();
-                        assert!(
-                            snap.generation >= last,
-                            "snapshot generation ran backwards: {} after {last}",
-                            snap.generation
-                        );
-                        last = snap.generation;
-                        if snap.generation > 0 {
-                            let entry = snap
-                                .map
-                                .get(&fp(0))
-                                .expect("every published epoch has fp(0)");
-                            assert_eq!(
-                                *entry.set,
-                                one_row_set(snap.generation),
-                                "snapshot map does not match its generation stamp"
-                            );
-                        }
-                    }
-                });
-            }
-            for g in 1..=EPOCHS {
-                let mut state = shard.locked();
-                state.generation = g;
-                state.inner.clear();
-                assert!(state
-                    .inner
-                    .insert(&fp(0), Arc::new(one_row_set(g)), false, usize::MAX));
-                shard.publish_snapshot(&state);
-            }
-            stop.store(true, Ordering::Relaxed);
-        });
+    fn shared_lookup_hit_survives_pressure_that_evicts_untouched_sibling() {
+        let per_entry = entry_bytes(&fp(0), &one_row_set(0));
+        // Exactly two entries per shard.
+        let shared = SharedFilterSetCache::new(1, per_entry * SHARED_CACHE_SHARDS * 2);
+        let shard = SharedFilterSetCache::shard_index(&fp(0));
+        let mut same_shard = (0..).filter(|&i| SharedFilterSetCache::shard_index(&fp(i)) == shard);
+        let (a, b, c) = (
+            same_shard.next().unwrap(),
+            same_shard.next().unwrap(),
+            same_shard.next().unwrap(),
+        );
+        shared.publish(&fp(a), 1, &Arc::new(one_row_set(a)));
+        shared.publish(&fp(b), 1, &Arc::new(one_row_set(b)));
+        assert!(shared.lookup(&fp(a), 1).is_some());
+        shared.publish(&fp(c), 1, &Arc::new(one_row_set(c)));
+        assert_eq!(shared.stats().evictions, 1);
+        assert!(
+            shared.lookup(&fp(a), 1).is_some(),
+            "looked-up entry survives"
+        );
+        assert!(
+            shared.lookup(&fp(b), 1).is_none(),
+            "untouched sibling is the victim"
+        );
+        assert!(shared.lookup(&fp(c), 1).is_some());
     }
 
     /// Generation churn plus eviction pressure through the public API from
-    /// three threads: every lock-free hit must carry the exact set that was
+    /// three threads: every hit must carry the exact set that was
     /// published for that (fingerprint, generation) pair — a stale set from
     /// a superseded generation (encoded into distinct rows) fails loudly.
     #[test]

@@ -1,14 +1,12 @@
-//! Microbenches for the hardware-limit scan path: per-tier SIMD kernel
-//! throughput (scalar vs SSE2 vs AVX2 on the same data) and the
-//! superbatch entry point against the per-word loop it amortizes.
+//! Microbenches for the scan path: per-tier SIMD kernel throughput
+//! (scalar vs AVX2 on the same data) through the 64-row word entry point.
 //!
-//! Ids are `kernel_scan/<family>/<tier>` and `kernel_superbatch/...`;
-//! none are regression-gated (the gate watches fig9a/incr_session/
-//! multi_session), they exist to record the measured speedup of each
-//! dispatch tier in BENCH_squid.json.
+//! Ids are `kernel_scan/<family>/<tier>`; none are regression-gated (the
+//! gate watches fig9a/incr_session/multi_session), they exist to record
+//! the measured speedup of the vector tier in BENCH_squid.json.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use squid_relation::kernel::{self, CmpSpec, SUPERBATCH_WORDS};
+use squid_relation::kernel::{self, CmpSpec};
 use squid_relation::simd::available_tiers;
 use squid_relation::{ColumnBuilder, DataType, Sym, Table, TableSchema, Value};
 
@@ -90,48 +88,13 @@ fn bench_kernel_tiers(c: &mut Criterion) {
             group.bench_function(format!("{name}/{}", tier.name()), |b| {
                 b.iter(|| {
                     let mut acc = 0u32;
-                    let mut buf = [0u64; SUPERBATCH_WORDS];
-                    for sb in 0..kernel::superbatch_count(n) {
-                        k.eval_superbatch_with(tier, sb, n, &mut buf);
-                        for w in buf {
-                            acc += w.count_ones();
-                        }
+                    for batch in 0..kernel::batch_count(n) {
+                        acc += k.eval_word_with(tier, batch, n).count_ones();
                     }
                     black_box(acc)
                 })
             });
         }
-    }
-    group.finish();
-
-    // Superbatch amortization at the active tier: the 512-row entry point
-    // (variant matched once, null words bulk-loaded) against the per-word
-    // loop it replaced in the engine's hot path.
-    let mut group = c.benchmark_group("kernel_superbatch");
-    for (name, col, dtype, spec) in &families {
-        let k = kernel::compile(table.column(*col), *dtype, spec);
-        group.bench_function(format!("{name}/per_word"), |b| {
-            b.iter(|| {
-                let mut acc = 0u32;
-                for batch in 0..kernel::batch_count(n) {
-                    acc += k.eval_word(batch, n).count_ones();
-                }
-                black_box(acc)
-            })
-        });
-        group.bench_function(format!("{name}/superbatch"), |b| {
-            b.iter(|| {
-                let mut acc = 0u32;
-                let mut buf = [0u64; SUPERBATCH_WORDS];
-                for sb in 0..kernel::superbatch_count(n) {
-                    k.eval_superbatch(sb, n, &mut buf);
-                    for w in buf {
-                        acc += w.count_ones();
-                    }
-                }
-                black_box(acc)
-            })
-        });
     }
     group.finish();
 }

@@ -91,83 +91,15 @@ fn compile_plan<'t>(table: &'t Table, preds: &[Pred]) -> Result<ScanPlan<'t>> {
     Ok(ScanPlan::new(kernels, table.len()))
 }
 
-/// Number of radix partitions in a radix-scatter semi-join fold.
-const RADIX_PARTITIONS: usize = 64;
-
-/// Scan-size floor for taking the radix-scatter fold instead of the
-/// per-row hash-entry fold. Measured on the CI container (see
-/// `examples/fold_xover.rs`): the hash fold's count maps stay
-/// cache-resident and win at every cardinality up to 4M rows / 1M
-/// distinct keys, so the radix path only makes sense for scans well
-/// beyond that — it exists for the out-of-cache regime and for
-/// experimentation ([`set_radix_fold_min_rows`]).
-///
-/// Re-measured after the SIMD superbatch scan tier landed, with keys
-/// emitted by a real `ScanPlan::for_each_match` at ~50% selectivity
-/// (the `probed` section of the example): the faster probe narrows the
-/// gap but does not flip it — the radix fold is still 1.9–2.8× slower
-/// than the hash fold from 100K through 4M rows, so the threshold
-/// stands. The scatter's extra pass over every emitted pair costs more
-/// than the hash probes it saves while the count map fits in cache.
-static RADIX_FOLD_MIN_ROWS: std::sync::atomic::AtomicUsize =
-    std::sync::atomic::AtomicUsize::new(8 << 20);
-
-/// Override the radix-fold activation threshold (rows scanned per path
-/// step). `0` forces the radix-scatter fold everywhere; `usize::MAX`
-/// disables it. Returns the previous threshold.
-pub fn set_radix_fold_min_rows(rows: usize) -> usize {
-    RADIX_FOLD_MIN_ROWS.swap(rows, std::sync::atomic::Ordering::Relaxed)
-}
-
-/// Partition selector: high bits of a Fibonacci-style multiplicative mix.
-/// Join keys are symbol ids or small integers whose raw high bits are all
-/// zero, so the mix spreads them before taking the top `log2(partitions)`.
-#[inline]
-fn radix_of(key: u64) -> usize {
-    (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RADIX_PARTITIONS.trailing_zeros())) as usize
-}
-
 /// A semi-join fold result: `join-key → tuple count`, keyed by a raw
-/// `u64` encoding of the producing column's values plus their type.
-///
-/// Build layout: the fold phase radix-scatters `(key, weight)` pairs into
-/// per-partition buffers (an append, not a hash probe, per surviving row);
-/// each small partition is then sorted and coalesced into a sorted run,
-/// and the probe-side dense map is assembled with exact capacity — one
-/// insert per *distinct* key instead of one hash probe per row.
+/// `u64` encoding of the producing column's values plus their type. Built
+/// by one hash probe per surviving row of the folded scan.
 pub struct CountMap {
     dtype: DataType,
     map: FxHashMap<u64, u64>,
 }
 
 impl CountMap {
-    /// Aggregate raw per-partition `(key, weight)` pairs: sort + coalesce
-    /// each partition's run, then assemble the probe map from the
-    /// duplicate-free runs.
-    fn from_parts(dtype: DataType, mut parts: Vec<Vec<(u64, u64)>>) -> CountMap {
-        let mut distinct = 0usize;
-        for p in &mut parts {
-            p.sort_unstable_by_key(|e| e.0);
-            p.dedup_by(|next, acc| {
-                if acc.0 == next.0 {
-                    acc.1 += next.1;
-                    true
-                } else {
-                    false
-                }
-            });
-            distinct += p.len();
-        }
-        let mut map: FxHashMap<u64, u64> = FxHashMap::default();
-        map.reserve(distinct);
-        for p in &parts {
-            for &(k, w) in p {
-                map.insert(k, w);
-            }
-        }
-        CountMap { dtype, map }
-    }
-
     /// Count for a raw join key (0 when absent).
     #[inline]
     fn get(&self, key: u64) -> u64 {
@@ -306,30 +238,23 @@ impl<'a> Executor<'a> {
             return Ok(out);
         }
 
-        // Superbatch spine: 512 predicate rows per dispatch, then thin
-        // each surviving word through the semi-join count checks.
-        let mut buf = [0u64; kernel::SUPERBATCH_WORDS];
-        for sb in 0..plan.num_superbatches() {
-            plan.eval_superbatch(sb, &mut buf);
-            for (j, &word) in buf.iter().enumerate() {
-                let b = sb * kernel::SUPERBATCH_WORDS + j;
-                let mut w = word;
-                if w != 0 && !checks.is_empty() {
-                    let mut bits = w;
-                    while bits != 0 {
-                        let lane = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let rid = b * 64 + lane;
-                        for c in &checks {
-                            if c.lookup.count_at(c.col, c.dtype, rid) < c.min_count {
-                                w &= !(1u64 << lane);
-                                break;
-                            }
+        for b in 0..plan.num_batches() {
+            let mut w = plan.eval_word(b);
+            if w != 0 && !checks.is_empty() {
+                let mut bits = w;
+                while bits != 0 {
+                    let lane = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    let rid = b * 64 + lane;
+                    for c in &checks {
+                        if c.lookup.count_at(c.col, c.dtype, rid) < c.min_count {
+                            w &= !(1u64 << lane);
+                            break;
                         }
                     }
                 }
-                out.set_word(b, w);
             }
+            out.set_word(b, w);
         }
         Ok(out)
     }
@@ -367,46 +292,25 @@ impl<'a> Executor<'a> {
                 _ => None,
             };
             // Batch scan: local predicates are evaluated 64 rows at a
-            // time; only rows surviving the ANDed word reach the fold. The
-            // `(key, weight)` extraction is shared by both fold layouts —
-            // null join keys and zero deeper-counts never emit.
-            let emit = |row: RowId| -> Option<(u64, u64)> {
+            // time; only rows surviving the ANDed word reach the fold
+            // (one hash probe each). Null join keys and zero
+            // deeper-counts never emit.
+            let mut map: FxHashMap<u64, u64> = FxHashMap::default();
+            plan.for_each_match(|row| {
                 let w = match &next_parent {
                     Some((col, dtype, deep)) => match deep.count_at(col, *dtype, row) {
-                        0 => return None,
+                        0 => return,
                         w => w,
                     },
                     None => 1,
                 };
-                let key = kernel::join_key_at(child_col, child_dtype, row)?;
-                Some((key, w))
-            };
-            let radix =
-                table.len() >= RADIX_FOLD_MIN_ROWS.load(std::sync::atomic::Ordering::Relaxed);
-            deeper = Some(if radix {
-                // Radix-scatter fold: emitted keys append to per-partition
-                // buffers (no per-row hash probe) and aggregate once per
-                // partition via sorted runs.
-                let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); RADIX_PARTITIONS];
-                plan.for_each_match(|row| {
-                    if let Some((key, w)) = emit(row) {
-                        parts[radix_of(key)].push((key, w));
-                    }
-                });
-                CountMap::from_parts(child_dtype, parts)
-            } else {
-                // Hash-entry fold: one probe per surviving row into a map
-                // that stays cache-resident at these scan sizes.
-                let mut map: FxHashMap<u64, u64> = FxHashMap::default();
-                plan.for_each_match(|row| {
-                    if let Some((key, w)) = emit(row) {
-                        *map.entry(key).or_insert(0) += w;
-                    }
-                });
-                CountMap {
-                    dtype: child_dtype,
-                    map,
+                if let Some(key) = kernel::join_key_at(child_col, child_dtype, row) {
+                    *map.entry(key).or_insert(0) += w;
                 }
+            });
+            deeper = Some(CountMap {
+                dtype: child_dtype,
+                map,
             });
         }
         let root_ci = column_index(root_table, sj.path[0].parent_column.as_str())?;
@@ -617,36 +521,6 @@ mod tests {
             let folded = map.count_at(col, dtype, rid);
             let oracle = count_path_for_row(&db, root, rid, &sj).unwrap();
             assert_eq!(folded, oracle, "row {rid}");
-        }
-    }
-
-    #[test]
-    fn radix_fold_matches_hash_fold_and_oracle() {
-        let db = academics_db();
-        let sj = SemiJoin::at_least(2, vec![PathStep::new("research", "id", "aid")]);
-        let root = db.table("academics").unwrap();
-        let exec = Executor::new(&db);
-        let (ci_h, hash_map) = exec.fold_semi_join(root, &sj).unwrap();
-        let prev = set_radix_fold_min_rows(0);
-        let (ci_r, radix_map) = exec.fold_semi_join(root, &sj).unwrap();
-        // Whole-query parity under the radix fold, including a filtered path.
-        let q = Query::single(
-            QueryBlock::new("academics").semi_join(SemiJoin::exists(vec![PathStep::new(
-                "research", "id", "aid",
-            )
-            .filter(Pred::eq("interest", "data management"))])),
-            "name",
-        );
-        let radix_rows = exec.execute(&q).unwrap();
-        set_radix_fold_min_rows(prev);
-        assert_eq!(exec.execute(&q).unwrap(), radix_rows);
-        assert_eq!(ci_h, ci_r);
-        let col = root.column(ci_h);
-        let dtype = root.schema().columns[ci_h].dtype;
-        for (rid, _) in root.iter() {
-            let r = radix_map.count_at(col, dtype, rid);
-            assert_eq!(r, hash_map.count_at(col, dtype, rid), "row {rid}");
-            assert_eq!(r, count_path_for_row(&db, root, rid, &sj).unwrap());
         }
     }
 

@@ -13,5 +13,5 @@ pub mod exec;
 pub mod sql;
 
 pub use ast::{CmpOp, PathStep, Pred, Query, QueryBlock, SemiJoin};
-pub use exec::{run_query, set_radix_fold_min_rows, Executor, ResultSet};
+pub use exec::{run_query, Executor, ResultSet};
 pub use sql::to_sql;

@@ -40,20 +40,6 @@ use crate::simd::{self, f64_total_key, SimdTier};
 use crate::table::{ColumnData, ColumnVec, RowId};
 use crate::value::{DataType, Value};
 
-/// Words per superbatch: kernels evaluate 8 × 64 = 512 rows per dispatch,
-/// amortizing the kernel-variant match, bound broadcasts, and null-word
-/// loads across eight result words.
-pub const SUPERBATCH_WORDS: usize = 8;
-
-/// Rows per superbatch (`SUPERBATCH_WORDS * 64`).
-pub const SUPERBATCH_ROWS: usize = SUPERBATCH_WORDS * 64;
-
-/// Number of 512-row superbatches covering an `n`-row column.
-#[inline]
-pub fn superbatch_count(n: usize) -> usize {
-    n.div_ceil(SUPERBATCH_ROWS)
-}
-
 /// A comparison against a column, with the exact semantics of the query
 /// AST's selection predicates: NULL cells never match, numeric values
 /// compare cross-type through `Value`'s total order.
@@ -246,97 +232,6 @@ impl Kernel<'_> {
                     w |= (spec.matches(&col.value_at(row)) as u64) << i;
                 }
                 w
-            }
-        }
-    }
-
-    /// Evaluate one 512-row superbatch (rows `sb*512 .. sb*512+512`) into
-    /// `out` — `out[j]` is the match word of batch `sb*8 + j`. The kernel
-    /// variant is matched ONCE and null words are loaded eight at a time
-    /// ([`RowSet::word8`]), amortizing per-word dispatch across the
-    /// superbatch. Dispatches on the process-wide [`simd::active_tier`].
-    #[inline]
-    pub fn eval_superbatch(&self, sb: usize, n: usize, out: &mut [u64; SUPERBATCH_WORDS]) {
-        self.eval_superbatch_with(simd::active_tier(), sb, n, out)
-    }
-
-    /// [`Kernel::eval_superbatch`] on an explicit SIMD tier.
-    pub fn eval_superbatch_with(
-        &self,
-        tier: SimdTier,
-        sb: usize,
-        n: usize,
-        out: &mut [u64; SUPERBATCH_WORDS],
-    ) {
-        let first = sb * SUPERBATCH_WORDS;
-        match self {
-            Kernel::Never => *out = [0; SUPERBATCH_WORDS],
-            Kernel::IntRange {
-                vals,
-                nulls,
-                lo,
-                hi,
-            } => {
-                let nw = nulls.word8(first);
-                for (j, w) in out.iter_mut().enumerate() {
-                    let base = (first + j) * 64;
-                    *w = if base >= n {
-                        0
-                    } else {
-                        let end = (base + 64).min(n);
-                        simd::int_range_word(tier, &vals[base..end], *lo, *hi) & !nw[j]
-                    };
-                }
-            }
-            Kernel::FloatRange {
-                vals,
-                nulls,
-                lo_key,
-                hi_key,
-            } => {
-                let nw = nulls.word8(first);
-                for (j, w) in out.iter_mut().enumerate() {
-                    let base = (first + j) * 64;
-                    *w = if base >= n {
-                        0
-                    } else {
-                        let end = (base + 64).min(n);
-                        simd::float_range_word(tier, &vals[base..end], *lo_key, *hi_key) & !nw[j]
-                    };
-                }
-            }
-            Kernel::SymEq { vals, sym } => {
-                for (j, w) in out.iter_mut().enumerate() {
-                    let base = (first + j) * 64;
-                    *w = if base >= n {
-                        0
-                    } else {
-                        let end = (base + 64).min(n);
-                        simd::sym_eq_word(tier, &vals[base..end], *sym)
-                    };
-                }
-            }
-            Kernel::SymIn { vals, syms } => {
-                for (j, w) in out.iter_mut().enumerate() {
-                    let base = (first + j) * 64;
-                    *w = if base >= n {
-                        0
-                    } else {
-                        let end = (base + 64).min(n);
-                        simd::sym_in_word(tier, &vals[base..end], syms)
-                    };
-                }
-            }
-            Kernel::NotNull { nulls } => {
-                let nw = nulls.word8(first);
-                for (j, w) in out.iter_mut().enumerate() {
-                    *w = tail_mask(n, first + j) & !nw[j];
-                }
-            }
-            Kernel::BoolEq { .. } | Kernel::Generic { .. } => {
-                for (j, w) in out.iter_mut().enumerate() {
-                    *w = self.eval_word_with(tier, first + j, n);
-                }
             }
         }
     }
@@ -563,11 +458,6 @@ impl<'t> ScanPlan<'t> {
         self.kernels.iter().any(Kernel::is_never)
     }
 
-    /// Number of 512-row superbatches.
-    pub fn num_superbatches(&self) -> usize {
-        superbatch_count(self.n)
-    }
-
     /// Match word of one batch: AND of every kernel's word, tail-masked.
     #[inline]
     pub fn eval_word(&self, batch: usize) -> u64 {
@@ -581,45 +471,13 @@ impl<'t> ScanPlan<'t> {
         w
     }
 
-    /// Match words of one 512-row superbatch (`out[j]` covers batch
-    /// `sb*8 + j`): AND of every kernel's superbatch, tail-masked,
-    /// short-circuiting once all eight words are zero. This is the hot
-    /// entry point — every caller of [`ScanPlan::collect`] and
-    /// [`ScanPlan::for_each_match`] rides it without changes.
-    #[inline]
-    pub fn eval_superbatch(&self, sb: usize, out: &mut [u64; SUPERBATCH_WORDS]) {
-        let first = sb * SUPERBATCH_WORDS;
-        for (j, w) in out.iter_mut().enumerate() {
-            *w = tail_mask(self.n, first + j);
-        }
-        let mut tmp = [0u64; SUPERBATCH_WORDS];
-        for k in &self.kernels {
-            if out.iter().all(|&w| w == 0) {
-                break;
-            }
-            k.eval_superbatch(sb, self.n, &mut tmp);
-            for (w, t) in out.iter_mut().zip(&tmp) {
-                *w &= t;
-            }
-        }
-    }
-
-    /// Run the scan superbatch-wise, emitting match words directly into a
+    /// Run the scan word by word, emitting match words directly into a
     /// [`RowSet`].
     pub fn collect(&self) -> RowSet {
         if self.is_never() {
             return RowSet::with_universe(self.n);
         }
-        let nb = self.num_batches();
-        let mut words = vec![0u64; nb];
-        let mut buf = [0u64; SUPERBATCH_WORDS];
-        for sb in 0..self.num_superbatches() {
-            self.eval_superbatch(sb, &mut buf);
-            let start = sb * SUPERBATCH_WORDS;
-            let end = (start + SUPERBATCH_WORDS).min(nb);
-            words[start..end].copy_from_slice(&buf[..end - start]);
-        }
-        RowSet::from_words(words)
+        RowSet::from_words((0..self.num_batches()).map(|b| self.eval_word(b)).collect())
     }
 
     /// Run the scan, calling `f` for each matching row in ascending order.
@@ -627,12 +485,8 @@ impl<'t> ScanPlan<'t> {
         if self.is_never() {
             return;
         }
-        let mut buf = [0u64; SUPERBATCH_WORDS];
-        for sb in 0..self.num_superbatches() {
-            self.eval_superbatch(sb, &mut buf);
-            for (j, &w) in buf.iter().enumerate() {
-                for_each_row(sb * SUPERBATCH_WORDS + j, w, &mut f);
-            }
+        for b in 0..self.num_batches() {
+            for_each_row(b, self.eval_word(b), &mut f);
         }
     }
 }
@@ -645,35 +499,25 @@ pub fn non_null_word(col: &ColumnVec, batch: usize, n: usize) -> u64 {
 
 /// Call `f(batch, word)` for every 64-row batch of an `n`-row column,
 /// where `word` masks the rows that are in range and non-null in
-/// `nulls`. Null words are loaded eight at a time ([`RowSet::word8`]) —
-/// the superbatch spine under every `scan_*` accessor.
+/// `nulls` — the spine under every `scan_*` accessor.
 #[inline]
 fn for_each_non_null_word(nulls: &RowSet, n: usize, mut f: impl FnMut(usize, u64)) {
-    for sb in 0..superbatch_count(n) {
-        let first = sb * SUPERBATCH_WORDS;
-        let nw = nulls.word8(first);
-        for (j, &null_word) in nw.iter().enumerate() {
-            let w = tail_mask(n, first + j) & !null_word;
-            if w != 0 {
-                f(first + j, w);
-            }
+    for b in 0..batch_count(n) {
+        let w = tail_mask(n, b) & !nulls.word(b);
+        if w != 0 {
+            f(b, w);
         }
     }
 }
 
 /// [`for_each_non_null_word`] over the OR of two null bitmaps (both
-/// columns must be non-null), eight words per bulk load.
+/// columns must be non-null).
 #[inline]
 fn for_each_non_null_pair_word(na: &RowSet, nb: &RowSet, n: usize, mut f: impl FnMut(usize, u64)) {
-    for sb in 0..superbatch_count(n) {
-        let first = sb * SUPERBATCH_WORDS;
-        let wa = na.word8(first);
-        let wb = nb.word8(first);
-        for j in 0..SUPERBATCH_WORDS {
-            let w = tail_mask(n, first + j) & !(wa[j] | wb[j]);
-            if w != 0 {
-                f(first + j, w);
-            }
+    for b in 0..batch_count(n) {
+        let w = tail_mask(n, b) & !(na.word(b) | nb.word(b));
+        if w != 0 {
+            f(b, w);
         }
     }
 }
@@ -759,28 +603,20 @@ pub fn key_to_value(dtype: DataType, key: u64) -> Value {
     }
 }
 
-/// Walk `rows` word-wise with null words pre-loaded eight at a time:
-/// `emit(row, is_null)` for every member row, ascending. The superbatch
-/// spine under [`gather`] — no per-row bitmap probes.
+/// Walk `rows` word-wise against the matching null words:
+/// `emit(row, is_null)` for every member row, ascending. The spine under
+/// [`gather`] — one null-word load per 64 rows, no per-row bitmap probes.
 #[inline]
 fn for_each_gathered(rows: &RowSet, nulls: &RowSet, mut emit: impl FnMut(RowId, bool)) {
-    let words = rows.words();
-    for sb in 0..words.len().div_ceil(SUPERBATCH_WORDS) {
-        let first = sb * SUPERBATCH_WORDS;
-        let nw = nulls.word8(first);
-        for (j, &w) in words[first..(first + SUPERBATCH_WORDS).min(words.len())]
-            .iter()
-            .enumerate()
-        {
-            let null_word = nw[j];
-            for_each_row(first + j, w, |r| emit(r, null_word >> (r % 64) & 1 != 0));
-        }
+    for (b, &w) in rows.words().iter().enumerate() {
+        let null_word = nulls.word(b);
+        for_each_row(b, w, |r| emit(r, null_word >> (r % 64) & 1 != 0));
     }
 }
 
 /// Materialize the cells of `rows` (ascending) as `Copy` scalars, with the
 /// dtype dispatch hoisted out of the per-row loop and null words loaded
-/// per superbatch instead of probed per row.
+/// per 64 rows instead of probed per row.
 pub fn gather(col: &ColumnVec, rows: &RowSet) -> Vec<Value> {
     let nulls = col.nulls();
     let mut out = Vec::with_capacity(rows.len());

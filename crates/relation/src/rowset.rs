@@ -105,27 +105,9 @@ impl RowSet {
     }
 
     /// The raw word storage (`words()[i]` covers rows `i*64 .. i*64+64`).
-    /// Superbatch scans walk this slice directly instead of calling
-    /// [`RowSet::word`] per batch.
     #[inline]
     pub fn words(&self) -> &[u64] {
         &self.words
-    }
-
-    /// Bulk-load eight consecutive words starting at word `start` — one
-    /// 512-row superbatch of membership/null bits. Out-of-range words
-    /// read as 0, same as [`RowSet::word`]; the fully-in-range fast path
-    /// is a single 64-byte copy.
-    #[inline]
-    pub fn word8(&self, start: usize) -> [u64; 8] {
-        let mut out = [0u64; 8];
-        if let Some(src) = self.words.get(start..start + 8) {
-            out.copy_from_slice(src);
-        } else {
-            let tail = self.words.get(start..).unwrap_or(&[]);
-            out[..tail.len()].copy_from_slice(tail);
-        }
-        out
     }
 
     /// Overwrite the `i`-th 64-row word with a kernel-emitted match word,

@@ -2,23 +2,21 @@
 //! dispatch: the SIMD layer under [`crate::kernel`]'s 64-row scan ABI.
 //!
 //! Each function here evaluates one predicate family over up to 64 lanes
-//! and returns the match word (`bit i` ⇔ `lanes[i]` matches). Three tiers
+//! and returns the match word (`bit i` ⇔ `lanes[i]` matches). Two tiers
 //! exist:
 //!
-//! * [`SimdTier::Scalar`] — the per-lane loops the kernels have always
-//!   used; the bit-exact oracle the vector tiers must reproduce.
-//! * [`SimdTier::Sse2`] — baseline x86-64 vectors (always present on the
-//!   architecture). 64-bit signed compares and the float total-order key
-//!   transform are emulated from 32-bit ops.
+//! * [`SimdTier::Scalar`] — the portable per-lane loops; the bit-exact
+//!   oracle the vector tier must reproduce, and the tier every host
+//!   without AVX2 runs on.
 //! * [`SimdTier::Avx2`] — 256-bit vectors selected at runtime via
 //!   `is_x86_feature_detected!`.
 //!
 //! The active tier is resolved once per process ([`active_tier`]) from the
-//! host CPU, overridable with `SQUID_SIMD=scalar|sse2|avx2|auto` (an
-//! unavailable request degrades to the best available tier — never a
-//! crash). Every entry point also accepts an explicit tier so the parity
-//! property tests can drive each implementation regardless of which tier
-//! the host would pick.
+//! host CPU; `SQUID_SIMD=scalar` pins it to the oracle so a whole test
+//! suite can run against the scalar loops. Every entry point also accepts
+//! an explicit tier so the parity property tests can drive each
+//! implementation regardless of which tier the host would pick; a request
+//! for a tier the CPU lacks runs the scalar loop.
 //!
 //! Vector paths run only on full 64-lane words; partial tail words take
 //! the scalar loop, which keeps tail masking in one place
@@ -32,67 +30,75 @@ use std::sync::OnceLock;
 pub enum SimdTier {
     /// Per-lane scalar loops (any architecture); the semantic oracle.
     Scalar,
-    /// 128-bit SSE2 vectors (x86-64 baseline).
-    Sse2,
     /// 256-bit AVX2 vectors (runtime-detected).
     Avx2,
 }
 
 impl SimdTier {
-    /// Short lowercase name (`scalar`/`sse2`/`avx2`), matching the
-    /// `SQUID_SIMD` override values.
+    /// Short lowercase name (`scalar`/`avx2`).
     pub fn name(self) -> &'static str {
         match self {
             SimdTier::Scalar => "scalar",
-            SimdTier::Sse2 => "sse2",
             SimdTier::Avx2 => "avx2",
         }
     }
 }
 
-/// Tiers the current host can actually execute, ascending. `Scalar` is
-/// always present; on x86-64 so is `Sse2`; `Avx2` joins when detected.
-pub fn available_tiers() -> Vec<SimdTier> {
-    let mut tiers = vec![SimdTier::Scalar];
+/// Does this CPU execute AVX2? (std caches the CPUID probe, so asking per
+/// word costs one atomic load.) Always false off x86-64.
+#[inline]
+fn has_avx2() -> bool {
     #[cfg(target_arch = "x86_64")]
     {
-        tiers.push(SimdTier::Sse2);
-        if std::arch::is_x86_feature_detected!("avx2") {
-            tiers.push(SimdTier::Avx2);
-        }
+        std::arch::is_x86_feature_detected!("avx2")
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        false
+    }
+}
+
+/// Tiers the current host can actually execute, ascending. `Scalar` is
+/// always present; `Avx2` joins when detected.
+pub fn available_tiers() -> Vec<SimdTier> {
+    let mut tiers = vec![SimdTier::Scalar];
+    if has_avx2() {
+        tiers.push(SimdTier::Avx2);
     }
     tiers
 }
 
 /// The tier every default kernel call dispatches to. Resolved once: the
-/// best available tier, clamped down by `SQUID_SIMD` (`scalar`/`off`
-/// forces the oracle loops, `sse2` caps at 128-bit, `avx2`/`auto` ask for
-/// the maximum; an unavailable request degrades to the best available).
+/// best available tier, unless `SQUID_SIMD=scalar` pins the oracle loops
+/// (any other value is ignored).
 pub fn active_tier() -> SimdTier {
     static TIER: OnceLock<SimdTier> = OnceLock::new();
     *TIER.get_or_init(|| {
-        let best = *available_tiers().last().expect("scalar always available");
-        match std::env::var("SQUID_SIMD").as_deref() {
-            Ok("scalar") | Ok("off") | Ok("0") => SimdTier::Scalar,
-            Ok("sse2") => best.min(SimdTier::Sse2),
-            Ok("avx2") | Ok("auto") | Ok(_) | Err(_) => best,
+        if has_avx2() && std::env::var("SQUID_SIMD").as_deref() != Ok("scalar") {
+            SimdTier::Avx2
+        } else {
+            SimdTier::Scalar
         }
     })
+}
+
+/// Whether a full-word call on `tier` takes the AVX2 body. `SimdTier::Avx2`
+/// is freely constructible, so the CPU is re-checked on every dispatch:
+/// asking for AVX2 on a host without it runs the scalar loop instead of
+/// executing instructions the CPU lacks.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+fn takes_avx2(tier: SimdTier, lanes: usize) -> bool {
+    lanes == 64 && tier == SimdTier::Avx2 && has_avx2()
 }
 
 /// Match word of `lo <= lane <= hi` over up to 64 `i64` lanes.
 #[inline]
 pub fn int_range_word(tier: SimdTier, lanes: &[i64], lo: i64, hi: i64) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if lanes.len() == 64 {
-        match tier {
-            // SAFETY: SSE2 is part of the x86-64 baseline.
-            SimdTier::Sse2 => return unsafe { x86::int_range_word_sse2(lanes, lo, hi) },
-            // SAFETY: Avx2 is only handed out by available_tiers()/
-            // active_tier() after is_x86_feature_detected!("avx2").
-            SimdTier::Avx2 => return unsafe { x86::int_range_word_avx2(lanes, lo, hi) },
-            SimdTier::Scalar => {}
-        }
+    if takes_avx2(tier, lanes.len()) {
+        // SAFETY: takes_avx2 just confirmed 64 lanes and AVX2 on this CPU.
+        return unsafe { x86::int_range_word_avx2(lanes, lo, hi) };
     }
     let _ = tier;
     let mut w = 0u64;
@@ -116,14 +122,9 @@ pub fn f64_total_key(x: f64) -> i64 {
 #[inline]
 pub fn float_range_word(tier: SimdTier, lanes: &[f64], lo_key: i64, hi_key: i64) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if lanes.len() == 64 {
-        match tier {
-            // SAFETY: see int_range_word.
-            SimdTier::Sse2 => return unsafe { x86::float_range_word_sse2(lanes, lo_key, hi_key) },
-            // SAFETY: see int_range_word.
-            SimdTier::Avx2 => return unsafe { x86::float_range_word_avx2(lanes, lo_key, hi_key) },
-            SimdTier::Scalar => {}
-        }
+    if takes_avx2(tier, lanes.len()) {
+        // SAFETY: takes_avx2 just confirmed 64 lanes and AVX2 on this CPU.
+        return unsafe { x86::float_range_word_avx2(lanes, lo_key, hi_key) };
     }
     let _ = tier;
     let mut w = 0u64;
@@ -138,14 +139,9 @@ pub fn float_range_word(tier: SimdTier, lanes: &[f64], lo_key: i64, hi_key: i64)
 #[inline]
 pub fn sym_eq_word(tier: SimdTier, lanes: &[u32], sym: u32) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if lanes.len() == 64 {
-        match tier {
-            // SAFETY: see int_range_word.
-            SimdTier::Sse2 => return unsafe { x86::sym_eq_word_sse2(lanes, sym) },
-            // SAFETY: see int_range_word.
-            SimdTier::Avx2 => return unsafe { x86::sym_eq_word_avx2(lanes, sym) },
-            SimdTier::Scalar => {}
-        }
+    if takes_avx2(tier, lanes.len()) {
+        // SAFETY: takes_avx2 just confirmed 64 lanes and AVX2 on this CPU.
+        return unsafe { x86::sym_eq_word_avx2(lanes, sym) };
     }
     let _ = tier;
     let mut w = 0u64;
@@ -161,14 +157,9 @@ pub fn sym_eq_word(tier: SimdTier, lanes: &[u32], sym: u32) -> u64 {
 #[inline]
 pub fn sym_in_word(tier: SimdTier, lanes: &[u32], syms: &[u32]) -> u64 {
     #[cfg(target_arch = "x86_64")]
-    if lanes.len() == 64 {
-        match tier {
-            // SAFETY: see int_range_word.
-            SimdTier::Sse2 => return unsafe { x86::sym_in_word_sse2(lanes, syms) },
-            // SAFETY: see int_range_word.
-            SimdTier::Avx2 => return unsafe { x86::sym_in_word_avx2(lanes, syms) },
-            SimdTier::Scalar => {}
-        }
+    if takes_avx2(tier, lanes.len()) {
+        // SAFETY: takes_avx2 just confirmed 64 lanes and AVX2 on this CPU.
+        return unsafe { x86::sym_in_word_avx2(lanes, syms) };
     }
     let _ = tier;
     let mut w = 0u64;
@@ -183,105 +174,6 @@ mod x86 {
     //! The intrinsic bodies. Every function takes exactly 64 lanes (the
     //! callers guarantee it) and mirrors its scalar loop bit for bit.
     use core::arch::x86_64::*;
-
-    /// Sign-bit-only 64-bit signed `a > b` for SSE2, which has no
-    /// `_mm_cmpgt_epi64`. Composed from 32-bit ops: if the high halves
-    /// differ their signed compare decides; if they are equal, the borrow
-    /// sign of `b - a` decides (an unsigned low-half compare). Only bit
-    /// 63 of each lane is meaningful — extract with `_mm_movemask_pd`.
-    #[inline]
-    unsafe fn sse2_gt64_mask(a: __m128i, b: __m128i) -> i32 {
-        unsafe {
-            let eq = _mm_cmpeq_epi32(a, b);
-            let borrow = _mm_sub_epi64(b, a);
-            let gt = _mm_cmpgt_epi32(a, b);
-            let r = _mm_or_si128(_mm_and_si128(eq, borrow), gt);
-            _mm_movemask_pd(_mm_castsi128_pd(r))
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn int_range_word_sse2(lanes: &[i64], lo: i64, hi: i64) -> u64 {
-        debug_assert_eq!(lanes.len(), 64);
-        unsafe {
-            let lo_v = _mm_set1_epi64x(lo);
-            let hi_v = _mm_set1_epi64x(hi);
-            let mut w = 0u64;
-            for i in 0..32 {
-                let v = _mm_loadu_si128(lanes.as_ptr().add(i * 2) as *const __m128i);
-                let below = sse2_gt64_mask(lo_v, v); // lo > v
-                let above = sse2_gt64_mask(v, hi_v); // v > hi
-                w |= ((!(below | above) & 0b11) as u64) << (i * 2);
-            }
-            w
-        }
-    }
-
-    /// `f64::total_cmp` key transform for two lanes: fold sign-magnitude
-    /// bits into two's complement (`b ^ (sign(b) >> 1)`). The 64-lane
-    /// arithmetic shift is emulated by broadcasting each high half's
-    /// 32-bit sign mask across its lane.
-    #[inline]
-    unsafe fn sse2_total_key(bits: __m128i) -> __m128i {
-        unsafe {
-            let sign32 = _mm_srai_epi32(bits, 31);
-            let sign = _mm_shuffle_epi32(sign32, 0b11_11_01_01); // lanes (3,3,1,1)
-            _mm_xor_si128(bits, _mm_srli_epi64(sign, 1))
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn float_range_word_sse2(lanes: &[f64], lo_key: i64, hi_key: i64) -> u64 {
-        debug_assert_eq!(lanes.len(), 64);
-        unsafe {
-            let lo_v = _mm_set1_epi64x(lo_key);
-            let hi_v = _mm_set1_epi64x(hi_key);
-            let mut w = 0u64;
-            for i in 0..32 {
-                let bits = _mm_loadu_si128(lanes.as_ptr().add(i * 2) as *const __m128i);
-                let k = sse2_total_key(bits);
-                let below = sse2_gt64_mask(lo_v, k);
-                let above = sse2_gt64_mask(k, hi_v);
-                w |= ((!(below | above) & 0b11) as u64) << (i * 2);
-            }
-            w
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn sym_eq_word_sse2(lanes: &[u32], sym: u32) -> u64 {
-        debug_assert_eq!(lanes.len(), 64);
-        unsafe {
-            let probe = _mm_set1_epi32(sym as i32);
-            let mut w = 0u64;
-            for i in 0..16 {
-                let v = _mm_loadu_si128(lanes.as_ptr().add(i * 4) as *const __m128i);
-                let eq = _mm_cmpeq_epi32(v, probe);
-                let m = _mm_movemask_ps(_mm_castsi128_ps(eq)) as u64;
-                w |= m << (i * 4);
-            }
-            w
-        }
-    }
-
-    #[target_feature(enable = "sse2")]
-    pub unsafe fn sym_in_word_sse2(lanes: &[u32], syms: &[u32]) -> u64 {
-        debug_assert_eq!(lanes.len(), 64);
-        unsafe {
-            let mut w = 0u64;
-            for i in 0..16 {
-                let v = _mm_loadu_si128(lanes.as_ptr().add(i * 4) as *const __m128i);
-                let mut any = _mm_setzero_si128();
-                for &s in syms {
-                    let probe = _mm_set1_epi32(s as i32);
-                    any = _mm_or_si128(any, _mm_cmpeq_epi32(v, probe));
-                }
-                let m = _mm_movemask_ps(_mm_castsi128_ps(any)) as u64;
-                w |= m << (i * 4);
-            }
-            w
-        }
-    }
 
     #[target_feature(enable = "avx2")]
     pub unsafe fn int_range_word_avx2(lanes: &[i64], lo: i64, hi: i64) -> u64 {
@@ -449,6 +341,40 @@ mod tests {
         for tier in available_tiers() {
             assert_eq!(sym_eq_word(tier, &lanes, lanes[5]), oracle_eq, "{tier:?}");
             assert_eq!(sym_in_word(tier, &lanes, &probes), oracle_in, "{tier:?}");
+        }
+    }
+
+    /// `SimdTier::Avx2` is freely constructible, so safe callers can ask
+    /// for it on a CPU without AVX2: such a request must come back
+    /// word-exact with scalar (on an AVX2 host the same assertions are
+    /// the vector parity check), and the dispatch gate must follow the
+    /// CPU probe rather than the caller's word.
+    #[test]
+    fn unavailable_tier_requests_are_word_exact_with_scalar() {
+        let ints = adversarial_ints();
+        let floats = adversarial_floats();
+        let syms: Vec<u32> = (0..64).map(|i| (i % 5) * 7).collect();
+        let (lo, hi) = (f64_total_key(-1.0), f64_total_key(f64::INFINITY));
+        assert_eq!(
+            int_range_word(SimdTier::Avx2, &ints, -10, 10),
+            int_range_word(SimdTier::Scalar, &ints, -10, 10)
+        );
+        assert_eq!(
+            float_range_word(SimdTier::Avx2, &floats, lo, hi),
+            float_range_word(SimdTier::Scalar, &floats, lo, hi)
+        );
+        assert_eq!(
+            sym_eq_word(SimdTier::Avx2, &syms, 14),
+            sym_eq_word(SimdTier::Scalar, &syms, 14)
+        );
+        assert_eq!(
+            sym_in_word(SimdTier::Avx2, &syms, &[0, 21, 99]),
+            sym_in_word(SimdTier::Scalar, &syms, &[0, 21, 99])
+        );
+        #[cfg(target_arch = "x86_64")]
+        {
+            assert_eq!(takes_avx2(SimdTier::Avx2, 64), has_avx2());
+            assert!(!takes_avx2(SimdTier::Scalar, 64));
         }
     }
 

@@ -5,16 +5,15 @@
 //! 2^63 int/float widening boundary — and emitted words must round-trip
 //! through `RowSet` exactly.
 //!
-//! Parity is asserted on EVERY SIMD tier the host can execute (scalar,
-//! SSE2, and AVX2 when detected) through both the per-word and the
-//! 512-row superbatch entry points, so the explicit vector kernels and
-//! their ragged-tail handling are pinned to the scalar oracle no matter
-//! which tier `SQUID_SIMD`/runtime detection would pick.
+//! Parity is asserted on EVERY SIMD tier (scalar and AVX2; a request for
+//! AVX2 on a host without it must fall back to the scalar loop), so the
+//! explicit vector kernels and their ragged-tail handling are pinned to
+//! the scalar oracle no matter which tier `SQUID_SIMD`/runtime detection
+//! would pick.
 
 use proptest::prelude::*;
-use squid_relation::kernel::{self, CmpSpec, SUPERBATCH_WORDS};
-use squid_relation::simd::available_tiers;
-use squid_relation::{Column, DataType, RowSet, ScanPlan, Table, TableSchema, Value};
+use squid_relation::kernel::{self, CmpSpec};
+use squid_relation::{Column, DataType, RowSet, ScanPlan, SimdTier, Table, TableSchema, Value};
 
 /// 2^63 as an f64 (exactly representable): the top of the i64 range.
 const TWO_63: f64 = 9_223_372_036_854_775_808.0;
@@ -79,9 +78,9 @@ fn spec_of(op: u8, a: Value, b: Value, set: Vec<Value>) -> CmpSpec {
 }
 
 /// Assert kernel-vs-scalar parity for `spec` over a one-column table and
-/// check the emitted words round-trip through `RowSet`. Every available
-/// SIMD tier is driven through both the per-word and the superbatch entry
-/// points and must agree with the oracle bit for bit.
+/// check the emitted words round-trip through `RowSet`. Every SIMD tier
+/// is driven through the per-word entry point and must agree with the
+/// oracle bit for bit.
 fn assert_parity(table: &Table, dtype: DataType, spec: &CmpSpec) {
     let col = table.column(0);
     let n = table.len();
@@ -96,29 +95,17 @@ fn assert_parity(table: &Table, dtype: DataType, spec: &CmpSpec) {
             "row {rid} (cell {cell:?}) under {spec:?}"
         );
     }
-    // Tier sweep: each tier's word and superbatch evaluations must equal
-    // the collected (active-tier) words, including zeroed tail lanes.
+    // Tier sweep: each tier's word evaluations must equal the collected
+    // (active-tier) words, including zeroed tail lanes.
     let k = kernel::compile(col, dtype, spec);
     if !k.is_never() {
-        let mut buf = [0u64; SUPERBATCH_WORDS];
-        for tier in available_tiers() {
+        for tier in [SimdTier::Scalar, SimdTier::Avx2] {
             for b in 0..kernel::batch_count(n) {
                 assert_eq!(
                     k.eval_word_with(tier, b, n) & kernel::tail_mask(n, b),
                     got.word(b),
                     "tier {tier:?} batch {b} under {spec:?}"
                 );
-            }
-            for sb in 0..kernel::superbatch_count(n) {
-                k.eval_superbatch_with(tier, sb, n, &mut buf);
-                for (j, &w) in buf.iter().enumerate() {
-                    let b = sb * SUPERBATCH_WORDS + j;
-                    assert_eq!(
-                        w & kernel::tail_mask(n, b),
-                        got.word(b),
-                        "tier {tier:?} superbatch {sb} word {j} under {spec:?}"
-                    );
-                }
             }
         }
     }
@@ -242,12 +229,11 @@ proptest! {
         }
     }
 
-    /// Columns spanning several 512-row superbatches with ragged tails at
-    /// every level (partial word, partial superbatch): the SIMD fast path
-    /// covers the full words, the scalar tail the rest, and both must
-    /// agree with the oracle on every tier.
+    /// Columns spanning up to twenty words with a ragged tail: the SIMD
+    /// fast path covers the full words, the scalar tail the rest, and
+    /// both must agree with the oracle on every tier.
     #[test]
-    fn superbatch_ragged_tails_match_oracle(
+    fn multi_word_ragged_tails_match_oracle(
         n in 1usize..1300,
         seed in any::<i64>(),
         lo in -60i64..60,
@@ -269,7 +255,7 @@ proptest! {
                 }
             })
             .collect();
-        let t = one_column_table("sb_ints", DataType::Int, int_cells);
+        let t = one_column_table("mw_ints", DataType::Int, int_cells);
         assert_parity(&t, DataType::Int, &CmpSpec::Between(Value::Int(lo), Value::Int(hi)));
         assert_parity(&t, DataType::Int, &spec_of(1, probe_float, Value::Null, vec![]));
 
@@ -284,7 +270,7 @@ proptest! {
                 }
             })
             .collect();
-        let t = one_column_table("sb_floats", DataType::Float, float_cells);
+        let t = one_column_table("mw_floats", DataType::Float, float_cells);
         assert_parity(
             &t,
             DataType::Float,
@@ -302,7 +288,7 @@ proptest! {
                 }
             })
             .collect();
-        let t = one_column_table("sb_texts", DataType::Text, text_cells);
+        let t = one_column_table("mw_texts", DataType::Text, text_cells);
         assert_parity(&t, DataType::Text, &CmpSpec::Eq(Value::text("b")));
         assert_parity(
             &t,
