@@ -17,14 +17,23 @@
 //! After the timed runs the warm manager's hit rate and resident bytes
 //! are printed so recorded runs carry the cache effectiveness alongside
 //! the latency numbers.
+//!
+//! Two more ids time the served turns whose cost used to grow with the
+//! *result* instead of with the filter (the benchmark's trace put both in
+//! the p99 tail): `suggest/wide_result` — `suggest(3)` on a scattered
+//! 8-example session whose result is at least half the table — and
+//! `incr_session/add_wide_filter` — an add whose newly chosen filter
+//! matches more than a quarter of the table, so it is not materialized
+//! and restricts a wide previous result in place.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use squid_adb::ADb;
 use squid_bench::{params_for, sample_examples};
-use squid_core::SessionManager;
+use squid_core::{FilterValue, SessionManager, SquidSession};
 use squid_datasets::{generate_imdb_variant, imdb_queries, ImdbConfig, ImdbVariant};
+use squid_relation::Database;
 
 const FLEET: usize = 8;
 
@@ -44,25 +53,33 @@ fn replay(manager: &SessionManager, slate: &[&str]) -> usize {
     rows
 }
 
+/// Bigger and denser than the fig9a dataset: cross-session reuse pays off
+/// in proportion to postings length (cold walks grow with the
+/// associations, warm bitmap ANDs only with n/64 words).
+fn big_dense() -> &'static (Database, Arc<ADb>) {
+    static SLATE: OnceLock<(Database, Arc<ADb>)> = OnceLock::new();
+    SLATE.get_or_init(|| {
+        let cfg = ImdbConfig {
+            persons: 12_000,
+            movies: 8_000,
+            ..ImdbConfig::default()
+        };
+        let db = generate_imdb_variant(&cfg, ImdbVariant::BigDense);
+        let adb = Arc::new(ADb::build(&db).unwrap());
+        (db, adb)
+    })
+}
+
 fn bench_multi_session(c: &mut Criterion) {
-    // Bigger and denser than the fig9a dataset: cross-session reuse pays
-    // off in proportion to postings length (cold walks grow with the
-    // associations, warm bitmap ANDs only with n/64 words).
-    let cfg = ImdbConfig {
-        persons: 12_000,
-        movies: 8_000,
-        ..ImdbConfig::default()
-    };
-    let db = generate_imdb_variant(&cfg, ImdbVariant::BigDense);
-    let adb = Arc::new(ADb::build(&db).unwrap());
-    let queries = imdb_queries(&db);
+    let (db, adb) = big_dense();
+    let queries = imdb_queries(db);
     let params = params_for("imdb");
     // Two overlapping workloads: both slates are drawn from IQ15 with
     // different seeds, so fleets replaying them share most (not all) of
     // their abduced filters — the realistic popular-filter overlap.
     let q = queries.iter().find(|q| q.id == "IQ15").unwrap();
-    let (examples_a, _) = sample_examples(&db, &q.query, 10, 3);
-    let (examples_b, _) = sample_examples(&db, &q.query, 10, 7);
+    let (examples_a, _) = sample_examples(db, &q.query, 10, 3);
+    let (examples_b, _) = sample_examples(db, &q.query, 10, 7);
     let slate_a: Vec<&str> = examples_a.iter().map(String::as_str).collect();
     let slate_b: Vec<&str> = examples_b.iter().map(String::as_str).collect();
 
@@ -72,7 +89,7 @@ fn bench_multi_session(c: &mut Criterion) {
     // so the session computes every admitted bitmap from postings.
     group.bench_with_input(BenchmarkId::new("cold_session", 10), &slate_a, |b, s| {
         b.iter_batched(
-            || SessionManager::with_params(Arc::clone(&adb), params.clone()),
+            || SessionManager::with_params(Arc::clone(adb), params.clone()),
             |m| replay(&m, s),
             BatchSize::SmallInput,
         )
@@ -81,7 +98,7 @@ fn bench_multi_session(c: &mut Criterion) {
     // Warm: the shared cache was populated by an earlier session; each
     // iteration creates a NEW session (empty local cache) and replays the
     // same turns — pure cross-session reuse.
-    let warm = SessionManager::with_params(Arc::clone(&adb), params.clone());
+    let warm = SessionManager::with_params(Arc::clone(adb), params.clone());
     replay(&warm, &slate_a);
     group.bench_with_input(BenchmarkId::new("warm_session", 10), &slate_a, |b, s| {
         b.iter(|| replay(&warm, std::hint::black_box(s)))
@@ -91,7 +108,7 @@ fn bench_multi_session(c: &mut Criterion) {
     // slates, with and without the fleet-wide cache.
     group.bench_function(format!("fleet_shared/{FLEET}"), |b| {
         b.iter_batched(
-            || SessionManager::with_params(Arc::clone(&adb), params.clone()),
+            || SessionManager::with_params(Arc::clone(adb), params.clone()),
             |m| {
                 let mut total = 0;
                 for i in 0..FLEET {
@@ -105,7 +122,7 @@ fn bench_multi_session(c: &mut Criterion) {
     });
     group.bench_function(format!("fleet_unshared/{FLEET}"), |b| {
         b.iter_batched(
-            || SessionManager::with_params(Arc::clone(&adb), params.clone()).without_shared_cache(),
+            || SessionManager::with_params(Arc::clone(adb), params.clone()).without_shared_cache(),
             |m| {
                 let mut total = 0;
                 for i in 0..FLEET {
@@ -145,5 +162,67 @@ fn bench_multi_session(c: &mut Criterion) {
     }
 }
 
-criterion_group!(benches, bench_multi_session);
+/// Turns over a *wide* result. Scattered examples (persons with nothing
+/// planted in common) abduce almost nothing, so the result stays most of
+/// the table; the slates are found by search, not hard-coded, so a
+/// generator change moves the slate instead of silently emptying the bench.
+fn bench_wide_turns(c: &mut Criterion) {
+    let (_, adb) = big_dense();
+    let n = adb.entity("person").unwrap().n;
+    let params = params_for("imdb");
+    let scattered = |start: usize| -> Vec<String> {
+        (0..8)
+            .map(|i| format!("Person {:06}", (start + i * 1499) % n))
+            .collect()
+    };
+
+    let wide_result = (0..n)
+        .find_map(|start| {
+            let mut s = SquidSession::shared_with_params(Arc::clone(adb), params.clone());
+            for e in scattered(start) {
+                s.add_example(&e).ok()?;
+            }
+            (s.discovery()?.rows.len() >= n / 2 && !s.suggest(3).is_empty()).then_some(s)
+        })
+        .expect("a scattered session with a wide result and a contested filter");
+    c.bench_function("suggest/wide_result", |b| {
+        b.iter(|| wide_result.suggest(std::hint::black_box(3)))
+    });
+
+    // The session just before, and the example of, an add-only turn that
+    // newly chooses an enumerable filter matching > n/4 rows while at least
+    // n/2 rows survive: too wide to admit, so `restrict_rows` applies it to
+    // the previous result directly.
+    let (before, example) = (0..n)
+        .find_map(|start| {
+            let mut s = SquidSession::shared_with_params(Arc::clone(adb), params.clone());
+            for e in scattered(start) {
+                let before = s.clone();
+                let survivors = s.discovery().map_or(0, |d| d.rows.len());
+                let delta = s.add_example(&e).ok()?;
+                let wide_add = delta.removed_filters.is_empty()
+                    && survivors >= n / 2
+                    && delta.discovery.as_ref()?.scored.iter().any(|f| {
+                        f.included
+                            && f.filter.selectivity > 0.25
+                            && !matches!(f.filter.value, FilterValue::DerivedGe { .. })
+                            && delta.added_filters.contains(&f.filter.describe())
+                    });
+                if wide_add {
+                    return Some((before, e));
+                }
+            }
+            None
+        })
+        .expect("a scattered add that newly chooses a wide filter");
+    c.bench_function("incr_session/add_wide_filter", |b| {
+        b.iter_batched(
+            || before.clone(),
+            |mut s| s.add_example(std::hint::black_box(&example)).unwrap(),
+            BatchSize::SmallInput,
+        )
+    });
+}
+
+criterion_group!(benches, bench_multi_session, bench_wide_turns);
 criterion_main!(benches);

@@ -278,7 +278,9 @@ fn match_estimate(f: &CandidateFilter, prop: &Property) -> Option<usize> {
 ///   which the probe-restricted path beats by orders of magnitude;
 /// * it must be *selective enough* — a bitmap with most rows set costs a
 ///   long postings walk to build yet removes almost nothing from the
-///   intersection, while probing it over the surviving rows is near-free.
+///   intersection; restricting the surviving rows directly
+///   ([`restrict_by_probe`]) costs the shorter of the two sides and
+///   stores nothing.
 fn admit_on_miss(f: &CandidateFilter, prop: &Property, n: usize) -> bool {
     match match_estimate(f, prop) {
         Some(m) => m <= (n / 4).max(64),
@@ -286,22 +288,46 @@ fn admit_on_miss(f: &CandidateFilter, prop: &Property, n: usize) -> bool {
     }
 }
 
-/// Drop from `rows` every row failing `f` — the evaluation path for
-/// filters whose sets are not worth materializing: only the rows that
-/// survived the cached intersection are probed.
-fn restrict_by_probe(rows: &mut RowSet, f: &CandidateFilter, prop: &Property) {
-    let failing: Vec<squid_relation::RowId> =
-        rows.iter().filter(|&r| !f.matches_row(prop, r)).collect();
-    for r in failing {
-        rows.remove(r);
+/// The rows of `within` that fail `f`, computed from whichever side is
+/// shorter: a filter that can enumerate fewer matches than `within` has
+/// rows walks its postings and knocks the matches out of a copy of
+/// `within`; any other filter (wider than `within`, or not enumerable at
+/// all) probes each row of `within`.
+pub(crate) fn violators(within: &RowSet, f: &CandidateFilter, prop: &Property) -> RowSet {
+    match match_estimate(f, prop) {
+        Some(m) if m < within.len() => {
+            let mut out = within.clone();
+            enumerate_rows(f, prop, &mut |row| {
+                out.remove(row);
+            });
+            out
+        }
+        _ => {
+            let mut out = RowSet::with_universe(within.word_count() * 64);
+            for row in within {
+                if !f.matches_row(prop, row) {
+                    out.insert(row);
+                }
+            }
+            out
+        }
     }
+}
+
+/// Drop from `rows` every row failing `f` — the evaluation path for
+/// filters whose sets are not worth materializing: the work is bounded by
+/// the shorter of the filter's postings and the rows that survived the
+/// cached intersection (see [`violators`]).
+fn restrict_by_probe(rows: &mut RowSet, f: &CandidateFilter, prop: &Property) {
+    let failing = violators(rows, f, prop);
+    rows.difference_with(&failing);
 }
 
 /// One incremental result-maintenance step for the session: restrict
 /// `rows` by a single newly chosen filter — through its cached bitmap when
-/// resident (or cheap to admit from postings), by probing the surviving
-/// rows otherwise. An unknown property clears the result, matching
-/// [`evaluate`].
+/// resident (or cheap to admit from postings), otherwise directly, from
+/// the shorter of its postings and the surviving rows. An unknown property
+/// clears the result, matching [`evaluate`].
 pub(crate) fn restrict_rows(
     rows: &mut RowSet,
     entity: &EntityProps,
@@ -326,7 +352,7 @@ pub(crate) fn restrict_rows(
 /// [`evaluate`] through a [`FilterSetCache`]: each filter's satisfying set
 /// is fetched by fingerprint (computed from postings and memoized on a
 /// miss), the resident sets are intersected word-wise smallest-first, and
-/// filters too expensive to materialize probe only the surviving rows.
+/// filters too expensive to materialize restrict only the surviving rows.
 /// With a warm cache a repeat evaluation performs no postings walks at all
 /// — only `u64` AND loops over resident bitmaps.
 ///
@@ -584,6 +610,71 @@ mod tests {
         for r in &rows {
             assert!(result.contains(*r));
         }
+    }
+
+    #[test]
+    fn violators_agree_with_row_probes_on_both_sides_of_the_cost_rule() {
+        let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
+        let params = SquidParams {
+            allow_disjunction: true,
+            ..SquidParams::default()
+        };
+        let mut shared_row_lists = 0;
+        for entity in adb.entities.values() {
+            let mut filters = Vec::new();
+            for a in 0..entity.n {
+                for b in a..entity.n {
+                    filters.extend(discover_contexts(entity, &[a, b], &params));
+                }
+            }
+            // `IN` lists over multi-valued attributes, whose values share
+            // rows (a movie is Comedy and Fantasy): enumeration meets such
+            // a row once per value.
+            for prop in &entity.props {
+                let PropStats::Categorical(stats) = &prop.stats else {
+                    continue;
+                };
+                for row in 0..entity.n {
+                    if stats.values_of(row).len() > 1 {
+                        shared_row_lists += 1;
+                        filters.push(CandidateFilter {
+                            prop_id: prop.id_sym,
+                            attr_name: prop.attr_sym,
+                            value: FilterValue::CatIn(stats.values_of(row).to_vec()),
+                            selectivity: 0.5,
+                            coverage: 0.5,
+                        });
+                    }
+                }
+            }
+            // Wide sets put a filter's postings on the shorter side, small
+            // ones the set itself.
+            let withins = [
+                RowSet::full(entity.n),
+                (0..entity.n).step_by(2).collect(),
+                (entity.n.saturating_sub(2)..entity.n).collect(),
+                RowSet::new(),
+            ];
+            let (mut enumerated, mut probed) = (0, 0);
+            for f in &filters {
+                let prop = entity.property(f.prop_id).unwrap();
+                for within in &withins {
+                    let expect: RowSet =
+                        within.iter().filter(|&r| !f.matches_row(prop, r)).collect();
+                    assert_eq!(violators(within, f, prop), expect, "{}", f.describe());
+                    let mut restricted = within.clone();
+                    restrict_by_probe(&mut restricted, f, prop);
+                    assert_eq!(restricted.len(), within.len() - expect.len());
+                    assert!(restricted.iter().all(|r| f.matches_row(prop, r)));
+                    match match_estimate(f, prop) {
+                        Some(m) if m < within.len() => enumerated += 1,
+                        _ => probed += 1,
+                    }
+                }
+            }
+            assert!(enumerated > 0 && probed > 0, "{}", entity.table);
+        }
+        assert!(shared_row_lists > 0);
     }
 
     #[test]

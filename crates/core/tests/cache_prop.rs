@@ -2,16 +2,20 @@
 //! be *indistinguishable* from uncached postings enumeration for every
 //! filter set — including perturbed θs, shifted (even inverted) numeric
 //! bounds, and values absent from the active domain — and session turns
-//! that repeat filters must serve them from resident bitmaps.
+//! that repeat filters must serve them from resident bitmaps. Filters too
+//! wide to admit (> n/4 matches) restrict the surviving rows from whichever
+//! side is shorter; both sides, and `IN` lists whose values share rows, are
+//! held to the same uncached answer on a 400-person generated slate.
 
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
-use squid_adb::{test_fixtures, ADb, FilterSetCache};
+use squid_adb::{test_fixtures, ADb, FilterSetCache, PropStats};
 use squid_core::{
     discover_contexts, evaluate, evaluate_cached, CandidateFilter, FilterValue, SquidParams,
     SquidSession,
 };
+use squid_datasets::{generate_imdb, ImdbConfig};
 use squid_relation::Value;
 
 fn adb() -> &'static ADb {
@@ -27,8 +31,80 @@ fn shared_cache() -> &'static Mutex<FilterSetCache> {
     C.get_or_init(|| Mutex::new(FilterSetCache::new(adb().generation)))
 }
 
+/// 400 persons / 250 movies: large enough that the admission bound
+/// max(n/4, 64) refuses real filters (mini-IMDb's 8 rows admit everything).
+fn slate() -> &'static ADb {
+    static S: OnceLock<ADb> = OnceLock::new();
+    S.get_or_init(|| ADb::build(&generate_imdb(&ImdbConfig::tiny())).unwrap())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Hand-built filters over the generated movies, wide and narrow mixed:
+    /// a refused wide filter probes what the admitted bitmaps left, and the
+    /// genre `IN` lists name values that share movies, so their postings
+    /// meet a row once per value.
+    #[test]
+    fn wide_and_shared_row_filters_match_uncached(
+        genres in proptest::collection::vec(0usize..16, 1..4),
+        country in 0usize..11,
+        years in (0i64..60, 0i64..60),
+        subset in 1u8..16,
+    ) {
+        let entity = slate().entity("movie").unwrap();
+        let domain = |attr: &str| -> Vec<Value> {
+            let prop = entity.props.iter().find(|p| p.def.attr_name == attr).unwrap();
+            let PropStats::Categorical(stats) = &prop.stats else {
+                panic!("{attr} is categorical");
+            };
+            let mut values: Vec<Value> = (0..entity.n)
+                .flat_map(|r| stats.values_of(r).iter().copied())
+                .collect();
+            values.sort();
+            values.dedup();
+            values
+        };
+        let filter = |attr: &str, value: FilterValue| {
+            let prop = entity.props.iter().find(|p| p.def.attr_name == attr).unwrap();
+            CandidateFilter {
+                prop_id: prop.id_sym,
+                attr_name: prop.attr_sym,
+                value,
+                selectivity: 0.5,
+                coverage: 0.5,
+            }
+        };
+        let (genre_domain, country_domain) = (domain("genre.name"), domain("country"));
+        let low = 1960 + years.0.min(years.1);
+        let all = [
+            filter(
+                "genre.name",
+                FilterValue::CatIn(
+                    genres.iter().map(|g| genre_domain[g % genre_domain.len()]).collect(),
+                ),
+            ),
+            filter(
+                "country",
+                FilterValue::CatEq(country_domain[country % country_domain.len()]),
+            ),
+            filter(
+                "year",
+                FilterValue::NumRange(low as f64, (1960 + years.0.max(years.1)) as f64),
+            ),
+            filter("year", FilterValue::NumRange(low as f64, low as f64 + 1.0)),
+        ];
+        let filters: Vec<CandidateFilter> = all
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| subset & (1 << i) != 0)
+            .map(|(_, f)| f.clone())
+            .collect();
+        let uncached = evaluate(entity, &filters);
+        let mut cache = FilterSetCache::new(slate().generation);
+        prop_assert_eq!(&evaluate_cached(entity, &filters, &mut cache), &uncached);
+        prop_assert_eq!(&evaluate_cached(entity, &filters, &mut cache), &uncached);
+    }
 
     /// Cached `evaluate` ≡ uncached postings enumeration, cold and warm,
     /// across random (and randomly perturbed) filter sets.
@@ -145,4 +221,59 @@ fn cache_generation_invalidation() {
     cache.revalidate(adb_b.generation);
     assert_eq!(cache.entries(), 0, "new generation drops entries");
     assert_eq!(cache.generation(), adb_b.generation);
+}
+
+/// A session turn that only adds a filter restricts the previous result
+/// in place (`restrict_rows`). For a filter too wide to admit, the work is
+/// done from the shorter side: its postings when it has fewer matches than
+/// rows survive, a probe of the survivors otherwise. Both must leave
+/// exactly what uncached `evaluate` computes from scratch.
+#[test]
+fn wide_filter_turns_match_evaluate_on_both_sides_of_the_cost_rule() {
+    let adb = slate();
+    let entity = adb.entity("person").unwrap();
+    let refused = (entity.n / 4).max(64);
+    let (mut from_postings, mut from_survivors) = (0, 0);
+    for first in (0..entity.n).step_by(20) {
+        let mut session = SquidSession::new(adb);
+        let pair = [first, first + 1].map(|i| format!("Person {i:06}"));
+        if pair.iter().any(|name| session.add_example(name).is_err()) {
+            continue;
+        }
+        // Basic filters (one candidate per attribute, exact match counts)
+        // wider than the admission bound, narrowest first.
+        let scored = session.discovery().unwrap().scored.clone();
+        let mut wide: Vec<(usize, CandidateFilter)> = scored
+            .iter()
+            .filter(|s| !s.filter.value.is_derived())
+            .map(|s| {
+                let matches = evaluate(entity, std::slice::from_ref(&s.filter)).len();
+                (matches, s.filter.clone())
+            })
+            .filter(|(matches, _)| *matches > refused)
+            .collect();
+        wide.sort_by_key(|(matches, _)| *matches);
+        // Start from the whole table: nothing chosen.
+        for s in &scored {
+            session.ban_filter(s.filter.prop_id.as_str()).unwrap();
+        }
+        assert_eq!(session.discovery().unwrap().rows.len(), entity.n);
+        for (matches, f) in &wide {
+            let survivors = session.discovery().unwrap().rows.len();
+            session.pin_filter(f.prop_id.as_str()).unwrap();
+            let d = session.discovery().unwrap();
+            let chosen: Vec<CandidateFilter> = d.chosen_filters().into_iter().cloned().collect();
+            assert!(chosen.iter().any(|c| c.prop_id == f.prop_id));
+            assert_eq!(d.rows, evaluate(entity, &chosen), "{}", f.describe());
+            if *matches < survivors {
+                from_postings += 1;
+            } else {
+                from_survivors += 1;
+            }
+        }
+    }
+    assert!(
+        from_postings > 0 && from_survivors > 0,
+        "postings side {from_postings}, survivor side {from_survivors}"
+    );
 }

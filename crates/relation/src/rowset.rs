@@ -166,6 +166,15 @@ impl RowSet {
         self.len = count;
     }
 
+    /// In-place difference (`self &= !other`), word-parallel.
+    pub fn difference_with(&mut self, other: &RowSet) {
+        // Words past `other`'s storage are untouched: it has no rows there.
+        for (w, o) in self.words.iter_mut().zip(&other.words) {
+            *w &= !o;
+        }
+        self.len = self.words.iter().map(|w| w.count_ones() as usize).sum();
+    }
+
     /// In-place union (`self |= other`), word-parallel.
     pub fn union_with(&mut self, other: &RowSet) {
         if other.words.len() > self.words.len() {
@@ -349,6 +358,30 @@ mod tests {
         let u = a.union(&b);
         assert_eq!(u, of(&[1, 2, 3, 100]));
         assert_eq!(u.len(), 4);
+    }
+
+    #[test]
+    fn difference_with_matches_difference_size_and_btreeset() {
+        // Same pseudo-random stream as the mixed-ops test, two sets of
+        // different word counts in both roles.
+        let mut x: u64 = 0x9e37_79b9;
+        let mut draw = |universe: usize, count: usize| -> RowSet {
+            (0..count)
+                .map(|_| {
+                    x = x.wrapping_mul(6364136223846793005).wrapping_add(1);
+                    (x >> 33) as usize % universe
+                })
+                .collect()
+        };
+        let (a, b) = (draw(700, 300), draw(200, 120));
+        for (s, o) in [(&a, &b), (&b, &a), (&a, &a), (&a, &RowSet::new())] {
+            let mut d = s.clone();
+            d.difference_with(o);
+            assert_eq!(d.len(), s.difference_size(o));
+            let expect: BTreeSet<RowId> = s.iter().filter(|&r| !o.contains(r)).collect();
+            assert_eq!(d.iter().collect::<BTreeSet<_>>(), expect);
+            assert_eq!(d.len(), expect.len());
+        }
     }
 
     #[test]

@@ -46,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -144,6 +144,13 @@ const POLL: Duration = Duration::from_millis(50);
 /// `retry_after_ms` hint on backlog refusals: one worker-queue drain is a
 /// short wait, not a failover.
 const RETRY_OVERLOADED_MS: u64 = 100;
+
+/// How long, and for how many bytes, a refused connection is drained
+/// after its refusal line (see [`respond_and_close`]). Local peers close
+/// within microseconds; the bounds only cap what a stuck or hostile peer
+/// can cost the acceptor.
+const REFUSAL_DRAIN: Duration = Duration::from_millis(100);
+const REFUSAL_DRAIN_BYTES: usize = 64 * 1024;
 
 /// `retry_after_ms` hint on the session cap: a slot opens when a session
 /// closes or expires, which is slower than a backlog drain.
@@ -678,7 +685,8 @@ fn accept_loop(shared: &Shared, listener: TcpListener, tx: SyncSender<TcpStream>
     }
 }
 
-/// Best-effort single error line to a connection we will not serve.
+/// Best-effort single error line to a connection we will not serve,
+/// closed so that the line survives: FIN after it, never RST over it.
 fn respond_and_close(
     mut conn: TcpStream,
     code: ErrorCode,
@@ -693,6 +701,24 @@ fn respond_and_close(
     let mut line = resp.encode();
     line.push('\n');
     let _ = conn.write_all(line.as_bytes());
+    // Dropping the socket with the peer's request still unread makes the
+    // kernel answer with RST, and an RST can destroy the line just written
+    // before the peer reads it. Send FIN instead, then consume what the
+    // peer sent until it closes its side.
+    let _ = conn.shutdown(Shutdown::Write);
+    let deadline = Instant::now() + REFUSAL_DRAIN;
+    let mut sink = [0u8; 1024];
+    let mut drained = 0;
+    while drained < REFUSAL_DRAIN_BYTES {
+        let left = deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() || conn.set_read_timeout(Some(left)).is_err() {
+            break;
+        }
+        match conn.read(&mut sink) {
+            Ok(0) | Err(_) => break,
+            Ok(n) => drained += n,
+        }
+    }
 }
 
 fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
@@ -1009,7 +1035,11 @@ fn squid_error(e: SquidError) -> Refusal {
 /// Graceful degradation: refuse a cheap-to-retry verb when the worker
 /// backlog is saturated, so accepted turns keep their workers. Turns are
 /// never shed — a turn carries session state the client would have to
-/// replay; a shed `suggest`/`stats` costs one retry.
+/// replay; a shed `suggest`/`stats` costs one retry. "Cheap" holds for the
+/// work as well as the retry: `suggest` changes nothing, and it searches
+/// signature classes over violator bitmaps (`squid_core::recommend`)
+/// rather than building a recommendation per result row, so redoing one
+/// costs tens of microseconds however wide the result is.
 fn shed_cheap(shared: &Shared, ctx: &ConnCtx, verb: &str) -> Result<(), Refusal> {
     if shared.pending.load(Ordering::Relaxed) >= shared.cfg.shed_pending {
         shared.metrics.shed.fetch_add(1, Ordering::Relaxed);

@@ -82,6 +82,24 @@ fn tcp_turns_match_direct_sessions_and_take_the_incremental_path() {
     server.shutdown();
 }
 
+/// With zero queue slots a connection is admitted only while the worker
+/// sits idle in `recv`. Right after start, or right after the previous
+/// connection closed, it may not have got there yet; that refusal is the
+/// contract ("retry later"), so retry.
+fn connect_until_admitted(server: &Server) -> Client {
+    let deadline = std::time::Instant::now() + Duration::from_secs(10);
+    loop {
+        let mut client = Client::connect(server.local_addr()).unwrap();
+        match client.ping() {
+            Ok(()) => return client,
+            Err(_) if std::time::Instant::now() < deadline => {
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            Err(e) => panic!("the worker never became free: {e}"),
+        }
+    }
+}
+
 #[test]
 fn admission_control_replies_overloaded_instead_of_dropping() {
     // One worker, zero queue slots: the second concurrent connection must
@@ -94,41 +112,33 @@ fn admission_control_replies_overloaded_instead_of_dropping() {
             ..ServeConfig::default()
         },
     );
-    let mut held = Client::connect(server.local_addr()).unwrap();
-    held.ping().unwrap(); // proves the only worker is now occupied by us
+    // Once this ping is answered the only worker is occupied by us.
+    let mut held = connect_until_admitted(&server);
 
-    let mut refused = Client::connect(server.local_addr()).unwrap();
-    refused
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    match refused.ping() {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, "overloaded"),
-        // The overloaded reply races our ping write; either way the error
-        // line arrives before the close.
-        Err(ClientError::Io(_)) => {
-            panic!("connection dropped without an overloaded reply")
+    // Every refusal must deliver its line: the server may not close over
+    // our unread ping (an RST would race the reply), so repeat the race.
+    const REFUSALS: u64 = 50;
+    for attempt in 0..REFUSALS {
+        let mut refused = Client::connect(server.local_addr()).unwrap();
+        refused
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        match refused.ping() {
+            Err(ClientError::Server { code, .. }) => assert_eq!(code, "overloaded"),
+            Err(ClientError::Io(e)) => {
+                panic!("attempt {attempt}: dropped without an overloaded reply: {e}")
+            }
+            other => panic!("attempt {attempt}: expected an overloaded refusal, got {other:?}"),
         }
-        other => panic!("expected an overloaded refusal, got {other:?}"),
     }
 
     // The held connection is unaffected, and once it finishes new
     // connections are admitted again.
     held.ping().unwrap();
     drop(held);
-    let mut retry = Client::connect(server.local_addr()).unwrap();
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    loop {
-        match retry.ping() {
-            Ok(()) => break,
-            Err(_) if std::time::Instant::now() < deadline => {
-                std::thread::sleep(Duration::from_millis(20));
-                retry = Client::connect(server.local_addr()).unwrap();
-            }
-            Err(e) => panic!("worker never freed up: {e}"),
-        }
-    }
+    connect_until_admitted(&server);
     let report = server.shutdown();
-    assert!(report.metrics.rejected_overloaded >= 1);
+    assert!(report.metrics.rejected_overloaded >= REFUSALS);
 }
 
 #[test]
