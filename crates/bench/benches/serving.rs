@@ -24,7 +24,7 @@ use squid_adb::ADb;
 use squid_bench::{params_for, sample_examples};
 use squid_core::SessionManager;
 use squid_datasets::{generate_imdb, imdb_queries, ImdbConfig};
-use squid_serve::{run_load, Client, LoadConfig, LoadTurn, ServeConfig, Server};
+use squid_serve::{run_load, Client, LoadConfig, ServeConfig, Server};
 
 fn start_server(adb: &Arc<ADb>) -> Server {
     let manager = Arc::new(SessionManager::with_params(
@@ -80,10 +80,10 @@ fn bench_serving(c: &mut Criterion) {
         });
     });
 
-    let script: Vec<LoadTurn> = examples[..5]
+    let script: Vec<String> = examples[..5]
         .iter()
-        .map(|e| LoadTurn::Add(e.clone()))
-        .chain([LoadTurn::Sql, LoadTurn::Suggest(2), LoadTurn::Rows(5)])
+        .map(|e| format!("add {e}"))
+        .chain(["sql", "suggest 2", "rows 5"].map(String::from))
         .collect();
     let fleet_cfg = LoadConfig {
         clients: 8,

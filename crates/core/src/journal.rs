@@ -77,6 +77,20 @@ pub enum FsyncPolicy {
     Never,
 }
 
+/// The spellings the `--fsync` flag of both binaries accepts.
+impl std::str::FromStr for FsyncPolicy {
+    type Err = &'static str;
+
+    fn from_str(s: &str) -> Result<FsyncPolicy, Self::Err> {
+        match s {
+            "always" => Ok(FsyncPolicy::Always),
+            "flush" => Ok(FsyncPolicy::Flush),
+            "never" => Ok(FsyncPolicy::Never),
+            _ => Err("expected one of: always | flush | never"),
+        }
+    }
+}
+
 /// One journaled session-mutating operation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SessionOp {

@@ -59,6 +59,14 @@ impl Discovery {
     pub fn sql(&self) -> String {
         squid_engine::to_sql(&self.query)
     }
+
+    /// The projected value of one entity row, rendered the way the CLI
+    /// and the serving replies print it.
+    pub fn projection_value(&self, adb: &ADb, row: usize) -> Option<String> {
+        let table = adb.database.table(&self.entity_table).ok()?;
+        let ci = table.schema().column_index(&self.projection_column)?;
+        table.cell(row, ci).map(|v| v.to_string())
+    }
 }
 
 /// Semantic similarity-aware query intent discovery (one-shot form).

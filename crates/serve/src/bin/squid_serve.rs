@@ -27,20 +27,15 @@
 //! percentiles.
 
 use std::io::{BufRead, Write};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
 
-use squid_adb::ADb;
 use squid_core::{FsyncPolicy, Journal, SessionManager, SquidParams};
-use squid_datasets::{
-    generate_adult, generate_dblp, generate_imdb, AdultConfig, DblpConfig, ImdbConfig,
-};
-use squid_relation::Database;
 use squid_serve::json::Json;
 use squid_serve::{
-    fetch_adb, run_chaos, run_load_fleet, ChaosConfig, LoadConfig, LoadTurn, RateLimit,
-    RetryClient, ServeConfig, Server,
+    acquire_adb, fetch_adb, parse_line, run_chaos, run_load_fleet, ChaosConfig, LoadConfig,
+    RateLimit, RetryClient, ServeConfig, Server, Verb,
 };
 
 const USAGE: &str = "\
@@ -145,50 +140,6 @@ mod sig {
     }
 }
 
-fn build_dataset(name: &str) -> Option<Database> {
-    match name {
-        "imdb" => Some(generate_imdb(&ImdbConfig::default())),
-        "dblp" => Some(generate_dblp(&DblpConfig::default())),
-        "adult" => Some(generate_adult(&AdultConfig::default())),
-        // The tiny test fixture: instant αDB builds, which is what lets
-        // the chaos harness restart the server many times per run.
-        "mini" => Some(squid_adb::test_fixtures::mini_imdb()),
-        _ => None,
-    }
-}
-
-/// Snapshot-or-rebuild αDB acquisition (same policy as the `squid` CLI:
-/// a snapshot is a cache, never the source of truth).
-fn acquire_adb(dataset: &str, snapshot: Option<&Path>) -> ADb {
-    if let Some(path) = snapshot {
-        if path.exists() {
-            match ADb::load_snapshot(path) {
-                Ok(adb) => {
-                    eprintln!("αDB loaded from snapshot {}", path.display());
-                    return adb;
-                }
-                Err(e) => eprintln!(
-                    "snapshot {} unusable ({e}); rebuilding from generators",
-                    path.display()
-                ),
-            }
-        }
-    }
-    let db = build_dataset(dataset).unwrap_or_else(|| die(&format!("unknown dataset {dataset:?}")));
-    eprintln!("building αDB for {dataset}...");
-    let adb = match ADb::build(&db) {
-        Ok(a) => a,
-        Err(e) => die(&format!("αDB build failed: {e}")),
-    };
-    if let Some(path) = snapshot {
-        match adb.save_snapshot(path) {
-            Ok(bytes) => eprintln!("snapshot saved to {} ({bytes} bytes)", path.display()),
-            Err(e) => eprintln!("warning: snapshot save to {} failed: {e}", path.display()),
-        }
-    }
-    adb
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut cfg = ServeConfig::default();
@@ -260,12 +211,10 @@ fn main() {
                 ))
             }
             "--fsync" => {
-                fsync = match it.next().as_deref() {
-                    Some("always") => FsyncPolicy::Always,
-                    Some("flush") => FsyncPolicy::Flush,
-                    Some("never") => FsyncPolicy::Never,
-                    _ => die("--fsync needs one of: always | flush | never"),
-                }
+                fsync = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| die("--fsync needs one of: always | flush | never"))
             }
             "--auto-compact" => auto_compact = Some(next_num(&mut it, "--auto-compact")),
             "--replicate-to" => {
@@ -365,7 +314,7 @@ fn main() {
             die::<()>(USAGE);
             return;
         };
-        Arc::new(acquire_adb(dataset, snapshot.as_deref()))
+        Arc::new(acquire_adb(dataset, snapshot.as_deref()).unwrap_or_else(|e| die(&e)))
     };
     let mut manager = SessionManager::with_params(Arc::clone(&adb), params);
     if no_shared_cache {
@@ -456,74 +405,6 @@ fn main() {
     );
 }
 
-/// Which path a scripted command takes through the retry client.
-enum CommandKind {
-    /// No session addressed (or fleet-wide).
-    Fleet,
-    /// Session-scoped read — retried but not sequence-numbered.
-    Read,
-    /// Session-scoped mutation — sequence-numbered, so a retry after a
-    /// lost acknowledgement dedupes instead of double-applying.
-    Turn,
-}
-
-/// A parsed command line: the wire verb, its fields (minus
-/// `session`/`seq`, which the retry client injects), and which path it
-/// takes.
-type ParsedCommand<'a> = (&'a str, Vec<(&'static str, Json)>, CommandKind);
-
-/// Translate one REPL-grammar command line into its wire form.
-/// `has_session` is whether the script is driving one.
-fn command_parts(line: &str, has_session: bool) -> Result<ParsedCommand<'_>, String> {
-    let (cmd, rest) = match line.split_once(char::is_whitespace) {
-        Some((c, r)) => (c, r.trim()),
-        None => (line, ""),
-    };
-    use CommandKind::*;
-    let parts = |fields, kind| Ok((cmd, fields, kind));
-    match cmd {
-        "ping" | "create" | "shutdown" | "health" | "promote" => parts(vec![], Fleet),
-        "stats" => {
-            if has_session {
-                parts(vec![], Read)
-            } else {
-                parts(vec![], Fleet)
-            }
-        }
-        "add" | "remove" => parts(vec![("value", Json::str(rest))], Turn),
-        "pin" | "ban" | "unpin" | "unban" => parts(vec![("key", Json::str(rest))], Turn),
-        "target" => match rest.split_once(char::is_whitespace) {
-            Some((tbl, col)) => parts(
-                vec![
-                    ("table", Json::str(tbl.trim())),
-                    ("column", Json::str(col.trim())),
-                ],
-                Turn,
-            ),
-            None => Err("usage: target <table> <column>".into()),
-        },
-        "auto" => parts(vec![], Turn),
-        "sql" | "examples" | "close" => parts(vec![], Read),
-        "choose" => match rest.split_once(char::is_whitespace) {
-            Some((pk, example)) => match pk.trim().parse::<i64>() {
-                Ok(pk) => parts(
-                    vec![
-                        ("example", Json::str(example.trim())),
-                        ("pk", Json::Int(pk)),
-                    ],
-                    Turn,
-                ),
-                Err(_) => Err("usage: choose <pk> <example>".into()),
-            },
-            None => Err("usage: choose <pk> <example>".into()),
-        },
-        "unchoose" => parts(vec![("example", Json::str(rest))], Turn),
-        "suggest" => parts(vec![("k", Json::Int(rest.parse().unwrap_or(3)))], Read),
-        "rows" => parts(vec![("limit", Json::Int(rest.parse().unwrap_or(10)))], Read),
-        other => Err(format!("unknown command {other:?}")),
-    }
-}
-
 /// Scripted client: stdin commands → protocol requests → raw JSON
 /// response lines on stdout; non-zero exit on the first error response.
 /// Rides through restarts: requests retry with backoff, reconnects are
@@ -547,17 +428,6 @@ fn run_client(addr: &str) {
         // Client-local: re-address an existing session (e.g. one that a
         // restarted server just recovered from its journal), resuming
         // its turn numbering from the server's cursor.
-        // Client-local: bind an admission identity; the retry client
-        // replays the handshake on every (re)connection.
-        if let Some(rest) = line.strip_prefix("client ") {
-            let id = rest.trim();
-            if id.is_empty() {
-                die::<()>(&format!("line {line_no}: usage: client <id>"));
-            }
-            client.identify(id);
-            eprintln!("client identity {id:?} bound");
-            continue;
-        }
         if let Some(rest) = line.strip_prefix("session ") {
             match rest.trim().parse::<u64>() {
                 Ok(sid) => match client.adopt(sid) {
@@ -571,29 +441,16 @@ fn run_client(addr: &str) {
                 Err(_) => die(&format!("line {line_no}: usage: session <id>")),
             }
         }
-        let (cmd, fields, kind) = match command_parts(line, current.is_some()) {
-            Ok(p) => p,
+        let result = match parse_line(line, current) {
+            // Client-local: bind an admission identity; the retry client
+            // replays the handshake on every (re)connection.
+            Ok(Verb::Client { id }) => {
+                eprintln!("client identity {id:?} bound");
+                client.identify(id);
+                continue;
+            }
+            Ok(verb) => client.send(verb),
             Err(msg) => die(&format!("line {line_no}: {msg}")),
-        };
-        let sid = |current: Option<u64>| -> u64 {
-            current
-                .unwrap_or_else(|| die(&format!("line {line_no}: no session yet — `create` first")))
-        };
-        let result = match kind {
-            CommandKind::Fleet => {
-                let mut members = vec![("op", Json::str(cmd))];
-                members.extend(fields);
-                client.call(&Json::obj(members))
-            }
-            CommandKind::Read => {
-                let mut members = vec![
-                    ("op", Json::str(cmd)),
-                    ("session", Json::Int(sid(current) as i64)),
-                ];
-                members.extend(fields);
-                client.call(&Json::obj(members))
-            }
-            CommandKind::Turn => client.turn(sid(current), cmd, fields),
         };
         let resp = match result {
             Ok(r) => r,
@@ -625,21 +482,7 @@ fn run_loadgen(addr: &str, clients: usize, sessions: usize) {
         if line.is_empty() || line.starts_with('#') {
             continue;
         }
-        let (cmd, rest) = match line.split_once(char::is_whitespace) {
-            Some((c, r)) => (c, r.trim()),
-            None => (line, ""),
-        };
-        let turn = match cmd {
-            "add" => LoadTurn::Add(rest.to_string()),
-            "remove" => LoadTurn::Remove(rest.to_string()),
-            "pin" => LoadTurn::Pin(rest.to_string()),
-            "unpin" => LoadTurn::Unpin(rest.to_string()),
-            "suggest" => LoadTurn::Suggest(rest.parse().unwrap_or(3)),
-            "sql" => LoadTurn::Sql,
-            "rows" => LoadTurn::Rows(rest.parse().unwrap_or(10)),
-            other => die(&format!("loadgen script: unknown turn {other:?}")),
-        };
-        script.push(turn);
+        script.push(line.to_string());
     }
     if script.is_empty() {
         die::<()>("loadgen: empty script on stdin (expected add/suggest/sql/... lines)");

@@ -210,18 +210,6 @@ fn wait_ready(addr: &str, deadline: Duration) -> Result<(), String> {
     }
 }
 
-fn turn_body(op: &SessionOp) -> Option<(&'static str, Vec<(&'static str, Json)>)> {
-    match op {
-        SessionOp::AddExample(v) => Some(("add", vec![("value", Json::str(v))])),
-        SessionOp::RemoveExample(v) => Some(("remove", vec![("value", Json::str(v))])),
-        SessionOp::PinFilter(k) => Some(("pin", vec![("key", Json::str(k))])),
-        SessionOp::UnpinFilter(k) => Some(("unpin", vec![("key", Json::str(k))])),
-        SessionOp::BanFilter(k) => Some(("ban", vec![("key", Json::str(k))])),
-        SessionOp::UnbanFilter(k) => Some(("unban", vec![("key", Json::str(k))])),
-        _ => None,
-    }
-}
-
 /// One client's acknowledged history: `acked[i]` was acknowledged at
 /// sequence `i + 1`.
 struct ClientLog {
@@ -241,10 +229,9 @@ fn resolve_turn(
     op: &SessionOp,
     deadline: Duration,
 ) -> Result<bool, String> {
-    let (verb, fields) = turn_body(op).ok_or("non-turn op in chaos script")?;
     let t0 = Instant::now();
     loop {
-        match client.turn(session, verb, fields.clone()) {
+        match client.turn(session, op.clone()) {
             Ok(_) => return Ok(true),
             Err(crate::ClientError::Server { ref code, .. }) if !crate::retry::retryable(code) => {
                 // Refused deterministically (e.g. a discovery error); the

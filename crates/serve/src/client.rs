@@ -9,6 +9,7 @@ use std::net::{TcpStream, ToSocketAddrs};
 use std::time::Duration;
 
 use crate::json::{self, Json};
+use crate::protocol::{self, SessionOp, Verb};
 
 /// What a request can fail with, client-side.
 #[derive(Debug)]
@@ -161,76 +162,59 @@ impl Client {
         })
     }
 
-    fn verb(op: &str, fields: Vec<(&'static str, Json)>) -> Json {
-        let mut members = vec![("op", Json::str(op))];
-        members.extend(fields);
-        Json::obj(members)
+    /// Send `verb` through the protocol's one request encoder
+    /// ([`protocol::encode_request`]); errors map like [`Client::request`].
+    pub fn send(&mut self, verb: &Verb) -> Result<Json, ClientError> {
+        self.request(&protocol::encode_request(verb, None))
+    }
+
+    /// One unsequenced session-mutating turn; returns the full delta
+    /// response.
+    pub fn apply(&mut self, session: u64, op: SessionOp) -> Result<Json, ClientError> {
+        self.send(&Verb::Apply {
+            session,
+            seq: None,
+            op,
+        })
     }
 
     /// Liveness probe.
     pub fn ping(&mut self) -> Result<(), ClientError> {
-        self.request(&Self::verb("ping", vec![])).map(|_| ())
+        self.send(&Verb::Ping).map(|_| ())
     }
 
     /// Open a session, returning its id.
     pub fn create(&mut self) -> Result<u64, ClientError> {
-        let resp = self.request(&Self::verb("create", vec![]))?;
+        let resp = self.send(&Verb::Create)?;
         resp.get("session")
             .and_then(Json::as_u64)
             .ok_or_else(|| ClientError::BadResponse("create response without session id".into()))
     }
 
-    /// `add_example` over the wire; returns the full delta response.
+    /// `add_example` over the wire.
     pub fn add(&mut self, session: u64, value: &str) -> Result<Json, ClientError> {
-        self.request(&Self::verb(
-            "add",
-            vec![
-                ("session", Json::Int(session as i64)),
-                ("value", Json::str(value)),
-            ],
-        ))
+        self.apply(session, SessionOp::AddExample(value.to_string()))
     }
 
     /// `remove_example` over the wire.
     pub fn remove(&mut self, session: u64, value: &str) -> Result<Json, ClientError> {
-        self.request(&Self::verb(
-            "remove",
-            vec![
-                ("session", Json::Int(session as i64)),
-                ("value", Json::str(value)),
-            ],
-        ))
+        self.apply(session, SessionOp::RemoveExample(value.to_string()))
     }
 
     /// `pin_filter` over the wire.
     pub fn pin(&mut self, session: u64, key: &str) -> Result<Json, ClientError> {
-        self.request(&Self::verb(
-            "pin",
-            vec![
-                ("session", Json::Int(session as i64)),
-                ("key", Json::str(key)),
-            ],
-        ))
+        self.apply(session, SessionOp::PinFilter(key.to_string()))
     }
 
     /// The session's current abduced SQL (None while empty).
     pub fn sql(&mut self, session: u64) -> Result<Option<String>, ClientError> {
-        let resp = self.request(&Self::verb(
-            "sql",
-            vec![("session", Json::Int(session as i64))],
-        ))?;
+        let resp = self.send(&Verb::Sql { session })?;
         Ok(resp.get("sql").and_then(Json::as_str).map(str::to_string))
     }
 
     /// `suggest(k)` over the wire; returns the suggestion objects.
     pub fn suggest(&mut self, session: u64, k: usize) -> Result<Vec<Json>, ClientError> {
-        let resp = self.request(&Self::verb(
-            "suggest",
-            vec![
-                ("session", Json::Int(session as i64)),
-                ("k", Json::Int(k as i64)),
-            ],
-        ))?;
+        let resp = self.send(&Verb::Suggest { session, k })?;
         Ok(resp
             .get("suggestions")
             .and_then(Json::as_arr)
@@ -240,42 +224,33 @@ impl Client {
 
     /// Load/session/journal health probe.
     pub fn health(&mut self) -> Result<Json, ClientError> {
-        self.request(&Self::verb("health", vec![]))
+        self.send(&Verb::Health)
     }
 
     /// Fleet statistics (optionally including one session's counters).
     pub fn stats(&mut self, session: Option<u64>) -> Result<Json, ClientError> {
-        let mut fields = vec![];
-        if let Some(sid) = session {
-            fields.push(("session", Json::Int(sid as i64)));
-        }
-        self.request(&Self::verb("stats", fields))
+        self.send(&Verb::Stats { session })
     }
 
     /// Close a session.
     pub fn close(&mut self, session: u64) -> Result<(), ClientError> {
-        self.request(&Self::verb(
-            "close",
-            vec![("session", Json::Int(session as i64))],
-        ))
-        .map(|_| ())
+        self.send(&Verb::Close { session }).map(|_| ())
     }
 
     /// Ask the server to shut down gracefully.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.request(&Self::verb("shutdown", vec![])).map(|_| ())
+        self.send(&Verb::Shutdown).map(|_| ())
     }
 
     /// Identify this connection for per-client admission accounting.
     pub fn identify(&mut self, id: &str) -> Result<(), ClientError> {
-        self.request(&Self::verb("client", vec![("client", Json::str(id))]))
-            .map(|_| ())
+        self.send(&Verb::Client { id: id.to_string() }).map(|_| ())
     }
 
     /// Ask a standby to become primary. Returns the node's role after the
     /// call (`"primary"` once promotion completed).
     pub fn promote(&mut self) -> Result<String, ClientError> {
-        let resp = self.request(&Self::verb("promote", vec![]))?;
+        let resp = self.send(&Verb::Promote)?;
         Ok(resp
             .get("role")
             .and_then(Json::as_str)

@@ -15,10 +15,14 @@
 //! clients and CI can hold the server to it.
 //!
 //! - [`json`]: minimal std-only JSON encode/parse (the wire format).
-//! - [`protocol`]: request/response grammar and stable error codes.
+//! - [`protocol`]: the command table — every verb, its arguments and its
+//!   admission facts, once — with the request decoder, the request
+//!   encoder and the text grammar that walk it, and stable error codes.
 //! - [`server`]: listener + fixed worker pool, admission control,
 //!   rate limiting and load shedding, timeouts/reaping, graceful drain.
 //! - [`client`]: blocking lock-step client.
+//! - [`dataset`]: the bundled datasets by name and the snapshot-or-build
+//!   αDB start-up both binaries share.
 //! - [`retry`]: resilient client wrapper — backoff + jitter, reconnect
 //!   with session re-adoption, sequence-numbered exactly-once turns.
 //! - [`load`]: concurrent load generator with latency percentiles and
@@ -56,6 +60,7 @@
 
 pub mod chaos;
 pub mod client;
+pub mod dataset;
 pub mod json;
 pub mod load;
 pub mod protocol;
@@ -66,9 +71,10 @@ pub mod server;
 
 pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use client::{Client, ClientError};
+pub use dataset::acquire_adb;
 pub use json::Json;
-pub use load::{run_load, run_load_fleet, LoadConfig, LoadReport, LoadTurn};
-pub use protocol::{parse_request, ErrorCode, Request, Verb};
+pub use load::{run_load, run_load_fleet, LoadConfig, LoadReport};
+pub use protocol::{encode_request, parse_line, parse_request, ErrorCode, Request, Verb};
 pub use proxy::{FaultProxy, FaultRule};
 pub use replication::{fetch_adb, ReplState, Role};
 pub use retry::{RetryClient, RetryCounters, RetryPolicy};

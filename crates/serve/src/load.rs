@@ -12,28 +12,8 @@ use std::io;
 use std::net::ToSocketAddrs;
 use std::time::{Duration, Instant};
 
-use crate::client::ClientError;
-use crate::json::Json;
+use crate::protocol::{parse_line, Class};
 use crate::retry::{RetryClient, RetryCounters, RetryPolicy};
-
-/// One scripted turn of a load session.
-#[derive(Debug, Clone)]
-pub enum LoadTurn {
-    /// `add` an example value.
-    Add(String),
-    /// `remove` an example value.
-    Remove(String),
-    /// `pin` a filter key.
-    Pin(String),
-    /// `unpin` a filter key.
-    Unpin(String),
-    /// `suggest` k next examples.
-    Suggest(usize),
-    /// Fetch the current SQL.
-    Sql,
-    /// Fetch up to n result rows.
-    Rows(usize),
-}
 
 /// Load shape: `clients` threads × `sessions_per_client` sessions ×
 /// `script` turns each.
@@ -43,8 +23,10 @@ pub struct LoadConfig {
     pub clients: usize,
     /// Sessions each client replays, one after another.
     pub sessions_per_client: usize,
-    /// The turns of every session.
-    pub script: Vec<LoadTurn>,
+    /// The turns of every session, one line of the text grammar each
+    /// ([`parse_line`]: `add <value…>`, `suggest [k]`, `sql`, … — any
+    /// session-scoped verb).
+    pub script: Vec<String>,
 }
 
 /// Aggregated result of a load run.
@@ -147,6 +129,15 @@ pub fn run_load_fleet(addrs: &[String], cfg: &LoadConfig) -> io::Result<LoadRepo
             "no server addresses",
         ));
     }
+    for line in &cfg.script {
+        // The harness brackets each session itself, so a script line has
+        // to address one.
+        match parse_line(line, Some(0)) {
+            Ok(verb) if verb.class() != Class::Fleet => {}
+            Ok(_) => return Err(bad_script(line, "not a session verb")),
+            Err(e) => return Err(bad_script(line, &e)),
+        }
+    }
     let started = Instant::now();
     let outcomes: Vec<ClientOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..cfg.clients.max(1))
@@ -183,6 +174,13 @@ pub fn run_load_fleet(addrs: &[String], cfg: &LoadConfig) -> io::Result<LoadRepo
         report.turn_p99 = Duration::from_nanos(percentile(&latencies, 99.0));
     }
     Ok(report)
+}
+
+fn bad_script(line: &str, why: &str) -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("load script line {line:?}: {why}"),
+    )
 }
 
 /// Nearest-rank percentile over sorted samples.
@@ -223,12 +221,13 @@ fn run_client(addrs: &[String], cfg: &LoadConfig) -> ClientOutcome {
             }
         };
         let mut session_ok = true;
-        for turn in &cfg.script {
+        for line in &cfg.script {
+            let verb = parse_line(line, Some(sid)).expect("script checked by run_load_fleet");
             let t = Instant::now();
-            let result = play_turn(&mut client, sid, turn);
+            let result = client.send(verb);
             let elapsed = t.elapsed().as_nanos() as u64;
             match result {
-                Ok(()) => {
+                Ok(_) => {
                     out.turns += 1;
                     out.latencies_ns.push(elapsed);
                 }
@@ -248,32 +247,6 @@ fn run_client(addrs: &[String], cfg: &LoadConfig) -> ClientOutcome {
     }
     out.retry = client.counters();
     out
-}
-
-fn play_turn(client: &mut RetryClient, sid: u64, turn: &LoadTurn) -> Result<(), ClientError> {
-    match turn {
-        LoadTurn::Add(v) => client.add(sid, v).map(|_| ()),
-        LoadTurn::Remove(v) => client.remove(sid, v).map(|_| ()),
-        LoadTurn::Pin(k) => client.pin(sid, k).map(|_| ()),
-        LoadTurn::Unpin(k) => client
-            .turn(sid, "unpin", vec![("key", Json::str(k.as_str()))])
-            .map(|_| ()),
-        LoadTurn::Suggest(k) => client
-            .call(&Json::obj([
-                ("op", Json::str("suggest")),
-                ("session", Json::Int(sid as i64)),
-                ("k", Json::Int(*k as i64)),
-            ]))
-            .map(|_| ()),
-        LoadTurn::Sql => client.sql(sid).map(|_| ()),
-        LoadTurn::Rows(n) => client
-            .call(&Json::obj([
-                ("op", Json::str("rows")),
-                ("session", Json::Int(sid as i64)),
-                ("limit", Json::Int(*n as i64)),
-            ]))
-            .map(|_| ()),
-    }
 }
 
 #[cfg(test)]

@@ -31,6 +31,7 @@ use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 use crate::client::{Client, ClientError};
 use crate::json::Json;
+use crate::protocol::{encode_request, SessionOp, Verb};
 
 /// How hard to retry before giving up.
 #[derive(Debug, Clone, Copy)]
@@ -231,10 +232,7 @@ impl RetryClient {
             if let Some(cid) = &self.client_id {
                 // Best-effort: a handshake failure surfaces on the real
                 // request right after, which retries and re-dials.
-                let _ = client.request(&Self::verb(
-                    "client",
-                    vec![("client", Json::str(cid.as_str()))],
-                ));
+                let _ = client.identify(cid);
             }
             self.conn = Some(client);
             return Ok(());
@@ -356,10 +354,15 @@ impl RetryClient {
         }
     }
 
-    fn verb(op: &str, fields: Vec<(&'static str, Json)>) -> Json {
-        let mut members = vec![("op", Json::str(op))];
-        members.extend(fields);
-        Json::obj(members)
+    /// Send any verb the way this client sends it: a turn is numbered
+    /// (see [`RetryClient::turn`]; whatever `seq` it carried is replaced),
+    /// everything else goes out as it is. Scripts parsed by
+    /// [`crate::protocol::parse_line`] run through here.
+    pub fn send(&mut self, verb: Verb) -> Result<Json, ClientError> {
+        match verb {
+            Verb::Apply { session, op, .. } => self.turn(session, op),
+            other => self.call(&encode_request(&other, None)),
+        }
     }
 
     /// One sequence-numbered mutating turn. The turn number is assigned
@@ -370,19 +373,14 @@ impl RetryClient {
     /// side of that contract: an op that applies but fails to journal
     /// fail-stops the session rather than leaving the cursor advanced
     /// past a turn recovery cannot replay.
-    pub fn turn(
-        &mut self,
-        session: u64,
-        op: &str,
-        fields: Vec<(&'static str, Json)>,
-    ) -> Result<Json, ClientError> {
+    pub fn turn(&mut self, session: u64, op: SessionOp) -> Result<Json, ClientError> {
         let seq = *self.next_seq.entry(session).or_insert(1);
-        let mut members = vec![
-            ("session", Json::Int(session as i64)),
-            ("seq", Json::Int(seq as i64)),
-        ];
-        members.extend(fields);
-        let resp = self.call(&Self::verb(op, members))?;
+        let turn = Verb::Apply {
+            session,
+            seq: Some(seq),
+            op,
+        };
+        let resp = self.call(&encode_request(&turn, None))?;
         if resp.get("deduped").and_then(Json::as_bool) == Some(true) {
             self.counters.deduped += 1;
         }
@@ -393,7 +391,7 @@ impl RetryClient {
     /// Open a session (retried; a retry that raced a successful create
     /// may orphan a server-side session, which the idle reaper expires).
     pub fn create(&mut self) -> Result<u64, ClientError> {
-        let resp = self.call(&Self::verb("create", vec![]))?;
+        let resp = self.send(Verb::Create)?;
         let sid = resp
             .get("session")
             .and_then(Json::as_u64)
@@ -406,10 +404,9 @@ impl RetryClient {
     /// server's recovered turn cursor and resume numbering from it.
     /// Returns the cursor (turns the server has already applied).
     pub fn adopt(&mut self, session: u64) -> Result<u64, ClientError> {
-        let resp = self.call(&Self::verb(
-            "stats",
-            vec![("session", Json::Int(session as i64))],
-        ))?;
+        let resp = self.send(Verb::Stats {
+            session: Some(session),
+        })?;
         let cur = resp
             .get("op_seq")
             .and_then(Json::as_u64)
@@ -420,39 +417,33 @@ impl RetryClient {
 
     /// Sequenced `add_example`.
     pub fn add(&mut self, session: u64, value: &str) -> Result<Json, ClientError> {
-        self.turn(session, "add", vec![("value", Json::str(value))])
+        self.turn(session, SessionOp::AddExample(value.to_string()))
     }
 
     /// Sequenced `remove_example`.
     pub fn remove(&mut self, session: u64, value: &str) -> Result<Json, ClientError> {
-        self.turn(session, "remove", vec![("value", Json::str(value))])
+        self.turn(session, SessionOp::RemoveExample(value.to_string()))
     }
 
     /// Sequenced `pin_filter`.
     pub fn pin(&mut self, session: u64, key: &str) -> Result<Json, ClientError> {
-        self.turn(session, "pin", vec![("key", Json::str(key))])
+        self.turn(session, SessionOp::PinFilter(key.to_string()))
     }
 
     /// The session's current abduced SQL (read-only; no sequence).
     pub fn sql(&mut self, session: u64) -> Result<Option<String>, ClientError> {
-        let resp = self.call(&Self::verb(
-            "sql",
-            vec![("session", Json::Int(session as i64))],
-        ))?;
+        let resp = self.send(Verb::Sql { session })?;
         Ok(resp.get("sql").and_then(Json::as_str).map(str::to_string))
     }
 
     /// Load/session/journal health probe (never shed by the server).
     pub fn health(&mut self) -> Result<Json, ClientError> {
-        self.call(&Self::verb("health", vec![]))
+        self.send(Verb::Health)
     }
 
     /// Close a session and drop its turn counter.
     pub fn close(&mut self, session: u64) -> Result<(), ClientError> {
-        self.call(&Self::verb(
-            "close",
-            vec![("session", Json::Int(session as i64))],
-        ))?;
+        self.send(Verb::Close { session })?;
         self.next_seq.remove(&session);
         Ok(())
     }
@@ -555,7 +546,7 @@ mod tests {
         let mut c = RetryClient::with_policy(addr, quick_policy(4));
         // The scripted connection answers the refusal, then `ok:true` to
         // every follow-up line on the same connection.
-        let resp = c.call(&Json::obj([("op", Json::str("ping"))])).unwrap();
+        let resp = c.send(Verb::Ping).unwrap();
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(c.counters().retries, 1);
         assert_eq!(c.counters().rate_limited, 1);
@@ -573,7 +564,7 @@ mod tests {
             Box::new(|_req| Some("{\"ok\":true,\"op\":\"ping\"}".to_string())),
         ]);
         let mut c = RetryClient::with_policy(addr, quick_policy(4));
-        let resp = c.call(&Json::obj([("op", Json::str("ping"))])).unwrap();
+        let resp = c.send(Verb::Ping).unwrap();
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(c.counters().reconnects, 1);
         assert_eq!(c.counters().retries, 1);
@@ -595,7 +586,7 @@ mod tests {
         // Pretend a long incident already climbed the ladder: the success
         // below must reset it, so the *next* incident starts from base.
         c.ladder = 17;
-        let resp = c.call(&Json::obj([("op", Json::str("ping"))])).unwrap();
+        let resp = c.send(Verb::Ping).unwrap();
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(c.ladder, 0, "success must reset the backoff ladder");
         assert_eq!(c.counters().retries, 1);
@@ -617,7 +608,7 @@ mod tests {
         // Simulate an established client losing its primary (a fresh
         // client's first dial is bootstrap, not failover).
         c.ever_connected = true;
-        let resp = c.call(&Json::obj([("op", Json::str("ping"))])).unwrap();
+        let resp = c.send(Verb::Ping).unwrap();
         assert_eq!(resp.get("ok").and_then(Json::as_bool), Some(true));
         assert_eq!(c.counters().failovers, 1);
         assert_eq!(c.active, 1, "the live address must become active");

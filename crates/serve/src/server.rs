@@ -54,11 +54,10 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use squid_adb::ADb;
-use squid_core::{Discovery, DiscoveryDelta, SessionManager, SquidError};
+use squid_core::{DiscoveryDelta, SessionManager, SquidError};
 
 use crate::json::Json;
-use crate::protocol::{self, ErrorCode, Request, Verb};
+use crate::protocol::{self, Command, ErrorCode, Request, Verb};
 use crate::replication::{self, ReplListener, ReplState, Role, StandbyLink};
 
 /// Tunables of a [`Server`].
@@ -223,18 +222,22 @@ struct Bucket {
     last: Instant,
 }
 
-/// Take one token from `b`, or report how many ms until one accrues.
-fn bucket_take(b: &mut Bucket, rl: RateLimit) -> Result<(), u64> {
-    let now = Instant::now();
-    let dt = now.duration_since(b.last).as_secs_f64();
-    b.tokens = (b.tokens + dt * rl.per_sec).min(rl.burst);
-    b.last = now;
-    if b.tokens >= 1.0 {
-        b.tokens -= 1.0;
-        Ok(())
-    } else {
-        let wait_s = (1.0 - b.tokens) / rl.per_sec.max(f64::MIN_POSITIVE);
-        Err((wait_s * 1000.0).ceil() as u64)
+impl Bucket {
+    /// Accrue what the elapsed time earned; `Err(ms)` when that still
+    /// leaves less than one token, `ms` being how long until one is there.
+    /// Takes nothing: the caller spends the token once every bucket the
+    /// turn draws on has one.
+    fn refill(&mut self, rl: RateLimit) -> Result<(), u64> {
+        let now = Instant::now();
+        let dt = now.duration_since(self.last).as_secs_f64();
+        self.tokens = (self.tokens + dt * rl.per_sec).min(rl.burst);
+        self.last = now;
+        if self.tokens >= 1.0 {
+            Ok(())
+        } else {
+            let wait_s = (1.0 - self.tokens) / rl.per_sec.max(f64::MIN_POSITIVE);
+            Err((wait_s * 1000.0).ceil() as u64)
+        }
     }
 }
 
@@ -294,30 +297,43 @@ struct Shared {
 type AckedTurn = (u64, Vec<(String, Json)>);
 
 impl Shared {
-    /// Take one token from `session`'s bucket, or report how long until
-    /// one accrues.
-    fn take_token(&self, session: u64, rl: RateLimit) -> Result<(), u64> {
-        let mut buckets = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
-        let b = buckets.entry(session).or_insert(Bucket {
+    /// Spend one turn's tokens: one from `session`'s bucket and, for an
+    /// identified client, one from its own — a second gate, so one client
+    /// driving many sessions still has a bounded total budget. Both are
+    /// checked before either is spent (under both locks, clients first),
+    /// so a turn refused on one bucket costs nothing on the other.
+    fn take_tokens(
+        &self,
+        client: Option<&str>,
+        session: u64,
+        rl: RateLimit,
+    ) -> Result<(), Refusal> {
+        let full = || Bucket {
             tokens: rl.burst,
             last: Instant::now(),
-        });
-        bucket_take(b, rl)
-    }
-
-    /// Take one token from an identified client's bucket — a second gate
-    /// on top of the session bucket, so one client driving many sessions
-    /// still has a bounded total budget.
-    fn take_client_token(&self, client: &str, rl: RateLimit) -> Result<(), u64> {
-        let mut buckets = self
+        };
+        let mut by_client = self
             .client_buckets
             .lock()
             .unwrap_or_else(|e| e.into_inner());
-        let b = buckets.entry(client.to_string()).or_insert(Bucket {
-            tokens: rl.burst,
-            last: Instant::now(),
-        });
-        bucket_take(b, rl)
+        let mut by_session = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
+        let mut drawn = Vec::with_capacity(2);
+        if let Some(id) = client {
+            let bucket = by_client.entry(id.to_string()).or_insert_with(full);
+            drawn.push((format!("client {id}"), bucket));
+        }
+        let bucket = by_session.entry(session).or_insert_with(full);
+        drawn.push((format!("session {session}"), bucket));
+        for (who, bucket) in &mut drawn {
+            bucket.refill(rl).map_err(|wait_ms| {
+                let detail = format!("{who} exceeded its turn budget");
+                Refusal::retry(ErrorCode::RateLimited, detail, wait_ms)
+            })?;
+        }
+        for (_, bucket) in drawn {
+            bucket.tokens -= 1.0;
+        }
+        Ok(())
     }
 
     /// Bump an identified client's admission counters (no-op for
@@ -694,11 +710,7 @@ fn respond_and_close(
     retry_after_ms: Option<u64>,
 ) {
     let _ = conn.set_write_timeout(Some(Duration::from_millis(500)));
-    let resp = match retry_after_ms {
-        Some(ms) => protocol::retry_error_response(code, detail, None, ms),
-        None => protocol::error_response(code, detail, None),
-    };
-    let mut line = resp.encode();
+    let mut line = protocol::error_response(code, detail, None, retry_after_ms, None).encode();
     line.push('\n');
     let _ = conn.write_all(line.as_bytes());
     // Dropping the socket with the peer's request still unread makes the
@@ -865,11 +877,7 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
                 let Ok(text) = String::from_utf8(bytes) else {
                     // The stream is not decodable; framing is untrustworthy
                     // beyond this point. Reply, then close.
-                    let resp = protocol::error_response(
-                        ErrorCode::InvalidUtf8,
-                        "request bytes are not UTF-8",
-                        None,
-                    );
+                    let resp = conn_error(ErrorCode::InvalidUtf8, "request bytes are not UTF-8");
                     send(&resp, true);
                     return;
                 };
@@ -886,19 +894,17 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             LineEvent::Eof | LineEvent::Stopped | LineEvent::Failed => return,
             LineEvent::Idle => {
                 shared.metrics.idle_reaped.fetch_add(1, Ordering::Relaxed);
-                let resp = protocol::error_response(
+                let resp = conn_error(
                     ErrorCode::IdleTimeout,
                     "connection idle past the reaping deadline",
-                    None,
                 );
                 send(&resp, true);
                 return;
             }
             LineEvent::Stalled => {
-                let resp = protocol::error_response(
+                let resp = conn_error(
                     ErrorCode::IdleTimeout,
                     "request did not complete within the read timeout",
-                    None,
                 );
                 send(&resp, true);
                 return;
@@ -906,10 +912,9 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
             LineEvent::TooLong => {
                 // The remainder of the oversized line is undelivered; the
                 // stream cannot be re-synchronized. Reply, then close.
-                let resp = protocol::error_response(
+                let resp = conn_error(
                     ErrorCode::LineTooLong,
                     &format!("request line exceeds {} bytes", shared.cfg.max_line_bytes),
-                    None,
                 );
                 send(&resp, true);
                 return;
@@ -918,25 +923,32 @@ fn serve_connection(shared: &Shared, stream: TcpStream) {
     }
 }
 
-/// Parse and execute one request line. Returns the response, whether it
-/// is an error (for the counters), and whether to keep the connection.
+/// The error line for a connection that is about to be closed (no request
+/// to tie it to, so no id and no hints).
+fn conn_error(code: ErrorCode, detail: &str) -> Json {
+    protocol::error_response(code, detail, None, None, None)
+}
+
+/// Parse, admit and execute one request line. Returns the response,
+/// whether it is an error (for the counters), and whether to keep the
+/// connection.
 fn dispatch_line(shared: &Shared, ctx: &mut ConnCtx, line: &str) -> (Json, bool, Flow) {
-    let req = match protocol::parse_request(line) {
-        Ok(req) => req,
+    let (req, cmd) = match protocol::decode(line) {
+        Ok(decoded) => decoded,
         Err(e) => return (Json::from(&e), true, Flow::Continue),
     };
     let id = req.id;
-    match execute(shared, ctx, req) {
+    shared.bump_client(ctx, |c| c.requests += 1);
+    match admit(shared, ctx, cmd, &req.verb).and_then(|()| execute(shared, ctx, cmd, req)) {
         Ok((resp, flow)) => (resp, false, flow),
         Err(r) => {
-            let resp = if matches!(r.code, ErrorCode::NotPrimary) {
-                protocol::not_primary_response(&r.detail, id, r.primary.as_deref())
-            } else {
-                match r.retry_after_ms {
-                    Some(ms) => protocol::retry_error_response(r.code, &r.detail, id, ms),
-                    None => protocol::error_response(r.code, &r.detail, id),
-                }
-            };
+            let resp = protocol::error_response(
+                r.code,
+                &r.detail,
+                id,
+                r.retry_after_ms,
+                r.primary.as_deref(),
+            );
             (resp, true, Flow::Continue)
         }
     }
@@ -970,21 +982,18 @@ impl Refusal {
             primary: None,
         }
     }
-
-    fn not_primary(primary: Option<String>) -> Refusal {
-        Refusal {
-            code: ErrorCode::NotPrimary,
-            detail: "standby refuses mutations; dial the primary".into(),
-            retry_after_ms: None,
-            primary,
-        }
-    }
 }
 
 /// Refuse a mutation on a standby, hinting at the primary's address.
 fn require_primary(shared: &Shared) -> Result<(), Refusal> {
     if shared.repl.role() == Role::Standby {
-        return Err(Refusal::not_primary(shared.repl.primary_addr()));
+        return Err(Refusal {
+            primary: shared.repl.primary_addr(),
+            ..Refusal::new(
+                ErrorCode::NotPrimary,
+                "standby refuses mutations; dial the primary",
+            )
+        });
     }
     Ok(())
 }
@@ -1053,117 +1062,117 @@ fn shed_cheap(shared: &Shared, ctx: &ConnCtx, verb: &str) -> Result<(), Refusal>
     Ok(())
 }
 
-fn execute(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> ExecResult {
+/// Everything that can refuse a request before it runs, in one order for
+/// every verb and driven by the verb's table row: role → drain and session
+/// cap (`create` only) → load shedding → session exists → token buckets.
+/// Every stage only reads until the last one spends the tokens, so a
+/// refusal leaves nothing charged. The stage that
+/// follows — a sequenced turn's gap check and dedupe — belongs to
+/// `apply_op_at`: it has to be atomic with the apply, under the session's
+/// lock.
+fn admit(shared: &Shared, ctx: &ConnCtx, cmd: &Command, verb: &Verb) -> Result<(), Refusal> {
+    let m = &shared.manager;
+    if cmd.primary_only {
+        require_primary(shared)?;
+    }
+    if matches!(verb, Verb::Create) {
+        if shared.stop.load(Ordering::SeqCst) {
+            return Err(Refusal::new(ErrorCode::ShuttingDown, "server is draining"));
+        }
+        if m.session_count() >= shared.cfg.max_sessions {
+            return Err(Refusal::retry(
+                ErrorCode::SessionLimit,
+                format!("session limit {} reached", shared.cfg.max_sessions),
+                RETRY_SESSION_LIMIT_MS,
+            ));
+        }
+    }
+    // Fleet-wide stats are orchestrator telemetry and shed under load; a
+    // session-scoped stats call is part of a client's re-adoption
+    // handshake (it learns its turn cursor from `op_seq`) and is never
+    // shed.
+    if cmd.sheddable && !matches!(verb, Verb::Stats { session: Some(_) }) {
+        shed_cheap(shared, ctx, cmd.name)?;
+    }
+    if let (true, Verb::Apply { session, .. }) = (cmd.rate_limited, verb) {
+        // Validate before touching rate-limit state: otherwise a bogus
+        // session id mints a token bucket that is never pruned, and the
+        // caller's *second* probe reads `rate_limited` instead of
+        // `unknown_session`.
+        if !m.contains_session(*session) {
+            shared.forget_session(*session);
+            return Err(squid_error(SquidError::UnknownSession { id: *session }));
+        }
+        if let Some(rl) = shared.cfg.rate_limit {
+            shared
+                .take_tokens(ctx.client.as_deref(), *session, rl)
+                .inspect_err(|_| {
+                    shared.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
+                    shared.bump_client(ctx, |c| c.rate_limited += 1);
+                })?;
+        }
+    }
+    Ok(())
+}
+
+/// Run an admitted request and build its reply.
+fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> ExecResult {
     let m = &shared.manager;
     let adb = Arc::clone(m.adb());
     let id = req.id;
-    let name = req.verb.name();
-    shared.bump_client(ctx, |c| c.requests += 1);
+    let name = cmd.name;
     let ok =
         |fields: Vec<(String, Json)>| Ok((protocol::ok_response(name, id, fields), Flow::Continue));
     match req.verb {
         Verb::Ping => ok(vec![("pong".into(), Json::Bool(true))]),
         Verb::Create => {
-            require_primary(shared)?;
-            if shared.stop.load(Ordering::SeqCst) {
-                return Err(Refusal::new(ErrorCode::ShuttingDown, "server is draining"));
-            }
-            if m.session_count() >= shared.cfg.max_sessions {
-                return Err(Refusal::retry(
-                    ErrorCode::SessionLimit,
-                    format!("session limit {} reached", shared.cfg.max_sessions),
-                    RETRY_SESSION_LIMIT_MS,
-                ));
-            }
             let sid = m.create_session();
             ok(vec![("session".into(), Json::Int(sid as i64))])
         }
-        Verb::Apply { session, op, seq } => {
-            require_primary(shared)?;
-            // Validate before charging rate-limit state: otherwise a bogus
-            // session id mints a token bucket that is never pruned, and the
-            // caller's *second* probe reads `rate_limited` instead of
-            // `unknown_session`.
-            if !m.contains_session(session) {
-                shared.forget_session(session);
-                return Err(squid_error(SquidError::UnknownSession { id: session }));
+        Verb::Apply { session, op, seq } => match seq {
+            None => {
+                shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
+                shared.bump_client(ctx, |c| c.turns += 1);
+                let delta = m
+                    .apply_op(session, &op)
+                    .map_err(|e| session_error(shared, session, e))?;
+                ok(delta.as_ref().map(delta_fields).unwrap_or_default())
             }
-            if let Some(rl) = shared.cfg.rate_limit {
-                // An identified client's own budget gates first: one
-                // client fanning out over many sessions is still bounded.
-                if let Some(cid) = ctx.client.clone() {
-                    if let Err(wait_ms) = shared.take_client_token(&cid, rl) {
-                        shared.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
-                        shared.bump_client(ctx, |c| c.rate_limited += 1);
-                        return Err(Refusal::retry(
-                            ErrorCode::RateLimited,
-                            format!("client {cid} exceeded its turn budget"),
-                            wait_ms,
-                        ));
-                    }
-                }
-                if let Err(wait_ms) = shared.take_token(session, rl) {
-                    shared.metrics.rate_limited.fetch_add(1, Ordering::Relaxed);
-                    shared.bump_client(ctx, |c| c.rate_limited += 1);
-                    return Err(Refusal::retry(
-                        ErrorCode::RateLimited,
-                        format!("session {session} exceeded its turn budget"),
-                        wait_ms,
-                    ));
-                }
-            }
-            match seq {
-                None => {
+            Some(seq) => match m
+                .apply_op_at(session, seq, &op)
+                .map_err(|e| session_error(shared, session, e))?
+            {
+                squid_core::SeqOutcome::Applied(delta) => {
                     shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
                     shared.bump_client(ctx, |c| c.turns += 1);
-                    let delta = m
-                        .apply_op(session, &op)
-                        .map_err(|e| session_error(shared, session, e))?;
-                    match delta {
-                        Some(delta) => ok(delta_fields(&delta)),
-                        None => ok(vec![]),
-                    }
+                    let fields = delta.as_ref().map(delta_fields).unwrap_or_default();
+                    shared
+                        .acked
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .insert(session, (seq, fields.clone()));
+                    ok(fields)
                 }
-                Some(seq) => match m
-                    .apply_op_at(session, seq, &op)
-                    .map_err(|e| session_error(shared, session, e))?
-                {
-                    squid_core::SeqOutcome::Applied(delta) => {
-                        shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
-                        shared.bump_client(ctx, |c| c.turns += 1);
-                        let fields = match delta {
-                            Some(delta) => delta_fields(&delta),
-                            None => vec![],
-                        };
-                        shared
-                            .acked
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .insert(session, (seq, fields.clone()));
-                        ok(fields)
-                    }
-                    squid_core::SeqOutcome::Duplicate => {
-                        // An acknowledged turn retried: hand back the
-                        // original answer when we still have it (same
-                        // process), else a minimal ack (post-crash replay
-                        // already restored the state the answer described).
-                        shared.metrics.deduped.fetch_add(1, Ordering::Relaxed);
-                        let cached = shared
-                            .acked
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .get(&session)
-                            .filter(|(s, _)| *s == seq)
-                            .map(|(_, fields)| fields.clone());
-                        let mut fields = cached.unwrap_or_default();
-                        fields.push(("deduped".into(), Json::Bool(true)));
-                        ok(fields)
-                    }
-                },
-            }
-        }
+                squid_core::SeqOutcome::Duplicate => {
+                    // An acknowledged turn retried: hand back the
+                    // original answer when we still have it (same
+                    // process), else a minimal ack (post-crash replay
+                    // already restored the state the answer described).
+                    shared.metrics.deduped.fetch_add(1, Ordering::Relaxed);
+                    let cached = shared
+                        .acked
+                        .lock()
+                        .unwrap_or_else(|e| e.into_inner())
+                        .get(&session)
+                        .filter(|(s, _)| *s == seq)
+                        .map(|(_, fields)| fields.clone());
+                    let mut fields = cached.unwrap_or_default();
+                    fields.push(("deduped".into(), Json::Bool(true)));
+                    ok(fields)
+                }
+            },
+        },
         Verb::Suggest { session, k } => {
-            shed_cheap(shared, ctx, "suggest")?;
             let suggestions = m
                 .with_session(session, |s| {
                     let Some(d) = s.discovery() else {
@@ -1175,7 +1184,7 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> ExecResult {
                             Json::obj([
                                 (
                                     "value",
-                                    match projection_value(&adb, d, r.row) {
+                                    match d.projection_value(&adb, r.row) {
                                         Some(v) => Json::Str(v),
                                         None => Json::Null,
                                     },
@@ -1214,7 +1223,7 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> ExecResult {
                         .rows
                         .iter()
                         .take(limit)
-                        .filter_map(|row| projection_value(&adb, d, row))
+                        .filter_map(|row| d.projection_value(&adb, row))
                         .map(Json::Str)
                         .collect();
                     Ok((d.rows.len(), rows))
@@ -1237,13 +1246,6 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> ExecResult {
             ok(vec![("examples".into(), Json::Arr(examples))])
         }
         Verb::Stats { session } => {
-            // Fleet-wide stats are orchestrator telemetry and shed under
-            // load; a session-scoped stats call is part of a client's
-            // re-adoption handshake (it learns its turn cursor from
-            // `op_seq`) and is never shed.
-            if session.is_none() {
-                shed_cheap(shared, ctx, "stats")?;
-            }
             let mut fields = vec![
                 ("sessions".into(), Json::Int(m.session_count() as i64)),
                 (
@@ -1418,7 +1420,6 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, req: Request) -> ExecResult {
             ok(fields)
         }
         Verb::Close { session } => {
-            require_primary(shared)?;
             m.close_session(session)
                 .map_err(|e| session_error(shared, session, e))?;
             shared.forget_session(session);
@@ -1536,12 +1537,4 @@ fn delta_fields(delta: &DiscoveryDelta) -> Vec<(String, Json)> {
     fields.push(("cache_hits".into(), Json::Int(delta.cache_hits as i64)));
     fields.push(("cache_misses".into(), Json::Int(delta.cache_misses as i64)));
     fields
-}
-
-/// Render the projection value of one entity row (shared shape with the
-/// CLI's printer).
-fn projection_value(adb: &ADb, d: &Discovery, row: usize) -> Option<String> {
-    let table = adb.database.table(&d.entity_table).ok()?;
-    let ci = table.schema().column_index(&d.projection_column)?;
-    table.cell(row, ci).map(|v| v.to_string())
 }

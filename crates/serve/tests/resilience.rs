@@ -84,6 +84,70 @@ fn sequenced_turns_dedupe_and_reject_gaps_over_the_wire() {
 }
 
 #[test]
+fn an_ill_typed_seq_is_refused_and_never_applied_unsequenced() {
+    let server = start_with(SessionManager::new(test_adb()), ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let sid = client.create().unwrap();
+    let op_seq = |client: &mut Client| {
+        let stats = client.stats(Some(sid)).unwrap();
+        stats.get("op_seq").and_then(Json::as_u64).unwrap()
+    };
+    // A client that serialises its turn number as a string (or a float, or
+    // lets it go negative) asked for exactly-once; falling back to "no
+    // seq" would apply the turn — and every retry of it — unsequenced.
+    for seq in [Json::str("2"), Json::Float(2.0), Json::Int(-2)] {
+        let err = client
+            .request(&Json::obj([
+                ("op", Json::str("add")),
+                ("session", Json::Int(sid as i64)),
+                ("seq", seq),
+                ("value", Json::str("Jim Carrey")),
+            ]))
+            .unwrap_err();
+        assert_eq!(err.code(), Some("bad_request"));
+        assert!(err.to_string().contains("\"seq\""), "{err}");
+        assert_eq!(op_seq(&mut client), 0, "a refused turn must not run");
+    }
+    assert_eq!(client.sql(sid).unwrap(), None, "the session is still empty");
+    server.shutdown();
+}
+
+#[test]
+fn a_turn_refused_on_the_session_bucket_does_not_charge_the_client() {
+    let server = start_with(
+        SessionManager::new(test_adb()),
+        ServeConfig {
+            // One token per bucket, no refill worth the name.
+            rate_limit: Some(RateLimit {
+                per_sec: 0.001,
+                burst: 1.0,
+            }),
+            ..ServeConfig::default()
+        },
+    );
+    // An anonymous connection drains session A's bucket.
+    let mut anon = Client::connect(server.local_addr()).unwrap();
+    let a = anon.create().unwrap();
+    let b = anon.create().unwrap();
+    anon.add(a, "Jim Carrey").unwrap();
+    // An identified client is refused on A — by A's bucket, not its own...
+    let mut alice = Client::connect(server.local_addr()).unwrap();
+    alice.identify("alice").unwrap();
+    let err = alice.add(a, "Eddie Murphy").unwrap_err();
+    assert_eq!(err.code(), Some("rate_limited"));
+    assert!(err.to_string().contains(&format!("session {a}")), "{err}");
+    // ...so the turn that never ran cost it nothing: its one token is
+    // still there for a fresh session.
+    alice.add(b, "Jim Carrey").unwrap();
+    // And now both of B's and alice's tokens are spent.
+    let err = alice.add(b, "Eddie Murphy").unwrap_err();
+    assert_eq!(err.code(), Some("rate_limited"));
+    let report = server.shutdown();
+    assert_eq!(report.metrics.rate_limited, 2);
+    assert_eq!(report.metrics.turns, 2);
+}
+
+#[test]
 fn rate_limited_turns_carry_hints_and_retry_clients_absorb_them() {
     let server = start_with(
         SessionManager::new(test_adb()),

@@ -9,9 +9,7 @@ use std::time::Duration;
 
 use squid_adb::{test_fixtures, ADb};
 use squid_core::{FsyncPolicy, Journal, SessionManager, SessionOp};
-use squid_serve::{
-    json::Json, run_load, Client, ClientError, LoadConfig, LoadTurn, ServeConfig, Server,
-};
+use squid_serve::{json::Json, run_load, Client, ClientError, LoadConfig, ServeConfig, Server};
 
 fn test_adb() -> Arc<ADb> {
     Arc::new(ADb::build(&test_fixtures::mini_imdb()).unwrap())
@@ -289,18 +287,20 @@ fn eight_concurrent_clients_replay_ten_turn_scripts_without_errors() {
     let cfg = LoadConfig {
         clients: 8,
         sessions_per_client: 2,
-        script: vec![
-            LoadTurn::Add("Jim Carrey".into()),
-            LoadTurn::Add("Eddie Murphy".into()),
-            LoadTurn::Sql,
-            LoadTurn::Suggest(2),
-            LoadTurn::Rows(5),
-            LoadTurn::Add("Robin Williams".into()),
-            LoadTurn::Remove("Eddie Murphy".into()),
-            LoadTurn::Sql,
-            LoadTurn::Rows(3),
-            LoadTurn::Suggest(1),
-        ],
+        script: [
+            "add Jim Carrey",
+            "add Eddie Murphy",
+            "sql",
+            "suggest 2",
+            "rows 5",
+            "add Robin Williams",
+            "remove Eddie Murphy",
+            "sql",
+            "rows 3",
+            "suggest 1",
+        ]
+        .map(String::from)
+        .to_vec(),
     };
     let report = run_load(server.local_addr(), &cfg).unwrap();
     assert_eq!(report.errors, 0, "serving under load must be error-free");

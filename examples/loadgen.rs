@@ -16,7 +16,7 @@ use std::sync::Arc;
 use squid_adb::ADb;
 use squid_core::SessionManager;
 use squid_datasets::{generate_imdb, imdb_queries, ImdbConfig};
-use squid_serve::{run_load, LoadConfig, LoadTurn, ServeConfig, Server};
+use squid_serve::{run_load, LoadConfig, ServeConfig, Server};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -37,11 +37,11 @@ fn main() {
     let server = Server::start(manager, ServeConfig::default()).unwrap();
     eprintln!("serving on {}", server.local_addr());
 
-    let script: Vec<LoadTurn> = examples
+    let script: Vec<String> = examples
         .iter()
         .take(5)
-        .map(|e| LoadTurn::Add(e.clone()))
-        .chain([LoadTurn::Sql, LoadTurn::Suggest(3), LoadTurn::Rows(5)])
+        .map(|e| format!("add {e}"))
+        .chain(["sql", "suggest 3", "rows 5"].map(String::from))
         .collect();
     let cfg = LoadConfig {
         clients,

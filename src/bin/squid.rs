@@ -29,7 +29,7 @@
 //! exactly where the journal ends.
 
 use std::io::BufRead;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Arc;
 
 use squid_adb::ADb;
@@ -37,10 +37,7 @@ use squid_core::{
     recommend_examples, top_k_queries, Discovery, DiscoveryDelta, FsyncPolicy, SessionId,
     SessionManager, SessionOp, Squid, SquidParams, SquidSession,
 };
-use squid_datasets::{
-    generate_adult, generate_dblp, generate_imdb, AdultConfig, DblpConfig, ImdbConfig,
-};
-use squid_relation::Database;
+use squid_serve::{acquire_adb, parse_line, Verb};
 
 const USAGE: &str = "\
 usage: squid [flags] <dataset> <example>...
@@ -89,71 +86,6 @@ session commands:
   help                 this text
   quit                 exit";
 
-fn build_dataset(name: &str) -> Option<Database> {
-    match name {
-        "imdb" => Some(generate_imdb(&ImdbConfig::default())),
-        "dblp" => Some(generate_dblp(&DblpConfig::default())),
-        "adult" => Some(generate_adult(&AdultConfig::default())),
-        _ => None,
-    }
-}
-
-/// Build the αDB from the dataset generators (the slow path).
-fn build_adb(dataset: &str) -> ADb {
-    let db = build_dataset(dataset).unwrap_or_else(|| die(&format!("unknown dataset {dataset:?}")));
-    eprintln!("building αDB for {dataset}...");
-    let t = std::time::Instant::now();
-    let adb = match ADb::build(&db) {
-        Ok(a) => a,
-        Err(e) => die(&format!("αDB build failed: {e}")),
-    };
-    eprintln!(
-        "αDB ready in {:?} ({} properties, {} derived rows)",
-        t.elapsed(),
-        adb.build_stats.property_count,
-        adb.build_stats.derived_row_count
-    );
-    adb
-}
-
-/// Get the αDB the fast way when possible: load the snapshot if one exists
-/// (falling back to a generator rebuild on corruption — a snapshot is a
-/// cache, never the source of truth), otherwise build and, when a snapshot
-/// path was given, save one for the next start.
-fn acquire_adb(dataset: &str, snapshot: Option<&Path>) -> ADb {
-    if let Some(path) = snapshot {
-        if path.exists() {
-            let t = std::time::Instant::now();
-            match ADb::load_snapshot(path) {
-                Ok(adb) => {
-                    eprintln!(
-                        "αDB loaded from snapshot {} in {:?} ({} properties, {} derived rows)",
-                        path.display(),
-                        t.elapsed(),
-                        adb.build_stats.property_count,
-                        adb.build_stats.derived_row_count
-                    );
-                    return adb;
-                }
-                Err(e) => {
-                    eprintln!(
-                        "snapshot {} unusable ({e}); rebuilding from generators",
-                        path.display()
-                    );
-                }
-            }
-        }
-    }
-    let adb = build_adb(dataset);
-    if let Some(path) = snapshot {
-        match adb.save_snapshot(path) {
-            Ok(bytes) => eprintln!("snapshot saved to {} ({bytes} bytes)", path.display()),
-            Err(e) => eprintln!("warning: snapshot save to {} failed: {e}", path.display()),
-        }
-    }
-    adb
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut params = SquidParams::default();
@@ -185,12 +117,10 @@ fn main() {
                 ))
             }
             "--fsync" => {
-                fsync = match it.next().as_deref() {
-                    Some("always") => FsyncPolicy::Always,
-                    Some("flush") => FsyncPolicy::Flush,
-                    Some("never") => FsyncPolicy::Never,
-                    _ => die("--fsync needs one of: always | flush | never"),
-                }
+                fsync = it
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| die("--fsync needs one of: always | flush | never"))
             }
             "--alternatives" => {
                 alternatives = it
@@ -229,7 +159,7 @@ fn main() {
         die::<()>(&format!("unknown dataset {dataset:?}\n{USAGE}"));
         return;
     }
-    let adb = acquire_adb(&dataset, snapshot.as_deref());
+    let adb = acquire_adb(&dataset, snapshot.as_deref()).unwrap_or_else(|e| die(&e));
 
     if repl {
         run_repl(
@@ -406,150 +336,12 @@ fn run_repl(
             Some((c, r)) => (c, r.trim()),
             None => (line, ""),
         };
+        let mut added = false;
         let result: Result<Option<DiscoveryDelta>, String> = match cmd {
             "quit" | "exit" => break,
             "help" => {
                 println!("{REPL_HELP}");
                 Ok(None)
-            }
-            "add" => apply(&manager, active, SessionOp::AddExample(rest.to_string())),
-            "remove" => apply(&manager, active, SessionOp::RemoveExample(rest.to_string())),
-            "target" => match rest.split_once(char::is_whitespace) {
-                Some((tbl, col)) => apply(
-                    &manager,
-                    active,
-                    SessionOp::SetTarget {
-                        table: tbl.trim().to_string(),
-                        column: col.trim().to_string(),
-                    },
-                ),
-                None => Err("usage: target <table> <column>".into()),
-            },
-            "auto" => apply(&manager, active, SessionOp::SetTargetAuto),
-            "pin" => apply(&manager, active, SessionOp::PinFilter(rest.to_string())),
-            "ban" => apply(&manager, active, SessionOp::BanFilter(rest.to_string())),
-            "unpin" => apply(&manager, active, SessionOp::UnpinFilter(rest.to_string())),
-            "unban" => apply(&manager, active, SessionOp::UnbanFilter(rest.to_string())),
-            "choose" => match rest.split_once(char::is_whitespace) {
-                Some((pk, example)) => match pk.trim().parse::<i64>() {
-                    Ok(pk) => apply(
-                        &manager,
-                        active,
-                        SessionOp::ChooseEntity {
-                            example: example.trim().to_string(),
-                            pk,
-                        },
-                    ),
-                    Err(_) => Err("usage: choose <pk> <example>".into()),
-                },
-                None => Err("usage: choose <pk> <example>".into()),
-            },
-            "unchoose" => apply(&manager, active, SessionOp::ClearChoice(rest.to_string())),
-            "examples" => inspect(&manager, active, |s| {
-                println!("examples: {:?}", s.examples());
-            })
-            .map(|()| None),
-            "stats" => inspect(&manager, active, |s| s.cache_stats()).map(|s| {
-                let total = s.hits + s.shared_hits + s.misses;
-                let rate = if total > 0 {
-                    100.0 * (s.hits + s.shared_hits) as f64 / total as f64
-                } else {
-                    0.0
-                };
-                println!(
-                    "evaluation cache: {} local + {} shared hits / {} misses \
-                     ({rate:.0}% hit rate), {} resident filter bitmaps, {} bytes, \
-                     {} evicted",
-                    s.hits, s.shared_hits, s.misses, s.entries, s.resident_bytes, s.evictions
-                );
-                if let Some(sh) = manager.shared_cache_stats() {
-                    let occupied = sh
-                        .per_shard_resident_bytes
-                        .iter()
-                        .filter(|&&b| b > 0)
-                        .count();
-                    println!(
-                        "shared cache: {} hits / {} misses ({:.0}% hit rate), {} entries, \
-                         {} / {} bytes across {} of {} shards, {} evicted",
-                        sh.hits,
-                        sh.misses,
-                        100.0 * sh.hit_rate(),
-                        sh.entries,
-                        sh.resident_bytes,
-                        sh.max_resident_bytes,
-                        occupied,
-                        sh.per_shard_resident_bytes.len(),
-                        sh.evictions
-                    );
-                    let nshards = sh.per_shard_hits.len();
-                    let warm = (0..nshards)
-                        .filter(|&i| sh.per_shard_hits[i] + sh.per_shard_misses[i] > 0)
-                        .count();
-                    let (mut lo, mut hi) = (1.0f64, 0.0f64);
-                    for i in 0..nshards {
-                        if sh.per_shard_hits[i] + sh.per_shard_misses[i] > 0 {
-                            let r = sh.shard_hit_rate(i);
-                            lo = lo.min(r);
-                            hi = hi.max(r);
-                        }
-                    }
-                    let peak_of_peaks = sh.per_shard_peak_resident_bytes.iter().max().copied();
-                    println!(
-                        "shared warm-start: {warm} of {nshards} shards touched \
-                         (hit rate {}–{}%), peak {} bytes resident \
-                         (hottest shard {} bytes)",
-                        if warm > 0 {
-                            format!("{:.0}", 100.0 * lo)
-                        } else {
-                            "0".into()
-                        },
-                        if warm > 0 {
-                            format!("{:.0}", 100.0 * hi)
-                        } else {
-                            "0".into()
-                        },
-                        sh.peak_resident_bytes,
-                        peak_of_peaks.unwrap_or(0),
-                    );
-                } else {
-                    // Say so explicitly: silently printing nothing made
-                    // "disabled" indistinguishable from "broken".
-                    println!("shared cache: disabled");
-                }
-                if let Some(rs) = manager.recover_stats() {
-                    println!(
-                        "recovery: {} session(s) replayed, {} record(s) applied, \
-                         {} failed, {} damaged byte(s) truncated, {} journal write error(s)",
-                        rs.sessions_replayed,
-                        rs.records_applied,
-                        rs.records_failed,
-                        rs.bytes_truncated,
-                        manager.journal_write_errors()
-                    );
-                }
-                if let Some(js) = manager.journal_stats() {
-                    println!(
-                        "journal: {} bytes at {} ({} base + {} tail record(s), \
-                         {} compaction(s))",
-                        js.bytes, js.path, js.base_records, js.tail_records, js.compactions
-                    );
-                    if let Some(lc) = js.last_compaction {
-                        println!(
-                            "last compaction: {} session(s) snapshotted into {} record(s), \
-                             {} -> {} bytes",
-                            lc.sessions, lc.records_written, lc.bytes_before, lc.bytes_after
-                        );
-                    }
-                }
-                None
-            }),
-            "suggest" => {
-                let k: usize = rest.parse().unwrap_or(3);
-                inspect(&manager, active, |s| match s.discovery() {
-                    Some(_) => print_suggestions(&adb, s, k),
-                    None => println!("(no examples yet)"),
-                })
-                .map(|()| None)
             }
             "show" => inspect(&manager, active, |s| match s.discovery() {
                 Some(d) => {
@@ -566,22 +358,6 @@ fn run_repl(
                 None => println!("(no examples yet)"),
             })
             .map(|()| None),
-            "sql" => inspect(&manager, active, |s| match s.discovery() {
-                Some(d) => println!("{}", d.sql()),
-                None => println!("(no examples yet)"),
-            })
-            .map(|()| None),
-            "rows" => {
-                let n: usize = rest.parse().unwrap_or(10);
-                inspect(&manager, active, |s| match s.discovery() {
-                    Some(d) => {
-                        println!("result: {} tuples", d.rows.len());
-                        print_rows(&adb, d, n);
-                    }
-                    None => println!("(no examples yet)"),
-                })
-                .map(|()| None)
-            }
             "save" => {
                 let path = if rest.is_empty() {
                     snapshot.clone()
@@ -639,7 +415,21 @@ fn run_repl(
                 Ok(None) => Err("no journal attached (pass --journal <path>)".into()),
                 Err(e) => Err(format!("journal compaction failed: {e}")),
             },
-            other => Err(format!("unknown command {other:?} — try `help`")),
+            // Everything else is a verb of the serving protocol, in its
+            // one text grammar; the session-scoped ones run locally.
+            _ => match parse_line(line, Some(active)) {
+                Ok(Verb::Apply { op, .. }) => {
+                    added = matches!(op, SessionOp::AddExample(_));
+                    apply(&manager, active, op)
+                }
+                Ok(Verb::Stats { .. }) => inspect(&manager, active, |s| s.cache_stats()).map(|s| {
+                    print_stats(&manager, &s);
+                    None
+                }),
+                Ok(verb) => inspect(&manager, active, |s| print_read(&adb, s, &verb))
+                    .and_then(|answered| answered.map(|()| None)),
+                Err(msg) => Err(format!("{msg} — try `help`")),
+            },
         };
         match result {
             Ok(Some(delta)) => {
@@ -647,7 +437,7 @@ fn run_repl(
                 // Figure-1 loop closed end to end: after each add, hint at
                 // the example whose confirmation would sharpen abduction
                 // the most (full list via the `suggest` command).
-                if cmd == "add" && delta.discovery.is_some() {
+                if added && delta.discovery.is_some() {
                     let _ = inspect(&manager, active, |s| print_hint(&adb, s));
                 }
             }
@@ -665,11 +455,122 @@ fn run_repl(
     let _ = manager.journal_sync();
 }
 
-/// Render the projection value of one entity row, if present.
-fn projection_value(adb: &ADb, d: &Discovery, row: usize) -> Option<String> {
-    let table = adb.database.table(&d.entity_table).ok()?;
-    let ci = table.schema().column_index(&d.projection_column)?;
-    table.cell(row, ci).map(|v| v.to_string())
+/// Answer one read-only verb from the local session; `Err` for the verbs
+/// only a server can answer.
+fn print_read(adb: &ADb, s: &SquidSession, verb: &Verb) -> Result<(), String> {
+    match (verb, s.discovery()) {
+        (Verb::Examples { .. }, _) => println!("examples: {:?}", s.examples()),
+        (Verb::Suggest { .. } | Verb::Sql { .. } | Verb::Rows { .. }, None) => {
+            println!("(no examples yet)")
+        }
+        (Verb::Suggest { k, .. }, Some(_)) => print_suggestions(adb, s, *k),
+        (Verb::Sql { .. }, Some(d)) => println!("{}", d.sql()),
+        (Verb::Rows { limit, .. }, Some(d)) => {
+            println!("result: {} tuples", d.rows.len());
+            print_rows(adb, d, *limit);
+        }
+        (other, _) => {
+            let name = other.name();
+            return Err(format!("`{name}` only means something to squid-serve"));
+        }
+    }
+    Ok(())
+}
+
+/// The REPL's `stats` report: both evaluation-cache levels, recovery and
+/// journal statistics.
+fn print_stats(manager: &SessionManager, s: &squid_core::EvalCacheStats) {
+    let total = s.hits + s.shared_hits + s.misses;
+    let rate = if total > 0 {
+        100.0 * (s.hits + s.shared_hits) as f64 / total as f64
+    } else {
+        0.0
+    };
+    println!(
+        "evaluation cache: {} local + {} shared hits / {} misses \
+         ({rate:.0}% hit rate), {} resident filter bitmaps, {} bytes, \
+         {} evicted",
+        s.hits, s.shared_hits, s.misses, s.entries, s.resident_bytes, s.evictions
+    );
+    if let Some(sh) = manager.shared_cache_stats() {
+        let occupied = sh
+            .per_shard_resident_bytes
+            .iter()
+            .filter(|&&b| b > 0)
+            .count();
+        println!(
+            "shared cache: {} hits / {} misses ({:.0}% hit rate), {} entries, \
+             {} / {} bytes across {} of {} shards, {} evicted",
+            sh.hits,
+            sh.misses,
+            100.0 * sh.hit_rate(),
+            sh.entries,
+            sh.resident_bytes,
+            sh.max_resident_bytes,
+            occupied,
+            sh.per_shard_resident_bytes.len(),
+            sh.evictions
+        );
+        let nshards = sh.per_shard_hits.len();
+        let warm = (0..nshards)
+            .filter(|&i| sh.per_shard_hits[i] + sh.per_shard_misses[i] > 0)
+            .count();
+        let (mut lo, mut hi) = (1.0f64, 0.0f64);
+        for i in 0..nshards {
+            if sh.per_shard_hits[i] + sh.per_shard_misses[i] > 0 {
+                let r = sh.shard_hit_rate(i);
+                lo = lo.min(r);
+                hi = hi.max(r);
+            }
+        }
+        let peak_of_peaks = sh.per_shard_peak_resident_bytes.iter().max().copied();
+        println!(
+            "shared warm-start: {warm} of {nshards} shards touched \
+             (hit rate {}–{}%), peak {} bytes resident \
+             (hottest shard {} bytes)",
+            if warm > 0 {
+                format!("{:.0}", 100.0 * lo)
+            } else {
+                "0".into()
+            },
+            if warm > 0 {
+                format!("{:.0}", 100.0 * hi)
+            } else {
+                "0".into()
+            },
+            sh.peak_resident_bytes,
+            peak_of_peaks.unwrap_or(0),
+        );
+    } else {
+        // Say so explicitly: silently printing nothing made
+        // "disabled" indistinguishable from "broken".
+        println!("shared cache: disabled");
+    }
+    if let Some(rs) = manager.recover_stats() {
+        println!(
+            "recovery: {} session(s) replayed, {} record(s) applied, \
+             {} failed, {} damaged byte(s) truncated, {} journal write error(s)",
+            rs.sessions_replayed,
+            rs.records_applied,
+            rs.records_failed,
+            rs.bytes_truncated,
+            manager.journal_write_errors()
+        );
+    }
+    if let Some(js) = manager.journal_stats() {
+        println!(
+            "journal: {} bytes at {} ({} base + {} tail record(s), \
+             {} compaction(s))",
+            js.bytes, js.path, js.base_records, js.tail_records, js.compactions
+        );
+        if let Some(lc) = js.last_compaction {
+            println!(
+                "last compaction: {} session(s) snapshotted into {} record(s), \
+                 {} -> {} bytes",
+                lc.sessions, lc.records_written, lc.bytes_before, lc.bytes_after
+            );
+        }
+    }
 }
 
 /// Print ranked next-example recommendations for a discovery (shared by
@@ -683,7 +584,7 @@ fn print_recommendations(adb: &ADb, d: &Discovery, recs: &[squid_core::Recommend
     for r in recs {
         println!(
             "  {} (score {:.3}) — tests {}",
-            projection_value(adb, d, r.row).unwrap_or_default(),
+            d.projection_value(adb, r.row).unwrap_or_default(),
             r.score,
             r.discriminates.join(", ")
         );
@@ -705,7 +606,7 @@ fn print_hint(adb: &ADb, session: &SquidSession) {
     let Some(top) = session.suggest(1).into_iter().next() else {
         return;
     };
-    if let Some(v) = projection_value(adb, d, top.row) {
+    if let Some(v) = d.projection_value(adb, top.row) {
         println!(
             "hint: adding {v:?} would test {} — `suggest` for more",
             top.discriminates.join(", ")
