@@ -18,6 +18,7 @@ pub mod test_fixtures;
 pub use build::{ADb, AdbConfig, BuildStats, EntityProps, PropId, Property};
 pub use properties::{discover_properties, PropKind, PropertyDef, QueryFragments};
 pub use stats::{
-    CategoricalStats, DerivedNumericStats, DerivedStats, FilterFingerprint, FilterSetCache,
-    NumericStats, PropStats, SharedCacheStats, SharedFilterSetCache, SHARED_CACHE_SHARDS,
+    posting_row, CategoricalStats, DerivedNumericStats, DerivedStats, FilterFingerprint,
+    FilterSetCache, NumericStats, PropStats, SharedCacheStats, SharedFilterSetCache, ValueRows,
+    SHARED_CACHE_SHARDS,
 };

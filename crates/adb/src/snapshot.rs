@@ -7,11 +7,11 @@
 //! process restarts in milliseconds instead of re-running the full
 //! statistics pass.
 //!
-//! ## File format (version 1)
+//! ## File format (version 2)
 //!
 //! ```text
 //! +----------------+  8 bytes  magic "SQUIDADB"
-//! | magic, version |  4 bytes  format version (u32 le)
+//! | magic, version |  4 bytes  format version (u32 le) = 2
 //! +----------------+
 //! | HEADER  frame  |  verification hash + original build stats
 //! | INTERNER frame |  symbol id -> string table (save-time ids)
@@ -20,6 +20,22 @@
 //! | ENTITIES frame |  property defs + per-entity stats arenas
 //! +----------------+
 //! ```
+//!
+//! Per property, the ENTITIES frame holds the statistics' arenas as they
+//! sit in memory (`crate::stats`, "Postings layout"):
+//!
+//! | kind | per-entity data | postings |
+//! |---|---|---|
+//! | categorical | value-set lengths, values | per domain value a `u32` row count then its ascending `u32` rows, or the marker `u32::MAX` then one ⌈n/64⌉-word bitmap |
+//! | numeric | non-null bitmap, values | distinct values + prefix counts; `(f64 value, u32 row)` pairs ascending by value |
+//! | derived | run lengths, run values, run counts, totals | per domain value a length then its `count << 32 \| row` words, ascending |
+//! | derived numeric | run lengths, attribute values, counts | cutpoints; per cutpoint a length then its `count << 32 \| row` words, ascending |
+//!
+//! Version 1 stored derived postings by row with a separate sorted count
+//! array, no rows for derived-numeric cutpoints, and every categorical
+//! value as a row list. There is one reader: a version 1 file is refused
+//! as [`FrameError::Corrupt`] in the preamble and the caller rebuilds, as
+//! for any other unreadable snapshot.
 //!
 //! Each frame is a CRC-32 protected section (`squid_relation::frame`):
 //! tag, length, checksum, payload. All multi-byte integers little-endian.
@@ -45,18 +61,22 @@
 //! [`FrameError::Corrupt`]; corruption can never panic, allocate
 //! unboundedly, or hand back silently wrong data.
 //!
-//! Statistics are persisted as their *final* arenas — postings,
-//! count/fraction distributions, per-cutpoint suffix distributions — in
-//! bulk little-endian arrays, so loading skips the αDB builder's
-//! aggregation work entirely (that is what makes a snapshot load
-//! decisively cheaper than a rebuild). Memory safety never leans on
-//! those arenas: every row index is bounds-checked against the entity
-//! count and every array length against the bytes present. Their
-//! *semantic* invariants (sort order, distribution/posting agreement)
-//! are protected by the section CRC rather than re-derived — except the
-//! one invariant that cannot survive a process boundary: derived runs
-//! are ordered by process-local symbol id, so the loader re-sorts each
-//! entity's run under this process's interner.
+//! Statistics are persisted as their *final* arenas — θ-ordered
+//! postings, per-cutpoint postings, sparse and dense value rows — in bulk
+//! little-endian arrays, so loading skips the αDB builder's aggregation
+//! and sorting work entirely (that is what makes a snapshot load
+//! decisively cheaper than a rebuild; only the normalized-fraction
+//! distributions are re-derived, from the postings). Memory safety never
+//! leans on those arenas: every row index is bounds-checked against the
+//! entity count and every array length against the bytes present. The
+//! two invariants evaluation reads its answers off are checked per slice
+//! as well: postings ascend strictly (a θ-suffix is a binary search, no
+//! row repeats), and a dense bitmap sets no bit past the entity count.
+//! Agreement between postings and per-entity data is protected by the
+//! section CRC rather than re-derived — except the one invariant that
+//! cannot survive a process boundary: derived runs are ordered by
+//! process-local symbol id, so the loader re-sorts each entity's run
+//! under this process's interner.
 
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -71,19 +91,28 @@ use squid_relation::{
 
 use crate::build::{next_generation, ADb, BuildStats, EntityProps, Property};
 use crate::properties::{PropKind, PropertyDef, QueryFragments};
-use crate::stats::{CategoricalStats, DerivedNumericStats, DerivedStats, NumericStats, PropStats};
+use crate::stats::{
+    posting_count, posting_row, CategoricalStats, DerivedNumericStats, DerivedStats, NumericStats,
+    PropStats, ValueRows,
+};
 use squid_relation::FxHashMap;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SQUIDADB";
-/// Current snapshot format version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+/// Current snapshot format version. Version 2 persists the θ-ordered
+/// posting arenas and dense categorical bitmaps; there is one reader, so a
+/// version 1 file is `Corrupt` and its owner rebuilds.
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const TAG_HEADER: u32 = 0x5351_0001;
 const TAG_INTERNER: u32 = 0x5351_0002;
 const TAG_DATABASE: u32 = 0x5351_0003;
 const TAG_INVERTED: u32 = 0x5351_0004;
 const TAG_ENTITIES: u32 = 0x5351_0005;
+
+/// In a categorical value's row-count slot: the rows follow as one bitmap
+/// instead of a list of ids.
+const DENSE_ROWS: u32 = u32::MAX;
 
 /// Cap on any one section's declared payload length (1 TiB): a corrupted
 /// length field fails fast instead of looping over garbage.
@@ -770,10 +799,11 @@ fn encode_property(w: &mut ByteWriter, p: &Property) {
 }
 
 /// Serialize one property's statistics as final arenas (see the module
-/// docs): per-entity data plus the postings and distributions the
-/// constructors computed at build time, so the loader never re-aggregates.
-/// Assumes constructor-built stats (true for every [`ADb::build`] output):
-/// distributions are re-derived on load from the persisted postings.
+/// docs): per-entity data plus the postings the constructors computed at
+/// build time, so the loader never re-aggregates. Assumes
+/// constructor-built stats (true for every [`ADb::build`] output): value
+/// counts and fraction distributions are re-derived on load from the
+/// persisted postings.
 fn encode_stats(w: &mut ByteWriter, stats: &PropStats) {
     fn run_len(len: usize) -> u32 {
         u32::try_from(len).expect("per-entity run exceeds u32 range")
@@ -794,17 +824,25 @@ fn encode_stats(w: &mut ByteWriter, stats: &PropStats) {
             dom.sort();
             w.put_u64(dom.len() as u64);
             put_value_list(w, dom.iter().copied());
-            let counts: Vec<u64> = dom
-                .iter()
-                .map(|v| s.value_entity_counts[*v] as u64)
-                .collect();
-            put_u64s_packed(w, &counts);
-            for v in &dom {
-                w.put_u32(run_len(s.rows_with(v).len()));
+            // Each value's rows in the encoding they are held in: a row
+            // count then (below) that many ascending ids, or `DENSE_ROWS`
+            // then one bitmap of ⌈n/64⌉ words.
+            let rows: Vec<Option<&ValueRows>> = dom.iter().map(|v| s.rows_with(v)).collect();
+            for r in &rows {
+                w.put_u32(match r {
+                    Some(ValueRows::Sparse(ids)) => run_len(ids.len()),
+                    Some(ValueRows::Dense(_)) => DENSE_ROWS,
+                    None => 0,
+                });
             }
-            for v in &dom {
-                for &row in s.rows_with(v) {
-                    w.put_u32(row_id(row));
+            for r in &rows {
+                if let Some(ValueRows::Sparse(ids)) = r {
+                    w.put_u32s(ids);
+                }
+            }
+            for r in &rows {
+                if let Some(ValueRows::Dense(set)) = r {
+                    (0..n.div_ceil(64)).for_each(|i| w.put_u64(set.word(i)));
                 }
             }
         }
@@ -848,23 +886,16 @@ fn encode_stats(w: &mut ByteWriter, stats: &PropStats) {
                 .collect();
             put_u64s_packed(w, &counts);
             put_u64s_packed(w, &s.entity_totals);
-            let mut dom: Vec<&Value> = s.value_postings.keys().collect();
+            let mut dom: Vec<&Value> = s.theta_postings.keys().collect();
             dom.sort();
             w.put_u64(dom.len() as u64);
             put_value_list(w, dom.iter().copied());
             for v in &dom {
-                w.put_u32(run_len(s.postings_of(v).len()));
+                w.put_u32(run_len(s.theta_postings[*v].len()));
             }
             for v in &dom {
-                for &(row, _) in s.postings_of(v) {
-                    w.put_u32(row_id(row));
-                }
+                w.put_u64s(&s.theta_postings[*v]);
             }
-            let pcs: Vec<u64> = dom
-                .iter()
-                .flat_map(|v| s.postings_of(v).iter().map(|&(_, c)| c))
-                .collect();
-            put_u64s_packed(w, &pcs);
         }
         PropStats::DerivedNumeric(s) => {
             w.put_u8(3);
@@ -886,11 +917,12 @@ fn encode_stats(w: &mut ByteWriter, stats: &PropStats) {
             put_u64s_packed(w, &counts);
             w.put_u64(s.cutpoints.len() as u64);
             w.put_f64s(&s.cutpoints);
-            for d in &s.per_cut_dists {
-                w.put_u32(run_len(d.len()));
+            for postings in &s.per_cut_postings {
+                w.put_u32(run_len(postings.len()));
             }
-            let all: Vec<u64> = s.per_cut_dists.iter().flatten().copied().collect();
-            put_u64s_packed(w, &all);
+            for postings in &s.per_cut_postings {
+                w.put_u64s(postings);
+            }
         }
     }
 }
@@ -1034,11 +1066,11 @@ fn decode_kind(r: &mut ByteReader<'_>, section: &str) -> FrameResult<PropKind> {
 }
 
 /// Decode one property's statistics from their persisted arenas (the
-/// inverse of [`encode_stats`]): per-entity data, postings, and the
-/// distributions computed by the saving process's constructors — no
-/// aggregation re-runs here. Every row index is validated against the
-/// entity count `n` so a corrupted posting can never index (or allocate)
-/// out of bounds downstream.
+/// inverse of [`encode_stats`]): per-entity data and the postings computed
+/// by the saving process's constructors — no aggregation re-runs here.
+/// Every row index is validated against the entity count `n` so a
+/// corrupted posting can never index (or allocate) out of bounds
+/// downstream, and every posting slice is checked to ascend.
 fn decode_stats(r: &mut ByteReader<'_>, remap: &SymRemap, section: &str) -> FrameResult<PropStats> {
     fn check_row(row: u32, n: usize, what: &str, section: &str) -> FrameResult<usize> {
         let row = row as usize;
@@ -1049,6 +1081,30 @@ fn decode_stats(r: &mut ByteReader<'_>, remap: &SymRemap, section: &str) -> Fram
             ));
         }
         Ok(row)
+    }
+    /// One posting slice as evaluation relies on it: strictly ascending
+    /// (so a θ-suffix is a binary search and no row repeats), every row
+    /// inside the `n` entities.
+    fn check_ascending<T: Copy + Ord>(
+        postings: &[T],
+        row_of: impl Fn(T) -> usize,
+        n: usize,
+        what: &str,
+        section: &str,
+    ) -> FrameResult<()> {
+        if let Some(&p) = postings.iter().find(|&&p| row_of(p) >= n) {
+            return Err(FrameError::corrupt(
+                section,
+                format!("{what} row {} outside {n} entities", row_of(p)),
+            ));
+        }
+        if postings.windows(2).any(|w| w[0] >= w[1]) {
+            return Err(FrameError::corrupt(
+                section,
+                format!("{what}s are not ascending"),
+            ));
+        }
+        Ok(())
     }
     /// Sum validated run lengths into `n + 1` arena offsets; the total
     /// must fit the `u32` arena addressing.
@@ -1079,26 +1135,46 @@ fn decode_stats(r: &mut ByteReader<'_>, remap: &SymRemap, section: &str) -> Fram
                 .windows(2)
                 .map(|w| flat[w[0] as usize..w[1] as usize].to_vec())
                 .collect();
-            let dom = r.get_count(6, "categorical domain value")?;
+            let dom = r.get_count(5, "categorical domain value")?;
             let dvals = get_value_list(r, remap, dom, section)?;
-            let counts = get_u64s_packed(r, dom, section)?;
-            let rlens = r.get_u32s(dom)?;
-            let (roffs, rm) = offsets_from_lens(&rlens, section)?;
-            let rows_flat = r
-                .get_u32s(rm)?
-                .into_iter()
-                .map(|row| check_row(row, n, "categorical posting", section))
-                .collect::<FrameResult<Vec<usize>>>()?;
+            let marks = r.get_u32s(dom)?;
+            let sparse_lens: Vec<u32> = marks
+                .iter()
+                .filter(|&&m| m != DENSE_ROWS)
+                .copied()
+                .collect();
+            let (roffs, rm) = offsets_from_lens(&sparse_lens, section)?;
+            let rows_flat = r.get_u32s(rm)?;
+            let words_per_set = n.div_ceil(64);
+            let dense_words = (dom - sparse_lens.len())
+                .checked_mul(words_per_set)
+                .ok_or_else(|| FrameError::corrupt(section, "dense bitmaps overflow"))?;
+            let words_flat = r.get_u64s(dense_words)?;
             let mut value_entity_counts = FxHashMap::default();
             let mut value_rows = FxHashMap::default();
             value_entity_counts.reserve(dom);
             value_rows.reserve(dom);
-            for (i, (v, count)) in dvals.into_iter().zip(counts).enumerate() {
-                let rows = rows_flat[roffs[i] as usize..roffs[i + 1] as usize].to_vec();
-                value_entity_counts.insert(v, count as usize);
-                if !rows.is_empty() {
-                    value_rows.insert(v, rows);
-                }
+            let (mut sparse_seen, mut dense_seen) = (0, 0);
+            for (v, mark) in dvals.into_iter().zip(marks) {
+                let rows = if mark == DENSE_ROWS {
+                    let words = &words_flat[dense_seen * words_per_set..][..words_per_set];
+                    dense_seen += 1;
+                    if n % 64 != 0 && words.last().is_some_and(|last| last >> (n % 64) != 0) {
+                        return Err(FrameError::corrupt(
+                            section,
+                            format!("categorical bitmap sets rows beyond {n} entities"),
+                        ));
+                    }
+                    ValueRows::Dense(RowSet::from_words(words.to_vec()))
+                } else {
+                    let ids =
+                        &rows_flat[roffs[sparse_seen] as usize..roffs[sparse_seen + 1] as usize];
+                    sparse_seen += 1;
+                    check_ascending(ids, |id| id as usize, n, "categorical posting", section)?;
+                    ValueRows::Sparse(ids.to_vec())
+                };
+                value_entity_counts.insert(v, rows.len());
+                value_rows.insert(v, rows);
             }
             PropStats::Categorical(CategoricalStats {
                 value_entity_counts,
@@ -1145,43 +1221,31 @@ fn decode_stats(r: &mut ByteReader<'_>, remap: &SymRemap, section: &str) -> Fram
             let dvals = get_value_list(r, remap, dom, section)?;
             let plens = r.get_u32s(dom)?;
             let (poffs, pm) = offsets_from_lens(&plens, section)?;
-            let prows = r.get_u32s(pm)?;
-            let pcs = get_u64s_packed(r, pm, section)?;
-            let mut value_count_dists = FxHashMap::default();
+            let pflat = r.get_u64s(pm)?;
+            let mut theta_postings = FxHashMap::default();
             let mut value_frac_dists = FxHashMap::default();
-            let mut value_postings = FxHashMap::default();
-            value_count_dists.reserve(dom);
+            theta_postings.reserve(dom);
             value_frac_dists.reserve(dom);
-            value_postings.reserve(dom);
             for (i, v) in dvals.into_iter().enumerate() {
-                let (lo, hi) = (poffs[i] as usize, poffs[i + 1] as usize);
-                let mut postings = Vec::with_capacity(hi - lo);
-                let mut cd = Vec::with_capacity(hi - lo);
-                let mut fd = Vec::with_capacity(hi - lo);
-                for (&row, &c) in prows[lo..hi].iter().zip(&pcs[lo..hi]) {
-                    let row = check_row(row, n, "derived posting", section)?;
-                    let total = entity_totals[row];
-                    fd.push(if total > 0 {
-                        c as f64 / total as f64
-                    } else {
-                        0.0
-                    });
-                    cd.push(c);
-                    postings.push((row, c));
-                }
-                cd.sort_unstable();
+                let postings = &pflat[poffs[i] as usize..poffs[i + 1] as usize];
+                check_ascending(postings, posting_row, n, "derived posting", section)?;
+                let mut fd: Vec<f64> = postings
+                    .iter()
+                    .map(|&p| match entity_totals[posting_row(p)] {
+                        0 => 0.0,
+                        total => posting_count(p) as f64 / total as f64,
+                    })
+                    .collect();
                 fd.sort_by(f64::total_cmp);
-                value_count_dists.insert(v, cd);
+                theta_postings.insert(v, postings.to_vec());
                 value_frac_dists.insert(v, fd);
-                value_postings.insert(v, postings);
             }
             PropStats::Derived(DerivedStats::from_arenas(
                 runs,
                 offsets,
                 entity_totals,
-                value_count_dists,
+                theta_postings,
                 value_frac_dists,
-                value_postings,
             ))
         }
         3 => {
@@ -1199,15 +1263,19 @@ fn decode_stats(r: &mut ByteReader<'_>, remap: &SymRemap, section: &str) -> Fram
             let cutpoints = r.get_f64s(k)?;
             let dlens = r.get_u32s(k)?;
             let (doffs, dm) = offsets_from_lens(&dlens, section)?;
-            let dflat = get_u64s_packed(r, dm, section)?;
-            let per_cut_dists: Vec<Vec<u64>> = doffs
+            let dflat = r.get_u64s(dm)?;
+            let per_cut_postings = doffs
                 .windows(2)
-                .map(|w| dflat[w[0] as usize..w[1] as usize].to_vec())
-                .collect();
+                .map(|w| {
+                    let postings = &dflat[w[0] as usize..w[1] as usize];
+                    check_ascending(postings, posting_row, n, "derived-numeric posting", section)?;
+                    Ok(postings.to_vec())
+                })
+                .collect::<FrameResult<Vec<Vec<u64>>>>()?;
             PropStats::DerivedNumeric(DerivedNumericStats {
                 per_entity,
                 cutpoints,
-                per_cut_dists,
+                per_cut_postings,
             })
         }
         t => {
@@ -1388,6 +1456,159 @@ mod tests {
         bytes[0] ^= 0xFF;
         let err = ADb::load_snapshot_from(&mut bytes.as_slice()).unwrap_err();
         assert!(matches!(err, FrameError::Corrupt { .. }), "{err}");
+    }
+
+    /// There is no dual-format reader: a file that announces the previous
+    /// format is refused before any section is read, and the caller's
+    /// rebuild fallback takes over.
+    #[test]
+    fn a_version_1_preamble_is_corrupt() {
+        let mut bytes = snapshot_bytes(&adb());
+        assert_eq!(bytes[8..12], 2u32.to_le_bytes());
+        bytes[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match ADb::load_snapshot_from(&mut bytes.as_slice()) {
+            Err(FrameError::Corrupt { section, detail }) => {
+                assert_eq!(section, "preamble");
+                assert!(detail.contains("version 1"), "{detail}");
+            }
+            other => panic!("want Corrupt in the preamble, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// A round trip reproduces every statistics arena, not just what the
+    /// database fingerprint covers.
+    #[test]
+    fn round_trip_reproduces_the_statistics_arenas() {
+        let a = adb();
+        let b = ADb::load_snapshot_from(&mut snapshot_bytes(&a).as_slice()).unwrap();
+        for (name, ea) in &a.entities {
+            for (pa, pb) in ea.props.iter().zip(&b.entities[name].props) {
+                assert!(pa.stats == pb.stats, "{} drifted", pa.def.id);
+                assert!(pb.stats.enumerable());
+            }
+        }
+    }
+
+    /// Decode one hand-built statistics payload over Int values (no symbol
+    /// table needed).
+    fn decode(payload: ByteWriter) -> FrameResult<PropStats> {
+        let bytes = payload.into_bytes();
+        let mut r = ByteReader::new(&bytes, "entities");
+        let stats = decode_stats(&mut r, &SymRemap { table: Vec::new() }, "entities")?;
+        r.expect_end()?;
+        Ok(stats)
+    }
+
+    fn corrupt_detail(result: FrameResult<PropStats>) -> String {
+        match result {
+            Err(FrameError::Corrupt { detail, .. }) => detail,
+            other => panic!("want Corrupt, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// A derived section of 3 entities, entity 0 and 2 associated with
+    /// value 7, whose postings for 7 are `postings`.
+    fn derived_section(postings: &[u64]) -> ByteWriter {
+        let mut w = ByteWriter::new();
+        w.put_u8(2);
+        w.put_u64(3);
+        w.put_u32s(&[1, 0, 1]);
+        put_value_list(&mut w, [Value::Int(7), Value::Int(7)].iter());
+        put_u64s_packed(&mut w, &[2, 5]);
+        put_u64s_packed(&mut w, &[2, 0, 5]);
+        w.put_u64(1);
+        put_value_list(&mut w, [Value::Int(7)].iter());
+        w.put_u32(postings.len() as u32);
+        w.put_u64s(postings);
+        w
+    }
+
+    /// A categorical section of 70 entities (two bitmap words, six tail
+    /// bits) with one domain value encoded as `mark` + `rows` / `words`.
+    fn categorical_section(mark: u32, rows: &[u32], words: &[u64]) -> ByteWriter {
+        let mut w = ByteWriter::new();
+        w.put_u8(0);
+        w.put_u64(70);
+        w.put_u32s(&[0; 70]);
+        put_value_list(&mut w, [].iter());
+        w.put_u64(1);
+        put_value_list(&mut w, [Value::Int(7)].iter());
+        w.put_u32(mark);
+        w.put_u32s(rows);
+        w.put_u64s(words);
+        w
+    }
+
+    #[test]
+    fn hand_built_posting_sections_are_checked_slice_by_slice() {
+        // As the builder writes them: count 2 on row 0, count 5 on row 2.
+        let PropStats::Derived(s) = decode(derived_section(&[2 << 32, 5 << 32 | 2])).unwrap()
+        else {
+            panic!("derived");
+        };
+        assert_eq!(s.postings_ge(&Value::Int(7), 3), &[5 << 32 | 2]);
+        assert_eq!(s.selectivity(&Value::Int(7), 1, 3), 2.0 / 3.0);
+        // A descending count, a repeated posting, a row past the entities.
+        let d = corrupt_detail(decode(derived_section(&[5 << 32 | 2, 2 << 32])));
+        assert!(d.contains("not ascending"), "{d}");
+        let d = corrupt_detail(decode(derived_section(&[2 << 32, 2 << 32])));
+        assert!(d.contains("not ascending"), "{d}");
+        let d = corrupt_detail(decode(derived_section(&[2 << 32, 5 << 32 | 3])));
+        assert!(d.contains("row 3 outside 3 entities"), "{d}");
+
+        // The same three for a derived-numeric cutpoint.
+        let cut_section = |postings: &[u64]| {
+            let mut w = ByteWriter::new();
+            w.put_u8(3);
+            w.put_u64(3);
+            w.put_u32s(&[1, 0, 1]);
+            w.put_f64s(&[2001.0, 2001.0]);
+            put_u64s_packed(&mut w, &[2, 5]);
+            w.put_u64(1);
+            w.put_f64s(&[2001.0]);
+            w.put_u32(postings.len() as u32);
+            w.put_u64s(postings);
+            w
+        };
+        let PropStats::DerivedNumeric(s) = decode(cut_section(&[2 << 32, 5 << 32 | 2])).unwrap()
+        else {
+            panic!("derived numeric");
+        };
+        assert_eq!(s.postings_ge(2001.0, 3), &[5 << 32 | 2]);
+        let d = corrupt_detail(decode(cut_section(&[5 << 32 | 2, 2 << 32])));
+        assert!(d.contains("not ascending"), "{d}");
+        let d = corrupt_detail(decode(cut_section(&[2 << 32, 5 << 32 | 7])));
+        assert!(d.contains("row 7 outside 3 entities"), "{d}");
+
+        // Categorical: a sparse list, then a bitmap, as the builder writes
+        // them; then rows out of order, a row past the entities, a bitmap
+        // with a tail bit set, and a bitmap cut short.
+        let PropStats::Categorical(s) = decode(categorical_section(2, &[3, 69], &[])).unwrap()
+        else {
+            panic!("categorical");
+        };
+        assert_eq!(
+            s.rows_with(&Value::Int(7)),
+            Some(&ValueRows::Sparse(vec![3, 69]))
+        );
+        assert_eq!(s.value_entity_counts[&Value::Int(7)], 2);
+        let PropStats::Categorical(s) =
+            decode(categorical_section(DENSE_ROWS, &[], &[0b1001, 1 << 5])).unwrap()
+        else {
+            panic!("categorical");
+        };
+        assert_eq!(
+            s.rows_with(&Value::Int(7)),
+            Some(&ValueRows::Dense([0, 3, 69].into_iter().collect()))
+        );
+        assert_eq!(s.value_entity_counts[&Value::Int(7)], 3);
+        let d = corrupt_detail(decode(categorical_section(2, &[69, 3], &[])));
+        assert!(d.contains("not ascending"), "{d}");
+        let d = corrupt_detail(decode(categorical_section(2, &[3, 70], &[])));
+        assert!(d.contains("row 70 outside 70 entities"), "{d}");
+        let d = corrupt_detail(decode(categorical_section(DENSE_ROWS, &[], &[1, 1 << 6])));
+        assert!(d.contains("beyond 70 entities"), "{d}");
+        corrupt_detail(decode(categorical_section(DENSE_ROWS, &[], &[1])));
     }
 
     #[test]

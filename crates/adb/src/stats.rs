@@ -1,24 +1,133 @@
 //! Precomputed per-property statistics: exactly the information SQuID's
 //! online phase needs to compute filter selectivities ψ(φ) and domain
-//! coverages in O(log n) ("smart selectivity computation", Section 5).
+//! coverages in O(log n) ("smart selectivity computation", Section 5) —
+//! and, from the same arrays, each filter's satisfying rows without
+//! touching an entity that does not satisfy it.
+//!
+//! ## Postings layout
+//!
+//! Every filter kind the online phase abduces reads its answer off one
+//! array that is ordered the way the filter cuts it:
+//!
+//! * **Derived counts** (`⟨A, v, θ⟩`, [`DerivedStats`]) and **suffix
+//!   ranges** (`⟨A ≥ c, θ⟩`, [`DerivedNumericStats`]): per value (per
+//!   cutpoint) one array of `count << 32 | row` words ([`posting_row`]),
+//!   ascending. The entities associated at least θ times are the suffix a
+//!   binary search finds; its length over `n` *is* ψ, so the selectivity
+//!   and the satisfying rows come from the same lookup. 8 bytes a pair.
+//! * **Numeric ranges** ([`NumericStats`]): `(value, row)` pairs ascending
+//!   by value; a range is the slice between two binary searches.
+//! * **Categorical values** ([`CategoricalStats`]): per value its rows,
+//!   stored in whichever form is smaller ([`ValueRows`]) — ascending `u32`
+//!   row ids, or one bit per entity once the list would be at least as
+//!   large as the bitmap. A row id is 32 bits and a bitmap spends one bit
+//!   per entity, so the crossover is `m · 32 ≥ n` (`DENSE_CROSSOVER`); it
+//!   is the point where the two encodings cost the same bytes, which is
+//!   why it is a constant and not a setting. A value is never stored both
+//!   ways. A dense value answers `attr = v` as it stands: evaluation ANDs
+//!   the αDB's own bitmap and builds nothing.
+//!
+//! Per-entity data (`per_entity`, the derived run arena) stays beside the
+//! postings: context discovery folds example rows through it, and the
+//! per-row filter definition (`CandidateFilter::matches_row` in
+//! squid-core) — the oracle every set-algebra path is tested against —
+//! reads nothing else.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use squid_relation::{kernel, ColumnVec, FxHashMap, RowId, RowSet, Sym, Value};
 
+/// A categorical value's row list becomes a bitmap once it holds at least
+/// one row per this many entities: the point where `m` 32-bit row ids cost
+/// as many bytes as an `n`-bit bitmap.
+const DENSE_CROSSOVER: usize = 32;
+
+/// The entity rows carrying one categorical value, in the smaller of two
+/// encodings (see the module docs).
+#[derive(Debug, Clone, PartialEq)]
+pub enum ValueRows {
+    /// Ascending row ids, for values rarer than one entity in 32.
+    Sparse(Vec<u32>),
+    /// One bit per entity, sized to the entity count.
+    Dense(RowSet),
+}
+
+impl ValueRows {
+    /// Encode ascending distinct `rows` of an `n`-entity table.
+    fn from_rows(rows: Vec<u32>, n: usize) -> ValueRows {
+        if rows.len() * DENSE_CROSSOVER >= n {
+            let mut set = RowSet::with_universe(n);
+            for &row in &rows {
+                set.insert(row as RowId);
+            }
+            ValueRows::Dense(set)
+        } else {
+            ValueRows::Sparse(rows)
+        }
+    }
+
+    /// Number of rows carrying the value.
+    pub fn len(&self) -> usize {
+        match self {
+            ValueRows::Sparse(rows) => rows.len(),
+            ValueRows::Dense(set) => set.len(),
+        }
+    }
+
+    /// True iff no row carries the value.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Visit every row, ascending.
+    pub fn for_each(&self, mut visit: impl FnMut(RowId)) {
+        match self {
+            ValueRows::Sparse(rows) => rows.iter().for_each(|&row| visit(row as RowId)),
+            ValueRows::Dense(set) => set.iter().for_each(visit),
+        }
+    }
+}
+
+/// One θ-ordered posting: `count << 32 | row`. Both halves are checked
+/// into `u32` here, the way the derived run arena checks its offsets.
+#[inline]
+fn pack_posting(count: u64, row: RowId) -> u64 {
+    let count = u32::try_from(count).expect("association count exceeds u32 range");
+    let row = u32::try_from(row).expect("entity row exceeds u32 range");
+    (count as u64) << 32 | row as u64
+}
+
+/// Entity row of a `count << 32 | row` posting.
+#[inline]
+pub fn posting_row(posting: u64) -> RowId {
+    posting as u32 as RowId
+}
+
+/// Association count of a `count << 32 | row` posting.
+#[inline]
+pub(crate) fn posting_count(posting: u64) -> u64 {
+    posting >> 32
+}
+
+/// The suffix of ascending `count << 32 | row` postings with count ≥ θ.
+#[inline]
+fn count_suffix(postings: &[u64], theta: u64) -> &[u64] {
+    &postings[postings.partition_point(|&p| posting_count(p) < theta)..]
+}
+
 /// Statistics for a categorical property (direct attribute or a property
 /// table reached through one fact hop). Multi-valued per entity in the
 /// fact-hop case (a movie can have several genres).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CategoricalStats {
     /// For each value: how many *distinct entities* carry it.
     pub value_entity_counts: FxHashMap<Value, usize>,
     /// Per-entity value sets, indexed by entity row id.
     pub per_entity: Vec<Vec<Value>>,
-    /// For each value: the entity rows carrying it, ascending (the postings
-    /// that let `attr = v` filters enumerate matches instead of scanning
-    /// all entities).
-    pub value_rows: FxHashMap<Value, Vec<RowId>>,
+    /// For each value: the entity rows carrying it — the postings that let
+    /// `attr = v` filters hand over their matches instead of scanning all
+    /// entities.
+    pub(crate) value_rows: FxHashMap<Value, ValueRows>,
 }
 
 impl CategoricalStats {
@@ -34,16 +143,24 @@ impl CategoricalStats {
         Self::from_sets(per_entity)
     }
 
-    /// Assemble from per-entity value sets (tallies how many distinct
-    /// entities carry each value and transposes the row postings).
+    /// Assemble from per-entity value sets (transposes them into per-value
+    /// row postings; a value's entity count is its postings' length).
     pub fn from_sets(per_entity: Vec<Vec<Value>>) -> CategoricalStats {
-        let mut value_entity_counts: FxHashMap<Value, usize> = FxHashMap::default();
-        let mut value_rows: FxHashMap<Value, Vec<RowId>> = FxHashMap::default();
+        let n = per_entity.len();
+        let mut lists: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
         for (rid, vals) in per_entity.iter().enumerate() {
+            let rid = u32::try_from(rid).expect("entity row exceeds u32 range");
             for v in vals {
-                *value_entity_counts.entry(*v).or_insert(0) += 1;
-                value_rows.entry(*v).or_default().push(rid);
+                lists.entry(*v).or_default().push(rid);
             }
+        }
+        let mut value_entity_counts: FxHashMap<Value, usize> = FxHashMap::default();
+        let mut value_rows: FxHashMap<Value, ValueRows> = FxHashMap::default();
+        value_entity_counts.reserve(lists.len());
+        value_rows.reserve(lists.len());
+        for (v, rows) in lists {
+            value_entity_counts.insert(v, rows.len());
+            value_rows.insert(v, ValueRows::from_rows(rows, n));
         }
         CategoricalStats {
             value_entity_counts,
@@ -52,11 +169,11 @@ impl CategoricalStats {
         }
     }
 
-    /// Entity rows carrying value `v`, ascending. Empty when `v` is absent
-    /// — callers gating on [`CategoricalStats::enumerable`] can trust this
+    /// Entity rows carrying value `v` (`None` when `v` is absent) —
+    /// callers gating on [`CategoricalStats::enumerable`] can trust this
     /// as the exact satisfying set of `attr = v`.
-    pub fn rows_with(&self, v: &Value) -> &[RowId] {
-        self.value_rows.get(v).map(Vec::as_slice).unwrap_or(&[])
+    pub fn rows_with(&self, v: &Value) -> Option<&ValueRows> {
+        self.value_rows.get(v)
     }
 
     /// Whether the row postings are populated (hand-assembled stats may
@@ -121,7 +238,7 @@ impl CategoricalStats {
 /// values with prefix counts so that ψ(φ⟨A, [l, h], ⊥⟩) is two binary
 /// searches — the paper's trick of only precomputing
 /// ψ(φ⟨A, [min, v], ⊥⟩) for every v.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NumericStats {
     /// Distinct values ascending.
     pub sorted_values: Vec<f64>,
@@ -216,11 +333,6 @@ impl NumericStats {
         if n == 0 || h < l {
             return 0.0;
         }
-        let below_l = if l.is_finite() {
-            self.count_le(l - f64::EPSILON.max(l.abs() * f64::EPSILON))
-        } else {
-            0
-        };
         // Exact: count ≤ h minus count < l. Compute count < l via ≤ on the
         // predecessor distinct value.
         let lt_l = {
@@ -231,7 +343,6 @@ impl NumericStats {
                 self.prefix[idx - 1]
             }
         };
-        let _ = below_l;
         (self.count_le(h) - lt_l) as f64 / n as f64
     }
 
@@ -264,15 +375,15 @@ impl NumericStats {
 }
 
 /// Statistics for a derived (counted) property: per-entity association
-/// counts per value, plus per-value sorted count distributions so that
+/// counts per value, plus per-value θ-ordered postings so that
 /// ψ(φ⟨A, v, θ⟩) — the fraction of entities associated with value `v` at
-/// least θ times — is a binary search.
+/// least θ times — and the entities themselves are one binary search.
 ///
 /// Per-entity counts are stored as flat sorted `(value, count)` runs over
 /// one shared arena (`runs` + `offsets`) instead of one little hash map
 /// per entity: αDB construction allocates two vectors per property rather
 /// than one map per entity, and per-entity reads walk a contiguous slice.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DerivedStats {
     /// Shared arena: entity `r`'s run is `runs[offsets[r]..offsets[r+1]]`,
     /// sorted by [`run_cmp`] (a cheap deterministic value order) with
@@ -282,14 +393,12 @@ pub struct DerivedStats {
     offsets: Vec<u32>,
     /// Per entity row: total association count (for normalization).
     pub entity_totals: Vec<u64>,
-    /// For each value: ascending per-entity counts (entities with count > 0).
-    pub value_count_dists: FxHashMap<Value, Vec<u64>>,
+    /// For each value: one `count << 32 | row` posting per entity with
+    /// count > 0, ascending — by count, then row — so the entities
+    /// satisfying `⟨A, v, θ⟩` are a suffix (see the module docs).
+    pub(crate) theta_postings: FxHashMap<Value, Vec<u64>>,
     /// For each value: ascending per-entity fractions count/total.
     pub value_frac_dists: FxHashMap<Value, Vec<f64>>,
-    /// For each value: `(entity row, count)` postings ascending by row —
-    /// `⟨A, v, θ⟩` filters enumerate the entities associated with `v`
-    /// instead of scanning all of them.
-    pub value_postings: FxHashMap<Value, Vec<(RowId, u64)>>,
 }
 
 /// Cheap total order for derived-run values: the primary key compares
@@ -333,7 +442,6 @@ impl DerivedStats {
         offsets.push(0);
         let mut entity_totals: Vec<u64> = Vec::with_capacity(per_entity.len());
         let mut dists: FxHashMap<Value, (Vec<u64>, Vec<f64>)> = FxHashMap::default();
-        let mut value_postings: FxHashMap<Value, Vec<(RowId, u64)>> = FxHashMap::default();
         for (row, ent) in per_entity.iter_mut().enumerate() {
             ent.sort_unstable_by(|a, b| run_cmp(&a.0, &b.0));
             ent.dedup_by(|next, acc| {
@@ -348,56 +456,48 @@ impl DerivedStats {
             let total: u64 = ent.iter().map(|(_, c)| c).sum();
             entity_totals.push(total);
             for &(v, c) in ent.iter() {
-                let frac = if total > 0 {
-                    c as f64 / total as f64
-                } else {
-                    0.0
-                };
-                let (cd, fd) = dists.entry(v).or_default();
-                cd.push(c);
-                fd.push(frac);
-                value_postings.entry(v).or_default().push((row, c));
+                let (postings, fd) = dists.entry(v).or_default();
+                postings.push(pack_posting(c, row));
+                fd.push(c as f64 / total as f64);
             }
             runs.extend_from_slice(ent);
             offsets.push(u32::try_from(runs.len()).expect("derived arena exceeds u32 range"));
         }
-        let mut value_count_dists: FxHashMap<Value, Vec<u64>> = FxHashMap::default();
+        let mut theta_postings: FxHashMap<Value, Vec<u64>> = FxHashMap::default();
         let mut value_frac_dists: FxHashMap<Value, Vec<f64>> = FxHashMap::default();
-        value_count_dists.reserve(dists.len());
+        theta_postings.reserve(dists.len());
         value_frac_dists.reserve(dists.len());
-        for (v, (mut cd, mut fd)) in dists {
-            cd.sort_unstable();
+        for (v, (mut postings, mut fd)) in dists {
+            postings.sort_unstable();
             fd.sort_by(f64::total_cmp);
-            value_count_dists.insert(v, cd);
+            theta_postings.insert(v, postings);
             value_frac_dists.insert(v, fd);
         }
         DerivedStats {
             runs,
             offsets,
             entity_totals,
-            value_count_dists,
+            theta_postings,
             value_frac_dists,
-            value_postings,
         }
     }
 
     /// Reassemble from previously built arenas (the snapshot load path:
-    /// the distributions and postings were computed by [`from_runs`] in
-    /// the saving process and persisted verbatim, so none of that work is
-    /// repeated here). Each entity's run slice is re-sorted by
-    /// [`run_cmp`] — the comparator orders text by symbol id, which is
-    /// process-local, so the persisted order is not this process's order.
-    /// `offsets` must be monotone within `runs` (the loader builds them
-    /// from validated lengths).
+    /// the postings were computed by [`from_runs`] in the saving process
+    /// and persisted verbatim, so none of that work is repeated here).
+    /// Each entity's run slice is re-sorted by [`run_cmp`] — the
+    /// comparator orders text by symbol id, which is process-local, so the
+    /// persisted order is not this process's order. `offsets` must be
+    /// monotone within `runs` (the loader builds them from validated
+    /// lengths).
     ///
     /// [`from_runs`]: DerivedStats::from_runs
     pub(crate) fn from_arenas(
         mut runs: Vec<(Value, u64)>,
         offsets: Vec<u32>,
         entity_totals: Vec<u64>,
-        value_count_dists: FxHashMap<Value, Vec<u64>>,
+        theta_postings: FxHashMap<Value, Vec<u64>>,
         value_frac_dists: FxHashMap<Value, Vec<f64>>,
-        value_postings: FxHashMap<Value, Vec<(RowId, u64)>>,
     ) -> Self {
         for w in offsets.windows(2) {
             runs[w[0] as usize..w[1] as usize].sort_unstable_by(|a, b| run_cmp(&a.0, &b.0));
@@ -406,24 +506,19 @@ impl DerivedStats {
             runs,
             offsets,
             entity_totals,
-            value_count_dists,
+            theta_postings,
             value_frac_dists,
-            value_postings,
         }
     }
 
-    /// `(entity row, count)` postings for value `v`, ascending by row.
-    /// Empty when `v` is absent — with [`DerivedStats::enumerable`] true,
-    /// this is the exact set of entities with count > 0 for `v`.
-    pub fn postings_of(&self, v: &Value) -> &[(RowId, u64)] {
-        self.value_postings.get(v).map(Vec::as_slice).unwrap_or(&[])
-    }
-
-    /// Whether the row postings are populated (hand-assembled stats may
-    /// fill only the distribution fields; those must fall back to
-    /// scanning).
-    pub fn enumerable(&self) -> bool {
-        !self.value_postings.is_empty() || self.value_count_dists.is_empty()
+    /// The `count << 32 | row` postings ([`posting_row`]) of exactly the
+    /// entities associated with `v` at least `theta` times, ascending by
+    /// count then row; `theta ≤ 1` yields every entity associated with `v`
+    /// at all. Empty when `v` is absent.
+    pub fn postings_ge(&self, v: &Value, theta: u64) -> &[u64] {
+        self.theta_postings
+            .get(v)
+            .map_or(&[], |postings| count_suffix(postings, theta))
     }
 
     /// Number of entities the statistics cover.
@@ -433,7 +528,7 @@ impl DerivedStats {
 
     /// Number of distinct values in the active domain.
     pub fn domain_size(&self) -> usize {
-        self.value_count_dists.len()
+        self.theta_postings.len()
     }
 
     /// ψ(φ⟨A, v, θ⟩) relative to `n` entities.
@@ -441,11 +536,7 @@ impl DerivedStats {
         if n == 0 {
             return 0.0;
         }
-        let Some(dist) = self.value_count_dists.get(v) else {
-            return 0.0;
-        };
-        let below = dist.partition_point(|&c| c < theta);
-        (dist.len() - below) as f64 / n as f64
+        self.postings_ge(v, theta).len() as f64 / n as f64
     }
 
     /// ψ of a *normalized* filter: fraction of entities whose share of
@@ -501,15 +592,17 @@ impl DerivedStats {
 
 /// Statistics for a derived property over a *numeric* mid-entity attribute
 /// (e.g. number of movies with `year >= c`). Supports suffix-range filters.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct DerivedNumericStats {
     /// Per entity row: ascending `(attribute value, association count)`.
     pub per_entity: Vec<Vec<(f64, u64)>>,
     /// Sorted distinct attribute values (candidate cutpoints).
     pub cutpoints: Vec<f64>,
-    /// For each cutpoint: ascending per-entity suffix counts
-    /// (#associations with value ≥ cutpoint; entities with 0 omitted).
-    pub per_cut_dists: Vec<Vec<u64>>,
+    /// For each cutpoint: one `suffix count << 32 | row` posting per entity
+    /// with a positive suffix count (#associations with value ≥ cutpoint),
+    /// ascending, so the entities satisfying `⟨A ≥ c, θ⟩` are a suffix
+    /// (see the module docs).
+    pub(crate) per_cut_postings: Vec<Vec<u64>>,
 }
 
 impl DerivedNumericStats {
@@ -528,24 +621,41 @@ impl DerivedNumericStats {
             .collect();
         cutpoints.sort_by(f64::total_cmp);
         cutpoints.dedup();
-        let mut per_cut_dists: Vec<Vec<u64>> = vec![Vec::new(); cutpoints.len()];
+        let mut per_cut_postings: Vec<Vec<u64>> = vec![Vec::new(); cutpoints.len()];
         let mut buf = Vec::new();
-        for ent in &per_entity {
+        for (row, ent) in per_entity.iter().enumerate() {
             suffix_walk(ent, &cutpoints, &mut buf);
             for (ci, &suffix) in buf.iter().enumerate() {
                 if suffix > 0 {
-                    per_cut_dists[ci].push(suffix);
+                    per_cut_postings[ci].push(pack_posting(suffix, row));
                 }
             }
         }
-        for d in &mut per_cut_dists {
-            d.sort_unstable();
+        for postings in &mut per_cut_postings {
+            postings.sort_unstable();
         }
         DerivedNumericStats {
             per_entity,
             cutpoints,
-            per_cut_dists,
+            per_cut_postings,
         }
+    }
+
+    /// Whether the per-cutpoint postings are populated (hand-assembled
+    /// stats may fill only `per_entity`; those must fall back to scanning).
+    pub fn enumerable(&self) -> bool {
+        !self.per_cut_postings.is_empty() || self.per_entity.iter().all(Vec::is_empty)
+    }
+
+    /// The `count << 32 | row` postings ([`posting_row`]) of exactly the
+    /// entities with at least `theta` (≥ 1) associations of value ≥ `cut`.
+    pub fn postings_ge(&self, cut: f64, theta: u64) -> &[u64] {
+        // Snap to the smallest cutpoint ≥ cut (suffix counts are piecewise
+        // constant between cutpoints).
+        let ci = self.cutpoints.partition_point(|&c| c < cut);
+        self.per_cut_postings
+            .get(ci)
+            .map_or(&[], |postings| count_suffix(postings, theta))
     }
 
     /// Fill `out[ci]` with this entity's suffix count at every cutpoint
@@ -571,10 +681,10 @@ impl DerivedNumericStats {
 
     /// ψ(φ⟨A ≥ cut, θ⟩): fraction of entities with suffix count ≥ θ.
     pub fn selectivity_ge(&self, cut: f64, theta: u64, n: usize) -> f64 {
-        // Snap to the smallest cutpoint ≥ cut (suffix counts are piecewise
-        // constant between cutpoints).
-        let ci = self.cutpoints.partition_point(|&c| c < cut);
-        self.selectivity_at(ci, theta, n)
+        if n == 0 {
+            return 0.0;
+        }
+        self.postings_ge(cut, theta).len() as f64 / n as f64
     }
 
     /// ψ at cutpoint *index* `ci` — the candidate-emission fast path: the
@@ -584,11 +694,10 @@ impl DerivedNumericStats {
         if n == 0 {
             return 0.0;
         }
-        let Some(dist) = self.per_cut_dists.get(ci) else {
+        let Some(postings) = self.per_cut_postings.get(ci) else {
             return 0.0;
         };
-        let below = dist.partition_point(|&c| c < theta);
-        (dist.len() - below) as f64 / n as f64
+        count_suffix(postings, theta).len() as f64 / n as f64
     }
 
     /// Domain coverage of the suffix range `[cut, max]`.
@@ -1324,7 +1433,7 @@ impl SharedFilterSetCache {
 }
 
 /// The statistics attached to one property.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum PropStats {
     /// Categorical (direct or fact-hop).
     Categorical(CategoricalStats),
@@ -1334,6 +1443,23 @@ pub enum PropStats {
     Derived(DerivedStats),
     /// Derived over a numeric mid attribute (suffix ranges).
     DerivedNumeric(DerivedNumericStats),
+}
+
+impl PropStats {
+    /// Whether the postings that hand over a filter's satisfying rows are
+    /// populated. True for everything [`ADb::build`](crate::ADb::build)
+    /// computes and [`ADb::load_snapshot`](crate::ADb::load_snapshot)
+    /// reads; false only for statistics assembled by hand from their
+    /// per-entity fields, which evaluation answers row by row. Derived
+    /// counts have no hand-assembled form (their run arena is private).
+    pub fn enumerable(&self) -> bool {
+        match self {
+            PropStats::Categorical(s) => s.enumerable(),
+            PropStats::Numeric(s) => s.enumerable(),
+            PropStats::Derived(_) => true,
+            PropStats::DerivedNumeric(s) => s.enumerable(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1458,7 +1584,7 @@ mod tests {
             assert_eq!(s.suffix_count_of(0, cut), if cut <= 2010.0 { 4 } else { 1 });
             let ci = s.cutpoints.partition_point(|&c| c < cut);
             assert!(
-                s.per_cut_dists[ci].contains(&s.suffix_count_of(0, cut)),
+                s.per_cut_postings[ci].contains(&pack_posting(s.suffix_count_of(0, cut), 0)),
                 "walk and point query disagree at cut {cut}"
             );
         }

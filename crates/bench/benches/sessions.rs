@@ -25,13 +25,25 @@
 //! `incr_session/add_wide_filter` — an add whose newly chosen filter
 //! matches more than a quarter of the table, so it is not materialized
 //! and restricts a wide previous result in place.
+//!
+//! Four ids time from-scratch evaluation (`squid_core::evaluate`, what a
+//! one-shot `Squid::discover` runs) where its cost used to grow with the
+//! table or with a value's popularity instead of with the answer:
+//! `evaluate/empty` (no filter chosen), `evaluate/wide_conjunction`
+//! (several filters each matching over a quarter of the table),
+//! `evaluate/derived_theta` (a θ-filter over a popular value — few
+//! satisfying rows on long postings — beside a categorical filter that
+//! matches more rows than it) and `evaluate/derived_ge_only` (one
+//! suffix-range filter, the kind that had no postings).
 
 use std::sync::{Arc, OnceLock};
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use squid_adb::ADb;
 use squid_bench::{params_for, sample_examples};
-use squid_core::{FilterValue, SessionManager, SquidSession};
+use squid_core::{
+    discover_contexts, evaluate, CandidateFilter, FilterValue, SessionManager, SquidSession,
+};
 use squid_datasets::{generate_imdb_variant, imdb_queries, ImdbConfig, ImdbVariant};
 use squid_relation::Database;
 
@@ -224,5 +236,98 @@ fn bench_wide_turns(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_multi_session, bench_wide_turns);
+/// From-scratch evaluation of filter sets found by search among the
+/// contexts of scattered persons (see the module docs), so a generator
+/// change moves the slates instead of silently emptying the bench.
+fn bench_evaluate(c: &mut Criterion) {
+    let (_, adb) = big_dense();
+    let entity = adb.entity("person").unwrap();
+    let n = entity.n;
+    let params = params_for("imdb");
+    let matches = |f: &CandidateFilter| evaluate(entity, std::slice::from_ref(f)).len();
+    let scattered = (0..n).step_by(n / 48);
+    let singles: Vec<CandidateFilter> = scattered
+        .clone()
+        .flat_map(|row| discover_contexts(entity, &[row], &params))
+        .collect();
+    let pairs: Vec<Vec<CandidateFilter>> = scattered
+        .map(|row| discover_contexts(entity, &[row, (row + 1499) % n], &params))
+        .collect();
+
+    c.bench_function("evaluate/empty", |b| {
+        b.iter(|| evaluate(entity, std::hint::black_box(&[])))
+    });
+
+    // The pair whose contexts hold the most filters wider than a quarter
+    // of the table; the conjunction is those filters.
+    let wide: Vec<CandidateFilter> = pairs
+        .iter()
+        .map(|filters| {
+            filters
+                .iter()
+                .filter(|f| f.selectivity > 0.25)
+                .cloned()
+                .collect::<Vec<_>>()
+        })
+        .max_by_key(Vec::len)
+        .filter(|wide| wide.len() >= 3)
+        .expect("a pair of persons sharing three wide contexts");
+    c.bench_function("evaluate/wide_conjunction", |b| {
+        b.iter(|| evaluate(entity, std::hint::black_box(&wide)))
+    });
+
+    // ⟨A, v, θ⟩ with few satisfying rows over a value many entities are
+    // associated with, and a categorical filter in between the two sizes:
+    // the pair with the longest postings under the θ-filter.
+    let theta_pair = singles
+        .iter()
+        .filter_map(|f| match &f.value {
+            FilterValue::DerivedEq { value, theta } if *theta >= 2 => {
+                let associated = matches(&CandidateFilter {
+                    value: FilterValue::DerivedEq {
+                        value: *value,
+                        theta: 1,
+                    },
+                    ..f.clone()
+                });
+                Some((associated, matches(f), f))
+            }
+            _ => None,
+        })
+        .filter_map(|(associated, satisfying, f)| {
+            let cat = singles.iter().find(|c| {
+                matches!(c.value, FilterValue::CatEq(_))
+                    && (satisfying + 1..associated).contains(&matches(c))
+            })?;
+            Some((associated, vec![cat.clone(), f.clone()]))
+        })
+        .max_by_key(|(associated, _)| *associated)
+        .map(|(_, filters)| filters)
+        .expect("a θ-filter over a popular value beside a wider categorical filter");
+    c.bench_function("evaluate/derived_theta", |b| {
+        b.iter(|| evaluate(entity, std::hint::black_box(&theta_pair)))
+    });
+
+    let ge_only: Vec<CandidateFilter> = pairs
+        .iter()
+        .flatten()
+        .find(|f| matches!(f.value, FilterValue::DerivedGe { .. }) && f.selectivity <= 0.25)
+        .cloned()
+        .into_iter()
+        .collect();
+    assert!(
+        !ge_only.is_empty(),
+        "a pair of persons sharing a suffix range"
+    );
+    c.bench_function("evaluate/derived_ge_only", |b| {
+        b.iter(|| evaluate(entity, std::hint::black_box(&ge_only)))
+    });
+}
+
+criterion_group!(
+    benches,
+    bench_multi_session,
+    bench_wide_turns,
+    bench_evaluate
+);
 criterion_main!(benches);

@@ -539,10 +539,12 @@ fn fold_first_row(state: &mut PropState, stats: &PropStats, row: RowId, buf: &mu
             // Entity runs are stored in the arena's cheap symbol-id order,
             // which depends on interner history; re-sort by `Value`'s total
             // order so emission stays canonical across processes.
+            // A run holds positive counts, so its entity's total is too.
+            let total = s.entity_totals.get(row).copied().unwrap_or(0);
             *shared = s
                 .counts_of(row)
                 .iter()
-                .map(|&(v, c)| (v, c, s.frac_of(row, &v)))
+                .map(|&(v, c)| (v, c, c as f64 / total as f64))
                 .collect();
             shared.sort_by_key(|e| e.0);
         }

@@ -70,7 +70,8 @@ pub use manager::{
 pub use metrics::Accuracy;
 pub use params::SquidParams;
 pub use query_gen::{
-    adb_query, evaluate, evaluate_cached, filter_fingerprint, filter_row_set, original_query,
+    adb_query, evaluate, evaluate_cached, evaluate_per_row, filter_fingerprint, filter_row_set,
+    match_estimate, original_query,
 };
 pub use recommend::{recommend_examples, uncertainty, Recommendation, DEFAULT_MIN_UNCERTAINTY};
 pub use session::{DiscoveryDelta, EvalCacheStats, SquidSession};

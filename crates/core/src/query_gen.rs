@@ -1,11 +1,50 @@
 //! Turning an abduced filter set ϕ into executable queries (Section 6.2):
 //! the SPJAI form over the original database, the SPJ form over the αDB's
 //! materialized derived relations (Example 2.2), and a direct evaluation
-//! path against the αDB's per-entity statistics.
+//! path against the αDB's statistics.
+//!
+//! ## Evaluation is set algebra over sources
+//!
+//! The αDB stores every filter kind's satisfying rows in an array the
+//! filter cuts with a binary search (`squid_adb::stats`, "Postings
+//! layout"), so evaluation never asks an entity whether it matches in
+//! order to find the matches. Each chosen filter is read as a `Source`:
+//!
+//! * a **resident bitmap** from the [`FilterSetCache`] (session-local or
+//!   fleet-wide level),
+//! * a **dense bitmap** borrowed from the αDB — a categorical value
+//!   carried by at least one entity in 32 is stored as a bitmap in the
+//!   first place, or
+//! * a **slice** of postings: the θ-suffix of a derived value or of a
+//!   cutpoint, a value range of the numeric postings, a sparse value's ids.
+//!
+//! `source` is the one function that builds them, and [`evaluate`] (the
+//! one-shot `Squid::discover` path), [`evaluate_cached`], the session's
+//! add-only step `restrict_rows`, [`filter_row_set`] and example
+//! recommendation's `violators` all go through it. Sources are ordered by
+//! size and intersected smallest first: the smallest becomes the running
+//! result (a bitmap copy, or one walk of its slice), a bitmap restricts it
+//! with a word-wise AND, and a slice restricts it from the cheaper side —
+//! walk the slice, or, when so few rows survive that asking each of them
+//! costs less (`PROBE_COST`), probe the survivors. The sizes that decide
+//! are exact ([`match_estimate`]): a
+//! slice's length *is* its match count, ψ·n, for `CatEq`, `NumRange`,
+//! `DerivedEq` and `DerivedGe`; only `CatIn` (values may share rows) and
+//! the case-study-only `DerivedFrac` report an upper bound.
+//!
+//! The cache decides one thing: whether a bitmap built from a slice is
+//! kept (`len ≤ max(n/4, 64)`). The per-row definition
+//! ([`evaluate_per_row`]) is the test oracle, and the fallback for
+//! statistics assembled by hand without postings.
 
-use squid_adb::{EntityProps, FilterFingerprint, FilterSetCache, PropKind, PropStats, Property};
+use std::sync::Arc;
+
+use squid_adb::{
+    posting_row, DerivedStats, EntityProps, FilterFingerprint, FilterSetCache, PropKind, PropStats,
+    Property, ValueRows,
+};
 use squid_engine::{Pred, Query, QueryBlock};
-use squid_relation::{RowSet, Value};
+use squid_relation::{RowId, RowSet, Value};
 
 use crate::filter::{CandidateFilter, FilterValue};
 
@@ -122,58 +161,36 @@ pub fn adb_query(
     Some(Query::single(block, projection))
 }
 
-/// Evaluate the chosen filters directly against the αDB's per-entity
-/// statistics: the set of qualifying entity rows. This is exact for every
-/// filter kind (including normalized fractions) and is how SQuID returns
-/// result tuples in real time.
+/// Evaluate the chosen filters directly against the αDB's statistics: the
+/// set of qualifying entity rows. This is exact for every filter kind
+/// (including normalized fractions) and is how SQuID returns result tuples
+/// in real time.
 ///
-/// When the most selective filter can *enumerate* its satisfying rows from
-/// the αDB's value→row postings (equality, range, and derived-count
-/// filters can; suffix-range filters cannot), evaluation walks only those
-/// rows instead of every entity — O(matches of the rarest filter) rather
-/// than O(n).
+/// Set algebra over each filter's source (see the module docs): no
+/// entity outside the smallest filter's satisfying set is visited, and an
+/// empty filter list is the whole table. A filter over an unknown property
+/// excludes every row.
 pub fn evaluate(entity: &EntityProps, filters: &[CandidateFilter]) -> RowSet {
-    let mut out = RowSet::with_universe(entity.n);
-    // Resolve each filter's property once, not once per row. A filter
-    // whose property is unknown excludes every row (as before).
+    intersect_sources(entity, filters, None)
+}
+
+/// The per-row definition of evaluation: every row `r` with
+/// `f.matches_row(r)` for all `f` (none, when a filter names an unknown
+/// property). This is the oracle the set-algebra paths are property-tested
+/// against, and the answer for statistics assembled by hand without
+/// postings ([`PropStats::enumerable`] false) — nothing `ADb::build`
+/// computes or `ADb::load_snapshot` reads gets here.
+pub fn evaluate_per_row(entity: &EntityProps, filters: &[CandidateFilter]) -> RowSet {
     let mut resolved = Vec::with_capacity(filters.len());
     for f in filters {
         let Some(prop) = entity.property(f.prop_id) else {
-            return out;
+            return RowSet::with_universe(entity.n);
         };
         resolved.push((f, prop));
     }
-    // Most selective filter first: rows that fail short-circuit earliest
-    // (and the driver below enumerates the fewest candidates).
-    resolved.sort_by(|a, b| a.0.selectivity.total_cmp(&b.0.selectivity));
-    let driver = resolved.iter().position(|(f, p)| can_enumerate(f, p));
-    match driver {
-        Some(di) => {
-            let rest: Vec<_> = resolved
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| *i != di)
-                .map(|(_, fp)| *fp)
-                .collect();
-            let (df, dp) = resolved[di];
-            enumerate_rows(df, dp, &mut |row| {
-                if !out.contains(row) && rest.iter().all(|(f, p)| f.matches_row(p, row)) {
-                    out.insert(row);
-                }
-            });
-        }
-        None => {
-            'rows: for row in 0..entity.n {
-                for (f, prop) in &resolved {
-                    if !f.matches_row(prop, row) {
-                        continue 'rows;
-                    }
-                }
-                out.insert(row);
-            }
-        }
-    }
-    out
+    (0..entity.n)
+        .filter(|&row| resolved.iter().all(|(f, prop)| f.matches_row(prop, row)))
+        .collect()
 }
 
 /// Canonical [`FilterFingerprint`] of a candidate filter: the interned
@@ -229,75 +246,232 @@ pub fn filter_fingerprint(f: &CandidateFilter) -> FilterFingerprint {
     }
 }
 
-/// The exact satisfying row set of ONE filter: postings enumeration when
-/// the statistics support it, otherwise a full per-row scan (suffix-range
-/// filters and hand-assembled stats). This is the cache-miss path of
-/// [`evaluate_cached`] — each distinct filter pays it once per session.
-pub fn filter_row_set(entity: &EntityProps, f: &CandidateFilter, prop: &Property) -> RowSet {
-    let mut out = RowSet::with_universe(entity.n);
-    if can_enumerate(f, prop) {
-        enumerate_rows(f, prop, &mut |row| {
-            out.insert(row);
-        });
-    } else {
-        for row in 0..entity.n {
-            if f.matches_row(prop, row) {
-                out.insert(row);
-            }
-        }
-    }
-    out
+/// Where one filter's satisfying set comes from (see the module docs).
+pub(crate) enum Source<'a> {
+    /// A bitmap resident in the evaluation cache, or just admitted to it.
+    Cached(Arc<RowSet>),
+    /// A dense categorical value's bitmap, borrowed from the αDB.
+    Dense(&'a RowSet),
+    /// Postings to walk.
+    Slice(Slice<'a>),
+    /// Statistics assembled by hand without postings (or of another kind
+    /// than the filter): only the per-row definition applies.
+    Unindexed,
 }
 
-/// Upper bound on a filter's match count, read off the statistics in O(1)
-/// (postings lengths) or O(log n) (two binary searches for ranges).
-/// `None` when the filter cannot enumerate its matches at all.
-fn match_estimate(f: &CandidateFilter, prop: &Property) -> Option<usize> {
-    match (&f.value, &prop.stats) {
-        (FilterValue::CatEq(v), PropStats::Categorical(s)) if s.enumerable() => {
-            Some(s.rows_with(v).len())
+/// The postings of one filter that is not held as a bitmap. The first
+/// three are exactly the satisfying rows, each once; the last two are a
+/// superset walked with a check (`Frac`) or may meet a row once per value
+/// (`In`), so their [`len`](Slice::len) is an upper bound.
+pub(crate) enum Slice<'a> {
+    /// Ascending ids of a sparse categorical value (`CatEq`).
+    Rows(&'a [u32]),
+    /// A θ-suffix of `count << 32 | row` postings (`DerivedEq`, `DerivedGe`).
+    Postings(&'a [u64]),
+    /// The `(value, row)` pairs of a numeric range (`NumRange`).
+    Range(&'a [(f64, RowId)]),
+    /// The row sets of an `IN` list's values (`CatIn`).
+    In(Vec<&'a ValueRows>),
+    /// The postings of every entity associated with `value`, each kept
+    /// when its share of associations reaches `frac` (`DerivedFrac`).
+    Frac {
+        postings: &'a [u64],
+        stats: &'a DerivedStats,
+        value: &'a Value,
+        frac: f64,
+    },
+}
+
+impl Slice<'_> {
+    /// Rows a walk visits.
+    fn len(&self) -> usize {
+        match self {
+            Slice::Rows(ids) => ids.len(),
+            Slice::Postings(postings) => postings.len(),
+            Slice::Range(pairs) => pairs.len(),
+            Slice::In(values) => values.iter().map(|rows| rows.len()).sum(),
+            Slice::Frac { postings, .. } => postings.len(),
         }
-        (FilterValue::CatIn(vs), PropStats::Categorical(s)) if s.enumerable() => {
-            Some(vs.iter().map(|v| s.rows_with(v).len()).sum())
+    }
+
+    /// Visit every satisfying row.
+    fn for_each(&self, mut visit: impl FnMut(RowId)) {
+        match self {
+            Slice::Rows(ids) => ids.iter().for_each(|&id| visit(id as RowId)),
+            Slice::Postings(postings) => postings.iter().for_each(|&p| visit(posting_row(p))),
+            Slice::Range(pairs) => pairs.iter().for_each(|&(_, row)| visit(row)),
+            Slice::In(values) => values.iter().for_each(|rows| rows.for_each(&mut visit)),
+            Slice::Frac {
+                postings,
+                stats,
+                value,
+                frac,
+            } => postings
+                .iter()
+                .map(|&p| posting_row(p))
+                .filter(|&row| stats.frac_of(row, value) >= *frac)
+                .for_each(visit),
         }
-        (FilterValue::NumRange(l, h), PropStats::Numeric(s)) if s.enumerable() => {
-            Some(s.rows_in_range(*l, *h).len())
-        }
-        (
-            FilterValue::DerivedEq { value, .. } | FilterValue::DerivedFrac { value, .. },
-            PropStats::Derived(s),
-        ) if s.enumerable() => Some(s.postings_of(value).len()),
-        _ => None,
+    }
+
+    /// The satisfying rows as a bitmap over `n` entities.
+    fn to_set(&self, n: usize) -> RowSet {
+        let mut words = vec![0u64; n.div_ceil(64)];
+        self.for_each(|row| words[row / 64] |= 1 << (row % 64));
+        RowSet::from_words(words)
     }
 }
 
-/// Is a cache miss on this filter worth materializing? Two gates:
+impl Source<'_> {
+    /// Size of the satisfying set: exact for `CatEq`, `NumRange`,
+    /// `DerivedEq` (θ ≥ 1) and `DerivedGe` (θ ≥ 1) — it equals ψ·n — and
+    /// for anything already a bitmap; an upper bound for `CatIn` and
+    /// `DerivedFrac` slices.
+    fn len(&self) -> usize {
+        match self {
+            Source::Cached(set) => set.len(),
+            Source::Dense(set) => set.len(),
+            Source::Slice(slice) => slice.len(),
+            Source::Unindexed => usize::MAX,
+        }
+    }
+
+    /// The set itself, when the source already is a bitmap.
+    fn bitmap(&self) -> Option<&RowSet> {
+        match self {
+            Source::Cached(set) => Some(set),
+            Source::Dense(set) => Some(set),
+            Source::Slice(_) | Source::Unindexed => None,
+        }
+    }
+
+    /// The set as an owned bitmap over `n` entities (`None` without
+    /// postings).
+    fn to_set(&self, n: usize) -> Option<RowSet> {
+        match self {
+            Source::Slice(slice) => Some(slice.to_set(n)),
+            _ => self.bitmap().cloned(),
+        }
+    }
+}
+
+/// A filter's place in an evaluation cache over an `n`-entity table.
+pub(crate) struct CacheSlot<'c> {
+    n: usize,
+    fp: &'c FilterFingerprint,
+    cache: &'c mut FilterSetCache,
+}
+
+/// The one place a filter's [`Source`] is built; every evaluation entry
+/// point reads its filters through here.
 ///
-/// * it must be *enumerable* — non-enumerable filters (suffix ranges,
-///   hand-assembled stats) would need an O(n) scan with a per-row probe,
-///   which the probe-restricted path beats by orders of magnitude;
-/// * it must be *selective enough* — a bitmap with most rows set costs a
-///   long postings walk to build yet removes almost nothing from the
-///   intersection; restricting the surviving rows directly
-///   ([`restrict_by_probe`]) costs the shorter of the two sides and
-///   stores nothing.
-fn admit_on_miss(f: &CandidateFilter, prop: &Property, n: usize) -> bool {
-    match match_estimate(f, prop) {
-        Some(m) => m <= (n / 4).max(64),
-        None => false,
+/// Straight from the statistics: a dense categorical value is already a
+/// bitmap in the αDB and is served from there — never looked up, admitted
+/// or published; every other kind is a slice of postings. With a `slot`, a
+/// slice-backed filter resident in the cache (either level) is served from
+/// it, and a miss is worth materializing when the filter is *selective
+/// enough*, `len ≤ max(n/4, 64)`: a bitmap with most rows set costs a long
+/// walk to build yet removes almost nothing from an intersection, while
+/// restricting the surviving rows directly ([`violators`]) costs the
+/// cheaper of the two sides and stores nothing.
+fn source<'a>(
+    f: &'a CandidateFilter,
+    prop: &'a Property,
+    slot: Option<CacheSlot<'_>>,
+) -> Source<'a> {
+    if !prop.stats.enumerable() {
+        return Source::Unindexed;
+    }
+    let slice = match (&f.value, &prop.stats) {
+        (FilterValue::CatEq(v), PropStats::Categorical(s)) => match s.rows_with(v) {
+            Some(ValueRows::Dense(set)) => return Source::Dense(set),
+            Some(ValueRows::Sparse(ids)) => Slice::Rows(ids),
+            None => Slice::Rows(&[]),
+        },
+        (FilterValue::CatIn(vs), PropStats::Categorical(s)) => {
+            Slice::In(vs.iter().filter_map(|v| s.rows_with(v)).collect())
+        }
+        (FilterValue::NumRange(l, h), PropStats::Numeric(s)) => {
+            Slice::Range(s.rows_in_range(*l, *h))
+        }
+        (FilterValue::DerivedEq { value, theta }, PropStats::Derived(s)) => {
+            Slice::Postings(s.postings_ge(value, *theta))
+        }
+        (FilterValue::DerivedFrac { value, frac, .. }, PropStats::Derived(stats)) => Slice::Frac {
+            postings: stats.postings_ge(value, 0),
+            stats,
+            value,
+            frac: *frac,
+        },
+        (FilterValue::DerivedGe { cut, theta }, PropStats::DerivedNumeric(s)) => {
+            Slice::Postings(s.postings_ge(*cut, *theta))
+        }
+        _ => return Source::Unindexed,
+    };
+    let Some(CacheSlot { n, fp, cache }) = slot else {
+        return Source::Slice(slice);
+    };
+    if let Some(set) = cache.lookup(fp) {
+        Source::Cached(set)
+    } else if slice.len() <= (n / 4).max(64) {
+        Source::Cached(cache.insert_with(fp, || slice.to_set(n)))
+    } else {
+        Source::Slice(slice)
     }
 }
 
-/// The rows of `within` that fail `f`, computed from whichever side is
-/// shorter: a filter that can enumerate fewer matches than `within` has
-/// rows walks its postings and knocks the matches out of a copy of
-/// `within`; any other filter (wider than `within`, or not enumerable at
-/// all) probes each row of `within`.
-pub(crate) fn violators(within: &RowSet, f: &CandidateFilter, prop: &Property) -> RowSet {
-    match match_estimate(f, prop) {
-        Some(m) if m < within.len() => {
+/// Size of `f`'s satisfying set as the statistics report it in O(1) or
+/// O(log n), `None` when they hold no postings for it. Exact — equal to
+/// the per-row count and to ψ·n — for `CatEq`, `NumRange`, `DerivedEq` and
+/// `DerivedGe` (θ ≥ 1); an upper bound for `CatIn` and `DerivedFrac`.
+pub fn match_estimate(f: &CandidateFilter, prop: &Property) -> Option<usize> {
+    match source(f, prop, None) {
+        Source::Unindexed => None,
+        source => Some(source.len()),
+    }
+}
+
+/// The exact satisfying row set of ONE filter, from its source (a
+/// per-row scan only for hand-assembled stats without postings).
+pub fn filter_row_set(entity: &EntityProps, f: &CandidateFilter, prop: &Property) -> RowSet {
+    source(f, prop, None).to_set(entity.n).unwrap_or_else(|| {
+        (0..entity.n)
+            .filter(|&row| f.matches_row(prop, row))
+            .collect()
+    })
+}
+
+/// What probing one surviving row costs, in postings walked. A walk reads
+/// 8-byte postings in order and tests them against a bitmap that sits in
+/// L1; a probe (`matches_row`) finds one entity's run or value list behind
+/// a pointer and searches it. Measured on the 10× IMDb slate, in a loop
+/// that keeps both warm: 1.3–1.7 ns a posting against 14–28 ns a derived
+/// probe and 7–10 ns a basic one; cold, as a one-shot discovery meets
+/// them, a probe costs more. Between 8 and 64 the one-shot benchmark's
+/// evaluation time is flat; at 1 (plain shorter side) and with the probe
+/// removed altogether it doubles (CHANGES.md, PR 18).
+const PROBE_COST: usize = 16;
+
+/// The rows of `within` that fail `f`, without visiting a row that does
+/// not have to be: a bitmap source is subtracted word-wise; a slice is
+/// walked, knocking its rows out of a copy of `within`, unless probing
+/// each row of `within` is the cheaper side ([`PROBE_COST`]), as it also
+/// is the only side without postings.
+fn violators_from(
+    within: &RowSet,
+    f: &CandidateFilter,
+    prop: &Property,
+    source: &Source<'_>,
+) -> RowSet {
+    if let Some(set) = source.bitmap() {
+        let mut out = within.clone();
+        out.difference_with(set);
+        return out;
+    }
+    match source {
+        Source::Slice(slice) if slice.len() < within.len() * PROBE_COST => {
             let mut out = within.clone();
-            enumerate_rows(f, prop, &mut |row| {
+            slice.for_each(|row| {
                 out.remove(row);
             });
             out
@@ -314,20 +488,25 @@ pub(crate) fn violators(within: &RowSet, f: &CandidateFilter, prop: &Property) -
     }
 }
 
-/// Drop from `rows` every row failing `f` — the evaluation path for
-/// filters whose sets are not worth materializing: the work is bounded by
-/// the shorter of the filter's postings and the rows that survived the
-/// cached intersection (see [`violators`]).
-fn restrict_by_probe(rows: &mut RowSet, f: &CandidateFilter, prop: &Property) {
-    let failing = violators(rows, f, prop);
-    rows.difference_with(&failing);
+/// The rows of `within` that fail `f` (see [`violators_from`]; the
+/// statistics alone decide the source — nothing is cached).
+pub(crate) fn violators(within: &RowSet, f: &CandidateFilter, prop: &Property) -> RowSet {
+    violators_from(within, f, prop, &source(f, prop, None))
+}
+
+/// Drop from `rows` every row outside `source`: one word-wise AND for a
+/// bitmap, otherwise the cheaper of the slice and the surviving rows.
+fn restrict(rows: &mut RowSet, f: &CandidateFilter, prop: &Property, source: &Source<'_>) {
+    match source.bitmap() {
+        Some(set) => rows.intersect_with(set),
+        None => rows.difference_with(&violators_from(rows, f, prop, source)),
+    }
 }
 
 /// One incremental result-maintenance step for the session: restrict
-/// `rows` by a single newly chosen filter — through its cached bitmap when
-/// resident (or cheap to admit from postings), otherwise directly, from
-/// the shorter of its postings and the surviving rows. An unknown property
-/// clears the result, matching [`evaluate`].
+/// `rows` by a single newly chosen filter, through the cache (see
+/// [`source`]). An unknown property clears the result, matching
+/// [`evaluate`].
 pub(crate) fn restrict_rows(
     rows: &mut RowSet,
     entity: &EntityProps,
@@ -339,22 +518,19 @@ pub(crate) fn restrict_rows(
         *rows = RowSet::with_universe(entity.n);
         return;
     };
-    if let Some(set) = cache.lookup(fp) {
-        rows.intersect_with(&set);
-    } else if admit_on_miss(f, prop, entity.n) {
-        let set = cache.insert_with(fp, || filter_row_set(entity, f, prop));
-        rows.intersect_with(&set);
-    } else {
-        restrict_by_probe(rows, f, prop);
-    }
+    let slot = CacheSlot {
+        n: entity.n,
+        fp,
+        cache,
+    };
+    restrict(rows, f, prop, &source(f, prop, Some(slot)));
 }
 
-/// [`evaluate`] through a [`FilterSetCache`]: each filter's satisfying set
-/// is fetched by fingerprint (computed from postings and memoized on a
-/// miss), the resident sets are intersected word-wise smallest-first, and
-/// filters too expensive to materialize restrict only the surviving rows.
-/// With a warm cache a repeat evaluation performs no postings walks at all
-/// — only `u64` AND loops over resident bitmaps.
+/// [`evaluate`] through a [`FilterSetCache`]: each slice-backed filter's
+/// satisfying set is fetched by fingerprint (built from postings and
+/// memoized on a miss when selective enough, `len ≤ max(n/4, 64)`), so
+/// with a warm cache a repeat evaluation performs no postings walks at
+/// all — only `u64` AND loops over resident bitmaps.
 ///
 /// The lookup is transparently **two-level** when the cache has a
 /// [`SharedFilterSetCache`](squid_adb::SharedFilterSetCache) attached: a
@@ -362,8 +538,8 @@ pub(crate) fn restrict_rows(
 /// `Arc` clone out), and a full miss publishes the freshly computed set
 /// back — so warm *cross-session* evaluations are bitmap algebra too.
 ///
-/// Exactly equivalent to the uncached [`evaluate`] (property-tested), and
-/// like it, an unknown property id excludes every row.
+/// Exactly equivalent to [`evaluate_per_row`] (property-tested), and like
+/// it, an unknown property id excludes every row.
 pub fn evaluate_cached(
     entity: &EntityProps,
     filters: &[CandidateFilter],
@@ -381,116 +557,53 @@ pub(crate) fn evaluate_cached_fps(
     fps: &[FilterFingerprint],
     cache: &mut FilterSetCache,
 ) -> RowSet {
+    intersect_sources(entity, filters, Some((fps, cache)))
+}
+
+/// The one evaluator: a [`Source`] per filter, ordered by size, the
+/// smallest materialized and each next one restricting what survived.
+fn intersect_sources(
+    entity: &EntityProps,
+    filters: &[CandidateFilter],
+    mut cached: Option<(&[FilterFingerprint], &mut FilterSetCache)>,
+) -> RowSet {
+    let n = entity.n;
     if filters.is_empty() {
-        return RowSet::full(entity.n);
-    }
-    // The probe mask below is a `u64`; abduced filter sets are tiny, but
-    // stay correct for adversarial inputs.
-    if filters.len() > 64 {
-        return evaluate(entity, filters);
+        return RowSet::full(n);
     }
     let mut props = Vec::with_capacity(filters.len());
     for f in filters {
         let Some(prop) = entity.property(f.prop_id) else {
-            return RowSet::with_universe(entity.n);
+            return RowSet::with_universe(n);
         };
         props.push(prop);
     }
-    // Set-backed filters (resident, or cheap to admit from postings) feed
-    // the bitmap intersection; the rest probe the surviving rows after it.
-    // One hash probe per filter: the resident `Arc` handles ride along.
-    let mut sized: Vec<(usize, std::sync::Arc<RowSet>)> = Vec::with_capacity(filters.len());
-    let mut probe_mask = 0u64;
-    for (i, (f, prop)) in filters.iter().zip(&props).enumerate() {
-        if let Some(set) = cache.lookup(&fps[i]) {
-            sized.push((set.len(), set));
-        } else if admit_on_miss(f, prop, entity.n) {
-            let set = cache.insert_with(&fps[i], || filter_row_set(entity, f, prop));
-            sized.push((set.len(), set));
-        } else {
-            probe_mask |= 1 << i;
+    let mut sources = Vec::with_capacity(filters.len());
+    for (i, (f, prop)) in filters.iter().zip(props).enumerate() {
+        let slot = cached.as_mut().map(|(fps, cache)| CacheSlot {
+            n,
+            fp: &fps[i],
+            cache,
+        });
+        let source = source(f, prop, slot);
+        if matches!(source, Source::Unindexed) {
+            return evaluate_per_row(entity, filters);
         }
+        sources.push((source.len(), f, prop, source));
     }
-    if sized.is_empty() {
-        // Nothing to intersect from bitmaps: the classic driver-based
-        // evaluation is strictly better than scanning per filter.
-        return evaluate(entity, filters);
-    }
-    // Ascending size: the running intersection shrinks as early as possible.
-    sized.sort_unstable_by_key(|(len, _)| *len);
-    let mut out = (*sized[0].1).clone();
-    for (_, set) in &sized[1..] {
+    sources.sort_by_key(|(len, ..)| *len);
+    let mut sources = sources.into_iter();
+    let (_, _, _, smallest) = sources.next().expect("at least one filter");
+    let mut out = smallest
+        .to_set(n)
+        .expect("a source without postings fell back above");
+    for (_, f, prop, source) in sources {
         if out.is_empty() {
             break;
         }
-        out.intersect_with(set);
-    }
-    for (i, (f, prop)) in filters.iter().zip(&props).enumerate() {
-        if probe_mask & (1 << i) != 0 && !out.is_empty() {
-            restrict_by_probe(&mut out, f, prop);
-        }
+        restrict(&mut out, f, prop, &source);
     }
     out
-}
-
-/// Can this filter enumerate exactly its satisfying rows from postings?
-/// (`enumerable()` guards against hand-assembled stats without postings.)
-fn can_enumerate(f: &CandidateFilter, prop: &Property) -> bool {
-    match (&f.value, &prop.stats) {
-        (FilterValue::CatEq(_) | FilterValue::CatIn(_), PropStats::Categorical(s)) => {
-            s.enumerable()
-        }
-        (FilterValue::NumRange(..), PropStats::Numeric(s)) => s.enumerable(),
-        (
-            FilterValue::DerivedEq { .. } | FilterValue::DerivedFrac { .. },
-            PropStats::Derived(s),
-        ) => s.enumerable(),
-        _ => false,
-    }
-}
-
-/// Visit every row satisfying `f` (exactly once per distinct row for the
-/// single-value kinds; `CatIn` may revisit rows shared between values —
-/// the caller deduplicates via its output set).
-fn enumerate_rows(
-    f: &CandidateFilter,
-    prop: &Property,
-    visit: &mut dyn FnMut(squid_relation::RowId),
-) {
-    match (&f.value, &prop.stats) {
-        (FilterValue::CatEq(v), PropStats::Categorical(s)) => {
-            for &row in s.rows_with(v) {
-                visit(row);
-            }
-        }
-        (FilterValue::CatIn(vs), PropStats::Categorical(s)) => {
-            for v in vs {
-                for &row in s.rows_with(v) {
-                    visit(row);
-                }
-            }
-        }
-        (FilterValue::NumRange(l, h), PropStats::Numeric(s)) => {
-            for &(_, row) in s.rows_in_range(*l, *h) {
-                visit(row);
-            }
-        }
-        (FilterValue::DerivedEq { value, theta }, PropStats::Derived(s)) => {
-            for &(row, c) in s.postings_of(value) {
-                if c >= *theta {
-                    visit(row);
-                }
-            }
-        }
-        (FilterValue::DerivedFrac { value, frac, .. }, PropStats::Derived(s)) => {
-            for &(row, _) in s.postings_of(value) {
-                if s.frac_of(row, value) >= *frac {
-                    visit(row);
-                }
-            }
-        }
-        _ => unreachable!("gated by can_enumerate"),
-    }
 }
 
 fn num_value(x: f64) -> Value {
@@ -614,7 +727,11 @@ mod tests {
 
     #[test]
     fn violators_agree_with_row_probes_on_both_sides_of_the_cost_rule() {
-        let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
+        // 400 persons: mini-IMDb's 8 rows make every categorical value dense.
+        let adb = ADb::build(&squid_datasets::generate_imdb(
+            &squid_datasets::ImdbConfig::tiny(),
+        ))
+        .unwrap();
         let params = SquidParams {
             allow_disjunction: true,
             ..SquidParams::default()
@@ -622,19 +739,19 @@ mod tests {
         let mut shared_row_lists = 0;
         for entity in adb.entities.values() {
             let mut filters = Vec::new();
-            for a in 0..entity.n {
-                for b in a..entity.n {
+            for a in (0..entity.n).step_by(37) {
+                for b in (a..entity.n).step_by(41) {
                     filters.extend(discover_contexts(entity, &[a, b], &params));
                 }
             }
             // `IN` lists over multi-valued attributes, whose values share
-            // rows (a movie is Comedy and Fantasy): enumeration meets such
-            // a row once per value.
+            // rows (a movie is Comedy and Fantasy): a walk meets such a row
+            // once per value.
             for prop in &entity.props {
                 let PropStats::Categorical(stats) = &prop.stats else {
                     continue;
                 };
-                for row in 0..entity.n {
+                for row in (0..entity.n).step_by(29) {
                     if stats.values_of(row).len() > 1 {
                         shared_row_lists += 1;
                         filters.push(CandidateFilter {
@@ -655,26 +772,115 @@ mod tests {
                 (entity.n.saturating_sub(2)..entity.n).collect(),
                 RowSet::new(),
             ];
-            let (mut enumerated, mut probed) = (0, 0);
+            let (mut subtracted, mut walked, mut probed) = (0, 0, 0);
             for f in &filters {
                 let prop = entity.property(f.prop_id).unwrap();
                 for within in &withins {
                     let expect: RowSet =
                         within.iter().filter(|&r| !f.matches_row(prop, r)).collect();
                     assert_eq!(violators(within, f, prop), expect, "{}", f.describe());
+                    let source = source(f, prop, None);
                     let mut restricted = within.clone();
-                    restrict_by_probe(&mut restricted, f, prop);
+                    restrict(&mut restricted, f, prop, &source);
                     assert_eq!(restricted.len(), within.len() - expect.len());
                     assert!(restricted.iter().all(|r| f.matches_row(prop, r)));
-                    match match_estimate(f, prop) {
-                        Some(m) if m < within.len() => enumerated += 1,
-                        _ => probed += 1,
+                    match source {
+                        Source::Dense(_) => subtracted += 1,
+                        Source::Slice(slice) if slice.len() < within.len() * PROBE_COST => {
+                            walked += 1
+                        }
+                        Source::Slice(_) => probed += 1,
+                        Source::Cached(_) | Source::Unindexed => {
+                            unreachable!("no cache, built αDB")
+                        }
                     }
                 }
             }
-            assert!(enumerated > 0 && probed > 0, "{}", entity.table);
+            assert!(
+                subtracted > 0 && walked > 0 && probed > 0,
+                "{}: {subtracted} subtracted, {walked} walked, {probed} probed",
+                entity.table
+            );
         }
         assert!(shared_row_lists > 0);
+    }
+
+    /// Satellite (i): no filters is the whole table, on the one-shot path
+    /// as on the cached one.
+    #[test]
+    fn an_empty_filter_list_is_the_full_set_on_every_path() {
+        let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
+        for entity in adb.entities.values() {
+            let full = RowSet::full(entity.n);
+            assert_eq!(evaluate(entity, &[]), full);
+            assert_eq!(evaluate(entity, &[]).word_count(), full.word_count());
+            let mut cache = FilterSetCache::new(adb.generation);
+            assert_eq!(evaluate_cached(entity, &[], &mut cache), full);
+            assert_eq!(evaluate_per_row(entity, &[]), full);
+        }
+    }
+
+    /// A filter over an unknown property yields the empty set on every
+    /// path, whatever else is chosen.
+    #[test]
+    fn an_unknown_property_excludes_every_row_on_every_path() {
+        let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
+        let e = adb.entity("person").unwrap();
+        let unknown = CandidateFilter {
+            prop_id: "person.no_such_property".into(),
+            attr_name: "no_such_property".into(),
+            value: FilterValue::CatEq(Value::text("Male")),
+            selectivity: 0.5,
+            coverage: 0.5,
+        };
+        let filters = vec![comedy_filter(e), unknown.clone()];
+        assert!(evaluate(e, &filters).is_empty());
+        assert!(evaluate_per_row(e, &filters).is_empty());
+        let mut cache = FilterSetCache::new(adb.generation);
+        assert!(evaluate_cached(e, &filters, &mut cache).is_empty());
+        let mut rows = RowSet::full(e.n);
+        let fp = filter_fingerprint(&unknown);
+        restrict_rows(&mut rows, e, &unknown, &fp, &mut cache);
+        assert!(rows.is_empty());
+    }
+
+    /// Stats assembled by hand without postings are answered by the
+    /// per-row definition, not by an empty postings lookup.
+    #[test]
+    fn hand_assembled_stats_without_postings_fall_back_to_the_per_row_definition() {
+        let mut adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
+        let e = adb.entities.get_mut("person").unwrap();
+        let prop = e
+            .props
+            .iter_mut()
+            .find(|p| p.def.id == "person.gender")
+            .unwrap();
+        let PropStats::Categorical(built) = &prop.stats else {
+            panic!("gender is categorical");
+        };
+        let mut by_hand = squid_adb::CategoricalStats::default();
+        by_hand.per_entity = built.per_entity.clone();
+        by_hand.value_entity_counts = built.value_entity_counts.clone();
+        assert!(!by_hand.enumerable());
+        prop.stats = PropStats::Categorical(by_hand);
+        let e = adb.entity("person").unwrap();
+        let male = CandidateFilter {
+            prop_id: "person.gender".into(),
+            attr_name: "gender".into(),
+            value: FilterValue::CatEq(Value::text("Male")),
+            selectivity: 0.75,
+            coverage: 0.5,
+        };
+        let prop = e.property(male.prop_id).unwrap();
+        assert_eq!(match_estimate(&male, prop), None);
+        let filters = vec![male.clone(), comedy_filter(e)];
+        let want = evaluate_per_row(e, &filters);
+        assert_eq!(want.len(), 3);
+        assert_eq!(evaluate(e, &filters), want);
+        let mut cache = FilterSetCache::new(adb.generation);
+        assert_eq!(evaluate_cached(e, &filters, &mut cache), want);
+        assert_eq!(filter_row_set(e, &male, prop).len(), 6);
+        assert_eq!(violators(&RowSet::full(e.n), &male, prop).len(), 2);
     }
 
     #[test]

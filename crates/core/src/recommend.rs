@@ -21,8 +21,10 @@
 //!    the result satisfies every chosen filter by construction, so none of
 //!    its rows can violate one.
 //! 2. Each remaining contested filter `c` gets its violator bitmap
-//!    `cand \ S_c` from the αDB postings, walking whichever side is
-//!    shorter (`query_gen::violators`); filters nobody violates drop out.
+//!    `cand \ S_c` from the filter's source in the αDB — a dense value's
+//!    bitmap is subtracted, a slice of postings walked, unless probing
+//!    `cand` is the cheaper side (`query_gen::violators`); filters nobody
+//!    violates drop out.
 //! 3. A depth-first search splits `cand` by violates/satisfies, one
 //!    contested filter at a time in `scored` order (so a class's score is
 //!    summed in exactly the order a per-row loop would sum it), violators
@@ -33,11 +35,12 @@
 //!    `k`-bounded heap ordered `(score desc, row asc)`; the `discriminates`
 //!    strings are built for the `k` winners only.
 //!
-//! With `m_c` matches of filter `c`, that is O(Σ min(m_c, |cand|)) postings
-//! or probe steps plus O(n/64) word operations per class and contested
-//! filter — against one `Vec<String>` and |contested| probes per result
-//! row for the per-row loop it replaces (kept below as the test oracle).
-//! The one filter kind without postings, `DerivedGe`, still probes `cand`.
+//! With `m_c` matches of filter `c` — exactly the postings its source
+//! holds, for every kind including `DerivedGe` — that is
+//! O(Σ min(m_c, |cand|)) postings or probe steps plus O(n/64) word
+//! operations per class and contested filter — against one `Vec<String>`
+//! and |contested| probes per result row for the per-row loop it replaces
+//! (kept below as the test oracle).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

@@ -936,8 +936,8 @@ impl<'a> SquidSession<'a> {
             Some(prev) if unchanged => prev.rows.clone(),
             Some(prev) if !removed_any => {
                 // Add-only turn: restrict the previous result by each newly
-                // chosen filter (cached bitmap AND, or a probe over the
-                // surviving rows for sets not worth materializing).
+                // chosen filter (a bitmap AND — cached, or a dense value's
+                // own — or the cheaper side of a slice not worth keeping).
                 let mut rows = prev.rows.clone();
                 for (f, fp) in chosen.iter().zip(&fps) {
                     if !self.last_fps.contains(fp) {

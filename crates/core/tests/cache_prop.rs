@@ -1,19 +1,19 @@
 //! Correctness of the cross-turn evaluation cache: cached evaluation must
-//! be *indistinguishable* from uncached postings enumeration for every
+//! be *indistinguishable* from the per-row definition for every
 //! filter set — including perturbed θs, shifted (even inverted) numeric
 //! bounds, and values absent from the active domain — and session turns
 //! that repeat filters must serve them from resident bitmaps. Filters too
 //! wide to admit (> n/4 matches) restrict the surviving rows from whichever
 //! side is shorter; both sides, and `IN` lists whose values share rows, are
-//! held to the same uncached answer on a 400-person generated slate.
+//! held to the same per-row answer on a 400-person generated slate.
 
 use std::sync::{Mutex, OnceLock};
 
 use proptest::prelude::*;
 use squid_adb::{test_fixtures, ADb, FilterSetCache, PropStats};
 use squid_core::{
-    discover_contexts, evaluate, evaluate_cached, CandidateFilter, FilterValue, SquidParams,
-    SquidSession,
+    discover_contexts, evaluate_cached, evaluate_per_row, CandidateFilter, FilterValue,
+    SquidParams, SquidSession,
 };
 use squid_datasets::{generate_imdb, ImdbConfig};
 use squid_relation::Value;
@@ -100,13 +100,13 @@ proptest! {
             .filter(|(i, _)| subset & (1 << i) != 0)
             .map(|(_, f)| f.clone())
             .collect();
-        let uncached = evaluate(entity, &filters);
+        let uncached = evaluate_per_row(entity, &filters);
         let mut cache = FilterSetCache::new(slate().generation);
         prop_assert_eq!(&evaluate_cached(entity, &filters, &mut cache), &uncached);
         prop_assert_eq!(&evaluate_cached(entity, &filters, &mut cache), &uncached);
     }
 
-    /// Cached `evaluate` ≡ uncached postings enumeration, cold and warm,
+    /// Cached `evaluate` ≡ the per-row definition, cold and warm,
     /// across random (and randomly perturbed) filter sets.
     #[test]
     fn cached_evaluate_matches_uncached(
@@ -144,7 +144,7 @@ proptest! {
                 _ => {}
             }
         }
-        let uncached = evaluate(entity, &filters);
+        let uncached = evaluate_per_row(entity, &filters);
         let mut cache = shared_cache().lock().unwrap();
         let cold = evaluate_cached(entity, &filters, &mut cache);
         prop_assert_eq!(&cold, &uncached);
@@ -184,16 +184,21 @@ fn re_add_turn_is_served_from_the_cache() {
 
 /// A repeated pin (feedback toggle) is a pure cache hit: the second pin of
 /// the same key computes nothing new and reproduces the first pin's rows.
+/// The pinned filter, ⟨genre.name, Comedy, 4⟩, is a θ-suffix of postings,
+/// which the cache keeps as a bitmap. A dense categorical value (on eight
+/// rows, every one: gender = Male) is a bitmap in the αDB already and goes
+/// through the cache on neither pin.
 #[test]
 fn repeated_pin_toggle_hits_the_cache() {
     let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
     let mut session = SquidSession::new(&adb);
     session.add_example("Jim Carrey").unwrap();
     session.add_example("Eddie Murphy").unwrap();
-    let first = session.pin_filter("gender").unwrap();
+    let first = session.pin_filter("genre.name").unwrap();
+    assert!(first.cache_misses > 0, "first pin admits: {first:?}");
     let pinned_rows = first.discovery.as_ref().unwrap().rows.clone();
-    session.unpin_filter("gender").unwrap();
-    let second = session.pin_filter("gender").unwrap();
+    session.unpin_filter("genre.name").unwrap();
+    let second = session.pin_filter("genre.name").unwrap();
     assert!(second.cache_hits > 0, "second pin must hit: {second:?}");
     assert_eq!(second.cache_misses, 0, "second pin admits nothing new");
     assert_eq!(second.discovery.unwrap().rows, pinned_rows);
@@ -201,6 +206,15 @@ fn repeated_pin_toggle_hits_the_cache() {
     assert!(stats.entries > 0);
     assert!(stats.resident_bytes > 0);
     assert!(stats.hits >= second.cache_hits);
+
+    session.unpin_filter("genre.name").unwrap();
+    for _ in 0..2 {
+        let dense = session.pin_filter("gender").unwrap();
+        assert!(dense.added_filters.iter().any(|f| f.contains("gender")));
+        assert_eq!((dense.cache_hits, dense.cache_misses), (0, 0), "{dense:?}");
+        session.unpin_filter("gender").unwrap();
+    }
+    assert_eq!(session.cache_stats().entries, stats.entries);
 }
 
 /// Sessions report truthful cache statistics, and a cache re-bound to a
@@ -227,7 +241,7 @@ fn cache_generation_invalidation() {
 /// in place (`restrict_rows`). For a filter too wide to admit, the work is
 /// done from the shorter side: its postings when it has fewer matches than
 /// rows survive, a probe of the survivors otherwise. Both must leave
-/// exactly what uncached `evaluate` computes from scratch.
+/// exactly what the per-row definition computes from scratch.
 #[test]
 fn wide_filter_turns_match_evaluate_on_both_sides_of_the_cost_rule() {
     let adb = slate();
@@ -247,7 +261,7 @@ fn wide_filter_turns_match_evaluate_on_both_sides_of_the_cost_rule() {
             .iter()
             .filter(|s| !s.filter.value.is_derived())
             .map(|s| {
-                let matches = evaluate(entity, std::slice::from_ref(&s.filter)).len();
+                let matches = evaluate_per_row(entity, std::slice::from_ref(&s.filter)).len();
                 (matches, s.filter.clone())
             })
             .filter(|(matches, _)| *matches > refused)
@@ -264,7 +278,12 @@ fn wide_filter_turns_match_evaluate_on_both_sides_of_the_cost_rule() {
             let d = session.discovery().unwrap();
             let chosen: Vec<CandidateFilter> = d.chosen_filters().into_iter().cloned().collect();
             assert!(chosen.iter().any(|c| c.prop_id == f.prop_id));
-            assert_eq!(d.rows, evaluate(entity, &chosen), "{}", f.describe());
+            assert_eq!(
+                d.rows,
+                evaluate_per_row(entity, &chosen),
+                "{}",
+                f.describe()
+            );
             if *matches < survivors {
                 from_postings += 1;
             } else {

@@ -1,0 +1,447 @@
+//! The set-algebra evaluator ≡ the per-row definition of evaluation.
+//!
+//! `evaluate`, `evaluate_cached` (cold and warm) and `filter_row_set` read
+//! every filter through its source — a resident bitmap, a dense value
+//! bitmap borrowed from the αDB, or an exact slice of postings — and must
+//! return exactly the rows `evaluate_per_row` finds by asking every row.
+//! Swept here over every filter kind at the edges of its postings (every θ
+//! up to one past the largest count, every cutpoint, values on both sides
+//! of the dense crossover, `IN` lists whose values share rows, signed-zero
+//! / empty / inverted ranges), on the two hand-built fixtures, the
+//! generated 400-person slate and that slate loaded back from a snapshot;
+//! then over random conjunctions of 0–6 of those filters. The sizes the
+//! evaluator orders by are held to the same oracle: `match_estimate` is the
+//! per-row count for the four exact kinds, and so is `round(ψ · n)`.
+
+use std::sync::{Mutex, OnceLock};
+
+use proptest::prelude::*;
+use squid_adb::{test_fixtures, ADb, EntityProps, FilterSetCache, PropStats, Property, ValueRows};
+use squid_core::{
+    evaluate, evaluate_cached, evaluate_per_row, filter_row_set, match_estimate, CandidateFilter,
+    FilterValue,
+};
+use squid_datasets::{generate_imdb, ImdbConfig};
+use squid_relation::{Column, DataType, Database, RowSet, TableSchema, Value};
+
+fn filter(prop: &Property, value: FilterValue, selectivity: f64) -> CandidateFilter {
+    CandidateFilter {
+        prop_id: prop.id_sym,
+        attr_name: prop.attr_sym,
+        value,
+        selectivity,
+        coverage: 0.5,
+    }
+}
+
+/// One entity with a float attribute holding both zeros, a NULL and
+/// duplicates: the range postings must treat `-0.0 == 0.0` as IEEE does.
+fn signed_zero_db() -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "probe",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("name", DataType::Text),
+                Column::new("x", DataType::Float),
+            ],
+        )
+        .with_primary_key("id"),
+    )
+    .unwrap();
+    let xs = [
+        Some(-2.5),
+        Some(-0.0),
+        Some(0.0),
+        None,
+        Some(0.0),
+        Some(1.0),
+        Some(-0.0),
+        Some(7.25),
+        Some(1.0),
+    ];
+    for (i, x) in xs.iter().enumerate() {
+        db.insert(
+            "probe",
+            vec![
+                Value::Int(i as i64),
+                Value::text(format!("probe {i}")),
+                x.map_or(Value::Null, Value::Float),
+            ],
+        )
+        .unwrap();
+    }
+    db
+}
+
+/// The αDBs the sweep runs on: fixtures, the generated slate, and the
+/// generated slate as `load_snapshot` reassembles it.
+fn adbs() -> &'static Vec<(&'static str, ADb)> {
+    static A: OnceLock<Vec<(&'static str, ADb)>> = OnceLock::new();
+    A.get_or_init(|| {
+        let generated = ADb::build(&generate_imdb(&ImdbConfig::tiny())).unwrap();
+        let mut bytes = Vec::new();
+        generated.save_snapshot_to(&mut bytes).unwrap();
+        let loaded = ADb::load_snapshot_from(&mut bytes.as_slice()).unwrap();
+        vec![
+            (
+                "mini_imdb",
+                ADb::build(&test_fixtures::mini_imdb()).unwrap(),
+            ),
+            ("figure6", ADb::build(&test_fixtures::figure6_db()).unwrap()),
+            ("signed_zero", ADb::build(&signed_zero_db()).unwrap()),
+            ("generated", generated),
+            ("generated, loaded", loaded),
+        ]
+    })
+}
+
+/// How many filters of each representation a sweep met.
+#[derive(Debug, Default)]
+struct Seen {
+    dense: usize,
+    sparse: usize,
+    absent: usize,
+    derived_eq: usize,
+    derived_ge: usize,
+    cat_in_shared: usize,
+    ranges: usize,
+}
+
+/// Every single-filter probe of one property, each with the ψ the
+/// statistics report for it. `exact` marks the kinds whose size the
+/// statistics know exactly.
+fn sweep(entity: &EntityProps, prop: &Property, seen: &mut Seen) -> Vec<(CandidateFilter, bool)> {
+    let n = entity.n;
+    let mut out = Vec::new();
+    match &prop.stats {
+        PropStats::Categorical(s) => {
+            let mut domain: Vec<Value> = s.value_entity_counts.keys().copied().collect();
+            domain.sort();
+            for v in &domain {
+                match s.rows_with(v).expect("a domain value has rows") {
+                    ValueRows::Dense(_) => seen.dense += 1,
+                    ValueRows::Sparse(_) => seen.sparse += 1,
+                }
+                out.push((
+                    filter(prop, FilterValue::CatEq(*v), s.selectivity_eq(v, n)),
+                    true,
+                ));
+            }
+            let absent = Value::text("no such value");
+            seen.absent += 1;
+            out.push((
+                filter(
+                    prop,
+                    FilterValue::CatEq(absent),
+                    s.selectivity_eq(&absent, n),
+                ),
+                true,
+            ));
+            // `IN` lists: the value sets of multi-valued rows (their values
+            // share at least that row), neighbouring domain values, and a
+            // list with an absent value in it.
+            let mut lists: Vec<Vec<Value>> = (0..n)
+                .map(|row| s.values_of(row).to_vec())
+                .filter(|vs| vs.len() > 1)
+                .collect();
+            lists.sort();
+            lists.dedup();
+            seen.cat_in_shared += lists.len();
+            lists.extend(domain.windows(2).map(<[Value]>::to_vec));
+            lists.push(domain.iter().copied().take(1).chain([absent]).collect());
+            for vs in lists {
+                let psi = s.selectivity_in(&vs, n);
+                out.push((filter(prop, FilterValue::CatIn(vs), psi), false));
+            }
+        }
+        PropStats::Numeric(s) => {
+            let (Some(lo), Some(hi)) = (s.min(), s.max()) else {
+                return out;
+            };
+            let mid = s.sorted_values[s.sorted_values.len() / 2];
+            let ranges = [
+                (lo, hi),
+                (lo, mid),
+                (mid, mid),
+                (mid, hi),
+                (hi, lo),             // inverted unless the domain is one value
+                (hi + 1.0, hi + 2.0), // above everything
+                (lo - 2.0, lo - 1.0), // below everything
+                (f64::NEG_INFINITY, f64::INFINITY),
+                (-0.0, 0.0),
+                (0.0, -0.0),
+                (0.0, 0.0),
+                (-0.0, -0.0),
+                (-0.0, hi),
+                (lo, -0.0),
+            ];
+            seen.ranges += ranges.len();
+            for (l, h) in ranges {
+                let psi = s.selectivity_range(l, h, n);
+                out.push((filter(prop, FilterValue::NumRange(l, h), psi), true));
+            }
+        }
+        PropStats::Derived(s) => {
+            let mut max_count: std::collections::BTreeMap<Value, u64> = Default::default();
+            for row in 0..n {
+                for &(v, c) in s.counts_of(row) {
+                    let m = max_count.entry(v).or_insert(0);
+                    *m = (*m).max(c);
+                }
+            }
+            assert_eq!(max_count.len(), s.domain_size());
+            max_count.insert(Value::text("no such value"), 0);
+            for (v, max) in max_count {
+                for theta in 1..=max + 1 {
+                    seen.derived_eq += 1;
+                    let psi = s.selectivity(&v, theta, n);
+                    out.push((
+                        filter(prop, FilterValue::DerivedEq { value: v, theta }, psi),
+                        true,
+                    ));
+                }
+                // Positive shares only: at 0 the per-row definition admits
+                // entities not associated with the value at all.
+                for frac in [0.25, 0.5, 1.0, 1.5] {
+                    let value = FilterValue::DerivedFrac {
+                        value: v,
+                        frac,
+                        raw_theta: 1,
+                    };
+                    out.push((filter(prop, value, s.selectivity_frac(&v, frac, n)), false));
+                }
+            }
+        }
+        PropStats::DerivedNumeric(s) => {
+            let mut cuts = s.cutpoints.clone();
+            if let (Some(&lo), Some(&hi)) = (cuts.first(), cuts.last()) {
+                // Between two cutpoints, below the first, above the last.
+                cuts.extend([lo - 1.0, hi + 1.0, lo + 0.5]);
+            }
+            for cut in cuts {
+                let mut counts: Vec<u64> = (0..n)
+                    .map(|row| s.suffix_count_of(row, cut))
+                    .filter(|&c| c > 0)
+                    .collect();
+                counts.sort_unstable();
+                let max = counts.last().copied().unwrap_or(0);
+                let median = counts.get(counts.len() / 2).copied().unwrap_or(1);
+                let mut thetas = vec![1, median, max.max(1), max + 1];
+                thetas.dedup();
+                for theta in thetas {
+                    seen.derived_ge += 1;
+                    let psi = s.selectivity_ge(cut, theta, n);
+                    out.push((
+                        filter(prop, FilterValue::DerivedGe { cut, theta }, psi),
+                        true,
+                    ));
+                }
+            }
+        }
+    }
+    out
+}
+
+/// Every evaluation path against the per-row definition.
+fn assert_all_paths(
+    entity: &EntityProps,
+    filters: &[CandidateFilter],
+    cache: &mut FilterSetCache,
+    what: &str,
+) -> RowSet {
+    let want = evaluate_per_row(entity, filters);
+    assert_eq!(evaluate(entity, filters), want, "uncached, {what}");
+    assert_eq!(
+        evaluate_cached(entity, filters, cache),
+        want,
+        "cached, {what}"
+    );
+    let misses = cache.misses();
+    assert_eq!(
+        evaluate_cached(entity, filters, cache),
+        want,
+        "cached again, {what}"
+    );
+    assert_eq!(
+        cache.misses(),
+        misses,
+        "a warm repeat admits nothing, {what}"
+    );
+    let mut fresh = FilterSetCache::new(cache.generation());
+    assert_eq!(
+        evaluate_cached(entity, filters, &mut fresh),
+        want,
+        "cold cache, {what}"
+    );
+    want
+}
+
+#[test]
+fn every_filter_kind_matches_the_per_row_definition_at_every_edge() {
+    for (name, adb) in adbs() {
+        let mut seen = Seen::default();
+        for entity in adb.entities.values() {
+            let mut cache = FilterSetCache::new(adb.generation);
+            for prop in &entity.props {
+                assert!(
+                    prop.stats.enumerable(),
+                    "{name}: {} has postings",
+                    prop.def.id
+                );
+                for (f, exact) in sweep(entity, prop, &mut seen) {
+                    let what = format!("{name}: {}", f.describe());
+                    let want =
+                        assert_all_paths(entity, std::slice::from_ref(&f), &mut cache, &what);
+                    assert_eq!(filter_row_set(entity, &f, prop), want, "{what}");
+                    let m = match_estimate(&f, prop).expect("built stats report a size");
+                    if exact {
+                        assert_eq!(m, want.len(), "match_estimate, {what}");
+                        assert_eq!(
+                            (f.selectivity * entity.n as f64).round() as usize,
+                            m,
+                            "ψ·n, {what}"
+                        );
+                    } else {
+                        assert!(m >= want.len(), "match_estimate bounds, {what}");
+                    }
+                }
+            }
+        }
+        // Both encodings of a categorical value must have been through the
+        // sweep where the slate is large enough to hold both; on a handful
+        // of rows every value is dense.
+        assert!(seen.dense > 0 && seen.absent > 0, "{name}: {seen:?}");
+        if name.starts_with("generated") {
+            assert!(
+                seen.sparse > 0
+                    && seen.derived_eq > 0
+                    && seen.derived_ge > 0
+                    && seen.cat_in_shared > 0
+                    && seen.ranges > 0,
+                "{name}: {seen:?}"
+            );
+        }
+    }
+}
+
+/// Satellite (ii): evaluation starts from the smallest *exact* set. A
+/// θ-filter over a popular value satisfies few rows yet sits on long
+/// postings; the sizes reported must be the satisfying rows, so it — not
+/// the categorical filter that is shorter than its postings — goes first.
+#[test]
+fn sizes_are_satisfying_rows_not_postings_walked() {
+    let (_, adb) = &adbs()[3];
+    let entity = adb.entity("person").unwrap();
+    let mut seen = Seen::default();
+    let mut found = 0;
+    let cats: Vec<(CandidateFilter, &Property)> = entity
+        .props
+        .iter()
+        .filter(|p| matches!(p.stats, PropStats::Categorical(_)))
+        .flat_map(|p| {
+            sweep(entity, p, &mut seen)
+                .into_iter()
+                .filter(|(f, _)| matches!(f.value, FilterValue::CatEq(_)))
+                .map(move |(f, _)| (f, p))
+        })
+        .collect();
+    for prop in &entity.props {
+        let PropStats::Derived(s) = &prop.stats else {
+            continue;
+        };
+        for (theta_filter, _) in sweep(entity, prop, &mut seen) {
+            let FilterValue::DerivedEq { value, theta } = &theta_filter.value else {
+                continue;
+            };
+            let (satisfying, postings) = (
+                s.postings_ge(value, *theta).len(),
+                s.postings_ge(value, 1).len(),
+            );
+            for (cat, cat_prop) in &cats {
+                let carried = match_estimate(cat, cat_prop).unwrap();
+                if !(0 < satisfying && satisfying < carried && carried < postings) {
+                    continue;
+                }
+                found += 1;
+                assert_eq!(match_estimate(&theta_filter, prop), Some(satisfying));
+                assert_eq!(
+                    evaluate_per_row(entity, std::slice::from_ref(&theta_filter)).len(),
+                    satisfying
+                );
+                assert_eq!(
+                    evaluate_per_row(entity, std::slice::from_ref(cat)).len(),
+                    carried
+                );
+                let both = [cat.clone(), theta_filter.clone()];
+                assert_eq!(evaluate(entity, &both), evaluate_per_row(entity, &both));
+            }
+        }
+    }
+    assert!(
+        found > 0,
+        "no slate where ψ order and postings order disagree"
+    );
+}
+
+/// The single filters of the generated slate's two entities, for the
+/// random conjunctions.
+fn pool() -> &'static Vec<Vec<CandidateFilter>> {
+    static P: OnceLock<Vec<Vec<CandidateFilter>>> = OnceLock::new();
+    P.get_or_init(|| {
+        let (_, adb) = &adbs()[3];
+        let mut names: Vec<&String> = adb.entities.keys().collect();
+        names.sort();
+        names
+            .into_iter()
+            .map(|name| {
+                let entity = &adb.entities[name];
+                let mut seen = Seen::default();
+                entity
+                    .props
+                    .iter()
+                    .flat_map(|p| sweep(entity, p, &mut seen))
+                    .map(|(f, _)| f)
+                    .collect()
+            })
+            .collect()
+    })
+}
+
+/// ONE cache per entity for every case: a set kept under a fingerprint it
+/// does not answer would surface in a later case.
+fn caches() -> &'static Vec<Mutex<FilterSetCache>> {
+    static C: OnceLock<Vec<Mutex<FilterSetCache>>> = OnceLock::new();
+    C.get_or_init(|| {
+        let generation = adbs()[3].1.generation;
+        pool()
+            .iter()
+            .map(|_| Mutex::new(FilterSetCache::new(generation)))
+            .collect()
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    #[test]
+    fn random_conjunctions_match_the_per_row_definition(
+        which in 0usize..2,
+        picks in proptest::collection::vec(any::<u32>(), 0..7),
+    ) {
+        let (_, adb) = &adbs()[3];
+        let mut names: Vec<&String> = adb.entities.keys().collect();
+        names.sort();
+        let which = which % names.len();
+        let entity = &adb.entities[names[which]];
+        let pool = &pool()[which];
+        let filters: Vec<CandidateFilter> = picks
+            .iter()
+            .map(|&p| pool[p as usize % pool.len()].clone())
+            .collect();
+        let mut cache = caches()[which].lock().unwrap();
+        let what = filters.iter().map(|f| f.describe()).collect::<Vec<_>>().join(" & ");
+        assert_all_paths(entity, &filters, &mut cache, &what);
+    }
+}

@@ -5,8 +5,8 @@
 use proptest::prelude::*;
 use squid_adb::{test_fixtures, ADb};
 use squid_core::{
-    abduce_filters, discover_contexts, evaluate, log_posterior, Accuracy, CandidateFilter,
-    FilterValue, SquidParams,
+    abduce_filters, discover_contexts, evaluate, evaluate_per_row, log_posterior, Accuracy,
+    CandidateFilter, FilterValue, SquidParams,
 };
 use squid_relation::Value;
 
@@ -111,6 +111,7 @@ proptest! {
             .map(|s| s.filter.clone())
             .collect();
         let result = evaluate(entity, &chosen);
+        prop_assert_eq!(&result, &evaluate_per_row(entity, &chosen));
         for r in &rows {
             prop_assert!(result.contains(*r));
         }

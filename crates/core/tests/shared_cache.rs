@@ -1,6 +1,6 @@
 //! Correctness of the fleet-wide shared evaluation cache: concurrent
 //! sessions routing through one `SharedFilterSetCache` must be
-//! *indistinguishable* from uncached postings enumeration — including
+//! *indistinguishable* from the per-row definition — including
 //! while byte-bound eviction churns entries mid-run and while αDB
 //! generation bumps invalidate shards under the readers' feet.
 
@@ -9,9 +9,10 @@ use std::sync::{Arc, OnceLock};
 use proptest::prelude::*;
 use squid_adb::{test_fixtures, ADb, FilterSetCache, SharedFilterSetCache};
 use squid_core::{
-    discover_contexts, evaluate, evaluate_cached, CandidateFilter, FilterValue, SessionManager,
-    Squid, SquidParams,
+    discover_contexts, evaluate_cached, evaluate_per_row, CandidateFilter, FilterValue,
+    SessionManager, Squid, SquidParams,
 };
+use squid_datasets::{generate_imdb, ImdbConfig};
 use squid_relation::{RowSet, Value};
 
 fn adb() -> &'static ADb {
@@ -90,7 +91,7 @@ proptest! {
                         // so some fingerprints collide across threads (the
                         // sharing case) and some are thread-private.
                         let filters = filter_set(mask, subset, tweak ^ (t as u32 & 1));
-                        let uncached = evaluate(entity, &filters);
+                        let uncached = evaluate_per_row(entity, &filters);
                         let mut cache = FilterSetCache::new(adb.generation);
                         cache.attach_shared(Arc::clone(shared));
                         // Local level under pressure too.
@@ -138,19 +139,25 @@ proptest! {
 
 /// A manager fleet with adversarially tiny cache bounds (both levels)
 /// still answers every slate exactly like the uncached one-shot path,
-/// from concurrent threads, with residency pinned under the caps.
+/// from concurrent threads, with residency pinned under the caps. On the
+/// 400-person slate: mini-IMDb's eight rows make every categorical value a
+/// dense bitmap, which never enters a cache, and leave too few distinct
+/// cached filters to overflow sixteen shards.
 #[test]
 fn tiny_bounded_fleet_matches_one_shot() {
-    let adb = Arc::new(ADb::build(&test_fixtures::mini_imdb()).unwrap());
+    let adb = Arc::new(ADb::build(&generate_imdb(&ImdbConfig::tiny())).unwrap());
+    // One 400-row bitmap with its key is 160 bytes: a shard holds one.
     let m = SessionManager::new(Arc::clone(&adb))
-        .with_shared_cache_bytes(16 * 160)
+        .with_shared_cache_bytes(16 * 200)
         .with_session_cache_bytes(512);
-    let slates: Vec<Vec<&str>> = vec![
-        vec!["Jim Carrey", "Eddie Murphy"],
-        vec!["Sylvester Stallone", "Arnold Schwarzenegger"],
-        vec!["Julia Roberts", "Emma Stone"],
-        vec!["Jim Carrey", "Robin Williams"],
-    ];
+    let slates: Vec<Vec<String>> = (0..8)
+        .map(|i| {
+            [0, 7, 13]
+                .iter()
+                .map(|d| format!("Person {:06}", i * 47 + d))
+                .collect()
+        })
+        .collect();
     // Several rounds so later sessions run against a churned shared cache.
     for _ in 0..3 {
         let results: Vec<String> = std::thread::scope(|scope| {
@@ -177,7 +184,8 @@ fn tiny_bounded_fleet_matches_one_shot() {
         });
         let squid = Squid::new(&adb);
         for (slate, sql) in slates.iter().zip(&results) {
-            assert_eq!(&squid.discover(slate).unwrap().sql(), sql);
+            let slate: Vec<&str> = slate.iter().map(String::as_str).collect();
+            assert_eq!(&squid.discover(&slate).unwrap().sql(), sql);
         }
         let stats = m.shared_cache_stats().unwrap();
         assert!(stats.resident_bytes <= stats.max_resident_bytes);

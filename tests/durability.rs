@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use squid_adb::ADb;
+use squid_adb::{ADb, PropStats};
 use squid_core::{FsyncPolicy, Journal, SessionManager, SessionOp};
 use squid_datasets::{
     generate_dblp, generate_imdb, generate_imdb_variant, DblpConfig, ImdbConfig, ImdbVariant,
@@ -67,6 +67,7 @@ fn slates() -> Vec<(&'static str, Database, u64)> {
 
 #[test]
 fn snapshot_round_trip_is_fingerprint_identical_for_every_slate() {
+    let mut kinds = [0usize; 4];
     for (name, db, pinned) in slates() {
         assert_eq!(db_fingerprint(&db), pinned, "{name}: generator drifted");
         let adb = ADb::build(&db).unwrap();
@@ -94,7 +95,30 @@ fn snapshot_round_trip_is_fingerprint_identical_for_every_slate() {
             loaded.generation, adb.generation,
             "{name}: generation must be fresh"
         );
+        // The statistics come back arena for arena — θ-ordered postings,
+        // per-cutpoint postings, sparse and dense value rows — and on both
+        // sides every property of every kind can hand over a filter's rows
+        // (evaluation's whole-table scan is unreachable from either).
+        for (table, built) in &adb.entities {
+            let reloaded = &loaded.entities[table];
+            assert_eq!(built.props.len(), reloaded.props.len(), "{name}: {table}");
+            for (a, b) in built.props.iter().zip(&reloaded.props) {
+                assert!(a.stats.enumerable(), "{name}: built {}", a.def.id);
+                assert!(b.stats.enumerable(), "{name}: loaded {}", b.def.id);
+                assert!(a.stats == b.stats, "{name}: {} drifted", a.def.id);
+                kinds[match a.stats {
+                    PropStats::Categorical(_) => 0,
+                    PropStats::Numeric(_) => 1,
+                    PropStats::Derived(_) => 2,
+                    PropStats::DerivedNumeric(_) => 3,
+                }] += 1;
+            }
+        }
     }
+    assert!(
+        kinds.iter().all(|&k| k > 0),
+        "a kind went unseen: {kinds:?}"
+    );
 }
 
 /// Discovery over a snapshot-loaded αDB must abduce the same query as over

@@ -2,7 +2,9 @@
 //! queries, example recommendation, and disjunctive categorical filters.
 
 use squid_adb::{test_fixtures, ADb};
-use squid_core::{evaluate, recommend_examples, top_k_queries, Squid, SquidParams};
+use squid_core::{
+    evaluate, evaluate_per_row, recommend_examples, top_k_queries, Squid, SquidParams,
+};
 use squid_datasets::{generate_imdb, imdb_queries, ImdbConfig};
 use squid_engine::Executor;
 
@@ -39,6 +41,7 @@ fn alternatives_rank_real_discoveries() {
             .map(|&i| d.scored[i].filter.clone())
             .collect();
         let rows = evaluate(entity, &filters);
+        assert_eq!(rows, evaluate_per_row(entity, &filters));
         for r in &d.example_rows {
             assert!(rows.contains(*r));
         }
