@@ -32,6 +32,11 @@
 //! per-row filter definition (`CandidateFilter::matches_row` in
 //! squid-core) — the oracle every set-algebra path is tested against —
 //! reads nothing else.
+//!
+//! The constructors grow these arrays by pushes and trim each one to its
+//! length (`shrink_to_fit`) once it is complete, and allocate a direct
+//! attribute's one-value sets at their exact size: an αDB lives as long as
+//! its process, and doubling growth leaves up to half of an array unused.
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
@@ -54,7 +59,7 @@ pub enum ValueRows {
 
 impl ValueRows {
     /// Encode ascending distinct `rows` of an `n`-entity table.
-    fn from_rows(rows: Vec<u32>, n: usize) -> ValueRows {
+    fn from_rows(mut rows: Vec<u32>, n: usize) -> ValueRows {
         if rows.len() * DENSE_CROSSOVER >= n {
             let mut set = RowSet::with_universe(n);
             for &row in &rows {
@@ -62,6 +67,7 @@ impl ValueRows {
             }
             ValueRows::Dense(set)
         } else {
+            rows.shrink_to_fit();
             ValueRows::Sparse(rows)
         }
     }
@@ -105,7 +111,7 @@ pub fn posting_row(posting: u64) -> RowId {
 
 /// Association count of a `count << 32 | row` posting.
 #[inline]
-pub(crate) fn posting_count(posting: u64) -> u64 {
+fn posting_count(posting: u64) -> u64 {
     posting >> 32
 }
 
@@ -127,7 +133,7 @@ pub struct CategoricalStats {
     /// For each value: the entity rows carrying it — the postings that let
     /// `attr = v` filters hand over their matches instead of scanning all
     /// entities.
-    pub(crate) value_rows: FxHashMap<Value, ValueRows>,
+    value_rows: FxHashMap<Value, ValueRows>,
 }
 
 impl CategoricalStats {
@@ -138,14 +144,15 @@ impl CategoricalStats {
     pub fn from_column(cv: &ColumnVec, n: usize) -> CategoricalStats {
         let mut per_entity: Vec<Vec<Value>> = vec![Vec::new(); n];
         kernel::scan_non_null(cv, n, |rid| {
-            per_entity[rid].push(cv.value_at(rid));
+            per_entity[rid] = vec![cv.value_at(rid)];
         });
         Self::from_sets(per_entity)
     }
 
     /// Assemble from per-entity value sets (transposes them into per-value
     /// row postings; a value's entity count is its postings' length).
-    pub fn from_sets(per_entity: Vec<Vec<Value>>) -> CategoricalStats {
+    pub fn from_sets(mut per_entity: Vec<Vec<Value>>) -> CategoricalStats {
+        per_entity.iter_mut().for_each(Vec::shrink_to_fit);
         let n = per_entity.len();
         let mut lists: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
         for (rid, vals) in per_entity.iter().enumerate() {
@@ -396,7 +403,7 @@ pub struct DerivedStats {
     /// For each value: one `count << 32 | row` posting per entity with
     /// count > 0, ascending — by count, then row — so the entities
     /// satisfying `⟨A, v, θ⟩` are a suffix (see the module docs).
-    pub(crate) theta_postings: FxHashMap<Value, Vec<u64>>,
+    theta_postings: FxHashMap<Value, Vec<u64>>,
     /// For each value: ascending per-entity fractions count/total.
     pub value_frac_dists: FxHashMap<Value, Vec<f64>>,
 }
@@ -467,40 +474,14 @@ impl DerivedStats {
         let mut value_frac_dists: FxHashMap<Value, Vec<f64>> = FxHashMap::default();
         theta_postings.reserve(dists.len());
         value_frac_dists.reserve(dists.len());
+        runs.shrink_to_fit();
         for (v, (mut postings, mut fd)) in dists {
             postings.sort_unstable();
+            postings.shrink_to_fit();
             fd.sort_by(f64::total_cmp);
+            fd.shrink_to_fit();
             theta_postings.insert(v, postings);
             value_frac_dists.insert(v, fd);
-        }
-        DerivedStats {
-            runs,
-            offsets,
-            entity_totals,
-            theta_postings,
-            value_frac_dists,
-        }
-    }
-
-    /// Reassemble from previously built arenas (the snapshot load path:
-    /// the postings were computed by [`from_runs`] in the saving process
-    /// and persisted verbatim, so none of that work is repeated here).
-    /// Each entity's run slice is re-sorted by [`run_cmp`] — the
-    /// comparator orders text by symbol id, which is process-local, so the
-    /// persisted order is not this process's order. `offsets` must be
-    /// monotone within `runs` (the loader builds them from validated
-    /// lengths).
-    ///
-    /// [`from_runs`]: DerivedStats::from_runs
-    pub(crate) fn from_arenas(
-        mut runs: Vec<(Value, u64)>,
-        offsets: Vec<u32>,
-        entity_totals: Vec<u64>,
-        theta_postings: FxHashMap<Value, Vec<u64>>,
-        value_frac_dists: FxHashMap<Value, Vec<f64>>,
-    ) -> Self {
-        for w in offsets.windows(2) {
-            runs[w[0] as usize..w[1] as usize].sort_unstable_by(|a, b| run_cmp(&a.0, &b.0));
         }
         DerivedStats {
             runs,
@@ -602,7 +583,7 @@ pub struct DerivedNumericStats {
     /// with a positive suffix count (#associations with value ≥ cutpoint),
     /// ascending, so the entities satisfying `⟨A ≥ c, θ⟩` are a suffix
     /// (see the module docs).
-    pub(crate) per_cut_postings: Vec<Vec<u64>>,
+    per_cut_postings: Vec<Vec<u64>>,
 }
 
 impl DerivedNumericStats {
@@ -614,6 +595,7 @@ impl DerivedNumericStats {
     pub fn build(mut per_entity: Vec<Vec<(f64, u64)>>) -> Self {
         for v in &mut per_entity {
             v.sort_by(|a, b| a.0.total_cmp(&b.0));
+            v.shrink_to_fit();
         }
         let mut cutpoints: Vec<f64> = per_entity
             .iter()
@@ -633,6 +615,7 @@ impl DerivedNumericStats {
         }
         for postings in &mut per_cut_postings {
             postings.sort_unstable();
+            postings.shrink_to_fit();
         }
         DerivedNumericStats {
             per_entity,

@@ -204,9 +204,11 @@ fn build(
     for &f in &features {
         match x.kinds[f] {
             FeatureKind::Categorical => {
-                // Evaluate == for each present category (bounded).
-                let mut counts: std::collections::HashMap<u32, (usize, usize)> =
-                    std::collections::HashMap::new();
+                // Evaluate == for each present category, in ascending code
+                // order: among equal-gain splits the first one wins, so
+                // the visiting order must not depend on a hasher's keys.
+                let mut counts: std::collections::BTreeMap<u32, (usize, usize)> =
+                    std::collections::BTreeMap::new();
                 for &i in idx {
                     if let FeatureValue::Cat(c) = x.rows[i][f] {
                         let e = counts.entry(c).or_insert((0, 0));
@@ -414,6 +416,48 @@ mod tests {
         // An all-missing row must still classify (follows right branches).
         let p = tree.predict_proba(&[FeatureValue::Missing, FeatureValue::Missing]);
         assert!((0.0..=1.0).contains(&p));
+    }
+
+    /// Equal-gain categorical splits: category 0 is all positive and
+    /// category 1 all negative, so `== 0` and `== 1` score exactly the same
+    /// gain, and at depth 1 the one chosen decides every prediction.
+    /// Refitting the same data must pick the same one every time.
+    #[test]
+    fn tied_categorical_splits_fit_identically_every_time() {
+        let mut m = FeatureMatrix {
+            names: vec!["cat".into()],
+            kinds: vec![FeatureKind::Categorical],
+            vocab: vec![vec!["A".into(), "B".into(), "C".into()]],
+            rows: vec![],
+        };
+        let mut y = Vec::new();
+        for (cat, label) in [
+            (0, true),
+            (0, true),
+            (1, false),
+            (1, false),
+            (2, true),
+            (2, false),
+        ] {
+            m.rows.push(vec![FeatureValue::Cat(cat)]);
+            y.push(label);
+        }
+        let cfg = TreeConfig {
+            max_depth: 1,
+            ..Default::default()
+        };
+        let fit = || {
+            let tree = DecisionTree::fit(&m, &y, &cfg, &mut StdRng::seed_from_u64(1));
+            (0..3)
+                .map(|c| tree.predict_proba(&[FeatureValue::Cat(c)]))
+                .collect::<Vec<f64>>()
+        };
+        let first = fit();
+        // Splitting on the lowest code: category 0 goes left, alone.
+        assert_eq!(first, vec![1.0, 0.25, 0.25]);
+        for _ in 0..32 {
+            assert_eq!(fit(), first);
+        }
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! `snapshot` — what the durable αDB snapshot buys at process start.
+//! `snapshot` — the durable αDB snapshot's costs at process start.
 //!
-//! * `rebuild` — `ADb::build` over the default IMDb slate: the cold-start
-//!   path every process paid before snapshots existed (dataset generation
-//!   excluded, so this is the conservative comparison — the real cold
-//!   path also regenerates the relations the snapshot already contains).
+//! * `rebuild` — `ADb::build` over the default IMDb slate (dataset
+//!   generation excluded).
 //! * `load` — `ADb::load_snapshot` of the same αDB from a snapshot file:
-//!   decode + CRC verification + interner remap + stats reconstruction.
+//!   decode of the original tables + CRC and hash verification + interner
+//!   remap, then the same `ADb::build` as `rebuild`. A snapshot stores the
+//!   database, not the αDB, so `load` is `rebuild` plus the decode.
 //! * `save` — `ADb::save_snapshot_to` into a sink: the marginal cost of
 //!   making a build durable.
 

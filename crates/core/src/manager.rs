@@ -788,14 +788,17 @@ impl SessionManager {
     /// appends. Call on a freshly-constructed manager (existing sessions
     /// are kept; replayed ids that collide would be overwritten).
     ///
-    /// Replay semantics: `Create`/`End` records drive session lifecycle
-    /// under their original ids; every other record re-executes the
-    /// operation against the (immutable) αDB, which reproduces the exact
-    /// pre-crash state because mutators are deterministic and only
-    /// successful operations were journaled. A record that fails to apply
-    /// (e.g. the αDB changed under the journal) is counted in
-    /// [`RecoverStats::records_failed`] and skipped — recovery salvages
-    /// everything salvageable instead of failing outright.
+    /// Replay is [`SessionManager::apply_replicated`] over the file's
+    /// valid records — one replay rule for recovery and replication. No
+    /// journal is attached yet, so nothing replayed is re-journaled.
+    /// `Create`/`End` records drive session lifecycle under their original
+    /// ids; every other record re-executes the operation against the
+    /// (immutable) αDB, which reproduces the exact pre-crash state because
+    /// mutators are deterministic and only successful operations were
+    /// journaled. A record that fails to apply (e.g. the αDB changed under
+    /// the journal) is counted in [`RecoverStats::records_failed`] and
+    /// skipped — recovery salvages everything salvageable instead of
+    /// failing outright.
     pub fn recover(
         &self,
         path: impl AsRef<Path>,
@@ -803,62 +806,19 @@ impl SessionManager {
     ) -> Result<RecoverStats, SquidError> {
         let path = path.as_ref();
         let replay = journal::read_journal(path)?;
-        let mut stats = RecoverStats {
-            bytes_truncated: replay.bytes_truncated,
-            ..RecoverStats::default()
-        };
-        let mut max_id = 0;
-        for (sid, seq, op) in &replay.records {
-            max_id = max_id.max(*sid);
-            match op {
-                SessionOp::Create => {
-                    // A duplicate Create (the session was live across a
-                    // compaction that raced its create-append) must not
-                    // reinstall — that would wipe the replayed state.
-                    if recover_guard(self.shard(*sid).read()).contains_key(sid) {
-                        stats.records_skipped += 1;
-                    } else {
-                        self.install_session(*sid, self.params.clone());
-                        // A compacted Create carries the session's
-                        // pre-compaction cursor (live-append Creates
-                        // carry 0); restore it so retried client turns
-                        // keep deduping across compaction + crash.
-                        let _ = self.with_session(*sid, |s| {
-                            s.advance_op_seq(*seq);
-                            Ok(())
-                        });
-                        stats.sessions_replayed += 1;
-                        stats.records_applied += 1;
-                    }
-                }
-                SessionOp::End => {
-                    recover_guard(self.shard(*sid).write()).remove(sid);
-                    stats.records_applied += 1;
-                }
-                _ => match self.with_session(*sid, |s| {
-                    // The cursor makes replay idempotent: a record whose
-                    // sequence the session has already absorbed (the
-                    // compaction/append race) is skipped, not re-applied.
-                    if *seq != 0 && *seq <= s.op_seq() {
-                        return Ok(false);
-                    }
-                    op.apply(s)?;
-                    s.advance_op_seq(*seq);
-                    Ok(true)
-                }) {
-                    Ok(true) => stats.records_applied += 1,
-                    Ok(false) => stats.records_skipped += 1,
-                    Err(_) => stats.records_failed += 1,
-                },
-            }
-        }
-        // Fresh ids must never collide with replayed ones.
-        self.next_id.fetch_max(max_id + 1, Ordering::Relaxed);
+        let applied = self.apply_replicated(&replay.records);
         // Drop the damaged tail on disk before appending after it, so the
         // journal never contains valid records behind a corrupt region.
         journal::truncate_to_valid(path, replay.bytes_valid)?;
         self.attach_journal_with_base(Journal::open(path, policy)?, replay.records.len() as u64);
-        stats.live_sessions = self.len();
+        let stats = RecoverStats {
+            sessions_replayed: (applied.sessions_installed + applied.sessions_reinstalled) as usize,
+            records_applied: applied.records_applied,
+            records_failed: applied.records_failed,
+            records_skipped: applied.records_skipped,
+            bytes_truncated: replay.bytes_truncated,
+            live_sessions: self.len(),
+        };
         *recover_guard(self.recover_stats.lock()) = Some(stats);
         Ok(stats)
     }
@@ -870,9 +830,12 @@ impl SessionManager {
     }
 
     /// Replay records shipped off another node's journal onto this *live*
-    /// manager — the replication standby's apply path. Same idempotent
-    /// skip/cursor rules as [`SessionManager::recover`], with one
-    /// extension for mid-stream re-snapshots: when the primary compacts,
+    /// manager — the replication standby's apply path, and (over a
+    /// journal file) [`SessionManager::recover`]'s. A record whose
+    /// sequence number a session's cursor already covers is skipped
+    /// (replay is idempotent), and so is a duplicate `Create` for a
+    /// session whose cursor is at least the record's. Mid-stream
+    /// re-snapshots get one more rule: when the primary compacts,
     /// the stream restarts with the full compacted journal, whose
     /// snapshot sections (a `Create` carrying the session cursor followed
     /// by seq-0 state ops) describe sessions this manager may already
@@ -1677,5 +1640,57 @@ mod tests {
         let fresh = standby.create_session();
         assert!(fresh > s1);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A standby that lagged across a compaction re-journals the reinstall
+    /// (a `Create` carrying the snapshot cursor, then seq-0 state ops) into
+    /// its own journal. Recovering that journal must land where the
+    /// standby stood: the replay rule is the one the standby applied live.
+    #[test]
+    fn recovering_a_standby_journal_reproduces_its_reinstall() {
+        let adb = Arc::new(ADb::build(&mini_imdb()).unwrap());
+        let primary_path = journal_path("reinstall_primary.journal");
+        let standby_path = journal_path("reinstall_standby.journal");
+        std::fs::remove_file(&primary_path).ok();
+        std::fs::remove_file(&standby_path).ok();
+
+        let primary = SessionManager::new(Arc::clone(&adb));
+        primary.attach_journal(Journal::open(&primary_path, FsyncPolicy::Flush).unwrap());
+        let standby = SessionManager::new(Arc::clone(&adb));
+        standby.attach_journal(Journal::open(&standby_path, FsyncPolicy::Flush).unwrap());
+
+        let s1 = primary.create_session();
+        for name in ["Jim Carrey", "Eddie Murphy"] {
+            primary
+                .apply_op(s1, &SessionOp::AddExample(name.into()))
+                .unwrap();
+        }
+        ship_full(&standby, &primary_path);
+        primary
+            .apply_op(s1, &SessionOp::AddExample("Robin Williams".into()))
+            .unwrap();
+        primary.compact_journal().unwrap().unwrap();
+        assert_eq!(ship_full(&standby, &primary_path).sessions_reinstalled, 1);
+        standby.journal_sync().unwrap();
+
+        let recovered = SessionManager::new(Arc::clone(&adb));
+        let stats = recovered
+            .recover(&standby_path, FsyncPolicy::Flush)
+            .unwrap();
+        assert_eq!(stats.records_failed, 0);
+        let state = |m: &SessionManager| {
+            m.with_session(s1, |s| {
+                Ok((
+                    s.op_seq(),
+                    s.examples().join("|"),
+                    s.discovery().map(|d| d.sql()),
+                ))
+            })
+            .unwrap()
+        };
+        assert_eq!(state(&recovered), state(&standby));
+        assert_eq!(state(&recovered), state(&primary));
+        std::fs::remove_file(&primary_path).ok();
+        std::fs::remove_file(&standby_path).ok();
     }
 }

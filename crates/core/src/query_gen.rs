@@ -179,7 +179,7 @@ pub fn evaluate(entity: &EntityProps, filters: &[CandidateFilter]) -> RowSet {
 /// property). This is the oracle the set-algebra paths are property-tested
 /// against, and the answer for statistics assembled by hand without
 /// postings ([`PropStats::enumerable`] false) — nothing `ADb::build`
-/// computes or `ADb::load_snapshot` reads gets here.
+/// computes (a snapshot load included) gets here.
 pub fn evaluate_per_row(entity: &EntityProps, filters: &[CandidateFilter]) -> RowSet {
     let mut resolved = Vec::with_capacity(filters.len());
     for f in filters {

@@ -76,7 +76,7 @@ fn signed_zero_db() -> Database {
 }
 
 /// The αDBs the sweep runs on: fixtures, the generated slate, and the
-/// generated slate as `load_snapshot` reassembles it.
+/// generated slate as `load_snapshot` rebuilds it.
 fn adbs() -> &'static Vec<(&'static str, ADb)> {
     static A: OnceLock<Vec<(&'static str, ADb)>> = OnceLock::new();
     A.get_or_init(|| {

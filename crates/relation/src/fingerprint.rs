@@ -11,6 +11,8 @@
 //! path and only ever needs to agree with the saving process.
 
 use crate::catalog::Database;
+use crate::schema::SchemaMeta;
+use crate::table::Table;
 use crate::value::Value;
 
 /// Deterministic FNV-1a fingerprint over a database's complete contents:
@@ -75,18 +77,24 @@ pub fn db_fingerprint(db: &Database) -> u64 {
     h
 }
 
-/// Content hash of a whole [`Database`] for snapshot verification: the
-/// same content-and-interning stability as [`db_fingerprint`] (cell
-/// contents, not symbol ids), but walking the columnar views instead of
-/// row-major cells and mixing a word per multiply — an order of magnitude
-/// cheaper over a multi-megabyte database, which matters because every
-/// snapshot load pays it. Null positions hash through the null bitmap at
-/// its canonical `rows.div_ceil(64)` width (the typed storage holds fixed
+/// Content hash of a database's metadata plus `tables` (in the order
+/// given) for snapshot verification — the snapshot saves a subset of the
+/// αDB database's tables, hence the split arguments; pass
+/// `(&db.meta, db.tables())` for a whole [`Database`]. The same
+/// content-and-interning stability as [`db_fingerprint`] (cell contents,
+/// not symbol ids), but walking the columnar views instead of row-major
+/// cells and mixing a word per multiply — an order of magnitude cheaper
+/// over a multi-megabyte database, which matters because every snapshot
+/// load pays it. Null positions hash through the null bitmap at its
+/// canonical `rows.div_ceil(64)` width (the typed storage holds fixed
 /// sentinels there, so including it is sound on both sides of a save/load
 /// cycle); strings are length-prefixed so concatenation boundaries stay
 /// unambiguous. Not pinned anywhere: it only ever needs to agree between
 /// the process that saved a snapshot and the process loading it.
-pub fn db_verification_hash(db: &Database) -> u64 {
+pub fn db_verification_hash<'a>(
+    meta: &SchemaMeta,
+    tables: impl IntoIterator<Item = &'a Table>,
+) -> u64 {
     use crate::intern::Sym;
     use crate::table::{ColumnData, NULL_SYM};
 
@@ -110,11 +118,11 @@ pub fn db_verification_hash(db: &Database) -> u64 {
             mix(h, u64::from_le_bytes(last));
         }
     }
-    for (t, c) in &db.meta.non_semantic {
+    for (t, c) in &meta.non_semantic {
         eat(&mut h, t.as_bytes());
         eat(&mut h, c.as_bytes());
     }
-    for table in db.tables() {
+    for table in tables {
         let schema = table.schema();
         eat(&mut h, table.name().as_bytes());
         mix(&mut h, schema.arity() as u64);

@@ -181,11 +181,6 @@ impl ByteWriter {
         self.buf.push(v as u8);
     }
 
-    /// Append a `u16`, little-endian.
-    pub fn put_u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-
     /// Append a `u32`, little-endian.
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
@@ -211,33 +206,6 @@ impl ByteWriter {
         let len = u32::try_from(s.len()).expect("string longer than u32::MAX bytes");
         self.put_u32(len);
         self.buf.extend_from_slice(s.as_bytes());
-    }
-
-    /// Append a whole `u32` array, little-endian, no length prefix — the
-    /// reader must know the count (bulk arrays make snapshot load one
-    /// bounds check per array instead of one per element).
-    pub fn put_u32s(&mut self, xs: &[u32]) {
-        self.buf.reserve(xs.len() * 4);
-        for x in xs {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Append a whole `u64` array, little-endian, no length prefix.
-    pub fn put_u64s(&mut self, xs: &[u64]) {
-        self.buf.reserve(xs.len() * 8);
-        for x in xs {
-            self.buf.extend_from_slice(&x.to_le_bytes());
-        }
-    }
-
-    /// Append a whole `f64` array as IEEE-754 bit patterns, no length
-    /// prefix.
-    pub fn put_f64s(&mut self, xs: &[f64]) {
-        self.buf.reserve(xs.len() * 8);
-        for x in xs {
-            self.buf.extend_from_slice(&x.to_bits().to_le_bytes());
-        }
     }
 }
 
@@ -299,12 +267,6 @@ impl<'a> ByteReader<'a> {
         }
     }
 
-    /// Read a little-endian `u16`.
-    pub fn get_u16(&mut self) -> FrameResult<u16> {
-        let b = self.take(2)?;
-        Ok(u16::from_le_bytes([b[0], b[1]]))
-    }
-
     /// Read a little-endian `u32`.
     pub fn get_u32(&mut self) -> FrameResult<u32> {
         let b = self.take(4)?;
@@ -360,32 +322,14 @@ impl<'a> ByteReader<'a> {
             })
     }
 
-    /// Read `n` little-endian `u32`s written by [`ByteWriter::put_u32s`]
-    /// (one bounds check for the whole array).
-    pub fn get_u32s(&mut self, n: usize) -> FrameResult<Vec<u32>> {
-        let raw = self.take(self.array_bytes(n, 4)?)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
-            .collect())
-    }
-
-    /// Read `n` little-endian `u64`s written by [`ByteWriter::put_u64s`].
+    /// Read `n` little-endian `u64`s (one bounds check for the whole
+    /// array: bulk arrays make a decode one check per array, not one per
+    /// element).
     pub fn get_u64s(&mut self, n: usize) -> FrameResult<Vec<u64>> {
         let raw = self.take(self.array_bytes(n, 8)?)?;
         Ok(raw
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes")))
-            .collect())
-    }
-
-    /// Read `n` `f64`s from their IEEE-754 bit patterns, written by
-    /// [`ByteWriter::put_f64s`].
-    pub fn get_f64s(&mut self, n: usize) -> FrameResult<Vec<f64>> {
-        let raw = self.take(self.array_bytes(n, 8)?)?;
-        Ok(raw
-            .chunks_exact(8)
-            .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
             .collect())
     }
 
@@ -621,7 +565,6 @@ mod tests {
         let mut w = ByteWriter::new();
         w.put_u8(7);
         w.put_bool(true);
-        w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_i64(-42);
@@ -631,7 +574,6 @@ mod tests {
         let mut r = ByteReader::new(&bytes, "test");
         assert_eq!(r.get_u8().unwrap(), 7);
         assert!(r.get_bool().unwrap());
-        assert_eq!(r.get_u16().unwrap(), 0xBEEF);
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_i64().unwrap(), -42);

@@ -34,7 +34,7 @@ pub struct Posting {
 }
 
 /// The global inverted index.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct InvertedIndex {
     map: FxHashMap<Sym, Vec<Posting>>,
     /// Catalog: posting `table` ids → table names (index build order).
@@ -227,37 +227,6 @@ impl InvertedIndex {
     /// Number of distinct indexed strings.
     pub fn distinct_count(&self) -> usize {
         self.map.len()
-    }
-
-    /// The table catalog (posting `table` ids → names), for serialization.
-    pub fn table_catalog(&self) -> &[String] {
-        &self.tables
-    }
-
-    /// Iterate all `(symbol, postings)` entries, in unspecified order —
-    /// the snapshot writer sorts by symbol for a deterministic layout.
-    pub fn entries(&self) -> impl Iterator<Item = (Sym, &[Posting])> {
-        self.map.iter().map(|(s, p)| (*s, p.as_slice()))
-    }
-
-    /// Reassemble an index from its serialized parts (catalog + entries).
-    ///
-    /// Postings lists are re-sorted and deduplicated so the invariants
-    /// lookups rely on hold even for adversarial input; entries with the
-    /// same symbol are merged.
-    pub fn from_parts(
-        tables: Vec<String>,
-        entries: impl IntoIterator<Item = (Sym, Vec<Posting>)>,
-    ) -> Self {
-        let mut map: FxHashMap<Sym, Vec<Posting>> = FxHashMap::default();
-        for (sym, postings) in entries {
-            map.entry(sym).or_default().extend(postings);
-        }
-        for postings in map.values_mut() {
-            postings.sort_unstable();
-            postings.dedup();
-        }
-        InvertedIndex { map, tables }
     }
 }
 

@@ -23,10 +23,11 @@ fn build_dataset(name: &str) -> Option<Database> {
     }
 }
 
-/// Get the αDB the fast way when possible: load the snapshot if one exists
-/// (falling back to a generator rebuild on corruption — a snapshot is a
-/// cache, never the source of truth), otherwise build and, when a snapshot
-/// path was given, save one for the next start. Progress goes to stderr.
+/// Get the αDB: load the snapshot if one exists (its tables, rebuilt into
+/// an αDB — falling back to a generator rebuild on corruption, since a
+/// snapshot is a cache, never the source of truth), otherwise build and,
+/// when a snapshot path was given, save one for the next start. Progress
+/// goes to stderr.
 pub fn acquire_adb(dataset: &str, snapshot: Option<&Path>) -> Result<ADb, String> {
     let ready = |how: &str, t: Instant, adb: &ADb| {
         eprintln!(

@@ -28,7 +28,8 @@
 //!   αDB snapshot bootstrap before the journal stream.
 //! - `ADB` (primary → standby): the PR 6 single-file αDB snapshot,
 //!   streamed straight off [`squid_adb::ADb::save_snapshot_to`] — a
-//!   standby can boot with no local dataset build at all.
+//!   standby can boot with no local dataset generation at all (it builds
+//!   the αDB over the shipped tables).
 //! - `SNAP` (primary → standby): the journal epoch, the primary's client
 //!   address (the `not_primary` hint), and the *entire current journal*.
 //!   Sent on connect and again whenever compaction bumps the journal
@@ -566,7 +567,7 @@ impl StandbyLink {
 
 /// Fetch the primary's αDB snapshot over its replication listener — the
 /// "prebuilt αDB snapshot to the fleet" bootstrap: a standby starts with
-/// zero local dataset builds. Returns the deserialized αDB.
+/// no local dataset generation. Returns the loaded αDB.
 pub fn fetch_adb(primary: &str, timeout: Duration) -> io::Result<ADb> {
     let addr = resolve(primary)?;
     let stream = TcpStream::connect_timeout(&addr, timeout)?;

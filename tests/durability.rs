@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use squid_adb::{ADb, PropStats};
+use squid_adb::{ADb, AdbConfig, PropStats};
 use squid_core::{FsyncPolicy, Journal, SessionManager, SessionOp};
 use squid_datasets::{
     generate_dblp, generate_imdb, generate_imdb_variant, DblpConfig, ImdbConfig, ImdbVariant,
@@ -65,59 +65,120 @@ fn slates() -> Vec<(&'static str, Database, u64)> {
     ]
 }
 
+/// Two example names from the slate's own entity table (`person` for
+/// IMDb, `author` for DBLP), so discovery runs on every slate.
+fn examples(db: &Database) -> Vec<&'static str> {
+    let table = ["person", "author"]
+        .into_iter()
+        .find_map(|t| db.table(t).ok())
+        .expect("an entity table");
+    let name = table.schema().column_index("name").expect("a name column");
+    (1..3)
+        .map(|row| table.column(name).value_at(row).as_text().expect("a name"))
+        .collect()
+}
+
+/// Save `adb`, load it back, and demand the loaded αDB agree with the
+/// built one on the database fingerprint, every property's statistics,
+/// the build counts and the SQL discovery abduces from `examples`.
+/// Returns how many properties of each statistics kind were compared.
+fn assert_round_trip(name: &str, adb: &ADb, examples: &[&str]) -> [usize; 4] {
+    let mut buf = Vec::new();
+    adb.save_snapshot_to(&mut buf).unwrap();
+    let loaded = ADb::load_snapshot_from(&mut buf.as_slice())
+        .unwrap_or_else(|e| panic!("{name}: load failed: {e}"));
+    // `adb.database` is the slate plus the materialized derived
+    // relations, so its fingerprint differs from the generator pin —
+    // what must hold is save → load exactness on the full αDB.
+    assert_eq!(
+        db_fingerprint(&loaded.database),
+        db_fingerprint(&adb.database),
+        "{name}: content drifted across the snapshot round trip"
+    );
+    let counts = |a: &ADb| {
+        let s = &a.build_stats;
+        (
+            s.property_count,
+            s.derived_table_count,
+            s.derived_row_count,
+            s.original_row_count,
+        )
+    };
+    assert_eq!(counts(&loaded), counts(adb), "{name}: build counts");
+    assert_ne!(
+        loaded.generation, adb.generation,
+        "{name}: generation must be fresh"
+    );
+    // The loader rebuilds the statistics, so they come back value for
+    // value — θ-ordered postings, per-cutpoint postings, sparse and dense
+    // value rows — and on both sides every property of every kind can
+    // hand over a filter's rows.
+    let mut kinds = [0usize; 4];
+    for (table, built) in &adb.entities {
+        let reloaded = &loaded.entities[table];
+        assert_eq!(built.props.len(), reloaded.props.len(), "{name}: {table}");
+        for (a, b) in built.props.iter().zip(&reloaded.props) {
+            assert!(a.stats.enumerable(), "{name}: built {}", a.def.id);
+            assert!(b.stats.enumerable(), "{name}: loaded {}", b.def.id);
+            assert!(a.stats == b.stats, "{name}: {} drifted", a.def.id);
+            kinds[match a.stats {
+                PropStats::Categorical(_) => 0,
+                PropStats::Numeric(_) => 1,
+                PropStats::Derived(_) => 2,
+                PropStats::DerivedNumeric(_) => 3,
+            }] += 1;
+        }
+    }
+    let sql = |a: &ADb| {
+        squid_core::Squid::new(a)
+            .discover(examples)
+            .map(|d| d.sql())
+    };
+    let built_sql = sql(adb).unwrap_or_else(|e| panic!("{name}: discovery failed: {e}"));
+    assert_eq!(sql(&loaded).unwrap(), built_sql, "{name}: discovery SQL");
+    kinds
+}
+
 #[test]
 fn snapshot_round_trip_is_fingerprint_identical_for_every_slate() {
     let mut kinds = [0usize; 4];
     for (name, db, pinned) in slates() {
         assert_eq!(db_fingerprint(&db), pinned, "{name}: generator drifted");
         let adb = ADb::build(&db).unwrap();
-        let mut buf = Vec::new();
-        adb.save_snapshot_to(&mut buf).unwrap();
-        let loaded = ADb::load_snapshot_from(&mut buf.as_slice())
-            .unwrap_or_else(|e| panic!("{name}: load failed: {e}"));
-        // `adb.database` is the slate plus the materialized derived
-        // relations, so its fingerprint differs from the generator pin —
-        // what must hold is save → load exactness on the full αDB.
-        assert_eq!(
-            db_fingerprint(&loaded.database),
-            db_fingerprint(&adb.database),
-            "{name}: content drifted across the snapshot round trip"
-        );
-        assert_eq!(
-            loaded.build_stats.property_count, adb.build_stats.property_count,
-            "{name}: property count"
-        );
-        assert_eq!(
-            loaded.build_stats.derived_row_count, adb.build_stats.derived_row_count,
-            "{name}: derived rows"
-        );
-        assert_ne!(
-            loaded.generation, adb.generation,
-            "{name}: generation must be fresh"
-        );
-        // The statistics come back arena for arena — θ-ordered postings,
-        // per-cutpoint postings, sparse and dense value rows — and on both
-        // sides every property of every kind can hand over a filter's rows
-        // (evaluation's whole-table scan is unreachable from either).
-        for (table, built) in &adb.entities {
-            let reloaded = &loaded.entities[table];
-            assert_eq!(built.props.len(), reloaded.props.len(), "{name}: {table}");
-            for (a, b) in built.props.iter().zip(&reloaded.props) {
-                assert!(a.stats.enumerable(), "{name}: built {}", a.def.id);
-                assert!(b.stats.enumerable(), "{name}: loaded {}", b.def.id);
-                assert!(a.stats == b.stats, "{name}: {} drifted", a.def.id);
-                kinds[match a.stats {
-                    PropStats::Categorical(_) => 0,
-                    PropStats::Numeric(_) => 1,
-                    PropStats::Derived(_) => 2,
-                    PropStats::DerivedNumeric(_) => 3,
-                }] += 1;
-            }
-        }
+        let seen = assert_round_trip(name, &adb, &examples(&db));
+        kinds.iter_mut().zip(seen).for_each(|(k, s)| *k += s);
     }
     assert!(
         kinds.iter().all(|&k| k > 0),
         "a kind went unseen: {kinds:?}"
+    );
+}
+
+/// The snapshot records the build settings that shape the αDB: a build
+/// without derived relations and with a numeric-domain bound that drops
+/// `movie.year` loads back as exactly that αDB, not a default one.
+#[test]
+fn snapshot_round_trip_keeps_a_non_default_build_config() {
+    let db = squid_adb::test_fixtures::mini_imdb();
+    let config = AdbConfig {
+        materialize_derived: false,
+        max_numeric_derived_domain: 2,
+        ..AdbConfig::default()
+    };
+    let adb = ADb::build_with(&db, &config).unwrap();
+    assert_eq!(adb.build_stats.derived_table_count, 0);
+    assert!(adb.entities["person"]
+        .props
+        .iter()
+        .all(|p| p.def.attr_name != "movie.year"));
+    assert_ne!(
+        adb.build_stats.property_count,
+        ADb::build(&db).unwrap().build_stats.property_count
+    );
+    assert_round_trip(
+        "mini-imdb non-default",
+        &adb,
+        &["Jim Carrey", "Eddie Murphy"],
     );
 }
 
