@@ -1,13 +1,12 @@
-//! Microbenches for the scan path: per-tier SIMD kernel throughput
-//! (scalar vs AVX2 on the same data) through the 64-row word entry point.
+//! Microbenches for the scan path: kernel throughput per predicate family
+//! through the 64-row word entry point.
 //!
-//! Ids are `kernel_scan/<family>/<tier>`; none are regression-gated (the
-//! gate watches fig9a/incr_session/multi_session), they exist to record
-//! the measured speedup of the vector tier in BENCH_squid.json.
+//! Ids are `kernel_scan/<family>`; none are regression-gated (the gate
+//! watches fig9a/incr_session/multi_session/serving), they record the
+//! scan rate in BENCH_squid.json.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use squid_relation::kernel::{self, CmpSpec};
-use squid_relation::simd::available_tiers;
 use squid_relation::{ColumnBuilder, DataType, Sym, Table, TableSchema, Value};
 
 const ROWS: usize = 1 << 20;
@@ -48,7 +47,7 @@ fn scan_table() -> Table {
     .unwrap()
 }
 
-fn bench_kernel_tiers(c: &mut Criterion) {
+fn bench_kernels(c: &mut Criterion) {
     let table = scan_table();
     let n = table.len();
     let families: Vec<(&str, usize, DataType, CmpSpec)> = vec![
@@ -84,20 +83,18 @@ fn bench_kernel_tiers(c: &mut Criterion) {
     let mut group = c.benchmark_group("kernel_scan");
     for (name, col, dtype, spec) in &families {
         let k = kernel::compile(table.column(*col), *dtype, spec);
-        for tier in available_tiers() {
-            group.bench_function(format!("{name}/{}", tier.name()), |b| {
-                b.iter(|| {
-                    let mut acc = 0u32;
-                    for batch in 0..kernel::batch_count(n) {
-                        acc += k.eval_word_with(tier, batch, n).count_ones();
-                    }
-                    black_box(acc)
-                })
-            });
-        }
+        group.bench_function(*name, |b| {
+            b.iter(|| {
+                let mut acc = 0u32;
+                for batch in 0..kernel::batch_count(n) {
+                    acc += k.eval_word(batch, n).count_ones();
+                }
+                black_box(acc)
+            })
+        });
     }
     group.finish();
 }
 
-criterion_group!(kernels, bench_kernel_tiers);
+criterion_group!(kernels, bench_kernels);
 criterion_main!(kernels);

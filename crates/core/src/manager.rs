@@ -465,23 +465,11 @@ impl SessionManager {
         self.len() == 0
     }
 
-    /// Number of live sessions — [`SessionManager::len`] under the name
-    /// the serving frontend's admission control reads it by.
-    pub fn session_count(&self) -> usize {
-        self.len()
-    }
-
     /// Whether `id` is currently hosted (registry membership only; does
     /// not touch the idle clock or run TTL checks). Frontends use this to
     /// validate an id before allocating per-session serving state.
     pub fn contains_session(&self, id: SessionId) -> bool {
         recover_guard(self.shard(id).read()).contains_key(&id)
-    }
-
-    /// Ids of every live session, ascending — [`SessionManager::session_ids`]
-    /// under the name the serving `stats` verb reports it by.
-    pub fn active_ids(&self) -> Vec<SessionId> {
-        self.session_ids()
     }
 
     /// Ids of every live session, ascending. Operator tooling uses this
@@ -992,17 +980,18 @@ mod tests {
 
     #[test]
     fn session_count_and_active_ids_track_the_fleet() {
+        // What `stats` reports as `sessions` and `active_ids`.
         let m = manager();
-        assert_eq!(m.session_count(), 0);
-        assert!(m.active_ids().is_empty());
+        assert_eq!(m.len(), 0);
+        assert!(m.session_ids().is_empty());
         let a = m.create_session();
         let b = m.create_session();
         let c = m.create_session();
-        assert_eq!(m.session_count(), 3);
-        assert_eq!(m.active_ids(), vec![a, b, c]);
+        assert_eq!(m.len(), 3);
+        assert_eq!(m.session_ids(), vec![a, b, c]);
         m.close_session(b).unwrap();
-        assert_eq!(m.session_count(), 2);
-        assert_eq!(m.active_ids(), vec![a, c]);
+        assert_eq!(m.len(), 2);
+        assert_eq!(m.session_ids(), vec![a, c]);
     }
 
     #[test]
@@ -1032,7 +1021,7 @@ mod tests {
         let m2 = SessionManager::new(adb);
         let st = m2.recover(&path, FsyncPolicy::Always).unwrap();
         assert_eq!(st.live_sessions, 1);
-        assert_eq!(m2.active_ids(), vec![b]);
+        assert_eq!(m2.session_ids(), vec![b]);
 
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);

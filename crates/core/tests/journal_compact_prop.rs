@@ -121,8 +121,8 @@ proptest! {
         let from_full = SessionManager::new(Arc::clone(&adb));
         from_full.recover(&compact_path, FsyncPolicy::Flush).unwrap();
 
-        prop_assert_eq!(from_compact.active_ids(), from_full.active_ids());
-        let ids = from_compact.active_ids();
+        prop_assert_eq!(from_compact.session_ids(), from_full.session_ids());
+        let ids = from_compact.session_ids();
         prop_assert_eq!(
             fingerprint(&from_compact, &ids),
             fingerprint(&from_full, &ids),

@@ -65,7 +65,7 @@ fn temp(tag: &str, case: u32) -> std::path::PathBuf {
 
 /// Everything observable about a fleet, for equality checks.
 fn fingerprint(m: &SessionManager) -> Vec<(u64, u64, String, Option<String>)> {
-    let mut ids = m.active_ids();
+    let mut ids = m.session_ids();
     ids.sort_unstable();
     ids.iter()
         .map(|&id| {

@@ -1,22 +1,26 @@
-//! Vectorized batch predicate kernels: the single scan ABI shared by the
-//! query executor, the αDB statistics pass, and the baseline feature
-//! extractors.
+//! Batch predicate kernels: the single scan ABI shared by the query
+//! executor, the αDB statistics pass, and the baseline feature extractors.
 //!
 //! A [`Kernel`] is a predicate compiled against one column's typed storage
 //! that evaluates **64 rows per call**, returning a `u64` match word whose
 //! bit `b` answers "does row `batch*64 + b` satisfy the predicate?". Words
 //! are exactly [`crate::RowSet`]'s storage unit, so batch scans emit result
-//! bitmaps with one store per 64 rows, conjunctions are single `AND`
-//! instructions, and the per-lane loops are plain data-parallel integer
-//! compares the compiler autovectorizes.
+//! bitmaps with one store per 64 rows and conjunctions are single `AND`
+//! instructions.
+//!
+//! Each kernel family has one implementation: a portable per-lane loop in
+//! [`Kernel::eval_word`], with no CPU-specific variant and no runtime
+//! dispatch. Predicate kernels run when the executor evaluates a query
+//! (dataset set-up, the paper harness); a served or one-shot discovery
+//! turn answers its filters from the αDB's postings and runs none.
 //!
 //! ## Word layout and tail handling
 //!
 //! Batch `i` covers rows `i*64 .. i*64+64`. The last batch of an `n`-row
-//! column is a *scalar tail*: kernels compute lane bits only for the
-//! `n % 64` real rows (the typed slices simply end there) and
-//! [`tail_mask`] zeroes the phantom high lanes, so emitted words never
-//! contain bits beyond the table. Null bitmaps participate as words too:
+//! column is a *tail*: kernels compute lane bits only for the `n % 64`
+//! real rows (the typed slices simply end there), and the null-bitmap
+//! kernel ANDs [`tail_mask`], so emitted words never contain bits beyond
+//! the table. Null bitmaps participate as words too:
 //! a lane is masked off by `!nulls.word(batch)` rather than a per-row
 //! branch.
 //!
@@ -36,7 +40,6 @@
 //! on adversarial columns.
 
 use crate::rowset::RowSet;
-use crate::simd::{self, f64_total_key, SimdTier};
 use crate::table::{ColumnData, ColumnVec, RowId};
 use crate::value::{DataType, Value};
 
@@ -105,6 +108,25 @@ pub fn for_each_row(batch: usize, mut word: u64, mut f: impl FnMut(RowId)) {
         word &= word - 1;
         f(base + bit);
     }
+}
+
+/// Match word of `pred` over up to 64 lanes: bit `i` ⇔ `pred(lanes[i])`.
+#[inline]
+fn lane_word<T: Copy>(lanes: &[T], pred: impl Fn(T) -> bool) -> u64 {
+    let mut w = 0u64;
+    for (i, &v) in lanes.iter().enumerate() {
+        w |= (pred(v) as u64) << i;
+    }
+    w
+}
+
+/// Map an `f64` to an `i64` key that orders exactly like
+/// `f64::total_cmp`: sign-magnitude IEEE bits folded into two's
+/// complement. Lets float range kernels run on integer compares.
+#[inline]
+fn f64_total_key(x: f64) -> i64 {
+    let b = x.to_bits() as i64;
+    b ^ (((b >> 63) as u64) >> 1) as i64
 }
 
 /// A predicate compiled against one column's typed storage, evaluated 64
@@ -178,17 +200,10 @@ pub enum Kernel<'t> {
 
 impl Kernel<'_> {
     /// Evaluate rows `batch*64 .. batch*64+64` of an `n`-row column,
-    /// returning the match word (tail lanes zeroed). Dispatches on the
-    /// process-wide [`simd::active_tier`].
+    /// returning the match word. Lane loops stop at row `n`, so no bit at
+    /// or past `n` is ever set.
     #[inline]
     pub fn eval_word(&self, batch: usize, n: usize) -> u64 {
-        self.eval_word_with(simd::active_tier(), batch, n)
-    }
-
-    /// [`Kernel::eval_word`] on an explicit SIMD tier (the parity tests
-    /// drive every available tier through this).
-    #[inline]
-    pub fn eval_word_with(&self, tier: SimdTier, batch: usize, n: usize) -> u64 {
         let base = batch * 64;
         if base >= n {
             return 0;
@@ -201,30 +216,25 @@ impl Kernel<'_> {
                 nulls,
                 lo,
                 hi,
-            } => simd::int_range_word(tier, &vals[base..end], *lo, *hi) & !nulls.word(batch),
+            } => lane_word(&vals[base..end], |v| *lo <= v && v <= *hi) & !nulls.word(batch),
             Kernel::FloatRange {
                 vals,
                 nulls,
                 lo_key,
                 hi_key,
             } => {
-                simd::float_range_word(tier, &vals[base..end], *lo_key, *hi_key)
-                    & !nulls.word(batch)
+                lane_word(&vals[base..end], |v| {
+                    let k = f64_total_key(v);
+                    *lo_key <= k && k <= *hi_key
+                }) & !nulls.word(batch)
             }
-            Kernel::SymEq { vals, sym } => simd::sym_eq_word(tier, &vals[base..end], *sym),
-            Kernel::SymIn { vals, syms } => simd::sym_in_word(tier, &vals[base..end], syms),
+            Kernel::SymEq { vals, sym } => lane_word(&vals[base..end], |v| v == *sym),
+            Kernel::SymIn { vals, syms } => lane_word(&vals[base..end], |v| syms.contains(&v)),
             Kernel::BoolEq {
                 vals,
                 nulls,
                 expect,
-            } => {
-                let expect = *expect;
-                let mut w = 0u64;
-                for (i, &v) in vals[base..end].iter().enumerate() {
-                    w |= ((v == expect) as u64) << i;
-                }
-                w & !nulls.word(batch)
-            }
+            } => lane_word(&vals[base..end], |v| v == *expect) & !nulls.word(batch),
             Kernel::NotNull { nulls } => tail_mask(n, batch) & !nulls.word(batch),
             Kernel::Generic { col, spec } => {
                 let mut w = 0u64;

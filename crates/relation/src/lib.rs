@@ -41,20 +41,22 @@
 //!
 //! ## Batch-kernel scan ABI ([`kernel`])
 //!
-//! All predicate evaluation — the executor's block scans and semi-join
-//! folds, the αDB statistics pass, and the baselines' feature extraction —
-//! shares ONE scan ABI: predicates compile to typed [`kernel::Kernel`]s
-//! that evaluate **64 rows per call** and return a `u64` match word (bit
-//! `b` ⇔ row `batch*64 + b` matches). The contract:
+//! Every column scan — the executor's block scans and semi-join folds, the
+//! αDB statistics pass, and the baselines' feature extraction — shares ONE
+//! scan ABI: predicates compile to typed [`kernel::Kernel`]s that evaluate
+//! **64 rows per call** and return a `u64` match word (bit `b` ⇔ row
+//! `batch*64 + b` matches). Each kernel family has one portable
+//! implementation; nothing selects among CPU-specific variants. Discovery
+//! turns answer filters from the αDB's postings, not from these kernels.
+//! The contract:
 //!
 //! * **Word layout**: batch `i` covers rows `i*64..i*64+64`; words are
 //!   exactly [`RowSet`]'s storage unit, so scans emit result bitmaps with
 //!   one store per 64 rows ([`RowSet::set_word`] / [`RowSet::from_words`])
 //!   and conjunctions AND words, not rows ([`kernel::ScanPlan`]).
-//! * **Tail handling**: the final partial batch is a scalar tail — lane
-//!   loops simply stop at the column's end and [`kernel::tail_mask`]
-//!   zeroes the phantom high lanes, so no word ever carries bits past the
-//!   table.
+//! * **Tail handling**: lane loops stop at the column's end (the
+//!   null-bitmap kernel ANDs [`kernel::tail_mask`] instead), so no word
+//!   ever carries bits past the table.
 //! * **Null words**: null bitmaps participate word-wise (`!nulls.word(b)`
 //!   masks), never as per-row branches; [`kernel::scan_ints`],
 //!   [`kernel::scan_int_pairs`], and friends give the αDB's fact scans the
@@ -98,6 +100,5 @@ pub use inverted::{InvertedIndex, Posting};
 pub use kernel::{CmpSpec, Kernel, ScanPlan};
 pub use rowset::RowSet;
 pub use schema::{Column, ForeignKey, SchemaMeta, TableRole, TableSchema};
-pub use simd::SimdTier;
 pub use table::{ColumnBuilder, ColumnData, ColumnVec, RowId, Table, NULL_SYM};
 pub use value::{DataType, Value};

@@ -3,17 +3,13 @@
 //! oracle applied to each reconstructed cell — including NULLs, NaN
 //! (positive and negative), −0.0, infinities, and values straddling the
 //! 2^63 int/float widening boundary — and emitted words must round-trip
-//! through `RowSet` exactly.
-//!
-//! Parity is asserted on EVERY SIMD tier (scalar and AVX2; a request for
-//! AVX2 on a host without it must fall back to the scalar loop), so the
-//! explicit vector kernels and their ragged-tail handling are pinned to
-//! the scalar oracle no matter which tier `SQUID_SIMD`/runtime detection
-//! would pick.
+//! through `RowSet` exactly. The per-word entry point is checked on its
+//! own too: it must equal the collected word and never set a bit at or
+//! past the table's last row.
 
 use proptest::prelude::*;
 use squid_relation::kernel::{self, CmpSpec};
-use squid_relation::{Column, DataType, RowSet, ScanPlan, SimdTier, Table, TableSchema, Value};
+use squid_relation::{Column, DataType, RowSet, ScanPlan, Table, TableSchema, Value};
 
 /// 2^63 as an f64 (exactly representable): the top of the i64 range.
 const TWO_63: f64 = 9_223_372_036_854_775_808.0;
@@ -78,9 +74,7 @@ fn spec_of(op: u8, a: Value, b: Value, set: Vec<Value>) -> CmpSpec {
 }
 
 /// Assert kernel-vs-scalar parity for `spec` over a one-column table and
-/// check the emitted words round-trip through `RowSet`. Every SIMD tier
-/// is driven through the per-word entry point and must agree with the
-/// oracle bit for bit.
+/// check the emitted words round-trip through `RowSet`.
 fn assert_parity(table: &Table, dtype: DataType, spec: &CmpSpec) {
     let col = table.column(0);
     let n = table.len();
@@ -95,19 +89,17 @@ fn assert_parity(table: &Table, dtype: DataType, spec: &CmpSpec) {
             "row {rid} (cell {cell:?}) under {spec:?}"
         );
     }
-    // Tier sweep: each tier's word evaluations must equal the collected
-    // (active-tier) words, including zeroed tail lanes.
+    // The per-word entry point, unmasked: no bit at or past `n`, and the
+    // same word the plan collected.
     let k = kernel::compile(col, dtype, spec);
-    if !k.is_never() {
-        for tier in [SimdTier::Scalar, SimdTier::Avx2] {
-            for b in 0..kernel::batch_count(n) {
-                assert_eq!(
-                    k.eval_word_with(tier, b, n) & kernel::tail_mask(n, b),
-                    got.word(b),
-                    "tier {tier:?} batch {b} under {spec:?}"
-                );
-            }
-        }
+    for b in 0..kernel::batch_count(n) {
+        let w = k.eval_word(b, n);
+        assert_eq!(
+            w & !kernel::tail_mask(n, b),
+            0,
+            "batch {b} sets bits past row {n} under {spec:?}"
+        );
+        assert_eq!(w, got.word(b), "batch {b} under {spec:?}");
     }
     // Word-emission round trip: rebuilding from the emitted words and
     // from per-row inserts must agree with the collected set.
@@ -229,9 +221,8 @@ proptest! {
         }
     }
 
-    /// Columns spanning up to twenty words with a ragged tail: the SIMD
-    /// fast path covers the full words, the scalar tail the rest, and
-    /// both must agree with the oracle on every tier.
+    /// Columns spanning up to twenty words with a ragged tail: full words
+    /// and the partial last word must both agree with the oracle.
     #[test]
     fn multi_word_ragged_tails_match_oracle(
         n in 1usize..1300,

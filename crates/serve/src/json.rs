@@ -205,6 +205,7 @@ fn encode_str(s: &str, out: &mut String) {
 /// trailing garbage rejected).
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -218,6 +219,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -375,13 +377,14 @@ impl Parser<'_> {
                 }
                 Some(c) if c < 0x20 => return Err(self.err("raw control character in string")),
                 Some(_) => {
-                    // Multi-byte UTF-8 is passed through: the input is a
-                    // &str, so byte boundaries are already valid.
+                    // A run of plain bytes, multi-byte UTF-8 included. It
+                    // starts after and ends at an ASCII byte (or the end of
+                    // input), so both ends are char boundaries of `text`.
                     let start = self.pos;
-                    let s = unsafe { std::str::from_utf8_unchecked(&self.bytes[start..]) };
-                    let c = s.chars().next().expect("peeked byte implies a char");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    while matches!(self.peek(), Some(c) if c != b'"' && c != b'\\' && c >= 0x20) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -466,6 +469,13 @@ mod tests {
         assert_eq!(
             parse(r#""a\u0041\n\t\" \u00e9 \ud83d\ude00""#).unwrap(),
             Json::Str("aA\n\t\" é 😀".into())
+        );
+        // Raw multi-byte chars (2-, 3- and 4-byte) copy through, including
+        // directly before the closing quote and directly before an escape.
+        assert_eq!(parse("\"é€😀\"").unwrap(), Json::Str("é€😀".into()));
+        assert_eq!(
+            parse(r#""a€\n😀Aé\"""#).unwrap(),
+            Json::Str("a€\n😀Aé\"".into())
         );
         // Control characters encode as escapes and round trip.
         let s = Json::Str("\u{1}\u{2}ok".into());

@@ -362,7 +362,7 @@ impl Shared {
     /// remove sessions without going through the `close` verb, and their
     /// buckets and cached responses must not accumulate forever.
     fn prune_serving_state(&self) {
-        let live: std::collections::HashSet<u64> = self.manager.active_ids().into_iter().collect();
+        let live: std::collections::HashSet<u64> = self.manager.session_ids().into_iter().collect();
         self.buckets
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -642,7 +642,7 @@ impl Server {
             metrics: self.metrics(),
             journal_synced,
             snapshot_bytes,
-            live_sessions: self.shared.manager.session_count(),
+            live_sessions: self.shared.manager.len(),
         }
     }
 }
@@ -1079,7 +1079,7 @@ fn admit(shared: &Shared, ctx: &ConnCtx, cmd: &Command, verb: &Verb) -> Result<(
         if shared.stop.load(Ordering::SeqCst) {
             return Err(Refusal::new(ErrorCode::ShuttingDown, "server is draining"));
         }
-        if m.session_count() >= shared.cfg.max_sessions {
+        if m.len() >= shared.cfg.max_sessions {
             return Err(Refusal::retry(
                 ErrorCode::SessionLimit,
                 format!("session limit {} reached", shared.cfg.max_sessions),
@@ -1247,11 +1247,11 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
         }
         Verb::Stats { session } => {
             let mut fields = vec![
-                ("sessions".into(), Json::Int(m.session_count() as i64)),
+                ("sessions".into(), Json::Int(m.len() as i64)),
                 (
                     "active_ids".into(),
                     Json::Arr(
-                        m.active_ids()
+                        m.session_ids()
                             .into_iter()
                             .map(|i| Json::Int(i as i64))
                             .collect(),
@@ -1352,7 +1352,7 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
                     "uptime_ms".into(),
                     Json::Int(shared.started.elapsed().as_millis() as i64),
                 ),
-                ("sessions".into(), Json::Int(m.session_count() as i64)),
+                ("sessions".into(), Json::Int(m.len() as i64)),
                 (
                     "max_sessions".into(),
                     Json::Int(shared.cfg.max_sessions as i64),

@@ -239,7 +239,7 @@ fn graceful_shutdown_drains_syncs_and_recovers() {
         .recover(&journal_path, FsyncPolicy::Flush)
         .unwrap();
     assert_eq!(stats.live_sessions, 1);
-    assert_eq!(recovered.active_ids(), vec![sid]);
+    assert_eq!(recovered.session_ids(), vec![sid]);
     let sql_after = recovered
         .with_session(sid, |s| Ok(s.discovery().unwrap().sql()))
         .unwrap();
