@@ -144,10 +144,11 @@ pub struct ADb {
     /// The configuration the αDB was built with (a snapshot records the
     /// fields that shape the output and rebuilds with them).
     pub(crate) config: AdbConfig,
-    /// Process-unique build generation. Evaluation caches
-    /// ([`crate::FilterSetCache`]) tag their entries with this and drop
-    /// them when handed an αDB from a different build, so cached row
-    /// bitmaps can never outlive the statistics they were derived from.
+    /// Process-unique build generation. The evaluation cache
+    /// ([`crate::SharedFilterSetCache`]) tags its shards with this and
+    /// drops a shard's entries when accessed for an αDB from a different
+    /// build, so cached row bitmaps can never outlive the statistics they
+    /// were derived from.
     pub generation: u64,
 }
 

@@ -20,5 +20,5 @@ pub use properties::{discover_properties, PropKind, PropertyDef, QueryFragments}
 pub use stats::{
     posting_row, CategoricalStats, DerivedNumericStats, DerivedStats, FilterFingerprint,
     FilterSetCache, NumericStats, PropStats, SharedCacheStats, SharedFilterSetCache, ValueRows,
-    SHARED_CACHE_SHARDS,
+    DEFAULT_SHARED_CACHE_BYTES, SHARED_CACHE_SHARDS,
 };

@@ -802,8 +802,7 @@ struct Slot {
 }
 
 /// Byte-bounded fingerprint → bitmap map with CLOCK (second-chance)
-/// eviction — the storage shared by the per-session [`FilterSetCache`] and
-/// each [`SharedFilterSetCache`] shard.
+/// eviction — the storage of each [`SharedFilterSetCache`] shard.
 ///
 /// Entries live in stable slots; a clock hand sweeps them on pressure,
 /// clearing reference bits on the first pass and evicting unreferenced
@@ -830,27 +829,13 @@ impl ClockMap {
         Some(&slot.set)
     }
 
-    /// Resident set without touching the reference bit.
-    fn peek(&self, fp: &FilterFingerprint) -> Option<&Arc<RowSet>> {
-        self.map
-            .get(fp)
-            .map(|&i| &self.slots[i].as_ref().expect("mapped slot is occupied").set)
-    }
-
-    /// Admit `set` under `fp`, evicting second-chance victims first so the
-    /// resident footprint (including the new entry) stays within `budget`.
-    /// An entry larger than the whole budget is rejected outright (returns
-    /// `false`); a fingerprint already resident is left as-is. `referenced`
-    /// seeds the CLOCK bit: sessions admit hot (they intersect the set
-    /// immediately), the shared publish path admits cold (touch-on-use
-    /// only, so never-looked-up publications are the first victims).
-    fn insert(
-        &mut self,
-        fp: &FilterFingerprint,
-        set: Arc<RowSet>,
-        referenced: bool,
-        budget: usize,
-    ) -> bool {
+    /// Admit `set` under `fp` cold (reference bit clear: touch-on-use only,
+    /// so never-looked-up entries are the first victims), evicting
+    /// second-chance victims first so the resident footprint (including the
+    /// new entry) stays within `budget`. An entry larger than the whole
+    /// budget is rejected outright (returns `false`); a fingerprint already
+    /// resident is left as-is.
+    fn insert(&mut self, fp: &FilterFingerprint, set: Arc<RowSet>, budget: usize) -> bool {
         let bytes = entry_bytes(fp, &set);
         if bytes > budget {
             return false;
@@ -863,7 +848,7 @@ impl ClockMap {
             fp: fp.clone(),
             set,
             bytes,
-            referenced,
+            referenced: false,
         };
         let i = match self.free.pop() {
             Some(i) => {
@@ -931,246 +916,124 @@ impl ClockMap {
     }
 }
 
-/// Cross-turn evaluation cache: memoized per-filter row bitmaps keyed by
-/// [`FilterFingerprint`], with generation-tagged invalidation, hit/miss
-/// accounting, and byte-bounded CLOCK eviction.
+/// Default resident-byte bound of a [`SharedFilterSetCache`] (64 MiB —
+/// generous for bitmap row sets, which cost one bit per entity row per
+/// cached filter): a `SessionManager`'s store, and the private store behind
+/// [`FilterSetCache::new`].
+pub const DEFAULT_SHARED_CACHE_BYTES: usize = 64 << 20;
+
+/// A session's handle on the cross-turn evaluation cache: the
+/// [`SharedFilterSetCache`] that memoizes per-filter row bitmaps keyed by
+/// [`FilterFingerprint`], the αDB generation the session computes against
+/// ([`crate::ADb::generation`]), and the session's own hit/miss counters.
 ///
 /// The interactive session loop re-evaluates the abduced query after every
 /// example or feedback action, yet successive turns share almost all of
 /// their filters. Caching each filter's exact satisfying [`RowSet`] turns
 /// repeat evaluation into word-wise bitmap intersections — the αDB postings
-/// are only walked the first time a filter is seen.
+/// are only walked the first time any session on the store sees a filter.
 ///
-/// The cache is tied to the αDB it was computed against through a
-/// generation tag ([`crate::ADb::generation`]): pointing an existing cache
-/// at a rebuilt αDB drops every entry instead of serving stale bitmaps.
-///
-/// Optionally the cache participates in a fleet-wide
-/// [`SharedFilterSetCache`] ([`attach_shared`](Self::attach_shared)):
-/// lookups that miss locally consult the shared shards, and freshly
-/// computed sets are published back, so concurrent sessions over one αDB
-/// compute each popular bitmap once. A resident-byte bound
-/// ([`set_max_resident_bytes`](Self::set_max_resident_bytes)) keeps
-/// long-lived sessions over huge entities flat in memory.
+/// There is one level: [`lookup`](Self::lookup) is a shard lookup and
+/// [`insert_with`](Self::insert_with) computes a set and publishes it, so
+/// the store's byte bound covers every resident bitmap. Sessions hosted by
+/// a `SessionManager` share the manager's store; a handle built by
+/// [`new`](Self::new) owns a private one until
+/// [`attach_shared`](Self::attach_shared) points it elsewhere.
 #[derive(Debug, Clone)]
 pub struct FilterSetCache {
+    store: Arc<SharedFilterSetCache>,
     generation: u64,
-    inner: ClockMap,
-    max_resident_bytes: usize,
     hits: u64,
     misses: u64,
-    /// Fleet-wide second level, consulted on local misses.
-    shared: Option<std::sync::Arc<SharedFilterSetCache>>,
-    shared_hits: u64,
-    shared_misses: u64,
-}
-
-impl Default for FilterSetCache {
-    fn default() -> FilterSetCache {
-        FilterSetCache {
-            generation: 0,
-            inner: ClockMap::default(),
-            max_resident_bytes: usize::MAX,
-            hits: 0,
-            misses: 0,
-            shared: None,
-            shared_hits: 0,
-            shared_misses: 0,
-        }
-    }
 }
 
 impl FilterSetCache {
-    /// Empty cache bound to an αDB generation (unbounded residency, no
-    /// shared level).
+    /// A handle for αDB `generation` on a private store bounded by
+    /// [`DEFAULT_SHARED_CACHE_BYTES`].
     pub fn new(generation: u64) -> FilterSetCache {
+        let store = SharedFilterSetCache::new(generation, DEFAULT_SHARED_CACHE_BYTES);
+        FilterSetCache::attached(Arc::new(store), generation)
+    }
+
+    /// A handle for αDB `generation` on `store`.
+    pub fn attached(store: Arc<SharedFilterSetCache>, generation: u64) -> FilterSetCache {
         FilterSetCache {
+            store,
             generation,
-            ..FilterSetCache::default()
+            hits: 0,
+            misses: 0,
         }
     }
 
-    /// The αDB generation this cache's entries were computed against.
+    /// The αDB generation this handle's lookups and publications carry.
     pub fn generation(&self) -> u64 {
         self.generation
     }
 
-    /// Bound the resident memoized-bitmap footprint, evicting immediately
-    /// if the current residency exceeds the new bound.
-    pub fn set_max_resident_bytes(&mut self, bytes: usize) {
-        self.max_resident_bytes = bytes;
-        self.inner.evict_to(bytes);
+    /// Read and publish through `shared` from now on (counters are kept).
+    pub fn attach_shared(&mut self, shared: Arc<SharedFilterSetCache>) {
+        self.store = shared;
     }
 
-    /// The configured resident-byte bound (`usize::MAX` when unbounded).
-    pub fn max_resident_bytes(&self) -> usize {
-        self.max_resident_bytes
+    /// Resident set for `fp` as a shared handle, counting one hit when the
+    /// store holds it.
+    pub fn lookup(&mut self, fp: &FilterFingerprint) -> Option<Arc<RowSet>> {
+        let found = self.store.lookup(fp, self.generation);
+        self.hits += u64::from(found.is_some());
+        found
     }
 
-    /// Join a fleet-wide shared cache: local misses consult it, local
-    /// computes publish to it.
-    pub fn attach_shared(&mut self, shared: std::sync::Arc<SharedFilterSetCache>) {
-        self.shared = Some(shared);
-    }
-
-    /// The attached fleet-wide cache, if any.
-    pub fn shared(&self) -> Option<&std::sync::Arc<SharedFilterSetCache>> {
-        self.shared.as_ref()
-    }
-
-    /// Re-bind the cache to `generation`, dropping every local entry when
-    /// it differs from the tagged one (the invalidation path for sessions
-    /// whose αDB handle was swapped for a rebuilt database). The shared
-    /// level revalidates itself lazily, shard by shard, on access.
-    pub fn revalidate(&mut self, generation: u64) {
-        if self.generation != generation {
-            self.inner.clear();
-            self.generation = generation;
-        }
-    }
-
-    /// The cached set for `fp`, computing, memoizing, and publishing it on
-    /// a full (two-level) miss. Counts one hit or one miss per call.
-    pub fn get_or_insert_with(
-        &mut self,
-        fp: &FilterFingerprint,
-        compute: impl FnOnce() -> RowSet,
-    ) -> std::sync::Arc<RowSet> {
-        match self.lookup(fp) {
-            Some(set) => set,
-            None => self.insert_with(fp, compute),
-        }
-    }
-
-    /// Resident set for `fp` as a shared handle: the local level first
-    /// (counting one hit), then the attached [`SharedFilterSetCache`]
-    /// (counting one shared hit and admitting the set locally so the next
-    /// turn doesn't pay the shard lock). `None` when both levels miss.
-    pub fn lookup(&mut self, fp: &FilterFingerprint) -> Option<std::sync::Arc<RowSet>> {
-        if let Some(set) = self.inner.get(fp) {
-            self.hits += 1;
-            return Some(std::sync::Arc::clone(set));
-        }
-        if let Some(shared) = &self.shared {
-            if let Some(set) = shared.lookup(fp, self.generation) {
-                self.shared_hits += 1;
-                self.inner.insert(
-                    fp,
-                    std::sync::Arc::clone(&set),
-                    true,
-                    self.max_resident_bytes,
-                );
-                return Some(set);
-            }
-            self.shared_misses += 1;
-        }
-        None
-    }
-
-    /// Compute, admit, and return the set for `fp`, counting one miss and
-    /// publishing the set to the attached shared cache (which applies its
-    /// own byte bound). The set is returned even when the local bound
-    /// rejects residency — correctness never depends on admission.
+    /// Compute the set for `fp`, publish it, and return it, counting one
+    /// miss. The set is returned even when the store's bound rejects it —
+    /// correctness never depends on admission.
     pub fn insert_with(
         &mut self,
         fp: &FilterFingerprint,
         compute: impl FnOnce() -> RowSet,
-    ) -> std::sync::Arc<RowSet> {
+    ) -> Arc<RowSet> {
         self.misses += 1;
-        let set = std::sync::Arc::new(compute());
-        self.inner.insert(
-            fp,
-            std::sync::Arc::clone(&set),
-            true,
-            self.max_resident_bytes,
-        );
-        if let Some(shared) = &self.shared {
-            shared.publish(fp, self.generation, &set);
-        }
+        let set = Arc::new(compute());
+        self.store.publish(fp, self.generation, &set);
         set
     }
 
-    /// Peek at a locally cached set without touching any counter or
-    /// reference bit (the shared level is not consulted).
-    pub fn get(&self, fp: &FilterFingerprint) -> Option<&RowSet> {
-        self.inner.peek(fp).map(|a| &**a)
-    }
-
-    /// Is `fp` locally resident?
-    pub fn contains(&self, fp: &FilterFingerprint) -> bool {
-        self.inner.peek(fp).is_some()
-    }
-
-    /// Local cache hits so far.
+    /// Lookups the store answered.
     pub fn hits(&self) -> u64 {
         self.hits
     }
 
-    /// Full misses (each one computed and admitted a row set).
+    /// Sets computed and published (each one a lookup the store missed).
     pub fn misses(&self) -> u64 {
         self.misses
-    }
-
-    /// Lookups served by the attached shared cache after a local miss.
-    pub fn shared_hits(&self) -> u64 {
-        self.shared_hits
-    }
-
-    /// Lookups that missed both the local and the shared level (0 when no
-    /// shared cache is attached).
-    pub fn shared_misses(&self) -> u64 {
-        self.shared_misses
-    }
-
-    /// Entries evicted from the local level by the byte bound.
-    pub fn evictions(&self) -> u64 {
-        self.inner.evictions
-    }
-
-    /// Number of locally resident filter row sets.
-    pub fn entries(&self) -> usize {
-        self.inner.len()
-    }
-
-    /// Approximate local resident bytes: bitmap words plus fingerprint
-    /// keys (tracked incrementally, O(1)).
-    pub fn resident_bytes(&self) -> usize {
-        self.inner.resident_bytes
-    }
-
-    /// Drop every local entry (counters are preserved).
-    pub fn clear(&mut self) {
-        self.inner.clear();
     }
 }
 
 /// Number of independently locked shards in a [`SharedFilterSetCache`].
 pub const SHARED_CACHE_SHARDS: usize = 16;
 
-/// Fleet-wide evaluation cache: one sharded fingerprint → bitmap store
-/// that every session over the same `Arc<ADb>` consults after its local
-/// [`FilterSetCache`] misses, and publishes freshly computed sets back to.
+/// The evaluation cache: one sharded fingerprint → bitmap store that every
+/// session's [`FilterSetCache`] handle over the same `Arc<ADb>` looks
+/// filters up in and publishes freshly computed sets to.
 ///
 /// Under a many-user serving workload, concurrent sessions keep abducing
 /// the same popular filters; without sharing, each re-derives the same
-/// bitmaps from the αDB postings. The shared cache makes every popular
-/// filter's set a process-wide one-time cost: sets are `Arc<RowSet>`
-/// handles, so crossing the cache clones a pointer, never bitmap words.
+/// bitmaps from the αDB postings. The store makes every popular filter's
+/// set a process-wide one-time cost: sets are `Arc<RowSet>` handles, so
+/// crossing the cache clones a pointer, never bitmap words.
 ///
 /// * **Sharding** — [`SHARED_CACHE_SHARDS`] independent shards, selected
 ///   by fingerprint hash, each a CLOCK map behind its own `Mutex`:
 ///   unrelated filters never contend, and a lookup or publish holds its
 ///   shard's lock only for one hash probe and one `Arc` clone (or one
-///   admission). Sessions keep what they fetch in their local
-///   [`FilterSetCache`], so a shard is visited once per filter per
-///   session, not once per turn.
+///   admission).
 /// * **Byte bound** — the configured `max_resident_bytes` is split evenly
 ///   across shards; each shard runs CLOCK second-chance eviction over its
-///   slots, so the fleet-wide footprint stays flat no matter how many
-///   distinct filters the workload touches. Publications are admitted
-///   *cold* (reference bit clear): only an actual cross-session lookup
-///   marks an entry hot, so bitmaps published by a session that died
-///   before anyone reused them are the first victims.
+///   slots. Sessions hold no bitmap of their own between turns, so the
+///   bound covers every resident bitmap and the footprint stays flat no
+///   matter how many sessions or distinct filters the workload has.
+///   Publications are admitted *cold* (reference bit clear): only a later
+///   lookup marks an entry hot, so bitmaps published by a session that
+///   died before anyone reused them are the first victims.
 /// * **Generation tags** — every shard is tagged with the αDB generation
 ///   its entries were computed against; an access carrying a different
 ///   generation clears that shard before proceeding, so a rebuilt αDB can
@@ -1178,8 +1041,8 @@ pub const SHARED_CACHE_SHARDS: usize = 16;
 ///   first access), which keeps generation bumps O(1).
 ///
 /// A [`SessionManager`](../../squid_core/struct.SessionManager.html) owns
-/// one per fleet by default; a standalone instance can also be constructed
-/// and attached to one-shot sessions via [`FilterSetCache::attach_shared`].
+/// one per fleet; a handle built by [`FilterSetCache::new`] owns a private
+/// one.
 #[derive(Debug)]
 pub struct SharedFilterSetCache {
     shards: Vec<Mutex<SharedShard>>,
@@ -1337,16 +1200,13 @@ impl SharedFilterSetCache {
         found
     }
 
-    /// Publish a freshly computed set so other sessions can reuse it.
-    /// Admission is cold (reference bit clear): only a later cross-session
+    /// Publish a freshly computed set so later turns and other sessions
+    /// can reuse it. Admission is cold (reference bit clear): only a later
     /// [`lookup`](Self::lookup) promotes the entry, so unused publications
     /// are evicted first when the shard's byte budget tightens.
     pub fn publish(&self, fp: &FilterFingerprint, generation: u64, set: &Arc<RowSet>) {
         let mut shard = self.shard_for(fp, generation);
-        if shard
-            .inner
-            .insert(fp, Arc::clone(set), false, self.shard_budget)
-        {
+        if shard.inner.insert(fp, Arc::clone(set), self.shard_budget) {
             shard.peak_resident_bytes = shard.peak_resident_bytes.max(shard.inner.resident_bytes);
         }
     }
@@ -1359,13 +1219,6 @@ impl SharedFilterSetCache {
     pub fn decay(&self) {
         for shard in &self.shards {
             lock(shard).inner.decay();
-        }
-    }
-
-    /// Drop every entry in every shard (counters are preserved).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            lock(shard).inner.clear();
         }
     }
 
@@ -1591,75 +1444,73 @@ mod tests {
         s
     }
 
-    /// Adversarial insert order never pushes residency past the bound, and
-    /// the evictions counter accounts for every displaced entry.
+    /// Adversarial insert order through a session handle never pushes any
+    /// shard past its budget, and the evictions counter accounts for
+    /// displaced entries.
     #[test]
     fn session_cache_eviction_respects_byte_bound() {
-        let mut cache = FilterSetCache::new(7);
         let per_entry = entry_bytes(&fp(0), &one_row_set(0));
-        // Room for three entries, not four.
-        let bound = per_entry * 3 + per_entry / 2;
-        cache.set_max_resident_bytes(bound);
+        // Room for three entries per shard, not four.
+        let shard_budget = per_entry * 3 + per_entry / 2;
+        let shared = Arc::new(SharedFilterSetCache::new(
+            7,
+            shard_budget * SHARED_CACHE_SHARDS,
+        ));
+        let mut cache = FilterSetCache::attached(Arc::clone(&shared), 7);
         for round in 0..3 {
             // Alternate sweep directions so the clock hand sees inserts in
             // both LIFO and FIFO order relative to its position.
             let ids: Vec<u64> = if round % 2 == 0 {
-                (0..32).collect()
+                (0..200).collect()
             } else {
-                (0..32).rev().collect()
+                (0..200).rev().collect()
             };
             for i in ids {
                 cache.insert_with(&fp(i), || one_row_set(i));
-                assert!(
-                    cache.resident_bytes() <= bound,
-                    "resident {} exceeds bound {bound} after inserting {i}",
-                    cache.resident_bytes()
-                );
-                assert!(cache.entries() <= 3);
+                for (s, &b) in shared.stats().per_shard_resident_bytes.iter().enumerate() {
+                    assert!(
+                        b <= shard_budget,
+                        "shard {s} holds {b} > {shard_budget} bytes after inserting {i}"
+                    );
+                }
             }
         }
-        assert!(cache.evictions() > 0);
-        // Post-churn integrity: every fingerprint the map still claims to
-        // hold must actually be servable (eviction bookkeeping kept the
-        // map ↔ slot mapping consistent).
-        let resident: Vec<u64> = (0..32).filter(|&i| cache.contains(&fp(i))).collect();
+        let stats = shared.stats();
+        assert!(stats.evictions > 0);
+        // Post-churn integrity: every fingerprint a shard's map still
+        // claims to hold must actually be servable (eviction bookkeeping
+        // kept the map ↔ slot mapping consistent), and nothing else is.
+        let resident: Vec<u64> = (0..200)
+            .filter(|&i| {
+                lock(&shared.shards[SharedFilterSetCache::shard_index(&fp(i))])
+                    .inner
+                    .map
+                    .contains_key(&fp(i))
+            })
+            .collect();
+        assert_eq!(resident.len(), stats.entries);
         assert!(!resident.is_empty());
-        for i in resident {
-            assert!(
+        for i in 0..200 {
+            assert_eq!(
                 cache.lookup(&fp(i)).is_some(),
-                "resident entry {i} must be servable after churn"
+                resident.contains(&i),
+                "entry {i} must be servable exactly when resident"
             );
         }
     }
 
-    /// Second-chance: a recently touched entry survives pressure that
-    /// evicts an untouched one.
-    #[test]
-    fn clock_eviction_prefers_untouched_entries() {
-        let mut cache = FilterSetCache::new(1);
-        let per_entry = entry_bytes(&fp(0), &one_row_set(0));
-        cache.set_max_resident_bytes(per_entry * 2 + 1);
-        cache.insert_with(&fp(1), || one_row_set(1));
-        cache.insert_with(&fp(2), || one_row_set(2));
-        // Age both, then touch only #2: the next admission must evict #1.
-        cache.set_max_resident_bytes(per_entry * 2 + 1); // no-op, residency fits
-        cache.inner.decay();
-        assert!(cache.lookup(&fp(2)).is_some());
-        cache.insert_with(&fp(3), || one_row_set(3));
-        assert!(cache.contains(&fp(2)), "touched entry must survive");
-        assert!(!cache.contains(&fp(1)), "untouched entry is the victim");
-    }
-
-    /// An entry larger than the whole budget is never admitted (and never
-    /// panics the byte accounting).
+    /// An entry larger than a shard's whole budget is never admitted (and
+    /// never panics the byte accounting).
     #[test]
     fn oversized_entries_are_rejected() {
-        let mut cache = FilterSetCache::new(1);
-        cache.set_max_resident_bytes(8);
+        let shared = Arc::new(SharedFilterSetCache::new(1, 8 * SHARED_CACHE_SHARDS));
+        let mut cache = FilterSetCache::attached(Arc::clone(&shared), 1);
         let set = cache.insert_with(&fp(1), || one_row_set(1));
         assert_eq!(set.len(), 1, "the computed set is still returned");
-        assert_eq!(cache.entries(), 0);
-        assert_eq!(cache.resident_bytes(), 0);
+        let stats = shared.stats();
+        assert_eq!((stats.entries, stats.resident_bytes), (0, 0));
+        assert!(cache.lookup(&fp(1)).is_none());
+        assert_eq!((cache.hits(), cache.misses()), (0, 1));
     }
 
     #[test]
@@ -1740,31 +1591,6 @@ mod tests {
         }
     }
 
-    /// Two-level lookup: a local miss is served from the shared cache and
-    /// admitted locally; a full miss publishes.
-    #[test]
-    fn two_level_lookup_pulls_and_publishes() {
-        let shared = std::sync::Arc::new(SharedFilterSetCache::new(11, 1 << 20));
-        let mut a = FilterSetCache::new(11);
-        a.attach_shared(std::sync::Arc::clone(&shared));
-        let mut b = FilterSetCache::new(11);
-        b.attach_shared(std::sync::Arc::clone(&shared));
-
-        // A computes: one full miss, published fleet-wide.
-        let set = a.insert_with(&fp(1), || one_row_set(1));
-        assert_eq!((a.misses(), a.shared_hits()), (1, 0));
-        // B's first lookup: local miss, shared hit, admitted locally.
-        let via_shared = b.lookup(&fp(1)).expect("served from the shared cache");
-        assert_eq!(*via_shared, *set);
-        assert_eq!((b.hits(), b.shared_hits(), b.misses()), (0, 1, 0));
-        // B's second lookup is purely local.
-        assert!(b.lookup(&fp(1)).is_some());
-        assert_eq!((b.hits(), b.shared_hits()), (1, 1));
-        // A full miss on both levels counts a shared miss.
-        assert!(b.lookup(&fp(2)).is_none());
-        assert_eq!(b.shared_misses(), 1);
-    }
-
     /// `decay` must actually revoke reference protection: a touched (hot)
     /// entry survives one pressure sweep, but after `decay` the clock hand
     /// takes it immediately instead of sparing it once. (If `decay` were a
@@ -1773,17 +1599,17 @@ mod tests {
     fn decay_revokes_second_chances() {
         let mut m = ClockMap::default();
         let budget = entry_bytes(&fp(1), &one_row_set(1)) * 2;
-        assert!(m.insert(&fp(1), std::sync::Arc::new(one_row_set(1)), false, budget));
-        assert!(m.insert(&fp(2), std::sync::Arc::new(one_row_set(2)), false, budget));
+        assert!(m.insert(&fp(1), Arc::new(one_row_set(1)), budget));
+        assert!(m.insert(&fp(2), Arc::new(one_row_set(2)), budget));
         m.get(&fp(1)).expect("resident");
         m.decay();
         // One admission forces one eviction; the hand sits at slot 0 (#1).
-        assert!(m.insert(&fp(3), std::sync::Arc::new(one_row_set(3)), false, budget));
+        assert!(m.insert(&fp(3), Arc::new(one_row_set(3)), budget));
         assert!(
-            m.peek(&fp(1)).is_none(),
+            !m.map.contains_key(&fp(1)),
             "decayed entry must have lost its second chance"
         );
-        assert!(m.peek(&fp(2)).is_some());
+        assert!(m.map.contains_key(&fp(2)));
         assert_eq!(m.evictions, 1);
     }
 

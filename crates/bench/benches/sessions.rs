@@ -8,11 +8,11 @@
 //!   postings. This is the cold-turn baseline.
 //! * `warm_session` — a manager whose shared cache was already populated
 //!   by a previous session hosts a brand-new session replaying the same
-//!   slate: its local cache starts empty, so every turn is served
-//!   cross-session from the shared shards.
-//! * `fleet_shared` / `fleet_unshared` — an 8-session fleet replays two
-//!   overlapping slates with and without the shared cache: the A/B that
-//!   shows hot filters becoming a process-wide one-time cost.
+//!   slate: every filter it looks up was published by the earlier
+//!   session, so every turn is served cross-session from the shards.
+//! * `fleet_shared` — an 8-session fleet replays two overlapping slates
+//!   through the one cache: hot filters become a process-wide one-time
+//!   cost.
 //!
 //! After the timed runs the warm manager's hit rate and resident bytes
 //! are printed so recorded runs carry the cache effectiveness alongside
@@ -108,33 +108,18 @@ fn bench_multi_session(c: &mut Criterion) {
     });
 
     // Warm: the shared cache was populated by an earlier session; each
-    // iteration creates a NEW session (empty local cache) and replays the
-    // same turns — pure cross-session reuse.
+    // iteration creates a NEW session and replays the same turns — pure
+    // cross-session reuse.
     let warm = SessionManager::with_params(Arc::clone(adb), params.clone());
     replay(&warm, &slate_a);
     group.bench_with_input(BenchmarkId::new("warm_session", 10), &slate_a, |b, s| {
         b.iter(|| replay(&warm, std::hint::black_box(s)))
     });
 
-    // Fleet A/B: 8 sessions alternating between the two overlapping
-    // slates, with and without the fleet-wide cache.
+    // Fleet: 8 sessions alternating between the two overlapping slates.
     group.bench_function(format!("fleet_shared/{FLEET}"), |b| {
         b.iter_batched(
             || SessionManager::with_params(Arc::clone(adb), params.clone()),
-            |m| {
-                let mut total = 0;
-                for i in 0..FLEET {
-                    let slate = if i % 2 == 0 { &slate_a } else { &slate_b };
-                    total += replay(&m, slate);
-                }
-                total
-            },
-            BatchSize::SmallInput,
-        )
-    });
-    group.bench_function(format!("fleet_unshared/{FLEET}"), |b| {
-        b.iter_batched(
-            || SessionManager::with_params(Arc::clone(adb), params.clone()).without_shared_cache(),
             |m| {
                 let mut total = 0;
                 for i in 0..FLEET {

@@ -61,6 +61,14 @@ pub enum SquidError {
         /// The sequence number the caller sent.
         got: u64,
     },
+    /// A session operation whose journal record would be longer than a
+    /// record may be; refused before it applies.
+    RecordTooLarge {
+        /// The record's payload length.
+        bytes: usize,
+        /// The largest payload a record may carry.
+        max: usize,
+    },
     /// Underlying relational error.
     Relation(RelationError),
     /// An I/O failure in the durability layer (snapshot save/load, journal
@@ -110,6 +118,10 @@ impl fmt::Display for SquidError {
                     "session {id}: sequence gap (expected {expected}, got {got})"
                 )
             }
+            SquidError::RecordTooLarge { bytes, max } => write!(
+                f,
+                "operation too large: its journal record would be {bytes} bytes (limit {max})"
+            ),
             SquidError::Relation(e) => write!(f, "relational error: {e}"),
             SquidError::Io(detail) => write!(f, "i/o error: {detail}"),
             SquidError::Corrupt { section, detail } => {

@@ -59,8 +59,21 @@ use crate::manager::SessionId;
 use crate::session::{DiscoveryDelta, SquidSession};
 
 /// Largest accepted journal record payload (1 MiB): a declared length
-/// beyond this is treated as tail corruption, not an allocation request.
+/// beyond this is treated as tail corruption, not an allocation request,
+/// so an op whose record would be longer is refused before it applies
+/// ([`SessionOp::check_record_size`]).
 const MAX_RECORD: u32 = 1 << 20;
+
+/// `Ok` when a payload of `len` bytes fits in one journal record.
+fn record_fits(len: usize) -> Result<(), SquidError> {
+    if len > MAX_RECORD as usize {
+        return Err(SquidError::RecordTooLarge {
+            bytes: len,
+            max: MAX_RECORD as usize,
+        });
+    }
+    Ok(())
+}
 
 /// When appended records are pushed toward the disk.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -147,6 +160,16 @@ impl SessionOp {
             SessionOp::ChooseEntity { example, pk } => s.choose_entity(example, *pk).map(Some),
             SessionOp::ClearChoice(example) => s.clear_choice(example).map(Some),
         }
+    }
+
+    /// Refuse an op whose journal record would exceed [`MAX_RECORD`]:
+    /// recovery and replication stop reading at such a record, so
+    /// journaling it would lose it and every record after it. The manager
+    /// checks before it applies the op, so a refused turn leaves its
+    /// session untouched.
+    pub(crate) fn check_record_size(&self) -> Result<(), SquidError> {
+        // Session id and seq are fixed-width: any values give the length.
+        record_fits(self.encode(0, 0).len())
     }
 
     fn encode(&self, session: SessionId, seq: u64) -> Vec<u8> {
@@ -295,7 +318,8 @@ impl Journal {
     /// Append one record and push it toward the disk per the fsync policy.
     /// `seq` is the session's operation sequence number after applying
     /// `op` (0 for lifecycle records); replay skips records at or below a
-    /// session's current cursor.
+    /// session's current cursor. A record longer than the 1 MiB limit is
+    /// refused ([`SquidError::RecordTooLarge`]) and nothing is written.
     pub fn append(
         &mut self,
         session: SessionId,
@@ -303,7 +327,7 @@ impl Journal {
         op: &SessionOp,
     ) -> Result<(), SquidError> {
         let payload = op.encode(session, seq);
-        debug_assert!(payload.len() as u32 <= MAX_RECORD);
+        record_fits(payload.len())?;
         self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
         self.w.write_all(&crc32(&payload).to_le_bytes())?;
         self.w.write_all(&payload)?;
@@ -459,29 +483,52 @@ pub fn read_journal(path: impl AsRef<Path>) -> Result<JournalReplay, SquidError>
 /// [`read_journal`] and [`JournalTail`], and what a replication standby
 /// runs over bytes shipped off another node's journal.
 pub fn scan_records(bytes: &[u8]) -> (Vec<(SessionId, u64, SessionOp)>, u64) {
-    let mut records = Vec::new();
-    let mut pos = 0usize;
-    loop {
-        let rest = &bytes[pos..];
+    let mut valid = 0;
+    let records = Records::new(bytes)
+        .map(|(end, record)| {
+            valid = end;
+            record
+        })
+        .collect();
+    (records, valid)
+}
+
+/// The framing rule, once: walks raw journal bytes from the start and
+/// yields each valid record with the byte offset just past it, ending at
+/// the first torn or corrupt record.
+struct Records<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl<'a> Records<'a> {
+    fn new(bytes: &'a [u8]) -> Records<'a> {
+        Records { bytes, pos: 0 }
+    }
+}
+
+impl Iterator for Records<'_> {
+    type Item = (u64, (SessionId, u64, SessionOp));
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let rest = &self.bytes[self.pos..];
         if rest.len() < 8 {
-            break; // empty or torn mid-header
+            return None; // empty or torn mid-header
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
         let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
         if len > MAX_RECORD || rest.len() - 8 < len as usize {
-            break; // corrupt length or torn payload
+            return None; // corrupt length or torn payload
         }
         let payload = &rest[8..8 + len as usize];
         if crc32(payload) != crc {
-            break; // bit-flipped record
+            return None; // bit-flipped record
         }
-        let Ok(decoded) = SessionOp::decode(payload) else {
-            break; // CRC-valid but undecodable: treat as tail damage
-        };
-        records.push(decoded);
-        pos += 8 + len as usize;
+        // CRC-valid but undecodable: treat as tail damage.
+        let record = SessionOp::decode(payload).ok()?;
+        self.pos += 8 + len as usize;
+        Some((self.pos as u64, record))
     }
-    (records, pos as u64)
 }
 
 /// Truncate `path` to its valid prefix so the damaged tail can never be
@@ -578,27 +625,10 @@ impl JournalTail {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
             Err(e) => return Err(e.into()),
         };
-        let mut pos = 0u64;
-        let mut records_before = 0u64;
-        loop {
-            let rest = &bytes[pos as usize..];
-            if rest.len() < 8 {
-                break;
-            }
-            let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-            if len > MAX_RECORD || rest.len() - 8 < len as usize {
-                break;
-            }
-            let payload = &rest[8..8 + len as usize];
-            if crc32(payload) != crc || SessionOp::decode(payload).is_err() {
-                break;
-            }
-            let next = pos + 8 + len as u64;
-            if next > offset {
-                break; // the requested offset splits this record: snap down
-            }
-            pos = next;
+        let (mut pos, mut records_before) = (0, 0);
+        // A record the requested offset splits is not consumed: snap down.
+        for (end, _) in Records::new(&bytes).take_while(|(end, _)| *end <= offset) {
+            pos = end;
             records_before += 1;
         }
         Ok((JournalTail { path, offset: pos }, records_before))

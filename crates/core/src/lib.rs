@@ -77,7 +77,7 @@ pub use recommend::{recommend_examples, uncertainty, Recommendation, DEFAULT_MIN
 pub use session::{DiscoveryDelta, EvalCacheStats, SquidSession};
 pub use squid::{Discovery, Squid};
 
-// The fleet-wide evaluation-cache types live in `squid-adb` (next to the
-// per-session `FilterSetCache`); re-export them so serving code that only
-// depends on squid-core can configure and inspect the shared cache.
+// The evaluation-cache store lives in `squid-adb` (next to the session's
+// `FilterSetCache` handle); re-export it so serving code that only depends
+// on squid-core can size and inspect the fleet's cache.
 pub use squid_adb::{SharedCacheStats, SharedFilterSetCache};

@@ -34,6 +34,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
+pub use squid_adb::DEFAULT_SHARED_CACHE_BYTES;
 use squid_adb::{ADb, SharedCacheStats, SharedFilterSetCache};
 use squid_relation::FxHashMap;
 
@@ -46,11 +47,6 @@ use crate::session::{DiscoveryDelta, SquidSession};
 pub type SessionId = u64;
 
 const SHARDS: usize = 16;
-
-/// Default fleet-wide resident-byte bound of the manager's
-/// [`SharedFilterSetCache`] (64 MiB — generous for bitmap row sets, which
-/// cost one bit per entity row per cached filter).
-pub const DEFAULT_SHARED_CACHE_BYTES: usize = 64 << 20;
 
 struct Entry {
     session: Mutex<SquidSession<'static>>,
@@ -162,11 +158,9 @@ pub struct SessionManager {
     epoch: Instant,
     next_id: AtomicU64,
     shards: Vec<RwLock<FxHashMap<SessionId, Arc<Entry>>>>,
-    /// Fleet-wide evaluation cache every hosted session consults after its
-    /// local cache misses (`None` when disabled).
-    shared_cache: Option<Arc<SharedFilterSetCache>>,
-    /// Per-session local evaluation-cache byte bound (`None` = unbounded).
-    session_cache_bytes: Option<usize>,
+    /// The evaluation cache: every hosted session reads and publishes
+    /// filter bitmaps through this one byte-bounded store.
+    shared_cache: Arc<SharedFilterSetCache>,
     /// Append-only durability journal plus its replay-debt counters
     /// (`None` until attached/recovered).
     journal: Mutex<Option<JournalState>>,
@@ -196,7 +190,7 @@ fn recover_guard<G>(r: Result<G, PoisonError<G>>) -> G {
 
 impl SessionManager {
     /// New manager with default parameters and no TTL eviction. The
-    /// fleet-wide shared evaluation cache is on, bounded by
+    /// fleet's evaluation cache is bounded by
     /// [`DEFAULT_SHARED_CACHE_BYTES`].
     pub fn new(adb: Arc<ADb>) -> SessionManager {
         Self::with_params(adb, SquidParams::default())
@@ -204,10 +198,10 @@ impl SessionManager {
 
     /// New manager whose sessions start from `params`.
     pub fn with_params(adb: Arc<ADb>, params: SquidParams) -> SessionManager {
-        let shared_cache = Some(Arc::new(SharedFilterSetCache::new(
+        let shared_cache = Arc::new(SharedFilterSetCache::new(
             adb.generation,
             DEFAULT_SHARED_CACHE_BYTES,
-        )));
+        ));
         SessionManager {
             adb,
             params,
@@ -218,7 +212,6 @@ impl SessionManager {
                 .map(|_| RwLock::new(FxHashMap::default()))
                 .collect(),
             shared_cache,
-            session_cache_bytes: None,
             journal: Mutex::new(None),
             auto_compact: None,
             compact_lock: Mutex::new(()),
@@ -244,28 +237,13 @@ impl SessionManager {
         self
     }
 
-    /// Replace the fleet-wide shared evaluation cache with one bounded by
+    /// Replace the fleet's evaluation cache with one bounded by
     /// `max_resident_bytes` (applies to sessions created afterwards).
     pub fn with_shared_cache_bytes(mut self, max_resident_bytes: usize) -> SessionManager {
-        self.shared_cache = Some(Arc::new(SharedFilterSetCache::new(
+        self.shared_cache = Arc::new(SharedFilterSetCache::new(
             self.adb.generation,
             max_resident_bytes,
-        )));
-        self
-    }
-
-    /// Disable the fleet-wide shared evaluation cache: sessions created
-    /// afterwards keep only their local caches (the pre-shared behavior,
-    /// and the A/B baseline in the `multi_session` bench).
-    pub fn without_shared_cache(mut self) -> SessionManager {
-        self.shared_cache = None;
-        self
-    }
-
-    /// Bound each hosted session's *local* evaluation cache to
-    /// `max_resident_bytes` (applies to sessions created afterwards).
-    pub fn with_session_cache_bytes(mut self, max_resident_bytes: usize) -> SessionManager {
-        self.session_cache_bytes = Some(max_resident_bytes);
+        ));
         self
     }
 
@@ -279,18 +257,11 @@ impl SessionManager {
         &self.params
     }
 
-    /// The fleet-wide shared evaluation cache, when enabled (hand this to
-    /// standalone sessions or one-shot [`Squid`](crate::Squid) fleets that
-    /// should share bitmaps with the hosted sessions).
-    pub fn shared_cache(&self) -> Option<&Arc<SharedFilterSetCache>> {
-        self.shared_cache.as_ref()
-    }
-
-    /// Aggregate counters of the shared evaluation cache (`None` when the
-    /// shared cache is disabled): hits/misses, evictions, and total plus
-    /// per-shard resident bytes.
+    /// Aggregate counters of the fleet's evaluation cache: hits/misses,
+    /// evictions, and total plus per-shard resident bytes. Always `Some`
+    /// (every manager owns a cache).
     pub fn shared_cache_stats(&self) -> Option<SharedCacheStats> {
-        self.shared_cache.as_ref().map(|c| c.stats())
+        Some(self.shared_cache.stats())
     }
 
     fn shard(&self, id: SessionId) -> &RwLock<FxHashMap<SessionId, Arc<Entry>>> {
@@ -322,13 +293,11 @@ impl SessionManager {
     /// Install a session under a fixed id (the create path minus id
     /// allocation and journaling — also the journal-replay path).
     fn install_session(&self, id: SessionId, params: SquidParams) {
-        let mut session = SquidSession::shared_with_params(Arc::clone(&self.adb), params);
-        if let Some(shared) = &self.shared_cache {
-            session.attach_shared_cache(Arc::clone(shared));
-        }
-        if let Some(bytes) = self.session_cache_bytes {
-            session.set_cache_budget(bytes);
-        }
+        let session = SquidSession::hosted(
+            Arc::clone(&self.adb),
+            params,
+            Arc::clone(&self.shared_cache),
+        );
         let entry = Arc::new(Entry {
             session: Mutex::new(session),
             last_used_ms: AtomicU64::new(self.now_ms()),
@@ -445,9 +414,7 @@ impl SessionManager {
             evicted += before - shard.len();
         }
         if evicted > 0 {
-            if let Some(shared) = &self.shared_cache {
-                shared.decay();
-            }
+            self.shared_cache.decay();
         }
         evicted
     }
@@ -585,7 +552,10 @@ impl SessionManager {
     /// session is fail-stopped (evicted) — its in-memory state now holds
     /// a mutation the journal does not, and serving it would let live
     /// state silently diverge from what recovery can rebuild. Later turns
-    /// see [`SquidError::UnknownSession`].
+    /// see [`SquidError::UnknownSession`]. An op too large for one journal
+    /// record is refused before it applies
+    /// ([`SquidError::RecordTooLarge`]): the session, its cursor and the
+    /// journal are untouched, and the session keeps serving.
     ///
     /// Lifecycle ops are not applicable here: use
     /// [`SessionManager::create_session`] / [`SessionManager::end_session`],
@@ -650,6 +620,9 @@ impl SessionManager {
                 }
                 Some(seq) => seq,
             };
+            // Refused before it applies: a record recovery cannot read
+            // back would be acknowledged and then lost.
+            op.check_record_size()?;
             let delta = op.apply(s)?;
             match self.journal_append(id, next, op) {
                 Ok(compact) => {
@@ -1061,8 +1034,7 @@ mod tests {
         assert!(published.entries > 0, "session A published bitmaps");
 
         // A brand-new session replaying the same turns is served from the
-        // shared cache: its local cache starts empty, yet it computes
-        // nothing the fleet already knows.
+        // fleet's cache: it computes nothing the fleet already knows.
         let b = m.create_session();
         let stats = m
             .with_session(b, |s| {
@@ -1073,29 +1045,12 @@ mod tests {
             })
             .unwrap();
         assert!(
-            stats.shared_hits > 0,
+            stats.hits > 0 && stats.misses == 0,
             "cross-session turns must hit the shared cache: {stats:?}"
         );
         let shared = m.shared_cache_stats().unwrap();
-        assert!(shared.hits >= stats.shared_hits);
+        assert!(shared.hits >= stats.hits);
         assert!(shared.resident_bytes <= shared.max_resident_bytes);
-    }
-
-    #[test]
-    fn disabled_shared_cache_keeps_sessions_local() {
-        let m = manager().without_shared_cache();
-        assert!(m.shared_cache().is_none());
-        assert!(m.shared_cache_stats().is_none());
-        let id = m.create_session();
-        let stats = m
-            .with_session(id, |s| {
-                s.add_example("Jim Carrey")?;
-                s.add_example("Eddie Murphy")?;
-                Ok(s.cache_stats())
-            })
-            .unwrap();
-        assert_eq!(stats.shared_hits, 0);
-        assert_eq!(stats.shared_misses, 0);
     }
 
     #[test]
@@ -1234,6 +1189,42 @@ mod tests {
         drop(b);
         let replay = crate::journal::read_journal(&path).unwrap();
         assert_eq!(replay.bytes_truncated, 0, "tail truncated before reopen");
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// A turn whose journal record would exceed the record limit is
+    /// refused, not acknowledged: recovery stops reading at such a record,
+    /// so journaling it would lose it and every turn after it. The session
+    /// keeps serving, and recovery rebuilds exactly the live state.
+    #[test]
+    fn oversized_turn_is_refused_and_later_turns_survive_recovery() {
+        let adb = Arc::new(ADb::build(&mini_imdb()).unwrap());
+        let path = journal_path("oversized.journal");
+        std::fs::remove_file(&path).ok();
+        let a = SessionManager::new(Arc::clone(&adb));
+        a.attach_journal(Journal::open(&path, FsyncPolicy::Flush).unwrap());
+        let s1 = a.create_session();
+        for e in ["Jim Carrey", "Eddie Murphy"] {
+            a.apply_op(s1, &SessionOp::AddExample(e.into())).unwrap();
+        }
+        let huge = SessionOp::PinFilter("x".repeat((1 << 20) + 1));
+        let err = a.apply_op(s1, &huge).unwrap_err();
+        assert!(matches!(err, SquidError::RecordTooLarge { .. }), "{err:?}");
+        a.apply_op(s1, &SessionOp::PinFilter("gender".into()))
+            .unwrap();
+        let live = a
+            .with_session(s1, |s| Ok((s.op_seq(), s.discovery().unwrap().sql())))
+            .unwrap();
+        assert_eq!(live.0, 3, "the refused turn did not advance the cursor");
+        a.journal_sync().unwrap();
+
+        let b = SessionManager::new(Arc::clone(&adb));
+        let stats = b.recover(&path, FsyncPolicy::Flush).unwrap();
+        assert_eq!(stats.bytes_truncated, 0);
+        let recovered = b
+            .with_session(s1, |s| Ok((s.op_seq(), s.discovery().unwrap().sql())))
+            .unwrap();
+        assert_eq!(recovered, live);
         std::fs::remove_file(&path).ok();
     }
 

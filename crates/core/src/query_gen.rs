@@ -10,8 +10,8 @@
 //! layout"), so evaluation never asks an entity whether it matches in
 //! order to find the matches. Each chosen filter is read as a `Source`:
 //!
-//! * a **resident bitmap** from the [`FilterSetCache`] (session-local or
-//!   fleet-wide level),
+//! * a **resident bitmap** from the [`FilterSetCache`] (a lookup in the
+//!   fleet's byte-bounded store),
 //! * a **dense bitmap** borrowed from the αDB — a categorical value
 //!   carried by at least one entity in 32 is stored as a bitmap in the
 //!   first place, or
@@ -368,9 +368,9 @@ pub(crate) struct CacheSlot<'c> {
 /// Straight from the statistics: a dense categorical value is already a
 /// bitmap in the αDB and is served from there — never looked up, admitted
 /// or published; every other kind is a slice of postings. With a `slot`, a
-/// slice-backed filter resident in the cache (either level) is served from
-/// it, and a miss is worth materializing when the filter is *selective
-/// enough*, `len ≤ max(n/4, 64)`: a bitmap with most rows set costs a long
+/// slice-backed filter resident in the cache is served from it, and a miss
+/// is worth materializing when the filter is *selective enough*,
+/// `len ≤ max(n/4, 64)`: a bitmap with most rows set costs a long
 /// walk to build yet removes almost nothing from an intersection, while
 /// restricting the surviving rows directly ([`violators`]) costs the
 /// cheaper of the two sides and stores nothing.
@@ -532,11 +532,11 @@ pub(crate) fn restrict_rows(
 /// with a warm cache a repeat evaluation performs no postings walks at
 /// all — only `u64` AND loops over resident bitmaps.
 ///
-/// The lookup is transparently **two-level** when the cache has a
-/// [`SharedFilterSetCache`](squid_adb::SharedFilterSetCache) attached: a
-/// local miss consults the fleet-wide shards (brief per-shard lock,
-/// `Arc` clone out), and a full miss publishes the freshly computed set
-/// back — so warm *cross-session* evaluations are bitmap algebra too.
+/// Every lookup is one shard of the handle's
+/// [`SharedFilterSetCache`](squid_adb::SharedFilterSetCache) (a brief
+/// per-shard lock, `Arc` clone out), and a miss publishes the freshly
+/// computed set there — so warm *cross-session* evaluations are bitmap
+/// algebra too.
 ///
 /// Exactly equivalent to [`evaluate_per_row`] (property-tested), and like
 /// it, an unknown property id excludes every row.

@@ -120,33 +120,23 @@ pub struct DiscoveryDelta {
     /// change, or a disambiguation reshuffle of earlier examples).
     pub incremental: bool,
     /// Evaluation-cache hits this operation: chosen filters whose row
-    /// bitmaps were already resident (session-locally or in the attached
-    /// fleet-wide shared cache), so their contribution to the result was a
-    /// word-wise intersection instead of a postings walk.
+    /// bitmaps were already resident in the cache's store, so their
+    /// contribution to the result was a word-wise intersection instead of
+    /// a postings walk.
     pub cache_hits: u64,
-    /// Evaluation-cache misses this operation (each computed and admitted
+    /// Evaluation-cache misses this operation (each computed and published
     /// one filter row set).
     pub cache_misses: u64,
 }
 
 /// Point-in-time counters of a session's cross-turn evaluation cache
 /// (see [`SquidSession::cache_stats`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EvalCacheStats {
-    /// Lifetime local cache hits across the session's operations.
+    /// Lifetime lookups the cache's store answered.
     pub hits: u64,
-    /// Lifetime full misses (both levels; each computed a row set).
+    /// Lifetime filter row sets computed and published.
     pub misses: u64,
-    /// Resident memoized filter row sets (session-local level).
-    pub entries: usize,
-    /// Approximate bytes held by the resident bitmaps and their keys.
-    pub resident_bytes: usize,
-    /// Entries evicted from the session-local level by its byte bound.
-    pub evictions: u64,
-    /// Local misses served by the attached fleet-wide shared cache.
-    pub shared_hits: u64,
-    /// Lookups that missed both levels (0 without a shared cache).
-    pub shared_misses: u64,
 }
 
 /// Interactive query intent discovery session (see the module docs).
@@ -171,18 +161,17 @@ pub struct SquidSession<'a> {
     /// Fingerprints of `last`'s chosen filters, parallel to `last_chosen`:
     /// the turn-over-turn diff that drives incremental result maintenance.
     last_fps: Vec<FilterFingerprint>,
-    /// Cross-turn evaluation cache: memoized per-filter row bitmaps.
-    cache: FilterSetCache,
+    /// Handle on the cross-turn evaluation cache (memoized per-filter row
+    /// bitmaps), or `None` when results bypass it: one-shot wrappers
+    /// ([`Squid::discover`](crate::Squid::discover)) would only publish
+    /// bitmaps a discarded session never reuses.
+    cache: Option<FilterSetCache>,
     /// Scored filters memoized against `(ctx generation, example count)`:
     /// feedback turns (pin/ban) leave the Φ state untouched, so abduction's
     /// base decisions are replayed instead of recomputed. Cleared whenever
     /// `ctx` is replaced wholesale (generations of distinct states are not
     /// comparable).
     last_scored: Option<(u64, usize, Vec<crate::abduce::ScoredFilter>)>,
-    /// Whether results go through the evaluation cache. One-shot wrappers
-    /// ([`Squid::discover`](crate::Squid::discover)) disable it: admitting
-    /// bitmaps a discarded session will never reuse is pure overhead.
-    eval_cache: bool,
     /// Monotonic count of applied journaled operations — the replay-dedupe
     /// cursor maintained by [`SessionManager`](crate::SessionManager):
     /// journal records carry it so replay (and retried serving turns) can
@@ -198,11 +187,21 @@ impl<'a> SquidSession<'a> {
 
     /// New session over a borrowed αDB with explicit parameters.
     pub fn with_params(adb: &'a ADb, params: SquidParams) -> SquidSession<'a> {
-        Self::from_ref(AdbRef::Borrowed(adb), params)
+        let cache = FilterSetCache::new(adb.generation);
+        Self::from_ref(AdbRef::Borrowed(adb), params, Some(cache))
     }
 
-    fn from_ref(adb: AdbRef<'a>, params: SquidParams) -> SquidSession<'a> {
-        let cache = FilterSetCache::new(adb.generation);
+    /// A session over a borrowed αDB whose results bypass the evaluation
+    /// cache (the one-shot [`Squid`](crate::Squid) drive).
+    pub(crate) fn one_shot(adb: &'a ADb, params: SquidParams) -> SquidSession<'a> {
+        Self::from_ref(AdbRef::Borrowed(adb), params, None)
+    }
+
+    fn from_ref(
+        adb: AdbRef<'a>,
+        params: SquidParams,
+        cache: Option<FilterSetCache>,
+    ) -> SquidSession<'a> {
         SquidSession {
             adb,
             params,
@@ -220,14 +219,8 @@ impl<'a> SquidSession<'a> {
             last_fps: Vec::new(),
             cache,
             last_scored: None,
-            eval_cache: true,
             op_seq: 0,
         }
-    }
-
-    /// Turn off cross-turn result caching (see the `eval_cache` field).
-    pub(crate) fn disable_eval_cache(&mut self) {
-        self.eval_cache = false;
     }
 
     /// Current parameters.
@@ -314,34 +307,26 @@ impl<'a> SquidSession<'a> {
         ops
     }
 
-    /// Counters of the session's cross-turn evaluation cache: lifetime
-    /// hits/misses (local and shared levels), eviction count, and the
-    /// resident memoized-bitmap footprint.
+    /// Lifetime hit/miss counters of the session's evaluation-cache
+    /// handle (the store's own counters and residency are
+    /// [`SharedFilterSetCache::stats`]).
     pub fn cache_stats(&self) -> EvalCacheStats {
-        EvalCacheStats {
-            hits: self.cache.hits(),
-            misses: self.cache.misses(),
-            entries: self.cache.entries(),
-            resident_bytes: self.cache.resident_bytes(),
-            evictions: self.cache.evictions(),
-            shared_hits: self.cache.shared_hits(),
-            shared_misses: self.cache.shared_misses(),
-        }
+        self.cache
+            .as_ref()
+            .map_or_else(EvalCacheStats::default, |c| EvalCacheStats {
+                hits: c.hits(),
+                misses: c.misses(),
+            })
     }
 
-    /// Join a fleet-wide [`SharedFilterSetCache`]: this session's local
-    /// evaluation-cache misses consult the shared shards before computing,
-    /// and freshly computed bitmaps are published back. Sessions hosted by
-    /// a [`SessionManager`](crate::SessionManager) are attached
-    /// automatically; call this for standalone (or one-shot) fleets.
+    /// Read and publish evaluation-cache bitmaps through `shared` instead
+    /// of the session's private store, so standalone sessions share
+    /// bitmaps the way [`SessionManager`](crate::SessionManager)-hosted
+    /// ones (which use the manager's store) do.
     pub fn attach_shared_cache(&mut self, shared: Arc<SharedFilterSetCache>) {
-        self.cache.attach_shared(shared);
-    }
-
-    /// Bound the session-local evaluation cache's resident bytes (CLOCK
-    /// second-chance eviction; evicts immediately if already over).
-    pub fn set_cache_budget(&mut self, max_resident_bytes: usize) {
-        self.cache.set_max_resident_bytes(max_resident_bytes);
+        if let Some(cache) = &mut self.cache {
+            cache.attach_shared(shared);
+        }
     }
 
     /// Uncertainty-driven next-example hints (the paper's Figure-1 loop
@@ -853,7 +838,7 @@ impl<'a> SquidSession<'a> {
     /// and [`rescore`](Self::rescore): snapshot Φ, score, apply pins/bans,
     /// generate queries, evaluate, and report the delta.
     ///
-    /// Result evaluation is **incremental bitmap algebra** over the
+    /// Result evaluation is **incremental bitmap algebra** through the
     /// session's [`FilterSetCache`]: the chosen filters are diffed against
     /// the previous turn by fingerprint, and
     ///
@@ -903,13 +888,7 @@ impl<'a> SquidSession<'a> {
             .map(|s| s.filter.clone())
             .collect();
 
-        self.cache.revalidate(self.adb.generation);
-        // Shared-cache hits count as hits in the delta: either way the
-        // filter's bitmap was served resident instead of computed.
-        let (hits0, misses0) = (
-            self.cache.hits() + self.cache.shared_hits(),
-            self.cache.misses(),
-        );
+        let before = self.cache_stats();
         let fps: Vec<FilterFingerprint> = chosen.iter().map(filter_fingerprint).collect();
         let unchanged = fps == self.last_fps;
         let prev_same_target = self
@@ -931,27 +910,25 @@ impl<'a> SquidSession<'a> {
         };
 
         let removed_any = self.last_fps.iter().any(|fp| !fps.contains(fp));
-        let rows = match &prev_same_target {
-            _ if !self.eval_cache => evaluate(entity, &chosen),
-            Some(prev) if unchanged => prev.rows.clone(),
-            Some(prev) if !removed_any => {
+        let rows = match (&mut self.cache, &prev_same_target) {
+            (None, _) => evaluate(entity, &chosen),
+            (_, Some(prev)) if unchanged => prev.rows.clone(),
+            (Some(cache), Some(prev)) if !removed_any => {
                 // Add-only turn: restrict the previous result by each newly
                 // chosen filter (a bitmap AND — cached, or a dense value's
                 // own — or the cheaper side of a slice not worth keeping).
                 let mut rows = prev.rows.clone();
                 for (f, fp) in chosen.iter().zip(&fps) {
                     if !self.last_fps.contains(fp) {
-                        crate::query_gen::restrict_rows(&mut rows, entity, f, fp, &mut self.cache);
+                        crate::query_gen::restrict_rows(&mut rows, entity, f, fp, cache);
                     }
                 }
                 rows
             }
-            _ => crate::query_gen::evaluate_cached_fps(entity, &chosen, &fps, &mut self.cache),
+            (Some(cache), _) => crate::query_gen::evaluate_cached_fps(entity, &chosen, &fps, cache),
         };
-        let (cache_hits, cache_misses) = (
-            self.cache.hits() + self.cache.shared_hits() - hits0,
-            self.cache.misses() - misses0,
-        );
+        let after = self.cache_stats();
+        let (cache_hits, cache_misses) = (after.hits - before.hits, after.misses - before.misses);
 
         let discovery = Arc::new(Discovery {
             entity_table: table,
@@ -1028,7 +1005,20 @@ impl SquidSession<'static> {
 
     /// New `'static` session over a shared αDB with explicit parameters.
     pub fn shared_with_params(adb: Arc<ADb>, params: SquidParams) -> SquidSession<'static> {
-        Self::from_ref(AdbRef::Shared(adb), params)
+        let cache = FilterSetCache::new(adb.generation);
+        Self::from_ref(AdbRef::Shared(adb), params, Some(cache))
+    }
+
+    /// A `'static` session that reads and publishes evaluation-cache
+    /// bitmaps through `store` (a [`SessionManager`](crate::SessionManager)
+    /// hands every hosted session its fleet's store).
+    pub(crate) fn hosted(
+        adb: Arc<ADb>,
+        params: SquidParams,
+        store: Arc<SharedFilterSetCache>,
+    ) -> SquidSession<'static> {
+        let cache = FilterSetCache::attached(store, adb.generation);
+        Self::from_ref(AdbRef::Shared(adb), params, Some(cache))
     }
 }
 

@@ -10,10 +10,9 @@
 //! feedback operations like pinning filters) should hold a session instead
 //! of re-calling `discover`.
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use squid_adb::{ADb, SharedFilterSetCache};
+use squid_adb::ADb;
 use squid_engine::Query;
 use squid_relation::{DataType, RowId, RowSet};
 
@@ -76,9 +75,6 @@ impl Discovery {
 pub struct Squid<'a> {
     adb: &'a ADb,
     params: SquidParams,
-    /// Fleet-wide evaluation cache for one-shot fleets (see
-    /// [`Squid::with_shared_cache`]); `None` disables caching entirely.
-    shared: Option<Arc<SharedFilterSetCache>>,
 }
 
 impl<'a> Squid<'a> {
@@ -87,29 +83,12 @@ impl<'a> Squid<'a> {
         Squid {
             adb,
             params: SquidParams::default(),
-            shared: None,
         }
     }
 
     /// New instance with explicit parameters.
     pub fn with_params(adb: &'a ADb, params: SquidParams) -> Self {
-        Squid {
-            adb,
-            params,
-            shared: None,
-        }
-    }
-
-    /// Share filter bitmaps across discoveries through a fleet-wide
-    /// [`SharedFilterSetCache`]. A plain `Squid` disables the evaluation
-    /// cache — a throwaway session never reuses what it admits — but a
-    /// *fleet* of one-shot discoveries over the same αDB repeats popular
-    /// filters constantly; with a shared cache attached, each discovery
-    /// pulls resident bitmaps from (and publishes fresh ones to) the
-    /// byte-bounded shared shards, exactly like hosted sessions do.
-    pub fn with_shared_cache(mut self, shared: Arc<SharedFilterSetCache>) -> Self {
-        self.shared = Some(shared);
-        self
+        Squid { adb, params }
     }
 
     /// Current parameters.
@@ -140,7 +119,9 @@ impl<'a> Squid<'a> {
         self.run(Some((table, column)), examples)
     }
 
-    /// One-shot session drive shared by both entry points.
+    /// One-shot session drive shared by both entry points. The session
+    /// bypasses the evaluation cache: it would only publish bitmaps a
+    /// discarded session never reuses.
     fn run(
         &self,
         target: Option<(&str, &str)>,
@@ -150,15 +131,7 @@ impl<'a> Squid<'a> {
             return Err(SquidError::EmptyExamples);
         }
         let started = Instant::now();
-        let mut session = SquidSession::with_params(self.adb, self.params.clone());
-        match &self.shared {
-            // One-shot fleet: keep the cache on and wire it to the shared
-            // shards so repeat filters across discoveries stay bitmap-free.
-            Some(shared) => session.attach_shared_cache(Arc::clone(shared)),
-            // Lone one-shot: admitting bitmaps a discarded session will
-            // never reuse is pure overhead.
-            None => session.disable_eval_cache(),
-        }
+        let mut session = SquidSession::one_shot(self.adb, self.params.clone());
         if let Some((table, column)) = target {
             session.set_target(table, column)?;
         }
@@ -286,27 +259,6 @@ mod tests {
                 assert!(d.rows.contains(*r), "examples must satisfy Qϕ");
             }
         }
-    }
-
-    #[test]
-    fn one_shot_fleet_shares_bitmaps() {
-        let adb = ADb::build(&mini_imdb()).unwrap();
-        let shared = Arc::new(SharedFilterSetCache::new(adb.generation, 1 << 20));
-        let fleet = Squid::new(&adb).with_shared_cache(Arc::clone(&shared));
-        let slate = ["Jim Carrey", "Eddie Murphy"];
-        let d1 = fleet.discover(&slate).unwrap();
-        assert!(shared.stats().entries > 0, "first discovery publishes");
-        let hits_before = shared.stats().hits;
-        let d2 = fleet.discover(&slate).unwrap();
-        assert!(
-            shared.stats().hits > hits_before,
-            "repeat discovery is served from the shared cache"
-        );
-        // Shared-cache discoveries match the plain (uncached) path.
-        let plain = Squid::new(&adb).discover(&slate).unwrap();
-        assert_eq!(d1.rows, d2.rows);
-        assert_eq!(plain.rows, d2.rows);
-        assert_eq!(plain.sql(), d2.sql());
     }
 
     #[test]

@@ -7,10 +7,10 @@
 //! side is shorter; both sides, and `IN` lists whose values share rows, are
 //! held to the same per-row answer on a 400-person generated slate.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use proptest::prelude::*;
-use squid_adb::{test_fixtures, ADb, FilterSetCache, PropStats};
+use squid_adb::{test_fixtures, ADb, FilterSetCache, PropStats, SharedFilterSetCache};
 use squid_core::{
     discover_contexts, evaluate_cached, evaluate_per_row, CandidateFilter, FilterValue,
     SquidParams, SquidSession,
@@ -203,8 +203,7 @@ fn repeated_pin_toggle_hits_the_cache() {
     assert_eq!(second.cache_misses, 0, "second pin admits nothing new");
     assert_eq!(second.discovery.unwrap().rows, pinned_rows);
     let stats = session.cache_stats();
-    assert!(stats.entries > 0);
-    assert!(stats.resident_bytes > 0);
+    assert!(stats.misses >= first.cache_misses);
     assert!(stats.hits >= second.cache_hits);
 
     session.unpin_filter("genre.name").unwrap();
@@ -214,11 +213,16 @@ fn repeated_pin_toggle_hits_the_cache() {
         assert_eq!((dense.cache_hits, dense.cache_misses), (0, 0), "{dense:?}");
         session.unpin_filter("gender").unwrap();
     }
-    assert_eq!(session.cache_stats().entries, stats.entries);
+    assert_eq!(
+        session.cache_stats().misses,
+        stats.misses,
+        "dense pins publish nothing"
+    );
 }
 
-/// Sessions report truthful cache statistics, and a cache re-bound to a
-/// different αDB generation drops its entries instead of serving them.
+/// Handles count truthfully, and a handle at a different αDB generation
+/// on the same store is never served what another generation published:
+/// the shards it touches drop those entries first.
 #[test]
 fn cache_generation_invalidation() {
     let adb_a = ADb::build(&test_fixtures::mini_imdb()).unwrap();
@@ -227,14 +231,30 @@ fn cache_generation_invalidation() {
     let entity = adb_a.entity("person").unwrap();
     let params = SquidParams::default();
     let filters = discover_contexts(entity, &[0, 1], &params);
-    let mut cache = FilterSetCache::new(adb_a.generation);
-    evaluate_cached(entity, &filters, &mut cache);
-    assert!(cache.entries() > 0);
-    cache.revalidate(adb_a.generation);
-    assert!(cache.entries() > 0, "same generation keeps entries");
-    cache.revalidate(adb_b.generation);
-    assert_eq!(cache.entries(), 0, "new generation drops entries");
-    assert_eq!(cache.generation(), adb_b.generation);
+    let store = Arc::new(SharedFilterSetCache::new(adb_a.generation, 1 << 20));
+    let mut first = FilterSetCache::attached(Arc::clone(&store), adb_a.generation);
+    let want = evaluate_cached(entity, &filters, &mut first);
+    let published = first.misses();
+    assert!(published > 0);
+    assert_eq!(store.stats().entries as u64, published);
+
+    let mut same = FilterSetCache::attached(Arc::clone(&store), adb_a.generation);
+    assert_eq!(evaluate_cached(entity, &filters, &mut same), want);
+    assert_eq!(
+        (same.hits(), same.misses()),
+        (published, 0),
+        "same generation is served"
+    );
+
+    let mut other = FilterSetCache::attached(Arc::clone(&store), adb_b.generation);
+    assert_eq!(other.generation(), adb_b.generation);
+    assert_eq!(evaluate_cached(entity, &filters, &mut other), want);
+    assert_eq!(
+        (other.hits(), other.misses()),
+        (0, published),
+        "new generation drops entries"
+    );
+    assert_eq!(store.stats().entries as u64, published);
 }
 
 /// A session turn that only adds a filter restricts the previous result

@@ -1,8 +1,8 @@
-//! Correctness of the fleet-wide shared evaluation cache: concurrent
-//! sessions routing through one `SharedFilterSetCache` must be
-//! *indistinguishable* from the per-row definition — including
-//! while byte-bound eviction churns entries mid-run and while αDB
-//! generation bumps invalidate shards under the readers' feet.
+//! Correctness of the fleet's evaluation cache: concurrent sessions
+//! reading and publishing through one `SharedFilterSetCache` must be
+//! *indistinguishable* from the per-row definition — including while
+//! byte-bound eviction churns entries mid-run and while handles at other
+//! αDB generations invalidate shards under the readers' feet.
 
 use std::sync::{Arc, OnceLock};
 
@@ -67,8 +67,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Three threads, three workloads, one shared cache under constant
-    /// eviction pressure, with a mid-run αDB generation bump per thread:
-    /// every cached evaluation must equal the uncached one.
+    /// eviction pressure, with a handle at a bumped αDB generation per
+    /// thread mid-run: every cached evaluation must equal the uncached
+    /// one.
     #[test]
     fn concurrent_shared_evaluation_matches_uncached(
         m0 in 1u8..=255u8,
@@ -92,10 +93,7 @@ proptest! {
                         // sharing case) and some are thread-private.
                         let filters = filter_set(mask, subset, tweak ^ (t as u32 & 1));
                         let uncached = evaluate_per_row(entity, &filters);
-                        let mut cache = FilterSetCache::new(adb.generation);
-                        cache.attach_shared(Arc::clone(shared));
-                        // Local level under pressure too.
-                        cache.set_max_resident_bytes(512);
+                        let mut cache = FilterSetCache::attached(Arc::clone(shared), adb.generation);
                         let check = |got: RowSet, phase: &str| -> Option<String> {
                             (got != uncached).then(|| {
                                 format!("thread {t} {phase}: {got:?} != {uncached:?}")
@@ -107,15 +105,16 @@ proptest! {
                                 return Some(m);
                             }
                         }
-                        // Generation bump mid-run: the local cache clears,
-                        // shared shards invalidate lazily on access, and
-                        // parity must survive both directions.
-                        cache.revalidate(adb.generation + 1 + t as u64);
-                        let got = evaluate_cached(entity, &filters, &mut cache);
+                        // Generation bump mid-run: a handle at another
+                        // generation on the same store retags every shard
+                        // it touches, and parity must survive both
+                        // directions.
+                        let bumped = adb.generation + 1 + t as u64;
+                        let mut stale = FilterSetCache::attached(Arc::clone(shared), bumped);
+                        let got = evaluate_cached(entity, &filters, &mut stale);
                         if let Some(m) = check(got, "bumped generation") {
                             return Some(m);
                         }
-                        cache.revalidate(adb.generation);
                         let got = evaluate_cached(entity, &filters, &mut cache);
                         check(got, "restored generation")
                     })
@@ -137,9 +136,9 @@ proptest! {
     }
 }
 
-/// A manager fleet with adversarially tiny cache bounds (both levels)
-/// still answers every slate exactly like the uncached one-shot path,
-/// from concurrent threads, with residency pinned under the caps. On the
+/// A manager fleet with an adversarially tiny cache bound still answers
+/// every slate exactly like the uncached one-shot path, from concurrent
+/// threads, with residency pinned under the cap. On the
 /// 400-person slate: mini-IMDb's eight rows make every categorical value a
 /// dense bitmap, which never enters a cache, and leave too few distinct
 /// cached filters to overflow sixteen shards.
@@ -147,9 +146,7 @@ proptest! {
 fn tiny_bounded_fleet_matches_one_shot() {
     let adb = Arc::new(ADb::build(&generate_imdb(&ImdbConfig::tiny())).unwrap());
     // One 400-row bitmap with its key is 160 bytes: a shard holds one.
-    let m = SessionManager::new(Arc::clone(&adb))
-        .with_shared_cache_bytes(16 * 200)
-        .with_session_cache_bytes(512);
+    let m = SessionManager::new(Arc::clone(&adb)).with_shared_cache_bytes(16 * 200);
     let slates: Vec<Vec<String>> = (0..8)
         .map(|i| {
             [0, 7, 13]

@@ -51,7 +51,6 @@ server flags:
   --max-sessions <n>   fleet-wide live-session cap (default 4096)
   --idle-timeout <s>   reap idle connections after s seconds (default 300)
   --ttl <s>            evict sessions idle past s seconds (default: never)
-  --no-shared-cache    disable the fleet-wide shared evaluation cache
   --snapshot <path>    load the αDB from this snapshot if present (corrupt
                        or missing -> rebuild from generators and save)
   --exit-snapshot <p>  also save an αDB snapshot during graceful shutdown
@@ -157,7 +156,6 @@ fn main() {
     let mut fsync = FsyncPolicy::Flush;
     let mut auto_compact: Option<u64> = None;
     let mut ttl: Option<Duration> = None;
-    let mut no_shared_cache = false;
     let mut positional: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     let next_num = |it: &mut dyn Iterator<Item = String>, flag: &str| -> u64 {
@@ -191,7 +189,6 @@ fn main() {
                 ttl = Some(Duration::from_secs(secs));
                 cfg.sweep_interval = Some(Duration::from_secs((secs / 4).max(1)));
             }
-            "--no-shared-cache" => no_shared_cache = true,
             "--clients" => clients = next_num(&mut it, "--clients") as usize,
             "--sessions" => sessions = next_num(&mut it, "--sessions") as usize,
             "--snapshot" => {
@@ -317,9 +314,6 @@ fn main() {
         Arc::new(acquire_adb(dataset, snapshot.as_deref()).unwrap_or_else(|e| die(&e)))
     };
     let mut manager = SessionManager::with_params(Arc::clone(&adb), params);
-    if no_shared_cache {
-        manager = manager.without_shared_cache();
-    }
     if let Some(ttl) = ttl {
         manager = manager.with_ttl(ttl);
     }

@@ -9,7 +9,7 @@
 //! The design premise (Polynesia's lesson, via the Cambridge Report): the
 //! interactive frontend is co-designed with the analytical core, so a
 //! network turn costs what a [`squid_core::DiscoveryDelta`] costs — the
-//! incremental session path, the two-level evaluation cache, and the
+//! incremental session path, the fleet's evaluation cache, and the
 //! journal all sit directly behind the socket, and the protocol exposes
 //! their evidence (`incremental`, cache counters, recovery stats) so
 //! clients and CI can hold the server to it.

@@ -140,7 +140,8 @@ pub enum Verb {
     /// Fleet and cache statistics (plus per-session counters when a
     /// session id is given).
     Stats {
-        /// Optional session whose local cache counters to include.
+        /// Optional session whose evaluation-cache hit/miss counters to
+        /// include.
         session: Option<u64>,
     },
     /// Cheap load/session/journal health probe for orchestrators and

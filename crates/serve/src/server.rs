@@ -1034,7 +1034,7 @@ fn session_error(shared: &Shared, session: u64, e: SquidError) -> Refusal {
 fn squid_error(e: SquidError) -> Refusal {
     let code = match &e {
         SquidError::UnknownSession { .. } => ErrorCode::UnknownSession,
-        SquidError::SequenceGap { .. } => ErrorCode::BadRequest,
+        SquidError::SequenceGap { .. } | SquidError::RecordTooLarge { .. } => ErrorCode::BadRequest,
         SquidError::Io(_) | SquidError::Corrupt { .. } => ErrorCode::Internal,
         _ => ErrorCode::Discovery,
     };
@@ -1280,10 +1280,10 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
                 entries.sort_by(|a, b| a.0.cmp(&b.0));
                 fields.push(("clients".into(), Json::Obj(entries)));
             }
-            fields.push((
-                "shared_cache".into(),
-                match m.shared_cache_stats() {
-                    Some(sh) => Json::obj([
+            if let Some(sh) = m.shared_cache_stats() {
+                fields.push((
+                    "shared_cache".into(),
+                    Json::obj([
                         ("hits", Json::Int(sh.hits as i64)),
                         ("misses", Json::Int(sh.misses as i64)),
                         ("entries", Json::Int(sh.entries as i64)),
@@ -1295,11 +1295,8 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
                         ("evictions", Json::Int(sh.evictions as i64)),
                         ("hit_rate", Json::Float(sh.hit_rate())),
                     ]),
-                    // Explicit, not absent: "disabled" is an answer, a
-                    // missing member is a question.
-                    None => Json::str("disabled"),
-                },
-            ));
+                ));
+            }
             if let Some(rs) = m.recover_stats() {
                 fields.push((
                     "recovery".into(),
@@ -1327,11 +1324,7 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
                     "session_cache".into(),
                     Json::obj([
                         ("hits", Json::Int(cs.hits as i64)),
-                        ("shared_hits", Json::Int(cs.shared_hits as i64)),
                         ("misses", Json::Int(cs.misses as i64)),
-                        ("entries", Json::Int(cs.entries as i64)),
-                        ("resident_bytes", Json::Int(cs.resident_bytes as i64)),
-                        ("evictions", Json::Int(cs.evictions as i64)),
                     ]),
                 ));
             }

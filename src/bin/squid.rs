@@ -56,9 +56,7 @@ flags:
                       or missing -> rebuild from generators and save)
   --journal <path>    journal session mutations; on start, recover the
                       sessions the journal holds (REPL mode)
-  --fsync <mode>      journal durability: always | flush (default) | never
-  --no-shared-cache   disable the fleet-wide shared evaluation cache
-                      (REPL mode; `stats` then reports it as disabled)";
+  --fsync <mode>      journal durability: always | flush (default) | never";
 
 const REPL_HELP: &str = "\
 session commands:
@@ -77,8 +75,9 @@ session commands:
   rows [n]             print up to n result tuples (default 10)
   suggest [k]          k most informative next examples (default 3)
   examples             list the session's examples
-  stats                evaluation-cache counters (both levels), evictions,
-                       resident bytes, recovery and journal statistics
+  stats                evaluation-cache counters (this session's and the
+                       fleet's), resident bytes, evictions, recovery and
+                       journal statistics
   save [path]          write an αDB snapshot (default: the --snapshot path)
   recover              rewind to the journal's durable state (--journal)
   compact              rewrite the journal to live-session snapshots
@@ -96,7 +95,6 @@ fn main() {
     let mut snapshot: Option<PathBuf> = None;
     let mut journal: Option<PathBuf> = None;
     let mut fsync = FsyncPolicy::Flush;
-    let mut no_shared_cache = false;
     let mut positional: Vec<String> = Vec::new();
     let mut it = args.into_iter();
     while let Some(a) = it.next() {
@@ -105,7 +103,6 @@ fn main() {
             "--optimistic" => params = SquidParams::optimistic(),
             "--repl" => repl = true,
             "--batch" => batch = true,
-            "--no-shared-cache" => no_shared_cache = true,
             "--snapshot" => {
                 snapshot = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| die("--snapshot needs a path")),
@@ -170,7 +167,6 @@ fn main() {
             snapshot,
             journal,
             fsync,
-            no_shared_cache,
         );
         return;
     }
@@ -263,7 +259,6 @@ fn pick_session(m: &SessionManager, batch: bool) -> SessionId {
 /// with the same flags replays the journal and resumes the newest session.
 /// In batch mode any failed command aborts with a non-zero exit and the
 /// failing input line number, so scripted runs (CI) catch rot.
-#[allow(clippy::too_many_arguments)]
 fn run_repl(
     adb: Arc<ADb>,
     params: SquidParams,
@@ -272,15 +267,11 @@ fn run_repl(
     snapshot: Option<PathBuf>,
     journal: Option<PathBuf>,
     fsync: FsyncPolicy,
-    no_shared_cache: bool,
 ) {
     // The manager is the production concurrency layer; a REPL drives a
-    // fleet of one but stays on the same two-level cache and journaling
+    // fleet of one but stays on the same evaluation cache and journaling
     // path a serving deployment uses.
     let mut manager = SessionManager::with_params(Arc::clone(&adb), params.clone());
-    if no_shared_cache {
-        manager = manager.without_shared_cache();
-    }
     if let Some(jp) = &journal {
         match manager.recover(jp, fsync) {
             Ok(st) => {
@@ -477,20 +468,18 @@ fn print_read(adb: &ADb, s: &SquidSession, verb: &Verb) -> Result<(), String> {
     Ok(())
 }
 
-/// The REPL's `stats` report: both evaluation-cache levels, recovery and
-/// journal statistics.
+/// The REPL's `stats` report: the session's and the fleet's
+/// evaluation-cache counters, recovery and journal statistics.
 fn print_stats(manager: &SessionManager, s: &squid_core::EvalCacheStats) {
-    let total = s.hits + s.shared_hits + s.misses;
+    let total = s.hits + s.misses;
     let rate = if total > 0 {
-        100.0 * (s.hits + s.shared_hits) as f64 / total as f64
+        100.0 * s.hits as f64 / total as f64
     } else {
         0.0
     };
     println!(
-        "evaluation cache: {} local + {} shared hits / {} misses \
-         ({rate:.0}% hit rate), {} resident filter bitmaps, {} bytes, \
-         {} evicted",
-        s.hits, s.shared_hits, s.misses, s.entries, s.resident_bytes, s.evictions
+        "evaluation cache (this session): {} hits / {} misses ({rate:.0}% hit rate)",
+        s.hits, s.misses
     );
     if let Some(sh) = manager.shared_cache_stats() {
         let occupied = sh
@@ -541,10 +530,6 @@ fn print_stats(manager: &SessionManager, s: &squid_core::EvalCacheStats) {
             sh.peak_resident_bytes,
             peak_of_peaks.unwrap_or(0),
         );
-    } else {
-        // Say so explicitly: silently printing nothing made
-        // "disabled" indistinguishable from "broken".
-        println!("shared cache: disabled");
     }
     if let Some(rs) = manager.recover_stats() {
         println!(
