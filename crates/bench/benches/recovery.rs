@@ -6,7 +6,8 @@
 //! accumulate them). Then:
 //!
 //! * `full_replay` — a fresh manager recovers from the raw journal,
-//!   re-running every one of those turns through the discovery engine.
+//!   applying every one of those turns to session state, then running
+//!   discovery once for the live session.
 //! * `compacted` — the same fleet state recovered from the compacted
 //!   journal: one snapshot record per live session plus its surviving
 //!   state ops, so replay cost is bounded by live state, not history.

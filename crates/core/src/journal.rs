@@ -31,7 +31,10 @@
 //! Session mutators are deterministic functions of the (immutable) αDB and
 //! are rollback-on-error, so the journal records operations *after* they
 //! succeed: a replayed journal applies exactly the successful prefix of
-//! history and lands bit-identical to the never-crashed fleet. A torn or
+//! history and lands bit-identical to the never-crashed fleet. Replay
+//! applies each record to session *state* only and runs discovery once
+//! per live session at the end (`SessionManager::apply_replicated`), so
+//! a record costs a decode and a state change, not an abduction. A torn or
 //! bit-flipped tail record — the signature of dying mid-append — is
 //! detected by length/CRC and **truncated**, not treated as fatal:
 //! everything before the damage is recovered.
@@ -144,21 +147,14 @@ pub enum SessionOp {
 }
 
 impl SessionOp {
-    /// Apply this operation to a live session. `Create`/`End` are session
-    /// lifecycle markers handled by the manager and are no-ops here.
+    /// Apply this operation to a live session: stage its state change,
+    /// then refresh the discovery (undoing the change if that fails).
+    /// `Create`/`End` are session lifecycle markers handled by the manager
+    /// and are no-ops here.
     pub fn apply(&self, s: &mut SquidSession<'_>) -> Result<Option<DiscoveryDelta>, SquidError> {
-        match self {
-            SessionOp::Create | SessionOp::End => Ok(None),
-            SessionOp::AddExample(v) => s.add_example(v).map(Some),
-            SessionOp::RemoveExample(v) => s.remove_example(v).map(Some),
-            SessionOp::SetTarget { table, column } => s.set_target(table, column).map(Some),
-            SessionOp::SetTargetAuto => s.set_target_auto().map(Some),
-            SessionOp::PinFilter(k) => s.pin_filter(k).map(Some),
-            SessionOp::BanFilter(k) => s.ban_filter(k).map(Some),
-            SessionOp::UnpinFilter(k) => s.unpin_filter(k).map(Some),
-            SessionOp::UnbanFilter(k) => s.unban_filter(k).map(Some),
-            SessionOp::ChooseEntity { example, pk } => s.choose_entity(example, *pk).map(Some),
-            SessionOp::ClearChoice(example) => s.clear_choice(example).map(Some),
+        match s.stage(self)? {
+            Some(undo) => s.commit(undo).map(Some),
+            None => Ok(None),
         }
     }
 

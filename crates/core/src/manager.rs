@@ -62,8 +62,12 @@ pub struct RecoverStats {
     pub sessions_replayed: usize,
     /// Records applied successfully.
     pub records_applied: u64,
-    /// CRC-valid records whose replay failed (e.g. they referenced a
-    /// session evicted by an `End` later in real time); skipped.
+    /// Ops that could not be replayed; skipped. A record fails on its own
+    /// when its op names nothing the session holds (an unknown session,
+    /// example, table or column). Discovery failures — the αDB changed
+    /// under the journal — surface at the final refresh instead: that
+    /// session is rebuilt from its state ops, and each op that fails there
+    /// counts here.
     pub records_failed: u64,
     /// Records skipped because their sequence number was already covered
     /// by the session's cursor (duplicates from the compaction/append
@@ -84,7 +88,11 @@ pub struct ReplicatedStats {
     /// Records already covered by a session cursor or a skipped snapshot
     /// section — the idempotent-overlap case, expected, not damage.
     pub records_skipped: u64,
-    /// Records whose apply failed; skipped, mirroring recovery.
+    /// Records whose op names nothing the session holds (an unknown
+    /// session, example, table or column); skipped, mirroring recovery.
+    /// Records are applied to session state only, so a discovery failure
+    /// surfaces on the session's first read instead, where the session is
+    /// rebuilt from its state ops without the ones that fail.
     pub records_failed: u64,
     /// Sessions newly installed from `Create` records.
     pub sessions_installed: u64,
@@ -103,7 +111,7 @@ struct JournalState {
     /// last compaction snapshot) — an estimate of live-state size.
     base_records: u64,
     /// Records appended since open/recover/compaction: the replay tail
-    /// that full recovery would have to re-execute.
+    /// that full recovery would have to re-apply.
     tail_records: u64,
     /// Compactions performed over this journal's lifetime.
     compactions: u64,
@@ -308,7 +316,25 @@ impl SessionManager {
     /// Run `f` against session `id`. The registry lock is held only long
     /// enough to clone the entry handle; `f` runs under the session's own
     /// mutex. Expired sessions are evicted and reported as unknown.
+    ///
+    /// A session that replay left stale (recovery before its final
+    /// refresh, or a standby applying a replication stream) is refreshed
+    /// first, so `f` sees the discovery an uninterrupted run would have.
     pub fn with_session<T>(
+        &self,
+        id: SessionId,
+        f: impl FnOnce(&mut SquidSession<'static>) -> Result<T, SquidError>,
+    ) -> Result<T, SquidError> {
+        self.with_session_state(id, |s| {
+            s.settle();
+            f(s)
+        })
+    }
+
+    /// [`with_session`](Self::with_session) without the refresh, for the
+    /// paths that read or stage session *state* only: replay, its cursor
+    /// checks, and compaction's snapshot.
+    fn with_session_state<T>(
         &self,
         id: SessionId,
         f: impl FnOnce(&mut SquidSession<'static>) -> Result<T, SquidError>,
@@ -692,7 +718,7 @@ impl SessionManager {
         for id in self.session_ids() {
             // A session closed/evicted between the listing and the lock is
             // simply not live anymore; skip it.
-            if let Ok(snap) = self.with_session(id, |s| Ok((s.op_seq(), s.state_ops()))) {
+            if let Ok(snap) = self.with_session_state(id, |s| Ok((s.op_seq(), s.state_ops()))) {
                 live.push((id, snap.0, snap.1));
             }
         }
@@ -746,20 +772,29 @@ impl SessionManager {
 
     /// Rebuild session state by replaying the journal at `path`, then
     /// truncate any torn/corrupt tail and attach the journal for further
-    /// appends. Call on a freshly-constructed manager (existing sessions
-    /// are kept; replayed ids that collide would be overwritten).
+    /// appends. Call on a freshly-constructed manager. A replayed id that
+    /// is already hosted is not blindly overwritten: it follows
+    /// [`SessionManager::apply_replicated`]'s cursor rules, which skip what
+    /// the hosted cursor covers and reinstall the session only from a
+    /// snapshot section that is ahead of it.
     ///
     /// Replay is [`SessionManager::apply_replicated`] over the file's
     /// valid records — one replay rule for recovery and replication. No
     /// journal is attached yet, so nothing replayed is re-journaled.
     /// `Create`/`End` records drive session lifecycle under their original
-    /// ids; every other record re-executes the operation against the
-    /// (immutable) αDB, which reproduces the exact pre-crash state because
-    /// mutators are deterministic and only successful operations were
-    /// journaled. A record that fails to apply (e.g. the αDB changed under
-    /// the journal) is counted in [`RecoverStats::records_failed`] and
-    /// skipped — recovery salvages everything salvageable instead of
-    /// failing outright.
+    /// ids; every other record applies its op to the session's *state*
+    /// only (examples, target, pins, bans, choices), with no discovery.
+    /// Recovery then refreshes each live session once, which reproduces
+    /// the exact pre-crash discovery because mutators are deterministic and
+    /// only successful operations were journaled. Sessions ended later in
+    /// the journal never run discovery at all.
+    ///
+    /// Recovery salvages everything salvageable instead of failing
+    /// outright. A record whose op names nothing the session holds is
+    /// skipped. A session whose final refresh fails (the αDB changed under
+    /// the journal) is rebuilt from its [`SquidSession::state_ops`]
+    /// through the live apply path, skipping the ops that fail there. Both
+    /// kinds are counted in [`RecoverStats::records_failed`].
     pub fn recover(
         &self,
         path: impl AsRef<Path>,
@@ -768,6 +803,12 @@ impl SessionManager {
         let path = path.as_ref();
         let replay = journal::read_journal(path)?;
         let applied = self.apply_replicated(&replay.records);
+        // Replay staged state only: run discovery once per live session.
+        let salvage_failed: u64 = self
+            .session_ids()
+            .into_iter()
+            .map(|id| self.with_session_state(id, |s| Ok(s.settle())).unwrap_or(0))
+            .sum();
         // Drop the damaged tail on disk before appending after it, so the
         // journal never contains valid records behind a corrupt region.
         journal::truncate_to_valid(path, replay.bytes_valid)?;
@@ -775,7 +816,7 @@ impl SessionManager {
         let stats = RecoverStats {
             sessions_replayed: (applied.sessions_installed + applied.sessions_reinstalled) as usize,
             records_applied: applied.records_applied,
-            records_failed: applied.records_failed,
+            records_failed: applied.records_failed + salvage_failed,
             records_skipped: applied.records_skipped,
             bytes_truncated: replay.bytes_truncated,
             live_sessions: self.len(),
@@ -792,10 +833,17 @@ impl SessionManager {
 
     /// Replay records shipped off another node's journal onto this *live*
     /// manager — the replication standby's apply path, and (over a
-    /// journal file) [`SessionManager::recover`]'s. A record whose
-    /// sequence number a session's cursor already covers is skipped
-    /// (replay is idempotent), and so is a duplicate `Create` for a
-    /// session whose cursor is at least the record's. Mid-stream
+    /// journal file) [`SessionManager::recover`]'s. Each record applies
+    /// its op to the session's state only and marks the session stale;
+    /// discovery runs once, when the session is next read through
+    /// [`SessionManager::with_session`] (or, for recovery, at its end).
+    /// A standby therefore pays for abduction only on the sessions it
+    /// serves, and a promoted standby's first turn sees the discovery the
+    /// primary held.
+    ///
+    /// A record whose sequence number a session's cursor already covers
+    /// is skipped (replay is idempotent), and so is a duplicate `Create`
+    /// for a session whose cursor is at least the record's. Mid-stream
     /// re-snapshots get one more rule: when the primary compacts,
     /// the stream restarts with the full compacted journal, whose
     /// snapshot sections (a `Create` carrying the session cursor followed
@@ -828,7 +876,7 @@ impl SessionManager {
             max_id = max_id.max(*sid);
             match op {
                 SessionOp::Create => {
-                    let have = self.with_session(*sid, |s| Ok(s.op_seq())).ok();
+                    let have = self.with_session_state(*sid, |s| Ok(s.op_seq())).ok();
                     match have {
                         // Our replica already covers this snapshot (or it
                         // is a duplicate live create): keep our state and
@@ -843,7 +891,7 @@ impl SessionManager {
                         Some(_) => {
                             recover_guard(self.shard(*sid).write()).remove(sid);
                             self.install_session(*sid, self.params.clone());
-                            let _ = self.with_session(*sid, |s| {
+                            let _ = self.with_session_state(*sid, |s| {
                                 s.advance_op_seq(*seq);
                                 Ok(())
                             });
@@ -854,7 +902,7 @@ impl SessionManager {
                         }
                         None => {
                             self.install_session(*sid, self.params.clone());
-                            let _ = self.with_session(*sid, |s| {
+                            let _ = self.with_session_state(*sid, |s| {
                                 s.advance_op_seq(*seq);
                                 Ok(())
                             });
@@ -874,11 +922,11 @@ impl SessionManager {
                 _ if *seq == 0 && snapshot_skip.contains(sid) => {
                     stats.records_skipped += 1;
                 }
-                _ => match self.with_session(*sid, |s| {
+                _ => match self.with_session_state(*sid, |s| {
                     if *seq != 0 && *seq <= s.op_seq() {
                         return Ok(false);
                     }
-                    op.apply(s)?;
+                    s.replay(op)?;
                     s.advance_op_seq(*seq);
                     Ok(true)
                 }) {
@@ -1225,6 +1273,88 @@ mod tests {
             .with_session(s1, |s| Ok((s.op_seq(), s.discovery().unwrap().sql())))
             .unwrap();
         assert_eq!(recovered, live);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// `mini_imdb` with one person renamed: an αDB built from it no longer
+    /// resolves journaled examples of that person.
+    fn mini_imdb_renamed(from: &str, to: &str) -> squid_relation::Database {
+        use squid_relation::{Table, Value};
+        let db = mini_imdb();
+        let mut renamed = squid_relation::Database::new();
+        renamed.meta = db.meta.clone();
+        for table in db.tables() {
+            let mut copy = Table::new(table.schema().clone());
+            for (_, row) in table.iter() {
+                let row = row
+                    .iter()
+                    .map(|v| {
+                        if *v == Value::text(from) {
+                            Value::text(to)
+                        } else {
+                            *v
+                        }
+                    })
+                    .collect();
+                copy.insert(row).unwrap();
+            }
+            renamed.add_table(copy).unwrap();
+        }
+        renamed
+    }
+
+    /// Recovery against an αDB that changed under the journal salvages
+    /// what still resolves: the final refresh of the damaged session fails,
+    /// so it is rebuilt from its state ops with the failing one skipped and
+    /// counted, while the untouched session recovers bit-identical.
+    #[test]
+    fn recover_salvages_sessions_the_changed_adb_breaks() {
+        let adb = Arc::new(ADb::build(&mini_imdb()).unwrap());
+        let path = journal_path("salvage.journal");
+        std::fs::remove_file(&path).ok();
+        let a = SessionManager::new(Arc::clone(&adb));
+        a.attach_journal(Journal::open(&path, FsyncPolicy::Flush).unwrap());
+        let damaged = a.create_session();
+        let intact = a.create_session();
+        for e in ["Jim Carrey", "Eddie Murphy", "Robin Williams"] {
+            a.apply_op(damaged, &SessionOp::AddExample(e.into()))
+                .unwrap();
+        }
+        a.apply_op(damaged, &SessionOp::PinFilter("person:gender".into()))
+            .unwrap();
+        for e in ["Sylvester Stallone", "Arnold Schwarzenegger"] {
+            a.apply_op(intact, &SessionOp::AddExample(e.into()))
+                .unwrap();
+        }
+        let state = |m: &SessionManager, id| {
+            m.with_session(id, |s| {
+                let d = s.discovery().unwrap();
+                Ok((
+                    s.op_seq(),
+                    s.examples().join("|"),
+                    s.pinned().to_vec(),
+                    d.sql(),
+                    d.rows.iter().collect::<Vec<_>>(),
+                ))
+            })
+            .unwrap()
+        };
+        let live_intact = state(&a, intact);
+        let live_damaged = state(&a, damaged);
+        a.journal_sync().unwrap();
+        drop(a);
+
+        let changed =
+            Arc::new(ADb::build(&mini_imdb_renamed("Eddie Murphy", "Edward Murphy")).unwrap());
+        let b = SessionManager::new(changed);
+        let stats = b.recover(&path, FsyncPolicy::Flush).unwrap();
+        assert!(stats.records_failed >= 1, "{stats:?}");
+        assert_eq!(stats.live_sessions, 2);
+        assert_eq!(state(&b, intact), live_intact);
+        let (seq, examples, pinned, _, _) = state(&b, damaged);
+        assert_eq!(examples, "Jim Carrey|Robin Williams");
+        assert_eq!(pinned, live_damaged.2);
+        assert_eq!(seq, live_damaged.0, "the salvaged session keeps its cursor");
         std::fs::remove_file(&path).ok();
     }
 

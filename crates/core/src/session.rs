@@ -17,6 +17,14 @@
 //! that entered or left the abduced query, result rows gained and lost, and
 //! whether the update took the incremental path).
 //!
+//! Each verb is two steps: a state transition (the examples, target, pins,
+//! bans and choices change) and a refresh that recomputes the discovery
+//! from that state. Journal replay — [`SessionManager::recover`] and a
+//! standby's replication stream — runs only the transitions, and the
+//! session refreshes once, when it is next read.
+//!
+//! [`SessionManager::recover`]: crate::SessionManager::recover
+//!
 //! ```
 //! use squid_adb::{test_fixtures, ADb};
 //! use squid_core::{SquidParams, SquidSession};
@@ -74,7 +82,7 @@ impl Deref for AdbRef<'_> {
 
 /// Projection-target selection mode.
 #[derive(Debug, Clone)]
-enum TargetState {
+pub(crate) enum TargetState {
     /// Infer the target from the examples (the `discover` behavior). The
     /// candidate `(table, column)` pairs containing every example so far
     /// are cached and only narrowed as examples arrive; `upto` counts the
@@ -90,13 +98,33 @@ enum TargetState {
 /// One example value with its cached inverted-index resolutions and any
 /// disambiguation feedback.
 #[derive(Debug, Clone)]
-struct ExampleState {
+pub(crate) struct ExampleState {
     text: String,
     /// Entity primary key forced by [`SquidSession::choose_entity`].
     chosen_pk: Option<i64>,
     /// Cached `(table, column) → candidate rows` lookups (linear scan; a
     /// session touches only a handful of targets).
     lookups: Vec<((String, usize), Vec<RowId>)>,
+}
+
+/// How to undo a staged state change (see [`SquidSession::stage`]) when
+/// the refresh after it fails.
+#[derive(Debug)]
+pub(crate) enum Undo {
+    /// Truncate the examples back to `len` and restore the target.
+    Added { len: usize, target: TargetState },
+    /// Put the removed example back at `idx` and restore the target.
+    Removed {
+        idx: usize,
+        example: ExampleState,
+        target: TargetState,
+    },
+    /// Restore the previous target.
+    Target(TargetState),
+    /// Restore example `idx`'s previous disambiguation choice.
+    Choice { idx: usize, prev: Option<i64> },
+    /// Pin/ban feedback: rescored from the cached Φ state, never undone.
+    Feedback,
 }
 
 /// What one session operation changed, plus the resulting discovery.
@@ -177,6 +205,9 @@ pub struct SquidSession<'a> {
     /// journal records carry it so replay (and retried serving turns) can
     /// skip operations already folded into this state.
     op_seq: u64,
+    /// Replayed ops have changed the state since `last` was computed (see
+    /// [`replay`](Self::replay) and [`settle`](Self::settle)).
+    stale: bool,
 }
 
 impl<'a> SquidSession<'a> {
@@ -220,6 +251,7 @@ impl<'a> SquidSession<'a> {
             cache,
             last_scored: None,
             op_seq: 0,
+            stale: false,
         }
     }
 
@@ -354,21 +386,8 @@ impl<'a> SquidSession<'a> {
     /// On failure (the example matches nothing, or no target contains all
     /// examples) the session is left exactly as it was.
     pub fn add_example(&mut self, example: &str) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
-        let saved_target = self.target.clone();
-        self.examples.push(ExampleState {
-            text: example.to_string(),
-            chosen_pk: None,
-            lookups: Vec::new(),
-        });
-        match self.refresh(started) {
-            Ok(d) => Ok(d),
-            Err(e) => {
-                self.examples.pop();
-                self.target = saved_target;
-                Err(e)
-            }
-        }
+        let undo = self.stage_add(&[example]);
+        self.commit(undo)
     }
 
     /// Add a batch of examples with a single discovery recomputation at the
@@ -376,52 +395,192 @@ impl<'a> SquidSession<'a> {
     /// deltas are skipped, so this costs one pipeline pass instead of one
     /// per example. On failure the session is left exactly as it was.
     pub fn add_examples(&mut self, examples: &[&str]) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
-        let saved_target = self.target.clone();
-        let saved_len = self.examples.len();
-        for example in examples {
-            self.examples.push(ExampleState {
-                text: example.to_string(),
-                chosen_pk: None,
-                lookups: Vec::new(),
-            });
-        }
-        match self.refresh(started) {
-            Ok(d) => Ok(d),
-            Err(e) => {
-                self.examples.truncate(saved_len);
-                self.target = saved_target;
-                Err(e)
-            }
-        }
+        let undo = self.stage_add(examples);
+        self.commit(undo)
     }
 
     /// Remove one previously added example (first match by value) and
     /// refine the discovery; property states the removed entity constrained
     /// are rebuilt, the rest adjust in place.
     pub fn remove_example(&mut self, example: &str) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
-        let Some(idx) = self.examples.iter().position(|e| e.text == example) else {
-            return Err(SquidError::UnknownExample {
-                example: example.to_string(),
-            });
-        };
-        let saved_target = self.target.clone();
-        let removed = self.examples.remove(idx);
-        match self.refresh(started) {
-            Ok(d) => Ok(d),
-            Err(e) => {
-                self.examples.insert(idx, removed);
-                self.target = saved_target;
-                Err(e)
-            }
-        }
+        let undo = self.stage_remove(example)?;
+        self.commit(undo)
     }
 
     /// Fix the projection target to `table.column` (disables target
     /// inference until [`set_target_auto`](Self::set_target_auto)).
     pub fn set_target(&mut self, table: &str, column: &str) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_target(table, column)?;
+        self.commit(undo)
+    }
+
+    /// Return to automatic target inference.
+    pub fn set_target_auto(&mut self) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_target_auto();
+        self.commit(undo)
+    }
+
+    /// Force every filter whose property id *or* attribute name equals
+    /// `key` into the abduced query, overriding Algorithm 1's decision
+    /// (and clearing any ban on the same key).
+    pub fn pin_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_pin(key);
+        self.commit(undo)
+    }
+
+    /// Force every filter whose property id *or* attribute name equals
+    /// `key` out of the abduced query (and clear any pin on the same key).
+    pub fn ban_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_ban(key);
+        self.commit(undo)
+    }
+
+    /// Drop a pin set by [`pin_filter`](Self::pin_filter).
+    pub fn unpin_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_unpin(key);
+        self.commit(undo)
+    }
+
+    /// Drop a ban set by [`ban_filter`](Self::ban_filter).
+    pub fn unban_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_unban(key);
+        self.commit(undo)
+    }
+
+    /// Disambiguation feedback: force `example` to resolve to the entity
+    /// with primary key `pk` (which must be among its candidate matches).
+    /// In auto-target mode the choice also narrows target inference to the
+    /// tables where `pk` is a real match for the example.
+    pub fn choose_entity(&mut self, example: &str, pk: i64) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_choice(example, Some(pk))?;
+        self.commit(undo)
+    }
+
+    /// Clear disambiguation feedback for `example`, returning to
+    /// similarity-based disambiguation.
+    pub fn clear_choice(&mut self, example: &str) -> Result<DiscoveryDelta, SquidError> {
+        let undo = self.stage_choice(example, None)?;
+        self.commit(undo)
+    }
+
+    // ------------------------------------------------------------------
+    // State transitions and refresh
+    // ------------------------------------------------------------------
+
+    /// Stage `op`'s state change without running discovery: the
+    /// transition every verb above makes before it refreshes. Fails only
+    /// on an op that cannot name its target (an unknown example, table or
+    /// column), leaving the session untouched. `None` for the lifecycle
+    /// markers (`Create`/`End`), which change no session state.
+    pub(crate) fn stage(&mut self, op: &SessionOp) -> Result<Option<Undo>, SquidError> {
+        let undo = match op {
+            SessionOp::Create | SessionOp::End => return Ok(None),
+            SessionOp::AddExample(v) => self.stage_add(&[v.as_str()]),
+            SessionOp::RemoveExample(v) => self.stage_remove(v)?,
+            SessionOp::SetTarget { table, column } => self.stage_target(table, column)?,
+            SessionOp::SetTargetAuto => self.stage_target_auto(),
+            SessionOp::PinFilter(k) => self.stage_pin(k),
+            SessionOp::BanFilter(k) => self.stage_ban(k),
+            SessionOp::UnpinFilter(k) => self.stage_unpin(k),
+            SessionOp::UnbanFilter(k) => self.stage_unban(k),
+            SessionOp::ChooseEntity { example, pk } => self.stage_choice(example, Some(*pk))?,
+            SessionOp::ClearChoice(example) => self.stage_choice(example, None)?,
+        };
+        Ok(Some(undo))
+    }
+
+    /// Replay one journaled op: stage its state change and leave the
+    /// discovery stale. The next [`settle`](Self::settle) runs one refresh
+    /// for however many ops were replayed, instead of one per op.
+    pub(crate) fn replay(&mut self, op: &SessionOp) -> Result<(), SquidError> {
+        if self.stage(op)?.is_some() {
+            self.stale = true;
+        }
+        Ok(())
+    }
+
+    /// Bring a replayed (stale) session's discovery up to date; a no-op
+    /// otherwise. If the refresh fails — the αDB no longer matches the
+    /// journal that built this state — the session is rebuilt from its
+    /// [`state_ops`](Self::state_ops) through the live apply path, and the
+    /// ops that fail there are skipped. Returns how many were skipped.
+    pub(crate) fn settle(&mut self) -> u64 {
+        if !std::mem::take(&mut self.stale) || self.refresh(Instant::now()).is_ok() {
+            return 0;
+        }
+        let mut fresh = Self::from_ref(self.adb.clone(), self.params.clone(), self.cache.take());
+        fresh.op_seq = self.op_seq;
+        let failed = self
+            .state_ops()
+            .iter()
+            .filter(|op| op.apply(&mut fresh).is_err())
+            .count();
+        *self = fresh;
+        failed as u64
+    }
+
+    /// Refresh after a staged change, undoing the change if discovery
+    /// fails. Feedback-only changes take the [`rescore`](Self::rescore)
+    /// path and are not undone.
+    pub(crate) fn commit(&mut self, undo: Undo) -> Result<DiscoveryDelta, SquidError> {
         let started = Instant::now();
+        if let Undo::Feedback = undo {
+            return self.rescore(started);
+        }
+        let result = self.refresh(started);
+        if result.is_err() {
+            match undo {
+                Undo::Feedback => {}
+                Undo::Added { len, target } => {
+                    self.examples.truncate(len);
+                    self.target = target;
+                }
+                Undo::Removed {
+                    idx,
+                    example,
+                    target,
+                } => {
+                    self.examples.insert(idx, example);
+                    self.target = target;
+                }
+                Undo::Target(target) => self.target = target,
+                Undo::Choice { idx, prev } => self.examples[idx].chosen_pk = prev,
+            }
+        }
+        result
+    }
+
+    fn stage_add(&mut self, examples: &[&str]) -> Undo {
+        let undo = Undo::Added {
+            len: self.examples.len(),
+            target: self.target.clone(),
+        };
+        self.examples
+            .extend(examples.iter().map(|example| ExampleState {
+                text: example.to_string(),
+                chosen_pk: None,
+                lookups: Vec::new(),
+            }));
+        undo
+    }
+
+    fn stage_remove(&mut self, example: &str) -> Result<Undo, SquidError> {
+        let idx = self.example_index(example)?;
+        let target = self.target.clone();
+        // The cached auto candidates were narrowed by the removed example:
+        // drop them, or a later add would narrow from a stale prefix.
+        if let TargetState::Auto { candidates, upto } = &mut self.target {
+            *candidates = None;
+            *upto = 0;
+        }
+        Ok(Undo::Removed {
+            idx,
+            example: self.examples.remove(idx),
+            target,
+        })
+    }
+
+    fn stage_target(&mut self, table: &str, column: &str) -> Result<Undo, SquidError> {
         let unknown = || SquidError::UnknownTarget {
             table: table.to_string(),
             column: column.to_string(),
@@ -437,116 +596,64 @@ impl<'a> SquidSession<'a> {
             .schema()
             .column_index(column)
             .ok_or_else(unknown)?;
-        let saved = std::mem::replace(
+        Ok(Undo::Target(std::mem::replace(
             &mut self.target,
             TargetState::Fixed {
                 table: table.to_string(),
                 column: ci,
             },
-        );
-        match self.refresh(started) {
-            Ok(d) => Ok(d),
-            Err(e) => {
-                self.target = saved;
-                Err(e)
-            }
-        }
+        )))
     }
 
-    /// Return to automatic target inference.
-    pub fn set_target_auto(&mut self) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
-        let saved = std::mem::replace(
+    fn stage_target_auto(&mut self) -> Undo {
+        Undo::Target(std::mem::replace(
             &mut self.target,
             TargetState::Auto {
                 candidates: None,
                 upto: 0,
             },
-        );
-        match self.refresh(started) {
-            Ok(d) => Ok(d),
-            Err(e) => {
-                self.target = saved;
-                Err(e)
-            }
-        }
+        ))
     }
 
-    /// Force every filter whose property id *or* attribute name equals
-    /// `key` into the abduced query, overriding Algorithm 1's decision
-    /// (and clearing any ban on the same key).
-    pub fn pin_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
+    fn stage_pin(&mut self, key: &str) -> Undo {
         self.banned.retain(|k| k != key);
         if !self.pinned.iter().any(|k| k == key) {
             self.pinned.push(key.to_string());
         }
-        self.rescore(started)
+        Undo::Feedback
     }
 
-    /// Force every filter whose property id *or* attribute name equals
-    /// `key` out of the abduced query (and clear any pin on the same key).
-    pub fn ban_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
+    fn stage_ban(&mut self, key: &str) -> Undo {
         self.pinned.retain(|k| k != key);
         if !self.banned.iter().any(|k| k == key) {
             self.banned.push(key.to_string());
         }
-        self.rescore(started)
+        Undo::Feedback
     }
 
-    /// Drop a pin set by [`pin_filter`](Self::pin_filter).
-    pub fn unpin_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
+    fn stage_unpin(&mut self, key: &str) -> Undo {
         self.pinned.retain(|k| k != key);
-        self.rescore(started)
+        Undo::Feedback
     }
 
-    /// Drop a ban set by [`ban_filter`](Self::ban_filter).
-    pub fn unban_filter(&mut self, key: &str) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
+    fn stage_unban(&mut self, key: &str) -> Undo {
         self.banned.retain(|k| k != key);
-        self.rescore(started)
+        Undo::Feedback
     }
 
-    /// Disambiguation feedback: force `example` to resolve to the entity
-    /// with primary key `pk` (which must be among its candidate matches).
-    /// In auto-target mode the choice also narrows target inference to the
-    /// tables where `pk` is a real match for the example.
-    pub fn choose_entity(&mut self, example: &str, pk: i64) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
-        let Some(idx) = self.examples.iter().position(|e| e.text == example) else {
-            return Err(SquidError::UnknownExample {
-                example: example.to_string(),
-            });
-        };
-        let prev = self.examples[idx].chosen_pk.replace(pk);
-        match self.refresh(started) {
-            Ok(d) => Ok(d),
-            Err(e) => {
-                self.examples[idx].chosen_pk = prev;
-                Err(e)
-            }
-        }
+    fn stage_choice(&mut self, example: &str, pk: Option<i64>) -> Result<Undo, SquidError> {
+        let idx = self.example_index(example)?;
+        let prev = std::mem::replace(&mut self.examples[idx].chosen_pk, pk);
+        Ok(Undo::Choice { idx, prev })
     }
 
-    /// Clear disambiguation feedback for `example`, returning to
-    /// similarity-based disambiguation.
-    pub fn clear_choice(&mut self, example: &str) -> Result<DiscoveryDelta, SquidError> {
-        let started = Instant::now();
-        let Some(idx) = self.examples.iter().position(|e| e.text == example) else {
-            return Err(SquidError::UnknownExample {
+    fn example_index(&self, example: &str) -> Result<usize, SquidError> {
+        self.examples
+            .iter()
+            .position(|e| e.text == example)
+            .ok_or_else(|| SquidError::UnknownExample {
                 example: example.to_string(),
-            });
-        };
-        let prev = self.examples[idx].chosen_pk.take();
-        match self.refresh(started) {
-            Ok(d) => Ok(d),
-            Err(e) => {
-                self.examples[idx].chosen_pk = prev;
-                Err(e)
-            }
-        }
+            })
     }
 
     // ------------------------------------------------------------------

@@ -4,63 +4,16 @@
 //! op sequences (including ops that fail and are therefore never
 //! journaled, removed examples, ended sessions, and feedback churn).
 
+mod common;
+
 use std::sync::Arc;
 
+use common::{adb, arb_step};
 use proptest::prelude::*;
-use squid_adb::{test_fixtures, ADb};
-use squid_core::{FsyncPolicy, Journal, SessionManager, SessionOp};
-
-const NAMES: &[&str] = &[
-    "Jim Carrey",
-    "Eddie Murphy",
-    "Robin Williams",
-    "Julia Roberts",
-    "Emma Stone",
-    "Sylvester Stallone",
-    "Arnold Schwarzenegger",
-];
-
-const FILTERS: &[&str] = &["person:gender", "person:age_group", "movie:genre"];
-
-/// A script step: which session (0 or 1) does what.
-#[derive(Debug, Clone)]
-struct Step {
-    session: usize,
-    op: SessionOp,
-}
-
-fn arb_op() -> impl Strategy<Value = SessionOp> {
-    prop_oneof![
-        (0usize..NAMES.len()).prop_map(|i| SessionOp::AddExample(NAMES[i].into())),
-        (0usize..NAMES.len()).prop_map(|i| SessionOp::RemoveExample(NAMES[i].into())),
-        (0usize..FILTERS.len()).prop_map(|i| SessionOp::PinFilter(FILTERS[i].into())),
-        (0usize..FILTERS.len()).prop_map(|i| SessionOp::BanFilter(FILTERS[i].into())),
-        (0usize..FILTERS.len()).prop_map(|i| SessionOp::UnpinFilter(FILTERS[i].into())),
-        (0usize..FILTERS.len()).prop_map(|i| SessionOp::UnbanFilter(FILTERS[i].into())),
-        Just(SessionOp::SetTarget {
-            table: "person".into(),
-            column: "name".into(),
-        }),
-        Just(SessionOp::SetTargetAuto),
-    ]
-}
-
-fn arb_step() -> impl Strategy<Value = Step> {
-    (0usize..2, arb_op()).prop_map(|(session, op)| Step { session, op })
-}
-
-fn adb() -> Arc<ADb> {
-    Arc::new(ADb::build(&test_fixtures::mini_imdb()).unwrap())
-}
+use squid_core::{FsyncPolicy, Journal, SessionManager};
 
 fn temp(tag: &str, case: u32) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join("squid_compact_prop");
-    std::fs::create_dir_all(&dir).unwrap();
-    dir.join(format!(
-        "{tag}-{}-{:?}-{case}.journal",
-        std::process::id(),
-        std::thread::current().id()
-    ))
+    common::temp("squid_compact_prop", tag, case)
 }
 
 /// Everything observable about a recovered fleet, for equality checks.
