@@ -1,7 +1,9 @@
-//! Offline αDB construction: walks the schema graph, computes per-property
-//! statistics, and materializes derived relations (paper Section 5,
-//! Figure 4's "offline module").
+//! Offline αDB construction: walks the schema graph and computes
+//! per-property statistics (paper Section 5, Figure 4's "offline module").
+//! The derived relations are built from those statistics on first SQL use
+//! ([`ADb::query_database`]).
 
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use squid_relation::{
@@ -18,13 +20,9 @@ pub struct AdbConfig {
     /// Skip numeric derived properties whose attribute has more distinct
     /// values than this (bounds the precomputed suffix grids).
     pub max_numeric_derived_domain: usize,
-    /// Materialize derived relations as real tables in the αDB database
-    /// (needed for running abduced queries on the αDB, Example 2.2).
-    pub materialize_derived: bool,
-    /// Worker threads for the αDB build fan-outs — per-property statistics,
-    /// the inverted-index column scan, and derived-relation
-    /// materialization; 1 disables parallelism. Results are merged
-    /// deterministically, so the built αDB (and every database
+    /// Worker threads for the αDB build fan-outs — per-property statistics
+    /// and the inverted-index column scan; 1 disables parallelism. Results
+    /// are merged deterministically, so the built αDB (and every database
     /// fingerprint) is byte-identical at any worker count.
     pub parallel_workers: usize,
 }
@@ -33,7 +31,6 @@ impl Default for AdbConfig {
     fn default() -> Self {
         AdbConfig {
             max_numeric_derived_domain: 256,
-            materialize_derived: true,
             parallel_workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(1),
@@ -48,9 +45,11 @@ pub struct BuildStats {
     pub build_millis: u128,
     /// Number of discovered semantic properties.
     pub property_count: usize,
-    /// Number of materialized derived relations.
+    /// Number of derived relations (built on first SQL use, see
+    /// [`ADb::query_database`]).
     pub derived_table_count: usize,
-    /// Total rows across materialized derived relations.
+    /// Total rows across the derived relations, counted from the
+    /// statistics without building them.
     pub derived_row_count: usize,
     /// Rows in the original database.
     pub original_row_count: usize,
@@ -63,7 +62,8 @@ pub struct Property {
     pub def: PropertyDef,
     /// Precomputed statistics.
     pub stats: PropStats,
-    /// Name of the materialized derived relation, if any.
+    /// Name of the property's `(entity_id, value, count)` relation in
+    /// [`ADb::query_database`]; `None` for non-derived properties.
     pub derived_table: Option<String>,
     /// `def.id` interned once at build time: candidate-filter emission runs
     /// on every session turn and must not re-hash the id string.
@@ -129,6 +129,21 @@ impl<'a> From<&'a String> for PropId<'a> {
     }
 }
 
+/// Estimated heap bytes of an αDB's parts ([`ADb::heap_bytes`]), from
+/// `Vec` and map capacities.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HeapBytes {
+    /// The original tables ([`ADb::database`]).
+    pub tables: usize,
+    /// The inverted column index.
+    pub inverted: usize,
+    /// Per-property statistics and each entity's key map.
+    pub stats: usize,
+    /// [`ADb::query_database`]: 0 until its first call, then its copy of
+    /// the original tables plus the derived relations.
+    pub derived: usize,
+}
+
 /// The abduction-ready database.
 #[derive(Debug, Clone)]
 pub struct ADb {
@@ -136,9 +151,13 @@ pub struct ADb {
     pub inverted: InvertedIndex,
     /// Per-entity-table properties and statistics.
     pub entities: FxHashMap<String, EntityProps>,
-    /// The αDB database: the original tables plus materialized derived
-    /// relations (schema `(entity_id, value, count)`).
+    /// The original tables the αDB was built over, exactly. Abduced
+    /// queries in their αDB form run on [`ADb::query_database`], which
+    /// adds the derived relations.
     pub database: Database,
+    /// The original tables plus the derived relations, built on the first
+    /// [`ADb::query_database`] call.
+    query_db: OnceLock<Database>,
     /// Build statistics.
     pub build_stats: BuildStats,
     /// The configuration the αDB was built with (a snapshot records the
@@ -163,15 +182,18 @@ impl ADb {
         Self::build_from(db.clone(), config)
     }
 
-    /// [`ADb::build_with`] over a database it takes: the αDB database is
-    /// `db` itself plus the derived relations, so the original tables are
-    /// never copied (the snapshot loader hands over what it decoded).
+    /// [`ADb::build_with`] over a database it takes: [`ADb::database`] is
+    /// `db` itself, so the original tables are never copied (the snapshot
+    /// loader hands over what it decoded).
     pub(crate) fn build_from(db: Database, config: &AdbConfig) -> Result<ADb> {
         let start = Instant::now();
         db.validate()?;
         let inverted = InvertedIndex::build_with_workers(&db, config.parallel_workers);
         let defs = discover_properties(&db);
-        let mut derived_tables_built: Vec<Table> = Vec::new();
+        // Derived-relation names are unique against the base tables and
+        // against each other (see `derived_table_name`).
+        let mut taken_names: FxHashSet<String> =
+            db.tables().map(|t| t.name().to_string()).collect();
         let mut entities: FxHashMap<String, EntityProps> = FxHashMap::default();
         let mut derived_table_count = 0usize;
         let mut derived_row_count = 0usize;
@@ -251,34 +273,16 @@ impl ADb {
                 stats_opt.push(r?);
             }
 
-            // Derived-relation materialization fans out too: building each
-            // `(entity_id, value, count)` table (pk gather + columnar
-            // builders + row-view derivation) is independent per property,
-            // and results come back in definition order, so every database
-            // fingerprint is byte-identical to the sequential build.
-            let derived_tables: Vec<Result<Option<(String, Table)>>> = if config.materialize_derived
-            {
-                build_derived_tables(&entity_defs, &stats_opt, table, pk_idx, config)
-            } else {
-                entity_defs.iter().map(|_| Ok(None)).collect()
-            };
-
             let mut props = Vec::new();
-            for ((def, stats), derived) in
-                entity_defs.into_iter().zip(stats_opt).zip(derived_tables)
-            {
+            for (def, stats) in entity_defs.into_iter().zip(stats_opt) {
                 let Some(stats) = stats else {
                     continue;
                 };
-                let derived_table = match derived? {
-                    Some((name, derived)) => {
-                        derived_row_count += derived.len();
-                        derived_table_count += 1;
-                        derived_tables_built.push(derived);
-                        Some(name)
-                    }
-                    None => None,
-                };
+                let derived_table = derived_rows(&stats).map(|rows| {
+                    derived_row_count += rows;
+                    derived_table_count += 1;
+                    derived_table_name(def, &mut taken_names)
+                });
                 props.push(Property {
                     id_sym: Sym::intern(&def.id),
                     attr_sym: Sym::intern(&def.attr_name),
@@ -304,22 +308,18 @@ impl ADb {
             );
         }
 
-        let original_row_count = db.total_rows();
-        let mut database = db;
-        for derived in derived_tables_built {
-            database.add_table(derived)?;
-        }
         let build_stats = BuildStats {
             build_millis: start.elapsed().as_millis(),
             property_count: entities.values().map(|e| e.props.len()).sum(),
             derived_table_count,
             derived_row_count,
-            original_row_count,
+            original_row_count: db.total_rows(),
         };
         Ok(ADb {
             inverted,
             entities,
-            database,
+            database: db,
+            query_db: OnceLock::new(),
             build_stats,
             config: config.clone(),
             generation: next_generation(),
@@ -329,6 +329,51 @@ impl ADb {
     /// Properties of one entity table.
     pub fn entity(&self, table: &str) -> Option<&EntityProps> {
         self.entities.get(table)
+    }
+
+    /// The database abduced queries execute on: the original tables plus
+    /// one `(entity_id, value, count)` relation per derived property (the
+    /// paper's `persontogenre`, Example 2.2), named as
+    /// [`Property::derived_table`] says. Built from the statistics on the
+    /// first call and kept; discovery reads the statistics directly and
+    /// never needs it. Concurrent first calls build it once.
+    pub fn query_database(&self) -> &Database {
+        self.query_db.get_or_init(|| {
+            let mut db = self.database.clone();
+            for e in self.entities.values() {
+                let table = self.database.table(&e.table).expect("entity table");
+                let pk_idx = table.schema().primary_key.expect("entity primary key");
+                for p in &e.props {
+                    if let Some(name) = &p.derived_table {
+                        // The statistics hold one typed value column per
+                        // property and the build made every name unique.
+                        build_derived(name, &p.def.entity, &p.stats, table, pk_idx)
+                            .and_then(|t| db.add_table(t))
+                            .unwrap_or_else(|err| panic!("derived relation {name}: {err}"));
+                    }
+                }
+            }
+            db
+        })
+    }
+
+    /// Estimated heap bytes of the original tables, the inverted index, the
+    /// statistics and (once built) the query database.
+    pub fn heap_bytes(&self) -> HeapBytes {
+        let stats = self
+            .entities
+            .values()
+            .map(|e| {
+                squid_relation::heap::map_bytes(&e.pk_to_row)
+                    + e.props.iter().map(|p| p.stats.heap_bytes()).sum::<usize>()
+            })
+            .sum();
+        HeapBytes {
+            tables: self.database.heap_bytes(),
+            inverted: self.inverted.heap_bytes(),
+            stats,
+            derived: self.query_db.get().map_or(0, Database::heap_bytes),
+        }
     }
 }
 
@@ -719,101 +764,61 @@ fn compute_stats(
     })
 }
 
-/// Sanitize a property id into a valid derived-table name.
-fn derived_table_name(def: &PropertyDef) -> String {
-    let mut s = String::with_capacity(def.id.len() + 8);
-    s.push_str("adb_");
-    for ch in def.id.chars() {
-        s.push(if ch.is_ascii_alphanumeric() { ch } else { '_' });
+/// Rows of a property's derived relation, one per `(entity, value)` pair
+/// with a positive count; `None` for properties that have none.
+fn derived_rows(stats: &PropStats) -> Option<usize> {
+    match stats {
+        PropStats::Derived(d) => Some(d.association_count()),
+        PropStats::DerivedNumeric(d) => Some(d.per_entity.iter().map(Vec::len).sum()),
+        PropStats::Categorical(_) | PropStats::Numeric(_) => None,
     }
-    s
 }
 
-/// Build the derived relations of one entity's properties, fanned out
-/// over `config.parallel_workers` scoped threads with the same
-/// work-stealing shape as the statistics pass. Results come back indexed
-/// by definition position, so the caller adds tables to the αDB in
-/// definition order regardless of scheduling — parallelism never changes
-/// the database layout.
-fn build_derived_tables(
-    defs: &[&PropertyDef],
-    stats: &[Option<PropStats>],
-    entity_table: &Table,
-    pk_idx: usize,
-    config: &AdbConfig,
-) -> Vec<Result<Option<(String, Table)>>> {
-    let build_one = |i: usize| match &stats[i] {
-        Some(s) => build_derived(defs[i], s, entity_table, pk_idx),
-        None => Ok(None),
-    };
-    if config.parallel_workers <= 1 || defs.len() <= 1 {
-        return (0..defs.len()).map(build_one).collect();
+/// The derived-relation name of `def`: its id sanitized to `adb_…`, then
+/// suffixed `_2`, `_3`, … until it is not in `taken` (the base tables and
+/// every name assigned before it). Sanitizing is not injective
+/// (`person~castinfo.movie_year` and `person~castinfo~movie.year` both
+/// read `adb_person_castinfo_movie_year`), and the build assigns names in
+/// entity-then-definition order, so the suffixes are deterministic.
+fn derived_table_name(def: &PropertyDef, taken: &mut FxHashSet<String>) -> String {
+    let mut base = String::with_capacity(def.id.len() + 8);
+    base.push_str("adb_");
+    base.extend(
+        def.id
+            .chars()
+            .map(|ch| if ch.is_ascii_alphanumeric() { ch } else { '_' }),
+    );
+    let mut name = base.clone();
+    let mut suffix = 2;
+    while !taken.insert(name.clone()) {
+        name = format!("{base}_{suffix}");
+        suffix += 1;
     }
-    let workers = config.parallel_workers.min(defs.len());
-    let next = std::sync::atomic::AtomicUsize::new(0);
-    type WorkerOut = Vec<(usize, Result<Option<(String, Table)>>)>;
-    let per_worker: Vec<WorkerOut> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                let next = &next;
-                let build_one = &build_one;
-                scope.spawn(move || {
-                    let mut out = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                        if i >= defs.len() {
-                            break;
-                        }
-                        out.push((i, build_one(i)));
-                    }
-                    out
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("derived-table worker panicked"))
-            .collect()
-    });
-    let mut results: Vec<Result<Option<(String, Table)>>> =
-        (0..defs.len()).map(|_| Ok(None)).collect();
-    for (i, r) in per_worker.into_iter().flatten() {
-        results[i] = r;
-    }
-    results
+    name
 }
 
-/// Build a derived relation `(entity_id, value, count)` for a derived
-/// property (the paper's `persontogenre`). Returns the table, named and
-/// ready for `add_table` — pure with respect to the αDB, so the fan-out
-/// above can run it on any thread.
+/// Build the derived relation `name(entity_id, value, count)` of one
+/// derived property of `entity` (the paper's `persontogenre`) from its
+/// statistics.
 ///
 /// Columnar bulk build: the per-entity count structures stream straight
 /// into typed [`ColumnBuilder`]s and [`Table::from_columns`] derives the
 /// row view once — no intermediate row vector and no per-row arity/type
-/// checks on the materialization path.
+/// checks.
 fn build_derived(
-    def: &PropertyDef,
+    name: &str,
+    entity: &str,
     stats: &PropStats,
     entity_table: &Table,
     pk_idx: usize,
-) -> Result<Option<(String, Table)>> {
-    let (row_hint, value_type) = match stats {
-        PropStats::Derived(d) => {
-            let vt = (0..d.entity_count())
-                .flat_map(|r| d.counts_of(r))
-                .find_map(|(v, _)| v.data_type())
-                .unwrap_or(DataType::Text);
-            (
-                (0..d.entity_count()).map(|r| d.counts_of(r).len()).sum(),
-                vt,
-            )
-        }
-        PropStats::DerivedNumeric(d) => (
-            d.per_entity.iter().map(|e| e.len()).sum::<usize>(),
-            DataType::Float,
-        ),
-        _ => return Ok(None),
+) -> Result<Table> {
+    let rows = derived_rows(stats).expect("only derived properties have a derived relation");
+    let value_type = match stats {
+        PropStats::Derived(d) => (0..d.entity_count())
+            .flat_map(|r| d.counts_of(r))
+            .find_map(|(v, _)| v.data_type())
+            .unwrap_or(DataType::Text),
+        _ => DataType::Float,
     };
     // Entity pk values gathered once in row order (dtype dispatch hoisted
     // out of the emission loops).
@@ -821,9 +826,9 @@ fn build_derived(
         entity_table.column(pk_idx),
         &squid_relation::RowSet::full(entity_table.len()),
     );
-    let mut ent = ColumnBuilder::with_capacity(DataType::Int, row_hint);
-    let mut val = ColumnBuilder::with_capacity(value_type, row_hint);
-    let mut cnt = ColumnBuilder::with_capacity(DataType::Int, row_hint);
+    let mut ent = ColumnBuilder::with_capacity(DataType::Int, rows);
+    let mut val = ColumnBuilder::with_capacity(value_type, rows);
+    let mut cnt = ColumnBuilder::with_capacity(DataType::Int, rows);
     match stats {
         PropStats::Derived(d) => {
             for (rid, pk) in pk_vals.iter().enumerate().take(d.entity_count()) {
@@ -843,11 +848,10 @@ fn build_derived(
                 }
             }
         }
-        _ => unreachable!("filtered above"),
+        PropStats::Categorical(_) | PropStats::Numeric(_) => unreachable!("checked above"),
     }
-    let name = derived_table_name(def);
     let schema = TableSchema::new(
-        &name,
+        name,
         vec![
             Column::new("entity_id", DataType::Int),
             Column::new("value", value_type),
@@ -855,9 +859,8 @@ fn build_derived(
         ],
     )
     .with_role(TableRole::Fact)
-    .with_foreign_key("entity_id", &def.entity, pk_idx);
-    let table = Table::from_columns(schema, vec![ent, val, cnt])?;
-    Ok(Some((name, table)))
+    .with_foreign_key("entity_id", entity, pk_idx);
+    Table::from_columns(schema, vec![ent, val, cnt])
 }
 
 #[cfg(test)]
@@ -932,7 +935,7 @@ mod tests {
             })
             .unwrap();
         let tname = p.derived_table.as_ref().unwrap();
-        // Query the materialized relation: persons with >= 4 comedies.
+        // Query the derived relation: persons with >= 4 comedies.
         let q = Query::single(
             QueryBlock::new("person").semi_join(SemiJoin::exists(vec![PathStep::new(
                 tname,
@@ -943,7 +946,7 @@ mod tests {
             .filter(Pred::ge("count", 4))])),
             "name",
         );
-        let rs = Executor::new(&a.database).execute(&q).unwrap();
+        let rs = Executor::new(a.query_database()).execute(&q).unwrap();
         assert_eq!(rs.len(), 3); // Jim Carrey, Eddie Murphy, Robin Williams
     }
 
@@ -981,9 +984,8 @@ mod tests {
             .filter(Pred::ge("count", 4))])),
             "name",
         );
-        let exec = Executor::new(&a.database);
-        let r1 = exec.execute(&original).unwrap();
-        let r2 = exec.execute(&adb_q).unwrap();
+        let r1 = Executor::new(&a.database).execute(&original).unwrap();
+        let r2 = Executor::new(a.query_database()).execute(&adb_q).unwrap();
         assert_eq!(r1, r2);
     }
 
@@ -1062,18 +1064,126 @@ mod tests {
         assert_eq!(s.count_of(jim, &Value::text("Comedy")), 6);
     }
 
+    /// `person(id, name)`, `movie(id, year)` and a two-FK fact
+    /// `castinfo(person_id, movie_id, movie_year TEXT)`: the fact attribute
+    /// `person~castinfo.movie_year` and the mid attribute
+    /// `person~castinfo~movie.year` sanitize to the same table name, and so
+    /// does a base table that already uses it.
+    fn colliding_db() -> Database {
+        let mut db = Database::new();
+        db.create_table(
+            TableSchema::new(
+                "person",
+                vec![
+                    Column::new("id", DataType::Int),
+                    Column::new("name", DataType::Text),
+                ],
+            )
+            .with_primary_key("id"),
+        )
+        .unwrap();
+        db.create_table(
+            TableSchema::new(
+                "movie",
+                vec![
+                    Column::new("id", DataType::Int),
+                    Column::new("year", DataType::Int),
+                ],
+            )
+            .with_primary_key("id"),
+        )
+        .unwrap();
+        db.create_table(
+            TableSchema::new(
+                "castinfo",
+                vec![
+                    Column::new("person_id", DataType::Int),
+                    Column::new("movie_id", DataType::Int),
+                    Column::new("movie_year", DataType::Text),
+                ],
+            )
+            .with_role(TableRole::Fact)
+            .with_foreign_key("person_id", "person", 0)
+            .with_foreign_key("movie_id", "movie", 0),
+        )
+        .unwrap();
+        db.create_table(
+            TableSchema::new(
+                "adb_person_castinfo_movie_year_2",
+                vec![Column::new("note", DataType::Text)],
+            )
+            .with_role(TableRole::Property),
+        )
+        .unwrap();
+        db.meta.exclude("person", "name");
+        for (id, name) in [(1, "Ann"), (2, "Bob"), (3, "Cy")] {
+            db.insert("person", vec![Value::Int(id), Value::text(name)])
+                .unwrap();
+        }
+        for (id, year) in [(10, 1990), (11, 1990), (12, 2000)] {
+            db.insert("movie", vec![Value::Int(id), Value::Int(year)])
+                .unwrap();
+        }
+        // Ann: 1990 twice; Bob: 1990 once and 2000 once; Cy: 2000 once.
+        for (p, m, y) in [
+            (1, 10, "1990"),
+            (1, 11, "1990"),
+            (2, 10, "1990"),
+            (2, 12, "2000"),
+            (3, 12, "2000"),
+        ] {
+            db.insert(
+                "castinfo",
+                vec![Value::Int(p), Value::Int(m), Value::text(y)],
+            )
+            .unwrap();
+        }
+        db
+    }
+
     #[test]
-    fn no_materialization_when_disabled() {
-        let cfg = AdbConfig {
-            materialize_derived: false,
-            ..Default::default()
+    fn colliding_derived_names_get_unique_suffixes() {
+        let a = ADb::build(&colliding_db()).unwrap();
+        let e = a.entity("person").unwrap();
+        let table_of = |id: &str| {
+            let p = e.property(id).unwrap_or_else(|| panic!("no property {id}"));
+            (p, p.derived_table.clone().unwrap())
         };
-        let a = ADb::build_with(&mini_imdb(), &cfg).unwrap();
-        assert_eq!(a.build_stats.derived_table_count, 0);
-        assert!(a.entities["person"]
-            .props
-            .iter()
-            .all(|p| p.derived_table.is_none()));
+        let (fact_attr, fact_table) = table_of("person~castinfo.movie_year");
+        let (mid_attr, mid_table) = table_of("person~castinfo~movie.year");
+        // Definition order decides who keeps the bare name; the base table
+        // holds `_2`, so the loser skips to `_3`.
+        let mut names = [fact_table.as_str(), mid_table.as_str()];
+        names.sort();
+        assert_eq!(
+            names,
+            [
+                "adb_person_castinfo_movie_year",
+                "adb_person_castinfo_movie_year_3"
+            ]
+        );
+        assert_eq!(
+            a.query_database().tables().count(),
+            a.database.tables().count() + a.build_stats.derived_table_count
+        );
+        // Both αDB forms answer exactly what the original forms answer.
+        let rows = |db: &Database, sj: SemiJoin| {
+            let q = Query::single(QueryBlock::new("person").semi_join(sj), "name");
+            let rs = Executor::new(db).execute(&q).unwrap();
+            rs.project(db, "name").unwrap()
+        };
+        for (p, v, theta, want) in [
+            (fact_attr, Value::text("1990"), 2, vec!["Ann"]),
+            (fact_attr, Value::text("2000"), 1, vec!["Bob", "Cy"]),
+            (mid_attr, Value::Float(1990.0), 1, vec!["Ann", "Bob"]),
+            (mid_attr, Value::Float(2000.0), 1, vec!["Bob", "Cy"]),
+        ] {
+            let adb_form = p.fragments.adb_semi_join(&v, theta).unwrap();
+            let original = p.def.semi_join("id", &v, theta).unwrap();
+            let want: Vec<Value> = want.into_iter().map(Value::text).collect();
+            assert_eq!(rows(a.query_database(), adb_form), want, "{} {v}", p.def.id);
+            assert_eq!(rows(&a.database, original), want, "{} {v}", p.def.id);
+        }
     }
 
     #[test]
@@ -1139,15 +1249,21 @@ mod parallel_tests {
                 }
             }
         }
-        // The αDB databases (originals + derived relations in definition
-        // order) must be byte-identical: table layout, row order, cells.
+        // The query databases (originals + derived relations) must be
+        // byte-identical: table layout, row order, cells.
         assert_eq!(
-            squid_relation::db_fingerprint(&seq.database),
-            squid_relation::db_fingerprint(&par.database),
+            squid_relation::db_fingerprint(seq.query_database()),
+            squid_relation::db_fingerprint(par.query_database()),
         );
         assert_eq!(
-            seq.database.tables().map(|t| t.name()).collect::<Vec<_>>(),
-            par.database.tables().map(|t| t.name()).collect::<Vec<_>>(),
+            seq.query_database()
+                .tables()
+                .map(|t| t.name())
+                .collect::<Vec<_>>(),
+            par.query_database()
+                .tables()
+                .map(|t| t.name())
+                .collect::<Vec<_>>(),
         );
         // The parallel inverted-index build merges deterministically too.
         assert!(seq.inverted == par.inverted);

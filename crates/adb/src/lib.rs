@@ -2,10 +2,11 @@
 //!
 //! The abduction-ready database (αDB) of the SQuID paper, Section 5: an
 //! offline module that walks the schema graph to discover basic and derived
-//! semantic properties, precomputes their selectivity statistics, builds the
-//! global inverted column index for entity lookup, and materializes derived
-//! relations (like `persontogenre`) so that SPJAI queries on the original
-//! database reduce to SPJ queries on the αDB.
+//! semantic properties, precomputes their selectivity statistics, and builds
+//! the global inverted column index for entity lookup. Derived relations
+//! (like `persontogenre`), which reduce SPJAI queries on the original
+//! database to SPJ queries on the αDB, are built from the statistics on
+//! first SQL use ([`ADb::query_database`]).
 
 #![warn(missing_docs)]
 
@@ -15,7 +16,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod test_fixtures;
 
-pub use build::{ADb, AdbConfig, BuildStats, EntityProps, PropId, Property};
+pub use build::{ADb, AdbConfig, BuildStats, EntityProps, HeapBytes, PropId, Property};
 pub use properties::{discover_properties, PropKind, PropertyDef, QueryFragments};
 pub use stats::{
     posting_row, CategoricalStats, DerivedNumericStats, DerivedStats, FilterFingerprint,

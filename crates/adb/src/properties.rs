@@ -251,8 +251,8 @@ pub struct QueryFragments {
     sj: Option<SjTemplate>,
     /// Template for [`PropertyDef::semi_join_ge`] (numeric mid attributes).
     sj_ge: Option<SjTemplate>,
-    /// Semi-join over the materialized derived relation (the αDB query
-    /// form), when one was materialized.
+    /// Semi-join over the derived relation (the αDB query form), for
+    /// properties that have one.
     adb_sj: Option<SemiJoin>,
     /// Interned attribute column for direct-kind root predicates.
     root_col: Option<Sym>,
@@ -296,7 +296,7 @@ impl SjTemplate {
 
 impl QueryFragments {
     /// Prebuild the fragments for one property of an entity with primary
-    /// key column `pk_column` (and, when materialized, the derived
+    /// key column `pk_column` (and, for derived properties, the derived
     /// relation `derived_table`).
     pub fn build(def: &PropertyDef, pk_column: &str, derived_table: Option<&str>) -> Self {
         let derived = def.kind.is_derived();
@@ -335,9 +335,10 @@ impl QueryFragments {
         Some(self.sj_ge.as_ref()?.instantiate(cut, theta))
     }
 
-    /// Semi-join over the materialized derived relation expressing
-    /// "associated with `value` at least `theta` times" (Example 2.2's SPJ
-    /// form on the αDB). `None` when the relation was not materialized.
+    /// Semi-join over the derived relation expressing "associated with
+    /// `value` at least `theta` times" (Example 2.2's SPJ form on the αDB;
+    /// it runs on [`crate::ADb::query_database`]). `None` for properties
+    /// without a derived relation.
     pub fn adb_semi_join(&self, value: &Value, theta: u64) -> Option<SemiJoin> {
         let mut sj = self.adb_sj.clone()?;
         sj.path[0].predicates[0].value = *value;

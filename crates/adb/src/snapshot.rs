@@ -1,37 +1,38 @@
 //! Durable single-file αDB snapshots.
 //!
-//! The αDB is a deterministic function of the database and of the two
-//! build settings that shape it (paper Section 5 computes it offline for
+//! The αDB is a deterministic function of the database and of the build
+//! setting that shapes it (paper Section 5 computes it offline for
 //! exactly that reason). A snapshot therefore holds its *input*, not its
-//! output: the original tables and those settings. Loading decodes the
-//! tables and runs [`ADb::build_with`], so the statistics, the inverted
-//! index and the materialized derived relations are recomputed in the
-//! loading process, never read from a file. What the snapshot buys is a
-//! self-contained αDB source: a fleet process restarts, and a standby
+//! output: the original tables and that setting. Loading decodes the
+//! tables and runs [`ADb::build_with`], so the statistics and the inverted
+//! index are recomputed in the loading process, never read from a file,
+//! and the derived relations are built on first SQL use
+//! ([`ADb::query_database`]) as after any build. What the snapshot buys is
+//! a self-contained αDB source: a fleet process restarts, and a standby
 //! bootstraps from its primary, without the dataset generators.
 //!
-//! ## File format (version 3)
+//! ## File format (version 4)
 //!
 //! ```text
 //! +----------------+  8 bytes  magic "SQUIDADB"
-//! | magic, version |  4 bytes  format version (u32 le) = 3
+//! | magic, version |  4 bytes  format version (u32 le) = 4
 //! +----------------+
-//! | HEADER  frame  |  verification hash of the tables + build settings
+//! | HEADER  frame  |  verification hash of the tables + build setting
 //! | INTERNER frame |  symbol id -> string table (save-time ids)
 //! | DATABASE frame |  the original tables: schemas, columns, null bitmaps
 //! +----------------+
 //! ```
 //!
-//! The DATABASE frame holds the αDB database minus every table some
-//! property names as its `derived_table`. The HEADER carries
-//! `max_numeric_derived_domain` and `materialize_derived` (the
-//! [`AdbConfig`] fields that change the output; `parallel_workers` does
-//! not, and the loader uses its own).
+//! The DATABASE frame holds [`ADb::database`], which is exactly the
+//! original tables. The HEADER carries `max_numeric_derived_domain`, the
+//! one [`AdbConfig`] field that changes the output (`parallel_workers`
+//! does not, and the loader uses its own).
 //!
 //! Versions 1 and 2 also persisted the inverted index and the statistics
-//! arenas. There is one reader: an older file is refused as
-//! [`FrameError::Corrupt`] in the preamble and the caller rebuilds, as for
-//! any other unreadable snapshot.
+//! arenas; version 3 recorded a switch for materializing the derived
+//! relations at build time. There is one reader: an older file is refused
+//! as [`FrameError::Corrupt`] in the preamble and the caller rebuilds, as
+//! for any other unreadable snapshot.
 //!
 //! Each frame is a CRC-32 protected section (`squid_relation::frame`):
 //! tag, length, checksum, payload. All multi-byte integers little-endian.
@@ -70,17 +71,17 @@ use squid_relation::frame::{
 };
 use squid_relation::{
     db_verification_hash, Column, ColumnBuilder, ColumnData, DataType, Database, ForeignKey,
-    FrameResult, FxHashSet, RowSet, SchemaMeta, Sym, Table, TableRole, TableSchema, NULL_SYM,
+    FrameResult, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
 };
 
 use crate::build::{ADb, AdbConfig};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SQUIDADB";
-/// Current snapshot format version. Version 3 holds the original tables
-/// and the build settings; there is one reader, so a version 1 or 2 file
-/// is `Corrupt` and its owner rebuilds.
-pub const SNAPSHOT_VERSION: u32 = 3;
+/// Current snapshot format version. Version 4 holds the original tables
+/// and the numeric-domain bound; there is one reader, so a version 1, 2 or
+/// 3 file is `Corrupt` and its owner rebuilds.
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 const TAG_HEADER: u32 = 0x5351_0001;
 const TAG_INTERNER: u32 = 0x5351_0002;
@@ -111,15 +112,14 @@ impl ADb {
 
     /// Serialize this αDB to an arbitrary writer (see [`ADb::save_snapshot`]).
     pub fn save_snapshot_to<W: Write>(&self, w: &mut W) -> FrameResult<u64> {
-        let tables = self.original_tables();
         let mut written = 0u64;
         w.write_all(SNAPSHOT_MAGIC)?;
         w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
         written += 12;
         for (tag, payload) in [
-            (TAG_HEADER, self.encode_header(&tables)),
+            (TAG_HEADER, self.encode_header()),
             (TAG_INTERNER, encode_interner()),
-            (TAG_DATABASE, encode_database(&self.database.meta, &tables)),
+            (TAG_DATABASE, encode_database(&self.database)),
         ] {
             write_section(w, tag, &payload)?;
             written += (SECTION_HEADER_BYTES + payload.len()) as u64;
@@ -177,29 +177,13 @@ impl ADb {
             .map_err(|e| FrameError::corrupt("database", format!("αDB build failed: {e}")))
     }
 
-    /// The tables the build read: the αDB database minus the materialized
-    /// derived relations, in name order.
-    fn original_tables(&self) -> Vec<&Table> {
-        let derived: FxHashSet<&str> = self
-            .entities
-            .values()
-            .flat_map(|e| &e.props)
-            .filter_map(|p| p.derived_table.as_deref())
-            .collect();
-        self.database
-            .tables()
-            .filter(|t| !derived.contains(t.name()))
-            .collect()
-    }
-
-    fn encode_header(&self, tables: &[&Table]) -> Vec<u8> {
+    fn encode_header(&self) -> Vec<u8> {
         let mut w = ByteWriter::new();
         w.put_u64(db_verification_hash(
             &self.database.meta,
-            tables.iter().copied(),
+            self.database.tables(),
         ));
         w.put_u64(self.config.max_numeric_derived_domain as u64);
-        w.put_bool(self.config.materialize_derived);
         w.into_bytes()
     }
 }
@@ -215,7 +199,6 @@ fn decode_header(bytes: &[u8]) -> FrameResult<(u64, AdbConfig)> {
         .map_err(|_| FrameError::corrupt("header", "numeric domain bound exceeds usize"))?;
     let config = AdbConfig {
         max_numeric_derived_domain,
-        materialize_derived: r.get_bool()?,
         ..AdbConfig::default()
     };
     r.expect_end()?;
@@ -271,15 +254,15 @@ fn decode_interner(bytes: &[u8]) -> FrameResult<SymRemap> {
 // Database (schemas + columnar tables)
 // ---------------------------------------------------------------------------
 
-fn encode_database(meta: &SchemaMeta, tables: &[&Table]) -> Vec<u8> {
+fn encode_database(db: &Database) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(meta.non_semantic.len() as u64);
-    for (t, c) in &meta.non_semantic {
+    w.put_u64(db.meta.non_semantic.len() as u64);
+    for (t, c) in &db.meta.non_semantic {
         w.put_str(t);
         w.put_str(c);
     }
-    w.put_u64(tables.len() as u64);
-    for table in tables {
+    w.put_u64(db.tables().count() as u64);
+    for table in db.tables() {
         encode_table(&mut w, table);
     }
     w.into_bytes()
@@ -562,7 +545,6 @@ mod tests {
             config.max_numeric_derived_domain,
             a.config.max_numeric_derived_domain
         );
-        assert_eq!(config.materialize_derived, a.config.materialize_derived);
     }
 
     #[test]
@@ -614,6 +596,13 @@ mod tests {
     #[test]
     fn a_version_2_preamble_is_corrupt() {
         assert_version_refused(2);
+    }
+
+    /// Version 3 recorded the derived-relation materialization switch in
+    /// its header; its files are refused like the older ones.
+    #[test]
+    fn a_version_3_preamble_is_corrupt() {
+        assert_version_refused(3);
     }
 
     /// Tables that decode cleanly but differ from what was saved fail the

@@ -40,6 +40,7 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
+use squid_relation::heap::{map_bytes, vec_bytes};
 use squid_relation::{kernel, ColumnVec, FxHashMap, RowId, RowSet, Sym, Value};
 
 /// A categorical value's row list becomes a bitmap once it holds at least
@@ -505,6 +506,12 @@ impl DerivedStats {
     /// Number of entities the statistics cover.
     pub fn entity_count(&self) -> usize {
         self.offsets.len().saturating_sub(1)
+    }
+
+    /// Number of `(entity, value)` pairs with a positive count: the rows
+    /// of the property's `(entity_id, value, count)` relation.
+    pub fn association_count(&self) -> usize {
+        self.runs.len()
     }
 
     /// Number of distinct values in the active domain.
@@ -1294,6 +1301,45 @@ impl PropStats {
             PropStats::Numeric(s) => s.enumerable(),
             PropStats::Derived(_) => true,
             PropStats::DerivedNumeric(s) => s.enumerable(),
+        }
+    }
+
+    /// Estimated heap bytes of every array and map above.
+    pub fn heap_bytes(&self) -> usize {
+        fn nested<T>(outer: &Vec<Vec<T>>) -> usize {
+            vec_bytes(outer) + outer.iter().map(vec_bytes).sum::<usize>()
+        }
+        match self {
+            PropStats::Categorical(s) => {
+                map_bytes(&s.value_entity_counts)
+                    + nested(&s.per_entity)
+                    + map_bytes(&s.value_rows)
+                    + s.value_rows
+                        .values()
+                        .map(|rows| match rows {
+                            ValueRows::Sparse(rows) => vec_bytes(rows),
+                            ValueRows::Dense(set) => set.heap_bytes(),
+                        })
+                        .sum::<usize>()
+            }
+            PropStats::Numeric(s) => {
+                vec_bytes(&s.sorted_values)
+                    + vec_bytes(&s.prefix)
+                    + vec_bytes(&s.per_entity)
+                    + vec_bytes(&s.sorted_rows)
+            }
+            PropStats::Derived(s) => {
+                vec_bytes(&s.runs)
+                    + vec_bytes(&s.offsets)
+                    + vec_bytes(&s.entity_totals)
+                    + map_bytes(&s.theta_postings)
+                    + s.theta_postings.values().map(vec_bytes).sum::<usize>()
+                    + map_bytes(&s.value_frac_dists)
+                    + s.value_frac_dists.values().map(vec_bytes).sum::<usize>()
+            }
+            PropStats::DerivedNumeric(s) => {
+                nested(&s.per_entity) + vec_bytes(&s.cutpoints) + nested(&s.per_cut_postings)
+            }
         }
     }
 }

@@ -30,7 +30,7 @@ fn bench_fig11_actual_vs_abduced(c: &mut Criterion) {
         if let Ok(d) = squid.discover_on(q.query.root(), q.query.projection.as_str(), &refs) {
             let abduced = d.adb_query.clone().unwrap_or_else(|| d.query.clone());
             group.bench_function(format!("{id}/abduced"), |b| {
-                let exec = Executor::new(&adb.database);
+                let exec = Executor::new(adb.query_database());
                 b.iter(|| exec.execute(std::hint::black_box(&abduced)).unwrap())
             });
         }

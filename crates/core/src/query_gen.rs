@@ -1,6 +1,6 @@
 //! Turning an abduced filter set ϕ into executable queries (Section 6.2):
 //! the SPJAI form over the original database, the SPJ form over the αDB's
-//! materialized derived relations (Example 2.2), and a direct evaluation
+//! derived relations (Example 2.2, built on first SQL use), and a direct evaluation
 //! path against the αDB's statistics.
 //!
 //! ## Evaluation is set algebra over sources
@@ -110,9 +110,10 @@ pub fn original_query(
 }
 
 /// Build the equivalent SPJ query over the αDB (derived relations replace
-/// the aggregation joins, Example 2.2). Returns `None` when a chosen filter
-/// has no αDB-expressible form (normalized fractions, or derived relations
-/// that were not materialized).
+/// the aggregation joins, Example 2.2). It runs on
+/// [`ADb::query_database`](squid_adb::ADb::query_database), which builds
+/// the derived relations on first use. Returns `None` when a chosen filter
+/// has no αDB-expressible form (suffix ranges and normalized fractions).
 pub fn adb_query(
     entity: &EntityProps,
     filters: &[CandidateFilter],
@@ -154,7 +155,7 @@ pub fn adb_query(
                 block = block.semi_join(sj);
             }
             // Suffix ranges need SUM over derived rows: not expressible as
-            // a single SPJ filter on the materialized relation.
+            // a single SPJ filter on the derived relation.
             FilterValue::DerivedGe { .. } | FilterValue::DerivedFrac { .. } => return None,
         }
     }
@@ -655,12 +656,11 @@ mod tests {
 
         let (orig, skipped) = original_query(e, &filters, "name");
         assert!(!skipped);
-        let exec = Executor::new(&adb.database);
-        let r_orig = exec.execute(&orig).unwrap();
+        let r_orig = Executor::new(&adb.database).execute(&orig).unwrap();
         assert_eq!(r_orig.rows, direct);
 
         let aq = adb_query(e, &filters, "name").expect("αDB form");
-        let r_adb = exec.execute(&aq).unwrap();
+        let r_adb = Executor::new(adb.query_database()).execute(&aq).unwrap();
         assert_eq!(r_adb.rows, direct);
 
         // The αDB form is structurally simpler: fewer joins.

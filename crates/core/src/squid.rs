@@ -35,7 +35,10 @@ pub struct Discovery {
     pub scored: Vec<ScoredFilter>,
     /// The abduced SPJAI query over the original database.
     pub query: Query,
-    /// The equivalent SPJ query over the αDB, when expressible.
+    /// The equivalent SPJ query over the αDB's derived relations, when
+    /// expressible. Execute it on
+    /// [`ADb::query_database`](squid_adb::ADb::query_database), which
+    /// builds those relations on its first call.
     pub adb_query: Option<Query>,
     /// Result rows (entity row ids) of the abduced query, evaluated
     /// directly against the αDB statistics (a dense bitmap).

@@ -63,6 +63,11 @@ impl Database {
         self.tables.values()
     }
 
+    /// Estimated heap bytes of every table's storage.
+    pub fn heap_bytes(&self) -> usize {
+        self.tables().map(Table::heap_bytes).sum()
+    }
+
     /// Names of all tables with a given role.
     pub fn tables_with_role(&self, role: TableRole) -> Vec<&str> {
         self.tables

@@ -171,6 +171,15 @@ impl InvertedIndex {
         &self.tables[posting.table as usize]
     }
 
+    /// Estimated heap bytes of the symbol map and its postings lists.
+    pub fn heap_bytes(&self) -> usize {
+        use crate::heap::{map_bytes, vec_bytes};
+        map_bytes(&self.map)
+            + self.map.values().map(vec_bytes).sum::<usize>()
+            + vec_bytes(&self.tables)
+            + self.tables.iter().map(String::capacity).sum::<usize>()
+    }
+
     /// All occurrences of `value` (case-insensitive exact match).
     ///
     /// Probe-only: never interns `value`, so arbitrary user input cannot

@@ -79,6 +79,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod frame;
 pub mod fxhash;
+pub mod heap;
 pub mod index;
 pub mod intern;
 pub mod inverted;

@@ -104,6 +104,11 @@ impl RowSet {
         self.words.len()
     }
 
+    /// Estimated heap bytes of the word storage.
+    pub fn heap_bytes(&self) -> usize {
+        crate::heap::vec_bytes(&self.words)
+    }
+
     /// The raw word storage (`words()[i]` covers rows `i*64 .. i*64+64`).
     #[inline]
     pub fn words(&self) -> &[u64] {

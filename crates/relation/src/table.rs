@@ -93,6 +93,18 @@ impl ColumnVec {
         &self.data
     }
 
+    /// Estimated heap bytes of the typed storage and the null bitmap.
+    pub fn heap_bytes(&self) -> usize {
+        use crate::heap::vec_bytes;
+        self.nulls.heap_bytes()
+            + match &self.data {
+                ColumnData::Int(xs) => vec_bytes(xs),
+                ColumnData::Float(xs) => vec_bytes(xs),
+                ColumnData::Text(xs) => vec_bytes(xs),
+                ColumnData::Bool(xs) => vec_bytes(xs),
+            }
+    }
+
     /// Number of cells (equals the owning table's row count).
     pub fn len(&self) -> usize {
         match &self.data {
@@ -470,6 +482,17 @@ impl Table {
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.len
+    }
+
+    /// Estimated heap bytes of the row view and the columnar view.
+    pub fn heap_bytes(&self) -> usize {
+        crate::heap::vec_bytes(&self.cells)
+            + crate::heap::vec_bytes(&self.columns)
+            + self
+                .columns
+                .iter()
+                .map(ColumnVec::heap_bytes)
+                .sum::<usize>()
     }
 
     /// True iff the table has no rows.

@@ -1,7 +1,7 @@
 //! Phase-profiling harness for the interactive session hot path: breaks an
 //! `add_example` update into its pipeline stages (context fold, snapshot,
 //! abduction, query generation, evaluation, snapshot clone) on the IMDb
-//! benchmark slate. Companion to `prof_adb.rs`.
+//! benchmark slate.
 //!
 //! ```text
 //! cargo run --release --example prof_session

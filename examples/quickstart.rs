@@ -125,11 +125,13 @@ fn main() {
         );
     }
     println!("\nAbduced query:\n{}", d.sql());
+    // Run it as SQL in its αDB form when it has one (derived relations
+    // replace the aggregation joins); the first call builds them.
     let names = {
-        let rs = squid_engine::Executor::new(&adb.database)
-            .execute(&d.query)
-            .unwrap();
-        rs.project(&adb.database, "name").unwrap()
+        let db = adb.query_database();
+        let query = d.adb_query.as_ref().unwrap_or(&d.query);
+        let rs = squid_engine::Executor::new(db).execute(query).unwrap();
+        rs.project(db, "name").unwrap()
     };
     println!("\nResult ({} tuples):", names.len());
     for n in names {

@@ -76,8 +76,8 @@ session commands:
   suggest [k]          k most informative next examples (default 3)
   examples             list the session's examples
   stats                evaluation-cache counters (this session's and the
-                       fleet's), resident bytes, evictions, recovery and
-                       journal statistics
+                       fleet's), resident bytes, evictions, the αDB's heap
+                       bytes, recovery and journal statistics
   save [path]          write an αDB snapshot (default: the --snapshot path)
   recover              rewind to the journal's durable state (--journal)
   compact              rewrite the journal to live-session snapshots
@@ -414,7 +414,7 @@ fn run_repl(
                     apply(&manager, active, op)
                 }
                 Ok(Verb::Stats { .. }) => inspect(&manager, active, |s| s.cache_stats()).map(|s| {
-                    print_stats(&manager, &s);
+                    print_stats(&adb, &manager, &s);
                     None
                 }),
                 Ok(verb) => inspect(&manager, active, |s| print_read(&adb, s, &verb))
@@ -469,8 +469,9 @@ fn print_read(adb: &ADb, s: &SquidSession, verb: &Verb) -> Result<(), String> {
 }
 
 /// The REPL's `stats` report: the session's and the fleet's
-/// evaluation-cache counters, recovery and journal statistics.
-fn print_stats(manager: &SessionManager, s: &squid_core::EvalCacheStats) {
+/// evaluation-cache counters, the αDB's heap bytes by part, recovery and
+/// journal statistics.
+fn print_stats(adb: &ADb, manager: &SessionManager, s: &squid_core::EvalCacheStats) {
     let total = s.hits + s.misses;
     let rate = if total > 0 {
         100.0 * s.hits as f64 / total as f64
@@ -531,6 +532,12 @@ fn print_stats(manager: &SessionManager, s: &squid_core::EvalCacheStats) {
             peak_of_peaks.unwrap_or(0),
         );
     }
+    let heap = adb.heap_bytes();
+    println!(
+        "αDB heap (estimated bytes): tables {}, inverted index {}, statistics {}, \
+         derived relations {}",
+        heap.tables, heap.inverted, heap.stats, heap.derived
+    );
     if let Some(rs) = manager.recover_stats() {
         println!(
             "recovery: {} session(s) replayed, {} record(s) applied, \

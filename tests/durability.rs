@@ -87,9 +87,9 @@ fn assert_round_trip(name: &str, adb: &ADb, examples: &[&str]) -> [usize; 4] {
     adb.save_snapshot_to(&mut buf).unwrap();
     let loaded = ADb::load_snapshot_from(&mut buf.as_slice())
         .unwrap_or_else(|e| panic!("{name}: load failed: {e}"));
-    // `adb.database` is the slate plus the materialized derived
-    // relations, so its fingerprint differs from the generator pin —
-    // what must hold is save → load exactness on the full αDB.
+    // `adb.database` is exactly the slate (the derived relations live in
+    // `query_database`, built on first SQL use), so save → load must land
+    // on the same content.
     assert_eq!(
         db_fingerprint(&loaded.database),
         db_fingerprint(&adb.database),
@@ -145,6 +145,7 @@ fn snapshot_round_trip_is_fingerprint_identical_for_every_slate() {
     for (name, db, pinned) in slates() {
         assert_eq!(db_fingerprint(&db), pinned, "{name}: generator drifted");
         let adb = ADb::build(&db).unwrap();
+        assert_eq!(db_fingerprint(&adb.database), pinned, "{name}: αDB tables");
         let seen = assert_round_trip(name, &adb, &examples(&db));
         kinds.iter_mut().zip(seen).for_each(|(k, s)| *k += s);
     }
@@ -154,27 +155,24 @@ fn snapshot_round_trip_is_fingerprint_identical_for_every_slate() {
     );
 }
 
-/// The snapshot records the build settings that shape the αDB: a build
-/// without derived relations and with a numeric-domain bound that drops
-/// `movie.year` loads back as exactly that αDB, not a default one.
+/// The snapshot records the build setting that shapes the αDB: a build
+/// with a numeric-domain bound that drops `movie.year` (and its derived
+/// relation) loads back as exactly that αDB, not a default one.
 #[test]
 fn snapshot_round_trip_keeps_a_non_default_build_config() {
     let db = squid_adb::test_fixtures::mini_imdb();
     let config = AdbConfig {
-        materialize_derived: false,
         max_numeric_derived_domain: 2,
         ..AdbConfig::default()
     };
     let adb = ADb::build_with(&db, &config).unwrap();
-    assert_eq!(adb.build_stats.derived_table_count, 0);
     assert!(adb.entities["person"]
         .props
         .iter()
         .all(|p| p.def.attr_name != "movie.year"));
-    assert_ne!(
-        adb.build_stats.property_count,
-        ADb::build(&db).unwrap().build_stats.property_count
-    );
+    let default = ADb::build(&db).unwrap().build_stats;
+    assert_ne!(adb.build_stats.property_count, default.property_count);
+    assert!(adb.build_stats.derived_table_count < default.derived_table_count);
     assert_round_trip(
         "mini-imdb non-default",
         &adb,
