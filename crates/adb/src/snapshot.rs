@@ -11,31 +11,34 @@
 //! a self-contained αDB source: a fleet process restarts, and a standby
 //! bootstraps from its primary, without the dataset generators.
 //!
-//! ## File format (version 4)
+//! ## File format (version 5)
 //!
 //! ```text
-//! +----------------+  8 bytes  magic "SQUIDADB"
-//! | magic, version |  4 bytes  format version (u32 le) = 4
-//! +----------------+
-//! | HEADER  frame  |  verification hash of the tables + build setting
-//! | INTERNER frame |  symbol id -> string table (save-time ids)
-//! | DATABASE frame |  the original tables: schemas, columns, null bitmaps
-//! +----------------+
+//! +-----------------+  8 bytes  magic "SQUIDADB"
+//! | magic, version  |  4 bytes  format version (u32 le) = 5
+//! +-----------------+
+//! | HEADER   record |  verification hash of the tables + build setting
+//! | INTERNER record |  symbol id -> string table (save-time ids)
+//! | DATABASE record |  the original tables: schemas, columns, null bitmaps
+//! +-----------------+
 //! ```
 //!
-//! The DATABASE frame holds [`ADb::database`], which is exactly the
+//! Each section is one record of the workspace's framing
+//! (`squid_relation::frame`: length, CRC-32, payload), and each payload
+//! opens with its section tag (`u32`). Nothing follows the DATABASE
+//! record. All multi-byte integers are little-endian.
+//!
+//! The DATABASE section holds [`ADb::database`], which is exactly the
 //! original tables. The HEADER carries `max_numeric_derived_domain`, the
 //! one [`AdbConfig`] field that changes the output (`parallel_workers`
 //! does not, and the loader uses its own).
 //!
 //! Versions 1 and 2 also persisted the inverted index and the statistics
 //! arenas; version 3 recorded a switch for materializing the derived
-//! relations at build time. There is one reader: an older file is refused
-//! as [`FrameError::Corrupt`] in the preamble and the caller rebuilds, as
-//! for any other unreadable snapshot.
-//!
-//! Each frame is a CRC-32 protected section (`squid_relation::frame`):
-//! tag, length, checksum, payload. All multi-byte integers little-endian.
+//! relations at build time; version 4 framed its sections with a 16-byte
+//! header of its own. There is one reader: an older file is refused as
+//! [`FrameError::Corrupt`] in the preamble and the caller rebuilds, as for
+//! any other unreadable snapshot.
 //!
 //! ## Interner remapping
 //!
@@ -63,12 +66,10 @@
 //! generator build.
 
 use std::fs::{self, File};
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufWriter, Read, Write};
 use std::path::Path;
 
-use squid_relation::frame::{
-    read_section, write_section, ByteReader, ByteWriter, FrameError, SECTION_HEADER_BYTES,
-};
+use squid_relation::frame::{next_record, put_record, ByteReader, ByteWriter, FrameError};
 use squid_relation::{
     db_verification_hash, Column, ColumnBuilder, ColumnData, DataType, Database, ForeignKey,
     FrameResult, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
@@ -78,18 +79,19 @@ use crate::build::{ADb, AdbConfig};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SQUIDADB";
-/// Current snapshot format version. Version 4 holds the original tables
-/// and the numeric-domain bound; there is one reader, so a version 1, 2 or
-/// 3 file is `Corrupt` and its owner rebuilds.
-pub const SNAPSHOT_VERSION: u32 = 4;
+/// Current snapshot format version. Version 5 holds the original tables
+/// and the numeric-domain bound in three records; there is one reader, so
+/// a version 1 to 4 file is `Corrupt` and its owner rebuilds.
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 const TAG_HEADER: u32 = 0x5351_0001;
 const TAG_INTERNER: u32 = 0x5351_0002;
 const TAG_DATABASE: u32 = 0x5351_0003;
 
-/// Cap on any one section's declared payload length (1 TiB): a corrupted
-/// length field fails fast instead of looping over garbage.
-const MAX_SECTION: u64 = 1 << 40;
+/// Cap on any one section's payload length: the record format's own
+/// limit, since a snapshot is read whole and its length fields are
+/// checked against the bytes present.
+const MAX_SECTION: u32 = u32::MAX;
 
 impl ADb {
     /// Serialize this αDB to `path` as a single snapshot file.
@@ -112,17 +114,15 @@ impl ADb {
 
     /// Serialize this αDB to an arbitrary writer (see [`ADb::save_snapshot`]).
     pub fn save_snapshot_to<W: Write>(&self, w: &mut W) -> FrameResult<u64> {
-        let mut written = 0u64;
         w.write_all(SNAPSHOT_MAGIC)?;
         w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        written += 12;
-        for (tag, payload) in [
-            (TAG_HEADER, self.encode_header()),
-            (TAG_INTERNER, encode_interner()),
-            (TAG_DATABASE, encode_database(&self.database)),
+        let mut written = 12;
+        for payload in [
+            self.encode_header(),
+            encode_interner(),
+            encode_database(&self.database),
         ] {
-            write_section(w, tag, &payload)?;
-            written += (SECTION_HEADER_BYTES + payload.len()) as u64;
+            written += put_record(w, &payload, MAX_SECTION)? as u64;
         }
         Ok(written)
     }
@@ -133,52 +133,31 @@ impl ADb {
     /// or fingerprint mismatch yields [`FrameError::Corrupt`] — callers
     /// degrade to a generator rebuild, never crash.
     pub fn load_snapshot(path: impl AsRef<Path>) -> FrameResult<ADb> {
-        let file = File::open(path.as_ref())?;
-        let mut r = BufReader::new(file);
-        Self::load_snapshot_from(&mut r)
+        Self::load_snapshot_from(&mut File::open(path.as_ref())?)
     }
 
-    /// Load an αDB snapshot from an arbitrary reader: decode the tables,
-    /// verify them against the recorded hash, and build the αDB over them
-    /// with the recorded settings.
+    /// Load an αDB snapshot from an arbitrary reader: read it to the end,
+    /// decode and verify the tables, and drop the snapshot bytes before
+    /// the build, so the load peak holds the tables once.
     pub fn load_snapshot_from<R: Read>(r: &mut R) -> FrameResult<ADb> {
-        let mut preamble = [0u8; 12];
-        r.read_exact(&mut preamble).map_err(|e| {
-            if e.kind() == std::io::ErrorKind::UnexpectedEof {
-                FrameError::corrupt("preamble", "file shorter than magic + version")
-            } else {
-                FrameError::Io(e)
-            }
-        })?;
-        if &preamble[0..8] != SNAPSHOT_MAGIC {
-            return Err(FrameError::corrupt("preamble", "bad magic bytes"));
-        }
-        let version = u32::from_le_bytes(preamble[8..12].try_into().expect("4 bytes"));
-        if version != SNAPSHOT_VERSION {
-            return Err(FrameError::corrupt(
-                "preamble",
-                format!("unsupported snapshot version {version}"),
-            ));
-        }
+        let mut bytes = Vec::new();
+        r.read_to_end(&mut bytes)?;
+        let (database, config) = decode_snapshot(&bytes)?;
+        drop(bytes);
+        build_loaded(database, &config)
+    }
 
-        let (hash, config) = decode_header(&read_section(r, TAG_HEADER, "header", MAX_SECTION)?)?;
-        let remap = decode_interner(&read_section(r, TAG_INTERNER, "interner", MAX_SECTION)?)?;
-        let database = decode_database(
-            &read_section(r, TAG_DATABASE, "database", MAX_SECTION)?,
-            &remap,
-        )?;
-        if db_verification_hash(&database.meta, database.tables()) != hash {
-            return Err(FrameError::corrupt(
-                "fingerprint",
-                "decoded tables do not match the hash recorded at save time",
-            ));
-        }
-        ADb::build_from(database, &config)
-            .map_err(|e| FrameError::corrupt("database", format!("αDB build failed: {e}")))
+    /// Load an αDB from snapshot bytes already in memory (a replication
+    /// frame's payload): decode the tables, verify them against the
+    /// recorded hash, and build the αDB over them with the recorded
+    /// settings.
+    pub fn load_snapshot_bytes(bytes: &[u8]) -> FrameResult<ADb> {
+        let (database, config) = decode_snapshot(bytes)?;
+        build_loaded(database, &config)
     }
 
     fn encode_header(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = section(TAG_HEADER);
         w.put_u64(db_verification_hash(
             &self.database.meta,
             self.database.tables(),
@@ -189,11 +168,80 @@ impl ADb {
 }
 
 // ---------------------------------------------------------------------------
+// Sections
+// ---------------------------------------------------------------------------
+
+/// A section payload's writer, opened with its tag.
+fn section(tag: u32) -> ByteWriter {
+    let mut w = ByteWriter::new();
+    w.put_u32(tag);
+    w
+}
+
+/// Read the record at the front of `rest`, demand section tag `tag`, and
+/// advance `rest` past it; the reader is positioned after the tag.
+fn next_section<'a>(
+    rest: &mut &'a [u8],
+    tag: u32,
+    name: &'static str,
+) -> FrameResult<ByteReader<'a>> {
+    let (payload, consumed) = next_record(rest, MAX_SECTION)
+        .map_err(|e| FrameError::corrupt(name, e.to_string()))?
+        .ok_or_else(|| FrameError::corrupt(name, "truncated"))?;
+    *rest = &rest[consumed..];
+    let mut r = ByteReader::new(payload, name);
+    let got = r.get_u32()?;
+    if got != tag {
+        return Err(FrameError::corrupt(
+            name,
+            format!("bad section tag {got:#010x}, expected {tag:#010x}"),
+        ));
+    }
+    Ok(r)
+}
+
+/// Decode a whole snapshot into its verified tables and build setting.
+fn decode_snapshot(bytes: &[u8]) -> FrameResult<(Database, AdbConfig)> {
+    let mut r = ByteReader::new(bytes, "preamble");
+    if r.get_bytes(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
+        return Err(FrameError::corrupt("preamble", "bad magic bytes"));
+    }
+    let version = r.get_u32()?;
+    if version != SNAPSHOT_VERSION {
+        return Err(FrameError::corrupt(
+            "preamble",
+            format!("unsupported snapshot version {version}"),
+        ));
+    }
+    let mut rest = r.get_bytes(r.remaining())?;
+    let (hash, config) = decode_header(next_section(&mut rest, TAG_HEADER, "header")?)?;
+    let remap = decode_interner(next_section(&mut rest, TAG_INTERNER, "interner")?)?;
+    let database = decode_database(next_section(&mut rest, TAG_DATABASE, "database")?, &remap)?;
+    if !rest.is_empty() {
+        return Err(FrameError::corrupt(
+            "database",
+            format!("{} bytes follow the last section", rest.len()),
+        ));
+    }
+    if db_verification_hash(&database.meta, database.tables()) != hash {
+        return Err(FrameError::corrupt(
+            "fingerprint",
+            "decoded tables do not match the hash recorded at save time",
+        ));
+    }
+    Ok((database, config))
+}
+
+fn build_loaded(database: Database, config: &AdbConfig) -> FrameResult<ADb> {
+    ADb::build_from(database, config)
+        .map_err(|e| FrameError::corrupt("database", format!("αDB build failed: {e}")))
+}
+
+// ---------------------------------------------------------------------------
 // Header
 // ---------------------------------------------------------------------------
 
-fn decode_header(bytes: &[u8]) -> FrameResult<(u64, AdbConfig)> {
-    let mut r = ByteReader::new(bytes, "header");
+fn decode_header(mut r: ByteReader<'_>) -> FrameResult<(u64, AdbConfig)> {
     let hash = r.get_u64()?;
     let max_numeric_derived_domain = usize::try_from(r.get_u64()?)
         .map_err(|_| FrameError::corrupt("header", "numeric domain bound exceeds usize"))?;
@@ -229,7 +277,7 @@ impl SymRemap {
 }
 
 fn encode_interner() -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = section(TAG_INTERNER);
     let n = Sym::dictionary_size();
     w.put_u64(n as u64);
     for id in 0..n {
@@ -238,8 +286,7 @@ fn encode_interner() -> Vec<u8> {
     w.into_bytes()
 }
 
-fn decode_interner(bytes: &[u8]) -> FrameResult<SymRemap> {
-    let mut r = ByteReader::new(bytes, "interner");
+fn decode_interner(mut r: ByteReader<'_>) -> FrameResult<SymRemap> {
     // Each dumped string costs at least its 4-byte length prefix.
     let n = r.get_count(4, "interner entry")?;
     let mut table = Vec::with_capacity(n);
@@ -255,7 +302,7 @@ fn decode_interner(bytes: &[u8]) -> FrameResult<SymRemap> {
 // ---------------------------------------------------------------------------
 
 fn encode_database(db: &Database) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = section(TAG_DATABASE);
     w.put_u64(db.meta.non_semantic.len() as u64);
     for (t, c) in &db.meta.non_semantic {
         w.put_str(t);
@@ -327,9 +374,8 @@ fn decode_role(b: u8, section: &str) -> FrameResult<TableRole> {
     }
 }
 
-fn decode_database(bytes: &[u8], remap: &SymRemap) -> FrameResult<Database> {
+fn decode_database(mut r: ByteReader<'_>, remap: &SymRemap) -> FrameResult<Database> {
     const S: &str = "database";
-    let mut r = ByteReader::new(bytes, S);
     let mut db = Database::new();
     let n_meta = r.get_count(8, "non-semantic pair")?;
     for _ in 0..n_meta {
@@ -466,7 +512,7 @@ mod tests {
     use super::*;
     use crate::test_fixtures::mini_imdb;
     use squid_relation::db_fingerprint;
-    use squid_relation::frame::{crc32, failpoint::flip_bit};
+    use squid_relation::frame::failpoint::flip_bit;
 
     fn adb() -> ADb {
         ADb::build(&mini_imdb()).unwrap()
@@ -528,13 +574,12 @@ mod tests {
         assert!(a.build_stats.derived_table_count > 0);
         let bytes = snapshot_bytes(&a);
         let mut r = &bytes[12..];
-        let header = read_section(&mut r, TAG_HEADER, "header", MAX_SECTION).unwrap();
-        let (hash, config) = decode_header(&header).unwrap();
+        let header = next_section(&mut r, TAG_HEADER, "header").unwrap();
+        let (hash, config) = decode_header(header).unwrap();
         let remap =
-            decode_interner(&read_section(&mut r, TAG_INTERNER, "interner", MAX_SECTION).unwrap())
-                .unwrap();
+            decode_interner(next_section(&mut r, TAG_INTERNER, "interner").unwrap()).unwrap();
         let db = decode_database(
-            &read_section(&mut r, TAG_DATABASE, "database", MAX_SECTION).unwrap(),
+            next_section(&mut r, TAG_DATABASE, "database").unwrap(),
             &remap,
         )
         .unwrap();
@@ -605,17 +650,49 @@ mod tests {
         assert_version_refused(3);
     }
 
+    /// Version 4 framed its sections with a 16-byte header of its own
+    /// (`tag u32 | len u64 | crc u32`); its files are refused like the
+    /// older ones.
+    #[test]
+    fn a_version_4_preamble_is_corrupt() {
+        assert_version_refused(4);
+    }
+
+    /// Each section's payload opens with its tag: records that are valid
+    /// on their own but arrive in the wrong order are corrupt.
+    #[test]
+    fn a_swapped_section_is_corrupt() {
+        let bytes = snapshot_bytes(&adb());
+        let (_, header_len) = next_record(&bytes[12..], MAX_SECTION).unwrap().unwrap();
+        let (_, interner_len) = next_record(&bytes[12 + header_len..], MAX_SECTION)
+            .unwrap()
+            .unwrap();
+        let mut swapped = bytes[..12].to_vec();
+        swapped.extend_from_slice(&bytes[12 + header_len..12 + header_len + interner_len]);
+        swapped.extend_from_slice(&bytes[12..12 + header_len]);
+        swapped.extend_from_slice(&bytes[12 + header_len + interner_len..]);
+        match ADb::load_snapshot_from(&mut swapped.as_slice()) {
+            Err(FrameError::Corrupt { section, detail }) => {
+                assert_eq!(section, "header");
+                assert!(detail.contains("bad section tag"), "{detail}");
+            }
+            other => panic!("want a tag mismatch, got {:?}", other.map(|_| ())),
+        }
+    }
+
     /// Tables that decode cleanly but differ from what was saved fail the
-    /// hash check (the header's CRC is recomputed so only the hash can
+    /// hash check (the header record is re-sealed so only the hash can
     /// catch the change).
     #[test]
     fn a_table_hash_mismatch_is_corrupt() {
-        let mut bytes = snapshot_bytes(&adb());
-        let payload = 12 + SECTION_HEADER_BYTES;
-        let len = u64::from_le_bytes(bytes[16..24].try_into().unwrap()) as usize;
-        bytes[payload] ^= 1;
-        let crc = crc32(&bytes[payload..payload + len]);
-        bytes[24..28].copy_from_slice(&crc.to_le_bytes());
+        let bytes = snapshot_bytes(&adb());
+        let (header, consumed) = next_record(&bytes[12..], MAX_SECTION).unwrap().unwrap();
+        let mut header = header.to_vec();
+        header[4] ^= 1; // the hash's low byte, after the section tag
+        let mut resealed = bytes[..12].to_vec();
+        put_record(&mut resealed, &header, MAX_SECTION).unwrap();
+        resealed.extend_from_slice(&bytes[12 + consumed..]);
+        let bytes = resealed;
         match ADb::load_snapshot_from(&mut bytes.as_slice()) {
             Err(FrameError::Corrupt { section, .. }) => assert_eq!(section, "fingerprint"),
             other => panic!("want a fingerprint mismatch, got {:?}", other.map(|_| ())),

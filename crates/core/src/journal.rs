@@ -4,11 +4,14 @@
 //! The αDB snapshot (`squid_adb::snapshot`) is a rebuildable cache; what a
 //! crash actually destroys is the *interactive* state — which examples a
 //! user added, what they pinned, banned, and chose. This module journals
-//! every session-mutating operation as a length-prefixed, CRC-32 protected
-//! record appended through a buffered writer, and replays the journal on
-//! restart ([`read_journal`] + `SessionManager::recover`).
+//! every session-mutating operation as one CRC-32 protected record of the
+//! workspace's framing (`squid_relation::frame`) appended through a
+//! buffered writer, and replays the journal on restart ([`read_journal`] +
+//! `SessionManager::recover`).
 //!
 //! ## Record format
+//!
+//! One `squid_relation::frame` record per op, payload capped at 1 MiB:
 //!
 //! ```text
 //! +---------+-----------+---------------------------------------------+
@@ -55,7 +58,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use squid_relation::frame::{crc32, ByteReader, ByteWriter, FrameError};
+use squid_relation::frame::{next_record, put_record, ByteReader, ByteWriter, FrameError};
 
 use crate::error::SquidError;
 use crate::manager::SessionId;
@@ -324,10 +327,7 @@ impl Journal {
     ) -> Result<(), SquidError> {
         let payload = op.encode(session, seq);
         record_fits(payload.len())?;
-        self.w.write_all(&(payload.len() as u32).to_le_bytes())?;
-        self.w.write_all(&crc32(&payload).to_le_bytes())?;
-        self.w.write_all(&payload)?;
-        self.bytes += 8 + payload.len() as u64;
+        self.bytes += put_record(&mut self.w, &payload, MAX_RECORD)? as u64;
         match self.policy {
             FsyncPolicy::Always => {
                 self.w.flush()?;
@@ -507,22 +507,12 @@ impl Iterator for Records<'_> {
     type Item = (u64, (SessionId, u64, SessionOp));
 
     fn next(&mut self) -> Option<Self::Item> {
-        let rest = &self.bytes[self.pos..];
-        if rest.len() < 8 {
-            return None; // empty or torn mid-header
-        }
-        let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes"));
-        let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if len > MAX_RECORD || rest.len() - 8 < len as usize {
-            return None; // corrupt length or torn payload
-        }
-        let payload = &rest[8..8 + len as usize];
-        if crc32(payload) != crc {
-            return None; // bit-flipped record
-        }
-        // CRC-valid but undecodable: treat as tail damage.
+        // A torn record ends the scan, and so does a damaged one (length
+        // over the cap, CRC mismatch, or a CRC-valid payload that does not
+        // decode): everything from there on is tail damage.
+        let (payload, consumed) = next_record(&self.bytes[self.pos..], MAX_RECORD).ok()??;
         let record = SessionOp::decode(payload).ok()?;
-        self.pos += 8 + len as usize;
+        self.pos += consumed;
         Some((self.pos as u64, record))
     }
 }
@@ -539,14 +529,6 @@ pub fn truncate_to_valid(path: impl AsRef<Path>, bytes_valid: u64) -> Result<(),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
         Err(e) => Err(e.into()),
     }
-}
-
-/// Drain a reader into bytes — helper for tests feeding fault-injected
-/// readers into [`read_journal`]-equivalent scans.
-pub fn read_all<R: Read>(r: &mut R) -> Result<Vec<u8>, SquidError> {
-    let mut out = Vec::new();
-    r.read_to_end(&mut out)?;
-    Ok(out)
 }
 
 /// A streaming reader over a live journal file: the replication sender's
@@ -861,11 +843,8 @@ mod tests {
         drop(j);
         // Hand-write the first half of a record, as a flush mid-append would.
         let (sid, seq, op) = &ops[1];
-        let payload = op.encode(*sid, *seq);
         let mut frame = Vec::new();
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        put_record(&mut frame, &op.encode(*sid, *seq), MAX_RECORD).unwrap();
         let split = frame.len() / 2;
         use std::io::Write as _;
         let mut f = OpenOptions::new().append(true).open(&path).unwrap();

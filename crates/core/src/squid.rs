@@ -14,7 +14,7 @@ use std::time::{Duration, Instant};
 
 use squid_adb::ADb;
 use squid_engine::Query;
-use squid_relation::{DataType, RowId, RowSet};
+use squid_relation::{RowId, RowSet};
 
 use crate::abduce::ScoredFilter;
 use crate::error::SquidError;
@@ -145,12 +145,6 @@ impl<'a> Squid<'a> {
         d.elapsed = started.elapsed();
         Ok(d)
     }
-}
-
-/// Ensure text columns exist for target inference (compile-time helper used
-/// in tests; text columns are the only valid example carriers).
-pub fn is_text_column(dtype: DataType) -> bool {
-    dtype == DataType::Text
 }
 
 #[cfg(test)]

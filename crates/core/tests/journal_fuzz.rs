@@ -7,6 +7,7 @@
 
 use proptest::prelude::*;
 use squid_core::{scan_records, FsyncPolicy, Journal, JournalTail, SessionOp};
+use squid_relation::frame::failpoint::mutate;
 
 fn arb_op() -> impl Strategy<Value = SessionOp> {
     let text = || prop_oneof![Just(""), Just("Jim Carrey"), Just("Zoë \"Z\" \\ ☃")];
@@ -26,24 +27,6 @@ fn arb_op() -> impl Strategy<Value = SessionOp> {
             pk,
         }),
     ]
-}
-
-/// Apply `edits` in order: kind 0 flips a byte, 1 inserts one, 2 deletes
-/// one, 3 truncates; positions wrap to the current length.
-fn mutate(mut bytes: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
-    for &(kind, at, byte) in edits {
-        let len = bytes.len();
-        match kind {
-            0 if len > 0 => bytes[at % len] ^= byte.max(1),
-            1 => bytes.insert(at % (len + 1), byte),
-            2 if len > 0 => {
-                bytes.remove(at % len);
-            }
-            3 => bytes.truncate(at % (len + 1)),
-            _ => {}
-        }
-    }
-    bytes
 }
 
 fn temp(tag: &str) -> std::path::PathBuf {

@@ -1,29 +1,36 @@
-//! Checksummed binary framing for the durability layer: little-endian
-//! byte encoding ([`ByteWriter`] / [`ByteReader`]), CRC-32 protected
-//! sections ([`write_section`] / [`read_section`]), and the test-only
-//! fault-injection wrappers ([`failpoint`]).
+//! The workspace's one binary framing: little-endian byte encoding
+//! ([`ByteWriter`] / [`ByteReader`]), one CRC-32 protected record format
+//! ([`put_record`] / [`next_record`]), and the test-only fault-injection
+//! harness ([`failpoint`]).
 //!
-//! The αDB snapshot (`squid-adb`) and the session journal (`squid-core`)
-//! both build on these primitives. The framing contract is defensive by
-//! construction: every read is bounds-checked, every declared length is
-//! capped by the bytes actually present, and every checksum or tag
-//! mismatch surfaces as [`FrameError::Corrupt`] — a bit flip, truncation,
-//! or torn write anywhere in a frame can produce an error but never a
-//! panic, an out-of-memory allocation, or silently wrong bytes.
-//!
-//! Wire layout of one section:
+//! One record:
 //!
 //! ```text
-//! +---------+-----------+-----------+-------------------+
-//! | tag u32 | len u64   | crc32 u32 | payload (len b)   |
-//! +---------+-----------+-----------+-------------------+
+//! +---------+-----------+-------------------+
+//! | len u32 | crc32 u32 | payload (len b)   |
+//! +---------+-----------+-------------------+
 //! ```
 //!
-//! All integers little-endian; the CRC (IEEE 802.3, reflected polynomial
-//! `0xEDB88320`) covers the payload only — tag/length corruption is
-//! caught by the tag check and the length cap instead.
+//! Integers are little-endian; the CRC (IEEE 802.3, reflected polynomial
+//! `0xEDB88320`) covers the payload. Three formats are sequences of
+//! records, and each passes its own cap on the payload length:
+//!
+//! - the session journal (`squid-core`): one record per session op,
+//!   capped at 1 MiB;
+//! - the αDB snapshot (`squid-adb`): a 12-byte preamble, then one record
+//!   per section, each payload opening with its section tag, capped at
+//!   `u32::MAX`;
+//! - the replication stream (`squid-serve`): one record per message, each
+//!   payload opening with its message tag, capped at 1 GiB.
+//!
+//! The contract is defensive by construction: every read is
+//! bounds-checked, a declared length is checked against the cap before
+//! anything is sized by it, and every checksum mismatch surfaces as
+//! [`FrameError::Corrupt`] — a bit flip, truncation, or torn write
+//! anywhere in a record can produce an error but never a panic, an
+//! out-of-memory allocation, or silently wrong bytes.
 
-use std::io::{self, Read, Write};
+use std::io::{self, Write};
 
 /// Error type of the framing layer.
 ///
@@ -201,6 +208,11 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
+    /// Append raw bytes, with no length prefix.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Append a length-prefixed UTF-8 string (`u32` byte length).
     pub fn put_str(&mut self, s: &str) {
         let len = u32::try_from(s.len()).expect("string longer than u32::MAX bytes");
@@ -361,99 +373,61 @@ impl<'a> ByteReader<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Section framing
+// Record framing
 // ---------------------------------------------------------------------------
 
-/// Size in bytes of a section header (`tag u32 + len u64 + crc u32`).
-pub const SECTION_HEADER_BYTES: usize = 16;
-
-/// Write one CRC-protected section: `tag`, payload length, payload CRC,
-/// payload bytes.
-pub fn write_section<W: Write>(w: &mut W, tag: u32, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&tag.to_le_bytes())?;
-    w.write_all(&(payload.len() as u64).to_le_bytes())?;
-    w.write_all(&crc32(payload).to_le_bytes())?;
-    w.write_all(payload)
+/// Write one record — payload length, payload CRC, payload — and return
+/// the bytes written. A payload longer than `max_len` is refused with
+/// [`io::ErrorKind::InvalidInput`] before a byte is written.
+pub fn put_record<W: Write>(w: &mut W, payload: &[u8], max_len: u32) -> io::Result<usize> {
+    let len = u32::try_from(payload.len())
+        .ok()
+        .filter(|&len| len <= max_len)
+        .ok_or_else(|| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "record of {} bytes exceeds the cap {max_len}",
+                    payload.len()
+                ),
+            )
+        })?;
+    let mut header = [0u8; 8];
+    header[..4].copy_from_slice(&len.to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+    w.write_all(&header)?;
+    w.write_all(payload)?;
+    Ok(header.len() + payload.len())
 }
 
-/// Read one section, demanding tag `expect_tag`, and verify its CRC.
-///
-/// `max_len` caps the declared payload length so a corrupted length field
-/// cannot drive a huge allocation; pick it generously above any legitimate
-/// section size. Truncation (including EOF mid-header) is reported as
-/// [`FrameError::Corrupt`] so callers can treat *any* malformed file
-/// uniformly; only genuine device errors surface as [`FrameError::Io`].
-pub fn read_section<R: Read>(
-    r: &mut R,
-    expect_tag: u32,
-    section: &str,
-    max_len: u64,
-) -> FrameResult<Vec<u8>> {
-    let mut header = [0u8; SECTION_HEADER_BYTES];
-    read_exact_corrupt(r, &mut header, section)?;
-    let tag = u32::from_le_bytes(header[0..4].try_into().expect("4 bytes"));
-    let len = u64::from_le_bytes(header[4..12].try_into().expect("8 bytes"));
-    let crc = u32::from_le_bytes(header[12..16].try_into().expect("4 bytes"));
-    if tag != expect_tag {
-        return Err(FrameError::corrupt(
-            section,
-            format!("bad section tag {tag:#010x}, expected {expect_tag:#010x}"),
-        ));
-    }
+/// Parse the record at the start of `bytes`: `Some((payload, consumed))`
+/// for a whole record, `None` while the bytes end before the record does.
+/// A declared length over `max_len` is [`FrameError::Corrupt`] as soon as
+/// the 8 header bytes are present, so no caller ever buffers toward it;
+/// so is a payload whose CRC does not match.
+pub fn next_record(bytes: &[u8], max_len: u32) -> FrameResult<Option<(&[u8], usize)>> {
+    let Some((header, rest)) = bytes.split_first_chunk::<8>() else {
+        return Ok(None);
+    };
+    let len = u32::from_le_bytes([header[0], header[1], header[2], header[3]]);
+    let crc = u32::from_le_bytes([header[4], header[5], header[6], header[7]]);
     if len > max_len {
         return Err(FrameError::corrupt(
-            section,
-            format!("declared length {len} exceeds cap {max_len}"),
+            "record",
+            format!("declared length {len} exceeds the cap {max_len}"),
         ));
     }
-    // Read incrementally rather than allocating `len` up front: a corrupt
-    // length below the cap but past EOF fails with `truncated`, not OOM.
-    let mut payload = Vec::new();
-    read_to_len_corrupt(r, &mut payload, len as usize, section)?;
-    let actual = crc32(&payload);
+    let Some(payload) = rest.get(..len as usize) else {
+        return Ok(None);
+    };
+    let actual = crc32(payload);
     if actual != crc {
         return Err(FrameError::corrupt(
-            section,
+            "record",
             format!("checksum mismatch: stored {crc:#010x}, computed {actual:#010x}"),
         ));
     }
-    Ok(payload)
-}
-
-fn read_exact_corrupt<R: Read>(r: &mut R, buf: &mut [u8], section: &str) -> FrameResult<()> {
-    r.read_exact(buf).map_err(|e| {
-        if e.kind() == io::ErrorKind::UnexpectedEof {
-            FrameError::corrupt(section, "truncated while reading section header")
-        } else {
-            FrameError::Io(e)
-        }
-    })
-}
-
-fn read_to_len_corrupt<R: Read>(
-    r: &mut R,
-    buf: &mut Vec<u8>,
-    len: usize,
-    section: &str,
-) -> FrameResult<()> {
-    const CHUNK: usize = 1 << 20;
-    let mut remaining = len;
-    while remaining > 0 {
-        let want = remaining.min(CHUNK);
-        let start = buf.len();
-        buf.resize(start + want, 0);
-        match r.read_exact(&mut buf[start..]) {
-            Ok(()) => remaining -= want,
-            Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => {
-                return Err(FrameError::corrupt(
-                    section,
-                    format!("truncated: payload short of declared length {len}"),
-                ));
-            }
-            Err(e) => return Err(FrameError::Io(e)),
-        }
-    }
-    Ok(())
+    Ok(Some((payload, 8 + payload.len())))
 }
 
 // ---------------------------------------------------------------------------
@@ -546,11 +520,32 @@ pub mod failpoint {
     pub fn flip_bit(bytes: &mut [u8], bit: usize) {
         bytes[bit / 8] ^= 1 << (bit % 8);
     }
+
+    /// The byte mutator behind the decoder fuzzers. Applies `edits` in
+    /// order as `(kind, position, byte)`: kind 0 flips a byte (XOR with
+    /// `byte`, at least 1), 1 inserts `byte`, 2 deletes a byte, 3
+    /// truncates, any other kind does nothing; positions wrap to the
+    /// current length.
+    pub fn mutate(mut bytes: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
+        for &(kind, at, byte) in edits {
+            let len = bytes.len();
+            match kind {
+                0 if len > 0 => bytes[at % len] ^= byte.max(1),
+                1 => bytes.insert(at % (len + 1), byte),
+                2 if len > 0 => {
+                    bytes.remove(at % len);
+                }
+                3 => bytes.truncate(at % (len + 1)),
+                _ => {}
+            }
+        }
+        bytes
+    }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::failpoint::{flip_bit, FailpointReader, FailpointWriter};
+    use super::failpoint::{flip_bit, mutate, FailpointReader, FailpointWriter};
     use super::*;
 
     #[test]
@@ -601,30 +596,50 @@ mod tests {
         ));
     }
 
-    #[test]
-    fn section_round_trip_and_crc_detects_flips() {
-        let payload = b"some important payload".to_vec();
-        let mut file = Vec::new();
-        write_section(&mut file, 0x5EC7, &payload).unwrap();
-        let got = read_section(&mut file.as_slice(), 0x5EC7, "s", 1 << 20).unwrap();
-        assert_eq!(got, payload);
+    fn record(payload: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        let written = put_record(&mut out, payload, 1 << 20).unwrap();
+        assert_eq!(written, out.len());
+        out
+    }
 
-        // Flip every bit in turn: each must be caught (tag, length cap,
-        // truncation, or CRC), never a panic or silent success.
+    #[test]
+    fn record_round_trip_and_crc_detects_flips() {
+        let payload = b"some important payload";
+        let mut stream = record(payload);
+        stream.extend_from_slice(b"next");
+        assert_eq!(
+            next_record(&stream, 1 << 20).unwrap(),
+            Some((&payload[..], 8 + payload.len()))
+        );
+
+        // Flip every bit of the record in turn: each must be caught (length
+        // cap, CRC, or a record that now ends later), never a panic or a
+        // silent success.
+        let file = record(payload);
         for bit in 0..file.len() * 8 {
             let mut corrupted = file.clone();
             flip_bit(&mut corrupted, bit);
-            let res = read_section(&mut corrupted.as_slice(), 0x5EC7, "s", 1 << 20);
-            assert!(res.is_err(), "bit {bit} flip went undetected");
+            let res = next_record(&corrupted, 1 << 20);
+            assert!(
+                matches!(res, Err(FrameError::Corrupt { .. }) | Ok(None)),
+                "bit {bit} flip went undetected"
+            );
         }
     }
 
     #[test]
-    fn wrong_tag_is_corrupt() {
-        let mut file = Vec::new();
-        write_section(&mut file, 1, b"x").unwrap();
-        let err = read_section(&mut file.as_slice(), 2, "tagged", 1024).unwrap_err();
-        assert!(matches!(err, FrameError::Corrupt { .. }), "{err}");
+    fn an_over_cap_record_is_refused_on_both_sides() {
+        let mut out = Vec::new();
+        let err = put_record(&mut out, &[0; 17], 16).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(out.is_empty(), "nothing is written");
+        // The decoder refuses on the header alone.
+        let file = record(&[0; 17]);
+        assert!(matches!(
+            next_record(&file[..8], 16),
+            Err(FrameError::Corrupt { .. })
+        ));
     }
 
     #[test]
@@ -645,15 +660,24 @@ mod tests {
     }
 
     #[test]
-    fn truncated_section_is_corrupt() {
-        let mut file = Vec::new();
-        write_section(&mut file, 9, b"payload bytes").unwrap();
+    fn truncated_record_is_incomplete() {
+        let file = record(b"payload bytes");
         for cut in 0..file.len() {
-            let res = read_section(&mut &file[..cut], 9, "cut", 1024);
             assert!(
-                matches!(res, Err(FrameError::Corrupt { .. })),
+                matches!(next_record(&file[..cut], 1024), Ok(None)),
                 "cut at {cut}"
             );
         }
+    }
+
+    #[test]
+    fn mutate_applies_each_edit_kind() {
+        let bytes = b"abcd".to_vec();
+        assert_eq!(mutate(bytes.clone(), &[(0, 1, 0)]), b"accd");
+        assert_eq!(mutate(bytes.clone(), &[(1, 9, b'x')]), b"abcdx");
+        assert_eq!(mutate(bytes.clone(), &[(2, 5, 0)]), b"acd");
+        assert_eq!(mutate(bytes.clone(), &[(3, 2, 0)]), b"ab");
+        assert_eq!(mutate(bytes.clone(), &[(7, 0, 0)]), b"abcd");
+        assert_eq!(mutate(Vec::new(), &[(0, 3, 1), (2, 3, 0)]), b"");
     }
 }

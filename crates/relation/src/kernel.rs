@@ -501,12 +501,6 @@ impl<'t> ScanPlan<'t> {
     }
 }
 
-/// Bit `b` set ⇔ row `batch*64 + b` exists and is non-null in `col`.
-#[inline]
-pub fn non_null_word(col: &ColumnVec, batch: usize, n: usize) -> u64 {
-    tail_mask(n, batch) & !col.nulls().word(batch)
-}
-
 /// Call `f(batch, word)` for every 64-row batch of an `n`-row column,
 /// where `word` masks the rows that are in range and non-null in
 /// `nulls` — the spine under every `scan_*` accessor.

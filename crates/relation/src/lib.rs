@@ -2,8 +2,8 @@
 //!
 //! In-memory relational substrate for the SQuID reproduction: typed values,
 //! schemas with primary/foreign keys and entity/property/fact role
-//! annotations, row tables, hash and ordered column indexes, and the global
-//! inverted column index used for example-to-entity lookup.
+//! annotations, row tables, and the global inverted column index used for
+//! example-to-entity lookup.
 //!
 //! The paper (Fariha & Meliou, VLDB 2019) runs on PostgreSQL; this crate is
 //! the from-scratch stand-in that the query engine (`squid-engine`), the
@@ -80,7 +80,6 @@ pub mod fingerprint;
 pub mod frame;
 pub mod fxhash;
 pub mod heap;
-pub mod index;
 pub mod intern;
 pub mod inverted;
 pub mod kernel;
@@ -95,7 +94,6 @@ pub use error::{RelationError, Result};
 pub use fingerprint::{db_fingerprint, db_verification_hash};
 pub use frame::{ByteReader, ByteWriter, FrameError, FrameResult};
 pub use fxhash::{FxBuildHasher, FxHashMap, FxHashSet};
-pub use index::{HashIndex, OrderedIndex};
 pub use intern::Sym;
 pub use inverted::{InvertedIndex, Posting};
 pub use kernel::{CmpSpec, Kernel, ScanPlan};

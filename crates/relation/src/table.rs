@@ -545,14 +545,6 @@ impl Table {
         self.insert_slice(&row)
     }
 
-    /// Append many rows; stops at the first error.
-    pub fn insert_all<I: IntoIterator<Item = Vec<Value>>>(&mut self, rows: I) -> Result<()> {
-        for r in rows {
-            self.insert(r)?;
-        }
-        Ok(())
-    }
-
     /// Borrow a row by id.
     pub fn row(&self, id: RowId) -> Option<&[Value]> {
         if id >= self.len {

@@ -1,12 +1,12 @@
 //! Property-based tests for the relational substrate: total ordering of
-//! values, Eq/Hash consistency, and index-vs-scan agreement.
+//! values and Eq/Hash consistency.
 
 use std::cmp::Ordering;
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 
 use proptest::prelude::*;
-use squid_relation::{Column, DataType, HashIndex, OrderedIndex, Table, TableSchema, Value};
+use squid_relation::Value;
 
 fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
@@ -51,48 +51,5 @@ proptest! {
     #[test]
     fn comparison_is_reflexive(a in arb_value()) {
         prop_assert_eq!(a.cmp(&a), Ordering::Equal);
-    }
-
-    #[test]
-    fn indexes_agree_with_scans(
-        vals in prop::collection::vec(-20i64..20, 1..60),
-        probe in -25i64..25,
-        lo in -25i64..0,
-        hi in 0i64..25,
-    ) {
-        let mut t = Table::new(TableSchema::new(
-            "t",
-            vec![Column::new("x", DataType::Int)],
-        ));
-        for v in &vals {
-            t.insert(vec![Value::Int(*v)]).unwrap();
-        }
-        let hidx = HashIndex::build(&t, 0);
-        let oidx = OrderedIndex::build(&t, 0);
-
-        let scan_eq = vals.iter().filter(|&&v| v == probe).count();
-        prop_assert_eq!(hidx.count(&Value::Int(probe)), scan_eq);
-
-        let scan_range = vals.iter().filter(|&&v| v >= lo && v <= hi).count();
-        prop_assert_eq!(oidx.range_count(&Value::Int(lo), &Value::Int(hi)), scan_range);
-
-        let mut ids = oidx.range(&Value::Int(lo), &Value::Int(hi));
-        ids.sort_unstable();
-        ids.dedup();
-        prop_assert_eq!(ids.len(), scan_range);
-    }
-
-    #[test]
-    fn ordered_index_min_max_match_scan(vals in prop::collection::vec(-100i64..100, 1..50)) {
-        let mut t = Table::new(TableSchema::new(
-            "t",
-            vec![Column::new("x", DataType::Int)],
-        ));
-        for v in &vals {
-            t.insert(vec![Value::Int(*v)]).unwrap();
-        }
-        let oidx = OrderedIndex::build(&t, 0);
-        prop_assert_eq!(oidx.min().and_then(|v| v.as_int()), vals.iter().min().copied());
-        prop_assert_eq!(oidx.max().and_then(|v| v.as_int()), vals.iter().max().copied());
     }
 }

@@ -21,26 +21,30 @@
 //!
 //! ## Wire protocol
 //!
-//! Length-prefixed binary frames (`tag u8 | len u32 LE | payload`), four
-//! of which matter:
+//! Each message is one record of the workspace's framing
+//! (`squid_relation::frame`: `len u32 | crc32 u32 | payload`, capped at
+//! 1 GiB), so a frame damaged in flight is refused, not applied. The
+//! payload opens with a one-byte message tag; integers are little-endian
+//! `u64`, strings carry a `u32` length:
 //!
-//! - `HELLO` (standby → primary): magic + whether the standby wants an
-//!   αDB snapshot bootstrap before the journal stream.
-//! - `ADB` (primary → standby): the PR 6 single-file αDB snapshot,
-//!   streamed straight off [`squid_adb::ADb::save_snapshot_to`] — a
-//!   standby can boot with no local dataset generation at all (it builds
-//!   the αDB over the shipped tables).
+//! - `HELLO` (standby → primary): the magic `SQRP2` + whether the standby
+//!   wants an αDB snapshot bootstrap before the journal stream. A peer
+//!   speaking another version fails the handshake and is dropped.
+//! - `ADB` (primary → standby): the single-file αDB snapshot
+//!   ([`squid_adb::ADb::save_snapshot_to`]) — a standby can boot with no
+//!   local dataset generation at all (it builds the αDB over the shipped
+//!   tables).
 //! - `SNAP` (primary → standby): the journal epoch, the primary's client
 //!   address (the `not_primary` hint), and the *entire current journal*.
 //!   Sent on connect and again whenever compaction bumps the journal
 //!   epoch ([`squid_core::JournalStats::epoch`]) — byte offsets are only
 //!   meaningful within one epoch, so an epoch change re-snapshots the
 //!   stream.
-//! - `RECS` (primary → standby): raw journal record bytes appended since
-//!   the last frame, shipped verbatim (the standby re-runs the same
-//!   length/CRC scan recovery uses). Acknowledged by `ACK` frames
-//!   carrying the standby's applied byte offset and record count, from
-//!   which the primary computes replication lag.
+//! - `RECS` (primary → standby): the epoch, the start offset, and the raw
+//!   journal records appended since the last frame, shipped verbatim (the
+//!   standby re-runs the same record scan recovery uses). Acknowledged by
+//!   `ACK` frames carrying the epoch and the standby's applied byte offset
+//!   and record count, from which the primary computes replication lag.
 //!
 //! The stream is lock-step (one outstanding frame), which makes lag
 //! accounting exact and keeps the protocol trivially correct; journal
@@ -62,8 +66,10 @@ use std::time::{Duration, Instant};
 
 use squid_adb::ADb;
 use squid_core::{scan_records, JournalStats, JournalTail, SessionManager, TailPoll};
+use squid_relation::frame::{next_record, put_record, ByteReader, ByteWriter, FrameResult};
+use squid_relation::FrameError;
 
-const MAGIC: &[u8; 5] = b"SQRP1";
+const MAGIC: &[u8; 5] = b"SQRP2";
 const TAG_HELLO: u8 = 1;
 const TAG_ADB: u8 = 2;
 const TAG_SNAP: u8 = 3;
@@ -71,7 +77,7 @@ const TAG_RECS: u8 = 4;
 const TAG_ACK: u8 = 5;
 /// Frames above this are a protocol violation (the αDB snapshot is the
 /// largest legitimate payload).
-const MAX_FRAME: usize = 1 << 30;
+const MAX_FRAME: u32 = 1 << 30;
 /// How often the sender looks for newly appended journal bytes.
 const SEND_POLL: Duration = Duration::from_millis(20);
 /// Socket-level read timeout: the granularity at which blocked reads
@@ -227,55 +233,125 @@ impl ReplState {
 }
 
 // ---------------------------------------------------------------------------
-// Frame IO
+// Messages
 // ---------------------------------------------------------------------------
 
-fn write_frame(w: &mut TcpStream, tag: u8, payload: &[u8]) -> io::Result<()> {
-    let mut header = [0u8; 5];
-    header[0] = tag;
-    header[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)
+/// One replication message (see "Wire protocol" above); the byte fields
+/// borrow the frame they were decoded from.
+#[derive(Debug, PartialEq)]
+enum Msg<'a> {
+    /// Standby → primary, first on every link: whether the standby wants
+    /// an `Adb` before the stream.
+    Hello(bool),
+    /// Primary → standby: a whole αDB snapshot file.
+    Adb(&'a [u8]),
+    /// Primary → standby: epoch, the primary's client address, and the
+    /// whole valid journal of that epoch.
+    Snap(u64, &'a str, &'a [u8]),
+    /// Primary → standby: epoch, the byte offset the records start at, and
+    /// the journal records appended since the last frame.
+    Recs(u64, u64, &'a [u8]),
+    /// Standby → primary: epoch, applied byte offset, applied records.
+    Ack(u64, u64, u64),
 }
 
-/// Incremental frame reader: partial reads (the socket's READ_POLL
-/// timeout firing mid-frame) keep their bytes buffered, so a slow frame
-/// is resumed, never desynced.
-struct FrameReader {
-    stream: TcpStream,
-    buf: Vec<u8>,
-}
-
-impl FrameReader {
-    fn new(stream: TcpStream) -> io::Result<FrameReader> {
-        stream.set_read_timeout(Some(READ_POLL))?;
-        Ok(FrameReader {
-            stream,
-            buf: Vec::new(),
-        })
+impl<'a> Msg<'a> {
+    fn encode(&self) -> Vec<u8> {
+        let mut w = ByteWriter::new();
+        match *self {
+            Msg::Hello(need_adb) => {
+                w.put_u8(TAG_HELLO);
+                w.put_bytes(MAGIC);
+                w.put_bool(need_adb);
+            }
+            Msg::Adb(snapshot) => {
+                w.put_u8(TAG_ADB);
+                w.put_bytes(snapshot);
+            }
+            Msg::Snap(epoch, primary, journal) => {
+                w.put_u8(TAG_SNAP);
+                w.put_u64(epoch);
+                w.put_str(primary);
+                w.put_bytes(journal);
+            }
+            Msg::Recs(epoch, start, records) => {
+                w.put_u8(TAG_RECS);
+                w.put_u64(epoch);
+                w.put_u64(start);
+                w.put_bytes(records);
+            }
+            Msg::Ack(epoch, offset, records) => {
+                w.put_u8(TAG_ACK);
+                w.put_u64(epoch);
+                w.put_u64(offset);
+                w.put_u64(records);
+            }
+        }
+        w.into_bytes()
     }
 
-    /// One complete frame, `Ok(None)` when the read timed out first (the
-    /// caller re-checks its stop/promote flags and calls again).
-    fn next_frame(&mut self) -> io::Result<Option<(u8, Vec<u8>)>> {
-        loop {
-            if self.buf.len() >= 5 {
-                let len = u32::from_le_bytes(self.buf[1..5].try_into().expect("4 bytes")) as usize;
-                if len > MAX_FRAME {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!("replication frame of {len} bytes exceeds the cap"),
-                    ));
+    fn decode(payload: &'a [u8]) -> FrameResult<Msg<'a>> {
+        const S: &str = "replication frame";
+        let mut r = ByteReader::new(payload, S);
+        let msg = match r.get_u8()? {
+            TAG_HELLO => {
+                if r.get_bytes(MAGIC.len())? != MAGIC {
+                    return Err(FrameError::corrupt(S, "foreign HELLO magic"));
                 }
-                if self.buf.len() >= 5 + len {
-                    let tag = self.buf[0];
-                    let payload = self.buf[5..5 + len].to_vec();
-                    self.buf.drain(..5 + len);
-                    return Ok(Some((tag, payload)));
-                }
+                Msg::Hello(r.get_bool()?)
+            }
+            TAG_ADB => Msg::Adb(r.get_bytes(r.remaining())?),
+            TAG_SNAP => Msg::Snap(r.get_u64()?, r.get_str_ref()?, r.get_bytes(r.remaining())?),
+            TAG_RECS => Msg::Recs(r.get_u64()?, r.get_u64()?, r.get_bytes(r.remaining())?),
+            TAG_ACK => Msg::Ack(r.get_u64()?, r.get_u64()?, r.get_u64()?),
+            tag => return Err(FrameError::corrupt(S, format!("unknown message tag {tag}"))),
+        };
+        r.expect_end()?;
+        Ok(msg)
+    }
+
+    /// Frame and write this message.
+    fn send<W: Write>(&self, w: &mut W) -> io::Result<()> {
+        put_record(w, &self.encode(), MAX_FRAME).map(|_| ())
+    }
+}
+
+fn invalid(e: FrameError) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e.to_string())
+}
+
+/// Incremental message reader: bytes buffer until a whole record is in,
+/// so a frame split across reads (the socket's READ_POLL timeout firing
+/// mid-frame) is resumed, never desynced.
+struct FrameReader<R> {
+    inner: R,
+    buf: Vec<u8>,
+    /// Length of the record at the front of `buf` that the last message
+    /// borrowed; dropped on the next call.
+    consumed: usize,
+}
+
+impl<R: Read> FrameReader<R> {
+    fn new(inner: R) -> FrameReader<R> {
+        FrameReader {
+            inner,
+            buf: Vec::new(),
+            consumed: 0,
+        }
+    }
+
+    /// The next whole message, `Ok(None)` when a read timed out first (the
+    /// caller re-checks its stop/promote flags and calls again). A damaged
+    /// frame, an undecodable message and end of stream are errors.
+    fn next_msg(&mut self) -> io::Result<Option<Msg<'_>>> {
+        self.buf.drain(..std::mem::take(&mut self.consumed));
+        let len = loop {
+            if let Some((payload, consumed)) = next_record(&self.buf, MAX_FRAME).map_err(invalid)? {
+                self.consumed = consumed;
+                break payload.len();
             }
             let mut chunk = [0u8; 64 * 1024];
-            match self.stream.read(&mut chunk) {
+            match self.inner.read(&mut chunk) {
                 Ok(0) => {
                     return Err(io::Error::new(
                         io::ErrorKind::UnexpectedEof,
@@ -284,43 +360,28 @@ impl FrameReader {
                 }
                 Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
                 Err(e)
-                    if e.kind() == io::ErrorKind::WouldBlock
-                        || e.kind() == io::ErrorKind::TimedOut =>
+                    if matches!(
+                        e.kind(),
+                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                    ) =>
                 {
                     return Ok(None)
                 }
                 Err(e) => return Err(e),
             }
-        }
+        };
+        Msg::decode(&self.buf[self.consumed - len..self.consumed])
+            .map(Some)
+            .map_err(invalid)
     }
 }
 
-fn put_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-fn get_u64(bytes: &[u8], at: usize) -> io::Result<u64> {
-    bytes
-        .get(at..at + 8)
-        .map(|b| u64::from_le_bytes(b.try_into().expect("8 bytes")))
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "short replication frame"))
-}
-
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(bytes: &[u8], at: usize) -> io::Result<(String, usize)> {
-    let bad = || io::Error::new(io::ErrorKind::InvalidData, "short replication frame");
-    let len = bytes
-        .get(at..at + 2)
-        .map(|b| u16::from_le_bytes(b.try_into().expect("2 bytes")) as usize)
-        .ok_or_else(bad)?;
-    let raw = bytes.get(at + 2..at + 2 + len).ok_or_else(bad)?;
-    let s = std::str::from_utf8(raw)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "non-UTF-8 address in frame"))?;
-    Ok((s.to_string(), at + 2 + len))
+/// Split a replication connection into a writer and a message reader whose
+/// reads time out every READ_POLL.
+fn open_link(stream: TcpStream) -> io::Result<(TcpStream, FrameReader<TcpStream>)> {
+    stream.set_nodelay(true)?;
+    stream.set_read_timeout(Some(READ_POLL))?;
+    Ok((stream.try_clone()?, FrameReader::new(stream)))
 }
 
 // ---------------------------------------------------------------------------
@@ -422,40 +483,38 @@ fn stable_journal_read(manager: &SessionManager) -> io::Result<(u64, Vec<u8>, u6
 /// snapshot + stream with lock-step acks until the link dies, the node
 /// stops, or compaction forces a re-snapshot.
 fn serve_standby(manager: &SessionManager, stream: TcpStream, state: &ReplState) -> io::Result<()> {
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut reader = FrameReader::new(stream)?;
+    let (mut writer, mut reader) = open_link(stream)?;
     // Handshake.
     let hello_deadline = Instant::now() + ACK_DEADLINE;
-    let flags = loop {
-        match reader.next_frame()? {
-            Some((TAG_HELLO, p)) if p.len() >= 6 && &p[..5] == MAGIC => break p[5],
-            Some((tag, _)) => {
+    let need_adb = loop {
+        match reader.next_msg()? {
+            Some(Msg::Hello(need_adb)) => break need_adb,
+            Some(_) => {
                 return Err(io::Error::new(
                     io::ErrorKind::InvalidData,
-                    format!("expected HELLO, got frame tag {tag}"),
+                    "expected HELLO first",
                 ))
             }
             None if Instant::now() < hello_deadline && !state.stopping() => continue,
             None => return Ok(()),
         }
     };
-    if flags & 1 != 0 {
-        // αDB bootstrap: the single-file snapshot, straight onto the wire.
-        let mut payload = Vec::new();
+    if need_adb {
+        // αDB bootstrap: the single-file snapshot in one frame.
+        let mut snapshot = Vec::new();
         manager
             .adb()
-            .save_snapshot_to(&mut payload)
+            .save_snapshot_to(&mut snapshot)
             .map_err(|e| io::Error::other(e.to_string()))?;
-        write_frame(&mut writer, TAG_ADB, &payload)?;
+        Msg::Adb(&snapshot).send(&mut writer)?;
     }
 
-    let wait_ack = |reader: &mut FrameReader, state: &ReplState| -> io::Result<bool> {
+    let wait_ack = |reader: &mut FrameReader<TcpStream>, state: &ReplState| -> io::Result<bool> {
         let deadline = Instant::now() + ACK_DEADLINE;
         loop {
-            match reader.next_frame()? {
-                Some((TAG_ACK, p)) => {
-                    state.record_ack(get_u64(&p, 0)?, get_u64(&p, 8)?, get_u64(&p, 16)?);
+            match reader.next_msg()? {
+                Some(Msg::Ack(epoch, offset, records)) => {
+                    state.record_ack(epoch, offset, records);
                     return Ok(true);
                 }
                 Some(_) => continue,
@@ -482,11 +541,8 @@ fn serve_standby(manager: &SessionManager, stream: TcpStream, state: &ReplState)
         if epoch != Some(current_epoch) || need_snap {
             // Connect or compaction: (re-)snapshot the stream.
             let (snap_epoch, bytes, _records) = stable_journal_read(manager)?;
-            let mut payload = Vec::new();
-            put_u64(&mut payload, snap_epoch);
-            put_str(&mut payload, &state.primary_addr().unwrap_or_default());
-            payload.extend_from_slice(&bytes);
-            write_frame(&mut writer, TAG_SNAP, &payload)?;
+            let primary = state.primary_addr().unwrap_or_default();
+            Msg::Snap(snap_epoch, &primary, &bytes).send(&mut writer)?;
             if !wait_ack(&mut reader, state)? {
                 return Ok(());
             }
@@ -534,11 +590,7 @@ fn serve_standby(manager: &SessionManager, stream: TcpStream, state: &ReplState)
             thread::sleep(SEND_POLL);
             continue;
         }
-        let mut payload = Vec::new();
-        put_u64(&mut payload, current_epoch);
-        put_u64(&mut payload, batch.start_offset);
-        payload.extend_from_slice(&batch.raw);
-        write_frame(&mut writer, TAG_RECS, &payload)?;
+        Msg::Recs(current_epoch, batch.start_offset, &batch.raw).send(&mut writer)?;
         if !wait_ack(&mut reader, state)? {
             return Ok(());
         }
@@ -570,20 +622,12 @@ impl StandbyLink {
 /// no local dataset generation. Returns the loaded αDB.
 pub fn fetch_adb(primary: &str, timeout: Duration) -> io::Result<ADb> {
     let addr = resolve(primary)?;
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut hello = MAGIC.to_vec();
-    hello.push(1); // need_adb
-    write_frame(&mut writer, TAG_HELLO, &hello)?;
-    let mut reader = FrameReader::new(stream)?;
+    let (mut writer, mut reader) = open_link(TcpStream::connect_timeout(&addr, timeout)?)?;
+    Msg::Hello(true).send(&mut writer)?;
     let deadline = Instant::now() + timeout.max(Duration::from_secs(5));
     loop {
-        match reader.next_frame()? {
-            Some((TAG_ADB, payload)) => {
-                return ADb::load_snapshot_from(&mut payload.as_slice())
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()));
-            }
+        match reader.next_msg()? {
+            Some(Msg::Adb(snapshot)) => return ADb::load_snapshot_bytes(snapshot).map_err(invalid),
             Some(_) => continue,
             None if Instant::now() >= deadline => {
                 return Err(io::Error::new(
@@ -643,32 +687,20 @@ pub fn start_standby_link(
 fn run_link(manager: &SessionManager, primary: &str, state: &ReplState) -> io::Result<()> {
     let addr = resolve(primary)?;
     let stream = TcpStream::connect_timeout(&addr, Duration::from_secs(2))?;
-    stream.set_nodelay(true)?;
-    let mut writer = stream.try_clone()?;
-    let mut hello = MAGIC.to_vec();
-    hello.push(0);
-    write_frame(&mut writer, TAG_HELLO, &hello)?;
-    let mut reader = FrameReader::new(stream)?;
+    let (mut writer, mut reader) = open_link(stream)?;
+    Msg::Hello(false).send(&mut writer)?;
     state.link_up.store(true, Ordering::Release);
     let mut offset: u64 = 0;
     loop {
-        let frame = match reader.next_frame() {
-            Ok(f) => f,
-            Err(e) => {
-                // A dying primary mid-frame: whatever complete frames
-                // arrived were already applied; the torn remainder is
-                // unacked and therefore still the primary's to resend.
-                return Err(e);
-            }
-        };
-        match frame {
-            Some((TAG_SNAP, payload)) => {
-                let epoch = get_u64(&payload, 0)?;
-                let (primary_client_addr, at) = get_str(&payload, 8)?;
-                if !primary_client_addr.is_empty() {
-                    state.set_primary_addr(&primary_client_addr);
+        // An error here is a dying primary mid-frame: whatever complete
+        // frames arrived were already applied; the torn remainder is
+        // unacked and therefore still the primary's to resend.
+        match reader.next_msg()? {
+            Some(Msg::Snap(epoch, primary, journal)) => {
+                if !primary.is_empty() {
+                    state.set_primary_addr(primary);
                 }
-                let (records, valid) = scan_records(&payload[at..]);
+                let (records, valid) = scan_records(journal);
                 let keep: std::collections::HashSet<_> =
                     records.iter().map(|(sid, _, _)| *sid).collect();
                 manager.apply_replicated(&records);
@@ -683,19 +715,17 @@ fn run_link(manager: &SessionManager, primary: &str, state: &ReplState) -> io::R
                     .applied_records
                     .store(records.len() as u64, Ordering::Release);
                 state.snapshots.fetch_add(1, Ordering::Relaxed);
-                ack(&mut writer, epoch, offset, records.len() as u64)?;
+                Msg::Ack(epoch, offset, records.len() as u64).send(&mut writer)?;
             }
-            Some((TAG_RECS, payload)) => {
-                let epoch = get_u64(&payload, 0)?;
-                let start = get_u64(&payload, 8)?;
+            Some(Msg::Recs(epoch, start, raw)) => {
                 if epoch != state.link_epoch.load(Ordering::Acquire) || start != offset {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "replication stream desync (epoch/offset mismatch)",
                     ));
                 }
-                let (records, valid) = scan_records(&payload[16..]);
-                if valid as usize != payload.len() - 16 {
+                let (records, valid) = scan_records(raw);
+                if valid != raw.len() as u64 {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
                         "corrupt record bytes in RECS frame",
@@ -707,9 +737,9 @@ fn run_link(manager: &SessionManager, primary: &str, state: &ReplState) -> io::R
                     .applied_records
                     .fetch_add(records.len() as u64, Ordering::Release)
                     + records.len() as u64;
-                ack(&mut writer, epoch, offset, applied)?;
+                Msg::Ack(epoch, offset, applied).send(&mut writer)?;
             }
-            Some((TAG_ADB, _)) | Some((TAG_HELLO, _)) | Some((TAG_ACK, _)) | Some(_) => {}
+            Some(Msg::Adb(_) | Msg::Hello(_) | Msg::Ack(..)) => {}
             None => {
                 if state.stopping() || state.promotion_requested() {
                     return Ok(());
@@ -719,17 +749,18 @@ fn run_link(manager: &SessionManager, primary: &str, state: &ReplState) -> io::R
     }
 }
 
-fn ack(writer: &mut TcpStream, epoch: u64, offset: u64, records: u64) -> io::Result<()> {
-    let mut payload = Vec::new();
-    put_u64(&mut payload, epoch);
-    put_u64(&mut payload, offset);
-    put_u64(&mut payload, records);
-    write_frame(writer, TAG_ACK, &payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use squid_relation::frame::failpoint::mutate;
+
+    fn framed(msgs: &[Msg<'_>]) -> Vec<u8> {
+        let mut out = Vec::new();
+        for msg in msgs {
+            msg.send(&mut out).unwrap();
+        }
+        out
+    }
 
     #[test]
     fn frame_reader_survives_partial_frames() {
@@ -739,24 +770,139 @@ mod tests {
             let mut s = TcpStream::connect(addr).unwrap();
             // A frame dribbled in three writes with pauses: the reader's
             // READ_POLL fires mid-frame and must resume, not desync.
-            let mut frame = vec![TAG_RECS];
-            frame.extend_from_slice(&6u32.to_le_bytes());
-            frame.extend_from_slice(b"abcdef");
-            for chunk in frame.chunks(4) {
+            let frame = framed(&[Msg::Adb(b"abcdef")]);
+            for chunk in frame.chunks(6) {
                 s.write_all(chunk).unwrap();
                 s.flush().unwrap();
                 thread::sleep(Duration::from_millis(150));
             }
         });
         let (conn, _) = listener.accept().unwrap();
-        let mut reader = FrameReader::new(conn).unwrap();
-        let got = loop {
-            if let Some(f) = reader.next_frame().unwrap() {
-                break f;
+        let (_, mut reader) = open_link(conn).unwrap();
+        loop {
+            if let Some(msg) = reader.next_msg().unwrap() {
+                assert_eq!(msg, Msg::Adb(b"abcdef"));
+                break;
             }
-        };
-        assert_eq!(got, (TAG_RECS, b"abcdef".to_vec()));
+        }
         writer.join().unwrap();
+    }
+
+    fn sample_msgs() -> Vec<Msg<'static>> {
+        vec![
+            Msg::Hello(true),
+            Msg::Hello(false),
+            Msg::Adb(b"SQUIDADB snapshot bytes"),
+            Msg::Snap(3, "10.0.0.1:7500", b"journal bytes"),
+            Msg::Snap(0, "", b""),
+            Msg::Recs(3, 4096, b"records"),
+            Msg::Ack(3, u64::MAX, 17),
+        ]
+    }
+
+    #[test]
+    fn msgs_round_trip_through_the_reader() {
+        let msgs = sample_msgs();
+        for msg in &msgs {
+            assert_eq!(Msg::decode(&msg.encode()).unwrap(), *msg);
+        }
+        let stream = framed(&msgs);
+        let mut reader = FrameReader::new(stream.as_slice());
+        for msg in &msgs {
+            assert_eq!(reader.next_msg().unwrap().as_ref(), Some(msg));
+        }
+        let end = reader.next_msg().unwrap_err();
+        assert_eq!(end.kind(), io::ErrorKind::UnexpectedEof);
+    }
+
+    /// A HELLO from another protocol version (the `SQRP1` magic) fails to
+    /// decode.
+    #[test]
+    fn a_foreign_hello_magic_is_refused() {
+        let mut payload = Msg::Hello(false).encode();
+        payload[1..6].copy_from_slice(b"SQRP1");
+        assert!(Msg::decode(&payload).is_err());
+    }
+
+    /// A header declaring a length over the cap is refused once its 8 bytes
+    /// are in, before the reader buffers toward the declared length.
+    #[test]
+    fn an_over_cap_length_is_refused_after_its_header() {
+        let mut header = (MAX_FRAME + 1).to_le_bytes().to_vec();
+        header.extend_from_slice(&[0; 4]);
+        let mut reader = FrameReader::new(header.as_slice().chain(io::repeat(0)));
+        let err = reader.next_msg().unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(reader.buf.len(), 8, "nothing past the header was read");
+        assert!(reader.buf.capacity() < 1 << 20);
+    }
+
+    /// An in-memory stream handed out `sizes[i % n]` bytes per read.
+    struct Chunked<'a> {
+        bytes: &'a [u8],
+        sizes: &'a [usize],
+        reads: usize,
+    }
+
+    impl Read for Chunked<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            let want = self.sizes[self.reads % self.sizes.len()];
+            self.reads += 1;
+            let n = want.min(buf.len()).min(self.bytes.len());
+            buf[..n].copy_from_slice(&self.bytes[..n]);
+            self.bytes = &self.bytes[n..];
+            Ok(n)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn mutated_frame_streams_yield_whole_messages_or_an_error(
+            picks in proptest::collection::vec(0usize..7, 1..8),
+            sizes in proptest::collection::vec(1usize..40, 1..5),
+            edits in proptest::collection::vec((0u8..4, proptest::any::<usize>(), proptest::any::<u8>()), 1..4),
+        ) {
+            let pool = sample_msgs();
+            let msgs: Vec<&Msg<'_>> = picks.iter().map(|&i| &pool[i]).collect();
+            let mut stream = Vec::new();
+            for msg in &msgs {
+                msg.send(&mut stream).unwrap();
+            }
+            let bytes = mutate(stream, &edits);
+            let mut reader = FrameReader::new(Chunked { bytes: &bytes, sizes: &sizes, reads: 0 });
+            // Every message the reader yields is the next one sent; the
+            // damage, at the latest the end of the bytes, is an error.
+            let mut yielded = 0;
+            loop {
+                match reader.next_msg() {
+                    Ok(Some(msg)) => {
+                        proptest::prop_assert!(yielded < msgs.len());
+                        proptest::prop_assert_eq!(&msg, msgs[yielded]);
+                        yielded += 1;
+                    }
+                    Ok(None) => proptest::prop_assert!(false, "an in-memory read never times out"),
+                    Err(_) => break,
+                }
+            }
+        }
+
+        #[test]
+        fn decoding_arbitrary_payloads_never_panics(
+            pick in 0usize..7,
+            noise in proptest::collection::vec(proptest::any::<u8>(), 0..48),
+            edits in proptest::collection::vec((0u8..4, proptest::any::<usize>(), proptest::any::<u8>()), 1..4),
+        ) {
+            // Raw noise, and a valid payload with bytes mutated: whatever
+            // decodes re-encodes to exactly the bytes it came from.
+            let mutated = mutate(sample_msgs()[pick].encode(), &edits);
+            for payload in [&noise, &mutated] {
+                if let Ok(msg) = Msg::decode(payload) {
+                    proptest::prop_assert_eq!(&msg.encode(), payload);
+                }
+            }
+        }
     }
 
     #[test]
@@ -777,18 +923,5 @@ mod tests {
         assert_eq!(state.lag(&journal), (1, 100));
         state.record_ack(2, 1000, 15);
         assert_eq!(state.lag(&journal), (0, 0));
-    }
-
-    #[test]
-    fn string_and_u64_codecs_round_trip() {
-        let mut out = Vec::new();
-        put_u64(&mut out, 42);
-        put_str(&mut out, "10.0.0.1:7500");
-        assert_eq!(get_u64(&out, 0).unwrap(), 42);
-        let (s, at) = get_str(&out, 8).unwrap();
-        assert_eq!(s, "10.0.0.1:7500");
-        assert_eq!(at, out.len());
-        assert!(get_u64(&out, out.len()).is_err());
-        assert!(get_str(&out, out.len()).is_err());
     }
 }

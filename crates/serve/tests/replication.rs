@@ -193,3 +193,54 @@ fn fetch_adb_bootstraps_a_dataset_free_standby() {
     twin.shutdown();
     primary.shutdown();
 }
+
+/// A standby from the previous protocol version sends its HELLO in the old
+/// framing (`tag u8 | len u32 | "SQRP1" | flags`). The primary must drop
+/// that link within the handshake deadline, keep serving clients, and
+/// still accept a current standby afterwards.
+#[test]
+fn an_old_protocol_hello_is_dropped_at_the_handshake() {
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let primary = Server::start(
+        Arc::new(SessionManager::new(test_adb())),
+        ServeConfig {
+            replicate_to: Some("127.0.0.1:0".into()),
+            ..ServeConfig::default()
+        },
+    )
+    .unwrap();
+    let repl_addr = primary.repl_addr().unwrap().to_string();
+
+    let mut old = TcpStream::connect(&repl_addr).unwrap();
+    old.write_all(&[
+        0x01, 0x06, 0x00, 0x00, 0x00, b'S', b'Q', b'R', b'P', b'1', 0x00,
+    ])
+    .unwrap();
+    let started = Instant::now();
+
+    // Clients are served while the old link is held.
+    let mut pc = Client::connect(primary.local_addr()).unwrap();
+    let sid = pc.create().unwrap();
+    pc.add(sid, "Jim Carrey").unwrap();
+    pc.add(sid, "Eddie Murphy").unwrap();
+
+    // The primary hangs up: end of stream (or a reset), not a reply.
+    old.set_read_timeout(Some(Duration::from_secs(20))).unwrap();
+    let mut buf = [0u8; 64];
+    match old.read(&mut buf) {
+        Ok(0) => {}
+        Ok(n) => panic!("the primary answered an old HELLO with {n} bytes"),
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionReset, "{e}"),
+    }
+    assert!(
+        started.elapsed() < Duration::from_secs(15),
+        "dropped after {:?}, past the handshake deadline",
+        started.elapsed()
+    );
+
+    assert!(pc.sql(sid).unwrap().is_some(), "clients are still served");
+    fetch_adb(&repl_addr, Duration::from_secs(5)).expect("a current standby still attaches");
+    primary.shutdown();
+}

@@ -6,6 +6,7 @@
 //! unchanged.
 
 use proptest::prelude::*;
+use squid_relation::frame::failpoint::mutate;
 use squid_serve::{json, parse_line, parse_request};
 
 /// Valid request lines: every line the in-tree clients send in the wire
@@ -17,24 +18,6 @@ fn corpus() -> Vec<&'static str> {
         .collect();
     assert!(lines.len() > 20, "the golden holds the request corpus");
     lines
-}
-
-/// Apply `edits` in order: kind 0 flips a byte, 1 inserts one, 2 deletes
-/// one, 3 truncates; positions wrap to the current length.
-fn mutate(mut bytes: Vec<u8>, edits: &[(u8, usize, u8)]) -> Vec<u8> {
-    for &(kind, at, byte) in edits {
-        let len = bytes.len();
-        match kind {
-            0 if len > 0 => bytes[at % len] ^= byte.max(1),
-            1 => bytes.insert(at % (len + 1), byte),
-            2 if len > 0 => {
-                bytes.remove(at % len);
-            }
-            3 => bytes.truncate(at % (len + 1)),
-            _ => {}
-        }
-    }
-    bytes
 }
 
 proptest! {
