@@ -1064,9 +1064,6 @@ pub struct SharedFilterSetCache {
 struct SharedShard {
     generation: u64,
     inner: ClockMap,
-    /// High-water resident bytes — the warm-start sizing signal: how much
-    /// budget this shard actually used at its fullest.
-    peak_resident_bytes: usize,
     /// Lookups that found / did not find a resident set.
     hits: u64,
     misses: u64,
@@ -1111,20 +1108,6 @@ pub struct SharedCacheStats {
     /// Per-shard resident bytes (length [`SHARED_CACHE_SHARDS`]) — the
     /// skew diagnostic for tuning `max_resident_bytes`.
     pub per_shard_resident_bytes: Vec<usize>,
-    /// Per-shard lookup hits (length [`SHARED_CACHE_SHARDS`]): with
-    /// [`per_shard_misses`](Self::per_shard_misses) this gives each shard's
-    /// warm-start hit rate — how quickly the fleet's working set made that
-    /// shard useful.
-    pub per_shard_hits: Vec<u64>,
-    /// Per-shard lookup misses (length [`SHARED_CACHE_SHARDS`]).
-    pub per_shard_misses: Vec<u64>,
-    /// Per-shard high-water resident bytes since construction (length
-    /// [`SHARED_CACHE_SHARDS`]) — how much of its budget each shard has
-    /// actually needed at its fullest.
-    pub per_shard_peak_resident_bytes: Vec<usize>,
-    /// Sum of the per-shard high-water marks: an upper bound on the
-    /// fleet-wide peak residency, for sizing `max_resident_bytes`.
-    pub peak_resident_bytes: usize,
     /// The configured fleet-wide resident-byte bound.
     pub max_resident_bytes: usize,
 }
@@ -1137,16 +1120,6 @@ impl SharedCacheStats {
             0.0
         } else {
             self.hits as f64 / total as f64
-        }
-    }
-
-    /// Hit rate of shard `i` in `[0, 1]` (`0.0` before any lookup).
-    pub fn shard_hit_rate(&self, i: usize) -> f64 {
-        let total = self.per_shard_hits[i] + self.per_shard_misses[i];
-        if total == 0 {
-            0.0
-        } else {
-            self.per_shard_hits[i] as f64 / total as f64
         }
     }
 }
@@ -1212,10 +1185,10 @@ impl SharedFilterSetCache {
     /// [`lookup`](Self::lookup) promotes the entry, so unused publications
     /// are evicted first when the shard's byte budget tightens.
     pub fn publish(&self, fp: &FilterFingerprint, generation: u64, set: &Arc<RowSet>) {
-        let mut shard = self.shard_for(fp, generation);
-        if shard.inner.insert(fp, Arc::clone(set), self.shard_budget) {
-            shard.peak_resident_bytes = shard.peak_resident_bytes.max(shard.inner.resident_bytes);
-        }
+        let budget = self.shard_budget;
+        self.shard_for(fp, generation)
+            .inner
+            .insert(fp, Arc::clone(set), budget);
     }
 
     /// One aging round: clear every entry's reference bit so bitmaps not
@@ -1248,10 +1221,6 @@ impl SharedFilterSetCache {
             entries: 0,
             resident_bytes: 0,
             per_shard_resident_bytes: Vec::with_capacity(n),
-            per_shard_hits: Vec::with_capacity(n),
-            per_shard_misses: Vec::with_capacity(n),
-            per_shard_peak_resident_bytes: Vec::with_capacity(n),
-            peak_resident_bytes: 0,
             max_resident_bytes: self.max_resident_bytes,
         };
         for shard in &self.shards {
@@ -1261,15 +1230,9 @@ impl SharedFilterSetCache {
             stats.evictions += state.inner.evictions;
             stats.entries += state.inner.len();
             stats.resident_bytes += state.inner.resident_bytes;
-            stats.peak_resident_bytes += state.peak_resident_bytes;
             stats
                 .per_shard_resident_bytes
                 .push(state.inner.resident_bytes);
-            stats.per_shard_hits.push(state.hits);
-            stats.per_shard_misses.push(state.misses);
-            stats
-                .per_shard_peak_resident_bytes
-                .push(state.peak_resident_bytes);
         }
         stats
     }
@@ -1576,21 +1539,7 @@ mod tests {
             stats.resident_bytes
         );
         assert_eq!(stats.max_resident_bytes, 1 << 20);
-        // Warm-start metrics: per-shard tallies sum to the aggregates, the
-        // high-water mark covers current residency, and the derived rates
-        // reflect the 1 hit / 1 miss above.
-        assert_eq!(stats.per_shard_hits.iter().sum::<u64>(), stats.hits);
-        assert_eq!(stats.per_shard_misses.iter().sum::<u64>(), stats.misses);
-        assert_eq!(
-            stats.per_shard_peak_resident_bytes.iter().sum::<usize>(),
-            stats.peak_resident_bytes
-        );
-        assert!(stats.peak_resident_bytes >= stats.resident_bytes);
         assert!((stats.hit_rate() - 0.5).abs() < 1e-12);
-        let rates: Vec<f64> = (0..SHARED_CACHE_SHARDS)
-            .map(|i| stats.shard_hit_rate(i))
-            .collect();
-        assert!(rates.iter().all(|r| (0.0..=1.0).contains(r)));
     }
 
     /// A generation bump invalidates lazily: the stale entry is dropped on
@@ -1626,14 +1575,6 @@ mod tests {
                 b <= shard_budget,
                 "shard residency {b} > budget {shard_budget}"
             );
-        }
-        // Peaks also respect the budget, and dominate current residency.
-        for (p, r) in stats
-            .per_shard_peak_resident_bytes
-            .iter()
-            .zip(&stats.per_shard_resident_bytes)
-        {
-            assert!(p <= &shard_budget && p >= r);
         }
     }
 

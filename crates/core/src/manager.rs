@@ -79,6 +79,23 @@ pub struct RecoverStats {
     pub live_sessions: usize,
 }
 
+/// The one-line recovery summary every front end prints.
+impl std::fmt::Display for RecoverStats {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "replayed {} session(s), {} record(s) applied, {} failed, {} skipped, \
+             {} damaged byte(s) truncated, {} live",
+            self.sessions_replayed,
+            self.records_applied,
+            self.records_failed,
+            self.records_skipped,
+            self.bytes_truncated,
+            self.live_sessions
+        )
+    }
+}
+
 /// What one [`SessionManager::apply_replicated`] batch did — the standby
 /// side's ledger of a replication stream segment.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -1189,6 +1206,10 @@ mod tests {
         assert_eq!(stats.live_sessions, 1, "s2 was ended before the crash");
         assert_eq!(stats.bytes_truncated, 0);
         assert_eq!(b.recover_stats(), Some(stats));
+        // The summary every front end prints (CI greps its first word).
+        let summary = stats.to_string();
+        assert!(summary.starts_with("replayed 2 session(s), "), "{summary}");
+        assert!(summary.ends_with(" 1 live"), "{summary}");
         let sql_after = b
             .with_session(s1, |s| Ok(s.discovery().unwrap().sql()))
             .unwrap();

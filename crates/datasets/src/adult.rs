@@ -127,14 +127,6 @@ impl AdultConfig {
             ..Default::default()
         }
     }
-
-    /// Replicated dataset for the scalability experiment (Figure 16b).
-    pub fn scaled(factor: usize) -> Self {
-        AdultConfig {
-            rows: 8_000 * factor,
-            ..Default::default()
-        }
-    }
 }
 
 /// Generate the synthetic Adult census table.

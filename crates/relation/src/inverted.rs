@@ -232,11 +232,6 @@ impl InvertedIndex {
             .map(|(t, c)| (self.tables[t as usize].clone(), c as usize))
             .collect()
     }
-
-    /// Number of distinct indexed strings.
-    pub fn distinct_count(&self) -> usize {
-        self.map.len()
-    }
 }
 
 #[cfg(test)]

@@ -13,12 +13,14 @@
 //! fsync the journal, optionally save a snapshot, exit 0. A fleet killed
 //! hard instead recovers from its journal on the next `--journal` start.
 //!
-//! Scripted client (`--client <addr>`): reads REPL-grammar commands from
-//! stdin (`create`, `add <value>`, `suggest [k]`, `sql`, `close`, ...),
-//! sends them as protocol requests against the most recently created
-//! session, prints one raw JSON response line per command, and exits
-//! non-zero on the first error response — the network twin of
-//! `squid --repl --batch`, which CI diffs it against.
+//! Scripted client (`--client <addr>`): `squid --repl`'s line loop
+//! (`squid_serve::repl`) over a retrying connection. It reads verbs in the
+//! text grammar from stdin (`create`, `add <value>`, `suggest [k]`, `sql`,
+//! `close`, ...) against the most recently created session, plus
+//! `session <id>` (adopt a recovered session) and `client <id>` (bind an
+//! admission identity); prints each reply as the JSON line the wire
+//! carries, the same lines `squid --repl --batch` prints, which CI diffs it
+//! against; and exits 2 on the first error reply, naming its line.
 //!
 //! Load generator (`--loadgen <addr> --clients N --sessions M`): reads a
 //! turn script from stdin (same grammar, no `create`/`close` — the
@@ -34,8 +36,8 @@ use std::time::Duration;
 use squid_core::{FsyncPolicy, Journal, SessionManager, SquidParams};
 use squid_serve::json::Json;
 use squid_serve::{
-    acquire_adb, fetch_adb, parse_line, run_chaos, run_load_fleet, ChaosConfig, LoadConfig,
-    RateLimit, RetryClient, ServeConfig, Server, Verb,
+    acquire_adb, fetch_adb, repl, run_chaos, run_load_fleet, ChaosConfig, ClientError, LoadConfig,
+    RateLimit, RetryClient, ServeConfig, Server, Transport, Verb,
 };
 
 const USAGE: &str = "\
@@ -279,7 +281,25 @@ fn main() {
         return;
     }
     if let Some(addr) = client_addr {
-        run_client(&addr);
+        // Scripted: the first error reply ends the run with exit 2.
+        let mut remote = Remote(RetryClient::new(addr));
+        let stdin = std::io::stdin();
+        let ran = repl::run(
+            &mut remote,
+            None,
+            stdin.lock(),
+            &mut std::io::stdout(),
+            &mut std::io::stderr(),
+            true,
+        );
+        let c = remote.0.counters();
+        if c.retries + c.reconnects + c.deduped + c.rate_limited > 0 {
+            eprintln!(
+                "client: {} retries, {} reconnects, {} deduped turns, {} rate-limited replies",
+                c.retries, c.reconnects, c.deduped, c.rate_limited
+            );
+        }
+        ran.unwrap_or_else(|e| die(&e));
         return;
     }
     if let Some(addr) = loadgen_addr {
@@ -337,16 +357,7 @@ fn main() {
         }
     } else if let Some(jp) = &journal {
         match manager.recover(jp, fsync) {
-            Ok(st) => eprintln!(
-                "journal {}: replayed {} session(s), {} record(s) applied, \
-                 {} failed, {} damaged byte(s) truncated, {} live",
-                jp.display(),
-                st.sessions_replayed,
-                st.records_applied,
-                st.records_failed,
-                st.bytes_truncated,
-                st.live_sessions
-            ),
+            Ok(st) => eprintln!("journal {}: {st}", jp.display()),
             Err(e) => {
                 die::<()>(&format!("journal {} unusable: {e}", jp.display()));
                 return;
@@ -399,68 +410,50 @@ fn main() {
     );
 }
 
-/// Scripted client: stdin commands → protocol requests → raw JSON
-/// response lines on stdout; non-zero exit on the first error response.
-/// Rides through restarts: requests retry with backoff, reconnects are
-/// automatic, and `session <id>` re-adopts a recovered session (syncing
-/// the turn cursor so further mutations keep deduping).
-fn run_client(addr: &str) {
-    let mut client = RetryClient::new(addr.to_string());
-    let mut current: Option<u64> = None;
-    let stdin = std::io::stdin();
-    let mut line_no = 0usize;
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        line_no += 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if line == "quit" || line == "exit" {
-            break;
-        }
-        // Client-local: re-address an existing session (e.g. one that a
-        // restarted server just recovered from its journal), resuming
-        // its turn numbering from the server's cursor.
-        if let Some(rest) = line.strip_prefix("session ") {
-            match rest.trim().parse::<u64>() {
-                Ok(sid) => match client.adopt(sid) {
-                    Ok(cursor) => {
-                        eprintln!("session {sid} adopted at turn {cursor}");
-                        current = Some(sid);
-                        continue;
-                    }
-                    Err(e) => die(&format!("line {line_no}: adopt {sid}: {e}")),
-                },
-                Err(_) => die(&format!("line {line_no}: usage: session <id>")),
-            }
-        }
-        let result = match parse_line(line, current) {
-            // Client-local: bind an admission identity; the retry client
-            // replays the handshake on every (re)connection.
-            Ok(Verb::Client { id }) => {
-                eprintln!("client identity {id:?} bound");
-                client.identify(id);
-                continue;
-            }
-            Ok(verb) => client.send(verb),
-            Err(msg) => die(&format!("line {line_no}: {msg}")),
-        };
-        let resp = match result {
-            Ok(r) => r,
-            Err(e) => die(&format!("line {line_no}: command {line:?} failed: {e}")),
-        };
-        println!("{}", resp.encode());
-        if let Some(sid) = resp.get("session").and_then(Json::as_u64) {
-            current = Some(sid);
-        }
+/// `--client`: the protocol over a [`RetryClient`], which rides through
+/// restarts (requests retry with backoff, reconnects are automatic), plus
+/// the two words a connection answers itself.
+struct Remote(RetryClient);
+
+impl Transport for Remote {
+    fn send(&mut self, verb: Verb) -> Result<Json, ClientError> {
+        self.0.send(verb)
     }
-    let c = client.counters();
-    if c.retries + c.reconnects + c.deduped + c.rate_limited > 0 {
-        eprintln!(
-            "client: {} retries, {} reconnects, {} deduped turns, {} rate-limited replies",
-            c.retries, c.reconnects, c.deduped, c.rate_limited
-        );
+
+    fn local_usage(&self) -> &[&str] {
+        &["session <id>"]
+    }
+
+    fn local(
+        &mut self,
+        word: &str,
+        rest: &str,
+        session: &mut Option<u64>,
+    ) -> Option<Result<(), String>> {
+        Some(match word {
+            // Re-address an existing session (e.g. one a restarted server
+            // just recovered from its journal), resuming its turn
+            // numbering from the server's cursor.
+            "session" => match rest.parse::<u64>() {
+                Ok(sid) => self
+                    .0
+                    .adopt(sid)
+                    .map_err(|e| format!("adopt {sid}: {e}"))
+                    .map(|cursor| {
+                        eprintln!("session {sid} adopted at turn {cursor}");
+                        *session = Some(sid);
+                    }),
+                Err(_) => Err("usage: session <id>".into()),
+            },
+            // Bind an admission identity; the retry client replays the
+            // handshake on every (re)connection.
+            "client" if !rest.is_empty() => {
+                eprintln!("client identity {rest:?} bound");
+                self.0.identify(rest);
+                Ok(())
+            }
+            _ => return None,
+        })
     }
 }
 

@@ -133,27 +133,12 @@ impl Client {
         if resp.get("ok").and_then(Json::as_bool) == Some(true) {
             return Ok(resp);
         }
-        let code = resp
-            .get("error")
-            .and_then(|e| e.get("code"))
-            .and_then(Json::as_str)
-            .unwrap_or("unknown")
-            .to_string();
-        let detail = resp
-            .get("error")
-            .and_then(|e| e.get("detail"))
-            .and_then(Json::as_str)
-            .unwrap_or("")
-            .to_string();
-        let retry_after_ms = resp
-            .get("error")
-            .and_then(|e| e.get("retry_after_ms"))
-            .and_then(Json::as_u64);
-        let primary = resp
-            .get("error")
-            .and_then(|e| e.get("primary"))
-            .and_then(Json::as_str)
-            .map(str::to_string);
+        let member = |key| resp.get("error").and_then(|e| e.get(key));
+        let text = |key| member(key).and_then(Json::as_str);
+        let code = text("code").unwrap_or("unknown").to_string();
+        let detail = text("detail").unwrap_or("").to_string();
+        let retry_after_ms = member("retry_after_ms").and_then(Json::as_u64);
+        let primary = text("primary").map(str::to_string);
         Err(ClientError::Server {
             code,
             detail,
@@ -201,25 +186,10 @@ impl Client {
         self.apply(session, SessionOp::RemoveExample(value.to_string()))
     }
 
-    /// `pin_filter` over the wire.
-    pub fn pin(&mut self, session: u64, key: &str) -> Result<Json, ClientError> {
-        self.apply(session, SessionOp::PinFilter(key.to_string()))
-    }
-
     /// The session's current abduced SQL (None while empty).
     pub fn sql(&mut self, session: u64) -> Result<Option<String>, ClientError> {
         let resp = self.send(&Verb::Sql { session })?;
         Ok(resp.get("sql").and_then(Json::as_str).map(str::to_string))
-    }
-
-    /// `suggest(k)` over the wire; returns the suggestion objects.
-    pub fn suggest(&mut self, session: u64, k: usize) -> Result<Vec<Json>, ClientError> {
-        let resp = self.send(&Verb::Suggest { session, k })?;
-        Ok(resp
-            .get("suggestions")
-            .and_then(Json::as_arr)
-            .unwrap_or_default()
-            .to_vec())
     }
 
     /// Load/session/journal health probe.

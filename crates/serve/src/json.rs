@@ -57,6 +57,18 @@ impl fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Counters, sizes and ids as wire integers.
+macro_rules! from_int {
+    ($($int:ty),*) => {$(
+        impl From<$int> for Json {
+            fn from(n: $int) -> Json {
+                Json::Int(n as i64)
+            }
+        }
+    )*};
+}
+from_int!(u64, usize);
+
 impl Json {
     /// Build an object from pairs (order preserved).
     pub fn obj<K: Into<String>>(pairs: impl IntoIterator<Item = (K, Json)>) -> Json {

@@ -21,6 +21,11 @@
 //! - [`server`]: listener + fixed worker pool, admission control,
 //!   rate limiting and load shedding, timeouts/reaping, graceful drain.
 //! - [`client`]: blocking lock-step client.
+//! - [`repl`]: the one line loop of `squid --repl` and
+//!   `squid-serve --client`, over an in-process transport (a
+//!   [`squid_core::SessionManager`] answered through the server's
+//!   dispatcher) or a [`RetryClient`]; every reply is printed as the JSON
+//!   line the wire carries.
 //! - [`dataset`]: the bundled datasets by name and the snapshot-or-build
 //!   αDB start-up both binaries share.
 //! - [`retry`]: resilient client wrapper — backoff + jitter, reconnect
@@ -65,6 +70,7 @@ pub mod json;
 pub mod load;
 pub mod protocol;
 pub mod proxy;
+pub mod repl;
 pub mod replication;
 pub mod retry;
 pub mod server;
@@ -76,6 +82,7 @@ pub use json::Json;
 pub use load::{run_load, run_load_fleet, LoadConfig, LoadReport};
 pub use protocol::{encode_request, parse_line, parse_request, ErrorCode, Request, Verb};
 pub use proxy::{FaultProxy, FaultRule};
+pub use repl::Transport;
 pub use replication::{fetch_adb, ReplState, Role};
 pub use retry::{RetryClient, RetryCounters, RetryPolicy};
 pub use server::{RateLimit, ServeConfig, Server, ServerMetrics, ShutdownReport};

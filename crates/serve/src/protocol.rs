@@ -49,12 +49,13 @@
 //! present but ill-typed — optional ones included (`"seq":"7"`, `7.0`,
 //! `-1`, `null`) — is a `bad_request` naming it.
 //!
-//! The text form of a verb (the REPL, `squid-serve --client`, `--loadgen`)
+//! The text form of a verb (`--loadgen`, and the one line loop of
+//! [`crate::repl`] that `squid --repl` and `squid-serve --client` share)
 //! is its name, then its arguments as words, the one that may contain
 //! spaces last: `add <value…>`, `target <table> <column…>`,
 //! `choose <pk> <example…>`, `suggest [k]`. `session` and `seq` are never
 //! on the line: the caller's current session and the retrying client's
-//! turn counter supply them.
+//! turn counter supply them. The loop's `help` is these usage lines.
 //!
 //! `client` binds an admission identity to the connection: subsequent
 //! requests are rate-limited and counted per client in addition to per
@@ -442,7 +443,7 @@ impl Command {
     }
 
     /// `choose <pk> <example…>`, `suggest [k]`.
-    fn usage(&self) -> String {
+    pub(crate) fn usage(&self) -> String {
         let mut usage = self.name.to_string();
         for (_, arg) in self.line_args() {
             let dots = if arg.rest { "…" } else { "" };
@@ -472,6 +473,13 @@ impl Verb {
 
     pub(crate) fn class(&self) -> Class {
         self.parts().map_or(Class::Turn, |(c, _)| c.class)
+    }
+
+    /// The session this verb addresses, if it takes one.
+    pub(crate) fn session(&self) -> Option<u64> {
+        let (cmd, vals) = self.parts()?;
+        let at = cmd.args.iter().position(|a| a.name == "session")?;
+        vals[at].as_u64()
     }
 }
 
@@ -816,13 +824,6 @@ mod tests {
         }
     }
 
-    /// The `session` a verb addresses, read off its argument values.
-    fn session_of(verb: &Verb) -> Option<u64> {
-        let (cmd, vals) = verb.parts().expect("a wire verb");
-        let at = cmd.args.iter().position(|a| a.name == "session")?;
-        vals[at].as_u64()
-    }
-
     /// Strings a JSON member can carry, tame to hostile. The first
     /// `LINE_SAFE` are also sayable as the last argument of a text line
     /// (trimmed, non-empty, one line) and the first `WORD_SAFE` as a word
@@ -905,7 +906,7 @@ mod tests {
             // Text: render, parse back in the verb's own session.
             let text = render_line(&verb);
             assert_eq!(
-                parse_line(&text, session_of(&verb)),
+                parse_line(&text, verb.session()),
                 Ok(unsequenced(&verb)),
                 "{text:?}"
             );

@@ -275,32 +275,32 @@ impl RetryClient {
                     Err(e) => Err(e),
                 },
             };
-            let (err, hint) = match outcome {
+            let err = match outcome {
                 Ok(resp) => {
                     self.ladder = 0;
                     return Ok(resp);
                 }
-                Err(ClientError::Io(e)) => {
-                    // The connection is poisoned mid-exchange; drop it so
-                    // the next attempt dials fresh (rotating addresses).
+                Err(e) => e,
+            };
+            let hint = match &err {
+                // The connection is poisoned mid-exchange; drop it so the
+                // next attempt dials fresh (rotating addresses).
+                ClientError::Io(_) => {
                     self.conn = None;
-                    (ClientError::Io(e), None)
+                    None
                 }
-                Err(ClientError::Server {
+                // A standby refused the mutation: follow the hint to the
+                // primary (or rotate blindly without one) and resend. The
+                // sequence number makes the resend safe.
+                ClientError::Server {
                     code,
-                    detail,
                     retry_after_ms,
                     primary,
-                }) if code == "not_primary" => {
-                    // A standby refused the mutation: follow the hint to
-                    // the primary (or rotate blindly without one) and
-                    // resend. The sequence number makes the resend safe.
+                    ..
+                } if code == "not_primary" => {
                     self.conn = None;
-                    match &primary {
-                        Some(p) => {
-                            let p = p.clone();
-                            self.follow_primary_hint(&p);
-                        }
+                    match primary {
+                        Some(p) => self.follow_primary_hint(p),
                         None => {
                             let next = (self.active + 1) % self.addrs.len();
                             if next != self.active {
@@ -309,36 +309,19 @@ impl RetryClient {
                             }
                         }
                     }
-                    (
-                        ClientError::Server {
-                            code,
-                            detail,
-                            retry_after_ms,
-                            primary,
-                        },
-                        retry_after_ms,
-                    )
+                    *retry_after_ms
                 }
-                Err(ClientError::Server {
+                ClientError::Server {
                     code,
-                    detail,
                     retry_after_ms,
-                    primary,
-                }) if retryable(&code) => {
+                    ..
+                } if retryable(code) => {
                     if code == "rate_limited" {
                         self.counters.rate_limited += 1;
                     }
-                    (
-                        ClientError::Server {
-                            code,
-                            detail,
-                            retry_after_ms,
-                            primary,
-                        },
-                        retry_after_ms,
-                    )
+                    *retry_after_ms
                 }
-                Err(e) => return Err(e),
+                _ => return Err(err),
             };
             attempt += 1;
             if attempt >= self.policy.max_attempts.max(1) {
@@ -418,16 +401,6 @@ impl RetryClient {
     /// Sequenced `add_example`.
     pub fn add(&mut self, session: u64, value: &str) -> Result<Json, ClientError> {
         self.turn(session, SessionOp::AddExample(value.to_string()))
-    }
-
-    /// Sequenced `remove_example`.
-    pub fn remove(&mut self, session: u64, value: &str) -> Result<Json, ClientError> {
-        self.turn(session, SessionOp::RemoveExample(value.to_string()))
-    }
-
-    /// Sequenced `pin_filter`.
-    pub fn pin(&mut self, session: u64, key: &str) -> Result<Json, ClientError> {
-        self.turn(session, SessionOp::PinFilter(key.to_string()))
     }
 
     /// The session's current abduced SQL (read-only; no sequence).

@@ -50,7 +50,7 @@ use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -258,6 +258,13 @@ struct ConnCtx {
     client: Option<String>,
 }
 
+/// Lock serving-side bookkeeping, recovering from poisoning: a panicked
+/// turn leaves every map entry whole, and one crashed request must not
+/// take admission down for every other connection.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(|e| e.into_inner())
+}
+
 /// State shared by the acceptor, every worker, and the [`Server`] handle.
 struct Shared {
     manager: Arc<SessionManager>,
@@ -312,11 +319,8 @@ impl Shared {
             tokens: rl.burst,
             last: Instant::now(),
         };
-        let mut by_client = self
-            .client_buckets
-            .lock()
-            .unwrap_or_else(|e| e.into_inner());
-        let mut by_session = self.buckets.lock().unwrap_or_else(|e| e.into_inner());
+        let mut by_client = locked(&self.client_buckets);
+        let mut by_session = locked(&self.buckets);
         let mut drawn = Vec::with_capacity(2);
         if let Some(id) = client {
             let bucket = by_client.entry(id.to_string()).or_insert_with(full);
@@ -340,21 +344,15 @@ impl Shared {
     /// anonymous connections).
     fn bump_client(&self, ctx: &ConnCtx, f: impl FnOnce(&mut ClientStats)) {
         if let Some(id) = &ctx.client {
-            let mut clients = self.clients.lock().unwrap_or_else(|e| e.into_inner());
+            let mut clients = locked(&self.clients);
             f(clients.entry(id.clone()).or_default());
         }
     }
 
     /// Forget per-session serving state (rate bucket, dedupe cache).
     fn forget_session(&self, session: u64) {
-        self.buckets
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&session);
-        self.acked
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .remove(&session);
+        locked(&self.buckets).remove(&session);
+        locked(&self.acked).remove(&session);
     }
 
     /// Drop per-session serving state for sessions the manager no longer
@@ -363,14 +361,8 @@ impl Shared {
     /// buckets and cached responses must not accumulate forever.
     fn prune_serving_state(&self) {
         let live: std::collections::HashSet<u64> = self.manager.session_ids().into_iter().collect();
-        self.buckets
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|id, _| live.contains(id));
-        self.acked
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .retain(|id, _| live.contains(id));
+        locked(&self.buckets).retain(|id, _| live.contains(id));
+        locked(&self.acked).retain(|id, _| live.contains(id));
     }
 }
 
@@ -956,12 +948,12 @@ fn dispatch_line(shared: &Shared, ctx: &mut ConnCtx, line: &str) -> (Json, bool,
 
 /// A refused request: the stable code, the human detail, and — for
 /// back-pressure refusals — when retrying is expected to succeed.
-struct Refusal {
-    code: ErrorCode,
-    detail: String,
-    retry_after_ms: Option<u64>,
+pub(crate) struct Refusal {
+    pub(crate) code: ErrorCode,
+    pub(crate) detail: String,
+    pub(crate) retry_after_ms: Option<u64>,
     /// `not_primary` refusals only: the primary's client address.
-    primary: Option<String>,
+    pub(crate) primary: Option<String>,
 }
 
 impl Refusal {
@@ -1115,219 +1107,71 @@ fn admit(shared: &Shared, ctx: &ConnCtx, cmd: &Command, verb: &Verb) -> Result<(
     Ok(())
 }
 
-/// Run an admitted request and build its reply.
+/// Run an admitted request and build its reply: the verbs that need the
+/// server (sequenced turns and their dedupe cache, `health`, `client`,
+/// `promote`, `shutdown`, and the serving counters of `stats`) here, every
+/// other verb through [`answer`], the dispatcher the in-process transport
+/// of [`crate::repl`] calls too.
 fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> ExecResult {
     let m = &shared.manager;
-    let adb = Arc::clone(m.adb());
     let id = req.id;
     let name = cmd.name;
     let ok =
         |fields: Vec<(String, Json)>| Ok((protocol::ok_response(name, id, fields), Flow::Continue));
     match req.verb {
-        Verb::Ping => ok(vec![("pong".into(), Json::Bool(true))]),
-        Verb::Create => {
-            let sid = m.create_session();
-            ok(vec![("session".into(), Json::Int(sid as i64))])
-        }
-        Verb::Apply { session, op, seq } => match seq {
-            None => {
+        Verb::Apply {
+            session,
+            op,
+            seq: Some(seq),
+        } => match m
+            .apply_op_at(session, seq, &op)
+            .map_err(|e| session_error(shared, session, e))?
+        {
+            squid_core::SeqOutcome::Applied(delta) => {
                 shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
                 shared.bump_client(ctx, |c| c.turns += 1);
-                let delta = m
-                    .apply_op(session, &op)
-                    .map_err(|e| session_error(shared, session, e))?;
-                ok(delta.as_ref().map(delta_fields).unwrap_or_default())
+                let fields = delta.as_ref().map(delta_fields).unwrap_or_default();
+                locked(&shared.acked).insert(session, (seq, fields.clone()));
+                ok(fields)
             }
-            Some(seq) => match m
-                .apply_op_at(session, seq, &op)
-                .map_err(|e| session_error(shared, session, e))?
-            {
-                squid_core::SeqOutcome::Applied(delta) => {
-                    shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
-                    shared.bump_client(ctx, |c| c.turns += 1);
-                    let fields = delta.as_ref().map(delta_fields).unwrap_or_default();
-                    shared
-                        .acked
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .insert(session, (seq, fields.clone()));
-                    ok(fields)
-                }
-                squid_core::SeqOutcome::Duplicate => {
-                    // An acknowledged turn retried: hand back the
-                    // original answer when we still have it (same
-                    // process), else a minimal ack (post-crash replay
-                    // already restored the state the answer described).
-                    shared.metrics.deduped.fetch_add(1, Ordering::Relaxed);
-                    let cached = shared
-                        .acked
-                        .lock()
-                        .unwrap_or_else(|e| e.into_inner())
-                        .get(&session)
-                        .filter(|(s, _)| *s == seq)
-                        .map(|(_, fields)| fields.clone());
-                    let mut fields = cached.unwrap_or_default();
-                    fields.push(("deduped".into(), Json::Bool(true)));
-                    ok(fields)
-                }
-            },
+            squid_core::SeqOutcome::Duplicate => {
+                // An acknowledged turn retried: hand back the
+                // original answer when we still have it (same
+                // process), else a minimal ack (post-crash replay
+                // already restored the state the answer described).
+                shared.metrics.deduped.fetch_add(1, Ordering::Relaxed);
+                let cached = locked(&shared.acked)
+                    .get(&session)
+                    .filter(|(s, _)| *s == seq)
+                    .map(|(_, fields)| fields.clone());
+                let mut fields = cached.unwrap_or_default();
+                fields.push(("deduped".into(), Json::Bool(true)));
+                ok(fields)
+            }
         },
-        Verb::Suggest { session, k } => {
-            let suggestions = m
-                .with_session(session, |s| {
-                    let Some(d) = s.discovery() else {
-                        return Ok(Vec::new());
-                    };
-                    Ok(s.suggest(k)
-                        .into_iter()
-                        .map(|r| {
-                            Json::obj([
-                                (
-                                    "value",
-                                    match d.projection_value(&adb, r.row) {
-                                        Some(v) => Json::Str(v),
-                                        None => Json::Null,
-                                    },
-                                ),
-                                ("score", Json::Float(r.score)),
-                                (
-                                    "tests",
-                                    Json::Arr(r.discriminates.into_iter().map(Json::Str).collect()),
-                                ),
-                            ])
-                        })
-                        .collect::<Vec<_>>())
+        verb @ Verb::Stats { .. } => {
+            let mut fields = answer(m, &verb)?;
+            // Per-client admission counters (the `client` handshake),
+            // sorted for stable output.
+            let mut clients: Vec<_> = locked(&shared.clients)
+                .iter()
+                .map(|(cid, cs)| {
+                    let counters = Json::obj([
+                        ("requests", cs.requests.into()),
+                        ("turns", cs.turns.into()),
+                        ("rate_limited", cs.rate_limited.into()),
+                        ("shed", cs.shed.into()),
+                    ]);
+                    (cid.clone(), counters)
                 })
-                .map_err(squid_error)?;
-            ok(vec![("suggestions".into(), Json::Arr(suggestions))])
-        }
-        Verb::Sql { session } => {
-            let sql = m
-                .with_session(session, |s| Ok(s.discovery().map(|d| d.sql())))
-                .map_err(squid_error)?;
-            ok(vec![(
-                "sql".into(),
-                match sql {
-                    Some(sql) => Json::Str(sql),
-                    None => Json::Null,
-                },
-            )])
-        }
-        Verb::Rows { session, limit } => {
-            let (total, rows) = m
-                .with_session(session, |s| {
-                    let Some(d) = s.discovery() else {
-                        return Ok((0, Vec::new()));
-                    };
-                    let rows = d
-                        .rows
-                        .iter()
-                        .take(limit)
-                        .filter_map(|row| d.projection_value(&adb, row))
-                        .map(Json::Str)
-                        .collect();
-                    Ok((d.rows.len(), rows))
-                })
-                .map_err(squid_error)?;
-            ok(vec![
-                ("total".into(), Json::Int(total as i64)),
-                ("rows".into(), Json::Arr(rows)),
-            ])
-        }
-        Verb::Examples { session } => {
-            let examples = m
-                .with_session(session, |s| {
-                    Ok(s.examples()
-                        .iter()
-                        .map(|e| Json::str(*e))
-                        .collect::<Vec<_>>())
-                })
-                .map_err(squid_error)?;
-            ok(vec![("examples".into(), Json::Arr(examples))])
-        }
-        Verb::Stats { session } => {
-            let mut fields = vec![
-                ("sessions".into(), Json::Int(m.len() as i64)),
-                (
-                    "active_ids".into(),
-                    Json::Arr(
-                        m.session_ids()
-                            .into_iter()
-                            .map(|i| Json::Int(i as i64))
-                            .collect(),
-                    ),
-                ),
+                .collect();
+            clients.sort_by(|a, b| a.0.cmp(&b.0));
+            // The serving counters follow the fleet's session list.
+            let serving = [
                 ("server".into(), metrics_json(&shared.metrics.snapshot())),
+                ("clients".into(), Json::Obj(clients)),
             ];
-            {
-                // Per-client admission counters (the `client` handshake),
-                // sorted for stable output.
-                let clients = shared.clients.lock().unwrap_or_else(|e| e.into_inner());
-                let mut entries: Vec<_> = clients
-                    .iter()
-                    .map(|(cid, cs)| {
-                        (
-                            cid.clone(),
-                            Json::obj([
-                                ("requests", Json::Int(cs.requests as i64)),
-                                ("turns", Json::Int(cs.turns as i64)),
-                                ("rate_limited", Json::Int(cs.rate_limited as i64)),
-                                ("shed", Json::Int(cs.shed as i64)),
-                            ]),
-                        )
-                    })
-                    .collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                fields.push(("clients".into(), Json::Obj(entries)));
-            }
-            if let Some(sh) = m.shared_cache_stats() {
-                fields.push((
-                    "shared_cache".into(),
-                    Json::obj([
-                        ("hits", Json::Int(sh.hits as i64)),
-                        ("misses", Json::Int(sh.misses as i64)),
-                        ("entries", Json::Int(sh.entries as i64)),
-                        ("resident_bytes", Json::Int(sh.resident_bytes as i64)),
-                        (
-                            "max_resident_bytes",
-                            Json::Int(sh.max_resident_bytes as i64),
-                        ),
-                        ("evictions", Json::Int(sh.evictions as i64)),
-                        ("hit_rate", Json::Float(sh.hit_rate())),
-                    ]),
-                ));
-            }
-            if let Some(rs) = m.recover_stats() {
-                fields.push((
-                    "recovery".into(),
-                    Json::obj([
-                        ("sessions_replayed", Json::Int(rs.sessions_replayed as i64)),
-                        ("records_applied", Json::Int(rs.records_applied as i64)),
-                        ("records_failed", Json::Int(rs.records_failed as i64)),
-                        ("records_skipped", Json::Int(rs.records_skipped as i64)),
-                        ("bytes_truncated", Json::Int(rs.bytes_truncated as i64)),
-                        ("live_sessions", Json::Int(rs.live_sessions as i64)),
-                    ]),
-                ));
-            }
-            if let Some(js) = m.journal_stats() {
-                fields.push(("journal".into(), journal_json(&js)));
-            }
-            if let Some(sid) = session {
-                let (cs, op_seq) = m
-                    .with_session(sid, |s| Ok((s.cache_stats(), s.op_seq())))
-                    .map_err(squid_error)?;
-                // The session's turn cursor: a reconnecting client resumes
-                // its sequence numbering from here.
-                fields.push(("op_seq".into(), Json::Int(op_seq as i64)));
-                fields.push((
-                    "session_cache".into(),
-                    Json::obj([
-                        ("hits", Json::Int(cs.hits as i64)),
-                        ("misses", Json::Int(cs.misses as i64)),
-                    ]),
-                ));
-            }
+            fields.splice(2..2, serving);
             ok(fields)
         }
         Verb::Health => {
@@ -1345,30 +1189,18 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
                     "uptime_ms".into(),
                     Json::Int(shared.started.elapsed().as_millis() as i64),
                 ),
-                ("sessions".into(), Json::Int(m.len() as i64)),
-                (
-                    "max_sessions".into(),
-                    Json::Int(shared.cfg.max_sessions as i64),
-                ),
+                ("sessions".into(), m.len().into()),
+                ("max_sessions".into(), shared.cfg.max_sessions.into()),
                 (
                     "pending".into(),
-                    Json::Int(shared.pending.load(Ordering::Relaxed) as i64),
+                    shared.pending.load(Ordering::Relaxed).into(),
                 ),
-                ("workers".into(), Json::Int(shared.cfg.workers as i64)),
-                ("requests".into(), Json::Int(mx.requests as i64)),
-                ("turns".into(), Json::Int(mx.turns as i64)),
-                ("rate_limited".into(), Json::Int(mx.rate_limited as i64)),
-                ("shed".into(), Json::Int(mx.shed as i64)),
-                (
-                    "clients".into(),
-                    Json::Int(
-                        shared
-                            .clients
-                            .lock()
-                            .unwrap_or_else(|e| e.into_inner())
-                            .len() as i64,
-                    ),
-                ),
+                ("workers".into(), shared.cfg.workers.into()),
+                ("requests".into(), mx.requests.into()),
+                ("turns".into(), mx.turns.into()),
+                ("rate_limited".into(), mx.rate_limited.into()),
+                ("shed".into(), mx.shed.into()),
+                ("clients".into(), locked(&shared.clients).len().into()),
                 (
                     "role".into(),
                     Json::str(match shared.repl.role() {
@@ -1384,19 +1216,16 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
                         Json::Bool(shared.repl.standby_connected()),
                     ),
                     ("link_up", Json::Bool(shared.repl.link_up())),
-                    (
-                        "applied_records",
-                        Json::Int(shared.repl.applied_records() as i64),
-                    ),
-                    ("snapshots", Json::Int(shared.repl.snapshots() as i64)),
+                    ("applied_records", shared.repl.applied_records().into()),
+                    ("snapshots", shared.repl.snapshots().into()),
                 ];
                 if let Some(js) = m.journal_stats() {
                     // The primary's view: journal the standby has not
                     // acknowledged. The chaos harness waits for zero here
                     // before it is allowed to kill the primary.
                     let (lag_records, lag_bytes) = shared.repl.lag(&js);
-                    repl.push(("lag_records", Json::Int(lag_records as i64)));
-                    repl.push(("lag_bytes", Json::Int(lag_bytes as i64)));
+                    repl.push(("lag_records", lag_records.into()));
+                    repl.push(("lag_bytes", lag_bytes.into()));
                 }
                 if let Some(p) = shared.repl.primary_addr() {
                     repl.push(("primary", Json::Str(p)));
@@ -1406,23 +1235,14 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
             fields.push((
                 "journal".into(),
                 match m.journal_stats() {
-                    Some(js) => journal_json(&js),
+                    Some(js) => Json::Obj(journal_members(&js)),
                     None => Json::str("detached"),
                 },
             ));
             ok(fields)
         }
-        Verb::Close { session } => {
-            m.close_session(session)
-                .map_err(|e| session_error(shared, session, e))?;
-            shared.forget_session(session);
-            ok(vec![("closed".into(), Json::Bool(true))])
-        }
         Verb::Client { id: client_id } => {
-            shared
-                .clients
-                .lock()
-                .unwrap_or_else(|e| e.into_inner())
+            locked(&shared.clients)
                 .entry(client_id.clone())
                 .or_default();
             ctx.client = Some(client_id.clone());
@@ -1447,58 +1267,218 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
             request_stop(shared, shared.addr);
             Ok((resp, Flow::Close))
         }
+        verb => {
+            if let Verb::Apply { .. } = verb {
+                shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
+                shared.bump_client(ctx, |c| c.turns += 1);
+            }
+            let fields = answer(m, &verb);
+            // A session gone from the manager (closed, swept, fail-stopped)
+            // takes its serving-side state with it.
+            let gone = match &fields {
+                Ok(_) => matches!(verb, Verb::Close { .. }),
+                Err(r) => r.code == ErrorCode::UnknownSession,
+            };
+            if let (true, Some(s)) = (gone, verb.session()) {
+                shared.forget_session(s);
+            }
+            ok(fields?)
+        }
+    }
+}
+
+/// Answer `verb` from the session manager alone — the one dispatcher of
+/// both the server's workers and the in-process transport of
+/// [`crate::repl`]: `ping`, `create`, unsequenced turns, `suggest`, `sql`,
+/// `rows`, `examples`, `stats` (without the server's counters) and
+/// `close`. Every other verb needs a server and is refused.
+pub(crate) fn answer(m: &SessionManager, verb: &Verb) -> Result<Vec<(String, Json)>, Refusal> {
+    let adb = m.adb();
+    match verb {
+        Verb::Ping => Ok(vec![("pong".into(), Json::Bool(true))]),
+        Verb::Create => Ok(vec![("session".into(), m.create_session().into())]),
+        Verb::Apply {
+            session,
+            op,
+            seq: None,
+        } => {
+            let delta = m.apply_op(*session, op).map_err(squid_error)?;
+            Ok(delta.as_ref().map(delta_fields).unwrap_or_default())
+        }
+        Verb::Suggest { session, k } => {
+            let suggestions = m
+                .with_session(*session, |s| {
+                    let Some(d) = s.discovery() else {
+                        return Ok(Vec::new());
+                    };
+                    Ok(s.suggest(*k)
+                        .into_iter()
+                        .map(|r| {
+                            Json::obj([
+                                (
+                                    "value",
+                                    match d.projection_value(adb, r.row) {
+                                        Some(v) => Json::Str(v),
+                                        None => Json::Null,
+                                    },
+                                ),
+                                ("score", Json::Float(r.score)),
+                                (
+                                    "tests",
+                                    Json::Arr(r.discriminates.into_iter().map(Json::Str).collect()),
+                                ),
+                            ])
+                        })
+                        .collect::<Vec<_>>())
+                })
+                .map_err(squid_error)?;
+            Ok(vec![("suggestions".into(), Json::Arr(suggestions))])
+        }
+        Verb::Sql { session } => {
+            let sql = m
+                .with_session(*session, |s| Ok(s.discovery().map(|d| d.sql())))
+                .map_err(squid_error)?;
+            Ok(vec![("sql".into(), sql.map_or(Json::Null, Json::Str))])
+        }
+        Verb::Rows { session, limit } => {
+            let (total, rows) = m
+                .with_session(*session, |s| {
+                    let Some(d) = s.discovery() else {
+                        return Ok((0, Vec::new()));
+                    };
+                    let rows = d
+                        .rows
+                        .iter()
+                        .take(*limit)
+                        .filter_map(|row| d.projection_value(adb, row))
+                        .map(Json::Str)
+                        .collect();
+                    Ok((d.rows.len(), rows))
+                })
+                .map_err(squid_error)?;
+            Ok(vec![
+                ("total".into(), total.into()),
+                ("rows".into(), Json::Arr(rows)),
+            ])
+        }
+        Verb::Examples { session } => {
+            let examples = m
+                .with_session(*session, |s| {
+                    Ok(s.examples()
+                        .iter()
+                        .map(|e| Json::str(*e))
+                        .collect::<Vec<_>>())
+                })
+                .map_err(squid_error)?;
+            Ok(vec![("examples".into(), Json::Arr(examples))])
+        }
+        Verb::Stats { session } => {
+            let ids = m.session_ids().into_iter().map(|i| i.into());
+            let mut fields = vec![
+                ("sessions".into(), m.len().into()),
+                ("active_ids".into(), Json::Arr(ids.collect())),
+            ];
+            if let Some(sh) = m.shared_cache_stats() {
+                fields.push((
+                    "shared_cache".into(),
+                    Json::obj([
+                        ("hits", sh.hits.into()),
+                        ("misses", sh.misses.into()),
+                        ("entries", sh.entries.into()),
+                        ("resident_bytes", sh.resident_bytes.into()),
+                        ("max_resident_bytes", sh.max_resident_bytes.into()),
+                        ("evictions", sh.evictions.into()),
+                        ("hit_rate", Json::Float(sh.hit_rate())),
+                    ]),
+                ));
+            }
+            if let Some(rs) = m.recover_stats() {
+                fields.push((
+                    "recovery".into(),
+                    Json::obj([
+                        ("sessions_replayed", rs.sessions_replayed.into()),
+                        ("records_applied", rs.records_applied.into()),
+                        ("records_failed", rs.records_failed.into()),
+                        ("records_skipped", rs.records_skipped.into()),
+                        ("bytes_truncated", rs.bytes_truncated.into()),
+                        ("live_sessions", rs.live_sessions.into()),
+                    ]),
+                ));
+            }
+            if let Some(js) = m.journal_stats() {
+                let mut journal = journal_members(&js);
+                let errors = m.journal_write_errors().into();
+                journal.push(("write_errors".into(), errors));
+                fields.push(("journal".into(), Json::Obj(journal)));
+            }
+            if let Some(sid) = *session {
+                let (cs, op_seq) = m
+                    .with_session(sid, |s| Ok((s.cache_stats(), s.op_seq())))
+                    .map_err(squid_error)?;
+                // The session's turn cursor: a reconnecting client resumes
+                // its sequence numbering from here.
+                fields.push(("op_seq".into(), op_seq.into()));
+                fields.push((
+                    "session_cache".into(),
+                    Json::obj([("hits", cs.hits.into()), ("misses", cs.misses.into())]),
+                ));
+            }
+            let heap = adb.heap_bytes();
+            fields.push((
+                "adb_heap".into(),
+                Json::obj([
+                    ("tables", heap.tables.into()),
+                    ("inverted", heap.inverted.into()),
+                    ("stats", heap.stats.into()),
+                    ("derived", heap.derived.into()),
+                ]),
+            ));
+            Ok(fields)
+        }
+        Verb::Close { session } => {
+            m.close_session(*session).map_err(squid_error)?;
+            Ok(vec![("closed".into(), Json::Bool(true))])
+        }
+        other => Err(Refusal::new(
+            ErrorCode::UnknownVerb,
+            format!("`{}` only means something to squid-serve", other.name()),
+        )),
     }
 }
 
 fn metrics_json(mx: &ServerMetrics) -> Json {
     Json::obj([
-        ("accepted", Json::Int(mx.accepted as i64)),
-        (
-            "rejected_overloaded",
-            Json::Int(mx.rejected_overloaded as i64),
-        ),
-        ("requests", Json::Int(mx.requests as i64)),
-        ("turns", Json::Int(mx.turns as i64)),
-        ("protocol_errors", Json::Int(mx.protocol_errors as i64)),
-        (
-            "connections_closed",
-            Json::Int(mx.connections_closed as i64),
-        ),
-        ("idle_reaped", Json::Int(mx.idle_reaped as i64)),
-        ("deduped", Json::Int(mx.deduped as i64)),
-        ("rate_limited", Json::Int(mx.rate_limited as i64)),
-        ("shed", Json::Int(mx.shed as i64)),
+        ("accepted", mx.accepted.into()),
+        ("rejected_overloaded", mx.rejected_overloaded.into()),
+        ("requests", mx.requests.into()),
+        ("turns", mx.turns.into()),
+        ("protocol_errors", mx.protocol_errors.into()),
+        ("connections_closed", mx.connections_closed.into()),
+        ("idle_reaped", mx.idle_reaped.into()),
+        ("deduped", mx.deduped.into()),
+        ("rate_limited", mx.rate_limited.into()),
+        ("shed", mx.shed.into()),
     ])
 }
 
-/// Wire rendering of [`squid_core::JournalStats`]: replay debt (base vs
+/// Wire members of [`squid_core::JournalStats`]: replay debt (base vs
 /// tail records), file size, and compaction history.
-fn journal_json(js: &squid_core::JournalStats) -> Json {
-    let mut members = vec![
-        ("bytes".to_string(), Json::Int(js.bytes as i64)),
-        (
-            "base_records".to_string(),
-            Json::Int(js.base_records as i64),
-        ),
-        (
-            "tail_records".to_string(),
-            Json::Int(js.tail_records as i64),
-        ),
-        ("compactions".to_string(), Json::Int(js.compactions as i64)),
-    ];
-    members.push((
-        "last_compaction".to_string(),
-        match &js.last_compaction {
-            Some(c) => Json::obj([
-                ("sessions", Json::Int(c.sessions as i64)),
-                ("records_written", Json::Int(c.records_written as i64)),
-                ("bytes_before", Json::Int(c.bytes_before as i64)),
-                ("bytes_after", Json::Int(c.bytes_after as i64)),
-            ]),
-            None => Json::Null,
-        },
-    ));
-    Json::Obj(members)
+fn journal_members(js: &squid_core::JournalStats) -> Vec<(String, Json)> {
+    let last = js.last_compaction.map_or(Json::Null, |c| {
+        Json::obj([
+            ("sessions", c.sessions.into()),
+            ("records_written", c.records_written.into()),
+            ("bytes_before", c.bytes_before.into()),
+            ("bytes_after", c.bytes_after.into()),
+        ])
+    });
+    vec![
+        ("bytes".into(), js.bytes.into()),
+        ("base_records".into(), js.base_records.into()),
+        ("tail_records".into(), js.tail_records.into()),
+        ("compactions".into(), js.compactions.into()),
+        ("last_compaction".into(), last),
+    ]
 }
 
 /// Response fields of a session-mutating turn: the wire rendering of a
@@ -1507,8 +1487,8 @@ fn delta_fields(delta: &DiscoveryDelta) -> Vec<(String, Json)> {
     let mut fields: Vec<(String, Json)> = Vec::with_capacity(10);
     match &delta.discovery {
         Some(d) => {
-            fields.push(("rows".into(), Json::Int(d.rows.len() as i64)));
-            fields.push(("filters".into(), Json::Int(d.chosen_filters().len() as i64)));
+            fields.push(("rows".into(), d.rows.len().into()));
+            fields.push(("filters".into(), d.chosen_filters().len().into()));
             fields.push(("sql".into(), Json::Str(d.sql())));
         }
         None => {
@@ -1524,10 +1504,10 @@ fn delta_fields(delta: &DiscoveryDelta) -> Vec<(String, Json)> {
         "removed_filters".into(),
         Json::Arr(delta.removed_filters.iter().map(Json::str).collect()),
     ));
-    fields.push(("rows_added".into(), Json::Int(delta.rows_added as i64)));
-    fields.push(("rows_removed".into(), Json::Int(delta.rows_removed as i64)));
+    fields.push(("rows_added".into(), delta.rows_added.into()));
+    fields.push(("rows_removed".into(), delta.rows_removed.into()));
     fields.push(("incremental".into(), Json::Bool(delta.incremental)));
-    fields.push(("cache_hits".into(), Json::Int(delta.cache_hits as i64)));
-    fields.push(("cache_misses".into(), Json::Int(delta.cache_misses as i64)));
+    fields.push(("cache_hits".into(), delta.cache_hits.into()));
+    fields.push(("cache_misses".into(), delta.cache_misses.into()));
     fields
 }

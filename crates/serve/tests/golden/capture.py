@@ -69,6 +69,7 @@ def sync():
 
 def mask(reply):
     reply = re.sub(r'"uptime_ms":\d+', '"uptime_ms":0', reply)
+    reply = re.sub(r'"(tables|inverted|stats|derived)":\d+', r'"\1":0', reply)
     if '"code":"rate_limited"' in reply:
         reply = re.sub(r'"retry_after_ms":\d+', '"retry_after_ms":0', reply)
     reply = re.sub(r'"primary":"127\.0\.0\.1:\d+"', '"primary":"<primary>"', reply)

@@ -99,6 +99,9 @@ fn mask(reply: &str, key: &str, end: impl Fn(char) -> bool, with: &str) -> Strin
 fn masked(reply: &str) -> String {
     let not_digit = |c: char| !c.is_ascii_digit();
     let mut reply = mask(reply, "\"uptime_ms\":", not_digit, "0");
+    for part in ["tables", "inverted", "stats", "derived"] {
+        reply = mask(&reply, &format!("\"{part}\":"), not_digit, "0");
+    }
     if reply.contains("\"code\":\"rate_limited\"") {
         reply = mask(&reply, "\"retry_after_ms\":", not_digit, "0");
     }

@@ -10,9 +10,12 @@
 //! ```
 //!
 //! Interactive session mode (`--repl`): drop examples in one at a time and
-//! watch the abduced query refine after each, Figure 1 style. `--batch`
-//! reads the same commands from stdin without prompts (for scripting and
-//! CI) and exits non-zero on the first failed command.
+//! watch the abduced query refine after each, Figure 1 style. It is
+//! `squid-serve --client`'s line loop over a local fleet: every verb of the
+//! serving protocol, each reply printed as the JSON line the wire carries,
+//! plus `show`, `save`, `recover` and `compact`. `--batch` reads the same
+//! commands from stdin without prompts (for scripting and CI) and exits 2
+//! on the first failed command.
 //!
 //! ```text
 //! squid --repl imdb
@@ -28,16 +31,15 @@
 //! mutation so a killed REPL relaunched with the same flags resumes
 //! exactly where the journal ends.
 
-use std::io::BufRead;
 use std::path::PathBuf;
 use std::sync::Arc;
 
 use squid_adb::ADb;
 use squid_core::{
-    recommend_examples, top_k_queries, Discovery, DiscoveryDelta, FsyncPolicy, SessionId,
-    SessionManager, SessionOp, Squid, SquidParams, SquidSession,
+    recommend_examples, top_k_queries, Discovery, FsyncPolicy, SessionId, SessionManager,
+    SessionOp, Squid, SquidParams,
 };
-use squid_serve::{acquire_adb, parse_line, Verb};
+use squid_serve::{acquire_adb, repl, ClientError, Json, Transport, Verb};
 
 const USAGE: &str = "\
 usage: squid [flags] <dataset> <example>...
@@ -58,33 +60,6 @@ flags:
                       sessions the journal holds (REPL mode)
   --fsync <mode>      journal durability: always | flush (default) | never";
 
-const REPL_HELP: &str = "\
-session commands:
-  add <example>        add one example value (query refines incrementally)
-  remove <example>     remove a previously added example
-  target <tbl> <col>   fix the projection target (disables inference)
-  auto                 return to automatic target inference
-  pin <prop|attr>      force matching filters INTO the query
-  ban <prop|attr>      force matching filters OUT of the query
-  unpin <prop|attr>    drop a pin
-  unban <prop|attr>    drop a ban
-  choose <pk> <ex>     resolve example <ex> to the entity with key <pk>
-  unchoose <ex>        clear disambiguation feedback for <ex>
-  show                 print the current abduction decisions and query
-  sql                  print the abduced SQL only
-  rows [n]             print up to n result tuples (default 10)
-  suggest [k]          k most informative next examples (default 3)
-  examples             list the session's examples
-  stats                evaluation-cache counters (this session's and the
-                       fleet's), resident bytes, evictions, the αDB's heap
-                       bytes, recovery and journal statistics
-  save [path]          write an αDB snapshot (default: the --snapshot path)
-  recover              rewind to the journal's durable state (--journal)
-  compact              rewrite the journal to live-session snapshots
-                       (bounds recovery time; --journal)
-  help                 this text
-  quit                 exit";
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut params = SquidParams::default();
@@ -103,40 +78,12 @@ fn main() {
             "--optimistic" => params = SquidParams::optimistic(),
             "--repl" => repl = true,
             "--batch" => batch = true,
-            "--snapshot" => {
-                snapshot = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| die("--snapshot needs a path")),
-                ))
-            }
-            "--journal" => {
-                journal = Some(PathBuf::from(
-                    it.next().unwrap_or_else(|| die("--journal needs a path")),
-                ))
-            }
-            "--fsync" => {
-                fsync = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--fsync needs one of: always | flush | never"))
-            }
-            "--alternatives" => {
-                alternatives = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--alternatives needs a number"))
-            }
-            "--recommend" => {
-                recommend = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--recommend needs a number"))
-            }
-            "--rho" => {
-                params.rho = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| die("--rho needs a number"))
-            }
+            "--snapshot" => snapshot = Some(value(&mut it, &a, "a path")),
+            "--journal" => journal = Some(value(&mut it, &a, "a path")),
+            "--fsync" => fsync = value(&mut it, &a, "one of: always | flush | never"),
+            "--alternatives" => alternatives = value(&mut it, &a, "a number"),
+            "--recommend" => recommend = value(&mut it, &a, "a number"),
+            "--rho" => params.rho = value(&mut it, &a, "a number"),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
@@ -159,37 +106,23 @@ fn main() {
     let adb = acquire_adb(&dataset, snapshot.as_deref()).unwrap_or_else(|e| die(&e));
 
     if repl {
-        run_repl(
-            Arc::new(adb),
+        let local = Local {
+            manager: SessionManager::with_params(Arc::new(adb), params.clone()),
             params,
-            &examples,
-            batch,
             snapshot,
             journal,
             fsync,
-        );
+        };
+        run_repl(local, &examples, batch);
         return;
     }
 
     let squid = Squid::with_params(&adb, params);
-    let d = match squid.discover(&examples) {
-        Ok(d) => d,
-        Err(e) => {
-            die::<()>(&format!("discovery failed: {e}"));
-            return;
-        }
-    };
-    println!(
-        "resolved {} example(s) in {}.{} ({:?})",
-        d.example_rows.len(),
-        d.entity_table,
-        d.projection_column,
-        d.elapsed
-    );
-    print_decisions(&d);
-    println!("\nabduced query:\n{}", d.sql());
-    println!("\nresult: {} tuples", d.rows.len());
-    print_rows(&adb, &d, 10);
+    let d = squid
+        .discover(&examples)
+        .unwrap_or_else(|e| die(&format!("discovery failed: {e}")));
+    println!("discovered in {:?}", d.elapsed);
+    print_discovery(&adb, &d);
 
     if alternatives > 0 {
         println!("\ntop-{alternatives} alternative queries (log-posterior):");
@@ -222,351 +155,149 @@ fn main() {
     }
 }
 
-/// Journal-and-apply one mutating REPL command through the manager.
-fn apply(
-    m: &SessionManager,
-    id: SessionId,
-    op: SessionOp,
-) -> Result<Option<DiscoveryDelta>, String> {
-    m.apply_op(id, &op).map_err(|e| e.to_string())
-}
-
-/// Run a read-only closure against the active session.
-fn inspect<T>(
-    m: &SessionManager,
-    id: SessionId,
-    f: impl FnOnce(&mut SquidSession<'static>) -> T,
-) -> Result<T, String> {
-    m.with_session(id, |s| Ok(f(s))).map_err(|e| e.to_string())
-}
-
-/// Resume the newest journaled session, or open a fresh one.
-fn pick_session(m: &SessionManager, batch: bool) -> SessionId {
-    match m.session_ids().last() {
-        Some(&id) => {
-            if !batch {
-                eprintln!("resuming recovered session {id}");
-            }
-            id
-        }
-        None => m.create_session(),
-    }
-}
-
-/// Drive a managed [`SquidSession`] fleet from stdin commands. Every
-/// mutating command goes through [`SessionManager::apply_op`], so with
-/// `--journal` the whole interaction is durable: a killed REPL relaunched
-/// with the same flags replays the journal and resumes the newest session.
-/// In batch mode any failed command aborts with a non-zero exit and the
-/// failing input line number, so scripted runs (CI) catch rot.
-fn run_repl(
-    adb: Arc<ADb>,
+/// `squid --repl`: the protocol answered by a local [`SessionManager`]
+/// (the fleet a serving deployment runs, on the same evaluation cache and
+/// journaling path), plus the words only a local process can answer.
+struct Local {
+    manager: SessionManager,
     params: SquidParams,
-    initial: &[&str],
-    batch: bool,
     snapshot: Option<PathBuf>,
     journal: Option<PathBuf>,
     fsync: FsyncPolicy,
-) {
-    // The manager is the production concurrency layer; a REPL drives a
-    // fleet of one but stays on the same evaluation cache and journaling
-    // path a serving deployment uses.
-    let mut manager = SessionManager::with_params(Arc::clone(&adb), params.clone());
-    if let Some(jp) = &journal {
-        match manager.recover(jp, fsync) {
-            Ok(st) => {
-                if st.records_applied > 0 || st.bytes_truncated > 0 {
-                    eprintln!(
-                        "journal {}: replayed {} session(s), {} record(s) applied, \
-                         {} failed, {} damaged byte(s) truncated, {} live",
-                        jp.display(),
-                        st.sessions_replayed,
-                        st.records_applied,
-                        st.records_failed,
-                        st.bytes_truncated,
-                        st.live_sessions
-                    );
-                }
-            }
-            Err(e) => {
-                die::<()>(&format!("journal {} unusable: {e}", jp.display()));
-                return;
-            }
+}
+
+impl Local {
+    /// The newest journaled session, or a fresh one.
+    fn pick_session(&self) -> SessionId {
+        match self.manager.session_ids().last() {
+            Some(&id) => id,
+            None => self.manager.create_session(),
         }
     }
-    let mut active = pick_session(&manager, batch);
-    for e in initial {
-        match apply(&manager, active, SessionOp::AddExample((*e).to_string())) {
-            Ok(Some(delta)) => print_delta(e, &delta),
-            Ok(None) => {}
-            Err(err) => {
-                die::<()>(&format!("initial example {e:?} failed: {err}"));
-                return;
-            }
-        }
-    }
-    if !batch {
-        eprintln!("interactive session — type `help` for commands, `quit` to exit");
-    }
-    let stdin = std::io::stdin();
-    let mut lines = stdin.lock().lines();
-    let mut line_no = 0usize;
-    loop {
-        if !batch {
-            eprint!("squid> ");
-        }
-        let Some(Ok(line)) = lines.next() else {
-            break;
+
+    /// A fleet recovered from `--journal`'s durable bytes (the in-process
+    /// equivalent of kill + relaunch); the summary goes to stderr.
+    fn recovered(&self) -> Result<SessionManager, String> {
+        let Some(jp) = &self.journal else {
+            return Err("no journal attached (pass --journal <path>)".into());
         };
-        line_no += 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (cmd, rest) = match line.split_once(char::is_whitespace) {
-            Some((c, r)) => (c, r.trim()),
-            None => (line, ""),
-        };
-        let mut added = false;
-        let result: Result<Option<DiscoveryDelta>, String> = match cmd {
-            "quit" | "exit" => break,
-            "help" => {
-                println!("{REPL_HELP}");
-                Ok(None)
-            }
-            "show" => inspect(&manager, active, |s| match s.discovery() {
-                Some(d) => {
-                    println!(
-                        "target {}.{} — {} example(s), {} result tuples",
-                        d.entity_table,
-                        d.projection_column,
-                        d.example_rows.len(),
-                        d.rows.len()
-                    );
-                    print_decisions(d);
-                    println!("\nabduced query:\n{}", d.sql());
-                }
-                None => println!("(no examples yet)"),
-            })
-            .map(|()| None),
-            "save" => {
-                let path = if rest.is_empty() {
-                    snapshot.clone()
-                } else {
-                    Some(PathBuf::from(rest))
+        let adb = Arc::clone(self.manager.adb());
+        let fresh = SessionManager::with_params(adb, self.params.clone());
+        let st = fresh
+            .recover(jp, self.fsync)
+            .map_err(|e| format!("journal {} unusable: {e}", jp.display()))?;
+        eprintln!("journal {}: {st}", jp.display());
+        Ok(fresh)
+    }
+}
+
+impl Transport for Local {
+    fn send(&mut self, verb: Verb) -> Result<Json, ClientError> {
+        self.manager.send(verb)
+    }
+
+    fn local_usage(&self) -> &[&str] {
+        &["show", "save [path]", "recover", "compact"]
+    }
+
+    fn local(
+        &mut self,
+        word: &str,
+        rest: &str,
+        session: &mut Option<u64>,
+    ) -> Option<Result<(), String>> {
+        Some(match word {
+            "show" => {
+                let Some(id) = *session else {
+                    return Some(Err("no session yet — `create` first".into()));
                 };
-                match path {
-                    Some(p) => match adb.save_snapshot(&p) {
-                        Ok(bytes) => {
-                            println!("snapshot saved to {} ({bytes} bytes)", p.display());
-                            Ok(None)
-                        }
-                        Err(e) => Err(format!("snapshot save to {} failed: {e}", p.display())),
-                    },
-                    None => Err("usage: save <path> (or pass --snapshot)".into()),
-                }
-            }
-            "recover" => match &journal {
-                Some(jp) => {
-                    // Flush our own tail to the OS first so the re-read
-                    // sees everything this process has appended, then
-                    // rebuild a fresh fleet from the durable bytes. This
-                    // is the in-process equivalent of kill + relaunch.
-                    let _ = manager.journal_sync();
-                    let fresh = SessionManager::with_params(Arc::clone(&adb), params.clone());
-                    match fresh.recover(jp, fsync) {
-                        Ok(st) => {
-                            println!(
-                                "recovered {} session(s) from {} ({} record(s) applied, \
-                                 {} failed, {} damaged byte(s) truncated)",
-                                st.live_sessions,
-                                jp.display(),
-                                st.records_applied,
-                                st.records_failed,
-                                st.bytes_truncated
-                            );
-                            manager = fresh;
-                            active = pick_session(&manager, batch);
-                            Ok(None)
-                        }
-                        Err(e) => Err(format!("recover from {} failed: {e}", jp.display())),
+                let adb = self.manager.adb();
+                let shown = self.manager.with_session(id, |s| {
+                    match s.discovery() {
+                        Some(d) => print_discovery(adb, d),
+                        None => println!("(no examples yet)"),
                     }
-                }
-                None => Err("no journal attached (pass --journal <path>)".into()),
-            },
-            "compact" => match manager.compact_journal() {
+                    Ok(())
+                });
+                shown.map_err(|e| e.to_string())
+            }
+            "save" => {
+                let path = match rest {
+                    "" => self.snapshot.clone(),
+                    path => Some(PathBuf::from(path)),
+                };
+                let Some(p) = path else {
+                    return Some(Err("usage: save <path> (or pass --snapshot)".into()));
+                };
+                let saved = self.manager.adb().save_snapshot(&p);
+                saved
+                    .map(|bytes| println!("snapshot saved to {} ({bytes} bytes)", p.display()))
+                    .map_err(|e| format!("snapshot save to {} failed: {e}", p.display()))
+            }
+            "recover" => {
+                // Push our own tail to the OS first so the re-read sees
+                // everything this process has appended.
+                let _ = self.manager.journal_sync();
+                self.recovered().map(|fresh| {
+                    self.manager = fresh;
+                    *session = Some(self.pick_session());
+                })
+            }
+            "compact" => match self.manager.compact_journal() {
                 Ok(Some(cs)) => {
                     println!(
                         "journal compacted: {} session(s) snapshotted into {} record(s), \
                          {} -> {} bytes",
                         cs.sessions, cs.records_written, cs.bytes_before, cs.bytes_after
                     );
-                    Ok(None)
+                    Ok(())
                 }
                 Ok(None) => Err("no journal attached (pass --journal <path>)".into()),
                 Err(e) => Err(format!("journal compaction failed: {e}")),
             },
-            // Everything else is a verb of the serving protocol, in its
-            // one text grammar; the session-scoped ones run locally.
-            _ => match parse_line(line, Some(active)) {
-                Ok(Verb::Apply { op, .. }) => {
-                    added = matches!(op, SessionOp::AddExample(_));
-                    apply(&manager, active, op)
-                }
-                Ok(Verb::Stats { .. }) => inspect(&manager, active, |s| s.cache_stats()).map(|s| {
-                    print_stats(&adb, &manager, &s);
-                    None
-                }),
-                Ok(verb) => inspect(&manager, active, |s| print_read(&adb, s, &verb))
-                    .and_then(|answered| answered.map(|()| None)),
-                Err(msg) => Err(format!("{msg} — try `help`")),
-            },
+            _ => return None,
+        })
+    }
+}
+
+/// Drive a local fleet from stdin through the line loop `squid-serve
+/// --client` shares ([`repl::run`]). With `--journal` every turn is durable:
+/// a killed REPL relaunched with the same flags replays the journal and
+/// resumes the newest session. Initial examples are added to that session
+/// first.
+fn run_repl(mut local: Local, initial: &[&str], batch: bool) {
+    if local.journal.is_some() {
+        local.manager = local.recovered().unwrap_or_else(|e| die(&e));
+    }
+    let session = local.pick_session();
+    for e in initial {
+        let add = Verb::Apply {
+            session,
+            op: SessionOp::AddExample(e.to_string()),
+            seq: None,
         };
-        match result {
-            Ok(Some(delta)) => {
-                print_delta(cmd, &delta);
-                // Figure-1 loop closed end to end: after each add, hint at
-                // the example whose confirmation would sharpen abduction
-                // the most (full list via the `suggest` command).
-                if added && delta.discovery.is_some() {
-                    let _ = inspect(&manager, active, |s| print_hint(&adb, s));
-                }
-            }
-            Ok(None) => {}
-            Err(msg) => {
-                if batch {
-                    die::<()>(&format!("line {line_no}: command {line:?} failed: {msg}"));
-                    return;
-                }
-                eprintln!("error: {msg}");
-            }
+        match local.send(add) {
+            Ok(reply) => println!("{}", reply.encode()),
+            Err(err) => die(&format!("initial example {e:?} failed: {err}")),
         }
     }
-    // Push any buffered journal tail to the OS before exiting cleanly.
-    let _ = manager.journal_sync();
-}
-
-/// Answer one read-only verb from the local session; `Err` for the verbs
-/// only a server can answer.
-fn print_read(adb: &ADb, s: &SquidSession, verb: &Verb) -> Result<(), String> {
-    match (verb, s.discovery()) {
-        (Verb::Examples { .. }, _) => println!("examples: {:?}", s.examples()),
-        (Verb::Suggest { .. } | Verb::Sql { .. } | Verb::Rows { .. }, None) => {
-            println!("(no examples yet)")
-        }
-        (Verb::Suggest { k, .. }, Some(_)) => print_suggestions(adb, s, *k),
-        (Verb::Sql { .. }, Some(d)) => println!("{}", d.sql()),
-        (Verb::Rows { limit, .. }, Some(d)) => {
-            println!("result: {} tuples", d.rows.len());
-            print_rows(adb, d, *limit);
-        }
-        (other, _) => {
-            let name = other.name();
-            return Err(format!("`{name}` only means something to squid-serve"));
-        }
-    }
-    Ok(())
-}
-
-/// The REPL's `stats` report: the session's and the fleet's
-/// evaluation-cache counters, the αDB's heap bytes by part, recovery and
-/// journal statistics.
-fn print_stats(adb: &ADb, manager: &SessionManager, s: &squid_core::EvalCacheStats) {
-    let total = s.hits + s.misses;
-    let rate = if total > 0 {
-        100.0 * s.hits as f64 / total as f64
-    } else {
-        0.0
-    };
-    println!(
-        "evaluation cache (this session): {} hits / {} misses ({rate:.0}% hit rate)",
-        s.hits, s.misses
+    let stdin = std::io::stdin();
+    let (mut out, mut err) = (std::io::stdout(), std::io::stderr());
+    let ran = repl::run(
+        &mut local,
+        Some(session),
+        stdin.lock(),
+        &mut out,
+        &mut err,
+        batch,
     );
-    if let Some(sh) = manager.shared_cache_stats() {
-        let occupied = sh
-            .per_shard_resident_bytes
-            .iter()
-            .filter(|&&b| b > 0)
-            .count();
-        println!(
-            "shared cache: {} hits / {} misses ({:.0}% hit rate), {} entries, \
-             {} / {} bytes across {} of {} shards, {} evicted",
-            sh.hits,
-            sh.misses,
-            100.0 * sh.hit_rate(),
-            sh.entries,
-            sh.resident_bytes,
-            sh.max_resident_bytes,
-            occupied,
-            sh.per_shard_resident_bytes.len(),
-            sh.evictions
-        );
-        let nshards = sh.per_shard_hits.len();
-        let warm = (0..nshards)
-            .filter(|&i| sh.per_shard_hits[i] + sh.per_shard_misses[i] > 0)
-            .count();
-        let (mut lo, mut hi) = (1.0f64, 0.0f64);
-        for i in 0..nshards {
-            if sh.per_shard_hits[i] + sh.per_shard_misses[i] > 0 {
-                let r = sh.shard_hit_rate(i);
-                lo = lo.min(r);
-                hi = hi.max(r);
-            }
-        }
-        let peak_of_peaks = sh.per_shard_peak_resident_bytes.iter().max().copied();
-        println!(
-            "shared warm-start: {warm} of {nshards} shards touched \
-             (hit rate {}–{}%), peak {} bytes resident \
-             (hottest shard {} bytes)",
-            if warm > 0 {
-                format!("{:.0}", 100.0 * lo)
-            } else {
-                "0".into()
-            },
-            if warm > 0 {
-                format!("{:.0}", 100.0 * hi)
-            } else {
-                "0".into()
-            },
-            sh.peak_resident_bytes,
-            peak_of_peaks.unwrap_or(0),
-        );
-    }
-    let heap = adb.heap_bytes();
-    println!(
-        "αDB heap (estimated bytes): tables {}, inverted index {}, statistics {}, \
-         derived relations {}",
-        heap.tables, heap.inverted, heap.stats, heap.derived
-    );
-    if let Some(rs) = manager.recover_stats() {
-        println!(
-            "recovery: {} session(s) replayed, {} record(s) applied, \
-             {} failed, {} damaged byte(s) truncated, {} journal write error(s)",
-            rs.sessions_replayed,
-            rs.records_applied,
-            rs.records_failed,
-            rs.bytes_truncated,
-            manager.journal_write_errors()
-        );
-    }
-    if let Some(js) = manager.journal_stats() {
-        println!(
-            "journal: {} bytes at {} ({} base + {} tail record(s), \
-             {} compaction(s))",
-            js.bytes, js.path, js.base_records, js.tail_records, js.compactions
-        );
-        if let Some(lc) = js.last_compaction {
-            println!(
-                "last compaction: {} session(s) snapshotted into {} record(s), \
-                 {} -> {} bytes",
-                lc.sessions, lc.records_written, lc.bytes_before, lc.bytes_after
-            );
-        }
-    }
+    // Push any buffered journal tail to the OS before exiting.
+    let _ = local.manager.journal_sync();
+    ran.unwrap_or_else(|e| die(&e));
 }
 
-/// Print ranked next-example recommendations for a discovery (shared by
-/// the one-shot `--recommend` flag and the REPL `suggest` command).
+/// Print ranked next-example recommendations for a discovery (the
+/// one-shot `--recommend` flag).
 fn print_recommendations(adb: &ADb, d: &Discovery, recs: &[squid_core::Recommendation]) {
     if recs.is_empty() {
         println!("no contested filters — no examples to recommend.");
@@ -583,61 +314,16 @@ fn print_recommendations(adb: &ADb, d: &Discovery, recs: &[squid_core::Recommend
     }
 }
 
-/// Print the `k` most informative next examples of a session.
-fn print_suggestions(adb: &ADb, session: &SquidSession, k: usize) {
-    if let Some(d) = session.discovery() {
-        print_recommendations(adb, d, &session.suggest(k));
-    }
-}
-
-/// One-line next-example hint after an add (top suggestion only).
-fn print_hint(adb: &ADb, session: &SquidSession) {
-    let Some(d) = session.discovery() else {
-        return;
-    };
-    let Some(top) = session.suggest(1).into_iter().next() else {
-        return;
-    };
-    if let Some(v) = d.projection_value(adb, top.row) {
-        println!(
-            "hint: adding {v:?} would test {} — `suggest` for more",
-            top.discriminates.join(", ")
-        );
-    }
-}
-
-/// One-line summary of what a session operation changed.
-fn print_delta(op: &str, delta: &DiscoveryDelta) {
-    let Some(d) = &delta.discovery else {
-        println!("[{op}] session empty (-{} rows)", delta.rows_removed);
-        return;
-    };
-    let mut parts = vec![format!(
-        "{} filter(s), {} tuples (+{} -{})",
-        d.chosen_filters().len(),
-        d.rows.len(),
-        delta.rows_added,
-        delta.rows_removed
-    )];
-    for f in &delta.added_filters {
-        parts.push(format!("+{f}"));
-    }
-    for f in &delta.removed_filters {
-        parts.push(format!("-{f}"));
-    }
-    parts.push(format!(
-        "{} in {:?}",
-        if delta.incremental {
-            "incremental"
-        } else {
-            "rebuilt"
-        },
-        d.elapsed
-    ));
-    println!("[{op}] {}", parts.join("  "));
-}
-
-fn print_decisions(d: &Discovery) {
+/// The target, the abduction decisions, the query and the first ten
+/// result tuples of a discovery (the one-shot mode and `show`).
+fn print_discovery(adb: &ADb, d: &Discovery) {
+    println!(
+        "target {}.{} — {} example(s), {} result tuples",
+        d.entity_table,
+        d.projection_column,
+        d.example_rows.len(),
+        d.rows.len()
+    );
     println!("\nabduction decisions:");
     for s in &d.scored {
         println!(
@@ -648,22 +334,29 @@ fn print_decisions(d: &Discovery) {
             s.prior
         );
     }
+    println!("\nabduced query:\n{}\n", d.sql());
+    for (i, v) in d
+        .rows
+        .iter()
+        .filter_map(|row| d.projection_value(adb, row))
+        .take(10)
+        .enumerate()
+    {
+        println!("  {}. {v}", i + 1);
+    }
+    if d.rows.len() > 10 {
+        println!("  ... ({} more)", d.rows.len() - 10);
+    }
 }
 
-fn print_rows(adb: &ADb, d: &Discovery, limit: usize) {
-    let table = adb.database.table(&d.entity_table).expect("entity table");
-    let ci = table
-        .schema()
-        .column_index(&d.projection_column)
-        .expect("projection column");
-    for (i, row) in d.rows.iter().take(limit).enumerate() {
-        if let Some(v) = table.cell(row, ci) {
-            println!("  {}. {v}", i + 1);
-        }
-    }
-    if d.rows.len() > limit {
-        println!("  ... ({} more)", d.rows.len() - limit);
-    }
+/// The argument after `flag`, parsed; exits 2 saying what `flag` needs.
+fn value<T: std::str::FromStr>(
+    it: &mut impl Iterator<Item = String>,
+    flag: &str,
+    needs: &str,
+) -> T {
+    let parsed = it.next().and_then(|v| v.parse().ok());
+    parsed.unwrap_or_else(|| die(&format!("{flag} needs {needs}")))
 }
 
 fn die<T>(msg: &str) -> T {
