@@ -9,13 +9,13 @@
 //!   path plus the wire.
 //! * `session_replay` — a full served session (create → 5 adds → sql →
 //!   close) over a persistent connection: the per-session serving cost.
-//! * `fleet` — 8 concurrent clients each replaying a scripted session:
-//!   the contended number, workers and admission control included.
+//! * `fleet` — 8 concurrent [`RetryClient`] threads, each dialling a fresh
+//!   connection and replaying one scripted session (create → 8 numbered
+//!   or read turns → close): the contended number, workers and admission
+//!   control included.
 //!
-//! A dedicated load run afterwards records tail latencies under
-//! `serving_tail/` (p50/p95/p99 of the turn round trip). Tails are
-//! volatile on shared runners, so the CI geomean gate reads `serving/`
-//! and leaves `serving_tail/` as trajectory evidence only.
+//! Served p50/p99 turn latency under sustained load is measured by the
+//! `benchmark/` package's `interactive_*` workloads, not here.
 
 use std::sync::Arc;
 
@@ -24,7 +24,7 @@ use squid_adb::ADb;
 use squid_bench::{params_for, sample_examples};
 use squid_core::SessionManager;
 use squid_datasets::{generate_imdb, imdb_queries, ImdbConfig};
-use squid_serve::{run_load, Client, LoadConfig, ServeConfig, Server};
+use squid_serve::{parse_line, Client, RetryClient, ServeConfig, Server};
 
 fn start_server(adb: &Arc<ADb>) -> Server {
     let manager = Arc::new(SessionManager::with_params(
@@ -85,33 +85,29 @@ fn bench_serving(c: &mut Criterion) {
         .map(|e| format!("add {e}"))
         .chain(["sql", "suggest 2", "rows 5"].map(String::from))
         .collect();
-    let fleet_cfg = LoadConfig {
-        clients: 8,
-        sessions_per_client: 1,
-        script: script.clone(),
-    };
+    let fleet_addr = addr.to_string();
     group.bench_function("fleet/8", |b| {
         b.iter(|| {
-            let report = run_load(addr, &fleet_cfg).expect("load run");
-            assert_eq!(report.errors, 0);
-            report.turns
+            std::thread::scope(|scope| {
+                let clients: Vec<_> = (0..8)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let mut client = RetryClient::new(fleet_addr.as_str());
+                            let sid = client.create().unwrap();
+                            for line in &script {
+                                client.send(parse_line(line, Some(sid)).unwrap()).unwrap();
+                            }
+                            client.close(sid).unwrap();
+                        })
+                    })
+                    .collect();
+                for c in clients {
+                    c.join().expect("fleet client panicked");
+                }
+            })
         });
     });
     group.finish();
-
-    // Tail-latency evidence: one bigger dedicated run, percentiles
-    // recorded straight into the bench JSON (no closure timing).
-    let tail_cfg = LoadConfig {
-        clients: 8,
-        sessions_per_client: if c.is_test_mode() { 1 } else { 6 },
-        script,
-    };
-    let report = run_load(addr, &tail_cfg).expect("tail load run");
-    assert_eq!(report.errors, 0, "tail run must be error-free");
-    c.record("serving_tail/turn_p50", report.turn_p50.as_nanos() as f64);
-    c.record("serving_tail/turn_p95", report.turn_p95.as_nanos() as f64);
-    c.record("serving_tail/turn_p99", report.turn_p99.as_nanos() as f64);
-    eprintln!("serving tail run: {}", report.summary());
 
     drop(client);
     server.shutdown();

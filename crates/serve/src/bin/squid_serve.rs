@@ -1,5 +1,5 @@
 //! `squid-serve` — TCP serving frontend for SQuID session fleets, plus a
-//! scripted client and a load generator (one binary, three modes).
+//! scripted client and the chaos harness (one binary, three modes).
 //!
 //! Server (default):
 //!
@@ -22,13 +22,12 @@
 //! carries, the same lines `squid --repl --batch` prints, which CI diffs it
 //! against; and exits 2 on the first error reply, naming its line.
 //!
-//! Load generator (`--loadgen <addr> --clients N --sessions M`): reads a
-//! turn script from stdin (same grammar, no `create`/`close` — the
-//! harness brackets each session) and replays it from N concurrent
-//! connections, printing sessions/sec, turns/sec, and latency
-//! percentiles.
+//! Chaos harness (`--chaos [--standby] --kills K --clients N`): SIGKILLs
+//! child servers of this same binary, serving `mini`, under N retrying
+//! clients, and exits 1 unless no acknowledged turn was lost
+//! (`squid_serve::chaos`).
 
-use std::io::{BufRead, Write};
+use std::io::Write;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,14 +35,13 @@ use std::time::Duration;
 use squid_core::{FsyncPolicy, Journal, SessionManager, SquidParams};
 use squid_serve::json::Json;
 use squid_serve::{
-    acquire_adb, fetch_adb, repl, run_chaos, run_load_fleet, ChaosConfig, ClientError, LoadConfig,
-    RateLimit, RetryClient, ServeConfig, Server, Transport, Verb,
+    acquire_adb, fetch_adb, repl, run_chaos, ChaosConfig, ClientError, RateLimit, RetryClient,
+    ServeConfig, Server, Transport, Verb,
 };
 
 const USAGE: &str = "\
 usage: squid-serve [flags] <dataset>                 serve a session fleet
        squid-serve --client <addr>                   scripted client (stdin)
-       squid-serve --loadgen <addr> [load flags]     load generator (stdin)
        squid-serve --chaos [chaos flags]             SIGKILL-loop chaos smoke
 datasets: imdb | dblp | adult | mini
 server flags:
@@ -72,12 +70,8 @@ replication flags:
                        SIGUSR1 or the `promote` verb flips to primary
   --bootstrap-adb      (standby only) fetch the αDB over the replication
                        link instead of building it; dataset arg optional
-load flags:
-  --clients <n>        concurrent client threads (default 8)
-  --sessions <n>       sessions per client (default 2)
-                       (--loadgen accepts a,b,... — clients fail over)
 chaos flags:
-  --kills <n>          SIGKILL -> restart cycles (default 5)
+  --kills <n>          SIGKILLs of the primary (default 5)
   --clients <n>        concurrent retrying clients (default 8)
   --standby            replicated-pair mode: SIGKILL the primary, promote
                        the standby, relaunch the corpse as the new standby";
@@ -146,13 +140,9 @@ fn main() {
     let mut cfg = ServeConfig::default();
     let mut params = SquidParams::default();
     let mut client_addr: Option<String> = None;
-    let mut loadgen_addr: Option<String> = None;
     let mut chaos_mode = false;
-    let mut chaos_standby = false;
+    let mut chaos = ChaosConfig::default();
     let mut bootstrap_adb = false;
-    let mut kills = 5u32;
-    let mut clients = 8usize;
-    let mut sessions = 2usize;
     let mut snapshot: Option<PathBuf> = None;
     let mut journal: Option<PathBuf> = None;
     let mut fsync = FsyncPolicy::Flush;
@@ -173,12 +163,6 @@ fn main() {
                         .unwrap_or_else(|| die("--client needs an address")),
                 )
             }
-            "--loadgen" => {
-                loadgen_addr = Some(
-                    it.next()
-                        .unwrap_or_else(|| die("--loadgen needs an address")),
-                )
-            }
             "--addr" => cfg.addr = it.next().unwrap_or_else(|| die("--addr needs host:port")),
             "--workers" => cfg.workers = next_num(&mut it, "--workers") as usize,
             "--max-pending" => cfg.max_pending = next_num(&mut it, "--max-pending") as usize,
@@ -191,8 +175,7 @@ fn main() {
                 ttl = Some(Duration::from_secs(secs));
                 cfg.sweep_interval = Some(Duration::from_secs((secs / 4).max(1)));
             }
-            "--clients" => clients = next_num(&mut it, "--clients") as usize,
-            "--sessions" => sessions = next_num(&mut it, "--sessions") as usize,
+            "--clients" => chaos.clients = next_num(&mut it, "--clients") as usize,
             "--snapshot" => {
                 snapshot = Some(PathBuf::from(
                     it.next().unwrap_or_else(|| die("--snapshot needs a path")),
@@ -229,7 +212,7 @@ fn main() {
                 )
             }
             "--bootstrap-adb" => bootstrap_adb = true,
-            "--standby" => chaos_standby = true,
+            "--standby" => chaos.standby = true,
             "--rate-limit" => {
                 let spec = it
                     .next()
@@ -249,7 +232,7 @@ fn main() {
                 }
             }
             "--chaos" => chaos_mode = true,
-            "--kills" => kills = next_num(&mut it, "--kills") as u32,
+            "--kills" => chaos.kills = next_num(&mut it, "--kills") as u32,
             "--normalized" => params = SquidParams::normalized(),
             "--help" | "-h" => {
                 println!("{USAGE}");
@@ -262,14 +245,8 @@ fn main() {
     if chaos_mode {
         let exe = std::env::current_exe()
             .unwrap_or_else(|e| die(&format!("cannot locate own binary: {e}")));
-        let cfg = ChaosConfig {
-            server_cmd: vec![exe.display().to_string(), "mini".into()],
-            clients,
-            kills,
-            standby: chaos_standby,
-            ..ChaosConfig::default()
-        };
-        match run_chaos(&cfg) {
+        chaos.server_cmd = vec![exe.display().to_string(), "mini".into()];
+        match run_chaos(&chaos) {
             Ok(report) => {
                 println!("{}", report.summary());
                 if !report.passed() {
@@ -300,10 +277,6 @@ fn main() {
             );
         }
         ran.unwrap_or_else(|e| die(&e));
-        return;
-    }
-    if let Some(addr) = loadgen_addr {
-        run_loadgen(&addr, clients, sessions);
         return;
     }
 
@@ -454,44 +427,5 @@ impl Transport for Remote {
             }
             _ => return None,
         })
-    }
-}
-
-/// Load-generator mode: replay a stdin turn script from N connections.
-/// `addr` may be a comma-separated fleet — clients fail over between
-/// members, and the report's `failovers` counter says how often.
-fn run_loadgen(addr: &str, clients: usize, sessions: usize) {
-    let stdin = std::io::stdin();
-    let mut script = Vec::new();
-    for line in stdin.lock().lines() {
-        let Ok(line) = line else { break };
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        script.push(line.to_string());
-    }
-    if script.is_empty() {
-        die::<()>("loadgen: empty script on stdin (expected add/suggest/sql/... lines)");
-        return;
-    }
-    let cfg = LoadConfig {
-        clients,
-        sessions_per_client: sessions,
-        script,
-    };
-    let addrs: Vec<String> = addr
-        .split(',')
-        .map(|a| a.trim().to_string())
-        .filter(|a| !a.is_empty())
-        .collect();
-    match run_load_fleet(&addrs, &cfg) {
-        Ok(report) => {
-            println!("{}", report.summary());
-            if report.errors > 0 {
-                std::process::exit(1);
-            }
-        }
-        Err(e) => die(&format!("loadgen against {addr} failed: {e}")),
     }
 }

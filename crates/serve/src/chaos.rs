@@ -1,15 +1,15 @@
 //! The chaos harness: SIGKILL the server repeatedly under retrying load
 //! and prove nothing acknowledged was lost.
 //!
-//! [`run_chaos`] spawns a real `squid-serve` child process (serving the
-//! `mini` fixture with `--fsync always` and a journal), points a fleet
-//! of [`RetryClient`]s at it, and then kills the child with SIGKILL —
-//! no drain, no flush — a configurable number of times, restarting it
-//! against the same journal each time. Clients ride through the crashes
-//! on sequence-numbered retries.
-//!
-//! Two invariants are checked at the end, against the final recovered
-//! server:
+//! [`run_chaos`] spawns real `squid-serve` child processes (serving the
+//! `mini` fixture with `--fsync always`, a journal each, and
+//! `--auto-compact` so recovery also meets compacted journals), points a
+//! fleet of [`RetryClient`]s at them, and runs one kill loop
+//! [`ChaosConfig::kills`] times: let traffic flow, SIGKILL the primary
+//! (no drain, no flush), bring the fleet back, repeat. Clients ride
+//! through on sequence-numbered retries and address failover. After a
+//! last traffic window, two invariants are checked against the final
+//! primary:
 //!
 //! 1. **Zero acknowledged-turn loss**: every turn a client saw `ok:true`
 //!    for is reflected in the session's recovered `op_seq` cursor. An
@@ -21,26 +21,27 @@
 //!    αDB — the crash-riddled fleet and an uninterrupted one are
 //!    indistinguishable.
 //!
+//! The fleet is one node or, with [`ChaosConfig::standby`], a replicated
+//! pair; the loop differs only in how a killed primary comes back:
+//!
+//! - **One node**: the killed node is relaunched on its own journal and
+//!   recovers from it.
+//! - **Standby pair**: around the kill, the client fleet is paused and
+//!   the primary's `health` must report replication lag zero (the acked
+//!   state has provably reached the standby); after it, the standby is
+//!   promoted with the `promote` verb and the killed node is relaunched
+//!   as the new primary's standby. Roles alternate every kill, so the
+//!   invariants hold across promotions, not just restarts.
+//!
 //! The harness requires the server command to serve the `mini` dataset
 //! (the [`squid_adb::test_fixtures::mini_imdb`] fixture), because the
 //! verification replay rebuilds that αDB in-process.
-//!
-//! ## `--standby` mode
-//!
-//! With [`ChaosConfig::standby`] the harness runs a replicated pair and
-//! kills *primaries*: each cycle pauses the client fleet, waits for the
-//! primary's `health` to report replication lag zero (the acked state
-//! has provably reached the standby), SIGKILLs the primary, promotes the
-//! standby with the `promote` verb, relaunches the corpse as the new
-//! standby, and resumes traffic. Clients ride through on address
-//! failover + `not_primary` hints. Roles alternate every kill. The same
-//! two invariants are verified at the end against the final primary —
-//! across promotions, not just restarts.
 
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread;
 use std::time::{Duration, Instant};
 
 use squid_adb::{test_fixtures, ADb};
@@ -50,30 +51,31 @@ use crate::client::Client;
 use crate::json::Json;
 use crate::retry::{RetryClient, RetryCounters, RetryPolicy};
 
+/// Traffic window before each kill, and after the last one.
+const KILL_INTERVAL: Duration = Duration::from_millis(400);
+/// `--auto-compact` floor every node runs with, so crash recovery is
+/// exercised against compacted journals too.
+const AUTO_COMPACT: u64 = 32;
+/// Patience for a node to answer `ping`, the clients to quiesce,
+/// replication lag to drain, or a standby to promote.
+const DEADLINE: Duration = Duration::from_secs(30);
+
 /// How much chaos to inflict.
 #[derive(Debug, Clone)]
 pub struct ChaosConfig {
-    /// The server command: binary path plus every argument *except*
-    /// `--addr`, `--journal`, `--fsync`, and `--auto-compact`, which the
-    /// harness appends. Must serve the `mini` dataset (e.g.
+    /// The server command: binary path plus every argument *except* the
+    /// ones the harness appends (`--addr`, `--journal`, `--fsync`,
+    /// `--workers`, `--auto-compact`, `--replicate-to`, `--standby-of`).
+    /// Must serve the `mini` dataset (e.g.
     /// `["target/release/squid-serve", "mini"]`) — verification replays
     /// against that fixture.
     pub server_cmd: Vec<String>,
     /// Concurrent retrying clients (default 8).
     pub clients: usize,
-    /// SIGKILL → restart cycles (default 5).
+    /// SIGKILLs of the primary (default 5).
     pub kills: u32,
-    /// Traffic window between kills (default 400ms).
-    pub kill_interval: Duration,
-    /// Journal path (default: a pid-scoped file in the temp dir,
-    /// removed before the run).
-    pub journal: Option<PathBuf>,
-    /// `--auto-compact` floor passed to the server, so crash-recovery is
-    /// exercised against compacted journals too (default `Some(32)`).
-    pub auto_compact: Option<u64>,
-    /// Run a replicated primary/standby pair and kill primaries,
-    /// promoting the standby each cycle (default false: the classic
-    /// single-node restart loop).
+    /// Run a replicated primary/standby pair and promote the standby at
+    /// every kill (default false: one node, relaunched on its journal).
     pub standby: bool,
 }
 
@@ -83,9 +85,6 @@ impl Default for ChaosConfig {
             server_cmd: Vec::new(),
             clients: 8,
             kills: 5,
-            kill_interval: Duration::from_millis(400),
-            journal: None,
-            auto_compact: Some(32),
             standby: false,
         }
     }
@@ -206,7 +205,7 @@ fn wait_ready(addr: &str, deadline: Duration) -> Result<(), String> {
         if t0.elapsed() > deadline {
             return Err(format!("server at {addr} not ready within {deadline:?}"));
         }
-        std::thread::sleep(Duration::from_millis(25));
+        thread::sleep(Duration::from_millis(25));
     }
 }
 
@@ -280,12 +279,12 @@ fn client_thread(
     let mut step = idx; // stagger the script per client
     while !stop.load(Ordering::Relaxed) {
         if pause.load(Ordering::Relaxed) {
-            // The quiesce barrier: report idle, hold until released. The
-            // standby harness drains replication lag and swaps primaries
-            // while every client sits here between turns.
+            // The quiesce barrier: report idle, hold until released. In a
+            // pair, the kill loop drains replication lag and swaps
+            // primaries while every client sits here between turns.
             idle.fetch_add(1, Ordering::Relaxed);
             while pause.load(Ordering::Relaxed) && !stop.load(Ordering::Relaxed) {
-                std::thread::sleep(Duration::from_millis(5));
+                thread::sleep(Duration::from_millis(5));
             }
             idle.fetch_sub(1, Ordering::Relaxed);
             continue;
@@ -297,7 +296,7 @@ fn client_thread(
         {
             acked.push(op);
         }
-        std::thread::sleep(Duration::from_millis(2));
+        thread::sleep(Duration::from_millis(2));
     }
     Ok(ClientLog {
         session,
@@ -306,145 +305,11 @@ fn client_thread(
     })
 }
 
-/// Run the kill loop and verify the invariants. See the module docs.
-/// Dispatches to the replicated-pair harness when
-/// [`ChaosConfig::standby`] is set.
-pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
-    if cfg.server_cmd.is_empty() {
-        return Err("ChaosConfig.server_cmd is empty".into());
-    }
-    if cfg.standby {
-        return run_chaos_standby(cfg);
-    }
-    let started = Instant::now();
-    let port = free_port()?;
-    let addr = format!("127.0.0.1:{port}");
-    let journal = cfg.journal.clone().unwrap_or_else(|| {
-        std::env::temp_dir().join(format!("squid-chaos-{}.journal", std::process::id()))
-    });
-    let _ = std::fs::remove_file(&journal);
-    let mut argv = cfg.server_cmd.clone();
-    argv.extend([
-        "--addr".into(),
-        addr.clone(),
-        "--journal".into(),
-        journal.display().to_string(),
-        "--fsync".into(),
-        "always".into(),
-        // The server is thread-per-connection over a fixed pool, and the
-        // client fleet re-dials the instant a restart binds. Leave
-        // headroom above the fleet or the clients monopolize every
-        // worker and the readiness probe starves in the accept queue.
-        "--workers".into(),
-        (cfg.clients * 2 + 4).to_string(),
-    ]);
-    if let Some(n) = cfg.auto_compact {
-        argv.extend(["--auto-compact".into(), n.to_string()]);
-    }
-
-    let mut child = spawn_server(&argv)?;
-    let ready_deadline = Duration::from_secs(30);
-    if let Err(e) = wait_ready(&addr, ready_deadline) {
-        let _ = child.kill();
-        let _ = child.wait();
-        return Err(e);
-    }
-
-    let stop = AtomicBool::new(false);
-    let pause = AtomicBool::new(false);
-    let idle = AtomicUsize::new(0);
-    let addrs = vec![addr.clone()];
-    let logs: Result<Vec<ClientLog>, String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.clients.max(1))
-            .map(|i| {
-                let addrs = &addrs;
-                let (stop, pause, idle) = (&stop, &pause, &idle);
-                scope.spawn(move || client_thread(addrs, i, stop, pause, idle))
-            })
-            .collect();
-
-        let mut kill_err = None;
-        for _ in 0..cfg.kills {
-            std::thread::sleep(cfg.kill_interval);
-            // SIGKILL: no drain, no fsync-on-exit — recovery must come
-            // from per-turn durability alone.
-            let _ = child.kill();
-            let _ = child.wait();
-            match spawn_server(&argv) {
-                Ok(c) => child = c,
-                Err(e) => {
-                    kill_err = Some(e);
-                    break;
-                }
-            }
-            if let Err(e) = wait_ready(&addr, ready_deadline) {
-                kill_err = Some(e);
-                break;
-            }
-        }
-        // One more traffic window after the last recovery, then stop.
-        std::thread::sleep(cfg.kill_interval);
-        stop.store(true, Ordering::Relaxed);
-        let joined: Result<Vec<ClientLog>, String> = handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "client thread panicked".to_string())?)
-            .collect();
-        match kill_err {
-            Some(e) => Err(e),
-            None => joined,
-        }
-    });
-    let logs = match logs {
-        Ok(l) => l,
-        Err(e) => {
-            let _ = child.kill();
-            let _ = child.wait();
-            return Err(e);
-        }
-    };
-
-    // ---- Verification against the final recovered server ----
-    let verdict = verify(&addr, &logs);
-    // The server child is ours either way; tear it down before reporting.
-    let _ = child.kill();
-    let _ = child.wait();
-    let _ = std::fs::remove_file(&journal);
-    let (lost_turns, sql_mismatches, compactions) = verdict?;
-
-    let (turns_acked, counters) = tally(&logs);
-    Ok(ChaosReport {
-        kills: cfg.kills,
-        sessions: logs.len(),
-        turns_acked,
-        lost_turns,
-        sql_mismatches,
-        compactions,
-        promotions: 0,
-        counters,
-        wall: started.elapsed(),
-    })
-}
-
-/// Sum the client logs' acked-turn count and retry work.
-fn tally(logs: &[ClientLog]) -> (u64, RetryCounters) {
-    let mut counters = RetryCounters::default();
-    let mut turns_acked = 0u64;
-    for log in logs {
-        turns_acked += log.acked.len() as u64;
-        counters.retries += log.counters.retries;
-        counters.reconnects += log.counters.reconnects;
-        counters.deduped += log.counters.deduped;
-        counters.rate_limited += log.counters.rate_limited;
-        counters.failovers += log.counters.failovers;
-    }
-    (turns_acked, counters)
-}
-
-/// One node of the replicated pair: fixed serve + replication ports and
-/// its own journal, so a relaunch reuses the same identity.
+/// One node of the fleet: fixed serve (and, in a pair, replication)
+/// ports and its own journal, so a relaunch reuses the same identity.
 struct Node {
     addr: String,
-    repl: String,
+    repl: Option<String>,
     journal: PathBuf,
 }
 
@@ -458,19 +323,179 @@ impl Node {
             self.journal.display().to_string(),
             "--fsync".into(),
             "always".into(),
+            // The server is thread-per-connection over a fixed pool, and
+            // the client fleet re-dials the instant a restart binds. Leave
+            // headroom above the fleet or the clients monopolize every
+            // worker and the readiness probe starves in the accept queue.
             "--workers".into(),
             (cfg.clients * 2 + 4).to_string(),
-            "--replicate-to".into(),
-            self.repl.clone(),
+            "--auto-compact".into(),
+            AUTO_COMPACT.to_string(),
         ]);
+        if let Some(repl) = &self.repl {
+            argv.extend(["--replicate-to".into(), repl.clone()]);
+        }
         if let Some(primary_repl) = standby_of {
             argv.extend(["--standby-of".into(), primary_repl.into()]);
         }
-        if let Some(n) = cfg.auto_compact {
-            argv.extend(["--auto-compact".into(), n.to_string()]);
-        }
         argv
     }
+
+    fn launch(&self, cfg: &ChaosConfig, standby_of: Option<&str>) -> Result<Child, String> {
+        let mut child = spawn_server(&self.argv(cfg, standby_of))?;
+        if let Err(e) = wait_ready(&self.addr, DEADLINE) {
+            let _ = child.kill();
+            let _ = child.wait();
+            return Err(e);
+        }
+        Ok(child)
+    }
+}
+
+/// Tells concurrent runs in one process apart in journal file names.
+static RUNS: AtomicUsize = AtomicUsize::new(0);
+
+/// Run the kill loop and verify the invariants. See the module docs.
+pub fn run_chaos(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
+    if cfg.server_cmd.is_empty() {
+        return Err("ChaosConfig.server_cmd is empty".into());
+    }
+    let started = Instant::now();
+    let run = RUNS.fetch_add(1, Ordering::Relaxed);
+    let nodes: Vec<Node> = (0..if cfg.standby { 2 } else { 1 })
+        .map(|i| -> Result<Node, String> {
+            Ok(Node {
+                addr: format!("127.0.0.1:{}", free_port()?),
+                repl: if cfg.standby {
+                    Some(format!("127.0.0.1:{}", free_port()?))
+                } else {
+                    None
+                },
+                journal: std::env::temp_dir().join(format!(
+                    "squid-chaos-{}-{run}-{i}.journal",
+                    std::process::id()
+                )),
+            })
+        })
+        .collect::<Result<_, _>>()?;
+    for node in &nodes {
+        let _ = std::fs::remove_file(&node.journal);
+    }
+
+    // Node 0 starts as primary; node 1, if any, as its standby.
+    let mut children: Vec<Child> = Vec::new();
+    let report = nodes
+        .iter()
+        .enumerate()
+        .try_for_each(|(i, node)| {
+            let standby_of = nodes[0].repl.as_deref().filter(|_| i > 0);
+            children.push(node.launch(cfg, standby_of)?);
+            Ok(())
+        })
+        .and_then(|()| drive(cfg, &nodes, &mut children, started));
+    // The children are ours either way; tear them down before reporting.
+    for c in &mut children {
+        let _ = c.kill();
+        let _ = c.wait();
+    }
+    for node in &nodes {
+        let _ = std::fs::remove_file(&node.journal);
+    }
+    report
+}
+
+/// The kill loop over a launched fleet, then verification against the
+/// final primary.
+fn drive(
+    cfg: &ChaosConfig,
+    nodes: &[Node],
+    children: &mut [Child],
+    started: Instant,
+) -> Result<ChaosReport, String> {
+    let clients = cfg.clients.max(1);
+    let stop = AtomicBool::new(false);
+    let pause = AtomicBool::new(false);
+    let idle = AtomicUsize::new(0);
+    let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
+    let mut primary = 0usize;
+    let mut promotions = 0u32;
+    // A pair is paused at lag zero around every kill, and once more at
+    // the end so verification reads a settled pair.
+    let quiesce = |primary: &Node| -> Result<(), String> {
+        if primary.repl.is_none() {
+            return Ok(());
+        }
+        pause.store(true, Ordering::Relaxed);
+        wait_idle(&idle, clients, DEADLINE)?;
+        // The acceptance gate: lag must be *observed* at zero before the
+        // kill — every acked turn is on the standby.
+        wait_zero_lag(&primary.addr, DEADLINE)
+    };
+    let logs = thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|i| {
+                let (addrs, stop, pause, idle) = (&addrs, &stop, &pause, &idle);
+                scope.spawn(move || client_thread(addrs, i, stop, pause, idle))
+            })
+            .collect();
+
+        let mut cycle = || -> Result<(), String> {
+            thread::sleep(KILL_INTERVAL);
+            let victim = primary;
+            quiesce(&nodes[victim])?;
+            // SIGKILL: no drain, no fsync-on-exit — what survives must
+            // come from per-turn durability (and, in a pair, replication).
+            let _ = children[victim].kill();
+            let _ = children[victim].wait();
+            let mut standby_of = None;
+            if nodes.len() > 1 {
+                primary = 1 - victim;
+                promote_node(&nodes[primary].addr, DEADLINE)?;
+                promotions += 1;
+                // The killed node re-bootstraps from the new primary's
+                // SNAP, so its stale journal is moot.
+                standby_of = nodes[primary].repl.as_deref();
+            }
+            children[victim] = nodes[victim].launch(cfg, standby_of)?;
+            pause.store(false, Ordering::Relaxed);
+            Ok(())
+        };
+        let looped = (0..cfg.kills).try_for_each(|_| cycle()).and_then(|()| {
+            // One more traffic window after the last recovery.
+            thread::sleep(KILL_INTERVAL);
+            quiesce(&nodes[primary])
+        });
+        stop.store(true, Ordering::Relaxed);
+        pause.store(false, Ordering::Relaxed);
+        let joined: Result<Vec<ClientLog>, String> = handles
+            .into_iter()
+            .map(|h| h.join().map_err(|_| "client thread panicked".to_string())?)
+            .collect();
+        looped.and(joined)
+    })?;
+    let (lost_turns, sql_mismatches, compactions) = verify(&nodes[primary].addr, &logs)?;
+
+    let mut counters = RetryCounters::default();
+    let mut turns_acked = 0u64;
+    for log in &logs {
+        turns_acked += log.acked.len() as u64;
+        counters.retries += log.counters.retries;
+        counters.reconnects += log.counters.reconnects;
+        counters.deduped += log.counters.deduped;
+        counters.rate_limited += log.counters.rate_limited;
+        counters.failovers += log.counters.failovers;
+    }
+    Ok(ChaosReport {
+        kills: cfg.kills,
+        sessions: logs.len(),
+        turns_acked,
+        lost_turns,
+        sql_mismatches,
+        compactions,
+        promotions,
+        counters,
+        wall: started.elapsed(),
+    })
 }
 
 /// Wait until every client thread has parked at the pause barrier.
@@ -483,7 +508,7 @@ fn wait_idle(idle: &AtomicUsize, n: usize, deadline: Duration) -> Result<(), Str
                 idle.load(Ordering::Relaxed)
             ));
         }
-        std::thread::sleep(Duration::from_millis(5));
+        thread::sleep(Duration::from_millis(5));
     }
     Ok(())
 }
@@ -512,7 +537,7 @@ fn wait_zero_lag(addr: &str, deadline: Duration) -> Result<(), String> {
                 "replication lag at {addr} never reached 0 within {deadline:?}; last health: {last}"
             ));
         }
-        std::thread::sleep(Duration::from_millis(20));
+        thread::sleep(Duration::from_millis(20));
     }
 }
 
@@ -532,144 +557,7 @@ fn promote_node(addr: &str, deadline: Duration) -> Result<(), String> {
                 "standby at {addr} did not promote within {deadline:?}"
             ));
         }
-        std::thread::sleep(Duration::from_millis(25));
-    }
-}
-
-/// The replicated-pair kill loop (see the module docs' `--standby`
-/// section): quiesce → lag 0 → SIGKILL primary → promote → relaunch the
-/// corpse as standby → resume, alternating roles every cycle.
-fn run_chaos_standby(cfg: &ChaosConfig) -> Result<ChaosReport, String> {
-    let started = Instant::now();
-    let temp_tag = std::process::id();
-    let nodes: Vec<Node> = (0..2)
-        .map(|i| -> Result<Node, String> {
-            Ok(Node {
-                addr: format!("127.0.0.1:{}", free_port()?),
-                repl: format!("127.0.0.1:{}", free_port()?),
-                journal: std::env::temp_dir()
-                    .join(format!("squid-chaos-standby-{temp_tag}-{i}.journal")),
-            })
-        })
-        .collect::<Result<_, _>>()?;
-    for node in &nodes {
-        let _ = std::fs::remove_file(&node.journal);
-    }
-
-    let ready_deadline = Duration::from_secs(30);
-    let quiesce_deadline = Duration::from_secs(30);
-    // Node 0 starts as primary, node 1 as its standby.
-    let mut children: Vec<Child> = Vec::new();
-    children.push(spawn_server(&nodes[0].argv(cfg, None))?);
-    if let Err(e) = wait_ready(&nodes[0].addr, ready_deadline) {
-        kill_all(&mut children);
-        return Err(e);
-    }
-    children.push(spawn_server(&nodes[1].argv(cfg, Some(&nodes[0].repl)))?);
-    if let Err(e) = wait_ready(&nodes[1].addr, ready_deadline) {
-        kill_all(&mut children);
-        return Err(e);
-    }
-
-    let stop = AtomicBool::new(false);
-    let pause = AtomicBool::new(false);
-    let idle = AtomicUsize::new(0);
-    let addrs: Vec<String> = nodes.iter().map(|n| n.addr.clone()).collect();
-    let mut primary = 0usize;
-    let mut promotions = 0u32;
-    let logs: Result<Vec<ClientLog>, String> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..cfg.clients.max(1))
-            .map(|i| {
-                let addrs = &addrs;
-                let (stop, pause, idle) = (&stop, &pause, &idle);
-                scope.spawn(move || client_thread(addrs, i, stop, pause, idle))
-            })
-            .collect();
-
-        let mut cycle = || -> Result<(), String> {
-            std::thread::sleep(cfg.kill_interval);
-            // Quiesce: no turns in flight while the primaries swap.
-            pause.store(true, Ordering::Relaxed);
-            wait_idle(&idle, cfg.clients.max(1), quiesce_deadline)?;
-            // The acceptance gate: lag must be *observed* at zero before
-            // the kill — every acked turn is on the standby.
-            wait_zero_lag(&nodes[primary].addr, quiesce_deadline)?;
-            let _ = children[primary].kill();
-            let _ = children[primary].wait();
-            let standby = 1 - primary;
-            promote_node(&nodes[standby].addr, quiesce_deadline)?;
-            // Relaunch the corpse as the new primary's standby: it
-            // re-bootstraps from a SNAP, so its stale journal is moot.
-            children[primary] =
-                spawn_server(&nodes[primary].argv(cfg, Some(&nodes[standby].repl)))?;
-            wait_ready(&nodes[primary].addr, ready_deadline)?;
-            primary = standby;
-            promotions += 1;
-            pause.store(false, Ordering::Relaxed);
-            Ok(())
-        };
-        let mut loop_err = None;
-        for _ in 0..cfg.kills {
-            if let Err(e) = cycle() {
-                loop_err = Some(e);
-                break;
-            }
-        }
-        if loop_err.is_none() {
-            // Final traffic window, then drain replication once more so
-            // verification reads a settled pair.
-            std::thread::sleep(cfg.kill_interval);
-            pause.store(true, Ordering::Relaxed);
-            if let Err(e) = wait_idle(&idle, cfg.clients.max(1), quiesce_deadline)
-                .and_then(|()| wait_zero_lag(&nodes[primary].addr, quiesce_deadline))
-            {
-                loop_err = Some(e);
-            }
-        }
-        stop.store(true, Ordering::Relaxed);
-        pause.store(false, Ordering::Relaxed);
-        let joined: Result<Vec<ClientLog>, String> = handles
-            .into_iter()
-            .map(|h| h.join().map_err(|_| "client thread panicked".to_string())?)
-            .collect();
-        match loop_err {
-            Some(e) => Err(e),
-            None => joined,
-        }
-    });
-    let logs = match logs {
-        Ok(l) => l,
-        Err(e) => {
-            kill_all(&mut children);
-            return Err(e);
-        }
-    };
-
-    // ---- Verification against the final primary ----
-    let verdict = verify(&nodes[primary].addr, &logs);
-    kill_all(&mut children);
-    for node in &nodes {
-        let _ = std::fs::remove_file(&node.journal);
-    }
-    let (lost_turns, sql_mismatches, compactions) = verdict?;
-    let (turns_acked, counters) = tally(&logs);
-    Ok(ChaosReport {
-        kills: cfg.kills,
-        sessions: logs.len(),
-        turns_acked,
-        lost_turns,
-        sql_mismatches,
-        compactions,
-        promotions,
-        counters,
-        wall: started.elapsed(),
-    })
-}
-
-fn kill_all(children: &mut [Child]) {
-    for c in children {
-        let _ = c.kill();
-        let _ = c.wait();
+        thread::sleep(Duration::from_millis(25));
     }
 }
 

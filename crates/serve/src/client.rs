@@ -1,7 +1,7 @@
 //! Blocking protocol client: one connection, request/response lines in
-//! lock step. The load generator, the integration tests, and the
-//! `squid-serve --client` scripted mode all drive the server through
-//! this, so the client-side encode path is exercised by the same suite
+//! lock step. [`crate::RetryClient`] (and with it `squid-serve --client`
+//! and the chaos harness) and the integration tests all drive the server
+//! through this, so the client-side encode path is exercised by the same suite
 //! that exercises the server-side parse path.
 
 use std::io::{self, BufRead, BufReader, Write};

@@ -3,8 +3,8 @@
 //! The TCP serving frontend of the SQuID fleet engine: a hand-rolled
 //! [`std::net::TcpListener`] server (no crates.io dependencies) speaking
 //! a newline-delimited JSON protocol that maps 1:1 onto the
-//! [`squid_core::SquidSession`] API, plus the client and load-generator
-//! harness that measure it.
+//! [`squid_core::SquidSession`] API, plus the clients that drive it and
+//! the chaos harness that holds it to its durability promises.
 //!
 //! The design premise (Polynesia's lesson, via the Cambridge Report): the
 //! interactive frontend is co-designed with the analytical core, so a
@@ -30,13 +30,12 @@
 //!   αDB start-up both binaries share.
 //! - [`retry`]: resilient client wrapper — backoff + jitter, reconnect
 //!   with session re-adoption, sequence-numbered exactly-once turns.
-//! - [`load`]: concurrent load generator with latency percentiles and
-//!   retry/error counters.
 //! - [`proxy`]: std-only fault-injecting TCP proxy (delay, drop,
 //!   truncate, sever) for chaos tests.
-//! - [`chaos`]: the `--chaos` harness — SIGKILL loops under retrying
-//!   load asserting zero acknowledged-turn loss (`--standby` adds
-//!   primary-kill + promotion cycles over a replicated pair).
+//! - [`chaos`]: the `--chaos` harness — one SIGKILL loop under retrying
+//!   clients asserting zero acknowledged-turn loss, over one node
+//!   relaunched on its journal or (`--standby`) a replicated pair whose
+//!   standby is promoted at every kill.
 //! - [`replication`]: warm-standby journal streaming — snapshot
 //!   bootstrap, record shipping with acks and lag accounting, and the
 //!   promotion latch behind the `promote` verb / SIGUSR1.
@@ -67,7 +66,6 @@ pub mod chaos;
 pub mod client;
 pub mod dataset;
 pub mod json;
-pub mod load;
 pub mod protocol;
 pub mod proxy;
 pub mod repl;
@@ -79,7 +77,6 @@ pub use chaos::{run_chaos, ChaosConfig, ChaosReport};
 pub use client::{Client, ClientError};
 pub use dataset::acquire_adb;
 pub use json::Json;
-pub use load::{run_load, run_load_fleet, LoadConfig, LoadReport};
 pub use protocol::{encode_request, parse_line, parse_request, ErrorCode, Request, Verb};
 pub use proxy::{FaultProxy, FaultRule};
 pub use repl::Transport;

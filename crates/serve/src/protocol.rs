@@ -49,13 +49,13 @@
 //! present but ill-typed — optional ones included (`"seq":"7"`, `7.0`,
 //! `-1`, `null`) — is a `bad_request` naming it.
 //!
-//! The text form of a verb (`--loadgen`, and the one line loop of
-//! [`crate::repl`] that `squid --repl` and `squid-serve --client` share)
-//! is its name, then its arguments as words, the one that may contain
-//! spaces last: `add <value…>`, `target <table> <column…>`,
-//! `choose <pk> <example…>`, `suggest [k]`. `session` and `seq` are never
-//! on the line: the caller's current session and the retrying client's
-//! turn counter supply them. The loop's `help` is these usage lines.
+//! The text form of a verb (the one line loop of [`crate::repl`] that
+//! `squid --repl` and `squid-serve --client` share) is its name, then its
+//! arguments as words, the one that may contain spaces last:
+//! `add <value…>`, `target <table> <column…>`, `choose <pk> <example…>`,
+//! `suggest [k]`. `session` and `seq` are never on the line: the caller's
+//! current session and the retrying client's turn counter supply them.
+//! The loop's `help` is these usage lines.
 //!
 //! `client` binds an admission identity to the connection: subsequent
 //! requests are rate-limited and counted per client in addition to per
@@ -268,18 +268,6 @@ impl Arg {
     }
 }
 
-/// How a verb travels through a client.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Class {
-    /// Addresses the fleet (or the connection), not one session.
-    Fleet,
-    /// Session-scoped and unsequenced: retried as is.
-    Read,
-    /// A session-mutating turn, journaled as a [`SessionOp`]: a retrying
-    /// client numbers it (`seq`) so a resend dedupes.
-    Turn,
-}
-
 /// The most arguments any verb takes (`session`, `seq` and two of its own).
 const MAX_ARGS: usize = 4;
 
@@ -287,14 +275,13 @@ const MAX_ARGS: usize = 4;
 const ABSENT: Json = Json::Null;
 
 /// One verb of the protocol: its wire name, its arguments in wire order,
-/// its class, and the three facts the server checks before running it.
+/// and the three facts the server checks before running it.
 /// [`COMMANDS`] is the complete, closed list — a description of the
 /// protocol, not a registry to extend at run time.
 pub struct Command {
     /// Wire name (the `op` member, and the first word of a text line).
     pub name: &'static str,
     pub(crate) args: &'static [Arg],
-    pub(crate) class: Class,
     /// A standby refuses it with `not_primary`.
     pub(crate) primary_only: bool,
     /// Cheap to retry: refused with `overloaded` while the backlog is
@@ -361,15 +348,14 @@ macro_rules! command {
     // journaled operation carries the verb's own arguments.
     (turn $name:literal, ($($arg:ident: $kind:expr),*), $($op:tt)+) => {
         command!(
-            $name, Turn, [primary_only, rate_limited],
+            $name, [primary_only, rate_limited],
             (session: UINT, seq: UINT.optional() $(, $arg: $kind)*),
             Verb::Apply { session, seq, op: $($op)+ }
         )
     };
-    ($name:literal, $class:ident, [$($fact:ident),*], ($($arg:ident: $kind:expr),*), $($verb:tt)+) => {
+    ($name:literal, [$($fact:ident),*], ($($arg:ident: $kind:expr),*), $($verb:tt)+) => {
         Command {
             name: $name,
-            class: Class::$class,
             args: &[$(Arg { name: stringify!($arg), ..$kind }),*],
             $($fact: true,)*
             build: |vals| {
@@ -389,7 +375,6 @@ macro_rules! command {
 const NO_FACTS: Command = Command {
     name: "",
     args: &[],
-    class: Class::Fleet,
     primary_only: false,
     sheddable: false,
     rate_limited: false,
@@ -401,8 +386,8 @@ const NO_FACTS: Command = Command {
 // Rows without arguments leave the macro's `vals` iterator untouched.
 #[allow(unused_mut, unused_variables)]
 pub static COMMANDS: [Command; 22] = [
-    command!("ping", Fleet, [], (), Verb::Ping),
-    command!("create", Fleet, [primary_only], (), Verb::Create),
+    command!("ping", [], (), Verb::Ping),
+    command!("create", [primary_only], (), Verb::Create),
     command!(turn "add", (value: REST), SessionOp::AddExample(value)),
     command!(turn "remove", (value: REST), SessionOp::RemoveExample(value)),
     command!(turn "target", (table: WORD, column: REST), SessionOp::SetTarget { table, column }),
@@ -413,17 +398,17 @@ pub static COMMANDS: [Command; 22] = [
     command!(turn "unban", (key: REST), SessionOp::UnbanFilter(key)),
     command!(turn "choose", (example: REST, pk: INT), SessionOp::ChooseEntity { example, pk }),
     command!(turn "unchoose", (example: REST), SessionOp::ClearChoice(example)),
-    command!("suggest", Read, [sheddable], (session: UINT, k: UINT.or(3)), Verb::Suggest { session, k }),
-    command!("sql", Read, [], (session: UINT), Verb::Sql { session }),
-    command!("rows", Read, [], (session: UINT, limit: UINT.or(10)), Verb::Rows { session, limit }),
-    command!("examples", Read, [], (session: UINT), Verb::Examples { session }),
+    command!("suggest", [sheddable], (session: UINT, k: UINT.or(3)), Verb::Suggest { session, k }),
+    command!("sql", [], (session: UINT), Verb::Sql { session }),
+    command!("rows", [], (session: UINT, limit: UINT.or(10)), Verb::Rows { session, limit }),
+    command!("examples", [], (session: UINT), Verb::Examples { session }),
     // Only the fleet-wide form is shed (see `server::admit`).
-    command!("stats", Fleet, [sheddable], (session: UINT.optional()), Verb::Stats { session }),
-    command!("health", Fleet, [], (), Verb::Health),
-    command!("close", Read, [primary_only], (session: UINT), Verb::Close { session }),
-    command!("shutdown", Fleet, [], (), Verb::Shutdown),
-    command!("client", Fleet, [], (client: REST), Verb::Client { id: client }),
-    command!("promote", Fleet, [], (), Verb::Promote),
+    command!("stats", [sheddable], (session: UINT.optional()), Verb::Stats { session }),
+    command!("health", [], (), Verb::Health),
+    command!("close", [primary_only], (session: UINT), Verb::Close { session }),
+    command!("shutdown", [], (), Verb::Shutdown),
+    command!("client", [], (client: REST), Verb::Client { id: client }),
+    command!("promote", [], (), Verb::Promote),
 ];
 
 impl Command {
@@ -469,10 +454,6 @@ impl Verb {
     /// The wire name of this verb (the `op` member of its response).
     pub fn name(&self) -> &'static str {
         self.parts().map_or("apply", |(c, _)| c.name)
-    }
-
-    pub(crate) fn class(&self) -> Class {
-        self.parts().map_or(Class::Turn, |(c, _)| c.class)
     }
 
     /// The session this verb addresses, if it takes one.

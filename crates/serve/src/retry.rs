@@ -15,7 +15,7 @@
 //! and `rate_limited` refusals carry a `retry_after_ms` hint, and the
 //! backoff never sleeps less than the server asked for. Everything the
 //! wrapper does on the caller's behalf is counted in [`RetryCounters`]
-//! so load reports and the chaos harness can surface it.
+//! so `squid-serve --client` and the chaos harness can surface it.
 //!
 //! With a replicated pair ([`crate::replication`]) the wrapper is also
 //! the failover path: [`RetryClient::fleet`] takes every known address,

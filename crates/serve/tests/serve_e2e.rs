@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use squid_adb::{test_fixtures, ADb};
 use squid_core::{FsyncPolicy, Journal, SessionManager, SessionOp};
-use squid_serve::{json::Json, run_load, Client, ClientError, LoadConfig, ServeConfig, Server};
+use squid_serve::{json::Json, parse_line, Client, ClientError, RetryClient, ServeConfig, Server};
 
 fn test_adb() -> Arc<ADb> {
     Arc::new(ADb::build(&test_fixtures::mini_imdb()).unwrap())
@@ -284,29 +284,56 @@ fn abandoned_fleet_with_always_fsync_is_recoverable_without_shutdown() {
 #[test]
 fn eight_concurrent_clients_replay_ten_turn_scripts_without_errors() {
     let server = start_with(test_adb(), ServeConfig::default());
-    let cfg = LoadConfig {
-        clients: 8,
-        sessions_per_client: 2,
-        script: [
-            "add Jim Carrey",
-            "add Eddie Murphy",
-            "sql",
-            "suggest 2",
-            "rows 5",
-            "add Robin Williams",
-            "remove Eddie Murphy",
-            "sql",
-            "rows 3",
-            "suggest 1",
-        ]
-        .map(String::from)
-        .to_vec(),
-    };
-    let report = run_load(server.local_addr(), &cfg).unwrap();
-    assert_eq!(report.errors, 0, "serving under load must be error-free");
-    assert_eq!(report.sessions, 16);
-    assert_eq!(report.turns, 160);
-    assert!(report.turn_p99 >= report.turn_p50);
+    let addr = server.local_addr().to_string();
+    let script = [
+        "add Jim Carrey",
+        "add Eddie Murphy",
+        "sql",
+        "suggest 2",
+        "rows 5",
+        "add Robin Williams",
+        "remove Eddie Murphy",
+        "sql",
+        "rows 3",
+        "suggest 1",
+    ];
+    // 8 clients, each replaying 2 sessions of the script on its own
+    // connection; failures are counted, not unwrapped, so the totals say
+    // how the server held up.
+    let (closed, replies, errors) = std::thread::scope(|scope| {
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = RetryClient::new(addr.as_str());
+                    let (mut closed, mut replies, mut errors) = (0, 0, 0);
+                    for _ in 0..2 {
+                        let Ok(sid) = client.create() else {
+                            errors += 1;
+                            continue;
+                        };
+                        for line in script {
+                            match client.send(parse_line(line, Some(sid)).unwrap()) {
+                                Ok(_) => replies += 1,
+                                Err(_) => errors += 1,
+                            }
+                        }
+                        match client.close(sid) {
+                            Ok(()) => closed += 1,
+                            Err(_) => errors += 1,
+                        }
+                    }
+                    (closed, replies, errors)
+                })
+            })
+            .collect();
+        clients
+            .into_iter()
+            .map(|c| c.join().unwrap())
+            .fold((0, 0, 0), |t, c| (t.0 + c.0, t.1 + c.1, t.2 + c.2))
+    });
+    assert_eq!(errors, 0, "serving under load must be error-free");
+    assert_eq!(closed, 16);
+    assert_eq!(replies, 160);
 
     let metrics = server.metrics();
     assert_eq!(metrics.protocol_errors, 0);

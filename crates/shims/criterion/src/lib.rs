@@ -189,32 +189,6 @@ impl Criterion {
         self
     }
 
-    /// Record an externally measured value (nanoseconds) under a
-    /// benchmark id — for numbers a closure-timing harness cannot
-    /// produce, like latency percentiles from a concurrent load run.
-    /// The record lands in the same JSON as timed benchmarks. No-op in
-    /// test mode (shim extension; not part of the real criterion API).
-    pub fn record(&mut self, id: impl Display, mean_ns: f64) -> &mut Self {
-        if self.test_mode {
-            return self;
-        }
-        let id = id.to_string();
-        eprintln!("bench {id:<50} {mean_ns:>12.1} ns (recorded)");
-        self.records.push(BenchRecord {
-            id,
-            mean_ns,
-            iters: 1,
-        });
-        self
-    }
-
-    /// Whether the harness is in `cargo test` smoke mode (single
-    /// iteration, no JSON) — benches use this to shrink expensive
-    /// external setups (shim extension).
-    pub fn is_test_mode(&self) -> bool {
-        self.test_mode
-    }
-
     /// Open a named benchmark group.
     pub fn benchmark_group(&mut self, name: impl Into<String>) -> BenchmarkGroup<'_> {
         BenchmarkGroup {
@@ -362,30 +336,6 @@ mod tests {
         assert_eq!(measurements, 3, "each run re-measures");
         assert_eq!(c.records.len(), 1, "only the best run is recorded");
         assert!(c.records[0].iters > 0);
-        c.records.clear(); // avoid Drop writing JSON in tests
-    }
-
-    #[test]
-    fn record_logs_external_measurements() {
-        let mut c = Criterion {
-            budget: Duration::from_millis(1),
-            runs: 1,
-            test_mode: false,
-            records: Vec::new(),
-        };
-        c.record("serving_tail/p99", 1234.5);
-        assert_eq!(c.records.len(), 1);
-        assert_eq!(c.records[0].id, "serving_tail/p99");
-        assert_eq!(c.records[0].mean_ns, 1234.5);
-        // Test mode drops records instead of polluting the smoke output.
-        let mut t = Criterion {
-            budget: Duration::from_millis(1),
-            runs: 1,
-            test_mode: true,
-            records: Vec::new(),
-        };
-        t.record("serving_tail/p99", 1.0);
-        assert!(t.records.is_empty());
         c.records.clear(); // avoid Drop writing JSON in tests
     }
 
