@@ -769,7 +769,9 @@ fn compute_stats(
 fn derived_rows(stats: &PropStats) -> Option<usize> {
     match stats {
         PropStats::Derived(d) => Some(d.association_count()),
-        PropStats::DerivedNumeric(d) => Some(d.per_entity.iter().map(Vec::len).sum()),
+        PropStats::DerivedNumeric(d) => {
+            Some((0..d.entity_count()).map(|r| d.counts_of(r).len()).sum())
+        }
         PropStats::Categorical(_) | PropStats::Numeric(_) => None,
     }
 }
@@ -840,9 +842,9 @@ fn build_derived(
             }
         }
         PropStats::DerivedNumeric(d) => {
-            for (rid, ents) in d.per_entity.iter().enumerate() {
-                for &(x, c) in ents {
-                    ent.push_value(&pk_vals[rid])?;
+            for (rid, pk) in pk_vals.iter().enumerate().take(d.entity_count()) {
+                for &(x, c) in d.counts_of(rid) {
+                    ent.push_value(pk)?;
                     val.push_float(x);
                     cnt.push_int(c as i64);
                 }

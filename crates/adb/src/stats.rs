@@ -1,8 +1,9 @@
 //! Precomputed per-property statistics: exactly the information SQuID's
 //! online phase needs to compute filter selectivities ψ(φ) and domain
-//! coverages in O(log n) ("smart selectivity computation", Section 5) —
-//! and, from the same arrays, each filter's satisfying rows without
-//! touching an entity that does not satisfy it.
+//! coverages in O(log n) ("smart selectivity computation", Section 5; a
+//! normalized fraction walks one value's postings) — and, from the same
+//! arrays, each filter's satisfying rows without touching an entity that
+//! does not satisfy it.
 //!
 //! ## Postings layout
 //!
@@ -32,6 +33,27 @@
 //! per-row filter definition (`CandidateFilter::matches_row` in
 //! squid-core) — the oracle every set-algebra path is tested against —
 //! reads nothing else.
+//!
+//! ## One store per fact
+//!
+//! Every figure the online phase reads comes from the array evaluation
+//! walks, so no figure has a second copy to keep in step:
+//!
+//! * ψ_eq, ψ_in and the categorical domain: `value_rows`, whose lengths are
+//!   O(1) ([`ValueRows::len`]).
+//! * ψ of a numeric range: the length of its slice of `sorted_rows`
+//!   ([`NumericStats::rows_in_range`]); min, max and coverage: the two
+//!   ends of `sorted_rows`.
+//! * ψ of `⟨A, v, θ⟩` and `⟨A ≥ c, θ⟩`: the length of a θ-suffix of the
+//!   value's or cutpoint's postings.
+//! * Normalized ψ (`⟨A, v, frac⟩`): one walk over `v`'s postings, keeping
+//!   each whose count over its entity's total (`entity_totals`) reaches
+//!   `frac` ([`DerivedStats::reaches_share`], the test evaluation walks
+//!   too). A posting's count is its entity's run count, so the share is
+//!   the same float the per-row definition computes.
+//!
+//! The four statistics types are built only by their constructors and
+//! keep their fields private, so every [`PropStats`] has its postings.
 //!
 //! The constructors grow these arrays by pushes and trim each one to its
 //! length (`shrink_to_fit`) once it is complete, and allocate a direct
@@ -116,6 +138,37 @@ fn posting_count(posting: u64) -> u64 {
     posting >> 32
 }
 
+/// ψ of a filter that `count` of `n` entities satisfy (0 over no entities).
+#[inline]
+fn psi(count: usize, n: usize) -> f64 {
+    if n == 0 {
+        0.0
+    } else {
+        count as f64 / n as f64
+    }
+}
+
+/// Domain coverage of a filter that names `k` of `domain` distinct values
+/// (1 over an empty domain).
+fn value_coverage(k: usize, domain: usize) -> f64 {
+    match domain {
+        0 => 1.0,
+        d => (k as f64 / d as f64).min(1.0),
+    }
+}
+
+/// Domain coverage of `[l, h]` relative to the active domain `[min, max]`
+/// (1 over an empty or one-point domain).
+fn span_coverage(domain: Option<(f64, f64)>, l: f64, h: f64) -> f64 {
+    let Some((min, max)) = domain else {
+        return 1.0;
+    };
+    if max <= min {
+        return 1.0;
+    }
+    ((h.min(max) - l.max(min)) / (max - min)).clamp(0.0, 1.0)
+}
+
 /// The suffix of ascending `count << 32 | row` postings with count ≥ θ.
 #[inline]
 fn count_suffix(postings: &[u64], theta: u64) -> &[u64] {
@@ -125,15 +178,13 @@ fn count_suffix(postings: &[u64], theta: u64) -> &[u64] {
 /// Statistics for a categorical property (direct attribute or a property
 /// table reached through one fact hop). Multi-valued per entity in the
 /// fact-hop case (a movie can have several genres).
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoricalStats {
-    /// For each value: how many *distinct entities* carry it.
-    pub value_entity_counts: FxHashMap<Value, usize>,
     /// Per-entity value sets, indexed by entity row id.
-    pub per_entity: Vec<Vec<Value>>,
+    per_entity: Vec<Vec<Value>>,
     /// For each value: the entity rows carrying it — the postings that let
     /// `attr = v` filters hand over their matches instead of scanning all
-    /// entities.
+    /// entities. Their lengths are the entity counts ψ reads.
     value_rows: FxHashMap<Value, ValueRows>,
 }
 
@@ -162,75 +213,53 @@ impl CategoricalStats {
                 lists.entry(*v).or_default().push(rid);
             }
         }
-        let mut value_entity_counts: FxHashMap<Value, usize> = FxHashMap::default();
-        let mut value_rows: FxHashMap<Value, ValueRows> = FxHashMap::default();
-        value_entity_counts.reserve(lists.len());
-        value_rows.reserve(lists.len());
-        for (v, rows) in lists {
-            value_entity_counts.insert(v, rows.len());
-            value_rows.insert(v, ValueRows::from_rows(rows, n));
-        }
+        let value_rows: FxHashMap<Value, ValueRows> = lists
+            .into_iter()
+            .map(|(v, rows)| (v, ValueRows::from_rows(rows, n)))
+            .collect();
         CategoricalStats {
-            value_entity_counts,
             per_entity,
             value_rows,
         }
     }
 
-    /// Entity rows carrying value `v` (`None` when `v` is absent) —
-    /// callers gating on [`CategoricalStats::enumerable`] can trust this
-    /// as the exact satisfying set of `attr = v`.
+    /// Entity rows carrying value `v` (`None` when `v` is absent): the
+    /// exact satisfying set of `attr = v`.
     pub fn rows_with(&self, v: &Value) -> Option<&ValueRows> {
         self.value_rows.get(v)
     }
 
-    /// Whether the row postings are populated (hand-assembled stats may
-    /// fill only the count fields; those must fall back to scanning).
-    pub fn enumerable(&self) -> bool {
-        !self.value_rows.is_empty() || self.value_entity_counts.is_empty()
+    /// Number of distinct entities carrying `v`.
+    fn count_with(&self, v: &Value) -> usize {
+        self.value_rows.get(v).map_or(0, ValueRows::len)
     }
 
     /// Number of distinct values in the active domain.
     pub fn domain_size(&self) -> usize {
-        self.value_entity_counts.len()
+        self.value_rows.len()
     }
 
     /// ψ(φ⟨A, v, ⊥⟩) relative to `n` entities.
     pub fn selectivity_eq(&self, v: &Value, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        *self.value_entity_counts.get(v).unwrap_or(&0) as f64 / n as f64
+        psi(self.count_with(v), n)
     }
 
     /// ψ of a disjunctive `IN` filter (sum of per-value entity counts; an
     /// upper bound that is exact when values are mutually exclusive, as for
     /// single-valued attributes).
     pub fn selectivity_in(&self, values: &[Value], n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let total: usize = values
-            .iter()
-            .map(|v| *self.value_entity_counts.get(v).unwrap_or(&0))
-            .sum();
-        (total as f64 / n as f64).min(1.0)
+        let total: usize = values.iter().map(|v| self.count_with(v)).sum();
+        psi(total, n).min(1.0)
     }
 
     /// Domain coverage of an equality filter: 1/|domain|.
     pub fn coverage_eq(&self) -> f64 {
-        match self.domain_size() {
-            0 => 1.0,
-            d => 1.0 / d as f64,
-        }
+        value_coverage(1, self.domain_size())
     }
 
     /// Domain coverage of an `IN` filter with `k` values.
     pub fn coverage_in(&self, k: usize) -> f64 {
-        match self.domain_size() {
-            0 => 1.0,
-            d => (k as f64 / d as f64).min(1.0),
-        }
+        value_coverage(k, self.domain_size())
     }
 
     /// Value set of one entity.
@@ -242,21 +271,18 @@ impl CategoricalStats {
     }
 }
 
-/// Statistics for a direct numeric attribute. Stores the sorted distinct
-/// values with prefix counts so that ψ(φ⟨A, [l, h], ⊥⟩) is two binary
-/// searches — the paper's trick of only precomputing
-/// ψ(φ⟨A, [min, v], ⊥⟩) for every v.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Statistics for a direct numeric attribute. Stores the non-null
+/// `(value, row)` pairs ascending by value, so that ψ(φ⟨A, [l, h], ⊥⟩) and
+/// the range's rows are the slice between two binary searches — the
+/// paper's trick of only precomputing ψ(φ⟨A, [min, v], ⊥⟩) for every v,
+/// with the position in the array as the prefix count.
+#[derive(Debug, Clone, PartialEq)]
 pub struct NumericStats {
-    /// Distinct values ascending.
-    pub sorted_values: Vec<f64>,
-    /// `prefix[i]` = number of entities with value ≤ `sorted_values[i]`.
-    pub prefix: Vec<usize>,
     /// Per-entity value (None for null).
-    pub per_entity: Vec<Option<f64>>,
+    per_entity: Vec<Option<f64>>,
     /// `(value, row)` pairs ascending by value: range filters enumerate
     /// their matches with two binary searches.
-    pub sorted_rows: Vec<(f64, RowId)>,
+    sorted_rows: Vec<(f64, RowId)>,
 }
 
 impl NumericStats {
@@ -276,26 +302,7 @@ impl NumericStats {
             .filter_map(|(rid, v)| v.map(|x| (x, rid)))
             .collect();
         sorted_rows.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut vals: Vec<f64> = per_entity.iter().flatten().copied().collect();
-        vals.sort_by(f64::total_cmp);
-        let mut sorted_values = Vec::new();
-        let mut prefix = Vec::new();
-        let mut running = 0usize;
-        let mut i = 0;
-        while i < vals.len() {
-            let v = vals[i];
-            let mut j = i;
-            while j < vals.len() && vals[j] == v {
-                j += 1;
-            }
-            running += j - i;
-            sorted_values.push(v);
-            prefix.push(running);
-            i = j;
-        }
         NumericStats {
-            sorted_values,
-            prefix,
             per_entity,
             sorted_rows,
         }
@@ -320,60 +327,25 @@ impl NumericStats {
         &self.sorted_rows[start.min(end)..end]
     }
 
-    /// Whether the row postings are populated (hand-assembled stats may
-    /// fill only `per_entity`; those must fall back to scanning).
-    pub fn enumerable(&self) -> bool {
-        !self.sorted_rows.is_empty() || self.per_entity.iter().all(Option::is_none)
-    }
-
-    /// Number of entities with value ≤ `x`.
-    fn count_le(&self, x: f64) -> usize {
-        let idx = self.sorted_values.partition_point(|&v| v <= x);
-        if idx == 0 {
-            0
-        } else {
-            self.prefix[idx - 1]
-        }
-    }
-
-    /// ψ(φ⟨A, [l, h], ⊥⟩) relative to `n` entities.
+    /// ψ(φ⟨A, [l, h], ⊥⟩) relative to `n` entities: the length of the
+    /// range's postings ([`NumericStats::rows_in_range`]).
     pub fn selectivity_range(&self, l: f64, h: f64, n: usize) -> f64 {
-        if n == 0 || h < l {
-            return 0.0;
-        }
-        // Exact: count ≤ h minus count < l. Compute count < l via ≤ on the
-        // predecessor distinct value.
-        let lt_l = {
-            let idx = self.sorted_values.partition_point(|&v| v < l);
-            if idx == 0 {
-                0
-            } else {
-                self.prefix[idx - 1]
-            }
-        };
-        (self.count_le(h) - lt_l) as f64 / n as f64
+        psi(self.rows_in_range(l, h).len(), n)
     }
 
     /// Domain coverage of `[l, h]` relative to the active domain span.
     pub fn coverage_range(&self, l: f64, h: f64) -> f64 {
-        let (Some(&min), Some(&max)) = (self.sorted_values.first(), self.sorted_values.last())
-        else {
-            return 1.0;
-        };
-        if max <= min {
-            return 1.0;
-        }
-        ((h.min(max) - l.max(min)) / (max - min)).clamp(0.0, 1.0)
+        span_coverage(self.min().zip(self.max()), l, h)
     }
 
     /// Smallest observed value.
     pub fn min(&self) -> Option<f64> {
-        self.sorted_values.first().copied()
+        self.sorted_rows.first().map(|&(v, _)| v)
     }
 
     /// Largest observed value.
     pub fn max(&self) -> Option<f64> {
-        self.sorted_values.last().copied()
+        self.sorted_rows.last().map(|&(v, _)| v)
     }
 
     /// Value of one entity.
@@ -391,7 +363,7 @@ impl NumericStats {
 /// one shared arena (`runs` + `offsets`) instead of one little hash map
 /// per entity: αDB construction allocates two vectors per property rather
 /// than one map per entity, and per-entity reads walk a contiguous slice.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DerivedStats {
     /// Shared arena: entity `r`'s run is `runs[offsets[r]..offsets[r+1]]`,
     /// sorted by [`run_cmp`] (a cheap deterministic value order) with
@@ -400,13 +372,11 @@ pub struct DerivedStats {
     /// `n + 1` arena offsets (empty when no entities).
     offsets: Vec<u32>,
     /// Per entity row: total association count (for normalization).
-    pub entity_totals: Vec<u64>,
+    entity_totals: Vec<u64>,
     /// For each value: one `count << 32 | row` posting per entity with
     /// count > 0, ascending — by count, then row — so the entities
     /// satisfying `⟨A, v, θ⟩` are a suffix (see the module docs).
     theta_postings: FxHashMap<Value, Vec<u64>>,
-    /// For each value: ascending per-entity fractions count/total.
-    pub value_frac_dists: FxHashMap<Value, Vec<f64>>,
 }
 
 /// Cheap total order for derived-run values: the primary key compares
@@ -430,17 +400,6 @@ fn run_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
 }
 
 impl DerivedStats {
-    /// Build from per-entity count maps (the hand-assembly/test path; hot
-    /// builders accumulate raw runs and use [`DerivedStats::from_runs`]).
-    pub fn build(per_entity: Vec<FxHashMap<Value, u64>>) -> Self {
-        Self::from_runs(
-            per_entity
-                .into_iter()
-                .map(|m| m.into_iter().collect())
-                .collect(),
-        )
-    }
-
     /// Build from raw per-entity `(value, count)` runs — unsorted, with
     /// duplicate values allowed (they coalesce by summing). This is the
     /// αDB build path: fact scans push pairs, no per-entity hash maps.
@@ -449,7 +408,7 @@ impl DerivedStats {
         let mut offsets: Vec<u32> = Vec::with_capacity(per_entity.len() + 1);
         offsets.push(0);
         let mut entity_totals: Vec<u64> = Vec::with_capacity(per_entity.len());
-        let mut dists: FxHashMap<Value, (Vec<u64>, Vec<f64>)> = FxHashMap::default();
+        let mut theta_postings: FxHashMap<Value, Vec<u64>> = FxHashMap::default();
         for (row, ent) in per_entity.iter_mut().enumerate() {
             ent.sort_unstable_by(|a, b| run_cmp(&a.0, &b.0));
             ent.dedup_by(|next, acc| {
@@ -464,32 +423,25 @@ impl DerivedStats {
             let total: u64 = ent.iter().map(|(_, c)| c).sum();
             entity_totals.push(total);
             for &(v, c) in ent.iter() {
-                let (postings, fd) = dists.entry(v).or_default();
-                postings.push(pack_posting(c, row));
-                fd.push(c as f64 / total as f64);
+                theta_postings
+                    .entry(v)
+                    .or_default()
+                    .push(pack_posting(c, row));
             }
             runs.extend_from_slice(ent);
             offsets.push(u32::try_from(runs.len()).expect("derived arena exceeds u32 range"));
         }
-        let mut theta_postings: FxHashMap<Value, Vec<u64>> = FxHashMap::default();
-        let mut value_frac_dists: FxHashMap<Value, Vec<f64>> = FxHashMap::default();
-        theta_postings.reserve(dists.len());
-        value_frac_dists.reserve(dists.len());
         runs.shrink_to_fit();
-        for (v, (mut postings, mut fd)) in dists {
+        theta_postings.shrink_to_fit();
+        for postings in theta_postings.values_mut() {
             postings.sort_unstable();
             postings.shrink_to_fit();
-            fd.sort_by(f64::total_cmp);
-            fd.shrink_to_fit();
-            theta_postings.insert(v, postings);
-            value_frac_dists.insert(v, fd);
         }
         DerivedStats {
             runs,
             offsets,
             entity_totals,
             theta_postings,
-            value_frac_dists,
         }
     }
 
@@ -521,31 +473,30 @@ impl DerivedStats {
 
     /// ψ(φ⟨A, v, θ⟩) relative to `n` entities.
     pub fn selectivity(&self, v: &Value, theta: u64, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.postings_ge(v, theta).len() as f64 / n as f64
+        psi(self.postings_ge(v, theta).len(), n)
     }
 
     /// ψ of a *normalized* filter: fraction of entities whose share of
-    /// associations to `v` is at least `frac` (case-study mode, §7.4).
+    /// associations to `v` is at least `frac` (case-study mode, §7.4) — one
+    /// walk over `v`'s postings with [`DerivedStats::reaches_share`].
     pub fn selectivity_frac(&self, v: &Value, frac: f64, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let Some(dist) = self.value_frac_dists.get(v) else {
-            return 0.0;
-        };
-        let below = dist.partition_point(|&c| c < frac);
-        (dist.len() - below) as f64 / n as f64
+        let postings = self.postings_ge(v, 0);
+        let reaching = postings.iter().filter(|&&p| self.reaches_share(p, frac));
+        psi(reaching.count(), n)
+    }
+
+    /// Whether the entity of `posting`, one of some value's postings, gives
+    /// at least `frac` of its associations to that value: the normalized
+    /// filter's test, which ψ and evaluation both walk.
+    #[inline]
+    pub fn reaches_share(&self, posting: u64, frac: f64) -> bool {
+        let total = self.entity_totals[posting_row(posting)];
+        posting_count(posting) as f64 / total as f64 >= frac
     }
 
     /// Domain coverage of an equality-on-value filter.
     pub fn coverage_eq(&self) -> f64 {
-        match self.domain_size() {
-            0 => 1.0,
-            d => 1.0 / d as f64,
-        }
+        value_coverage(1, self.domain_size())
     }
 
     /// One entity's `(value, count)` run, ascending by value (empty for
@@ -567,25 +518,28 @@ impl DerivedStats {
         }
     }
 
+    /// Total association count of one entity (0 for out-of-range rows).
+    pub fn total_of(&self, row: RowId) -> u64 {
+        self.entity_totals.get(row).copied().unwrap_or(0)
+    }
+
     /// Normalized share of one entity's associations going to `v`.
     pub fn frac_of(&self, row: RowId, v: &Value) -> f64 {
-        let total = self.entity_totals.get(row).copied().unwrap_or(0);
-        if total == 0 {
-            0.0
-        } else {
-            self.count_of(row, v) as f64 / total as f64
+        match self.total_of(row) {
+            0 => 0.0,
+            total => self.count_of(row, v) as f64 / total as f64,
         }
     }
 }
 
 /// Statistics for a derived property over a *numeric* mid-entity attribute
 /// (e.g. number of movies with `year >= c`). Supports suffix-range filters.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DerivedNumericStats {
     /// Per entity row: ascending `(attribute value, association count)`.
-    pub per_entity: Vec<Vec<(f64, u64)>>,
+    per_entity: Vec<Vec<(f64, u64)>>,
     /// Sorted distinct attribute values (candidate cutpoints).
-    pub cutpoints: Vec<f64>,
+    cutpoints: Vec<f64>,
     /// For each cutpoint: one `suffix count << 32 | row` posting per entity
     /// with a positive suffix count (#associations with value ≥ cutpoint),
     /// ascending, so the entities satisfying `⟨A ≥ c, θ⟩` are a suffix
@@ -631,10 +585,20 @@ impl DerivedNumericStats {
         }
     }
 
-    /// Whether the per-cutpoint postings are populated (hand-assembled
-    /// stats may fill only `per_entity`; those must fall back to scanning).
-    pub fn enumerable(&self) -> bool {
-        !self.per_cut_postings.is_empty() || self.per_entity.iter().all(Vec::is_empty)
+    /// Sorted distinct attribute values: the candidate cutpoints.
+    pub fn cutpoints(&self) -> &[f64] {
+        &self.cutpoints
+    }
+
+    /// Number of entities the statistics cover.
+    pub fn entity_count(&self) -> usize {
+        self.per_entity.len()
+    }
+
+    /// One entity's `(attribute value, count)` run, ascending by value
+    /// (empty for out-of-range rows).
+    pub fn counts_of(&self, row: RowId) -> &[(f64, u64)] {
+        self.per_entity.get(row).map_or(&[], Vec::as_slice)
     }
 
     /// The `count << 32 | row` postings ([`posting_row`]) of exactly the
@@ -642,7 +606,11 @@ impl DerivedNumericStats {
     pub fn postings_ge(&self, cut: f64, theta: u64) -> &[u64] {
         // Snap to the smallest cutpoint ≥ cut (suffix counts are piecewise
         // constant between cutpoints).
-        let ci = self.cutpoints.partition_point(|&c| c < cut);
+        self.postings_at(self.cutpoints.partition_point(|&c| c < cut), theta)
+    }
+
+    /// The postings of cutpoint *index* `ci` with suffix count ≥ `theta`.
+    fn postings_at(&self, ci: usize, theta: u64) -> &[u64] {
         self.per_cut_postings
             .get(ci)
             .map_or(&[], |postings| count_suffix(postings, theta))
@@ -651,54 +619,32 @@ impl DerivedNumericStats {
     /// Fill `out[ci]` with this entity's suffix count at every cutpoint
     /// (one descending walk; `out` is resized to `cutpoints.len()`).
     pub fn suffix_counts_into(&self, row: RowId, out: &mut Vec<u64>) {
-        match self.per_entity.get(row) {
-            Some(ent) => suffix_walk(ent, &self.cutpoints, out),
-            None => {
-                out.clear();
-                out.resize(self.cutpoints.len(), 0);
-            }
-        }
+        suffix_walk(self.counts_of(row), &self.cutpoints, out);
     }
 
     /// Suffix count for one entity: #associations with value ≥ `cut`.
     pub fn suffix_count_of(&self, row: RowId, cut: f64) -> u64 {
-        let Some(ent) = self.per_entity.get(row) else {
-            return 0;
-        };
+        let ent = self.counts_of(row);
         let start = ent.partition_point(|&(x, _)| x < cut);
         ent[start..].iter().map(|(_, c)| c).sum()
     }
 
     /// ψ(φ⟨A ≥ cut, θ⟩): fraction of entities with suffix count ≥ θ.
     pub fn selectivity_ge(&self, cut: f64, theta: u64, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        self.postings_ge(cut, theta).len() as f64 / n as f64
+        psi(self.postings_ge(cut, theta).len(), n)
     }
 
     /// ψ at cutpoint *index* `ci` — the candidate-emission fast path: the
     /// frontier scan already walks cutpoints by index, so it must not pay
     /// the cut-snapping binary search per point.
     pub fn selectivity_at(&self, ci: usize, theta: u64, n: usize) -> f64 {
-        if n == 0 {
-            return 0.0;
-        }
-        let Some(postings) = self.per_cut_postings.get(ci) else {
-            return 0.0;
-        };
-        count_suffix(postings, theta).len() as f64 / n as f64
+        psi(self.postings_at(ci, theta).len(), n)
     }
 
     /// Domain coverage of the suffix range `[cut, max]`.
     pub fn coverage_ge(&self, cut: f64) -> f64 {
-        let (Some(&min), Some(&max)) = (self.cutpoints.first(), self.cutpoints.last()) else {
-            return 1.0;
-        };
-        if max <= min {
-            return 1.0;
-        }
-        ((max - cut.max(min)) / (max - min)).clamp(0.0, 1.0)
+        let (first, last) = (self.cutpoints.first(), self.cutpoints.last());
+        span_coverage(first.copied().zip(last.copied()), cut, f64::INFINITY)
     }
 }
 
@@ -1252,21 +1198,6 @@ pub enum PropStats {
 }
 
 impl PropStats {
-    /// Whether the postings that hand over a filter's satisfying rows are
-    /// populated. True for everything [`ADb::build`](crate::ADb::build)
-    /// computes and [`ADb::load_snapshot`](crate::ADb::load_snapshot)
-    /// reads; false only for statistics assembled by hand from their
-    /// per-entity fields, which evaluation answers row by row. Derived
-    /// counts have no hand-assembled form (their run arena is private).
-    pub fn enumerable(&self) -> bool {
-        match self {
-            PropStats::Categorical(s) => s.enumerable(),
-            PropStats::Numeric(s) => s.enumerable(),
-            PropStats::Derived(_) => true,
-            PropStats::DerivedNumeric(s) => s.enumerable(),
-        }
-    }
-
     /// Estimated heap bytes of every array and map above.
     pub fn heap_bytes(&self) -> usize {
         fn nested<T>(outer: &Vec<Vec<T>>) -> usize {
@@ -1274,8 +1205,7 @@ impl PropStats {
         }
         match self {
             PropStats::Categorical(s) => {
-                map_bytes(&s.value_entity_counts)
-                    + nested(&s.per_entity)
+                nested(&s.per_entity)
                     + map_bytes(&s.value_rows)
                     + s.value_rows
                         .values()
@@ -1285,20 +1215,13 @@ impl PropStats {
                         })
                         .sum::<usize>()
             }
-            PropStats::Numeric(s) => {
-                vec_bytes(&s.sorted_values)
-                    + vec_bytes(&s.prefix)
-                    + vec_bytes(&s.per_entity)
-                    + vec_bytes(&s.sorted_rows)
-            }
+            PropStats::Numeric(s) => vec_bytes(&s.per_entity) + vec_bytes(&s.sorted_rows),
             PropStats::Derived(s) => {
                 vec_bytes(&s.runs)
                     + vec_bytes(&s.offsets)
                     + vec_bytes(&s.entity_totals)
                     + map_bytes(&s.theta_postings)
                     + s.theta_postings.values().map(vec_bytes).sum::<usize>()
-                    + map_bytes(&s.value_frac_dists)
-                    + s.value_frac_dists.values().map(vec_bytes).sum::<usize>()
             }
             PropStats::DerivedNumeric(s) => {
                 nested(&s.per_entity) + vec_bytes(&s.cutpoints) + nested(&s.per_cut_postings)
@@ -1317,10 +1240,9 @@ mod tests {
 
     #[test]
     fn categorical_selectivity_and_coverage() {
-        let mut s = CategoricalStats::default();
-        s.value_entity_counts.insert(v("Male"), 3);
-        s.value_entity_counts.insert(v("Female"), 3);
-        s.per_entity = vec![vec![v("Male")]; 3];
+        let mut sets = vec![vec![v("Male")]; 3];
+        sets.extend(vec![vec![v("Female")]; 3]);
+        let s = CategoricalStats::from_sets(sets);
         assert_eq!(s.selectivity_eq(&v("Male"), 6), 0.5);
         assert_eq!(s.selectivity_eq(&v("Other"), 6), 0.0);
         assert_eq!(s.coverage_eq(), 0.5);
@@ -1366,13 +1288,8 @@ mod tests {
     #[test]
     fn derived_selectivity_by_threshold() {
         // 4 entities; comedy counts 5, 3, 0, 1.
-        let mk = |pairs: &[(&str, u64)]| {
-            pairs
-                .iter()
-                .map(|(k, c)| (v(k), *c))
-                .collect::<FxHashMap<_, _>>()
-        };
-        let s = DerivedStats::build(vec![
+        let mk = |pairs: &[(&str, u64)]| pairs.iter().map(|(k, c)| (v(k), *c)).collect();
+        let s = DerivedStats::from_runs(vec![
             mk(&[("Comedy", 5)]),
             mk(&[("Comedy", 3), ("Drama", 1)]),
             mk(&[("Drama", 2)]),
@@ -1389,13 +1306,8 @@ mod tests {
 
     #[test]
     fn derived_normalized_fractions() {
-        let mk = |pairs: &[(&str, u64)]| {
-            pairs
-                .iter()
-                .map(|(k, c)| (v(k), *c))
-                .collect::<FxHashMap<_, _>>()
-        };
-        let s = DerivedStats::build(vec![
+        let mk = |pairs: &[(&str, u64)]| pairs.iter().map(|(k, c)| (v(k), *c)).collect();
+        let s = DerivedStats::from_runs(vec![
             mk(&[("Comedy", 3), ("Drama", 1)]), // 75% comedy
             mk(&[("Comedy", 1), ("Drama", 3)]), // 25% comedy
         ]);

@@ -6,6 +6,14 @@ use proptest::prelude::*;
 use squid_adb::{CategoricalStats, DerivedNumericStats, DerivedStats, NumericStats};
 use squid_relation::{FxHashMap, Value};
 
+/// Per-entity count maps as the `(value, count)` runs the builder takes.
+fn runs(per_entity: &[FxHashMap<Value, u64>]) -> Vec<Vec<(Value, u64)>> {
+    per_entity
+        .iter()
+        .map(|m| m.iter().map(|(v, c)| (*v, *c)).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -30,17 +38,6 @@ proptest! {
     }
 
     #[test]
-    fn numeric_prefix_counts_are_monotone(
-        vals in prop::collection::vec(-50i64..50, 1..60),
-    ) {
-        let stats = NumericStats::build(vals.iter().map(|&x| Some(x as f64)).collect());
-        for w in stats.prefix.windows(2) {
-            prop_assert!(w[0] <= w[1]);
-        }
-        prop_assert_eq!(*stats.prefix.last().unwrap(), vals.len());
-    }
-
-    #[test]
     fn derived_selectivity_is_exact(
         counts in prop::collection::vec(
             prop::collection::vec((0u8..4, 1u64..10), 0..5),
@@ -60,7 +57,7 @@ proptest! {
             })
             .collect();
         let n = per_entity.len();
-        let stats = DerivedStats::build(per_entity.clone());
+        let stats = DerivedStats::from_runs(runs(&per_entity));
         let key = Value::Int(value as i64);
         let expected = per_entity
             .iter()
@@ -91,7 +88,7 @@ proptest! {
             })
             .collect();
         let n = per_entity.len();
-        let stats = DerivedStats::build(per_entity.clone());
+        let stats = DerivedStats::from_runs(runs(&per_entity));
         let key = Value::Int(value as i64);
         let frac = frac_pct as f64 / 100.0;
         let expected = per_entity
@@ -150,13 +147,8 @@ proptest! {
         a in 0u8..5,
         b in 0u8..5,
     ) {
-        let mut stats = CategoricalStats::default();
-        for v in &vals {
-            *stats
-                .value_entity_counts
-                .entry(Value::Int(*v as i64))
-                .or_insert(0) += 1;
-        }
+        let stats =
+            CategoricalStats::from_sets(vals.iter().map(|v| vec![Value::Int(*v as i64)]).collect());
         let n = vals.len();
         let sa = stats.selectivity_eq(&Value::Int(a as i64), n);
         let sb = stats.selectivity_eq(&Value::Int(b as i64), n);

@@ -90,11 +90,12 @@ fn probes(p: &Property) -> Vec<(Value, u64, Vec<RowId>)> {
         PropStats::Derived(s) => (0..s.entity_count())
             .flat_map(|r| s.counts_of(r).iter().map(move |&(v, c)| (r, v, c)))
             .collect(),
-        PropStats::DerivedNumeric(s) => s
-            .per_entity
-            .iter()
-            .enumerate()
-            .flat_map(|(r, run)| run.iter().map(move |&(x, c)| (r, Value::Float(x), c)))
+        PropStats::DerivedNumeric(s) => (0..s.entity_count())
+            .flat_map(|r| {
+                s.counts_of(r)
+                    .iter()
+                    .map(move |&(x, c)| (r, Value::Float(x), c))
+            })
             .collect(),
         _ => unreachable!("only derived properties have derived tables"),
     };

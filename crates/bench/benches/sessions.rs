@@ -187,9 +187,9 @@ fn bench_wide_turns(c: &mut Criterion) {
     });
 
     // The session just before, and the example of, an add-only turn that
-    // newly chooses an enumerable filter matching > n/4 rows while at least
-    // n/2 rows survive: too wide to admit, so `restrict_rows` applies it to
-    // the previous result directly.
+    // newly chooses a postings-backed filter matching > n/4 rows while at
+    // least n/2 rows survive: too wide to admit, so `restrict_rows` applies
+    // it to the previous result directly.
     let (before, example) = (0..n)
         .find_map(|start| {
             let mut s = SquidSession::shared_with_params(Arc::clone(adb), params.clone());

@@ -333,7 +333,7 @@ fn emit_prop(
             // surprising (minimum selectivity) point on the
             // (c, θ(c)) frontier — abduction favors exactly that one.
             let mut best: Option<(f64, u64, f64)> = None; // (cut, θ, ψ)
-            for (ci, &cut) in s.cutpoints.iter().enumerate() {
+            for (ci, &cut) in s.cutpoints().iter().enumerate() {
                 let theta = thetas[ci];
                 if theta == 0 || theta == u64::MAX {
                     continue;
@@ -377,7 +377,7 @@ fn fresh_state(stats: &PropStats) -> PropState {
         },
         PropStats::Derived(_) => PropState::Derived { shared: Vec::new() },
         PropStats::DerivedNumeric(s) => PropState::DerivedNum {
-            thetas: vec![u64::MAX; s.cutpoints.len()],
+            thetas: vec![u64::MAX; s.cutpoints().len()],
         },
     }
 }
@@ -540,7 +540,7 @@ fn fold_first_row(state: &mut PropState, stats: &PropStats, row: RowId, buf: &mu
             // which depends on interner history; re-sort by `Value`'s total
             // order so emission stays canonical across processes.
             // A run holds positive counts, so its entity's total is too.
-            let total = s.entity_totals.get(row).copied().unwrap_or(0);
+            let total = s.total_of(row);
             *shared = s
                 .counts_of(row)
                 .iter()

@@ -34,8 +34,7 @@
 //!
 //! The cache decides one thing: whether a bitmap built from a slice is
 //! kept (`len ≤ max(n/4, 64)`). The per-row definition
-//! ([`evaluate_per_row`]) is the test oracle, and the fallback for
-//! statistics assembled by hand without postings.
+//! ([`evaluate_per_row`]) is the test oracle.
 
 use std::sync::Arc;
 
@@ -178,9 +177,7 @@ pub fn evaluate(entity: &EntityProps, filters: &[CandidateFilter]) -> RowSet {
 /// The per-row definition of evaluation: every row `r` with
 /// `f.matches_row(r)` for all `f` (none, when a filter names an unknown
 /// property). This is the oracle the set-algebra paths are property-tested
-/// against, and the answer for statistics assembled by hand without
-/// postings ([`PropStats::enumerable`] false) — nothing `ADb::build`
-/// computes (a snapshot load included) gets here.
+/// against.
 pub fn evaluate_per_row(entity: &EntityProps, filters: &[CandidateFilter]) -> RowSet {
     let mut resolved = Vec::with_capacity(filters.len());
     for f in filters {
@@ -255,9 +252,6 @@ pub(crate) enum Source<'a> {
     Dense(&'a RowSet),
     /// Postings to walk.
     Slice(Slice<'a>),
-    /// Statistics assembled by hand without postings (or of another kind
-    /// than the filter): only the per-row definition applies.
-    Unindexed,
 }
 
 /// The postings of one filter that is not held as a bitmap. The first
@@ -273,12 +267,11 @@ pub(crate) enum Slice<'a> {
     Range(&'a [(f64, RowId)]),
     /// The row sets of an `IN` list's values (`CatIn`).
     In(Vec<&'a ValueRows>),
-    /// The postings of every entity associated with `value`, each kept
+    /// The postings of every entity associated with a value, each kept
     /// when its share of associations reaches `frac` (`DerivedFrac`).
     Frac {
         postings: &'a [u64],
         stats: &'a DerivedStats,
-        value: &'a Value,
         frac: f64,
     },
 }
@@ -305,13 +298,11 @@ impl Slice<'_> {
             Slice::Frac {
                 postings,
                 stats,
-                value,
                 frac,
             } => postings
                 .iter()
-                .map(|&p| posting_row(p))
-                .filter(|&row| stats.frac_of(row, value) >= *frac)
-                .for_each(visit),
+                .filter(|&&p| stats.reaches_share(p, *frac))
+                .for_each(|&p| visit(posting_row(p))),
         }
     }
 
@@ -333,7 +324,6 @@ impl Source<'_> {
             Source::Cached(set) => set.len(),
             Source::Dense(set) => set.len(),
             Source::Slice(slice) => slice.len(),
-            Source::Unindexed => usize::MAX,
         }
     }
 
@@ -342,16 +332,16 @@ impl Source<'_> {
         match self {
             Source::Cached(set) => Some(set),
             Source::Dense(set) => Some(set),
-            Source::Slice(_) | Source::Unindexed => None,
+            Source::Slice(_) => None,
         }
     }
 
-    /// The set as an owned bitmap over `n` entities (`None` without
-    /// postings).
-    fn to_set(&self, n: usize) -> Option<RowSet> {
+    /// The set as an owned bitmap over `n` entities.
+    fn to_set(&self, n: usize) -> RowSet {
         match self {
-            Source::Slice(slice) => Some(slice.to_set(n)),
-            _ => self.bitmap().cloned(),
+            Source::Cached(set) => RowSet::clone(set),
+            Source::Dense(set) => RowSet::clone(set),
+            Source::Slice(slice) => slice.to_set(n),
         }
     }
 }
@@ -368,21 +358,21 @@ pub(crate) struct CacheSlot<'c> {
 ///
 /// Straight from the statistics: a dense categorical value is already a
 /// bitmap in the αDB and is served from there — never looked up, admitted
-/// or published; every other kind is a slice of postings. With a `slot`, a
-/// slice-backed filter resident in the cache is served from it, and a miss
-/// is worth materializing when the filter is *selective enough*,
-/// `len ≤ max(n/4, 64)`: a bitmap with most rows set costs a long
-/// walk to build yet removes almost nothing from an intersection, while
-/// restricting the surviving rows directly ([`violators`]) costs the
-/// cheaper of the two sides and stores nothing.
+/// or published; every other kind is a slice of postings. A filter whose
+/// kind differs from its property's statistics is an empty slice, as
+/// `matches_row` answers it.
+///
+/// With a `slot`, a slice-backed filter resident in the cache is served
+/// from it, and a miss is worth materializing when the filter is
+/// *selective enough*, `len ≤ max(n/4, 64)`: a bitmap with most rows set
+/// costs a long walk to build yet removes almost nothing from an
+/// intersection, while restricting the surviving rows directly
+/// ([`violators`]) costs the cheaper of the two sides and stores nothing.
 fn source<'a>(
     f: &'a CandidateFilter,
     prop: &'a Property,
     slot: Option<CacheSlot<'_>>,
 ) -> Source<'a> {
-    if !prop.stats.enumerable() {
-        return Source::Unindexed;
-    }
     let slice = match (&f.value, &prop.stats) {
         (FilterValue::CatEq(v), PropStats::Categorical(s)) => match s.rows_with(v) {
             Some(ValueRows::Dense(set)) => return Source::Dense(set),
@@ -401,13 +391,12 @@ fn source<'a>(
         (FilterValue::DerivedFrac { value, frac, .. }, PropStats::Derived(stats)) => Slice::Frac {
             postings: stats.postings_ge(value, 0),
             stats,
-            value,
             frac: *frac,
         },
         (FilterValue::DerivedGe { cut, theta }, PropStats::DerivedNumeric(s)) => {
             Slice::Postings(s.postings_ge(*cut, *theta))
         }
-        _ => return Source::Unindexed,
+        _ => Slice::Rows(&[]),
     };
     let Some(CacheSlot { n, fp, cache }) = slot else {
         return Source::Slice(slice);
@@ -422,24 +411,16 @@ fn source<'a>(
 }
 
 /// Size of `f`'s satisfying set as the statistics report it in O(1) or
-/// O(log n), `None` when they hold no postings for it. Exact — equal to
-/// the per-row count and to ψ·n — for `CatEq`, `NumRange`, `DerivedEq` and
-/// `DerivedGe` (θ ≥ 1); an upper bound for `CatIn` and `DerivedFrac`.
-pub fn match_estimate(f: &CandidateFilter, prop: &Property) -> Option<usize> {
-    match source(f, prop, None) {
-        Source::Unindexed => None,
-        source => Some(source.len()),
-    }
+/// O(log n). Exact — equal to the per-row count and to ψ·n — for `CatEq`,
+/// `NumRange`, `DerivedEq` and `DerivedGe` (θ ≥ 1); an upper bound for
+/// `CatIn` and `DerivedFrac`.
+pub fn match_estimate(f: &CandidateFilter, prop: &Property) -> usize {
+    source(f, prop, None).len()
 }
 
-/// The exact satisfying row set of ONE filter, from its source (a
-/// per-row scan only for hand-assembled stats without postings).
+/// The exact satisfying row set of ONE filter, from its source.
 pub fn filter_row_set(entity: &EntityProps, f: &CandidateFilter, prop: &Property) -> RowSet {
-    source(f, prop, None).to_set(entity.n).unwrap_or_else(|| {
-        (0..entity.n)
-            .filter(|&row| f.matches_row(prop, row))
-            .collect()
-    })
+    source(f, prop, None).to_set(entity.n)
 }
 
 /// What probing one surviving row costs, in postings walked. A walk reads
@@ -456,8 +437,7 @@ const PROBE_COST: usize = 16;
 /// The rows of `within` that fail `f`, without visiting a row that does
 /// not have to be: a bitmap source is subtracted word-wise; a slice is
 /// walked, knocking its rows out of a copy of `within`, unless probing
-/// each row of `within` is the cheaper side ([`PROBE_COST`]), as it also
-/// is the only side without postings.
+/// each row of `within` is the cheaper side ([`PROBE_COST`]).
 fn violators_from(
     within: &RowSet,
     f: &CandidateFilter,
@@ -587,17 +567,12 @@ fn intersect_sources(
             cache,
         });
         let source = source(f, prop, slot);
-        if matches!(source, Source::Unindexed) {
-            return evaluate_per_row(entity, filters);
-        }
         sources.push((source.len(), f, prop, source));
     }
     sources.sort_by_key(|(len, ..)| *len);
     let mut sources = sources.into_iter();
     let (_, _, _, smallest) = sources.next().expect("at least one filter");
-    let mut out = smallest
-        .to_set(n)
-        .expect("a source without postings fell back above");
+    let mut out = smallest.to_set(n);
     for (_, f, prop, source) in sources {
         if out.is_empty() {
             break;
@@ -790,9 +765,7 @@ mod tests {
                             walked += 1
                         }
                         Source::Slice(_) => probed += 1,
-                        Source::Cached(_) | Source::Unindexed => {
-                            unreachable!("no cache, built αDB")
-                        }
+                        Source::Cached(_) => unreachable!("no cache"),
                     }
                 }
             }
@@ -842,45 +815,6 @@ mod tests {
         let fp = filter_fingerprint(&unknown);
         restrict_rows(&mut rows, e, &unknown, &fp, &mut cache);
         assert!(rows.is_empty());
-    }
-
-    /// Stats assembled by hand without postings are answered by the
-    /// per-row definition, not by an empty postings lookup.
-    #[test]
-    fn hand_assembled_stats_without_postings_fall_back_to_the_per_row_definition() {
-        let mut adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
-        let e = adb.entities.get_mut("person").unwrap();
-        let prop = e
-            .props
-            .iter_mut()
-            .find(|p| p.def.id == "person.gender")
-            .unwrap();
-        let PropStats::Categorical(built) = &prop.stats else {
-            panic!("gender is categorical");
-        };
-        let mut by_hand = squid_adb::CategoricalStats::default();
-        by_hand.per_entity = built.per_entity.clone();
-        by_hand.value_entity_counts = built.value_entity_counts.clone();
-        assert!(!by_hand.enumerable());
-        prop.stats = PropStats::Categorical(by_hand);
-        let e = adb.entity("person").unwrap();
-        let male = CandidateFilter {
-            prop_id: "person.gender".into(),
-            attr_name: "gender".into(),
-            value: FilterValue::CatEq(Value::text("Male")),
-            selectivity: 0.75,
-            coverage: 0.5,
-        };
-        let prop = e.property(male.prop_id).unwrap();
-        assert_eq!(match_estimate(&male, prop), None);
-        let filters = vec![male.clone(), comedy_filter(e)];
-        let want = evaluate_per_row(e, &filters);
-        assert_eq!(want.len(), 3);
-        assert_eq!(evaluate(e, &filters), want);
-        let mut cache = FilterSetCache::new(adb.generation);
-        assert_eq!(evaluate_cached(e, &filters, &mut cache), want);
-        assert_eq!(filter_row_set(e, &male, prop).len(), 6);
-        assert_eq!(violators(&RowSet::full(e.n), &male, prop).len(), 2);
     }
 
     #[test]

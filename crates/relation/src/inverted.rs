@@ -119,10 +119,15 @@ impl InvertedIndex {
         // Sort + dedup each postings list once at build time: lookups hand
         // out slices that are ordered by (table, column, row) and free of
         // duplicates (e.g. the same folded value indexed twice for a row).
+        // Then trim every list and the map to their lengths: the merge
+        // leaves growth slack that depends on which worker indexed what, and
+        // the index lives as long as its αDB.
         for postings in map.values_mut() {
             postings.sort_unstable();
             postings.dedup();
+            postings.shrink_to_fit();
         }
+        map.shrink_to_fit();
         InvertedIndex { map, tables }
     }
 
@@ -349,6 +354,7 @@ mod tests {
                     "{workers} workers, sym {sym:?}"
                 );
             }
+            assert_eq!(par.heap_bytes(), seq.heap_bytes(), "{workers} workers");
         }
     }
 
@@ -357,8 +363,8 @@ mod tests {
         let idx = InvertedIndex::build(&db());
         // Sibling tests intern into the process-global dictionary in
         // parallel, so check the probe's own strings rather than its size.
-        assert!(idx.lookup("Unindexed Probe Value 123").is_empty());
-        assert_eq!(Sym::get("Unindexed Probe Value 123"), None);
-        assert_eq!(Sym::get("unindexed probe value 123"), None);
+        assert!(idx.lookup("Absent Probe Value 123").is_empty());
+        assert_eq!(Sym::get("Absent Probe Value 123"), None);
+        assert_eq!(Sym::get("absent probe value 123"), None);
     }
 }
