@@ -17,9 +17,6 @@ use crate::stats::{CategoricalStats, DerivedNumericStats, DerivedStats, NumericS
 /// Configuration knobs for αDB construction.
 #[derive(Debug, Clone)]
 pub struct AdbConfig {
-    /// Skip numeric derived properties whose attribute has more distinct
-    /// values than this (bounds the precomputed suffix grids).
-    pub max_numeric_derived_domain: usize,
     /// Worker threads for the αDB build fan-outs — per-property statistics
     /// and the inverted-index column scan; 1 disables parallelism. Results
     /// are merged deterministically, so the built αDB (and every database
@@ -30,7 +27,6 @@ pub struct AdbConfig {
 impl Default for AdbConfig {
     fn default() -> Self {
         AdbConfig {
-            max_numeric_derived_domain: 256,
             parallel_workers: std::thread::available_parallelism()
                 .map(|n| n.get().min(8))
                 .unwrap_or(1),
@@ -160,9 +156,6 @@ pub struct ADb {
     query_db: OnceLock<Database>,
     /// Build statistics.
     pub build_stats: BuildStats,
-    /// The configuration the αDB was built with (a snapshot records the
-    /// fields that shape the output and rebuilds with them).
-    pub(crate) config: AdbConfig,
     /// Process-unique build generation. The evaluation cache
     /// ([`crate::SharedFilterSetCache`]) tags its shards with this and
     /// drops a shard's entries when accessed for an αDB from a different
@@ -219,65 +212,55 @@ impl ADb {
             // Per-property statistics are independent: fan them out over
             // `parallel_workers` scoped threads pulling indices from a
             // shared atomic counter (work-stealing without locks — each
-            // worker owns its output vector and results are scattered back
-            // by index afterwards).
+            // worker owns its output vector and results are put back in
+            // index order afterwards).
             let entity_defs: Vec<&PropertyDef> =
                 defs.iter().filter(|d| d.entity == entity_name).collect();
-            let stats_results: Vec<Result<Option<PropStats>>> = if config.parallel_workers > 1
-                && entity_defs.len() > 1
-            {
-                let workers = config.parallel_workers.min(entity_defs.len());
-                let next = std::sync::atomic::AtomicUsize::new(0);
-                let per_worker: Vec<Vec<(usize, Result<Option<PropStats>>)>> =
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = (0..workers)
-                            .map(|_| {
-                                let next = &next;
-                                let db = &db;
-                                let entity_defs = &entity_defs;
-                                let id_map = &id_map;
-                                scope.spawn(move || {
-                                    let mut out = Vec::new();
-                                    loop {
-                                        let i =
-                                            next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                        let Some(def) = entity_defs.get(i) else {
-                                            break;
-                                        };
-                                        out.push((i, compute_stats(db, def, n, id_map, config)));
-                                    }
-                                    out
+            let stats_results: Vec<Result<PropStats>> =
+                if config.parallel_workers > 1 && entity_defs.len() > 1 {
+                    let workers = config.parallel_workers.min(entity_defs.len());
+                    let next = std::sync::atomic::AtomicUsize::new(0);
+                    let per_worker: Vec<Vec<(usize, Result<PropStats>)>> =
+                        std::thread::scope(|scope| {
+                            let handles: Vec<_> = (0..workers)
+                                .map(|_| {
+                                    let next = &next;
+                                    let db = &db;
+                                    let entity_defs = &entity_defs;
+                                    let id_map = &id_map;
+                                    scope.spawn(move || {
+                                        let mut out = Vec::new();
+                                        loop {
+                                            let i = next
+                                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                            let Some(def) = entity_defs.get(i) else {
+                                                break;
+                                            };
+                                            out.push((i, compute_stats(db, def, n, id_map)));
+                                        }
+                                        out
+                                    })
                                 })
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("stats worker panicked"))
-                            .collect()
-                    });
-                let mut results: Vec<Result<Option<PropStats>>> =
-                    (0..entity_defs.len()).map(|_| Ok(None)).collect();
-                for (i, r) in per_worker.into_iter().flatten() {
-                    results[i] = r;
-                }
-                results
-            } else {
-                entity_defs
-                    .iter()
-                    .map(|def| compute_stats(&db, def, n, &id_map, config))
-                    .collect()
-            };
-
-            let mut stats_opt: Vec<Option<PropStats>> = Vec::with_capacity(entity_defs.len());
-            for r in stats_results {
-                stats_opt.push(r?);
-            }
+                                .collect();
+                            handles
+                                .into_iter()
+                                .map(|h| h.join().expect("stats worker panicked"))
+                                .collect()
+                        });
+                    let mut results: Vec<(usize, Result<PropStats>)> =
+                        per_worker.into_iter().flatten().collect();
+                    results.sort_unstable_by_key(|&(i, _)| i);
+                    results.into_iter().map(|(_, r)| r).collect()
+                } else {
+                    entity_defs
+                        .iter()
+                        .map(|def| compute_stats(&db, def, n, &id_map))
+                        .collect()
+                };
 
             let mut props = Vec::new();
-            for (def, stats) in entity_defs.into_iter().zip(stats_opt) {
-                let Some(stats) = stats else {
-                    continue;
-                };
+            for (def, stats) in entity_defs.into_iter().zip(stats_results) {
+                let stats = stats?;
                 let derived_table = derived_rows(&stats).map(|rows| {
                     derived_row_count += rows;
                     derived_table_count += 1;
@@ -321,7 +304,6 @@ impl ADb {
             database: db,
             query_db: OnceLock::new(),
             build_stats,
-            config: config.clone(),
             generation: next_generation(),
         })
     }
@@ -539,23 +521,16 @@ fn compute_stats(
     def: &PropertyDef,
     n: usize,
     pk_to_row: &IdMap,
-    config: &AdbConfig,
-) -> Result<Option<PropStats>> {
+) -> Result<PropStats> {
     let entity_table = db.table(&def.entity)?;
     Ok(match &def.kind {
         PropKind::DirectCategorical { column } => {
             let ci = col(db, &def.entity, column)?;
-            Some(PropStats::Categorical(CategoricalStats::from_column(
-                entity_table.column(ci),
-                n,
-            )))
+            PropStats::Categorical(CategoricalStats::from_column(entity_table.column(ci), n))
         }
         PropKind::DirectNumeric { column } => {
             let ci = col(db, &def.entity, column)?;
-            Some(PropStats::Numeric(NumericStats::from_column(
-                entity_table.column(ci),
-                n,
-            )))
+            PropStats::Numeric(NumericStats::from_column(entity_table.column(ci), n))
         }
         PropKind::FactCategorical {
             fact,
@@ -577,9 +552,7 @@ fn compute_stats(
                     per_entity[rid].push(*v);
                 }
             });
-            Some(PropStats::Categorical(CategoricalStats::from_sets(
-                per_entity,
-            )))
+            PropStats::Categorical(CategoricalStats::from_sets(per_entity))
         }
         PropKind::InlineCategorical {
             fact,
@@ -601,9 +574,7 @@ fn compute_stats(
                     }
                 });
             }
-            Some(PropStats::Categorical(CategoricalStats::from_sets(
-                per_entity,
-            )))
+            PropStats::Categorical(CategoricalStats::from_sets(per_entity))
         }
         PropKind::FactAttrCount {
             fact,
@@ -624,7 +595,7 @@ fn compute_stats(
                     bump_run(&mut per_entity[rid], fc.value_at(row));
                 });
             }
-            Some(PropStats::Derived(DerivedStats::from_runs(per_entity)))
+            PropStats::Derived(DerivedStats::from_runs(per_entity))
         }
         PropKind::MidAttrCount {
             fact,
@@ -639,24 +610,9 @@ fn compute_stats(
             let fm = fact_t.column(col(db, fact, fact_mid_col)?);
             let mid_values = pk_value_map(db, mid_table, column)?;
             if *numeric {
-                // Cheap domain pre-check: the fact-reached domain is a
-                // subset of the mid attribute's domain, so when the mid
-                // column itself fits the budget (the common case) the
-                // fact scan needs no distinct-tracking at all. When it
-                // does not, the guard is decided exactly — on the
-                // fact-reached values — after accumulation, preserving
-                // the original semantics.
-                let mid_t = db.table(mid_table)?;
-                let mid_ci = col(db, mid_table, column)?;
-                let mid_cv = mid_t.column(mid_ci);
-                let mut mid_distinct: FxHashSet<u64> = FxHashSet::default();
-                kernel::scan_floats(mid_cv, mid_t.len(), |_, x| {
-                    mid_distinct.insert(x.to_bits());
-                });
-                let needs_exact_guard = mid_distinct.len() > config.max_numeric_derived_domain;
                 // (value, count) multisets per entity: raw pushes into
-                // per-entity vectors (no hashing in the fact scan), then
-                // one sort + coalesce pass per entity.
+                // per-entity vectors (no hashing in the fact scan); `build`
+                // sorts and coalesces once per entity.
                 let mut per_entity: Vec<Vec<(f64, u64)>> = vec![Vec::new(); n];
                 kernel::scan_int_pairs(fe, fm, fact_t.len(), |_, e, m| {
                     let (Some(rid), Some(v)) = (pk_to_row.get(e), mid_values.get(m)) else {
@@ -665,29 +621,7 @@ fn compute_stats(
                     let Some(x) = v.as_float() else { return };
                     per_entity[rid].push((x, 1));
                 });
-                for ent in &mut per_entity {
-                    ent.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    ent.dedup_by(|next, acc| {
-                        if acc.0 == next.0 {
-                            acc.1 += next.1;
-                            true
-                        } else {
-                            false
-                        }
-                    });
-                }
-                if needs_exact_guard {
-                    let mut reached: FxHashSet<u64> = FxHashSet::default();
-                    for ent in &per_entity {
-                        reached.extend(ent.iter().map(|(x, _)| x.to_bits()));
-                    }
-                    if reached.len() > config.max_numeric_derived_domain {
-                        return Ok(None); // domain too wide to precompute
-                    }
-                }
-                Some(PropStats::DerivedNumeric(DerivedNumericStats::build(
-                    per_entity,
-                )))
+                PropStats::DerivedNumeric(DerivedNumericStats::build(per_entity))
             } else {
                 let mut per_entity: Vec<Vec<(Value, u64)>> = vec![Vec::new(); n];
                 kernel::scan_int_pairs(fe, fm, fact_t.len(), |_, e, m| {
@@ -698,7 +632,7 @@ fn compute_stats(
                         bump_run(&mut per_entity[rid], *v);
                     }
                 });
-                Some(PropStats::Derived(DerivedStats::from_runs(per_entity)))
+                PropStats::Derived(DerivedStats::from_runs(per_entity))
             }
         }
         PropKind::TwoHopCount {
@@ -759,7 +693,7 @@ fn compute_stats(
                     bump_run(&mut per_entity[rid], *v);
                 }
             });
-            Some(PropStats::Derived(DerivedStats::from_runs(per_entity)))
+            PropStats::Derived(DerivedStats::from_runs(per_entity))
         }
     })
 }
@@ -1187,19 +1121,6 @@ mod tests {
             assert_eq!(rows(&a.database, original), want, "{} {v}", p.def.id);
         }
     }
-
-    #[test]
-    fn numeric_domain_guard_skips_wide_attributes() {
-        let cfg = AdbConfig {
-            max_numeric_derived_domain: 2, // mini IMDb has 10 distinct years
-            ..Default::default()
-        };
-        let a = ADb::build_with(&mini_imdb(), &cfg).unwrap();
-        assert!(a.entities["person"]
-            .props
-            .iter()
-            .all(|p| p.def.attr_name != "movie.year"));
-    }
 }
 
 #[cfg(test)]
@@ -1216,7 +1137,6 @@ mod parallel_tests {
             &db,
             &AdbConfig {
                 parallel_workers: 1,
-                ..Default::default()
             },
         )
         .unwrap();
@@ -1224,7 +1144,6 @@ mod parallel_tests {
             &db,
             &AdbConfig {
                 parallel_workers: 4,
-                ..Default::default()
             },
         )
         .unwrap();

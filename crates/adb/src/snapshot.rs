@@ -1,23 +1,22 @@
 //! Durable single-file αDB snapshots.
 //!
-//! The αDB is a deterministic function of the database and of the build
-//! setting that shapes it (paper Section 5 computes it offline for
-//! exactly that reason). A snapshot therefore holds its *input*, not its
-//! output: the original tables and that setting. Loading decodes the
-//! tables and runs [`ADb::build_with`], so the statistics and the inverted
-//! index are recomputed in the loading process, never read from a file,
-//! and the derived relations are built on first SQL use
+//! The αDB is a deterministic function of the database (paper Section 5
+//! computes it offline for exactly that reason). A snapshot therefore holds
+//! its *input*, not its output: the original tables. Loading decodes the
+//! tables and runs the build over them, so the statistics and the inverted
+//! index are recomputed in the loading process, never read from a file, and
+//! the derived relations are built on first SQL use
 //! ([`ADb::query_database`]) as after any build. What the snapshot buys is
 //! a self-contained αDB source: a fleet process restarts, and a standby
 //! bootstraps from its primary, without the dataset generators.
 //!
-//! ## File format (version 5)
+//! ## File format (version 6)
 //!
 //! ```text
 //! +-----------------+  8 bytes  magic "SQUIDADB"
-//! | magic, version  |  4 bytes  format version (u32 le) = 5
+//! | magic, version  |  4 bytes  format version (u32 le) = 6
 //! +-----------------+
-//! | HEADER   record |  verification hash of the tables + build setting
+//! | HEADER   record |  verification hash of the tables
 //! | INTERNER record |  symbol id -> string table (save-time ids)
 //! | DATABASE record |  the original tables: schemas, columns, null bitmaps
 //! +-----------------+
@@ -29,16 +28,17 @@
 //! record. All multi-byte integers are little-endian.
 //!
 //! The DATABASE section holds [`ADb::database`], which is exactly the
-//! original tables. The HEADER carries `max_numeric_derived_domain`, the
-//! one [`AdbConfig`] field that changes the output (`parallel_workers`
-//! does not, and the loader uses its own).
+//! original tables. No build setting changes the output
+//! ([`crate::AdbConfig::parallel_workers`] does not), so none is recorded
+//! and the loader uses its own.
 //!
 //! Versions 1 and 2 also persisted the inverted index and the statistics
 //! arenas; version 3 recorded a switch for materializing the derived
 //! relations at build time; version 4 framed its sections with a 16-byte
-//! header of its own. There is one reader: an older file is refused as
-//! [`FrameError::Corrupt`] in the preamble and the caller rebuilds, as for
-//! any other unreadable snapshot.
+//! header of its own; version 5 recorded a bound on derived-numeric
+//! domains, which version 6 dropped with the bound. There is one reader: an
+//! older file is refused as [`FrameError::Corrupt`] in the preamble and the
+//! caller rebuilds, as for any other unreadable snapshot.
 //!
 //! ## Interner remapping
 //!
@@ -79,10 +79,10 @@ use crate::build::{ADb, AdbConfig};
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SQUIDADB";
-/// Current snapshot format version. Version 5 holds the original tables
-/// and the numeric-domain bound in three records; there is one reader, so
-/// a version 1 to 4 file is `Corrupt` and its owner rebuilds.
-pub const SNAPSHOT_VERSION: u32 = 5;
+/// Current snapshot format version. Version 6 holds the original tables
+/// and their verification hash in three records; there is one reader, so
+/// a version 1 to 5 file is `Corrupt` and its owner rebuilds.
+pub const SNAPSHOT_VERSION: u32 = 6;
 
 const TAG_HEADER: u32 = 0x5351_0001;
 const TAG_INTERNER: u32 = 0x5351_0002;
@@ -142,18 +142,16 @@ impl ADb {
     pub fn load_snapshot_from<R: Read>(r: &mut R) -> FrameResult<ADb> {
         let mut bytes = Vec::new();
         r.read_to_end(&mut bytes)?;
-        let (database, config) = decode_snapshot(&bytes)?;
+        let database = decode_snapshot(&bytes)?;
         drop(bytes);
-        build_loaded(database, &config)
+        build_loaded(database)
     }
 
     /// Load an αDB from snapshot bytes already in memory (a replication
     /// frame's payload): decode the tables, verify them against the
-    /// recorded hash, and build the αDB over them with the recorded
-    /// settings.
+    /// recorded hash, and build the αDB over them.
     pub fn load_snapshot_bytes(bytes: &[u8]) -> FrameResult<ADb> {
-        let (database, config) = decode_snapshot(bytes)?;
-        build_loaded(database, &config)
+        build_loaded(decode_snapshot(bytes)?)
     }
 
     fn encode_header(&self) -> Vec<u8> {
@@ -162,7 +160,6 @@ impl ADb {
             &self.database.meta,
             self.database.tables(),
         ));
-        w.put_u64(self.config.max_numeric_derived_domain as u64);
         w.into_bytes()
     }
 }
@@ -200,8 +197,8 @@ fn next_section<'a>(
     Ok(r)
 }
 
-/// Decode a whole snapshot into its verified tables and build setting.
-fn decode_snapshot(bytes: &[u8]) -> FrameResult<(Database, AdbConfig)> {
+/// Decode a whole snapshot into its verified tables.
+fn decode_snapshot(bytes: &[u8]) -> FrameResult<Database> {
     let mut r = ByteReader::new(bytes, "preamble");
     if r.get_bytes(SNAPSHOT_MAGIC.len())? != SNAPSHOT_MAGIC {
         return Err(FrameError::corrupt("preamble", "bad magic bytes"));
@@ -214,7 +211,7 @@ fn decode_snapshot(bytes: &[u8]) -> FrameResult<(Database, AdbConfig)> {
         ));
     }
     let mut rest = r.get_bytes(r.remaining())?;
-    let (hash, config) = decode_header(next_section(&mut rest, TAG_HEADER, "header")?)?;
+    let hash = decode_header(next_section(&mut rest, TAG_HEADER, "header")?)?;
     let remap = decode_interner(next_section(&mut rest, TAG_INTERNER, "interner")?)?;
     let database = decode_database(next_section(&mut rest, TAG_DATABASE, "database")?, &remap)?;
     if !rest.is_empty() {
@@ -229,11 +226,11 @@ fn decode_snapshot(bytes: &[u8]) -> FrameResult<(Database, AdbConfig)> {
             "decoded tables do not match the hash recorded at save time",
         ));
     }
-    Ok((database, config))
+    Ok(database)
 }
 
-fn build_loaded(database: Database, config: &AdbConfig) -> FrameResult<ADb> {
-    ADb::build_from(database, config)
+fn build_loaded(database: Database) -> FrameResult<ADb> {
+    ADb::build_from(database, &AdbConfig::default())
         .map_err(|e| FrameError::corrupt("database", format!("αDB build failed: {e}")))
 }
 
@@ -241,16 +238,10 @@ fn build_loaded(database: Database, config: &AdbConfig) -> FrameResult<ADb> {
 // Header
 // ---------------------------------------------------------------------------
 
-fn decode_header(mut r: ByteReader<'_>) -> FrameResult<(u64, AdbConfig)> {
+fn decode_header(mut r: ByteReader<'_>) -> FrameResult<u64> {
     let hash = r.get_u64()?;
-    let max_numeric_derived_domain = usize::try_from(r.get_u64()?)
-        .map_err(|_| FrameError::corrupt("header", "numeric domain bound exceeds usize"))?;
-    let config = AdbConfig {
-        max_numeric_derived_domain,
-        ..AdbConfig::default()
-    };
     r.expect_end()?;
-    Ok((hash, config))
+    Ok(hash)
 }
 
 // ---------------------------------------------------------------------------
@@ -575,7 +566,7 @@ mod tests {
         let bytes = snapshot_bytes(&a);
         let mut r = &bytes[12..];
         let header = next_section(&mut r, TAG_HEADER, "header").unwrap();
-        let (hash, config) = decode_header(header).unwrap();
+        let hash = decode_header(header).unwrap();
         let remap =
             decode_interner(next_section(&mut r, TAG_INTERNER, "interner").unwrap()).unwrap();
         let db = decode_database(
@@ -586,10 +577,6 @@ mod tests {
         assert!(r.is_empty(), "nothing follows the DATABASE section");
         assert_eq!(db_fingerprint(&db), db_fingerprint(&mini_imdb()));
         assert_eq!(hash, db_verification_hash(&db.meta, db.tables()));
-        assert_eq!(
-            config.max_numeric_derived_domain,
-            a.config.max_numeric_derived_domain
-        );
     }
 
     #[test]
@@ -656,6 +643,13 @@ mod tests {
     #[test]
     fn a_version_4_preamble_is_corrupt() {
         assert_version_refused(4);
+    }
+
+    /// Version 5 recorded a derived-numeric domain bound in its header;
+    /// its files are refused like the older ones.
+    #[test]
+    fn a_version_5_preamble_is_corrupt() {
+        assert_version_refused(5);
     }
 
     /// Each section's payload opens with its tag: records that are valid

@@ -10,12 +10,23 @@
 //! Every filter kind the online phase abduces reads its answer off one
 //! array that is ordered the way the filter cuts it:
 //!
-//! * **Derived counts** (`⟨A, v, θ⟩`, [`DerivedStats`]) and **suffix
-//!   ranges** (`⟨A ≥ c, θ⟩`, [`DerivedNumericStats`]): per value (per
-//!   cutpoint) one array of `count << 32 | row` words ([`posting_row`]),
-//!   ascending. The entities associated at least θ times are the suffix a
-//!   binary search finds; its length over `n` *is* ψ, so the selectivity
-//!   and the satisfying rows come from the same lookup. 8 bytes a pair.
+//! * **Derived counts** (`⟨A, v, θ⟩`, [`DerivedStats`]): per value one
+//!   array of `count << 32 | row` words ([`posting_row`]), ascending. The
+//!   entities associated at least θ times are the suffix a binary search
+//!   finds (`count_suffix`); its length over `n` *is* ψ, so the
+//!   selectivity and the satisfying rows come from the same lookup. 8
+//!   bytes a pair.
+//! * **Suffix ranges** (`⟨A ≥ c, θ⟩`, [`DerivedNumericStats`]): an entity
+//!   has at least θ associations of value ≥ `c` exactly when its θ-th
+//!   largest value, counted with multiplicity, is ≥ `c`. So per θ one
+//!   array of `reach << 32 | row` words, ascending, one per entity with at
+//!   least θ associations, where the reach is that θ-th largest value's
+//!   cutpoint index. The entities satisfying `⟨A ≥ c, θ⟩` are the suffix
+//!   of list θ from the first reach ≥ `c`'s index: again one binary
+//!   search for both ψ and the rows. The lists hold one posting per
+//!   association, whatever the domain size. At a NaN cutpoint every
+//!   association counts (no value is below NaN), so there the answer is
+//!   the whole list.
 //! * **Numeric ranges** ([`NumericStats`]): `(value, row)` pairs ascending
 //!   by value; a range is the slice between two binary searches.
 //! * **Categorical values** ([`CategoricalStats`]): per value its rows,
@@ -44,8 +55,8 @@
 //! * ψ of a numeric range: the length of its slice of `sorted_rows`
 //!   ([`NumericStats::rows_in_range`]); min, max and coverage: the two
 //!   ends of `sorted_rows`.
-//! * ψ of `⟨A, v, θ⟩` and `⟨A ≥ c, θ⟩`: the length of a θ-suffix of the
-//!   value's or cutpoint's postings.
+//! * ψ of `⟨A, v, θ⟩`: the length of a θ-suffix of the value's postings.
+//! * ψ of `⟨A ≥ c, θ⟩`: the length of a reach-suffix of θ-list θ.
 //! * Normalized ψ (`⟨A, v, frac⟩`): one walk over `v`'s postings, keeping
 //!   each whose count over its entity's total (`entity_totals`) reaches
 //!   `frac` ([`DerivedStats::reaches_share`], the test evaluation walks
@@ -54,6 +65,13 @@
 //!
 //! The four statistics types are built only by their constructors and
 //! keep their fields private, so every [`PropStats`] has its postings.
+//!
+//! No array grows with a derived-numeric property's domain times its
+//! entities, so no property is skipped for a wide domain. The remaining
+//! domain-proportional cost is per example, in squid-core: context
+//! discovery folds each example into one suffix count per cutpoint
+//! ([`DerivedNumericStats::suffix_counts_into`], O(C)), and candidate
+//! emission scans those C cutpoints for the most selective one.
 //!
 //! The constructors grow these arrays by pushes and trim each one to its
 //! length (`shrink_to_fit`) once it is complete, and allocate a direct
@@ -117,16 +135,17 @@ impl ValueRows {
     }
 }
 
-/// One θ-ordered posting: `count << 32 | row`. Both halves are checked
+/// One posting: `key << 32 | row`, where the key is an association count
+/// (derived) or a cutpoint reach (derived numeric). Both halves are checked
 /// into `u32` here, the way the derived run arena checks its offsets.
 #[inline]
-fn pack_posting(count: u64, row: RowId) -> u64 {
-    let count = u32::try_from(count).expect("association count exceeds u32 range");
+fn pack_posting(key: u64, row: RowId) -> u64 {
+    let key = u32::try_from(key).expect("posting key exceeds u32 range");
     let row = u32::try_from(row).expect("entity row exceeds u32 range");
-    (count as u64) << 32 | row as u64
+    (key as u64) << 32 | row as u64
 }
 
-/// Entity row of a `count << 32 | row` posting.
+/// Entity row of a `key << 32 | row` posting.
 #[inline]
 pub fn posting_row(posting: u64) -> RowId {
     posting as u32 as RowId
@@ -536,52 +555,79 @@ impl DerivedStats {
 /// (e.g. number of movies with `year >= c`). Supports suffix-range filters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedNumericStats {
-    /// Per entity row: ascending `(attribute value, association count)`.
+    /// Per entity row: ascending `(attribute value, association count)`,
+    /// every NaN the one positive NaN, so it sorts last.
     per_entity: Vec<Vec<(f64, u64)>>,
-    /// Sorted distinct attribute values (candidate cutpoints).
+    /// Sorted distinct attribute values (candidate cutpoints); at most one
+    /// NaN, last.
     cutpoints: Vec<f64>,
-    /// For each cutpoint: one `suffix count << 32 | row` posting per entity
-    /// with a positive suffix count (#associations with value ≥ cutpoint),
-    /// ascending, so the entities satisfying `⟨A ≥ c, θ⟩` are a suffix
-    /// (see the module docs).
-    per_cut_postings: Vec<Vec<u64>>,
+    /// List `θ - 1`: one `reach << 32 | row` posting per entity with at
+    /// least θ associations, ascending, where the reach is the cutpoint
+    /// index of the entity's θ-th largest value counted with multiplicity,
+    /// so the entities satisfying `⟨A ≥ c, θ⟩` are a suffix (see the module
+    /// docs).
+    theta_lists: Vec<Vec<u64>>,
 }
 
 impl DerivedNumericStats {
-    /// Build from per-entity `(value, count)` multisets.
+    /// Build from raw per-entity `(value, count)` pairs — unsorted, with
+    /// duplicate values allowed (they coalesce by summing; every NaN is one
+    /// value, as are `-0.0` and `0.0`).
     ///
-    /// Per-entity suffix counts are produced by one descending merge walk
-    /// over (cutpoints × the entity's own values) — O(C + K) per entity
-    /// instead of the naive O(C × K) binary-search-and-sum.
+    /// Each entity pushes one posting per association into the θ-lists,
+    /// walking its values from the largest down; each list is sorted once.
     pub fn build(mut per_entity: Vec<Vec<(f64, u64)>>) -> Self {
-        for v in &mut per_entity {
-            v.sort_by(|a, b| a.0.total_cmp(&b.0));
-            v.shrink_to_fit();
+        for ent in &mut per_entity {
+            for entry in ent.iter_mut() {
+                if entry.0.is_nan() {
+                    entry.0 = f64::NAN;
+                }
+            }
+            ent.sort_by(|a, b| a.0.total_cmp(&b.0));
+            ent.dedup_by(|next, acc| {
+                if same_cut(acc.0, next.0) {
+                    acc.1 += next.1;
+                    true
+                } else {
+                    false
+                }
+            });
+            ent.shrink_to_fit();
         }
         let mut cutpoints: Vec<f64> = per_entity
             .iter()
             .flat_map(|v| v.iter().map(|(x, _)| *x))
             .collect();
         cutpoints.sort_by(f64::total_cmp);
-        cutpoints.dedup();
-        let mut per_cut_postings: Vec<Vec<u64>> = vec![Vec::new(); cutpoints.len()];
-        let mut buf = Vec::new();
+        cutpoints.dedup_by(|a, b| same_cut(*a, *b));
+        cutpoints.shrink_to_fit();
+        let mut theta_lists: Vec<Vec<u64>> = Vec::new();
         for (row, ent) in per_entity.iter().enumerate() {
-            suffix_walk(ent, &cutpoints, &mut buf);
-            for (ci, &suffix) in buf.iter().enumerate() {
-                if suffix > 0 {
-                    per_cut_postings[ci].push(pack_posting(suffix, row));
+            let mut theta = 0;
+            for &(x, count) in ent.iter().rev() {
+                let reach = if x.is_nan() {
+                    cutpoints.len() - 1
+                } else {
+                    cutpoints.partition_point(|&c| c < x)
+                };
+                for _ in 0..count {
+                    if theta == theta_lists.len() {
+                        theta_lists.push(Vec::new());
+                    }
+                    theta_lists[theta].push(pack_posting(reach as u64, row));
+                    theta += 1;
                 }
             }
         }
-        for postings in &mut per_cut_postings {
-            postings.sort_unstable();
-            postings.shrink_to_fit();
+        for list in &mut theta_lists {
+            list.sort_unstable();
+            list.shrink_to_fit();
         }
+        theta_lists.shrink_to_fit();
         DerivedNumericStats {
             per_entity,
             cutpoints,
-            per_cut_postings,
+            theta_lists,
         }
     }
 
@@ -601,19 +647,35 @@ impl DerivedNumericStats {
         self.per_entity.get(row).map_or(&[], Vec::as_slice)
     }
 
-    /// The `count << 32 | row` postings ([`posting_row`]) of exactly the
+    /// The `reach << 32 | row` postings ([`posting_row`]) of exactly the
     /// entities with at least `theta` (≥ 1) associations of value ≥ `cut`.
     pub fn postings_ge(&self, cut: f64, theta: u64) -> &[u64] {
-        // Snap to the smallest cutpoint ≥ cut (suffix counts are piecewise
-        // constant between cutpoints).
-        self.postings_at(self.cutpoints.partition_point(|&c| c < cut), theta)
+        // Every association counts at a NaN cut (no value is below it).
+        // Any other cut snaps to the smallest cutpoint ≥ cut: suffix counts
+        // are piecewise constant between cutpoints.
+        if cut.is_nan() {
+            return self.theta_list(theta);
+        }
+        let ci = self.cutpoints.partition_point(|&c| c < cut);
+        reach_suffix(self.theta_list(theta), ci)
     }
 
-    /// The postings of cutpoint *index* `ci` with suffix count ≥ `theta`.
+    /// The postings of the entities whose suffix count at cutpoint *index*
+    /// `ci` is at least `theta`.
     fn postings_at(&self, ci: usize, theta: u64) -> &[u64] {
-        self.per_cut_postings
-            .get(ci)
-            .map_or(&[], |postings| count_suffix(postings, theta))
+        match self.cutpoints.get(ci) {
+            Some(cut) if cut.is_nan() => self.theta_list(theta),
+            _ => reach_suffix(self.theta_list(theta), ci),
+        }
+    }
+
+    /// θ-list `max(theta, 1)`: every entity with at least that many
+    /// associations (empty past the largest entity total).
+    fn theta_list(&self, theta: u64) -> &[u64] {
+        usize::try_from(theta.max(1) - 1)
+            .ok()
+            .and_then(|i| self.theta_lists.get(i))
+            .map_or(&[], Vec::as_slice)
     }
 
     /// Fill `out[ci]` with this entity's suffix count at every cutpoint
@@ -648,27 +710,41 @@ impl DerivedNumericStats {
     }
 }
 
-/// `out[ci]` = total count of `ent` entries NOT below `cutpoints[ci]`
-/// (matching `partition_point(|x| x < cut)`: NaN entries are never below
-/// any cut, so they count into every suffix). `ent` must be ascending by
-/// total order; one merge walk from the top.
+/// Whether two attribute values are one cutpoint: equal as floats (so
+/// `-0.0` and `0.0` are one), or both NaN.
+fn same_cut(a: f64, b: f64) -> bool {
+    a == b || (a.is_nan() && b.is_nan())
+}
+
+/// The suffix of ascending `reach << 32 | row` postings with reach ≥ `ci`.
+#[inline]
+fn reach_suffix(list: &[u64], ci: usize) -> &[u64] {
+    &list[list.partition_point(|&p| p >> 32 < ci as u64)..]
+}
+
+/// `out[ci]` = total count of `ent` entries NOT below `cutpoints[ci]`,
+/// matching `partition_point(|x| x < cut)`: NaN entries are below no cut,
+/// so they count into every suffix, and at a NaN cutpoint no entry is
+/// below the cut, so every entry counts there. `ent` must be ascending by
+/// total order with positive NaNs only, as `build` leaves it; one merge
+/// walk from the top.
 fn suffix_walk(ent: &[(f64, u64)], cutpoints: &[f64], out: &mut Vec<u64>) {
     out.clear();
     out.resize(cutpoints.len(), 0);
+    let mut top = cutpoints.len();
+    if cutpoints.last().is_some_and(|c| c.is_nan()) {
+        top -= 1;
+        out[top] = ent.iter().map(|(_, c)| c).sum();
+    }
     let mut j = ent.len();
     let mut run = 0u64;
-    // NaNs sort above every finite cut and `x < cut` is false for them:
-    // consume them into the running suffix first.
     while j > 0 && ent[j - 1].0.is_nan() {
         run += ent[j - 1].1;
         j -= 1;
     }
-    for ci in (0..cutpoints.len()).rev() {
+    for ci in (0..top).rev() {
         let cut = cutpoints[ci];
-        // NOT below the cut in partial order (NaN included), matching
-        // `partition_point(|x| x < cut)`.
-        #[allow(clippy::neg_cmp_op_on_partial_ord)]
-        while j > 0 && !(ent[j - 1].0 < cut) {
+        while j > 0 && ent[j - 1].0 >= cut {
             run += ent[j - 1].1;
             j -= 1;
         }
@@ -1224,7 +1300,7 @@ impl PropStats {
                     + s.theta_postings.values().map(vec_bytes).sum::<usize>()
             }
             PropStats::DerivedNumeric(s) => {
-                nested(&s.per_entity) + vec_bytes(&s.cutpoints) + nested(&s.per_cut_postings)
+                nested(&s.per_entity) + vec_bytes(&s.cutpoints) + nested(&s.theta_lists)
             }
         }
     }
@@ -1331,20 +1407,153 @@ mod tests {
         assert!(s.coverage_ge(2012.0) < s.coverage_ge(2005.0));
     }
 
+    /// Rows of a postings slice, ascending.
+    fn rows(postings: &[u64]) -> Vec<RowId> {
+        let mut rows: Vec<RowId> = postings.iter().map(|&p| posting_row(p)).collect();
+        rows.sort_unstable();
+        rows
+    }
+
     #[test]
     fn derived_numeric_nan_entries_count_into_every_suffix() {
         // partition_point(|x| x < cut) keeps NaN in every suffix; the
-        // build-time walk must agree with the point query.
+        // postings must agree with the point query.
         let s =
             DerivedNumericStats::build(vec![vec![(2010.0, 3), (f64::NAN, 1)], vec![(2005.0, 1)]]);
         for &cut in &[1990.0, 2005.0, 2010.0] {
-            assert_eq!(s.suffix_count_of(0, cut), if cut <= 2010.0 { 4 } else { 1 });
-            let ci = s.cutpoints.partition_point(|&c| c < cut);
+            let count = s.suffix_count_of(0, cut);
+            assert_eq!(count, if cut <= 2010.0 { 4 } else { 1 });
             assert!(
-                s.per_cut_postings[ci].contains(&pack_posting(s.suffix_count_of(0, cut), 0)),
-                "walk and point query disagree at cut {cut}"
+                rows(s.postings_ge(cut, count)).contains(&0),
+                "postings and point query disagree at cut {cut}"
             );
+            assert!(!rows(s.postings_ge(cut, count + 1)).contains(&0));
         }
+        // The NaN does not leak into the other entity's finite cuts.
+        assert_eq!(rows(s.postings_ge(2010.0, 1)), vec![0]);
+        assert_eq!(s.suffix_count_of(1, 2010.0), 0);
+        let mut buf = Vec::new();
+        s.suffix_counts_into(1, &mut buf);
+        assert_eq!(buf, vec![1, 0, 1]);
+        // At the NaN cut itself every association counts.
+        assert_eq!(s.suffix_count_of(1, f64::NAN), 1);
+        assert_eq!(rows(s.postings_ge(f64::NAN, 1)), vec![0, 1]);
+    }
+
+    #[test]
+    fn derived_numeric_nans_canonicalise_to_one_cutpoint() {
+        let s = DerivedNumericStats::build(vec![
+            vec![(-f64::NAN, 1), (1.0, 1)],
+            vec![(f64::NAN, 2), (0.0, 1), (-0.0, 1)],
+        ]);
+        assert_eq!(s.cutpoints().len(), 3);
+        assert!(s.cutpoints()[2].is_nan() && s.cutpoints()[2].is_sign_positive());
+        assert_eq!(rows(s.postings_ge(1.0, 1)), vec![0, 1]);
+        assert_eq!(rows(s.postings_ge(1.0, 2)), vec![0, 1]);
+        assert!(s.postings_ge(1.0, 3).is_empty());
+        assert_eq!(rows(s.postings_ge(0.0, 4)), vec![1]);
+        assert_eq!(rows(s.postings_ge(2.0, 2)), vec![1]);
+    }
+
+    /// xorshift64*: a seeded stream for the randomized checks below.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The θ-lists answer exactly what the per-row definition answers, at
+    /// every cutpoint, one past the last, and every θ up to one past the
+    /// largest entity total — over multisets with duplicates, infinities,
+    /// signed zeros and NaNs of either sign.
+    #[test]
+    fn derived_numeric_theta_lists_are_exact() {
+        const VALUES: [f64; 8] = [
+            -1.5,
+            -0.0,
+            0.0,
+            2.0,
+            3.0,
+            f64::INFINITY,
+            f64::NAN,
+            -f64::NAN,
+        ];
+        let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
+        for _ in 0..300 {
+            let n = 1 + rng.below(12) as usize;
+            let per_entity: Vec<Vec<(f64, u64)>> = (0..n)
+                .map(|_| {
+                    (0..rng.below(6))
+                        .map(|_| (VALUES[rng.below(8) as usize], 1 + rng.below(3)))
+                        .collect()
+                })
+                .collect();
+            let s = DerivedNumericStats::build(per_entity);
+            let cutpoints = s.cutpoints().to_vec();
+            let max = (0..n)
+                .map(|row| s.suffix_count_of(row, f64::NAN))
+                .max()
+                .unwrap_or(0);
+            let mut buf = Vec::new();
+            for row in 0..n {
+                s.suffix_counts_into(row, &mut buf);
+                let expected: Vec<u64> = cutpoints
+                    .iter()
+                    .map(|&cut| s.suffix_count_of(row, cut))
+                    .collect();
+                assert_eq!(buf, expected, "fold of row {row} over {cutpoints:?}");
+            }
+            for ci in 0..=cutpoints.len() {
+                for theta in 0..=max + 1 {
+                    let expected: Vec<RowId> = match cutpoints.get(ci) {
+                        Some(&cut) => (0..n)
+                            .filter(|&row| s.suffix_count_of(row, cut) >= theta.max(1))
+                            .collect(),
+                        None => Vec::new(),
+                    };
+                    assert_eq!(
+                        rows(s.postings_at(ci, theta)),
+                        expected,
+                        "ci {ci}, θ {theta}"
+                    );
+                }
+            }
+            for cut in VALUES
+                .into_iter()
+                .chain([-2.0, 1.0, 2.5, f64::NEG_INFINITY])
+            {
+                for theta in 1..=max + 1 {
+                    let expected: Vec<RowId> = (0..n)
+                        .filter(|&row| s.suffix_count_of(row, cut) >= theta)
+                        .collect();
+                    assert_eq!(
+                        rows(s.postings_ge(cut, theta)),
+                        expected,
+                        "cut {cut}, θ {theta}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn derived_numeric_cutpoints_keep_no_spare_capacity() {
+        // 1 000 associations over one value: one cutpoint, one θ-list.
+        let s =
+            PropStats::DerivedNumeric(DerivedNumericStats::build(vec![vec![(2010.0, 1)]; 1000]));
+        let per_entity = 24 * 1000 + 16 * 1000;
+        let cutpoints = 8;
+        let theta_lists = 24 + 8 * 1000;
+        assert_eq!(s.heap_bytes(), per_entity + cutpoints + theta_lists);
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! * a **dense bitmap** borrowed from the αDB — a categorical value
 //!   carried by at least one entity in 32 is stored as a bitmap in the
 //!   first place, or
-//! * a **slice** of postings: the θ-suffix of a derived value or of a
-//!   cutpoint, a value range of the numeric postings, a sparse value's ids.
+//! * a **slice** of postings: the θ-suffix of a derived value, the
+//!   cutpoint suffix of a derived-numeric θ-list, a value range of the
+//!   numeric postings, a sparse value's ids.
 //!
 //! `source` is the one function that builds them, and [`evaluate`] (the
 //! one-shot `Squid::discover` path), [`evaluate_cached`], the session's
@@ -261,7 +262,8 @@ pub(crate) enum Source<'a> {
 pub(crate) enum Slice<'a> {
     /// Ascending ids of a sparse categorical value (`CatEq`).
     Rows(&'a [u32]),
-    /// A θ-suffix of `count << 32 | row` postings (`DerivedEq`, `DerivedGe`).
+    /// A suffix of `key << 32 | row` postings: a value's θ-suffix
+    /// (`DerivedEq`) or a θ-list's cutpoint suffix (`DerivedGe`).
     Postings(&'a [u64]),
     /// The `(value, row)` pairs of a numeric range (`NumRange`).
     Range(&'a [(f64, RowId)]),

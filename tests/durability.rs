@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use proptest::prelude::*;
-use squid_adb::{ADb, AdbConfig, PropStats};
+use squid_adb::{ADb, PropStats};
 use squid_core::{FsyncPolicy, Journal, SessionManager, SessionOp};
 use squid_datasets::{
     generate_dblp, generate_imdb, generate_imdb_variant, DblpConfig, ImdbConfig, ImdbVariant,
@@ -110,7 +110,7 @@ fn assert_round_trip(name: &str, adb: &ADb, examples: &[&str]) -> [usize; 4] {
         "{name}: generation must be fresh"
     );
     // The loader rebuilds the statistics, so they come back value for
-    // value — θ-ordered postings, per-cutpoint postings, sparse and dense
+    // value — θ-ordered postings, derived-numeric θ-lists, sparse and dense
     // value rows.
     let mut kinds = [0usize; 4];
     for (table, built) in &adb.entities {
@@ -149,31 +149,6 @@ fn snapshot_round_trip_is_fingerprint_identical_for_every_slate() {
     assert!(
         kinds.iter().all(|&k| k > 0),
         "a kind went unseen: {kinds:?}"
-    );
-}
-
-/// The snapshot records the build setting that shapes the αDB: a build
-/// with a numeric-domain bound that drops `movie.year` (and its derived
-/// relation) loads back as exactly that αDB, not a default one.
-#[test]
-fn snapshot_round_trip_keeps_a_non_default_build_config() {
-    let db = squid_adb::test_fixtures::mini_imdb();
-    let config = AdbConfig {
-        max_numeric_derived_domain: 2,
-        ..AdbConfig::default()
-    };
-    let adb = ADb::build_with(&db, &config).unwrap();
-    assert!(adb.entities["person"]
-        .props
-        .iter()
-        .all(|p| p.def.attr_name != "movie.year"));
-    let default = ADb::build(&db).unwrap().build_stats;
-    assert_ne!(adb.build_stats.property_count, default.property_count);
-    assert!(adb.build_stats.derived_table_count < default.derived_table_count);
-    assert_round_trip(
-        "mini-imdb non-default",
-        &adb,
-        &["Jim Carrey", "Eddie Murphy"],
     );
 }
 
