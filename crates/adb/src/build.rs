@@ -14,26 +14,6 @@ use squid_relation::{
 use crate::properties::{discover_properties, PropKind, PropertyDef};
 use crate::stats::{CategoricalStats, DerivedNumericStats, DerivedStats, NumericStats, PropStats};
 
-/// Configuration knobs for αDB construction.
-#[derive(Debug, Clone)]
-pub struct AdbConfig {
-    /// Worker threads for the αDB build fan-outs — per-property statistics
-    /// and the inverted-index column scan; 1 disables parallelism. Results
-    /// are merged deterministically, so the built αDB (and every database
-    /// fingerprint) is byte-identical at any worker count.
-    pub parallel_workers: usize,
-}
-
-impl Default for AdbConfig {
-    fn default() -> Self {
-        AdbConfig {
-            parallel_workers: std::thread::available_parallelism()
-                .map(|n| n.get().min(8))
-                .unwrap_or(1),
-        }
-    }
-}
-
 /// Build-time statistics (Figure 18 reports these for the paper datasets).
 #[derive(Debug, Clone, Default)]
 pub struct BuildStats {
@@ -135,8 +115,8 @@ pub struct HeapBytes {
     pub inverted: usize,
     /// Per-property statistics and each entity's key map.
     pub stats: usize,
-    /// [`ADb::query_database`]: 0 until its first call, then its copy of
-    /// the original tables plus the derived relations.
+    /// The derived relations of [`ADb::query_database`]: 0 until its first
+    /// call (it shares the original tables, counted in `tables`).
     pub derived: usize,
 }
 
@@ -147,7 +127,8 @@ pub struct ADb {
     pub inverted: InvertedIndex,
     /// Per-entity-table properties and statistics.
     pub entities: FxHashMap<String, EntityProps>,
-    /// The original tables the αDB was built over, exactly. Abduced
+    /// The original tables the αDB was built over, exactly (shared with
+    /// the caller's database, not copied). Abduced
     /// queries in their αDB form run on [`ADb::query_database`], which
     /// adds the derived relations.
     pub database: Database,
@@ -165,23 +146,21 @@ pub struct ADb {
 }
 
 impl ADb {
-    /// Build the αDB with default configuration.
+    /// Build the αDB over `db`. [`ADb::database`] shares `db`'s tables
+    /// rather than copying them.
     pub fn build(db: &Database) -> Result<ADb> {
-        Self::build_with(db, &AdbConfig::default())
+        let workers = std::thread::available_parallelism().map_or(1, |n| n.get().min(8));
+        Self::build_with_workers(db, workers)
     }
 
-    /// Build the αDB.
-    pub fn build_with(db: &Database, config: &AdbConfig) -> Result<ADb> {
-        Self::build_from(db.clone(), config)
-    }
-
-    /// [`ADb::build_with`] over a database it takes: [`ADb::database`] is
-    /// `db` itself, so the original tables are never copied (the snapshot
-    /// loader hands over what it decoded).
-    pub(crate) fn build_from(db: Database, config: &AdbConfig) -> Result<ADb> {
+    /// [`ADb::build`] with `workers` threads for the per-property statistics
+    /// and the inverted-index scan; 1 disables parallelism. Results are
+    /// merged deterministically, so the αDB is the same at any count.
+    fn build_with_workers(db: &Database, workers: usize) -> Result<ADb> {
         let start = Instant::now();
         db.validate()?;
-        let inverted = InvertedIndex::build_with_workers(&db, config.parallel_workers);
+        let db = db.clone();
+        let inverted = InvertedIndex::build_with_workers(&db, workers);
         let defs = discover_properties(&db);
         // Derived-relation names are unique against the base tables and
         // against each other (see `derived_table_name`).
@@ -210,53 +189,52 @@ impl ADb {
             });
             let n = table.len();
             // Per-property statistics are independent: fan them out over
-            // `parallel_workers` scoped threads pulling indices from a
+            // `workers` scoped threads pulling indices from a
             // shared atomic counter (work-stealing without locks — each
             // worker owns its output vector and results are put back in
             // index order afterwards).
             let entity_defs: Vec<&PropertyDef> =
                 defs.iter().filter(|d| d.entity == entity_name).collect();
-            let stats_results: Vec<Result<PropStats>> =
-                if config.parallel_workers > 1 && entity_defs.len() > 1 {
-                    let workers = config.parallel_workers.min(entity_defs.len());
-                    let next = std::sync::atomic::AtomicUsize::new(0);
-                    let per_worker: Vec<Vec<(usize, Result<PropStats>)>> =
-                        std::thread::scope(|scope| {
-                            let handles: Vec<_> = (0..workers)
-                                .map(|_| {
-                                    let next = &next;
-                                    let db = &db;
-                                    let entity_defs = &entity_defs;
-                                    let id_map = &id_map;
-                                    scope.spawn(move || {
-                                        let mut out = Vec::new();
-                                        loop {
-                                            let i = next
-                                                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                                            let Some(def) = entity_defs.get(i) else {
-                                                break;
-                                            };
-                                            out.push((i, compute_stats(db, def, n, id_map)));
-                                        }
-                                        out
-                                    })
+            let stats_results: Vec<Result<PropStats>> = if workers > 1 && entity_defs.len() > 1 {
+                let workers = workers.min(entity_defs.len());
+                let next = std::sync::atomic::AtomicUsize::new(0);
+                let per_worker: Vec<Vec<(usize, Result<PropStats>)>> =
+                    std::thread::scope(|scope| {
+                        let handles: Vec<_> = (0..workers)
+                            .map(|_| {
+                                let next = &next;
+                                let db = &db;
+                                let entity_defs = &entity_defs;
+                                let id_map = &id_map;
+                                scope.spawn(move || {
+                                    let mut out = Vec::new();
+                                    loop {
+                                        let i =
+                                            next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                                        let Some(def) = entity_defs.get(i) else {
+                                            break;
+                                        };
+                                        out.push((i, compute_stats(db, def, n, id_map)));
+                                    }
+                                    out
                                 })
-                                .collect();
-                            handles
-                                .into_iter()
-                                .map(|h| h.join().expect("stats worker panicked"))
-                                .collect()
-                        });
-                    let mut results: Vec<(usize, Result<PropStats>)> =
-                        per_worker.into_iter().flatten().collect();
-                    results.sort_unstable_by_key(|&(i, _)| i);
-                    results.into_iter().map(|(_, r)| r).collect()
-                } else {
-                    entity_defs
-                        .iter()
-                        .map(|def| compute_stats(&db, def, n, &id_map))
-                        .collect()
-                };
+                            })
+                            .collect();
+                        handles
+                            .into_iter()
+                            .map(|h| h.join().expect("stats worker panicked"))
+                            .collect()
+                    });
+                let mut results: Vec<(usize, Result<PropStats>)> =
+                    per_worker.into_iter().flatten().collect();
+                results.sort_unstable_by_key(|&(i, _)| i);
+                results.into_iter().map(|(_, r)| r).collect()
+            } else {
+                entity_defs
+                    .iter()
+                    .map(|def| compute_stats(&db, def, n, &id_map))
+                    .collect()
+            };
 
             let mut props = Vec::new();
             for (def, stats) in entity_defs.into_iter().zip(stats_results) {
@@ -354,7 +332,12 @@ impl ADb {
             tables: self.database.heap_bytes(),
             inverted: self.inverted.heap_bytes(),
             stats,
-            derived: self.query_db.get().map_or(0, Database::heap_bytes),
+            derived: self.query_db.get().map_or(0, |q| {
+                q.tables()
+                    .filter(|t| self.database.table(t.name()).is_err())
+                    .map(Table::heap_bytes)
+                    .sum()
+            }),
         }
     }
 }
@@ -738,9 +721,9 @@ fn derived_table_name(def: &PropertyDef, taken: &mut FxHashSet<String>) -> Strin
 /// statistics.
 ///
 /// Columnar bulk build: the per-entity count structures stream straight
-/// into typed [`ColumnBuilder`]s and [`Table::from_columns`] derives the
-/// row view once — no intermediate row vector and no per-row arity/type
-/// checks.
+/// into typed [`ColumnBuilder`]s, which [`Table::from_columns`] takes as
+/// the table's columns — no intermediate row vector and no per-row
+/// arity/type checks.
 fn build_derived(
     name: &str,
     entity: &str,
@@ -1133,20 +1116,8 @@ mod parallel_tests {
     #[test]
     fn parallel_build_matches_sequential() {
         let db = mini_imdb();
-        let seq = ADb::build_with(
-            &db,
-            &AdbConfig {
-                parallel_workers: 1,
-            },
-        )
-        .unwrap();
-        let par = ADb::build_with(
-            &db,
-            &AdbConfig {
-                parallel_workers: 4,
-            },
-        )
-        .unwrap();
+        let seq = ADb::build_with_workers(&db, 1).unwrap();
+        let par = ADb::build_with_workers(&db, 4).unwrap();
         assert_eq!(
             seq.build_stats.property_count,
             par.build_stats.property_count

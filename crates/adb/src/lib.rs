@@ -16,7 +16,7 @@ pub mod snapshot;
 pub mod stats;
 pub mod test_fixtures;
 
-pub use build::{ADb, AdbConfig, BuildStats, EntityProps, HeapBytes, PropId, Property};
+pub use build::{ADb, BuildStats, EntityProps, HeapBytes, PropId, Property};
 pub use properties::{discover_properties, PropKind, PropertyDef, QueryFragments};
 pub use stats::{
     posting_row, CategoricalStats, DerivedNumericStats, DerivedStats, FilterFingerprint,

@@ -28,9 +28,8 @@
 //! record. All multi-byte integers are little-endian.
 //!
 //! The DATABASE section holds [`ADb::database`], which is exactly the
-//! original tables. No build setting changes the output
-//! ([`crate::AdbConfig::parallel_workers`] does not), so none is recorded
-//! and the loader uses its own.
+//! original tables. The build has no setting that changes its output (the
+//! worker count does not), so none is recorded.
 //!
 //! Versions 1 and 2 also persisted the inverted index and the statistics
 //! arenas; version 3 recorded a switch for materializing the derived
@@ -75,7 +74,7 @@ use squid_relation::{
     FrameResult, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
 };
 
-use crate::build::{ADb, AdbConfig};
+use crate::build::ADb;
 
 /// Magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: &[u8; 8] = b"SQUIDADB";
@@ -230,7 +229,7 @@ fn decode_snapshot(bytes: &[u8]) -> FrameResult<Database> {
 }
 
 fn build_loaded(database: Database) -> FrameResult<ADb> {
-    ADb::build_from(database, &AdbConfig::default())
+    ADb::build(&database)
         .map_err(|e| FrameError::corrupt("database", format!("αDB build failed: {e}")))
 }
 

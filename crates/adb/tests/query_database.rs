@@ -49,8 +49,19 @@ fn the_database_is_the_input_and_the_query_database_is_built_on_first_use() {
             .map(|name| qdb.table(name).unwrap().len())
             .sum();
         assert_eq!(derived_rows, adb.build_stats.derived_row_count, "{how}");
+        // The query database shares the original tables: none is copied,
+        // and `derived` counts only the derived relations.
+        for t in adb.database.tables() {
+            assert!(std::ptr::eq(t, qdb.table(t.name()).unwrap()), "{how}");
+        }
+        let derived_bytes: usize = qdb
+            .tables()
+            .filter(|t| adb.database.table(t.name()).is_err())
+            .map(|t| t.heap_bytes())
+            .sum();
         let after = adb.heap_bytes();
-        assert!(after.derived > before.tables, "{how}: {after:?}");
+        assert!(after.derived > 0, "{how}: {after:?}");
+        assert_eq!(after.derived, derived_bytes, "{how}");
         assert_eq!(
             (after.tables, after.inverted, after.stats),
             (before.tables, before.inverted, before.stats)
@@ -60,6 +71,49 @@ fn the_database_is_the_input_and_the_query_database_is_built_on_first_use() {
         db_fingerprint(built.query_database()),
         db_fingerprint(loaded.query_database())
     );
+}
+
+#[test]
+fn the_build_shares_the_input_tables_and_keeps_value_semantics() {
+    let mut input = mini_imdb();
+    let adb = ADb::build(&input).unwrap();
+    for t in input.tables() {
+        assert!(std::ptr::eq(t, adb.database.table(t.name()).unwrap()));
+    }
+    // The query database is built after the write below, from the
+    // tables as they were at build time.
+    let qdb_fingerprint = db_fingerprint(ADb::build(&mini_imdb()).unwrap().query_database());
+    let (rows, fingerprint) = (
+        adb.database.table("person").unwrap().len(),
+        db_fingerprint(&adb.database),
+    );
+
+    // A write to a shared table copies it: the αDB's tables stay as built.
+    input
+        .insert(
+            "person",
+            vec![
+                Value::Int(99),
+                Value::text("New Person"),
+                Value::text("f"),
+                Value::text("Canada"),
+                Value::Int(1990),
+            ],
+        )
+        .unwrap();
+    assert_eq!(input.table("person").unwrap().len(), rows + 1);
+    assert_eq!(adb.database.table("person").unwrap().len(), rows);
+    assert_eq!(db_fingerprint(&adb.database), fingerprint);
+    assert_eq!(db_fingerprint(adb.query_database()), qdb_fingerprint);
+    assert!(!std::ptr::eq(
+        input.table("person").unwrap(),
+        adb.database.table("person").unwrap()
+    ));
+    // The tables the write did not touch are still shared.
+    assert!(std::ptr::eq(
+        input.table("movie").unwrap(),
+        adb.database.table("movie").unwrap()
+    ));
 }
 
 #[test]

@@ -555,7 +555,7 @@ fn duplicate_entities(base: &Database, dense: bool, config: &ImdbConfig) -> Data
         b.company[1].push_value(&name).unwrap();
     }
     for (_, r) in base.table("person").unwrap().iter() {
-        for (col, v) in b.person.iter_mut().zip(r) {
+        for (col, v) in b.person.iter_mut().zip(&r) {
             col.push_value(v).unwrap();
         }
     }
@@ -567,7 +567,7 @@ fn duplicate_entities(base: &Database, dense: bool, config: &ImdbConfig) -> Data
         }
     }
     for (_, r) in base.table("movie").unwrap().iter() {
-        for (col, v) in b.movie.iter_mut().zip(r) {
+        for (col, v) in b.movie.iter_mut().zip(&r) {
             col.push_value(v).unwrap();
         }
     }

@@ -644,7 +644,7 @@ pub fn adult_queries(db: &Database, seed: u64, count: usize) -> Vec<BenchmarkQue
         chosen.truncate(k);
 
         // Seed the predicates from a random row so the query is satisfiable.
-        let row = table.row(rng.random_range(0..n)).unwrap().to_vec();
+        let row = table.row(rng.random_range(0..n)).unwrap();
         let mut block = QueryBlock::new("adult");
         let mut desc: Vec<String> = Vec::new();
         for &ai in &chosen {

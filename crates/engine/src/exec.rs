@@ -368,10 +368,7 @@ pub fn count_path_for_row(
         Ok(total)
     }
     let root_ci = column_index(root_table, sj.path[0].parent_column.as_str())?;
-    let key = root_table
-        .cell(row, root_ci)
-        .copied()
-        .unwrap_or(Value::Null);
+    let key = root_table.cell(row, root_ci).unwrap_or(Value::Null);
     if key.is_null() {
         return Ok(0);
     }

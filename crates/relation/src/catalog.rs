@@ -2,16 +2,19 @@
 //! helpers the αDB builder walks (entity → fact → property paths).
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::{RelationError, Result};
 use crate::schema::{SchemaMeta, TableRole, TableSchema};
 use crate::table::{RowId, Table};
 use crate::value::Value;
 
-/// A complete in-memory database.
+/// A complete in-memory database. Tables are shared between clones: a
+/// clone copies no table, and a write through [`Database::table_mut`]
+/// copies the table first if another clone still holds it.
 #[derive(Debug, Clone, Default)]
 pub struct Database {
-    tables: BTreeMap<String, Table>,
+    tables: BTreeMap<String, Arc<Table>>,
     /// Administrator-provided metadata (non-semantic attributes etc.).
     pub meta: SchemaMeta,
 }
@@ -30,7 +33,7 @@ impl Database {
                 "duplicate table {name}"
             )));
         }
-        self.tables.insert(name, table);
+        self.tables.insert(name, Arc::new(table));
         Ok(())
     }
 
@@ -43,13 +46,15 @@ impl Database {
     pub fn table(&self, name: &str) -> Result<&Table> {
         self.tables
             .get(name)
+            .map(|t| &**t)
             .ok_or_else(|| RelationError::UnknownTable(name.to_string()))
     }
 
-    /// Mutably borrow a table.
+    /// Mutably borrow a table, copying it first if a clone shares it.
     pub fn table_mut(&mut self, name: &str) -> Result<&mut Table> {
         self.tables
             .get_mut(name)
+            .map(Arc::make_mut)
             .ok_or_else(|| RelationError::UnknownTable(name.to_string()))
     }
 
@@ -60,7 +65,7 @@ impl Database {
 
     /// Iterate all tables in name order.
     pub fn tables(&self) -> impl Iterator<Item = &Table> {
-        self.tables.values()
+        self.tables.values().map(|t| &**t)
     }
 
     /// Estimated heap bytes of every table's storage.

@@ -53,9 +53,9 @@ pub fn db_fingerprint(db: &Database) -> u64 {
             eat(&(fk.ref_column as u64).to_le_bytes());
         }
         eat(&(table.len() as u64).to_le_bytes());
-        for (_, row) in table.iter() {
-            for cell in row {
-                match cell {
+        for row in 0..table.len() {
+            for c in 0..schema.arity() {
+                match table.column(c).value_at(row) {
                     Value::Null => eat(&[0]),
                     Value::Int(v) => {
                         eat(&[1]);
@@ -69,7 +69,7 @@ pub fn db_fingerprint(db: &Database) -> u64 {
                         eat(&[3]);
                         eat(s.as_str().as_bytes());
                     }
-                    Value::Bool(b) => eat(&[4, *b as u8]),
+                    Value::Bool(b) => eat(&[4, b as u8]),
                 }
             }
         }

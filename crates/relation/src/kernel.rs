@@ -14,6 +14,15 @@
 //! (dataset set-up, the paper harness); a served or one-shot discovery
 //! turn answers its filters from the αDB's postings and runs none.
 //!
+//! The typed kernels are kept because they are measurably faster than the
+//! exact [`Kernel::Generic`] path alone. With `compile` returning
+//! `Generic` for every predicate, Figure 11's total (`experiments fig11`,
+//! IMDb and DBLP, best-of-7 per query) took 436 ms against the typed
+//! kernels' 376 ms at 10× the generator defaults (1.16×, medians of 12
+//! alternating pairs, typed faster in 9), and 26.6 against 24.9 ms at 1×
+//! (1.07×, 13 pairs, typed faster in 9), on a 2-core x86-64 host. An
+//! earlier series read 1.20× (10/10 pairs) and 1.08×.
+//!
 //! ## Word layout and tail handling
 //!
 //! Batch `i` covers rows `i*64 .. i*64+64`. The last batch of an `n`-row

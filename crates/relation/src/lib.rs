@@ -23,13 +23,15 @@
 //!   16-byte `Copy` scalar; text equality, hashing, and group-by are
 //!   integer operations, and lexicographic ordering resolves strings only
 //!   when two symbols actually differ.
-//! * **Columnar table view** ([`table::ColumnVec`]): each [`Table`]
-//!   maintains per-column typed vectors (`Vec<i64>`, `Vec<f64>`, symbol
-//!   `Vec<u32>`, `Vec<bool>`) plus a null bitmap alongside the row view.
-//!   Bulk loads and derived relations go through the columnar constructor
-//!   ([`Table::from_columns`] + [`table::ColumnBuilder`]): typed columns
-//!   are built first and the row view is derived once, with no per-row
-//!   arity/type checks.
+//! * **Columnar tables** ([`table::ColumnVec`]): each [`Table`] stores
+//!   its cells once, as per-column typed vectors (`Vec<i64>`, `Vec<f64>`,
+//!   symbol `Vec<u32>`, `Vec<bool>`) plus a null bitmap; point reads
+//!   rebuild `Copy` [`Value`]s from them. Bulk loads and derived relations
+//!   go through the columnar constructor ([`Table::from_columns`] +
+//!   [`table::ColumnBuilder`]), which takes the typed columns as they are,
+//!   with no per-row arity/type checks. A [`Database`] holds its tables
+//!   behind `Arc`, so a clone shares them and a write copies only the
+//!   table it touches.
 //! * **Compact inverted index** ([`inverted::InvertedIndex`]): postings
 //!   are packed 8-byte `(table: u16, column: u16, row: u32)` triples keyed
 //!   by folded-string symbols, sorted and deduplicated at build time;

@@ -1,13 +1,14 @@
-//! In-memory tables with a dual layout: a row view for point access and
-//! construction, and a **columnar view** — per-column typed vectors plus a
-//! null bitmap — that the executor's predicate scans, semi-join folds, and
+//! In-memory tables stored column by column: per-column typed vectors plus
+//! a null bitmap, which the executor's predicate scans, semi-join folds, and
 //! the αDB statistics pass read so their inner loops touch contiguous
-//! `i64`/`f64`/`u32` data instead of matching `Value` enums per cell.
+//! `i64`/`f64`/`u32` data instead of matching `Value` enums per cell. Point
+//! reads ([`Table::row`], [`Table::cell`], [`Table::iter`]) rebuild `Copy`
+//! [`Value`]s from the columns; there is no row-major copy.
 //!
 //! Tables are append-only: rows get dense ids (`RowId`) equal to their
-//! insertion position, which indexes, bitmaps, and the αDB rely on. Both
-//! layouts are maintained incrementally on insert, so the columnar view is
-//! always current and costs no separate build pass.
+//! insertion position, which indexes, bitmaps, and the αDB rely on.
+
+use std::sync::OnceLock;
 
 use crate::error::{RelationError, Result};
 use crate::rowset::RowSet;
@@ -46,11 +47,14 @@ impl ColumnData {
     }
 }
 
-/// One column of the columnar view: typed data plus a null bitmap.
+/// One column: typed data plus a null bitmap.
 #[derive(Debug, Clone)]
 pub struct ColumnVec {
     data: ColumnData,
     nulls: RowSet,
+    /// The cells as `Value`s, built by the first [`Table::column_values`]
+    /// call and dropped by the next insert.
+    values: OnceLock<Vec<Value>>,
 }
 
 impl ColumnVec {
@@ -64,6 +68,7 @@ impl ColumnVec {
         ColumnVec {
             data,
             nulls: RowSet::new(),
+            values: OnceLock::new(),
         }
     }
 
@@ -77,6 +82,7 @@ impl ColumnVec {
     }
 
     fn push(&mut self, row: RowId, v: &Value) {
+        self.values.take();
         if v.is_null() {
             self.nulls.insert(row);
         }
@@ -93,10 +99,12 @@ impl ColumnVec {
         &self.data
     }
 
-    /// Estimated heap bytes of the typed storage and the null bitmap.
+    /// Estimated heap bytes of the typed storage, the null bitmap and (once
+    /// built) the [`Table::column_values`] cells.
     pub fn heap_bytes(&self) -> usize {
         use crate::heap::vec_bytes;
         self.nulls.heap_bytes()
+            + self.values.get().map_or(0, vec_bytes)
             + match &self.data {
                 ColumnData::Int(xs) => vec_bytes(xs),
                 ColumnData::Float(xs) => vec_bytes(xs),
@@ -212,7 +220,7 @@ impl ColumnVec {
 /// Typed staging storage for one column of a columnar bulk build (see
 /// [`Table::from_columns`]): push cells through the typed methods — no
 /// `Value` wrapping, no per-row type dispatch — then hand the builders to
-/// the table constructor, which derives the row view in one pass.
+/// the table constructor, which takes them as the table's columns.
 #[derive(Debug, Clone)]
 pub struct ColumnBuilder {
     data: ColumnData,
@@ -309,9 +317,8 @@ impl ColumnBuilder {
     /// Assemble a builder directly from bulk-decoded parts: the typed
     /// storage and its null bitmap, with no per-cell push. The caller
     /// guarantees two invariants the push methods normally maintain:
-    /// every set bit in `nulls` addresses a cell below `data`'s length
-    /// (violations panic later in [`Table::from_columns`]'s row-view
-    /// scatter), and null positions hold the type's sentinel value.
+    /// every set bit in `nulls` addresses a cell below `data`'s length,
+    /// and null positions hold the type's sentinel value.
     pub fn from_parts(data: ColumnData, nulls: RowSet) -> ColumnBuilder {
         let len = match &data {
             ColumnData::Int(xs) => xs.len(),
@@ -359,19 +366,15 @@ impl ColumnBuilder {
         ColumnVec {
             data: self.data,
             nulls: self.nulls,
+            values: OnceLock::new(),
         }
     }
 }
 
-/// An in-memory table: a schema plus rows in both layouts. The row view is
-/// a single flat `Vec<Value>` with `arity` stride — `Value` is `Copy`, so
-/// inserting a row is a bounds-checked memcpy with no per-row allocation,
-/// and cloning a table is a handful of flat memcpys.
+/// An in-memory table: a schema plus one typed column per schema column.
 #[derive(Debug, Clone)]
 pub struct Table {
     schema: TableSchema,
-    /// Flat row-major cells; row `i` is `cells[i*arity .. (i+1)*arity]`.
-    cells: Vec<Value>,
     len: usize,
     columns: Vec<ColumnVec>,
 }
@@ -386,18 +389,16 @@ impl Table {
             .collect();
         Table {
             schema,
-            cells: Vec::new(),
             len: 0,
             columns,
         }
     }
 
-    /// Columnar bulk constructor: take fully-built typed columns and
-    /// *derive* the row view from them, instead of type-checking and
-    /// scattering cell-by-cell. Column count, per-column types, and equal
-    /// lengths are validated once up front; after that no per-row checks
-    /// run — bulk load and derived-relation materialization go through
-    /// here.
+    /// Columnar bulk constructor: take fully-built typed columns as the
+    /// table's columns instead of type-checking cell by cell. Column count,
+    /// per-column types, and equal lengths are validated once up front;
+    /// after that no per-row checks run — bulk load and derived-relation
+    /// materialization go through here.
     pub fn from_columns(schema: TableSchema, builders: Vec<ColumnBuilder>) -> Result<Table> {
         if builders.len() != schema.arity() {
             return Err(RelationError::ArityMismatch {
@@ -425,45 +426,12 @@ impl Table {
                 )));
             }
         }
-        let columns: Vec<ColumnVec> = builders
+        let columns = builders
             .into_iter()
             .map(ColumnBuilder::into_column_vec)
             .collect();
-        // Derive the flat row view column-major: one typed dispatch per
-        // column, a strided scatter of `Copy` scalars, then a sparse
-        // second pass overwriting the null positions from the bitmap.
-        let arity = schema.arity();
-        let mut cells = vec![Value::Null; len * arity];
-        for (ci, col) in columns.iter().enumerate() {
-            match col.data() {
-                ColumnData::Int(xs) => {
-                    for (row, &x) in xs.iter().enumerate() {
-                        cells[row * arity + ci] = Value::Int(x);
-                    }
-                }
-                ColumnData::Float(xs) => {
-                    for (row, &x) in xs.iter().enumerate() {
-                        cells[row * arity + ci] = Value::Float(x);
-                    }
-                }
-                ColumnData::Text(xs) => {
-                    for (row, &s) in xs.iter().enumerate() {
-                        cells[row * arity + ci] = Value::Text(crate::intern::Sym::from_id(s));
-                    }
-                }
-                ColumnData::Bool(xs) => {
-                    for (row, &b) in xs.iter().enumerate() {
-                        cells[row * arity + ci] = Value::Bool(b);
-                    }
-                }
-            }
-            for row in col.nulls().iter() {
-                cells[row * arity + ci] = Value::Null;
-            }
-        }
         Ok(Table {
             schema,
-            cells,
             len,
             columns,
         })
@@ -484,15 +452,9 @@ impl Table {
         self.len
     }
 
-    /// Estimated heap bytes of the row view and the columnar view.
+    /// Estimated heap bytes of the columns.
     pub fn heap_bytes(&self) -> usize {
-        crate::heap::vec_bytes(&self.cells)
-            + crate::heap::vec_bytes(&self.columns)
-            + self
-                .columns
-                .iter()
-                .map(ColumnVec::heap_bytes)
-                .sum::<usize>()
+        self.columns.iter().map(ColumnVec::heap_bytes).sum()
     }
 
     /// True iff the table has no rows.
@@ -500,17 +462,14 @@ impl Table {
         self.len == 0
     }
 
-    /// Pre-allocate space for `additional` more rows in both layouts.
+    /// Pre-allocate space for `additional` more rows.
     pub fn reserve(&mut self, additional: usize) {
-        self.cells.reserve(additional * self.schema.arity());
         for col in &mut self.columns {
             col.reserve(additional);
         }
     }
 
     /// Append a row after checking arity and column types. Returns its id.
-    /// Copies the cells out of the slice (`Value` is `Copy`) — no per-row
-    /// heap allocation.
     pub fn insert_slice(&mut self, row: &[Value]) -> Result<RowId> {
         if row.len() != self.schema.arity() {
             return Err(RelationError::ArityMismatch {
@@ -535,7 +494,6 @@ impl Table {
         for (col, v) in self.columns.iter_mut().zip(row) {
             col.push(id, v);
         }
-        self.cells.extend_from_slice(row);
         self.len += 1;
         Ok(id)
     }
@@ -545,43 +503,39 @@ impl Table {
         self.insert_slice(&row)
     }
 
-    /// Borrow a row by id.
-    pub fn row(&self, id: RowId) -> Option<&[Value]> {
-        if id >= self.len {
-            return None;
-        }
-        let a = self.schema.arity();
-        Some(&self.cells[id * a..(id + 1) * a])
+    /// The cells of a row, rebuilt from the columns.
+    pub fn row(&self, id: RowId) -> Option<Vec<Value>> {
+        (id < self.len).then(|| self.row_at(id))
     }
 
-    /// Borrow a single cell.
-    pub fn cell(&self, id: RowId, column: usize) -> Option<&Value> {
-        if id >= self.len || column >= self.schema.arity() {
-            return None;
-        }
-        Some(&self.cells[id * self.schema.arity() + column])
+    fn row_at(&self, id: RowId) -> Vec<Value> {
+        self.columns.iter().map(|c| c.value_at(id)).collect()
     }
 
-    /// The columnar view of one column.
+    /// A single cell, rebuilt from its column.
+    pub fn cell(&self, id: RowId, column: usize) -> Option<Value> {
+        let col = self.columns.get(column)?;
+        (id < self.len).then(|| col.value_at(id))
+    }
+
+    /// One column.
     pub fn column(&self, column: usize) -> &ColumnVec {
         &self.columns[column]
     }
 
-    /// Iterate `(row_id, row)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (RowId, &[Value])> {
-        let arity = self.schema.arity();
-        (0..self.len).map(move |i| (i, &self.cells[i * arity..(i + 1) * arity]))
+    /// Iterate `(row_id, row)` pairs, each row rebuilt from the columns.
+    pub fn iter(&self) -> impl Iterator<Item = (RowId, Vec<Value>)> + '_ {
+        (0..self.len).map(move |i| (i, self.row_at(i)))
     }
 
-    /// Iterate the values of one column (including nulls).
+    /// Iterate the values of one column (including nulls). The one borrowed
+    /// read: the column's `Value`s are built on the first call and kept
+    /// (counted by [`Table::heap_bytes`]) until the next insert.
     pub fn column_values(&self, column: usize) -> impl Iterator<Item = &Value> {
-        (0..self.len).map(move |i| &self.cells[i * self.schema.arity() + column])
-    }
-
-    /// Find the first row whose `column` equals `value` (linear scan; use an
-    /// index for hot paths).
-    pub fn find_first(&self, column: usize, value: &Value) -> Option<RowId> {
-        (0..self.len).find(|&i| &self.cells[i * self.schema.arity() + column] == value)
+        let col = &self.columns[column];
+        col.values
+            .get_or_init(|| (0..self.len).map(|i| col.value_at(i)).collect())
+            .iter()
     }
 }
 
@@ -608,7 +562,9 @@ mod tests {
         let id = t.insert(vec![Value::Int(1), Value::text("a")]).unwrap();
         assert_eq!(id, 0);
         assert_eq!(t.len(), 1);
-        assert_eq!(t.cell(0, 1), Some(&Value::text("a")));
+        assert_eq!(t.cell(0, 1), Some(Value::text("a")));
+        assert_eq!(t.cell(1, 1), None);
+        assert_eq!(t.cell(0, 2), None);
         assert_eq!(t.row(0).unwrap()[0], Value::Int(1));
     }
 
@@ -647,21 +603,19 @@ mod tests {
     }
 
     #[test]
-    fn find_first_scans() {
-        let mut t = table();
-        t.insert(vec![Value::Int(1), Value::text("a")]).unwrap();
-        t.insert(vec![Value::Int(2), Value::text("b")]).unwrap();
-        assert_eq!(t.find_first(1, &Value::text("b")), Some(1));
-        assert_eq!(t.find_first(1, &Value::text("z")), None);
-    }
-
-    #[test]
     fn column_values_iterates_in_order() {
         let mut t = table();
         t.insert(vec![Value::Int(2), Value::text("b")]).unwrap();
         t.insert(vec![Value::Int(1), Value::text("a")]).unwrap();
+        let typed = t.column(0).heap_bytes();
         let vals: Vec<i64> = t.column_values(0).filter_map(|v| v.as_int()).collect();
         assert_eq!(vals, vec![2, 1]);
+        // The built values are counted, and the next insert drops them.
+        assert!(t.column(0).heap_bytes() >= typed + 2 * std::mem::size_of::<Value>());
+        t.insert(vec![Value::Int(3), Value::text("c")]).unwrap();
+        assert!(t.column(0).heap_bytes() < typed + 2 * std::mem::size_of::<Value>());
+        let vals: Vec<i64> = t.column_values(0).filter_map(|v| v.as_int()).collect();
+        assert_eq!(vals, vec![2, 1, 3]);
     }
 
     #[test]
@@ -752,19 +706,25 @@ mod tests {
     }
 
     #[test]
-    fn columnar_view_agrees_with_row_view() {
-        let mut t = table();
+    fn heap_bytes_is_the_columns() {
+        let column_sum = |t: &Table| -> usize {
+            (0..t.schema().arity())
+                .map(|c| t.column(c).heap_bytes())
+                .sum()
+        };
+        let mut by_rows = table();
+        let mut ids = ColumnBuilder::new(DataType::Int);
+        let mut names = ColumnBuilder::new(DataType::Text);
         for i in 0..100i64 {
-            let name = if i % 7 == 0 {
-                Value::Null
-            } else {
-                Value::text(format!("n{}", i % 13))
-            };
-            t.insert(vec![Value::Int(i), name]).unwrap();
+            let name = Value::text(format!("n{}", i % 13));
+            by_rows.insert(vec![Value::Int(i), name]).unwrap();
+            ids.push_int(i);
+            names.push_value(&name).unwrap();
         }
-        for (rid, row) in t.iter() {
-            assert_eq!(t.column(0).value_at(rid), row[0]);
-            assert_eq!(t.column(1).value_at(rid), row[1]);
+        let bulk = Table::from_columns(by_rows.schema().clone(), vec![ids, names]).unwrap();
+        for t in [&by_rows, &bulk] {
+            assert!(t.heap_bytes() >= 100 * (8 + 4));
+            assert_eq!(t.heap_bytes(), column_sum(t));
         }
     }
 }

@@ -206,10 +206,10 @@ fn different_seeds_produce_different_data() {
         b.table("person").unwrap().len()
     );
     let ga: Vec<_> = (0..20)
-        .map(|i| a.table("person").unwrap().cell(i, 2).cloned())
+        .map(|i| a.table("person").unwrap().cell(i, 2))
         .collect();
     let gb: Vec<_> = (0..20)
-        .map(|i| b.table("person").unwrap().cell(i, 2).cloned())
+        .map(|i| b.table("person").unwrap().cell(i, 2))
         .collect();
     assert_ne!(ga, gb, "different seeds should differ somewhere");
 }
