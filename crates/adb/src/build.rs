@@ -12,7 +12,9 @@ use squid_relation::{
 };
 
 use crate::properties::{discover_properties, PropKind, PropertyDef};
-use crate::stats::{CategoricalStats, DerivedNumericStats, DerivedStats, NumericStats, PropStats};
+use crate::stats::{
+    CategoricalStats, DerivedNumericStats, DerivedStats, NumericStats, Overflow, PropStats,
+};
 
 /// Build-time statistics (Figure 18 reports these for the paper datasets).
 #[derive(Debug, Clone, Default)]
@@ -113,11 +115,38 @@ pub struct HeapBytes {
     pub tables: usize,
     /// The inverted column index.
     pub inverted: usize,
-    /// Per-property statistics and each entity's key map.
+    /// Per-property statistics and each entity's key map: the sum of
+    /// [`HeapBytes::stats_parts`].
     pub stats: usize,
+    /// `stats` by kind of statistics.
+    pub stats_parts: StatsParts,
     /// The derived relations of [`ADb::query_database`]: 0 until its first
     /// call (it shares the original tables, counted in `tables`).
     pub derived: usize,
+}
+
+/// [`HeapBytes::stats`] split by what holds the bytes.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StatsParts {
+    /// Categorical properties ([`PropStats::Categorical`]).
+    pub categorical: usize,
+    /// Direct numeric properties ([`PropStats::Numeric`]).
+    pub numeric: usize,
+    /// Derived counted properties ([`PropStats::Derived`]).
+    pub derived: usize,
+    /// Derived properties over a numeric attribute
+    /// ([`PropStats::DerivedNumeric`]).
+    pub derived_numeric: usize,
+    /// Each entity table's primary key → row map
+    /// ([`EntityProps::pk_to_row`]).
+    pub keys: usize,
+}
+
+impl StatsParts {
+    /// The parts summed: [`HeapBytes::stats`].
+    pub fn total(&self) -> usize {
+        self.categorical + self.numeric + self.derived + self.derived_numeric + self.keys
+    }
 }
 
 /// The abduction-ready database.
@@ -320,18 +349,24 @@ impl ADb {
     /// Estimated heap bytes of the original tables, the inverted index, the
     /// statistics and (once built) the query database.
     pub fn heap_bytes(&self) -> HeapBytes {
-        let stats = self
-            .entities
-            .values()
-            .map(|e| {
-                squid_relation::heap::map_bytes(&e.pk_to_row)
-                    + e.props.iter().map(|p| p.stats.heap_bytes()).sum::<usize>()
-            })
-            .sum();
+        let mut parts = StatsParts::default();
+        for e in self.entities.values() {
+            parts.keys += squid_relation::heap::map_bytes(&e.pk_to_row);
+            for p in &e.props {
+                let part = match p.stats {
+                    PropStats::Categorical(_) => &mut parts.categorical,
+                    PropStats::Numeric(_) => &mut parts.numeric,
+                    PropStats::Derived(_) => &mut parts.derived,
+                    PropStats::DerivedNumeric(_) => &mut parts.derived_numeric,
+                };
+                *part += p.stats.heap_bytes();
+            }
+        }
         HeapBytes {
             tables: self.database.heap_bytes(),
             inverted: self.inverted.heap_bytes(),
-            stats,
+            stats: parts.total(),
+            stats_parts: parts,
             derived: self.query_db.get().map_or(0, |q| {
                 q.tables()
                     .filter(|t| self.database.table(t.name()).is_err())
@@ -506,10 +541,13 @@ fn compute_stats(
     pk_to_row: &IdMap,
 ) -> Result<PropStats> {
     let entity_table = db.table(&def.entity)?;
+    let refuse = |overflow| refuse(def, overflow);
     Ok(match &def.kind {
         PropKind::DirectCategorical { column } => {
             let ci = col(db, &def.entity, column)?;
-            PropStats::Categorical(CategoricalStats::from_column(entity_table.column(ci), n))
+            PropStats::Categorical(
+                CategoricalStats::from_column(entity_table.column(ci), n).map_err(refuse)?,
+            )
         }
         PropKind::DirectNumeric { column } => {
             let ci = col(db, &def.entity, column)?;
@@ -535,7 +573,7 @@ fn compute_stats(
                     per_entity[rid].push(*v);
                 }
             });
-            PropStats::Categorical(CategoricalStats::from_sets(per_entity))
+            PropStats::Categorical(CategoricalStats::from_sets(per_entity).map_err(refuse)?)
         }
         PropKind::InlineCategorical {
             fact,
@@ -557,7 +595,7 @@ fn compute_stats(
                     }
                 });
             }
-            PropStats::Categorical(CategoricalStats::from_sets(per_entity))
+            PropStats::Categorical(CategoricalStats::from_sets(per_entity).map_err(refuse)?)
         }
         PropKind::FactAttrCount {
             fact,
@@ -578,7 +616,7 @@ fn compute_stats(
                     bump_run(&mut per_entity[rid], fc.value_at(row));
                 });
             }
-            PropStats::Derived(DerivedStats::from_runs(per_entity))
+            PropStats::Derived(DerivedStats::from_runs(per_entity).map_err(refuse)?)
         }
         PropKind::MidAttrCount {
             fact,
@@ -604,7 +642,7 @@ fn compute_stats(
                     let Some(x) = v.as_float() else { return };
                     per_entity[rid].push((x, 1));
                 });
-                PropStats::DerivedNumeric(DerivedNumericStats::build(per_entity))
+                PropStats::DerivedNumeric(DerivedNumericStats::build(per_entity).map_err(refuse)?)
             } else {
                 let mut per_entity: Vec<Vec<(Value, u64)>> = vec![Vec::new(); n];
                 kernel::scan_int_pairs(fe, fm, fact_t.len(), |_, e, m| {
@@ -615,7 +653,7 @@ fn compute_stats(
                         bump_run(&mut per_entity[rid], *v);
                     }
                 });
-                PropStats::Derived(DerivedStats::from_runs(per_entity))
+                PropStats::Derived(DerivedStats::from_runs(per_entity).map_err(refuse)?)
             }
         }
         PropKind::TwoHopCount {
@@ -676,9 +714,15 @@ fn compute_stats(
                     bump_run(&mut per_entity[rid], *v);
                 }
             });
-            PropStats::Derived(DerivedStats::from_runs(per_entity))
+            PropStats::Derived(DerivedStats::from_runs(per_entity).map_err(refuse)?)
         }
     })
+}
+
+/// The build's refusal of a property whose statistics do not fit their
+/// `u32`s, naming the property.
+fn refuse(def: &PropertyDef, overflow: Overflow) -> RelationError {
+    RelationError::TooLarge(format!("property {}: {overflow}", def.id))
 }
 
 /// Rows of a property's derived relation, one per `(entity, value)` pair
@@ -686,9 +730,7 @@ fn compute_stats(
 fn derived_rows(stats: &PropStats) -> Option<usize> {
     match stats {
         PropStats::Derived(d) => Some(d.association_count()),
-        PropStats::DerivedNumeric(d) => {
-            Some((0..d.entity_count()).map(|r| d.counts_of(r).len()).sum())
-        }
+        PropStats::DerivedNumeric(d) => Some(d.association_count()),
         PropStats::Categorical(_) | PropStats::Numeric(_) => None,
     }
 }
@@ -733,9 +775,10 @@ fn build_derived(
 ) -> Result<Table> {
     let rows = derived_rows(stats).expect("only derived properties have a derived relation");
     let value_type = match stats {
-        PropStats::Derived(d) => (0..d.entity_count())
-            .flat_map(|r| d.counts_of(r))
-            .find_map(|(v, _)| v.data_type())
+        PropStats::Derived(d) => d
+            .domain()
+            .iter()
+            .find_map(Value::data_type)
             .unwrap_or(DataType::Text),
         _ => DataType::Float,
     };
@@ -751,19 +794,19 @@ fn build_derived(
     match stats {
         PropStats::Derived(d) => {
             for (rid, pk) in pk_vals.iter().enumerate().take(d.entity_count()) {
-                for &(v, c) in d.counts_of(rid) {
+                for &(code, c) in d.runs_of(rid) {
                     ent.push_value(pk)?;
-                    val.push_value(&v)?;
-                    cnt.push_int(c as i64);
+                    val.push_value(&d.value(code))?;
+                    cnt.push_int(i64::from(c));
                 }
             }
         }
         PropStats::DerivedNumeric(d) => {
             for (rid, pk) in pk_vals.iter().enumerate().take(d.entity_count()) {
-                for &(x, c) in d.counts_of(rid) {
+                for &(rank, c) in d.runs_of(rid) {
                     ent.push_value(pk)?;
-                    val.push_float(x);
-                    cnt.push_int(c as i64);
+                    val.push_float(d.cutpoints()[rank as usize]);
+                    cnt.push_int(i64::from(c));
                 }
             }
         }
@@ -1058,6 +1101,52 @@ mod tests {
             .unwrap();
         }
         db
+    }
+
+    /// `stats` is its parts, each kind of statistics and the key maps,
+    /// to the byte.
+    #[test]
+    fn stats_parts_sum_to_stats() {
+        let a = adb();
+        let heap = a.heap_bytes();
+        let parts = heap.stats_parts;
+        assert_eq!(parts.total(), heap.stats);
+        for (name, part) in [
+            ("categorical", parts.categorical),
+            ("numeric", parts.numeric),
+            ("derived", parts.derived),
+            ("derived_numeric", parts.derived_numeric),
+            ("keys", parts.keys),
+        ] {
+            assert!(part > 0, "mini-IMDb has {name} statistics");
+        }
+        let keys: usize = a
+            .entities
+            .values()
+            .map(|e| squid_relation::heap::map_bytes(&e.pk_to_row))
+            .sum();
+        assert_eq!(parts.keys, keys);
+    }
+
+    /// The one narrowing helper takes `u32::MAX` and refuses one more; the
+    /// build's refusal names the property.
+    #[test]
+    fn an_overflowing_property_is_refused_by_name() {
+        let def = &discover_properties(&mini_imdb())[0];
+        assert_eq!(
+            crate::stats::narrow(u64::from(u32::MAX), "association count"),
+            Ok(u32::MAX)
+        );
+        let overflow =
+            crate::stats::narrow(u64::from(u32::MAX) + 1, "association count").unwrap_err();
+        let refusal = refuse(def, overflow).to_string();
+        assert_eq!(
+            refusal,
+            format!(
+                "too large: property {}: association count 4294967296 exceeds the u32 range",
+                def.id
+            )
+        );
     }
 
     #[test]

@@ -16,10 +16,10 @@ pub mod snapshot;
 pub mod stats;
 pub mod test_fixtures;
 
-pub use build::{ADb, BuildStats, EntityProps, HeapBytes, PropId, Property};
+pub use build::{ADb, BuildStats, EntityProps, HeapBytes, PropId, Property, StatsParts};
 pub use properties::{discover_properties, PropKind, PropertyDef, QueryFragments};
 pub use stats::{
     posting_row, CategoricalStats, DerivedNumericStats, DerivedStats, FilterFingerprint,
-    FilterSetCache, NumericStats, PropStats, SharedCacheStats, SharedFilterSetCache, ValueRows,
-    DEFAULT_SHARED_CACHE_BYTES, SHARED_CACHE_SHARDS,
+    FilterSetCache, NumericStats, Overflow, PropStats, SharedCacheStats, SharedFilterSetCache,
+    ValueRows, ValuesOf, DEFAULT_SHARED_CACHE_BYTES, SHARED_CACHE_SHARDS,
 };

@@ -5,13 +5,29 @@
 //! arrays, each filter's satisfying rows without touching an entity that
 //! does not satisfy it.
 //!
+//! ## Value codes
+//!
+//! A categorical or derived property gives its distinct values dense `u32`
+//! codes at build, assigned in [`Value`]'s total order: code `c` is the
+//! `c`-th smallest value, so codes sort the way their values do. Each such
+//! property keeps one dictionary — its values ascending (`domain`) and one
+//! `Value → code` map — and stores every per-entity and per-value array by
+//! code. A derived-numeric property's dictionary is its cutpoints: an
+//! entity's values are stored as cutpoint ranks. Filters, fingerprints and
+//! the wire carry `Value`s; only the statistics store codes, and a read
+//! that starts from a `Value` maps it to its code once.
+//!
+//! Every code, count, offset and row is a `u32`, narrowed in one checked
+//! place ([`narrow`]): a property whose figures do not fit is refused at
+//! build with an [`Overflow`], never wrapped.
+//!
 //! ## Postings layout
 //!
 //! Every filter kind the online phase abduces reads its answer off one
 //! array that is ordered the way the filter cuts it:
 //!
-//! * **Derived counts** (`⟨A, v, θ⟩`, [`DerivedStats`]): per value one
-//!   array of `count << 32 | row` words ([`posting_row`]), ascending. The
+//! * **Derived counts** (`⟨A, v, θ⟩`, [`DerivedStats`]): per value code one
+//!   group of `count << 32 | row` words ([`posting_row`]), ascending. The
 //!   entities associated at least θ times are the suffix a binary search
 //!   finds (`count_suffix`); its length over `n` *is* ψ, so the
 //!   selectivity and the satisfying rows come from the same lookup. 8
@@ -19,39 +35,46 @@
 //! * **Suffix ranges** (`⟨A ≥ c, θ⟩`, [`DerivedNumericStats`]): an entity
 //!   has at least θ associations of value ≥ `c` exactly when its θ-th
 //!   largest value, counted with multiplicity, is ≥ `c`. So per θ one
-//!   array of `reach << 32 | row` words, ascending, one per entity with at
+//!   group of `reach << 32 | row` words, ascending, one per entity with at
 //!   least θ associations, where the reach is that θ-th largest value's
-//!   cutpoint index. The entities satisfying `⟨A ≥ c, θ⟩` are the suffix
-//!   of list θ from the first reach ≥ `c`'s index: again one binary
+//!   cutpoint rank. The entities satisfying `⟨A ≥ c, θ⟩` are the suffix
+//!   of list θ from the first reach ≥ `c`'s rank: again one binary
 //!   search for both ψ and the rows. The lists hold one posting per
 //!   association, whatever the domain size. At a NaN cutpoint every
 //!   association counts (no value is below NaN), so there the answer is
 //!   the whole list.
 //! * **Numeric ranges** ([`NumericStats`]): `(value, row)` pairs ascending
 //!   by value; a range is the slice between two binary searches.
-//! * **Categorical values** ([`CategoricalStats`]): per value its rows,
-//!   stored in whichever form is smaller ([`ValueRows`]) — ascending `u32`
-//!   row ids, or one bit per entity once the list would be at least as
-//!   large as the bitmap. A row id is 32 bits and a bitmap spends one bit
-//!   per entity, so the crossover is `m · 32 ≥ n` (`DENSE_CROSSOVER`); it
-//!   is the point where the two encodings cost the same bytes, which is
+//! * **Categorical values** ([`CategoricalStats`]): per value code its
+//!   rows, stored in whichever form is smaller ([`ValueRows`]) — ascending
+//!   `u32` row ids, or one bit per entity once the list would be at least
+//!   as large as the bitmap. A row id is 32 bits and a bitmap spends one
+//!   bit per entity, so the crossover is `m · 32 ≥ n` (`DENSE_CROSSOVER`);
+//!   it is the point where the two encodings cost the same bytes, which is
 //!   why it is a constant and not a setting. A value is never stored both
 //!   ways. A dense value answers `attr = v` as it stands: evaluation ANDs
 //!   the αDB's own bitmap and builds nothing.
 //!
-//! Per-entity data (`per_entity`, the derived run arena) stays beside the
-//! postings: context discovery folds example rows through it, and the
-//! per-row filter definition (`CandidateFilter::matches_row` in
-//! squid-core) — the oracle every set-algebra path is tested against —
-//! reads nothing else.
+//! ## Per-entity data
+//!
+//! Per-entity data stays beside the postings, each kind in one CSR arena:
+//! an `offsets` array of `n + 1` `u32`s plus one flat array of entries,
+//! entity `r`'s entries being `entries[offsets[r]..offsets[r + 1]]`. A
+//! categorical entity holds its distinct value codes, ascending; a derived
+//! entity its `(code, count)` run, ascending by code; a derived-numeric
+//! entity its `(rank, count)` run, ascending by rank. No entity owns an
+//! allocation. Context discovery folds example rows through these arenas
+//! (its intersections are merges over sorted codes), and the per-row
+//! filter definition (`CandidateFilter::matches_row` in squid-core) — the
+//! oracle every set-algebra path is tested against — reads nothing else.
 //!
 //! ## One store per fact
 //!
 //! Every figure the online phase reads comes from the array evaluation
 //! walks, so no figure has a second copy to keep in step:
 //!
-//! * ψ_eq, ψ_in and the categorical domain: `value_rows`, whose lengths are
-//!   O(1) ([`ValueRows::len`]).
+//! * ψ_eq, ψ_in and the categorical domain: a value code's row group or
+//!   bitmap, whose length is O(1) ([`ValueRows::len`]), and the dictionary.
 //! * ψ of a numeric range: the length of its slice of `sorted_rows`
 //!   ([`NumericStats::rows_in_range`]); min, max and coverage: the two
 //!   ends of `sorted_rows`.
@@ -63,8 +86,10 @@
 //!   too). A posting's count is its entity's run count, so the share is
 //!   the same float the per-row definition computes.
 //!
-//! The four statistics types are built only by their constructors and
-//! keep their fields private, so every [`PropStats`] has its postings.
+//! A value lives once per property, in its dictionary; the arenas hold
+//! 4-byte codes. The four statistics types are built only by their
+//! constructors and keep their fields private, so every [`PropStats`] has
+//! its postings.
 //!
 //! No array grows with a derived-numeric property's domain times its
 //! entities, so no property is skipped for a wide domain. The remaining
@@ -73,11 +98,13 @@
 //! ([`DerivedNumericStats::suffix_counts_into`], O(C)), and candidate
 //! emission scans those C cutpoints for the most selective one.
 //!
-//! The constructors grow these arrays by pushes and trim each one to its
-//! length (`shrink_to_fit`) once it is complete, and allocate a direct
-//! attribute's one-value sets at their exact size: an αDB lives as long as
+//! The constructors consume the raw per-entity lists entity by entity,
+//! size every group array from counts before filling it, and trim what
+//! grew by pushes to its length (`shrink_to_fit`): an αDB lives as long as
 //! its process, and doubling growth leaves up to half of an array unused.
 
+use std::collections::hash_map::Entry;
+use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use squid_relation::heap::{map_bytes, vec_bytes};
@@ -88,31 +115,229 @@ use squid_relation::{kernel, ColumnVec, FxHashMap, RowId, RowSet, Sym, Value};
 /// as many bytes as an `n`-bit bitmap.
 const DENSE_CROSSOVER: usize = 32;
 
-/// The entity rows carrying one categorical value, in the smaller of two
-/// encodings (see the module docs).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ValueRows {
-    /// Ascending row ids, for values rarer than one entity in 32.
-    Sparse(Vec<u32>),
-    /// One bit per entity, sized to the entity count.
-    Dense(RowSet),
+/// A figure too large for the `u32` the statistics store it as. The αDB
+/// build refuses the property that produced it and names it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Overflow {
+    /// What the figure counts (`"association count"`, `"entity count"`, …).
+    pub what: &'static str,
+    /// The figure.
+    pub value: u64,
 }
 
-impl ValueRows {
-    /// Encode ascending distinct `rows` of an `n`-entity table.
-    fn from_rows(mut rows: Vec<u32>, n: usize) -> ValueRows {
-        if rows.len() * DENSE_CROSSOVER >= n {
-            let mut set = RowSet::with_universe(n);
-            for &row in &rows {
-                set.insert(row as RowId);
-            }
-            ValueRows::Dense(set)
-        } else {
-            rows.shrink_to_fit();
-            ValueRows::Sparse(rows)
+impl fmt::Display for Overflow {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} exceeds the u32 range", self.what, self.value)
+    }
+}
+
+impl std::error::Error for Overflow {}
+
+/// Narrow `value` to the `u32` every value code, count, offset and row of
+/// the statistics is stored as, or refuse it.
+pub(crate) fn narrow(value: u64, what: &'static str) -> Result<u32, Overflow> {
+    u32::try_from(value).map_err(|_| Overflow { what, value })
+}
+
+/// Groups of entries in one flat array: group `i` is
+/// `entries[offsets[i]..offsets[i + 1]]` (compressed sparse rows). No
+/// group owns an allocation.
+#[derive(Debug, Clone, PartialEq)]
+struct Csr<T> {
+    /// `groups + 1` ascending offsets, the first 0.
+    offsets: Vec<u32>,
+    entries: Vec<T>,
+}
+
+impl<T: Copy> Csr<T> {
+    /// No groups yet, room for `groups` of them.
+    fn with_groups(groups: usize) -> Csr<T> {
+        let mut offsets = Vec::with_capacity(groups + 1);
+        offsets.push(0);
+        Csr {
+            offsets,
+            entries: Vec::new(),
         }
     }
 
+    /// Groups of the given lengths, every entry `fill`: the caller places
+    /// the entries through a cursor per group.
+    fn sized(lens: impl IntoIterator<Item = u32>, fill: T) -> Result<Csr<T>, Overflow> {
+        let mut offsets = vec![0];
+        let mut total = 0u64;
+        for len in lens {
+            total += u64::from(len);
+            offsets.push(narrow(total, "arena offset")?);
+        }
+        offsets.shrink_to_fit();
+        Ok(Csr {
+            offsets,
+            entries: vec![fill; total as usize],
+        })
+    }
+
+    /// End the group being pushed: it holds the entries pushed since the
+    /// last group ended.
+    fn end_group(&mut self) -> Result<(), Overflow> {
+        let end = narrow(self.entries.len() as u64, "arena offset")?;
+        self.offsets.push(end);
+        Ok(())
+    }
+
+    fn groups(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Group `i` (empty past the last group).
+    fn group(&self, i: usize) -> &[T] {
+        match (self.offsets.get(i), self.offsets.get(i + 1)) {
+            (Some(&a), Some(&b)) => &self.entries[a as usize..b as usize],
+            _ => &[],
+        }
+    }
+
+    /// The first entry of every group, for placing entries group by group.
+    fn cursors(&self) -> Vec<u32> {
+        self.offsets[..self.groups()].to_vec()
+    }
+
+    /// Rewrite every group in place with `rewrite`, which returns how many
+    /// of its leading entries to keep; the kept entries close up and the
+    /// arena is trimmed to them.
+    fn compact(
+        &mut self,
+        mut rewrite: impl FnMut(&mut [T]) -> Result<usize, Overflow>,
+    ) -> Result<(), Overflow> {
+        let (mut start, mut kept) = (0, 0);
+        for i in 0..self.groups() {
+            let end = self.offsets[i + 1] as usize;
+            let keep = rewrite(&mut self.entries[start..end])?;
+            self.entries.copy_within(start..start + keep, kept);
+            kept += keep;
+            // Never past the old offset, so it fits.
+            self.offsets[i + 1] = kept as u32;
+            start = end;
+        }
+        self.entries.truncate(kept);
+        self.entries.shrink_to_fit();
+        self.offsets.shrink_to_fit();
+        Ok(())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.offsets) + vec_bytes(&self.entries)
+    }
+}
+
+impl<T: Copy + Ord> Csr<T> {
+    /// Sort every group ascending.
+    fn sort_groups(&mut self) {
+        for i in 0..self.groups() {
+            let (a, b) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
+            self.entries[a..b].sort_unstable();
+        }
+    }
+}
+
+/// Keep the first of each run of equal entries of an ascending slice;
+/// returns how many are kept, at the front.
+fn dedup_sorted(codes: &mut [u32]) -> usize {
+    let mut kept = 0;
+    for i in 0..codes.len() {
+        if kept == 0 || codes[kept - 1] != codes[i] {
+            codes[kept] = codes[i];
+            kept += 1;
+        }
+    }
+    kept
+}
+
+/// Sum the counts of equal keys of a `(key, count)` slice sorted by key;
+/// returns how many pairs are kept, at the front.
+fn coalesce(run: &mut [(u32, u32)]) -> Result<usize, Overflow> {
+    let mut kept = 0;
+    for i in 0..run.len() {
+        let (key, count) = run[i];
+        if kept > 0 && run[kept - 1].0 == key {
+            let sum = u64::from(run[kept - 1].1) + u64::from(count);
+            run[kept - 1].1 = narrow(sum, "association count")?;
+        } else {
+            run[kept] = (key, count);
+            kept += 1;
+        }
+    }
+    Ok(kept)
+}
+
+/// One property's value dictionary: its distinct values ascending by
+/// [`Value`]'s total order — code `c` is `values[c]` — and the map back.
+#[derive(Debug, Clone, PartialEq)]
+struct Dictionary {
+    values: Vec<Value>,
+    codes: FxHashMap<Value, u32>,
+}
+
+impl Dictionary {
+    fn code(&self, v: &Value) -> Option<u32> {
+        self.codes.get(v).copied()
+    }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.values) + map_bytes(&self.codes)
+    }
+}
+
+/// Codes handed out in first-seen order while one property's raw lists
+/// are read; [`Coder::finish`] renumbers them in value order.
+#[derive(Default)]
+struct Coder {
+    codes: FxHashMap<Value, u32>,
+    values: Vec<Value>,
+}
+
+impl Coder {
+    fn code(&mut self, v: Value) -> Result<u32, Overflow> {
+        let next = self.values.len();
+        match self.codes.entry(v) {
+            Entry::Occupied(e) => Ok(*e.get()),
+            Entry::Vacant(e) => {
+                let code = narrow(next as u64, "value code")?;
+                self.values.push(*e.key());
+                Ok(*e.insert(code))
+            }
+        }
+    }
+
+    /// The dictionary, and the final code of every first-seen code.
+    fn finish(self) -> (Dictionary, Vec<u32>) {
+        let Coder {
+            mut codes,
+            values: seen,
+        } = self;
+        let mut order: Vec<u32> = (0..seen.len()).map(|i| i as u32).collect();
+        order.sort_unstable_by(|&a, &b| seen[a as usize].cmp(&seen[b as usize]));
+        let mut remap = vec![0u32; seen.len()];
+        for (code, &first) in order.iter().enumerate() {
+            remap[first as usize] = code as u32;
+        }
+        let values = order.iter().map(|&first| seen[first as usize]).collect();
+        codes.values_mut().for_each(|c| *c = remap[*c as usize]);
+        codes.shrink_to_fit();
+        (Dictionary { values, codes }, remap)
+    }
+}
+
+/// The entity rows carrying one categorical value, in the smaller of two
+/// encodings (see the module docs), borrowed from the statistics.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ValueRows<'a> {
+    /// Ascending row ids, for values rarer than one entity in 32.
+    Sparse(&'a [u32]),
+    /// One bit per entity, sized to the entity count.
+    Dense(&'a RowSet),
+}
+
+impl ValueRows<'_> {
     /// Number of rows carrying the value.
     pub fn len(&self) -> usize {
         match self {
@@ -136,13 +361,10 @@ impl ValueRows {
 }
 
 /// One posting: `key << 32 | row`, where the key is an association count
-/// (derived) or a cutpoint reach (derived numeric). Both halves are checked
-/// into `u32` here, the way the derived run arena checks its offsets.
+/// (derived) or a cutpoint rank (derived numeric).
 #[inline]
-fn pack_posting(key: u64, row: RowId) -> u64 {
-    let key = u32::try_from(key).expect("posting key exceeds u32 range");
-    let row = u32::try_from(row).expect("entity row exceeds u32 range");
-    (key as u64) << 32 | row as u64
+fn pack_posting(key: u32, row: u32) -> u64 {
+    u64::from(key) << 32 | u64::from(row)
 }
 
 /// Entity row of a `key << 32 | row` posting.
@@ -199,63 +421,145 @@ fn count_suffix(postings: &[u64], theta: u64) -> &[u64] {
 /// fact-hop case (a movie can have several genres).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CategoricalStats {
-    /// Per-entity value sets, indexed by entity row id.
-    per_entity: Vec<Vec<Value>>,
-    /// For each value: the entity rows carrying it — the postings that let
-    /// `attr = v` filters hand over their matches instead of scanning all
-    /// entities. Their lengths are the entity counts ψ reads.
-    value_rows: FxHashMap<Value, ValueRows>,
+    dict: Dictionary,
+    /// Entity `r`'s distinct value codes, ascending: group `r`.
+    per_entity: Csr<u32>,
+    /// Code `c`'s rows, ascending, when the value is sparse; an empty group
+    /// when it is dense. These are the postings that let `attr = v` filters
+    /// hand over their matches instead of scanning all entities.
+    sparse_rows: Csr<u32>,
+    /// The dense codes, ascending, each with its bitmap.
+    dense_rows: Vec<(u32, RowSet)>,
 }
 
 impl CategoricalStats {
     /// Build from a direct attribute column of the entity table, scanning
     /// batch-wise: the kernel non-null words skip NULL cells 64 rows at a
     /// time, and each surviving cell is reconstructed once as a `Copy`
-    /// scalar.
-    pub fn from_column(cv: &ColumnVec, n: usize) -> CategoricalStats {
-        let mut per_entity: Vec<Vec<Value>> = vec![Vec::new(); n];
+    /// scalar and coded. A NULL cell is an entity with no value.
+    pub fn from_column(cv: &ColumnVec, n: usize) -> Result<CategoricalStats, Overflow> {
+        let mut coder = Coder::default();
+        let mut per_entity = Csr::with_groups(n);
+        let mut coded = Ok(());
         kernel::scan_non_null(cv, n, |rid| {
-            per_entity[rid] = vec![cv.value_at(rid)];
+            if coded.is_ok() {
+                coded = (per_entity.groups()..rid)
+                    .try_for_each(|_| per_entity.end_group())
+                    .and_then(|()| {
+                        per_entity.entries.push(coder.code(cv.value_at(rid))?);
+                        per_entity.end_group()
+                    });
+            }
         });
-        Self::from_sets(per_entity)
+        coded?;
+        (per_entity.groups()..n).try_for_each(|_| per_entity.end_group())?;
+        Self::assemble(coder, per_entity)
     }
 
-    /// Assemble from per-entity value sets (transposes them into per-value
-    /// row postings; a value's entity count is its postings' length).
-    pub fn from_sets(mut per_entity: Vec<Vec<Value>>) -> CategoricalStats {
-        per_entity.iter_mut().for_each(Vec::shrink_to_fit);
-        let n = per_entity.len();
-        let mut lists: FxHashMap<Value, Vec<u32>> = FxHashMap::default();
-        for (rid, vals) in per_entity.iter().enumerate() {
-            let rid = u32::try_from(rid).expect("entity row exceeds u32 range");
-            for v in vals {
-                lists.entry(*v).or_default().push(rid);
+    /// Assemble from per-entity value sets (a value listed twice in one set
+    /// counts once). Each set is coded and freed in turn, then the codes
+    /// are transposed into per-value row postings; a value's entity count
+    /// is its postings' length.
+    pub fn from_sets(per_entity: Vec<Vec<Value>>) -> Result<CategoricalStats, Overflow> {
+        let mut coder = Coder::default();
+        let mut sets = Csr::with_groups(per_entity.len());
+        for set in per_entity {
+            for v in set {
+                sets.entries.push(coder.code(v)?);
+            }
+            sets.end_group()?;
+        }
+        Self::assemble(coder, sets)
+    }
+
+    /// Renumber `per_entity`'s first-seen codes in value order, sort and
+    /// dedup each set, and lay out each value's rows.
+    fn assemble(coder: Coder, mut per_entity: Csr<u32>) -> Result<CategoricalStats, Overflow> {
+        let n = per_entity.groups();
+        // Every row and every per-value row count is below n.
+        narrow(n as u64, "entity count")?;
+        let (dict, remap) = coder.finish();
+        per_entity.compact(|set| {
+            set.iter_mut().for_each(|c| *c = remap[*c as usize]);
+            set.sort_unstable();
+            Ok(dedup_sorted(set))
+        })?;
+        let mut counts = vec![0u32; dict.values.len()];
+        for &c in &per_entity.entries {
+            counts[c as usize] += 1;
+        }
+        let dense = |count: u32| count as usize * DENSE_CROSSOVER >= n;
+        let mut sparse_rows = Csr::sized(counts.iter().map(|&m| if dense(m) { 0 } else { m }), 0)?;
+        let mut dense_rows = Vec::with_capacity(counts.iter().filter(|&&m| dense(m)).count());
+        // Per code: the next free slot of its row group, or its bitmap's
+        // index when dense.
+        let mut slot = sparse_rows.cursors();
+        for (code, &count) in counts.iter().enumerate() {
+            if dense(count) {
+                slot[code] = dense_rows.len() as u32;
+                dense_rows.push((code as u32, RowSet::with_universe(n)));
             }
         }
-        let value_rows: FxHashMap<Value, ValueRows> = lists
-            .into_iter()
-            .map(|(v, rows)| (v, ValueRows::from_rows(rows, n)))
-            .collect();
-        CategoricalStats {
-            per_entity,
-            value_rows,
+        for row in 0..n {
+            for &c in per_entity.group(row) {
+                let c = c as usize;
+                if dense(counts[c]) {
+                    dense_rows[slot[c] as usize].1.insert(row);
+                } else {
+                    sparse_rows.entries[slot[c] as usize] = row as u32;
+                    slot[c] += 1;
+                }
+            }
         }
+        Ok(CategoricalStats {
+            dict,
+            per_entity,
+            sparse_rows,
+            dense_rows,
+        })
     }
 
     /// Entity rows carrying value `v` (`None` when `v` is absent): the
     /// exact satisfying set of `attr = v`.
-    pub fn rows_with(&self, v: &Value) -> Option<&ValueRows> {
-        self.value_rows.get(v)
+    pub fn rows_with(&self, v: &Value) -> Option<ValueRows<'_>> {
+        self.dict.code(v).map(|code| self.rows_of(code))
+    }
+
+    /// Entity rows carrying the value of code `code`.
+    fn rows_of(&self, code: u32) -> ValueRows<'_> {
+        let rows = self.sparse_rows.group(code as usize);
+        if !rows.is_empty() {
+            return ValueRows::Sparse(rows);
+        }
+        match self.dense_rows.binary_search_by_key(&code, |&(c, _)| c) {
+            Ok(i) => ValueRows::Dense(&self.dense_rows[i].1),
+            Err(_) => ValueRows::Sparse(&[]),
+        }
     }
 
     /// Number of distinct entities carrying `v`.
     fn count_with(&self, v: &Value) -> usize {
-        self.value_rows.get(v).map_or(0, ValueRows::len)
+        self.rows_with(v).map_or(0, |rows| rows.len())
     }
 
     /// Number of distinct values in the active domain.
     pub fn domain_size(&self) -> usize {
-        self.value_rows.len()
+        self.dict.values.len()
+    }
+
+    /// The active domain, ascending: the value of code `c` is `domain()[c]`.
+    pub fn domain(&self) -> &[Value] {
+        &self.dict.values
+    }
+
+    /// The value of code `code`.
+    pub fn value(&self, code: u32) -> Value {
+        self.dict.values[code as usize]
+    }
+
+    /// The code of `v` (`None` when `v` is absent).
+    pub fn code_of(&self, v: &Value) -> Option<u32> {
+        self.dict.code(v)
     }
 
     /// ψ(φ⟨A, v, ⊥⟩) relative to `n` entities.
@@ -281,12 +585,67 @@ impl CategoricalStats {
         value_coverage(k, self.domain_size())
     }
 
-    /// Value set of one entity.
-    pub fn values_of(&self, row: RowId) -> &[Value] {
-        self.per_entity
-            .get(row)
-            .map(|v| v.as_slice())
-            .unwrap_or(&[])
+    /// Distinct value codes of one entity, ascending (empty for
+    /// out-of-range rows).
+    pub fn codes_of(&self, row: RowId) -> &[u32] {
+        self.per_entity.group(row)
+    }
+
+    /// Value set of one entity, ascending, decoded as it is read.
+    pub fn values_of(&self, row: RowId) -> ValuesOf<'_> {
+        ValuesOf {
+            codes: self.codes_of(row),
+            domain: &self.dict.values,
+        }
+    }
+
+    /// Whether entity `row` carries `v`: one binary search over its codes.
+    pub fn carries(&self, row: RowId, v: &Value) -> bool {
+        self.code_of(v)
+            .is_some_and(|code| self.codes_of(row).binary_search(&code).is_ok())
+    }
+
+    fn heap_bytes(&self) -> usize {
+        self.dict.heap_bytes()
+            + self.per_entity.heap_bytes()
+            + self.sparse_rows.heap_bytes()
+            + vec_bytes(&self.dense_rows)
+            + self
+                .dense_rows
+                .iter()
+                .map(|(_, set)| set.heap_bytes())
+                .sum::<usize>()
+    }
+}
+
+/// One entity's categorical value set ([`CategoricalStats::values_of`]):
+/// its codes, decoded through the property's dictionary as they are read.
+#[derive(Debug, Clone, Copy)]
+pub struct ValuesOf<'a> {
+    codes: &'a [u32],
+    domain: &'a [Value],
+}
+
+impl<'a> ValuesOf<'a> {
+    /// The values, ascending.
+    pub fn iter(self) -> impl Iterator<Item = &'a Value> {
+        let domain = self.domain;
+        self.codes.iter().map(move |&c| &domain[c as usize])
+    }
+
+    /// Number of values.
+    pub fn len(self) -> usize {
+        self.codes.len()
+    }
+
+    /// True iff the entity carries no value.
+    pub fn is_empty(self) -> bool {
+        self.codes.is_empty()
+    }
+
+    /// The values, ascending, copied out.
+    pub fn to_vec(self) -> Vec<Value> {
+        self.iter().copied().collect()
     }
 }
 
@@ -371,97 +730,80 @@ impl NumericStats {
     pub fn value_of(&self, row: RowId) -> Option<f64> {
         self.per_entity.get(row).copied().flatten()
     }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.per_entity) + vec_bytes(&self.sorted_rows)
+    }
 }
 
 /// Statistics for a derived (counted) property: per-entity association
 /// counts per value, plus per-value θ-ordered postings so that
 /// ψ(φ⟨A, v, θ⟩) — the fraction of entities associated with value `v` at
 /// least θ times — and the entities themselves are one binary search.
-///
-/// Per-entity counts are stored as flat sorted `(value, count)` runs over
-/// one shared arena (`runs` + `offsets`) instead of one little hash map
-/// per entity: αDB construction allocates two vectors per property rather
-/// than one map per entity, and per-entity reads walk a contiguous slice.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedStats {
-    /// Shared arena: entity `r`'s run is `runs[offsets[r]..offsets[r+1]]`,
-    /// sorted by [`run_cmp`] (a cheap deterministic value order) with
-    /// positive coalesced counts.
-    runs: Vec<(Value, u64)>,
-    /// `n + 1` arena offsets (empty when no entities).
-    offsets: Vec<u32>,
+    dict: Dictionary,
+    /// Entity `r`'s `(code, count)` run, ascending by code, every count
+    /// positive: group `r`.
+    runs: Csr<(u32, u32)>,
     /// Per entity row: total association count (for normalization).
-    entity_totals: Vec<u64>,
-    /// For each value: one `count << 32 | row` posting per entity with
-    /// count > 0, ascending — by count, then row — so the entities
-    /// satisfying `⟨A, v, θ⟩` are a suffix (see the module docs).
-    theta_postings: FxHashMap<Value, Vec<u64>>,
-}
-
-/// Cheap total order for derived-run values: the primary key compares
-/// symbols by id and numerics by widened float bits (agreeing with
-/// [`Value`]'s `Eq`, including `Int(3) == Float(3.0)`), so sorting a run
-/// never touches strings; rare primary-key ties (the lossy > 2⁵³ integer
-/// band) fall back to `Value`'s exact order.
-#[inline]
-fn run_cmp(a: &Value, b: &Value) -> std::cmp::Ordering {
-    #[inline]
-    fn key(v: &Value) -> (u8, u64) {
-        match v {
-            Value::Null => (0, 0),
-            Value::Bool(x) => (1, *x as u64),
-            Value::Int(x) => (2, (*x as f64).to_bits()),
-            Value::Float(x) => (2, x.to_bits()),
-            Value::Text(s) => (3, s.id() as u64),
-        }
-    }
-    key(a).cmp(&key(b)).then_with(|| a.cmp(b))
+    entity_totals: Vec<u32>,
+    /// Code `c`'s group: one `count << 32 | row` posting per entity
+    /// associated with the value, ascending — by count, then row — so the
+    /// entities satisfying `⟨A, v, θ⟩` are a suffix (see the module docs).
+    postings: Csr<u64>,
 }
 
 impl DerivedStats {
     /// Build from raw per-entity `(value, count)` runs — unsorted, with
-    /// duplicate values allowed (they coalesce by summing). This is the
-    /// αDB build path: fact scans push pairs, no per-entity hash maps.
-    pub fn from_runs(mut per_entity: Vec<Vec<(Value, u64)>>) -> Self {
-        let mut runs: Vec<(Value, u64)> = Vec::new();
-        let mut offsets: Vec<u32> = Vec::with_capacity(per_entity.len() + 1);
-        offsets.push(0);
-        let mut entity_totals: Vec<u64> = Vec::with_capacity(per_entity.len());
-        let mut theta_postings: FxHashMap<Value, Vec<u64>> = FxHashMap::default();
-        for (row, ent) in per_entity.iter_mut().enumerate() {
-            ent.sort_unstable_by(|a, b| run_cmp(&a.0, &b.0));
-            ent.dedup_by(|next, acc| {
-                if acc.0 == next.0 {
-                    acc.1 += next.1;
-                    true
-                } else {
-                    false
+    /// duplicate values allowed (they coalesce by summing) and zero counts
+    /// dropped. This is the αDB build path: fact scans push pairs, no
+    /// per-entity hash maps; each entity's run is coded and freed in turn.
+    pub fn from_runs(per_entity: Vec<Vec<(Value, u64)>>) -> Result<Self, Overflow> {
+        let n = per_entity.len();
+        // Every row and every per-value entity count is below n.
+        narrow(n as u64, "entity count")?;
+        let mut coder = Coder::default();
+        let mut runs = Csr::with_groups(n);
+        for run in per_entity {
+            for (v, count) in run {
+                if count > 0 {
+                    let count = narrow(count, "association count")?;
+                    runs.entries.push((coder.code(v)?, count));
                 }
-            });
-            ent.retain(|&(_, c)| c > 0);
-            let total: u64 = ent.iter().map(|(_, c)| c).sum();
-            entity_totals.push(total);
-            for &(v, c) in ent.iter() {
-                theta_postings
-                    .entry(v)
-                    .or_default()
-                    .push(pack_posting(c, row));
             }
-            runs.extend_from_slice(ent);
-            offsets.push(u32::try_from(runs.len()).expect("derived arena exceeds u32 range"));
+            runs.end_group()?;
         }
-        runs.shrink_to_fit();
-        theta_postings.shrink_to_fit();
-        for postings in theta_postings.values_mut() {
-            postings.sort_unstable();
-            postings.shrink_to_fit();
+        let (dict, remap) = coder.finish();
+        runs.compact(|run| {
+            run.iter_mut().for_each(|e| e.0 = remap[e.0 as usize]);
+            run.sort_unstable_by_key(|e| e.0);
+            coalesce(run)
+        })?;
+        let mut entity_totals = Vec::with_capacity(n);
+        let mut lens = vec![0u32; dict.values.len()];
+        for row in 0..n {
+            let run = runs.group(row);
+            let total = run.iter().map(|&(_, c)| u64::from(c)).sum();
+            entity_totals.push(narrow(total, "entity association total")?);
+            run.iter().for_each(|&(code, _)| lens[code as usize] += 1);
         }
-        DerivedStats {
+        let mut postings = Csr::sized(lens, 0)?;
+        let mut next = postings.cursors();
+        for row in 0..n {
+            for &(code, count) in runs.group(row) {
+                let slot = &mut next[code as usize];
+                postings.entries[*slot as usize] = pack_posting(count, row as u32);
+                *slot += 1;
+            }
+        }
+        postings.sort_groups();
+        Ok(DerivedStats {
+            dict,
             runs,
-            offsets,
             entity_totals,
-            theta_postings,
-        }
+            postings,
+        })
     }
 
     /// The `count << 32 | row` postings ([`posting_row`]) of exactly the
@@ -469,25 +811,35 @@ impl DerivedStats {
     /// count then row; `theta ≤ 1` yields every entity associated with `v`
     /// at all. Empty when `v` is absent.
     pub fn postings_ge(&self, v: &Value, theta: u64) -> &[u64] {
-        self.theta_postings
-            .get(v)
-            .map_or(&[], |postings| count_suffix(postings, theta))
+        self.dict.code(v).map_or(&[], |code| {
+            count_suffix(self.postings.group(code as usize), theta)
+        })
     }
 
     /// Number of entities the statistics cover.
     pub fn entity_count(&self) -> usize {
-        self.offsets.len().saturating_sub(1)
+        self.runs.groups()
     }
 
     /// Number of `(entity, value)` pairs with a positive count: the rows
     /// of the property's `(entity_id, value, count)` relation.
     pub fn association_count(&self) -> usize {
-        self.runs.len()
+        self.runs.entries.len()
     }
 
     /// Number of distinct values in the active domain.
     pub fn domain_size(&self) -> usize {
-        self.theta_postings.len()
+        self.dict.values.len()
+    }
+
+    /// The active domain, ascending: the value of code `c` is `domain()[c]`.
+    pub fn domain(&self) -> &[Value] {
+        &self.dict.values
+    }
+
+    /// The value of code `code`.
+    pub fn value(&self, code: u32) -> Value {
+        self.dict.values[code as usize]
     }
 
     /// ψ(φ⟨A, v, θ⟩) relative to `n` entities.
@@ -510,7 +862,7 @@ impl DerivedStats {
     #[inline]
     pub fn reaches_share(&self, posting: u64, frac: f64) -> bool {
         let total = self.entity_totals[posting_row(posting)];
-        posting_count(posting) as f64 / total as f64 >= frac
+        posting_count(posting) as f64 / f64::from(total) >= frac
     }
 
     /// Domain coverage of an equality-on-value filter.
@@ -518,28 +870,40 @@ impl DerivedStats {
         value_coverage(1, self.domain_size())
     }
 
-    /// One entity's `(value, count)` run, ascending by value (empty for
+    /// One entity's `(code, count)` run, ascending by code (empty for
     /// out-of-range rows).
-    pub fn counts_of(&self, row: RowId) -> &[(Value, u64)] {
-        match (self.offsets.get(row), self.offsets.get(row + 1)) {
-            (Some(&a), Some(&b)) => &self.runs[a as usize..b as usize],
-            _ => &[],
-        }
+    pub fn runs_of(&self, row: RowId) -> &[(u32, u32)] {
+        self.runs.group(row)
     }
 
-    /// Association count of one entity for one value (binary search in the
-    /// entity's sorted run).
+    /// One entity's `(value, count)` run, decoded, ascending by value.
+    pub fn counts_of(&self, row: RowId) -> Vec<(Value, u64)> {
+        self.runs_of(row)
+            .iter()
+            .map(|&(code, count)| (self.value(code), u64::from(count)))
+            .collect()
+    }
+
+    /// Association count of one entity for one value: the value's code,
+    /// then a binary search in the entity's run.
     pub fn count_of(&self, row: RowId, v: &Value) -> u64 {
-        let run = self.counts_of(row);
-        match run.binary_search_by(|(x, _)| run_cmp(x, v)) {
-            Ok(i) => run[i].1,
+        self.dict
+            .code(v)
+            .map_or(0, |code| self.count_of_code(row, code))
+    }
+
+    /// Association count of one entity for the value of code `code`.
+    pub fn count_of_code(&self, row: RowId, code: u32) -> u64 {
+        let run = self.runs_of(row);
+        match run.binary_search_by_key(&code, |&(c, _)| c) {
+            Ok(i) => u64::from(run[i].1),
             Err(_) => 0,
         }
     }
 
     /// Total association count of one entity (0 for out-of-range rows).
     pub fn total_of(&self, row: RowId) -> u64 {
-        self.entity_totals.get(row).copied().unwrap_or(0)
+        self.entity_totals.get(row).map_or(0, |&t| u64::from(t))
     }
 
     /// Normalized share of one entity's associations going to `v`.
@@ -549,86 +913,107 @@ impl DerivedStats {
             total => self.count_of(row, v) as f64 / total as f64,
         }
     }
+
+    fn heap_bytes(&self) -> usize {
+        self.dict.heap_bytes()
+            + self.runs.heap_bytes()
+            + vec_bytes(&self.entity_totals)
+            + self.postings.heap_bytes()
+    }
 }
 
 /// Statistics for a derived property over a *numeric* mid-entity attribute
 /// (e.g. number of movies with `year >= c`). Supports suffix-range filters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedNumericStats {
-    /// Per entity row: ascending `(attribute value, association count)`,
-    /// every NaN the one positive NaN, so it sorts last.
-    per_entity: Vec<Vec<(f64, u64)>>,
-    /// Sorted distinct attribute values (candidate cutpoints); at most one
-    /// NaN, last.
+    /// Sorted distinct attribute values (candidate cutpoints), `-0.0` and
+    /// `0.0` one of them; at most one NaN, positive, last. The property's
+    /// dictionary: a value's code is its rank here.
     cutpoints: Vec<f64>,
-    /// List `θ - 1`: one `reach << 32 | row` posting per entity with at
-    /// least θ associations, ascending, where the reach is the cutpoint
-    /// index of the entity's θ-th largest value counted with multiplicity,
-    /// so the entities satisfying `⟨A ≥ c, θ⟩` are a suffix (see the module
+    /// Entity `r`'s `(rank, count)` run, ascending by rank, every count
+    /// positive: group `r`.
+    runs: Csr<(u32, u32)>,
+    /// Group `θ - 1`: one `reach << 32 | row` posting per entity with at
+    /// least θ associations, ascending, where the reach is the rank of the
+    /// entity's θ-th largest value counted with multiplicity, so the
+    /// entities satisfying `⟨A ≥ c, θ⟩` are a suffix (see the module
     /// docs).
-    theta_lists: Vec<Vec<u64>>,
+    theta_lists: Csr<u64>,
 }
 
 impl DerivedNumericStats {
     /// Build from raw per-entity `(value, count)` pairs — unsorted, with
     /// duplicate values allowed (they coalesce by summing; every NaN is one
-    /// value, as are `-0.0` and `0.0`).
+    /// value, as are `-0.0` and `0.0`) and zero counts dropped.
     ///
     /// Each entity pushes one posting per association into the θ-lists,
     /// walking its values from the largest down; each list is sorted once.
-    pub fn build(mut per_entity: Vec<Vec<(f64, u64)>>) -> Self {
-        for ent in &mut per_entity {
-            for entry in ent.iter_mut() {
-                if entry.0.is_nan() {
-                    entry.0 = f64::NAN;
-                }
-            }
-            ent.sort_by(|a, b| a.0.total_cmp(&b.0));
-            ent.dedup_by(|next, acc| {
-                if same_cut(acc.0, next.0) {
-                    acc.1 += next.1;
-                    true
-                } else {
-                    false
-                }
-            });
-            ent.shrink_to_fit();
-        }
+    pub fn build(per_entity: Vec<Vec<(f64, u64)>>) -> Result<Self, Overflow> {
+        let n = per_entity.len();
+        narrow(n as u64, "entity count")?;
         let mut cutpoints: Vec<f64> = per_entity
             .iter()
-            .flat_map(|v| v.iter().map(|(x, _)| *x))
+            .flatten()
+            .filter(|&&(_, count)| count > 0)
+            .map(|&(x, _)| if x.is_nan() { f64::NAN } else { x })
             .collect();
         cutpoints.sort_by(f64::total_cmp);
         cutpoints.dedup_by(|a, b| same_cut(*a, *b));
         cutpoints.shrink_to_fit();
-        let mut theta_lists: Vec<Vec<u64>> = Vec::new();
-        for (row, ent) in per_entity.iter().enumerate() {
+        let rank = |x: f64| {
+            let rank = if x.is_nan() {
+                cutpoints.len() - 1
+            } else {
+                cutpoints.partition_point(|&c| c < x)
+            };
+            narrow(rank as u64, "cutpoint rank")
+        };
+        let mut runs = Csr::with_groups(n);
+        for run in per_entity {
+            for (x, count) in run {
+                if count > 0 {
+                    runs.entries
+                        .push((rank(x)?, narrow(count, "association count")?));
+                }
+            }
+            runs.end_group()?;
+        }
+        runs.compact(|run| {
+            run.sort_unstable_by_key(|e| e.0);
+            coalesce(run)
+        })?;
+        // List θ holds every entity with at least θ associations.
+        let totals: Vec<u64> = (0..n)
+            .map(|row| runs.group(row).iter().map(|&(_, c)| u64::from(c)).sum())
+            .collect();
+        let postings = narrow(totals.iter().sum(), "θ-list postings")?;
+        let longest = totals.iter().max().map_or(0, |&t| t as usize);
+        let mut lens = vec![0u32; longest];
+        for &total in totals.iter().filter(|&&t| t > 0) {
+            lens[total as usize - 1] += 1;
+        }
+        for theta in (1..longest).rev() {
+            lens[theta - 1] += lens[theta];
+        }
+        let mut theta_lists = Csr::sized(lens, 0)?;
+        debug_assert_eq!(theta_lists.entries.len(), postings as usize);
+        let mut next = theta_lists.cursors();
+        for row in 0..n {
             let mut theta = 0;
-            for &(x, count) in ent.iter().rev() {
-                let reach = if x.is_nan() {
-                    cutpoints.len() - 1
-                } else {
-                    cutpoints.partition_point(|&c| c < x)
-                };
+            for &(reach, count) in runs.group(row).iter().rev() {
                 for _ in 0..count {
-                    if theta == theta_lists.len() {
-                        theta_lists.push(Vec::new());
-                    }
-                    theta_lists[theta].push(pack_posting(reach as u64, row));
+                    theta_lists.entries[next[theta] as usize] = pack_posting(reach, row as u32);
+                    next[theta] += 1;
                     theta += 1;
                 }
             }
         }
-        for list in &mut theta_lists {
-            list.sort_unstable();
-            list.shrink_to_fit();
-        }
-        theta_lists.shrink_to_fit();
-        DerivedNumericStats {
-            per_entity,
+        theta_lists.sort_groups();
+        Ok(DerivedNumericStats {
             cutpoints,
+            runs,
             theta_lists,
-        }
+        })
     }
 
     /// Sorted distinct attribute values: the candidate cutpoints.
@@ -638,13 +1023,28 @@ impl DerivedNumericStats {
 
     /// Number of entities the statistics cover.
     pub fn entity_count(&self) -> usize {
-        self.per_entity.len()
+        self.runs.groups()
     }
 
-    /// One entity's `(attribute value, count)` run, ascending by value
-    /// (empty for out-of-range rows).
-    pub fn counts_of(&self, row: RowId) -> &[(f64, u64)] {
-        self.per_entity.get(row).map_or(&[], Vec::as_slice)
+    /// Number of `(entity, value)` pairs with a positive count: the rows
+    /// of the property's `(entity_id, value, count)` relation.
+    pub(crate) fn association_count(&self) -> usize {
+        self.runs.entries.len()
+    }
+
+    /// One entity's `(cutpoint rank, count)` run, ascending by rank (empty
+    /// for out-of-range rows).
+    pub(crate) fn runs_of(&self, row: RowId) -> &[(u32, u32)] {
+        self.runs.group(row)
+    }
+
+    /// One entity's `(attribute value, count)` run, decoded, ascending by
+    /// value: each value is the property's cutpoint for it.
+    pub fn counts_of(&self, row: RowId) -> Vec<(f64, u64)> {
+        self.runs_of(row)
+            .iter()
+            .map(|&(rank, count)| (self.cutpoints[rank as usize], u64::from(count)))
+            .collect()
     }
 
     /// The `reach << 32 | row` postings ([`posting_row`]) of exactly the
@@ -672,23 +1072,46 @@ impl DerivedNumericStats {
     /// θ-list `max(theta, 1)`: every entity with at least that many
     /// associations (empty past the largest entity total).
     fn theta_list(&self, theta: u64) -> &[u64] {
-        usize::try_from(theta.max(1) - 1)
-            .ok()
-            .and_then(|i| self.theta_lists.get(i))
-            .map_or(&[], Vec::as_slice)
+        usize::try_from(theta.max(1) - 1).map_or(&[], |i| self.theta_lists.group(i))
     }
 
     /// Fill `out[ci]` with this entity's suffix count at every cutpoint
-    /// (one descending walk; `out` is resized to `cutpoints.len()`).
+    /// (one descending walk over its run; `out` is resized to
+    /// `cutpoints.len()`). An association's rank is at least every
+    /// finite cutpoint's index it is not below, and a NaN's is the last, so
+    /// below the NaN cutpoint the suffix count at `ci` sums the ranks ≥
+    /// `ci`; at the NaN cutpoint no value is below the cut, so it is the
+    /// entity's total.
     pub fn suffix_counts_into(&self, row: RowId, out: &mut Vec<u64>) {
-        suffix_walk(self.counts_of(row), &self.cutpoints, out);
+        let run = self.runs_of(row);
+        out.clear();
+        out.resize(self.cutpoints.len(), 0);
+        let mut top = self.cutpoints.len();
+        if self.cutpoints.last().is_some_and(|c| c.is_nan()) {
+            top -= 1;
+            out[top] = run.iter().map(|&(_, c)| u64::from(c)).sum();
+        }
+        let (mut j, mut sum) = (run.len(), 0u64);
+        for ci in (0..top).rev() {
+            while j > 0 && run[j - 1].0 as usize >= ci {
+                sum += u64::from(run[j - 1].1);
+                j -= 1;
+            }
+            out[ci] = sum;
+        }
     }
 
-    /// Suffix count for one entity: #associations with value ≥ `cut`.
+    /// Suffix count for one entity: #associations with value ≥ `cut`
+    /// (every association at a NaN cut).
     pub fn suffix_count_of(&self, row: RowId, cut: f64) -> u64 {
-        let ent = self.counts_of(row);
-        let start = ent.partition_point(|&(x, _)| x < cut);
-        ent[start..].iter().map(|(_, c)| c).sum()
+        let run = self.runs_of(row);
+        let first = if cut.is_nan() {
+            0
+        } else {
+            let ci = self.cutpoints.partition_point(|&c| c < cut);
+            run.partition_point(|&(rank, _)| (rank as usize) < ci)
+        };
+        run[first..].iter().map(|&(_, c)| u64::from(c)).sum()
     }
 
     /// ψ(φ⟨A ≥ cut, θ⟩): fraction of entities with suffix count ≥ θ.
@@ -708,6 +1131,10 @@ impl DerivedNumericStats {
         let (first, last) = (self.cutpoints.first(), self.cutpoints.last());
         span_coverage(first.copied().zip(last.copied()), cut, f64::INFINITY)
     }
+
+    fn heap_bytes(&self) -> usize {
+        vec_bytes(&self.cutpoints) + self.runs.heap_bytes() + self.theta_lists.heap_bytes()
+    }
 }
 
 /// Whether two attribute values are one cutpoint: equal as floats (so
@@ -720,36 +1147,6 @@ fn same_cut(a: f64, b: f64) -> bool {
 #[inline]
 fn reach_suffix(list: &[u64], ci: usize) -> &[u64] {
     &list[list.partition_point(|&p| p >> 32 < ci as u64)..]
-}
-
-/// `out[ci]` = total count of `ent` entries NOT below `cutpoints[ci]`,
-/// matching `partition_point(|x| x < cut)`: NaN entries are below no cut,
-/// so they count into every suffix, and at a NaN cutpoint no entry is
-/// below the cut, so every entry counts there. `ent` must be ascending by
-/// total order with positive NaNs only, as `build` leaves it; one merge
-/// walk from the top.
-fn suffix_walk(ent: &[(f64, u64)], cutpoints: &[f64], out: &mut Vec<u64>) {
-    out.clear();
-    out.resize(cutpoints.len(), 0);
-    let mut top = cutpoints.len();
-    if cutpoints.last().is_some_and(|c| c.is_nan()) {
-        top -= 1;
-        out[top] = ent.iter().map(|(_, c)| c).sum();
-    }
-    let mut j = ent.len();
-    let mut run = 0u64;
-    while j > 0 && ent[j - 1].0.is_nan() {
-        run += ent[j - 1].1;
-        j -= 1;
-    }
-    for ci in (0..top).rev() {
-        let cut = cutpoints[ci];
-        while j > 0 && ent[j - 1].0 >= cut {
-            run += ent[j - 1].1;
-            j -= 1;
-        }
-        out[ci] = run;
-    }
 }
 
 /// Canonical fingerprint of one candidate filter's *satisfying row set*:
@@ -1276,32 +1673,11 @@ pub enum PropStats {
 impl PropStats {
     /// Estimated heap bytes of every array and map above.
     pub fn heap_bytes(&self) -> usize {
-        fn nested<T>(outer: &Vec<Vec<T>>) -> usize {
-            vec_bytes(outer) + outer.iter().map(vec_bytes).sum::<usize>()
-        }
         match self {
-            PropStats::Categorical(s) => {
-                nested(&s.per_entity)
-                    + map_bytes(&s.value_rows)
-                    + s.value_rows
-                        .values()
-                        .map(|rows| match rows {
-                            ValueRows::Sparse(rows) => vec_bytes(rows),
-                            ValueRows::Dense(set) => set.heap_bytes(),
-                        })
-                        .sum::<usize>()
-            }
-            PropStats::Numeric(s) => vec_bytes(&s.per_entity) + vec_bytes(&s.sorted_rows),
-            PropStats::Derived(s) => {
-                vec_bytes(&s.runs)
-                    + vec_bytes(&s.offsets)
-                    + vec_bytes(&s.entity_totals)
-                    + map_bytes(&s.theta_postings)
-                    + s.theta_postings.values().map(vec_bytes).sum::<usize>()
-            }
-            PropStats::DerivedNumeric(s) => {
-                nested(&s.per_entity) + vec_bytes(&s.cutpoints) + nested(&s.theta_lists)
-            }
+            PropStats::Categorical(s) => s.heap_bytes(),
+            PropStats::Numeric(s) => s.heap_bytes(),
+            PropStats::Derived(s) => s.heap_bytes(),
+            PropStats::DerivedNumeric(s) => s.heap_bytes(),
         }
     }
 }
@@ -1318,12 +1694,48 @@ mod tests {
     fn categorical_selectivity_and_coverage() {
         let mut sets = vec![vec![v("Male")]; 3];
         sets.extend(vec![vec![v("Female")]; 3]);
-        let s = CategoricalStats::from_sets(sets);
+        let s = CategoricalStats::from_sets(sets).unwrap();
         assert_eq!(s.selectivity_eq(&v("Male"), 6), 0.5);
         assert_eq!(s.selectivity_eq(&v("Other"), 6), 0.0);
         assert_eq!(s.coverage_eq(), 0.5);
         assert_eq!(s.selectivity_in(&[v("Male"), v("Female")], 6), 1.0);
         assert_eq!(s.coverage_in(2), 1.0);
+    }
+
+    /// A value listed twice in one entity's set is one row of that value,
+    /// not two: ψ and the postings count entities.
+    #[test]
+    fn categorical_repeated_value_counts_once() {
+        let mut sets = vec![Vec::new(); 100];
+        sets[0] = vec![v("a"), v("a")];
+        let s = CategoricalStats::from_sets(sets).unwrap();
+        assert_eq!(s.selectivity_eq(&v("a"), 100), 0.01);
+        let mut rows = Vec::new();
+        s.rows_with(&v("a")).unwrap().for_each(|row| rows.push(row));
+        assert_eq!(rows, vec![0]);
+        assert_eq!(s.values_of(0).to_vec(), vec![v("a")]);
+    }
+
+    /// A single-valued categorical property costs 8 bytes an entity: one
+    /// 4-byte code and one 4-byte offset, and no allocation of its own.
+    #[test]
+    fn categorical_entity_costs_a_code_and_an_offset() {
+        let n = 1000;
+        let s = CategoricalStats::from_sets(vec![vec![v("a")]; n]).unwrap();
+        assert_eq!(s.per_entity.heap_bytes(), 8 * n + 4);
+        let value_side = vec_bytes(&s.dict.values)
+            + map_bytes(&s.dict.codes)
+            + s.sparse_rows.heap_bytes()
+            + vec_bytes(&s.dense_rows)
+            + RowSet::with_universe(n).heap_bytes();
+        assert_eq!(
+            value_side,
+            16 + map_bytes(&s.dict.codes) + 8 + std::mem::size_of::<(u32, RowSet)>() + 128
+        );
+        assert_eq!(
+            PropStats::Categorical(s).heap_bytes(),
+            8 * n + 4 + value_side
+        );
     }
 
     #[test]
@@ -1370,7 +1782,8 @@ mod tests {
             mk(&[("Comedy", 3), ("Drama", 1)]),
             mk(&[("Drama", 2)]),
             mk(&[("Comedy", 1)]),
-        ]);
+        ])
+        .unwrap();
         assert_eq!(s.selectivity(&v("Comedy"), 1, 4), 0.75);
         assert_eq!(s.selectivity(&v("Comedy"), 3, 4), 0.5);
         assert_eq!(s.selectivity(&v("Comedy"), 6, 4), 0.0);
@@ -1380,13 +1793,41 @@ mod tests {
         assert_eq!(s.domain_size(), 2);
     }
 
+    /// Codes follow `Value`'s order, not the interner's: text interned in
+    /// reverse lexical order still comes back from a run ascending by
+    /// value, so nothing downstream re-sorts a run.
+    #[test]
+    fn derived_runs_follow_value_order_not_interning_order() {
+        let names: Vec<String> = (0..6).rev().map(|i| format!("run-order-{i}")).collect();
+        let values: Vec<Value> = names.iter().map(|name| v(name)).collect();
+        let ids: Vec<u32> = values.iter().map(|x| x.as_sym().unwrap().id()).collect();
+        assert!(
+            ids.windows(2).all(|w| w[0] < w[1]),
+            "interned in this order"
+        );
+        let run: Vec<(Value, u64)> = values.iter().zip(1..).map(|(&x, c)| (x, c)).collect();
+        let s = DerivedStats::from_runs(vec![run.clone(), run[..3].to_vec()]).unwrap();
+        let mut expected = run;
+        expected.sort_by_key(|&(x, _)| x);
+        assert_eq!(s.counts_of(0), expected);
+        assert_eq!(
+            s.domain(),
+            expected.iter().map(|&(x, _)| x).collect::<Vec<_>>()
+        );
+        let codes: Vec<u32> = s.runs_of(0).iter().map(|&(c, _)| c).collect();
+        assert_eq!(codes, (0..6).collect::<Vec<u32>>());
+        assert_eq!(s.count_of(1, &values[0]), 1);
+        assert_eq!(s.count_of(1, &values[5]), 0);
+    }
+
     #[test]
     fn derived_normalized_fractions() {
         let mk = |pairs: &[(&str, u64)]| pairs.iter().map(|(k, c)| (v(k), *c)).collect();
         let s = DerivedStats::from_runs(vec![
             mk(&[("Comedy", 3), ("Drama", 1)]), // 75% comedy
             mk(&[("Comedy", 1), ("Drama", 3)]), // 25% comedy
-        ]);
+        ])
+        .unwrap();
         assert!((s.frac_of(0, &v("Comedy")) - 0.75).abs() < 1e-12);
         assert_eq!(s.selectivity_frac(&v("Comedy"), 0.5, 2), 0.5);
         assert_eq!(s.selectivity_frac(&v("Comedy"), 0.2, 2), 1.0);
@@ -1395,7 +1836,8 @@ mod tests {
     #[test]
     fn derived_numeric_suffix_counts() {
         // Entity 0: movies in 2008 (2 of them) and 2012 (3). Entity 1: 2005 (1).
-        let s = DerivedNumericStats::build(vec![vec![(2008.0, 2), (2012.0, 3)], vec![(2005.0, 1)]]);
+        let s = DerivedNumericStats::build(vec![vec![(2008.0, 2), (2012.0, 3)], vec![(2005.0, 1)]])
+            .unwrap();
         assert_eq!(s.suffix_count_of(0, 2010.0), 3);
         assert_eq!(s.suffix_count_of(0, 2000.0), 5);
         assert_eq!(s.suffix_count_of(1, 2010.0), 0);
@@ -1419,7 +1861,8 @@ mod tests {
         // partition_point(|x| x < cut) keeps NaN in every suffix; the
         // postings must agree with the point query.
         let s =
-            DerivedNumericStats::build(vec![vec![(2010.0, 3), (f64::NAN, 1)], vec![(2005.0, 1)]]);
+            DerivedNumericStats::build(vec![vec![(2010.0, 3), (f64::NAN, 1)], vec![(2005.0, 1)]])
+                .unwrap();
         for &cut in &[1990.0, 2005.0, 2010.0] {
             let count = s.suffix_count_of(0, cut);
             assert_eq!(count, if cut <= 2010.0 { 4 } else { 1 });
@@ -1445,7 +1888,8 @@ mod tests {
         let s = DerivedNumericStats::build(vec![
             vec![(-f64::NAN, 1), (1.0, 1)],
             vec![(f64::NAN, 2), (0.0, 1), (-0.0, 1)],
-        ]);
+        ])
+        .unwrap();
         assert_eq!(s.cutpoints().len(), 3);
         assert!(s.cutpoints()[2].is_nan() && s.cutpoints()[2].is_sign_positive());
         assert_eq!(rows(s.postings_ge(1.0, 1)), vec![0, 1]);
@@ -1497,7 +1941,7 @@ mod tests {
                         .collect()
                 })
                 .collect();
-            let s = DerivedNumericStats::build(per_entity);
+            let s = DerivedNumericStats::build(per_entity).unwrap();
             let cutpoints = s.cutpoints().to_vec();
             let max = (0..n)
                 .map(|row| s.suffix_count_of(row, f64::NAN))
@@ -1548,17 +1992,18 @@ mod tests {
     #[test]
     fn derived_numeric_cutpoints_keep_no_spare_capacity() {
         // 1 000 associations over one value: one cutpoint, one θ-list.
-        let s =
-            PropStats::DerivedNumeric(DerivedNumericStats::build(vec![vec![(2010.0, 1)]; 1000]));
-        let per_entity = 24 * 1000 + 16 * 1000;
+        let s = PropStats::DerivedNumeric(
+            DerivedNumericStats::build(vec![vec![(2010.0, 1)]; 1000]).unwrap(),
+        );
+        let runs = 4 * 1001 + 8 * 1000;
         let cutpoints = 8;
-        let theta_lists = 24 + 8 * 1000;
-        assert_eq!(s.heap_bytes(), per_entity + cutpoints + theta_lists);
+        let theta_lists = 4 * 2 + 8 * 1000;
+        assert_eq!(s.heap_bytes(), runs + cutpoints + theta_lists);
     }
 
     #[test]
     fn derived_numeric_empty_is_safe() {
-        let s = DerivedNumericStats::build(vec![vec![], vec![]]);
+        let s = DerivedNumericStats::build(vec![vec![], vec![]]).unwrap();
         assert_eq!(s.selectivity_ge(0.0, 1, 2), 0.0);
         assert_eq!(s.coverage_ge(0.0), 1.0);
     }

@@ -1,6 +1,7 @@
 //! Property-based tests for the αDB statistics: every precomputed
 //! selectivity must agree with a brute-force count over the underlying
-//! per-entity data.
+//! per-entity data, and decoding the value-coded per-entity arenas gives
+//! back the input in canonical form.
 
 use proptest::prelude::*;
 use squid_adb::{CategoricalStats, DerivedNumericStats, DerivedStats, NumericStats};
@@ -12,6 +13,62 @@ fn runs(per_entity: &[FxHashMap<Value, u64>]) -> Vec<Vec<(Value, u64)>> {
         .iter()
         .map(|m| m.iter().map(|(v, c)| (*v, *c)).collect())
         .collect()
+}
+
+/// Values that stress the coding: duplicates by `Eq` across variants
+/// (`Int(1)` is `Float(1.0)`, `Int(0)` is `Float(0.0)`), a signed zero that
+/// is its own value, NaNs of both signs, and text.
+fn pool() -> [Value; 10] {
+    [
+        Value::Int(0),
+        Value::Int(1),
+        Value::Float(-0.0),
+        Value::Float(0.0),
+        Value::Float(1.0),
+        Value::Float(f64::NAN),
+        Value::Float(-f64::NAN),
+        Value::Float(2.5),
+        Value::text("coded-b"),
+        Value::text("coded-a"),
+    ]
+}
+
+/// Attribute values for derived-numeric runs: one cutpoint for both zeros,
+/// one for every NaN.
+const FLOATS: [f64; 8] = [
+    -1.5,
+    -0.0,
+    0.0,
+    2.0,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    f64::NAN,
+    -f64::NAN,
+];
+
+/// A float's cutpoint identity: both zeros are one, every NaN is one.
+fn cut_key(x: f64) -> u64 {
+    if x == 0.0 {
+        0
+    } else if x.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        x.to_bits()
+    }
+}
+
+/// Each entity's `(value, count)` pairs summed per value (by `eq`), zero
+/// totals dropped.
+fn summed<T: Copy>(pairs: &[(T, u64)], eq: impl Fn(&T, &T) -> bool) -> Vec<(T, u64)> {
+    let mut out: Vec<(T, u64)> = Vec::new();
+    for &(x, c) in pairs {
+        match out.iter_mut().find(|(y, _)| eq(&x, y)) {
+            Some(e) => e.1 += c,
+            None => out.push((x, c)),
+        }
+    }
+    out.retain(|&(_, c)| c > 0);
+    out
 }
 
 proptest! {
@@ -57,7 +114,7 @@ proptest! {
             })
             .collect();
         let n = per_entity.len();
-        let stats = DerivedStats::from_runs(runs(&per_entity));
+        let stats = DerivedStats::from_runs(runs(&per_entity)).unwrap();
         let key = Value::Int(value as i64);
         let expected = per_entity
             .iter()
@@ -88,7 +145,7 @@ proptest! {
             })
             .collect();
         let n = per_entity.len();
-        let stats = DerivedStats::from_runs(runs(&per_entity));
+        let stats = DerivedStats::from_runs(runs(&per_entity)).unwrap();
         let key = Value::Int(value as i64);
         let frac = frac_pct as f64 / 100.0;
         let expected = per_entity
@@ -125,7 +182,7 @@ proptest! {
             })
             .collect();
         let n = data.len();
-        let stats = DerivedNumericStats::build(data.clone());
+        let stats = DerivedNumericStats::build(data.clone()).unwrap();
         let expected = data
             .iter()
             .filter(|ent| {
@@ -148,12 +205,95 @@ proptest! {
         b in 0u8..5,
     ) {
         let stats =
-            CategoricalStats::from_sets(vals.iter().map(|v| vec![Value::Int(*v as i64)]).collect());
+            CategoricalStats::from_sets(vals.iter().map(|v| vec![Value::Int(*v as i64)]).collect())
+                .unwrap();
         let n = vals.len();
         let sa = stats.selectivity_eq(&Value::Int(a as i64), n);
         let sb = stats.selectivity_eq(&Value::Int(b as i64), n);
         let sin = stats.selectivity_in(&[Value::Int(a as i64), Value::Int(b as i64)], n);
         prop_assert!(sin >= sa.max(sb) - 1e-12);
         prop_assert!(sin <= 1.0);
+    }
+
+    #[test]
+    fn categorical_codes_decode_to_the_canonical_sets(
+        sets in prop::collection::vec(prop::collection::vec(0usize..10, 0..5), 1..40),
+    ) {
+        let pool = pool();
+        let per_entity: Vec<Vec<Value>> =
+            sets.iter().map(|set| set.iter().map(|&i| pool[i]).collect()).collect();
+        let stats = CategoricalStats::from_sets(per_entity.clone()).unwrap();
+        let domain = stats.domain();
+        prop_assert!(domain.windows(2).all(|w| w[0] < w[1]), "{domain:?}");
+        for (row, set) in per_entity.iter().enumerate() {
+            let mut canonical = set.clone();
+            canonical.sort();
+            canonical.dedup();
+            prop_assert_eq!(stats.values_of(row).to_vec(), canonical.clone());
+            let codes = stats.codes_of(row);
+            prop_assert!(codes.windows(2).all(|w| w[0] < w[1]));
+            for (&code, v) in codes.iter().zip(&canonical) {
+                prop_assert_eq!(stats.value(code), *v);
+                prop_assert_eq!(stats.code_of(v), Some(code));
+            }
+        }
+        for (code, v) in domain.iter().enumerate() {
+            let mut rows = Vec::new();
+            stats.rows_with(v).unwrap().for_each(|row| rows.push(row));
+            let expected: Vec<usize> =
+                (0..per_entity.len()).filter(|&r| per_entity[r].contains(v)).collect();
+            prop_assert_eq!(rows, expected);
+            prop_assert_eq!(stats.code_of(v), Some(code as u32));
+        }
+    }
+
+    #[test]
+    fn derived_codes_decode_to_the_canonical_runs(
+        runs in prop::collection::vec(
+            prop::collection::vec((0usize..10, 0u64..4), 0..6),
+            1..30,
+        ),
+    ) {
+        let pool = pool();
+        let per_entity: Vec<Vec<(Value, u64)>> = runs
+            .iter()
+            .map(|run| run.iter().map(|&(i, c)| (pool[i], c)).collect())
+            .collect();
+        let stats = DerivedStats::from_runs(per_entity.clone()).unwrap();
+        let domain = stats.domain();
+        prop_assert!(domain.windows(2).all(|w| w[0] < w[1]), "{domain:?}");
+        for (row, run) in per_entity.iter().enumerate() {
+            let mut canonical = summed(run, |a, b| a == b);
+            canonical.sort_by_key(|&(v, _)| v);
+            prop_assert_eq!(stats.counts_of(row), canonical.clone());
+            prop_assert_eq!(stats.total_of(row), canonical.iter().map(|e| e.1).sum::<u64>());
+            for &(v, c) in &canonical {
+                prop_assert_eq!(stats.count_of(row, &v), c);
+            }
+        }
+    }
+
+    #[test]
+    fn derived_numeric_ranks_decode_to_the_canonical_runs(
+        runs in prop::collection::vec(
+            prop::collection::vec((0usize..8, 0u64..4), 0..6),
+            1..30,
+        ),
+    ) {
+        let per_entity: Vec<Vec<(f64, u64)>> = runs
+            .iter()
+            .map(|run| run.iter().map(|&(i, c)| (FLOATS[i], c)).collect())
+            .collect();
+        let stats = DerivedNumericStats::build(per_entity.clone()).unwrap();
+        let cutpoints = stats.cutpoints();
+        prop_assert!(cutpoints.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()));
+        for (row, run) in per_entity.iter().enumerate() {
+            let keyed: Vec<(u64, u64)> = run.iter().map(|&(x, c)| (cut_key(x), c)).collect();
+            let mut canonical = summed(&keyed, |a, b| a == b);
+            canonical.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
+            let decoded: Vec<(u64, u64)> =
+                stats.counts_of(row).into_iter().map(|(x, c)| (cut_key(x), c)).collect();
+            prop_assert_eq!(decoded, canonical);
+        }
     }
 }

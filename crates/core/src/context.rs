@@ -29,11 +29,12 @@ enum PropState {
     /// Categorical: running shared-value intersection plus the single-valued
     /// union that feeds the disjunction fallback (footnote 7).
     Cat {
-        /// Values shared by every example so far (sorted).
-        shared: Vec<Value>,
-        /// Union of values over examples, maintained while every example is
-        /// single-valued (sorted).
-        union: Vec<Value>,
+        /// Value codes shared by every example so far (ascending, so in
+        /// value order).
+        shared: Vec<u32>,
+        /// Union of value codes over examples, maintained while every
+        /// example is single-valued (ascending).
+        union: Vec<u32>,
         /// Every example so far carried exactly one value.
         all_single: bool,
     },
@@ -49,9 +50,9 @@ enum PropState {
         /// satisfy) value; any > 0 kills the filter.
         null_count: usize,
     },
-    /// Derived counted: shared values with running θ and fraction minima,
-    /// sorted by value.
-    Derived { shared: Vec<(Value, u64, f64)> },
+    /// Derived counted: shared value codes with running θ and fraction
+    /// minima, ascending by code (so in value order).
+    Derived { shared: Vec<(u32, u64, f64)> },
     /// Derived numeric: per-cutpoint minimum suffix counts.
     DerivedNum { thetas: Vec<u64> },
 }
@@ -259,13 +260,14 @@ fn emit_prop(
             PropStats::Categorical(s),
         ) => {
             if !shared.is_empty() {
-                for v in shared {
+                for &code in shared {
+                    let v = s.value(code);
                     out.push(CandidateFilter {
                         prop_id,
                         attr_name,
-                        selectivity: s.selectivity_eq(v, n),
+                        selectivity: s.selectivity_eq(&v, n),
                         coverage: s.coverage_eq(),
-                        value: FilterValue::CatEq(*v),
+                        value: FilterValue::CatEq(v),
                     });
                 }
             } else if params.allow_disjunction
@@ -275,12 +277,13 @@ fn emit_prop(
             {
                 // Footnote 7: single-valued categorical attributes
                 // may form a small disjunction covering all examples.
+                let values: Vec<Value> = union.iter().map(|&code| s.value(code)).collect();
                 out.push(CandidateFilter {
                     prop_id,
                     attr_name,
-                    selectivity: s.selectivity_in(union, n),
-                    coverage: s.coverage_in(union.len()),
-                    value: FilterValue::CatIn(union.clone()),
+                    selectivity: s.selectivity_in(&values, n),
+                    coverage: s.coverage_in(values.len()),
+                    value: FilterValue::CatIn(values),
                 });
             }
         }
@@ -303,7 +306,8 @@ fn emit_prop(
             }
         }
         (PropState::Derived { shared }, PropStats::Derived(s)) => {
-            for &(v, theta, frac) in shared {
+            for &(code, theta, frac) in shared {
+                let v = s.value(code);
                 let (value, selectivity) = if params.normalize_association {
                     (
                         FilterValue::DerivedFrac {
@@ -406,14 +410,14 @@ fn add_row_to_state(
             },
             PropStats::Categorical(s),
         ) => {
-            let vals = s.values_of(row);
+            let codes = s.codes_of(row);
             let before = shared.len();
-            shared.retain(|v| vals.contains(v));
+            retain_in(shared, codes);
             let mut changed = shared.len() != before;
             if *all_single {
-                if vals.len() == 1 {
-                    if let Err(pos) = union.binary_search(&vals[0]) {
-                        union.insert(pos, vals[0]);
+                if let [code] = codes {
+                    if let Err(pos) = union.binary_search(code) {
+                        union.insert(pos, *code);
                         changed = true;
                     }
                 } else {
@@ -460,18 +464,26 @@ fn add_row_to_state(
             }
         },
         (PropState::Derived { shared }, PropStats::Derived(s)) => {
+            // A merge of two code-ascending lists: the shared values and
+            // this row's run.
+            let run = s.runs_of(row);
+            let total = s.total_of(row) as f64;
             let before = shared.len();
             let mut changed = false;
-            shared.retain_mut(|(v, theta, frac)| {
-                let c = s.count_of(row, v);
-                if c == 0 {
-                    return false;
+            let mut j = 0;
+            shared.retain_mut(|(code, theta, frac)| {
+                while j < run.len() && run[j].0 < *code {
+                    j += 1;
                 }
+                let Some(&(_, c)) = run.get(j).filter(|e| e.0 == *code) else {
+                    return false;
+                };
+                let c = u64::from(c);
                 if c < *theta {
                     *theta = c;
                     changed = true;
                 }
-                let f = s.frac_of(row, v);
+                let f = c as f64 / total;
                 if f < *frac {
                     *frac = f;
                     changed = true;
@@ -508,11 +520,10 @@ fn fold_first_row(state: &mut PropState, stats: &PropStats, row: RowId, buf: &mu
             },
             PropStats::Categorical(s),
         ) => {
-            let vals = s.values_of(row);
-            shared.extend_from_slice(vals);
-            shared.sort();
-            if vals.len() == 1 {
-                union.push(vals[0]);
+            let codes = s.codes_of(row);
+            shared.extend_from_slice(codes);
+            if let [code] = codes {
+                union.push(*code);
             } else {
                 *all_single = false;
             }
@@ -536,17 +547,15 @@ fn fold_first_row(state: &mut PropState, stats: &PropStats, row: RowId, buf: &mu
             }
         },
         (PropState::Derived { shared }, PropStats::Derived(s)) => {
-            // Entity runs are stored in the arena's cheap symbol-id order,
-            // which depends on interner history; re-sort by `Value`'s total
-            // order so emission stays canonical across processes.
-            // A run holds positive counts, so its entity's total is too.
-            let total = s.total_of(row);
+            // Runs ascend by code, which is value order, so emission is
+            // canonical as it stands. A run holds positive counts, so its
+            // entity's total is positive too.
+            let total = s.total_of(row) as f64;
             *shared = s
-                .counts_of(row)
+                .runs_of(row)
                 .iter()
-                .map(|&(v, c)| (v, c, c as f64 / total as f64))
+                .map(|&(code, c)| (code, u64::from(c), f64::from(c) / total))
                 .collect();
-            shared.sort_by_key(|e| e.0);
         }
         (PropState::DerivedNum { thetas }, PropStats::DerivedNumeric(s)) => {
             s.suffix_counts_into(row, buf);
@@ -556,6 +565,18 @@ fn fold_first_row(state: &mut PropState, stats: &PropStats, row: RowId, buf: &mu
         }
         _ => unreachable!("state/stats kinds are built in lockstep"),
     }
+}
+
+/// Keep the codes of ascending `shared` that ascending `codes` holds too:
+/// one merge walk.
+pub(crate) fn retain_in(shared: &mut Vec<u32>, codes: &[u32]) {
+    let mut j = 0;
+    shared.retain(|code| {
+        while j < codes.len() && codes[j] < *code {
+            j += 1;
+        }
+        codes.get(j) == Some(code)
+    });
 }
 
 /// Derive the candidate filter set Φ for `examples` (entity row ids).

@@ -9,6 +9,7 @@
 use squid_adb::{EntityProps, PropStats};
 use squid_relation::RowId;
 
+use crate::context::retain_in;
 use crate::params::SquidParams;
 
 /// Similarity score of a set of resolved entities: rare shared contexts
@@ -24,10 +25,9 @@ pub fn similarity_score(entity: &EntityProps, rows: &[RowId]) -> f64 {
     for prop in &entity.props {
         match &prop.stats {
             PropStats::Categorical(s) => {
-                let mut shared = s.values_of(rows[0]).to_vec();
+                let mut shared = s.codes_of(rows[0]).to_vec();
                 for &r in &rows[1..] {
-                    let vals = s.values_of(r);
-                    shared.retain(|v| vals.contains(v));
+                    retain_in(&mut shared, s.codes_of(r));
                     if shared.is_empty() {
                         break;
                     }
@@ -55,11 +55,11 @@ pub fn similarity_score(entity: &EntityProps, rows: &[RowId]) -> f64 {
                 }
             }
             PropStats::Derived(s) => {
-                for &(v, c0) in s.counts_of(rows[0]) {
-                    let mut theta = c0;
+                for &(code, c0) in s.runs_of(rows[0]) {
+                    let mut theta = u64::from(c0);
                     let mut shared = true;
                     for &r in &rows[1..] {
-                        let c = s.count_of(r, &v);
+                        let c = s.count_of_code(r, code);
                         if c == 0 {
                             shared = false;
                             break;

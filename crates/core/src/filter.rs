@@ -122,9 +122,9 @@ impl CandidateFilter {
     /// αDB's per-entity statistics (the fast path for abduced queries).
     pub fn matches_row(&self, prop: &Property, row: RowId) -> bool {
         match (&self.value, &prop.stats) {
-            (FilterValue::CatEq(v), PropStats::Categorical(s)) => s.values_of(row).contains(v),
+            (FilterValue::CatEq(v), PropStats::Categorical(s)) => s.carries(row, v),
             (FilterValue::CatIn(vs), PropStats::Categorical(s)) => {
-                s.values_of(row).iter().any(|v| vs.contains(v))
+                vs.iter().any(|v| s.carries(row, v))
             }
             (FilterValue::NumRange(l, h), PropStats::Numeric(s)) => {
                 s.value_of(row).is_some_and(|x| x >= *l && x <= *h)

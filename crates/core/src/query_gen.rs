@@ -268,7 +268,7 @@ pub(crate) enum Slice<'a> {
     /// The `(value, row)` pairs of a numeric range (`NumRange`).
     Range(&'a [(f64, RowId)]),
     /// The row sets of an `IN` list's values (`CatIn`).
-    In(Vec<&'a ValueRows>),
+    In(Vec<ValueRows<'a>>),
     /// The postings of every entity associated with a value, each kept
     /// when its share of associations reaches `frac` (`DerivedFrac`).
     Frac {

@@ -206,7 +206,7 @@ fn sweep(entity: &EntityProps, prop: &Property, seen: &mut Seen) -> Vec<(Candida
         PropStats::Derived(s) => {
             let mut max_count: std::collections::BTreeMap<Value, u64> = Default::default();
             for row in 0..n {
-                for &(v, c) in s.counts_of(row) {
+                for (v, c) in s.counts_of(row) {
                     let m = max_count.entry(v).or_insert(0);
                     *m = (*m).max(c);
                 }

@@ -41,6 +41,9 @@ pub enum RelationError {
     /// A foreign key points at a table/column that does not exist, or a
     /// duplicate table name was registered.
     InvalidSchema(String),
+    /// A figure does not fit the width it is stored at (an αDB property
+    /// whose codes, counts or offsets exceed `u32`).
+    TooLarge(String),
 }
 
 impl fmt::Display for RelationError {
@@ -62,6 +65,7 @@ impl fmt::Display for RelationError {
                 write!(f, "unknown column {table}.{column}")
             }
             RelationError::InvalidSchema(msg) => write!(f, "invalid schema: {msg}"),
+            RelationError::TooLarge(msg) => write!(f, "too large: {msg}"),
         }
     }
 }

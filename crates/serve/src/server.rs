@@ -1424,12 +1424,23 @@ pub(crate) fn answer(m: &SessionManager, verb: &Verb) -> Result<Vec<(String, Jso
                 ));
             }
             let heap = adb.heap_bytes();
+            let parts = heap.stats_parts;
             fields.push((
                 "adb_heap".into(),
                 Json::obj([
                     ("tables", heap.tables.into()),
                     ("inverted", heap.inverted.into()),
                     ("stats", heap.stats.into()),
+                    (
+                        "stats_parts",
+                        Json::obj([
+                            ("categorical", parts.categorical.into()),
+                            ("numeric", parts.numeric.into()),
+                            ("derived", parts.derived.into()),
+                            ("derived_numeric", parts.derived_numeric.into()),
+                            ("keys", parts.keys.into()),
+                        ]),
+                    ),
                     ("derived", heap.derived.into()),
                 ]),
             ));
