@@ -1447,6 +1447,15 @@ pub const SHARED_CACHE_SHARDS: usize = 16;
 /// set a process-wide one-time cost: sets are `Arc<RowSet>` handles, so
 /// crossing the cache clones a pointer, never bitmap words.
 ///
+/// It holds only the sets the evaluator admits (`squid_core::query_gen`'s
+/// `source`): slice-backed filters inside an admission band. Below the
+/// band are *small* sets, `len · bit_length(len) ≤ n / 64` rows (at most
+/// 127 over 60 000 entities), which are cheaper as their sorted row ids
+/// than as an n-bit bitmap and are never looked up or published here;
+/// above it are sets of more than `max(n/4, 64)` rows, which restrict a
+/// result from their postings instead. A dense categorical value is a
+/// bitmap in the αDB already and never enters the cache.
+///
 /// * **Sharding** — [`SHARED_CACHE_SHARDS`] independent shards, selected
 ///   by fingerprint hash, each a CLOCK map behind its own `Mutex`:
 ///   unrelated filters never contend, and a lookup or publish holds its

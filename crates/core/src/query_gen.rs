@@ -23,19 +23,36 @@
 //! one-shot `Squid::discover` path), [`evaluate_cached`], the session's
 //! add-only step `restrict_rows`, [`filter_row_set`] and example
 //! recommendation's `violators` all go through it. Sources are ordered by
-//! size and intersected smallest first: the smallest becomes the running
-//! result (a bitmap copy, or one walk of its slice), a bitmap restricts it
-//! with a word-wise AND, and a slice restricts it from the cheaper side —
-//! walk the slice, or, when so few rows survive that asking each of them
-//! costs less (`PROBE_COST`), probe the survivors. The sizes that decide
-//! are exact ([`match_estimate`]): a
+//! size and intersected smallest first, in one of two representations
+//! chosen by the smallest source's size:
+//!
+//! * a **small** set, `len · bit_length(len) ≤ n / 64` ([`is_small`]:
+//!   sorting its rows costs no more than one pass over an n-bit bitmap;
+//!   at most 127 rows over 60 000 entities), is held as its sorted row
+//!   ids. A bitmap restricts it with one bit test per survivor, a slice by
+//!   a binary search of each posting among the survivors or a probe of
+//!   each survivor, and the running result only becomes a bitmap at the
+//!   end — or as soon as a slice walk by binary search would cost more
+//!   than a bitmap pass, when the rest goes the bitmap way;
+//! * any larger set becomes a bitmap (a copy, or one walk of its slice), a
+//!   bitmap restricts it with a word-wise AND, and a slice restricts it
+//!   from the cheaper side — walk the slice, or, when so few rows survive
+//!   that asking each of them costs less (`PROBE_COST`), probe the
+//!   survivors.
+//!
+//! This is the array/bitmap container split of Roaring bitmaps (Chambi et
+//! al., 2016), decided at the one place that picks a filter's source. The
+//! sizes that decide are exact ([`match_estimate`]): a
 //! slice's length *is* its match count, ψ·n, for `CatEq`, `NumRange`,
 //! `DerivedEq` and `DerivedGe`; only `CatIn` (values may share rows) and
 //! the case-study-only `DerivedFrac` report an upper bound.
 //!
 //! The cache decides one thing: whether a bitmap built from a slice is
-//! kept (`len ≤ max(n/4, 64)`). The per-row definition
-//! ([`evaluate_per_row`]) is the test oracle.
+//! kept, for slices between the two edges of the admission band — above
+//! the small rule and at most `max(n/4, 64)` rows. A small slice is never
+//! looked up, built or published: its sorted rows are cheaper than the
+//! bitmap. The per-row definition ([`evaluate_per_row`]) is the test
+//! oracle.
 
 use std::sync::Arc;
 
@@ -364,12 +381,15 @@ pub(crate) struct CacheSlot<'c> {
 /// kind differs from its property's statistics is an empty slice, as
 /// `matches_row` answers it.
 ///
-/// With a `slot`, a slice-backed filter resident in the cache is served
-/// from it, and a miss is worth materializing when the filter is
-/// *selective enough*, `len ≤ max(n/4, 64)`: a bitmap with most rows set
-/// costs a long walk to build yet removes almost nothing from an
-/// intersection, while restricting the surviving rows directly
-/// ([`violators`]) costs the cheaper of the two sides and stores nothing.
+/// With a `slot`, a slice-backed filter inside the admission band is read
+/// through the cache: served when resident, otherwise materialized and
+/// published. The band's lower edge is [`is_small`]: a slice that small is
+/// cheaper as its sorted rows than as an n-bit bitmap, so it is never
+/// looked up, built or published. Its upper edge is `len ≤ max(n/4, 64)`:
+/// a bitmap with most rows set costs a long walk to build yet removes
+/// almost nothing from an intersection, while restricting the surviving
+/// rows directly ([`violators`]) costs the cheaper of the two sides and
+/// stores nothing.
 fn source<'a>(
     f: &'a CandidateFilter,
     prop: &'a Property,
@@ -403,13 +423,30 @@ fn source<'a>(
     let Some(CacheSlot { n, fp, cache }) = slot else {
         return Source::Slice(slice);
     };
-    if let Some(set) = cache.lookup(fp) {
+    if is_small(slice.len(), n) {
+        Source::Slice(slice)
+    } else if let Some(set) = cache.lookup(fp) {
         Source::Cached(set)
     } else if slice.len() <= (n / 4).max(64) {
         Source::Cached(cache.insert_with(fp, || slice.to_set(n)))
     } else {
         Source::Slice(slice)
     }
+}
+
+/// Whether a set of `len` rows over `n` entities is *small*: sorting its
+/// rows costs no more than one pass over an n-bit bitmap,
+/// `len · bit_length(len) ≤ n / 64` (at n = 60 000, up to 127 rows). A
+/// small set is evaluated as its sorted row ids and never cached; the rule
+/// reads both sizes off its input.
+fn is_small(len: usize, n: usize) -> bool {
+    len * bit_length(len) <= n / 64
+}
+
+/// Bits needed to write `x`: ⌈log₂(x + 1)⌉, the depth of a binary search
+/// over `x` sorted rows.
+fn bit_length(x: usize) -> usize {
+    (usize::BITS - x.leading_zeros()) as usize
 }
 
 /// Size of `f`'s satisfying set as the statistics report it in O(1) or
@@ -511,9 +548,10 @@ pub(crate) fn restrict_rows(
 
 /// [`evaluate`] through a [`FilterSetCache`]: each slice-backed filter's
 /// satisfying set is fetched by fingerprint (built from postings and
-/// memoized on a miss when selective enough, `len ≤ max(n/4, 64)`), so
-/// with a warm cache a repeat evaluation performs no postings walks at
-/// all — only `u64` AND loops over resident bitmaps.
+/// memoized on a miss when inside the admission band of [`source`]), so
+/// with a warm cache a repeat evaluation walks no postings but those of
+/// small slices — a few dozen rows each — and otherwise runs `u64` AND
+/// loops over resident bitmaps.
 ///
 /// Every lookup is one shard of the handle's
 /// [`SharedFilterSetCache`](squid_adb::SharedFilterSetCache) (a brief
@@ -545,6 +583,15 @@ pub(crate) fn evaluate_cached_fps(
 
 /// The one evaluator: a [`Source`] per filter, ordered by size, the
 /// smallest materialized and each next one restricting what survived.
+///
+/// When the smallest source is a [small](is_small) slice, the survivors
+/// are its sorted row ids and each next source filters them in place
+/// ([`retain`]). The list hands off to the bitmap as soon as the next
+/// source is a slice that the cost rule would walk and whose walk by
+/// binary search (`len · bit_length(survivors)`) costs more than one
+/// bitmap pass (`n / 64`); that source and every later one then restrict
+/// the bitmap, as they do when the smallest source is not small. One
+/// n-bit [`RowSet`] is built either way.
 fn intersect_sources(
     entity: &EntityProps,
     filters: &[CandidateFilter],
@@ -572,9 +619,25 @@ fn intersect_sources(
         sources.push((source.len(), f, prop, source));
     }
     sources.sort_by_key(|(len, ..)| *len);
-    let mut sources = sources.into_iter();
-    let (_, _, _, smallest) = sources.next().expect("at least one filter");
-    let mut out = smallest.to_set(n);
+    let mut sources = sources.into_iter().peekable();
+    let (len, _, _, smallest) = sources.next().expect("at least one filter");
+    let mut out = match smallest {
+        Source::Slice(slice) if is_small(len, n) => {
+            let mut rows = Vec::with_capacity(len);
+            slice.for_each(|row| rows.push(row));
+            rows.sort_unstable();
+            rows.dedup();
+            while let Some((_, f, prop, source)) = sources
+                .next_if(|(_, _, _, source)| !rows.is_empty() && !hands_off(source, rows.len(), n))
+            {
+                retain(&mut rows, f, prop, &source);
+            }
+            let mut out = RowSet::with_universe(n);
+            out.extend(rows);
+            out
+        }
+        smallest => smallest.to_set(n),
+    };
     for (_, f, prop, source) in sources {
         if out.is_empty() {
             break;
@@ -582,6 +645,43 @@ fn intersect_sources(
         restrict(&mut out, f, prop, &source);
     }
     out
+}
+
+/// Whether the sorted survivors of a small set give way to a bitmap at
+/// `source`: it is a slice the cost rule would walk, and walking it by
+/// binary search among `survivors` rows costs more than one pass over an
+/// `n`-bit bitmap.
+fn hands_off(source: &Source<'_>, survivors: usize, n: usize) -> bool {
+    match source {
+        Source::Slice(slice) => {
+            let len = slice.len();
+            len < survivors * PROBE_COST && len * bit_length(survivors) > n / 64
+        }
+        Source::Cached(_) | Source::Dense(_) => false,
+    }
+}
+
+/// Keep the sorted `rows` that `source` holds: one bit test per row for a
+/// bitmap; for a slice, the cheaper side of the cost rule — walk it and
+/// binary-search each of its rows among `rows`, or probe each row.
+fn retain(rows: &mut Vec<RowId>, f: &CandidateFilter, prop: &Property, source: &Source<'_>) {
+    if let Some(set) = source.bitmap() {
+        rows.retain(|&row| set.contains(row));
+        return;
+    }
+    match source {
+        Source::Slice(slice) if slice.len() < rows.len() * PROBE_COST => {
+            let mut keep = vec![false; rows.len()];
+            slice.for_each(|row| {
+                if let Ok(i) = rows.binary_search(&row) {
+                    keep[i] = true;
+                }
+            });
+            let mut keep = keep.into_iter();
+            rows.retain(|_| keep.next() == Some(true));
+        }
+        _ => rows.retain(|&row| f.matches_row(prop, row)),
+    }
 }
 
 fn num_value(x: f64) -> Value {
@@ -778,6 +878,21 @@ mod tests {
             );
         }
         assert!(shared_row_lists > 0);
+    }
+
+    /// The small-set rule at its edges: over 60 000 entities (IMDb 10×
+    /// persons, n/64 = 937) 127 rows are small (127 · 7 = 889) and 128 are
+    /// not (128 · 8 = 1 024); over 400 (n/64 = 6) 3 rows are and 4 are not;
+    /// over 8 (n/64 = 0) only the empty set is.
+    #[test]
+    fn the_small_set_rule_at_its_edges() {
+        for (n, largest) in [(60_000, 127), (400, 3), (8, 0)] {
+            assert!(is_small(largest, n), "{largest} of {n}");
+            assert!(!is_small(largest + 1, n), "{} of {n}", largest + 1);
+        }
+        assert!(is_small(0, 0));
+        assert_eq!((bit_length(0), bit_length(1), bit_length(127)), (0, 1, 7));
+        assert_eq!(bit_length(128), 8);
     }
 
     /// Satellite (i): no filters is the whole table, on the one-shot path

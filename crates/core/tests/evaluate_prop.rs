@@ -9,7 +9,11 @@
 //! of the dense crossover, `IN` lists whose values share rows, signed-zero
 //! / empty / inverted ranges), on the two hand-built fixtures, the
 //! generated 400-person slate and that slate loaded back from a snapshot;
-//! then over random conjunctions of 0–6 of those filters. The sizes the
+//! then over random conjunctions of 0–6 of those filters. A 4 000-person
+//! slate reaches the evaluator's other representation: conjunctions whose
+//! smallest set is small enough to be kept as sorted row ids, followed by
+//! filters in every role that list meets (dense and cached bitmaps, slices
+//! walked, probed, or handed over to a bitmap). The sizes the
 //! evaluator orders by are held to the same oracle: `match_estimate` is the
 //! per-row count for the four exact kinds, and so is `round(ψ · n)` — for
 //! normalized fractions too, whose ψ walks the evaluator's own test.
@@ -459,6 +463,162 @@ proptest! {
             .map(|&p| pool[p as usize % pool.len()].clone())
             .collect();
         let mut cache = caches()[which].lock().unwrap();
+        let what = filters.iter().map(|f| f.describe()).collect::<Vec<_>>().join(" & ");
+        assert_all_paths(entity, &filters, &mut cache, &what);
+    }
+}
+
+/// A generated slate of 4 000 persons: large enough for sets of a few
+/// rows to be *small* (`len · bit_length(len) ≤ n / 64`: up to 15 rows
+/// here), so the evaluator keeps them as sorted row ids. On the 400-person
+/// slate only sets of at most 3 rows are.
+fn wide_slate() -> &'static ADb {
+    static A: OnceLock<ADb> = OnceLock::new();
+    A.get_or_init(|| {
+        let config = ImdbConfig {
+            persons: 4_000,
+            movies: 2_000,
+            ..ImdbConfig::default()
+        };
+        ADb::build(&generate_imdb(&config)).unwrap()
+    })
+}
+
+/// The evaluator's size rule, as its module documents it.
+fn bit_length(x: usize) -> usize {
+    (usize::BITS - x.leading_zeros()) as usize
+}
+
+/// What one filter is to a conjunction whose smallest set has `s` rows,
+/// as the evaluator's sorted-row path meets it (the survivors number at
+/// most `s`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Role {
+    /// A dense categorical value: the αDB's bitmap, one bit test a row.
+    Dense,
+    /// A slice the cache admits (above the small rule, at most
+    /// max(n/4, 64) rows): a resident bitmap when cached.
+    Admitted,
+    /// A slice short enough to walk by binary search among `s` rows.
+    Walked,
+    /// A slice of at least 16 · `s` postings: each survivor is probed.
+    Probed,
+    /// A slice the cost rule walks but whose binary-search walk costs more
+    /// than a bitmap pass: the survivors become a bitmap here.
+    HandOff,
+}
+
+const ROLES: [Role; 5] = [
+    Role::Dense,
+    Role::Admitted,
+    Role::Walked,
+    Role::Probed,
+    Role::HandOff,
+];
+
+/// The wide slate's person filters with their sizes (`match_estimate`,
+/// the length the evaluator orders by) and whether they are dense values.
+fn wide_pool() -> &'static Vec<(CandidateFilter, usize, bool)> {
+    static P: OnceLock<Vec<(CandidateFilter, usize, bool)>> = OnceLock::new();
+    P.get_or_init(|| {
+        let entity = wide_slate().entity("person").unwrap();
+        let mut seen = Seen::default();
+        let mut pool = Vec::new();
+        for prop in &entity.props {
+            for (f, _) in sweep(entity, prop, &mut seen) {
+                let dense = match (&f.value, &prop.stats) {
+                    (FilterValue::CatEq(v), PropStats::Categorical(s)) => {
+                        matches!(s.rows_with(v), Some(ValueRows::Dense(_)))
+                    }
+                    _ => false,
+                };
+                pool.push((f.clone(), match_estimate(&f, prop), dense));
+            }
+        }
+        pool
+    })
+}
+
+/// The pool's filters that play `role` after a smallest set of `s` rows.
+fn playing(role: Role, s: usize, n: usize) -> Vec<&'static CandidateFilter> {
+    let small = |len: usize| len * bit_length(len) <= n / 64;
+    wide_pool()
+        .iter()
+        .filter(|&&(_, len, dense)| match role {
+            Role::Dense => dense,
+            _ if dense => false,
+            Role::Admitted => !small(len) && len <= (n / 4).max(64),
+            Role::Walked => len >= s && len < 16 * s && len * bit_length(s) <= n / 64,
+            Role::Probed => len >= 16 * s,
+            Role::HandOff => len >= s && len < 16 * s && len * bit_length(s) > n / 64,
+        })
+        .map(|(f, ..)| f)
+        .collect()
+}
+
+/// The small filters the conjunctions start from: every non-empty small
+/// set of the pool, each with at least one filter in every role.
+fn small_starts() -> &'static Vec<(&'static CandidateFilter, usize)> {
+    static S: OnceLock<Vec<(&'static CandidateFilter, usize)>> = OnceLock::new();
+    S.get_or_init(|| {
+        let n = wide_slate().entity("person").unwrap().n;
+        wide_pool()
+            .iter()
+            .filter(|&&(_, len, dense)| !dense && len > 0 && len * bit_length(len) <= n / 64)
+            .filter(|&&(_, len, _)| ROLES.iter().all(|&r| !playing(r, len, n).is_empty()))
+            .map(|(f, len, _)| (f, *len))
+            .collect()
+    })
+}
+
+/// One cache for every case over the wide slate (see [`caches`]).
+fn wide_cache() -> &'static Mutex<FilterSetCache> {
+    static C: OnceLock<Mutex<FilterSetCache>> = OnceLock::new();
+    C.get_or_init(|| Mutex::new(FilterSetCache::new(wide_slate().generation)))
+}
+
+/// Every role is on offer after small starts of several sizes, and the
+/// slate reaches both sides of the small rule.
+#[test]
+fn the_wide_slate_offers_every_role_after_a_small_set() {
+    let n = wide_slate().entity("person").unwrap().n;
+    assert!(n >= 4_000);
+    let mut sizes: Vec<usize> = small_starts().iter().map(|&(_, len)| len).collect();
+    sizes.sort_unstable();
+    sizes.dedup();
+    assert!(sizes.len() >= 3, "small starts of sizes {sizes:?}");
+    assert!(
+        wide_pool()
+            .iter()
+            .any(|&(_, len, _)| len > 0 && len * bit_length(len) > n / 64),
+        "no set above the rule"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// A conjunction whose smallest set is small, followed by filters in
+    /// every role — dense bitmaps, cached bitmaps, short slices walked,
+    /// long slices probed, and slices that hand the survivors over to a
+    /// bitmap — in random order and number: every path equals the per-row
+    /// definition, the cache cold and warm.
+    #[test]
+    fn conjunctions_from_a_small_set_match_the_per_row_definition(
+        start in any::<u32>(),
+        picks in proptest::collection::vec((0usize..5, any::<u32>()), 1..7),
+    ) {
+        let entity = wide_slate().entity("person").unwrap();
+        let (first, s) = small_starts()[start as usize % small_starts().len()];
+        let mut filters = vec![first.clone()];
+        for (role, pick) in picks {
+            let pool = playing(ROLES[role], s, entity.n);
+            filters.push(pool[pick as usize % pool.len()].clone());
+        }
+        // The order filters arrive in is not the order they are applied.
+        let mid = filters.len() / 2;
+        filters.rotate_left(mid);
+        let mut cache = wide_cache().lock().unwrap();
         let what = filters.iter().map(|f| f.describe()).collect::<Vec<_>>().join(" & ");
         assert_all_paths(entity, &filters, &mut cache, &what);
     }

@@ -193,3 +193,79 @@ fn tiny_bounded_fleet_matches_one_shot() {
         "the tiny bound must have forced evictions: {stats:?}"
     );
 }
+
+/// The shared cache holds no small set. Over 400 persons a set is small up
+/// to 3 rows (`len · bit_length(len) ≤ n / 64 = 6`): evaluating such a
+/// filter looks nothing up and publishes nothing. A filter of 4 rows, just
+/// above the rule, is published once and hit on the next evaluation.
+#[test]
+fn small_sets_stay_out_of_the_shared_cache() {
+    let adb = ADb::build(&generate_imdb(&ImdbConfig::tiny())).unwrap();
+    let entity = adb.entity("person").unwrap();
+    assert_eq!(entity.n, 400);
+    let params = SquidParams {
+        allow_disjunction: true,
+        ..SquidParams::default()
+    };
+    let of_size = |want: usize| -> CandidateFilter {
+        (0..entity.n)
+            .flat_map(|row| discover_contexts(entity, &[row], &params))
+            .find(|f| {
+                let rows = evaluate_per_row(entity, std::slice::from_ref(f)).len();
+                rows == want
+                    && squid_core::match_estimate(f, entity.property(f.prop_id).unwrap()) == want
+            })
+            .unwrap_or_else(|| panic!("no filter of {want} rows"))
+    };
+    let (small, above) = (of_size(3), of_size(4));
+    let store = Arc::new(SharedFilterSetCache::new(adb.generation, 1 << 20));
+    let mut handle = FilterSetCache::attached(Arc::clone(&store), adb.generation);
+    let alone = std::slice::from_ref(&small);
+    for _ in 0..2 {
+        let before = store.stats();
+        assert_eq!(
+            evaluate_cached(entity, alone, &mut handle),
+            evaluate_per_row(entity, alone)
+        );
+        let after = store.stats();
+        assert_eq!(
+            (after.entries, after.resident_bytes),
+            (before.entries, before.resident_bytes),
+            "{}",
+            small.describe()
+        );
+        assert_eq!(handle.misses(), 0);
+    }
+    assert_eq!(
+        (handle.hits(), store.stats().hits),
+        (0, 0),
+        "nothing looked up"
+    );
+
+    let alone = std::slice::from_ref(&above);
+    let want = evaluate_per_row(entity, alone);
+    assert_eq!(evaluate_cached(entity, alone, &mut handle), want);
+    assert_eq!((handle.hits(), handle.misses()), (0, 1), "published once");
+    assert_eq!(store.stats().entries, 1);
+    let resident = store.stats().resident_bytes;
+    assert!(resident > 0);
+    assert_eq!(evaluate_cached(entity, alone, &mut handle), want);
+    assert_eq!((handle.hits(), handle.misses()), (1, 1), "then hit");
+    assert_eq!(
+        (store.stats().entries, store.stats().resident_bytes),
+        (1, resident)
+    );
+
+    // Together, the small set leads and the resident bitmap filters it:
+    // one more hit, nothing published.
+    let both = [above.clone(), small.clone()];
+    assert_eq!(
+        evaluate_cached(entity, &both, &mut handle),
+        evaluate_per_row(entity, &both)
+    );
+    assert_eq!((handle.hits(), handle.misses()), (2, 1));
+    assert_eq!(
+        (store.stats().entries, store.stats().resident_bytes),
+        (1, resident)
+    );
+}
