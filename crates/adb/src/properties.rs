@@ -139,7 +139,7 @@ impl PropertyDef {
     /// Build the [`SemiJoin`] that expresses "entity has this property with
     /// value `v` (and count ≥ `theta` for derived properties)" against the
     /// ORIGINAL database. Direct attributes return `None` (they are plain
-    /// root predicates, see [`PropertyDef::root_pred`]).
+    /// root predicates on [`QueryFragments::root_col`]).
     pub fn semi_join(&self, pk_column: &str, v: &Value, theta: u64) -> Option<SemiJoin> {
         match &self.kind {
             PropKind::DirectCategorical { .. } | PropKind::DirectNumeric { .. } => None,
@@ -225,16 +225,6 @@ impl PropertyDef {
                     PathStep::new(mid_table, fact_mid_col, "id").filter(Pred::ge(column, *cut)),
                 ],
             )),
-            _ => None,
-        }
-    }
-
-    /// For direct attributes: the root predicate expressing `value` /
-    /// `[low, high]`.
-    pub fn root_pred(&self, v: &Value) -> Option<Pred> {
-        match &self.kind {
-            PropKind::DirectCategorical { column } => Some(Pred::eq(column, *v)),
-            PropKind::DirectNumeric { column } => Some(Pred::eq(column, *v)),
             _ => None,
         }
     }
@@ -664,8 +654,8 @@ mod tests {
         let props = discover_properties(&db);
         let p = props.iter().find(|p| p.id == "person.gender").unwrap();
         assert!(p.semi_join("id", &Value::text("Male"), 1).is_none());
-        let pred = p.root_pred(&Value::text("Male")).unwrap();
-        assert_eq!(pred.column, "gender");
+        let fragments = QueryFragments::build(p, "id", None);
+        assert_eq!(fragments.root_col(), Some(Sym::intern("gender")));
     }
 
     #[test]

@@ -1321,14 +1321,6 @@ impl ClockMap {
         }
     }
 
-    /// Clear every reference bit (one aging round): entries not touched
-    /// again before the next pressure sweep become eviction candidates.
-    fn decay(&mut self) {
-        for s in self.slots.iter_mut().flatten() {
-            s.referenced = false;
-        }
-    }
-
     fn clear(&mut self) {
         self.map.clear();
         self.slots.clear();
@@ -1617,17 +1609,6 @@ impl SharedFilterSetCache {
         self.shard_for(fp, generation)
             .inner
             .insert(fp, Arc::clone(set), budget);
-    }
-
-    /// One aging round: clear every entry's reference bit so bitmaps not
-    /// looked up again before the next pressure sweep become eviction
-    /// candidates. The `SessionManager` TTL sweep calls this after evicting
-    /// dead sessions, so their published-but-unused entries can't stay
-    /// pinned by a stale reference bit.
-    pub fn decay(&self) {
-        for shard in &self.shards {
-            lock(shard).inner.decay();
-        }
     }
 
     /// Approximate resident bytes across all shards.
@@ -2151,49 +2132,6 @@ mod tests {
                 "shard residency {b} > budget {shard_budget}"
             );
         }
-    }
-
-    /// `decay` must actually revoke reference protection: a touched (hot)
-    /// entry survives one pressure sweep, but after `decay` the clock hand
-    /// takes it immediately instead of sparing it once. (If `decay` were a
-    /// no-op, the hand would clear #1's bit, move on, and evict #2.)
-    #[test]
-    fn decay_revokes_second_chances() {
-        let mut m = ClockMap::default();
-        let budget = entry_bytes(&fp(1), &one_row_set(1)) * 2;
-        assert!(m.insert(&fp(1), Arc::new(one_row_set(1)), budget));
-        assert!(m.insert(&fp(2), Arc::new(one_row_set(2)), budget));
-        m.get(&fp(1)).expect("resident");
-        m.decay();
-        // One admission forces one eviction; the hand sits at slot 0 (#1).
-        assert!(m.insert(&fp(3), Arc::new(one_row_set(3)), budget));
-        assert!(
-            !m.map.contains_key(&fp(1)),
-            "decayed entry must have lost its second chance"
-        );
-        assert!(m.map.contains_key(&fp(2)));
-        assert_eq!(m.evictions, 1);
-    }
-
-    /// Shared-level smoke of the TTL-sweep aging path: decay keeps every
-    /// entry resident (it drops priority, not residency) and post-decay
-    /// lookups still serve and re-promote them.
-    #[test]
-    fn decay_unpins_unused_entries() {
-        let per_entry = entry_bytes(&fp(0), &one_row_set(0));
-        let shared = SharedFilterSetCache::new(5, per_entry * SHARED_CACHE_SHARDS * 2);
-        for i in 0..100 {
-            shared.publish(&fp(i), 5, &std::sync::Arc::new(one_row_set(i)));
-        }
-        let before = shared.stats();
-        shared.decay();
-        assert_eq!(shared.stats().entries, before.entries);
-        for i in 0..100 {
-            let _ = shared.lookup(&fp(i), 5);
-        }
-        let after = shared.stats();
-        assert!(after.hits > before.hits);
-        assert!(after.resident_bytes <= shared.max_resident_bytes());
     }
 
     /// A shared `lookup` hit is a CLOCK touch: with a shard holding two

@@ -297,15 +297,11 @@ impl SessionManager {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    /// Open a new session with the manager's default parameters.
+    /// Open a new session. Every session runs on the manager's parameters,
+    /// the ones journal replay reinstalls it with.
     pub fn create_session(&self) -> SessionId {
-        self.create_session_with_params(self.params.clone())
-    }
-
-    /// Open a new session with explicit parameters.
-    pub fn create_session_with_params(&self, params: SquidParams) -> SessionId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.install_session(id, params);
+        self.install_session(id);
         // Best-effort journaling on the infallible create path; failures
         // are counted (surfaced via `journal_write_errors`) and the next
         // fallible `apply_op` on this journal will report the condition.
@@ -317,10 +313,10 @@ impl SessionManager {
 
     /// Install a session under a fixed id (the create path minus id
     /// allocation and journaling — also the journal-replay path).
-    fn install_session(&self, id: SessionId, params: SquidParams) {
+    fn install_session(&self, id: SessionId) {
         let session = SquidSession::hosted(
             Arc::clone(&self.adb),
-            params,
+            self.params.clone(),
             Arc::clone(&self.shared_cache),
         );
         let entry = Arc::new(Entry {
@@ -436,11 +432,10 @@ impl SessionManager {
     /// Sweep every shard, removing sessions idle past the TTL. Returns the
     /// number evicted. No-op without a TTL.
     ///
-    /// When sessions were evicted, the shared evaluation cache is aged one
-    /// round ([`SharedFilterSetCache::decay`]): shared-cache LRU priority
-    /// is touch-on-use only, so bitmaps a dead session published but
-    /// nobody ever looked up lose their residency protection instead of
-    /// staying pinned fleet-wide.
+    /// The shared evaluation cache is left alone: the bitmaps an evicted
+    /// session published stay resident until CLOCK's byte bound takes
+    /// them, which it does first for the ones nobody looked up (they were
+    /// admitted cold).
     pub fn evict_expired(&self) -> usize {
         let Some(ttl) = self.ttl else {
             return 0;
@@ -455,9 +450,6 @@ impl SessionManager {
                 now.saturating_sub(e.last_used_ms.load(Ordering::Relaxed)) <= cutoff_ms
             });
             evicted += before - shard.len();
-        }
-        if evicted > 0 {
-            self.shared_cache.decay();
         }
         evicted
     }
@@ -907,7 +899,7 @@ impl SessionManager {
                         // from the stream, so rebuild from the snapshot.
                         Some(_) => {
                             recover_guard(self.shard(*sid).write()).remove(sid);
-                            self.install_session(*sid, self.params.clone());
+                            self.install_session(*sid);
                             let _ = self.with_session_state(*sid, |s| {
                                 s.advance_op_seq(*seq);
                                 Ok(())
@@ -918,7 +910,7 @@ impl SessionManager {
                             stats.records_applied += 1;
                         }
                         None => {
-                            self.install_session(*sid, self.params.clone());
+                            self.install_session(*sid);
                             let _ = self.with_session_state(*sid, |s| {
                                 s.advance_op_seq(*seq);
                                 Ok(())
@@ -1119,7 +1111,7 @@ mod tests {
     }
 
     #[test]
-    fn ttl_sweep_decays_but_keeps_shared_entries() {
+    fn ttl_sweep_keeps_shared_entries() {
         let m = manager().with_ttl(Duration::from_millis(0));
         let id = m.create_session();
         m.with_session(id, |s| {
@@ -1132,8 +1124,8 @@ mod tests {
         assert!(before.entries > 0);
         std::thread::sleep(Duration::from_millis(5));
         assert_eq!(m.evict_expired(), 1);
-        // Decay drops LRU priority, not residency: entries stay resident
-        // (they evict first only once the byte budget tightens).
+        // Evicting a session evicts none of what it published: entries
+        // leave only when the byte budget tightens.
         let after = m.shared_cache_stats().unwrap();
         assert_eq!(after.entries, before.entries);
     }

@@ -358,7 +358,10 @@ fn sizes_are_satisfying_rows_not_postings_walked() {
     let entity = adb.entity("person").unwrap();
     let mut seen = Seen::default();
     let mut found = 0;
-    let cats: Vec<(CandidateFilter, &Property)> = entity
+    // Each filter's per-row rows are computed once, not once per pair; a
+    // pair's are then the rows both hold, as the per-row definition of a
+    // conjunction reads.
+    let cats: Vec<(CandidateFilter, &Property, RowSet)> = entity
         .props
         .iter()
         .filter(|p| matches!(p.stats, PropStats::Categorical(_)))
@@ -367,6 +370,10 @@ fn sizes_are_satisfying_rows_not_postings_walked() {
                 .into_iter()
                 .filter(|(f, _)| matches!(f.value, FilterValue::CatEq(_)))
                 .map(move |(f, _)| (f, p))
+        })
+        .map(|(f, p)| {
+            let rows = evaluate_per_row(entity, std::slice::from_ref(&f));
+            (f, p, rows)
         })
         .collect();
     for prop in &entity.props {
@@ -381,23 +388,18 @@ fn sizes_are_satisfying_rows_not_postings_walked() {
                 s.postings_ge(value, *theta).len(),
                 s.postings_ge(value, 1).len(),
             );
-            for (cat, cat_prop) in &cats {
+            let theta_rows = evaluate_per_row(entity, std::slice::from_ref(&theta_filter));
+            for (cat, cat_prop, cat_rows) in &cats {
                 let carried = match_estimate(cat, cat_prop);
                 if !(0 < satisfying && satisfying < carried && carried < postings) {
                     continue;
                 }
                 found += 1;
                 assert_eq!(match_estimate(&theta_filter, prop), satisfying);
-                assert_eq!(
-                    evaluate_per_row(entity, std::slice::from_ref(&theta_filter)).len(),
-                    satisfying
-                );
-                assert_eq!(
-                    evaluate_per_row(entity, std::slice::from_ref(cat)).len(),
-                    carried
-                );
+                assert_eq!(theta_rows.len(), satisfying);
+                assert_eq!(cat_rows.len(), carried);
                 let both = [cat.clone(), theta_filter.clone()];
-                assert_eq!(evaluate(entity, &both), evaluate_per_row(entity, &both));
+                assert_eq!(evaluate(entity, &both), cat_rows.intersection(&theta_rows));
             }
         }
     }

@@ -109,27 +109,7 @@ fn imdb_facts(db: &Database) -> ImdbFacts {
         .map(|(m, _)| *m)
         .unwrap();
 
-    // Strongest co-star pair (bounded scan).
-    let mut pair_counts: HashMap<(i64, i64), usize> = HashMap::new();
-    for members in cast_by_movie.values() {
-        if members.len() > 60 {
-            continue;
-        }
-        let mut ms = members.clone();
-        ms.sort_unstable();
-        ms.dedup();
-        for i in 0..ms.len() {
-            for j in (i + 1)..ms.len() {
-                *pair_counts.entry((ms[i], ms[j])).or_insert(0) += 1;
-            }
-        }
-    }
-    let (best_pair, _) = pair_counts
-        .iter()
-        .filter(|((a, b), _)| unambiguous(a) && unambiguous(b))
-        .max_by_key(|((a, b), c)| (**c, -(a + b)))
-        .map(|(p, c)| (*p, *c))
-        .unwrap();
+    let best_pair = strongest_pair(cast_by_movie.values(), 60, unambiguous);
 
     let top_director = dir_count
         .iter()
@@ -180,6 +160,35 @@ fn imdb_facts(db: &Database) -> ImdbFacts {
         top_actor: name_of[&top_actor].clone(),
         scifi_actor: name_of[&scifi_actor].clone(),
     }
+}
+
+/// The pair of distinct ids that share the most groups (movies' casts,
+/// publications' authors), counting only groups of at most `cap` members
+/// and pairs whose ids both pass `keep`. Ties go to the smaller id sum,
+/// then the smaller first id: a total order, so the pick never depends
+/// on hash iteration order.
+fn strongest_pair<'g>(
+    groups: impl Iterator<Item = &'g Vec<i64>>,
+    cap: usize,
+    keep: impl Fn(&i64) -> bool,
+) -> (i64, i64) {
+    let mut pair_counts: HashMap<(i64, i64), usize> = HashMap::new();
+    for members in groups.filter(|g| g.len() <= cap) {
+        let mut ms = members.clone();
+        ms.sort_unstable();
+        ms.dedup();
+        for i in 0..ms.len() {
+            for j in (i + 1)..ms.len() {
+                *pair_counts.entry((ms[i], ms[j])).or_insert(0) += 1;
+            }
+        }
+    }
+    pair_counts
+        .into_iter()
+        .filter(|((a, b), _)| keep(a) && keep(b))
+        .max_by_key(|&((a, b), c)| (c, -(a + b), -a))
+        .map(|(p, _)| p)
+        .expect("some group of at most `cap` members has a kept pair")
 }
 
 fn movie_has_genre(g: &str) -> SemiJoin {
@@ -548,25 +557,7 @@ pub fn dblp_queries(db: &Database) -> Vec<BenchmarkQuery> {
             .or_default()
             .push(r[0].as_int().unwrap());
     }
-    let mut pair_counts: HashMap<(i64, i64), usize> = HashMap::new();
-    for authors in by_pub.values() {
-        if authors.len() > 40 {
-            continue;
-        }
-        let mut a = authors.clone();
-        a.sort_unstable();
-        a.dedup();
-        for i in 0..a.len() {
-            for j in (i + 1)..a.len() {
-                *pair_counts.entry((a[i], a[j])).or_insert(0) += 1;
-            }
-        }
-    }
-    let (pa, pb) = pair_counts
-        .iter()
-        .max_by_key(|((a, b), c)| (**c, -(a + b)))
-        .map(|(p, _)| *p)
-        .unwrap();
+    let (pa, pb) = strongest_pair(by_pub.values(), 40, |_| true);
     let author_table = db.table("author").unwrap();
     let name_of = |id: i64| -> String {
         author_table
@@ -687,6 +678,33 @@ mod tests {
     use crate::adult::{generate_adult, AdultConfig};
     use crate::dblp::{generate_dblp, DblpConfig};
     use crate::imdb::{generate_imdb, ImdbConfig};
+
+    #[test]
+    fn strongest_pair_breaks_ties_by_sum_then_first_id() {
+        // (1, 6), (2, 5) and (3, 4) each share two groups and sum to 7;
+        // (0, 9) shares three groups but is filtered out, and the 4-member
+        // group is over the cap.
+        let groups = vec![
+            vec![3, 4],
+            vec![4, 3],
+            vec![2, 5],
+            vec![5, 2, 2],
+            vec![6, 1],
+            vec![1, 6],
+            vec![0, 9],
+            vec![0, 9],
+            vec![9, 0],
+            vec![1, 6, 2, 5],
+        ];
+        let keep = |p: &i64| *p != 0;
+        for _ in 0..8 {
+            // Every fresh `HashMap` iterates in a new random order.
+            assert_eq!(strongest_pair(groups.iter(), 3, keep), (1, 6));
+        }
+        assert_eq!(strongest_pair(groups.iter(), 3, |_| true), (0, 9));
+        assert_eq!(strongest_pair(groups.iter(), 4, keep), (1, 6));
+        assert_eq!(strongest_pair(groups[..4].iter(), 3, keep), (2, 5));
+    }
 
     #[test]
     fn imdb_suite_has_16_nonempty_queries() {

@@ -305,15 +305,6 @@ impl ColumnBuilder {
         self.len += 1;
     }
 
-    /// Append a boolean cell (Bool columns only).
-    pub fn push_bool(&mut self, v: bool) {
-        match &mut self.data {
-            ColumnData::Bool(xs) => xs.push(v),
-            _ => panic!("push_bool on a {} column", self.dtype()),
-        }
-        self.len += 1;
-    }
-
     /// Assemble a builder directly from bulk-decoded parts: the typed
     /// storage and its null bitmap, with no per-cell push. The caller
     /// guarantees two invariants the push methods normally maintain:

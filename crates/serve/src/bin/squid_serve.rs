@@ -67,7 +67,7 @@ replication flags:
   --standby-of <a>     start as a warm standby of the primary whose
                        replication listener is at a; reads are served,
                        mutations refused with a `not_primary` hint;
-                       SIGUSR1 or the `promote` verb flips to primary
+                       the `promote` verb flips it to primary
   --bootstrap-adb      (standby only) fetch the αDB over the replication
                        link instead of building it; dataset arg optional
 chaos flags:
@@ -81,22 +81,18 @@ fn die<T>(msg: &str) -> T {
     std::process::exit(2)
 }
 
-/// SIGTERM/SIGINT/SIGUSR1 handling without crates: the C runtime std
-/// already links provides `signal`; the handlers only store to atomics,
-/// which is async-signal-safe.
+/// SIGTERM/SIGINT handling without crates: the C runtime std already
+/// links provides `signal`; the handler only stores to an atomic, which
+/// is async-signal-safe. (A standby is promoted by the `promote` verb,
+/// not by a signal.)
 #[cfg(unix)]
 mod sig {
     use std::sync::atomic::{AtomicBool, Ordering};
 
     pub static STOP: AtomicBool = AtomicBool::new(false);
-    pub static PROMOTE: AtomicBool = AtomicBool::new(false);
 
     extern "C" fn on_signal(_signum: i32) {
         STOP.store(true, Ordering::SeqCst);
-    }
-
-    extern "C" fn on_promote(_signum: i32) {
-        PROMOTE.store(true, Ordering::SeqCst);
     }
 
     extern "C" {
@@ -105,22 +101,15 @@ mod sig {
 
     pub fn install() {
         const SIGINT: i32 = 2;
-        const SIGUSR1: i32 = 10;
         const SIGTERM: i32 = 15;
         unsafe {
             signal(SIGTERM, on_signal);
             signal(SIGINT, on_signal);
-            signal(SIGUSR1, on_promote);
         }
     }
 
     pub fn stop_requested() -> bool {
         STOP.load(Ordering::SeqCst)
-    }
-
-    /// One-shot: true at most once per SIGUSR1.
-    pub fn promote_requested() -> bool {
-        PROMOTE.swap(false, Ordering::SeqCst)
     }
 }
 
@@ -128,9 +117,6 @@ mod sig {
 mod sig {
     pub fn install() {}
     pub fn stop_requested() -> bool {
-        false
-    }
-    pub fn promote_requested() -> bool {
         false
     }
 }
@@ -355,11 +341,6 @@ fn main() {
     let _ = std::io::stdout().flush();
 
     while !sig::stop_requested() && !server.stop_requested() {
-        if sig::promote_requested() {
-            eprintln!("SIGUSR1: promoting...");
-            let role = server.promote(Duration::from_secs(10));
-            eprintln!("promotion -> {role:?}");
-        }
         std::thread::sleep(Duration::from_millis(50));
     }
     eprintln!("shutdown requested; draining...");

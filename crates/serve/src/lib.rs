@@ -38,7 +38,7 @@
 //!   standby is promoted at every kill.
 //! - [`replication`]: warm-standby journal streaming — snapshot
 //!   bootstrap, record shipping with acks and lag accounting, and the
-//!   promotion latch behind the `promote` verb / SIGUSR1.
+//!   promotion latch behind the `promote` verb.
 //!
 //! ```no_run
 //! use std::sync::Arc;

@@ -52,7 +52,7 @@
 //!
 //! ## Split-brain stance
 //!
-//! Promotion is manual (the `promote` verb or SIGUSR1) — there is no
+//! Promotion is manual (the `promote` verb, nothing else) — there is no
 //! quorum, no lease, and no automatic failover decision. The operator
 //! (or the chaos harness) is the arbiter: kill the primary *then*
 //! promote, and never run two primaries against one client population.
@@ -149,7 +149,7 @@ impl ReplState {
         }
     }
 
-    /// Latch a promotion request (the `promote` verb / SIGUSR1 path). The
+    /// Latch a promotion request (the `promote` verb's path). The
     /// standby link thread drains the stream and flips the role; callers
     /// poll [`ReplState::role`] for completion.
     pub fn request_promotion(&self) {

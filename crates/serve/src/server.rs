@@ -42,7 +42,11 @@
 //! fsynced, and (when configured) an αDB snapshot is saved. A fleet
 //! killed *without* the graceful path recovers from its journal on the
 //! next start ([`SessionManager::recover`]), which the CI serving smoke
-//! exercises with a literal SIGTERM mid-load.
+//! exercises with a literal SIGTERM mid-load. The restart may bind the
+//! same address at once: [`Server::start`] binds through std, which
+//! sets `SO_REUSEADDR`.
+//!
+//! A standby becomes primary only through the `promote` verb.
 
 use std::collections::HashMap;
 use std::io::{self, Read, Write};
@@ -379,77 +383,6 @@ pub struct ShutdownReport {
     pub live_sessions: usize,
 }
 
-/// Bind the listening socket with `SO_REUSEADDR`, so a restarted server
-/// reclaims its address immediately instead of failing while the killed
-/// process's connections drain out of `TIME_WAIT` — a fleet that is
-/// SIGKILLed and relaunched (the chaos harness, a supervisor restart
-/// loop) must come back on the same port without a cooldown. std's
-/// `TcpListener::bind` does not set the option, so on Linux/IPv4 the
-/// socket is built by hand against the C runtime std already links (the
-/// same no-crates route the CLI takes for `signal`); everywhere else
-/// this falls back to the std bind.
-#[cfg(target_os = "linux")]
-fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
-    use std::net::ToSocketAddrs;
-    use std::os::unix::io::FromRawFd;
-
-    let resolved = addr
-        .to_socket_addrs()?
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "unresolvable bind address"))?;
-    let SocketAddr::V4(v4) = resolved else {
-        return TcpListener::bind(addr); // IPv6: take the std path
-    };
-
-    extern "C" {
-        fn socket(domain: i32, ty: i32, protocol: i32) -> i32;
-        fn setsockopt(fd: i32, level: i32, name: i32, value: *const i32, len: u32) -> i32;
-        fn bind(fd: i32, addr: *const u8, len: u32) -> i32;
-        fn listen(fd: i32, backlog: i32) -> i32;
-        fn close(fd: i32) -> i32;
-    }
-    const AF_INET: i32 = 2;
-    const SOCK_STREAM: i32 = 1;
-    const SOCK_CLOEXEC: i32 = 0x80000;
-    const SOL_SOCKET: i32 = 1;
-    const SO_REUSEADDR: i32 = 2;
-
-    // SAFETY: plain syscalls on a fresh fd; every failure path closes it.
-    unsafe {
-        let fd = socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
-        if fd < 0 {
-            return Err(io::Error::last_os_error());
-        }
-        let fail = |fd: i32| -> io::Error {
-            let e = io::Error::last_os_error();
-            close(fd);
-            e
-        };
-        let one: i32 = 1;
-        if setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, 4) != 0 {
-            return Err(fail(fd));
-        }
-        // struct sockaddr_in: family u16 (native), port u16 (BE),
-        // addr u32 (BE), 8 bytes of zero padding.
-        let mut sa = [0u8; 16];
-        sa[0..2].copy_from_slice(&(AF_INET as u16).to_ne_bytes());
-        sa[2..4].copy_from_slice(&v4.port().to_be_bytes());
-        sa[4..8].copy_from_slice(&v4.ip().octets());
-        if bind(fd, sa.as_ptr(), sa.len() as u32) != 0 {
-            return Err(fail(fd));
-        }
-        if listen(fd, 128) != 0 {
-            return Err(fail(fd));
-        }
-        Ok(TcpListener::from_raw_fd(fd))
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn bind_reuseaddr(addr: &str) -> io::Result<TcpListener> {
-    TcpListener::bind(addr)
-}
-
 /// A running serving frontend (see the module docs).
 pub struct Server {
     addr: SocketAddr,
@@ -463,9 +396,13 @@ pub struct Server {
 
 impl Server {
     /// Bind and start serving `manager` per `cfg`. Returns once the
-    /// listener is bound and every worker is running.
+    /// listener is bound and every worker is running. The bind is std's
+    /// [`TcpListener::bind`], which sets `SO_REUSEADDR` on Unix: a server
+    /// restarted on the same address (after a SIGKILL or a supervisor
+    /// relaunch) binds at once, while its old connections drain out of
+    /// `TIME_WAIT`.
     pub fn start(manager: Arc<SessionManager>, cfg: ServeConfig) -> io::Result<Server> {
-        let listener = bind_reuseaddr(&cfg.addr)?;
+        let listener = TcpListener::bind(&cfg.addr)?;
         let addr = listener.local_addr()?;
         let workers_n = cfg.workers.max(1);
         let role = if cfg.standby_of.is_some() {
@@ -568,13 +505,6 @@ impl Server {
     /// The node's replication state (role, lag, promotion latch).
     pub fn repl(&self) -> &Arc<ReplState> {
         &self.shared.repl
-    }
-
-    /// Promote this node to primary (no-op when it already is), waiting
-    /// up to `deadline` for the standby link to drain and flip. Returns
-    /// the role afterwards — [`Role::Primary`] on success.
-    pub fn promote(&self, deadline: Duration) -> Role {
-        do_promote(&self.shared, deadline)
     }
 
     /// The hosted fleet.

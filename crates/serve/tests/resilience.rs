@@ -1,7 +1,10 @@
 //! Server-protection e2e: sequence-numbered turn dedupe, per-session
-//! rate limiting with retry hints, and the `health` probe — the parts of
-//! the self-healing story that don't need a crashing process.
+//! rate limiting with retry hints, the `health` probe, and a restart on
+//! the same port — the parts of the self-healing story that don't need a
+//! crashing process.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -254,4 +257,43 @@ fn health_reports_load_sessions_and_journal() {
 
     server.shutdown();
     let _ = std::fs::remove_file(&path);
+}
+
+/// A server restarted on its own address binds at once, even while a
+/// connection the old server closed first still sits in `TIME_WAIT` on
+/// that port (std's bind sets `SO_REUSEADDR`).
+#[test]
+fn a_restarted_server_reclaims_its_port_past_time_wait() {
+    let server = start_with(SessionManager::new(test_adb()), ServeConfig::default());
+    let addr = server.local_addr();
+    let mut conn = TcpStream::connect(addr).unwrap();
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut reader = BufReader::new(conn.try_clone().unwrap());
+    let mut line = String::new();
+    conn.write_all(b"{\"op\":\"ping\"}\n").unwrap();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("\"ok\":true"), "ping served: {line}");
+    // Undecodable bytes make the server reply and close its end first, so
+    // the server side of this connection is the one left in TIME_WAIT.
+    conn.write_all(b"\xff\xfe\n").unwrap();
+    line.clear();
+    reader.read_line(&mut line).unwrap();
+    assert!(line.contains("invalid_utf8"), "framing error reply: {line}");
+    line.clear();
+    assert_eq!(reader.read_line(&mut line).unwrap(), 0, "server closed");
+    drop(reader);
+    drop(conn);
+    server.shutdown();
+
+    let cfg = ServeConfig {
+        addr: addr.to_string(),
+        ..ServeConfig::default()
+    };
+    let restarted = Server::start(Arc::new(SessionManager::new(test_adb())), cfg)
+        .expect("rebind the same address while TIME_WAIT drains");
+    assert_eq!(restarted.local_addr(), addr);
+    let mut client = Client::connect(addr).unwrap();
+    assert!(client.health().is_ok());
+    restarted.shutdown();
 }
