@@ -64,11 +64,16 @@ pub struct EntityProps {
     pub n: usize,
     /// Discovered properties with statistics.
     pub props: Vec<Property>,
-    /// Entity primary-key value → row id.
-    pub pk_to_row: FxHashMap<i64, RowId>,
+    /// Entity primary-key value → row id (see [`EntityProps::row_of`]).
+    pub(crate) pk_rows: IdMap,
 }
 
 impl EntityProps {
+    /// The row whose primary key is `pk`, if any.
+    pub fn row_of(&self, pk: i64) -> Option<RowId> {
+        self.pk_rows.get(pk)
+    }
+
     /// Find a property by id (accepts `&str` or an interned `Sym`).
     /// An interned id takes the integer-compare fast path — the per-turn
     /// resolve paths pass `Sym`s and must not re-walk id strings.
@@ -138,7 +143,7 @@ pub struct StatsParts {
     /// ([`PropStats::DerivedNumeric`]).
     pub derived_numeric: usize,
     /// Each entity table's primary key → row map
-    /// ([`EntityProps::pk_to_row`]).
+    /// ([`EntityProps::row_of`]).
     pub keys: usize,
 }
 
@@ -208,14 +213,9 @@ impl ADb {
             })?;
             let pk_column = table.schema().columns[pk_idx].name.clone();
             let pk_col = table.column(pk_idx);
-            // Hot-path lookup structure (dense vector when pks are dense)
-            // plus the hash map exposed on `EntityProps` for consumers.
+            // A dense vector when pks are dense: the statistics below fold
+            // fact rows through it, and `EntityProps::row_of` keeps it.
             let id_map = IdMap::build(pk_col, table.len());
-            let mut pk_to_row: FxHashMap<i64, RowId> = FxHashMap::default();
-            pk_to_row.reserve(table.len());
-            kernel::scan_ints(pk_col, table.len(), |rid, pk| {
-                pk_to_row.insert(pk, rid);
-            });
             let n = table.len();
             // Per-property statistics are independent: fan them out over
             // `workers` scoped threads pulling indices from a
@@ -293,7 +293,7 @@ impl ADb {
                     pk_column,
                     n,
                     props,
-                    pk_to_row,
+                    pk_rows: id_map,
                 },
             );
         }
@@ -351,7 +351,7 @@ impl ADb {
     pub fn heap_bytes(&self) -> HeapBytes {
         let mut parts = StatsParts::default();
         for e in self.entities.values() {
-            parts.keys += squid_relation::heap::map_bytes(&e.pk_to_row);
+            parts.keys += e.pk_rows.heap_bytes();
             for p in &e.props {
                 let part = match p.stats {
                     PropStats::Categorical(_) => &mut parts.categorical,
@@ -431,7 +431,8 @@ fn pk_value_map(db: &Database, table: &str, column: &str) -> Result<ValMap> {
 /// `pk → row id` lookup specialized to a flat vector when the key space is
 /// dense (the generated datasets use 0..n ids, so the dense path is the
 /// common case) — one bounds check instead of a hash per fact row.
-enum IdMap {
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) enum IdMap {
     Dense { offset: i64, slots: Vec<u32> },
     Sparse(FxHashMap<i64, RowId>),
 }
@@ -479,6 +480,13 @@ impl IdMap {
                 }
             }
             IdMap::Sparse(map) => map.get(&key).copied(),
+        }
+    }
+
+    fn heap_bytes(&self) -> usize {
+        match self {
+            IdMap::Dense { slots, .. } => squid_relation::heap::vec_bytes(slots),
+            IdMap::Sparse(map) => squid_relation::heap::map_bytes(map),
         }
     }
 }
@@ -844,6 +852,50 @@ mod tests {
         assert_eq!(a.build_stats.original_row_count, mini_imdb().total_rows());
     }
 
+    /// `row_of` answers from the build's one pk map — dense for keys
+    /// packed like the generated 0..n ids, sparse once the key span passes
+    /// 4n + 1024 — exactly as a scan of the key column does.
+    #[test]
+    fn row_of_matches_a_scan_of_the_key_column() {
+        let n = 50;
+        for (stride, dense) in [(1i64, true), (10_000, false)] {
+            let mut db = Database::new();
+            db.create_table(
+                TableSchema::new(
+                    "item",
+                    vec![
+                        squid_relation::Column::new("id", DataType::Int),
+                        squid_relation::Column::new("label", DataType::Text),
+                    ],
+                )
+                .with_primary_key("id"),
+            )
+            .unwrap();
+            // Keys descend as row ids ascend, so the two never coincide.
+            for i in 0..n {
+                let pk = (n - 1 - i) * stride + 7;
+                let label = Value::text(format!("item {i}"));
+                db.insert("item", vec![Value::Int(pk), label]).unwrap();
+            }
+            let a = ADb::build(&db).unwrap();
+            let e = a.entity("item").unwrap();
+            assert_eq!(matches!(e.pk_rows, IdMap::Dense { .. }), dense);
+            let table = a.database.table("item").unwrap();
+            let mut scanned = 0;
+            kernel::scan_ints(table.column(0), table.len(), |rid, pk| {
+                assert_eq!(e.row_of(pk), Some(rid), "pk {pk}");
+                scanned += 1;
+            });
+            assert_eq!(scanned, n);
+            let last = (n - 1) * stride + 7;
+            for miss in [i64::MIN, 6, 7 + stride / 2, last + 1, i64::MAX] {
+                if stride > 1 || miss < 7 || miss > last {
+                    assert_eq!(e.row_of(miss), None, "pk {miss}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn person_gender_stats() {
         let a = adb();
@@ -873,10 +925,10 @@ mod tests {
             panic!("expected derived")
         };
         // Jim Carrey (row 0, id 1) appears in 5 comedies.
-        let jim_row = e.pk_to_row[&1];
+        let jim_row = e.row_of(1).unwrap();
         assert_eq!(s.count_of(jim_row, &Value::text("Comedy")), 5);
         // Stallone (id 4) has 3 action movies, 0 comedies.
-        let sly = e.pk_to_row[&4];
+        let sly = e.row_of(4).unwrap();
         assert_eq!(s.count_of(sly, &Value::text("Action")), 3);
         assert_eq!(s.count_of(sly, &Value::text("Comedy")), 0);
         // Selectivity of ≥4 comedies: Jim (5), Eddie (4), Robin (4) → 3/8.
@@ -964,7 +1016,7 @@ mod tests {
             panic!("expected derived numeric")
         };
         // Jim Carrey: movies 0-4, years 1994..2002; 3 movies from 1998 on.
-        let jim = e.pk_to_row[&1];
+        let jim = e.row_of(1).unwrap();
         assert_eq!(s.suffix_count_of(jim, 1998.0), 3);
         assert_eq!(s.suffix_count_of(jim, 1990.0), 5);
     }
@@ -981,7 +1033,7 @@ mod tests {
         let PropStats::Derived(s) = &p.stats else {
             panic!("expected derived")
         };
-        let emma = e.pk_to_row[&8];
+        let emma = e.row_of(8).unwrap();
         assert_eq!(s.count_of(emma, &Value::text("actress")), 2);
         assert_eq!(s.count_of(emma, &Value::text("actor")), 0);
     }
@@ -1022,7 +1074,7 @@ mod tests {
             panic!("expected derived")
         };
         // Jim Carrey (id 1) had 5 comedies; the dangling movie adds one.
-        let jim = e.pk_to_row[&1];
+        let jim = e.row_of(1).unwrap();
         assert_eq!(s.count_of(jim, &Value::text("Comedy")), 6);
     }
 
@@ -1120,11 +1172,7 @@ mod tests {
         ] {
             assert!(part > 0, "mini-IMDb has {name} statistics");
         }
-        let keys: usize = a
-            .entities
-            .values()
-            .map(|e| squid_relation::heap::map_bytes(&e.pk_to_row))
-            .sum();
+        let keys: usize = a.entities.values().map(|e| e.pk_rows.heap_bytes()).sum();
         assert_eq!(parts.keys, keys);
     }
 

@@ -531,7 +531,7 @@ mod tests {
             let eb = &b.entities[name];
             assert_eq!(ea.pk_column, eb.pk_column);
             assert_eq!(ea.n, eb.n);
-            assert_eq!(ea.pk_to_row, eb.pk_to_row);
+            assert_eq!(ea.pk_rows, eb.pk_rows);
             assert_eq!(ea.props.len(), eb.props.len());
             for (pa, pb) in ea.props.iter().zip(&eb.props) {
                 assert_eq!(pa.def, pb.def);

@@ -61,7 +61,7 @@ fn replay(manager: &SessionManager, slate: &[&str]) -> usize {
             Ok(s.discovery().expect("slate resolves").rows.len())
         })
         .expect("replay succeeds");
-    manager.end_session(id);
+    manager.close_session(id).expect("the session is live");
     rows
 }
 

@@ -610,7 +610,7 @@ mod tests {
         // Examples: Jim Carrey (id 1) and Eddie Murphy (id 2).
         let rows = {
             let e = adb.entity("person").unwrap();
-            vec![e.pk_to_row[&1], e.pk_to_row[&2]]
+            vec![e.row_of(1).unwrap(), e.row_of(2).unwrap()]
         };
         (adb, rows)
     }
@@ -668,7 +668,7 @@ mod tests {
         let (adb, _) = setup();
         let e = adb.entity("person").unwrap();
         // Jim Carrey (USA) + Arnold (Austria): country not shared.
-        let rows = vec![e.pk_to_row[&1], e.pk_to_row[&5]];
+        let rows = vec![e.row_of(1).unwrap(), e.row_of(5).unwrap()];
         let filters = discover_contexts(e, &rows, &SquidParams::default());
         assert!(find(&filters, "country").is_none());
     }
@@ -677,7 +677,7 @@ mod tests {
     fn disjunction_when_enabled() {
         let (adb, _) = setup();
         let e = adb.entity("person").unwrap();
-        let rows = vec![e.pk_to_row[&1], e.pk_to_row[&5]];
+        let rows = vec![e.row_of(1).unwrap(), e.row_of(5).unwrap()];
         let params = SquidParams {
             allow_disjunction: true,
             ..SquidParams::default()

@@ -172,9 +172,9 @@ mod tests {
     fn similar_entities_score_higher() {
         let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
         let e = adb.entity("person").unwrap();
-        let jim = e.pk_to_row[&1];
-        let eddie = e.pk_to_row[&2];
-        let sly = e.pk_to_row[&4];
+        let jim = e.row_of(1).unwrap();
+        let eddie = e.row_of(2).unwrap();
+        let sly = e.row_of(4).unwrap();
         let s_alike = similarity_score(e, &[jim, eddie]);
         let s_unalike = similarity_score(e, &[jim, sly]);
         assert!(s_alike > s_unalike, "{s_alike} vs {s_unalike}");
@@ -184,10 +184,10 @@ mod tests {
     fn exhaustive_picks_the_coherent_mapping() {
         let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
         let e = adb.entity("person").unwrap();
-        let jim = e.pk_to_row[&1];
-        let eddie = e.pk_to_row[&2];
-        let robin = e.pk_to_row[&3];
-        let sly = e.pk_to_row[&4];
+        let jim = e.row_of(1).unwrap();
+        let eddie = e.row_of(2).unwrap();
+        let robin = e.row_of(3).unwrap();
+        let sly = e.row_of(4).unwrap();
         // Example 0 is unambiguous (Jim); example 1 could be Eddie or
         // Stallone; example 2 is Robin. The comedy context favors Eddie.
         let chosen = disambiguate(
@@ -210,10 +210,10 @@ mod tests {
     fn greedy_matches_exhaustive_on_small_input() {
         let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
         let e = adb.entity("person").unwrap();
-        let jim = e.pk_to_row[&1];
-        let eddie = e.pk_to_row[&2];
-        let robin = e.pk_to_row[&3];
-        let sly = e.pk_to_row[&4];
+        let jim = e.row_of(1).unwrap();
+        let eddie = e.row_of(2).unwrap();
+        let robin = e.row_of(3).unwrap();
+        let sly = e.row_of(4).unwrap();
         let candidates = vec![vec![jim], vec![sly, eddie], vec![robin]];
         let ex = exhaustive(e, &candidates);
         let gr = greedy(e, &candidates);
@@ -228,9 +228,9 @@ mod tests {
             max_disambiguation_combinations: 1, // force greedy
             ..SquidParams::default()
         };
-        let jim = e.pk_to_row[&1];
-        let eddie = e.pk_to_row[&2];
-        let sly = e.pk_to_row[&4];
+        let jim = e.row_of(1).unwrap();
+        let eddie = e.row_of(2).unwrap();
+        let sly = e.row_of(4).unwrap();
         let chosen = disambiguate(e, &[vec![jim], vec![sly, eddie]], &params);
         assert_eq!(chosen.len(), 2);
         assert_eq!(chosen[0], jim);

@@ -38,7 +38,6 @@
 #![warn(missing_docs)]
 
 pub mod abduce;
-pub mod alternatives;
 pub mod context;
 pub mod disambiguate;
 pub mod error;
@@ -54,7 +53,6 @@ pub mod session;
 pub mod squid;
 
 pub use abduce::{abduce as abduce_filters, log_posterior, ScoredFilter};
-pub use alternatives::{top_k_queries, AlternativeQuery};
 pub use context::{discover_contexts, ContextState};
 pub use disambiguate::{disambiguate, similarity_score};
 pub use error::SquidError;

@@ -8,7 +8,10 @@
 //! and idle sessions are evicted after a configurable TTL. Within a shard,
 //! operating on a session holds only a brief read lock to clone the entry
 //! handle — long-running discovery work happens outside the registry locks,
-//! under the session's own mutex.
+//! under the session's own mutex. Sessions leave through one path
+//! ([`SessionManager::close_session`]'s): a close, a TTL eviction or a
+//! poisoned session's eviction all journal the session's `End`, so
+//! recovery and a standby drop it too.
 //!
 //! ```
 //! use std::sync::Arc;
@@ -26,7 +29,7 @@
 //!     })
 //!     .unwrap();
 //! assert!(rows >= 2);
-//! manager.end_session(id);
+//! manager.close_session(id).unwrap();
 //! ```
 
 use std::path::Path;
@@ -213,6 +216,13 @@ fn recover_guard<G>(r: Result<G, PoisonError<G>>) -> G {
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
+/// Whether an entry was last used more than `ttl` before `now` (both in
+/// milliseconds since the manager's epoch).
+fn idle_past(ttl: Duration, now: u64) -> impl Fn(&Entry) -> bool {
+    let cutoff = ttl.as_millis() as u64;
+    move |e| now.saturating_sub(e.last_used_ms.load(Ordering::Relaxed)) > cutoff
+}
+
 impl SessionManager {
     /// New manager with default parameters and no TTL eviction. The
     /// fleet's evaluation cache is bounded by
@@ -361,21 +371,12 @@ impl SessionManager {
         };
         let now = self.now_ms();
         if let Some(ttl) = self.ttl {
-            let cutoff = ttl.as_millis() as u64;
-            if now.saturating_sub(entry.last_used_ms.load(Ordering::Relaxed)) > cutoff {
-                // Re-check under the write lock: a concurrent caller may
-                // have renewed the session between our read and now, and
-                // evicting a just-renewed session would drop live state.
-                let mut shard = recover_guard(self.shard(id).write());
-                let still_stale = shard.get(&id).is_some_and(|e| {
-                    now.saturating_sub(e.last_used_ms.load(Ordering::Relaxed)) > cutoff
-                });
-                if still_stale {
-                    shard.remove(&id);
-                }
-                if still_stale || !shard.contains_key(&id) {
-                    return Err(SquidError::UnknownSession { id });
-                }
+            let idle = idle_past(ttl, now);
+            // `evict` re-checks under the write lock: a concurrent caller
+            // may have renewed the session since our read, and evicting a
+            // just-renewed session would drop live state.
+            if idle(&entry) && (self.evict(id, idle).is_some() || !self.contains_session(id)) {
+                return Err(SquidError::UnknownSession { id });
             }
         }
         entry.last_used_ms.store(now, Ordering::Relaxed);
@@ -388,7 +389,7 @@ impl SessionManager {
                 // lock). Evict it — siblings are untouched, and the caller
                 // sees the same error as for an expired session.
                 Err(_) => {
-                    recover_guard(self.shard(id).write()).remove(&id);
+                    self.evict(id, |_| true);
                     return Err(SquidError::UnknownSession { id });
                 }
             };
@@ -401,35 +402,45 @@ impl SessionManager {
         result
     }
 
-    /// Close a session. Returns whether it existed. Journal write failures
-    /// are swallowed into [`SessionManager::journal_write_errors`]; callers
-    /// that must surface them (the serving frontend) use
-    /// [`SessionManager::close_session`] instead.
-    pub fn end_session(&self, id: SessionId) -> bool {
-        match self.close_session(id) {
-            Ok(()) => true,
-            Err(SquidError::UnknownSession { .. }) => false,
-            // The session is already gone; only the journal record failed.
-            Err(_) => {
-                self.journal_write_errors.fetch_add(1, Ordering::Relaxed);
-                true
-            }
-        }
-    }
-
-    /// Close a session and journal the close, surfacing failures: an
-    /// unknown id is [`SquidError::UnknownSession`], and a failed journal
-    /// append (the session itself is still removed) propagates so the
-    /// caller can report that durability was not achieved.
+    /// Close a session and journal the close: an unknown id is
+    /// [`SquidError::UnknownSession`], and a failed journal append (the
+    /// session itself is still removed, and the failure is counted in
+    /// [`SessionManager::journal_write_errors`]) propagates so the caller
+    /// can report that durability was not achieved. Callers that must not
+    /// fail on a journal error discard it with `.ok()`.
     pub fn close_session(&self, id: SessionId) -> Result<(), SquidError> {
-        let existed = recover_guard(self.shard(id).write()).remove(&id).is_some();
-        if !existed {
-            return Err(SquidError::UnknownSession { id });
-        }
-        self.journal_append(id, 0, &SessionOp::End).map(|_| ())
+        self.evict(id, |_| true)
+            .unwrap_or(Err(SquidError::UnknownSession { id }))
     }
 
-    /// Sweep every shard, removing sessions idle past the TTL. Returns the
+    /// How a session leaves the registry — closed, idle past the TTL,
+    /// poisoned by a panicked turn, or swept as a standby's zombie: remove
+    /// `id` if `doomed` holds for its entry (checked under the shard's
+    /// write lock), then journal its `End` outside that lock, so recovery
+    /// and a standby drop it too. `None` when nothing was removed;
+    /// otherwise the append's outcome, a failure already counted in
+    /// `journal_write_errors`. (Replayed `End`s and the journal-failure
+    /// fail-stop in [`SessionManager::apply_op`] remove directly: the
+    /// first journals through the replay path, the second has no journal
+    /// left to write to.)
+    fn evict(
+        &self,
+        id: SessionId,
+        doomed: impl FnOnce(&Entry) -> bool,
+    ) -> Option<Result<(), SquidError>> {
+        {
+            let mut shard = recover_guard(self.shard(id).write());
+            shard.get(&id).filter(|e| doomed(e))?;
+            shard.remove(&id);
+        }
+        let appended = self.journal_append(id, 0, &SessionOp::End).map(|_| ());
+        if appended.is_err() {
+            self.journal_write_errors.fetch_add(1, Ordering::Relaxed);
+        }
+        Some(appended)
+    }
+
+    /// Sweep every shard, evicting sessions idle past the TTL. Returns the
     /// number evicted. No-op without a TTL.
     ///
     /// The shared evaluation cache is left alone: the bitmaps an evicted
@@ -440,18 +451,11 @@ impl SessionManager {
         let Some(ttl) = self.ttl else {
             return 0;
         };
-        let cutoff_ms = ttl.as_millis() as u64;
-        let now = self.now_ms();
-        let mut evicted = 0;
-        for shard in &self.shards {
-            let mut shard = recover_guard(shard.write());
-            let before = shard.len();
-            shard.retain(|_, e| {
-                now.saturating_sub(e.last_used_ms.load(Ordering::Relaxed)) <= cutoff_ms
-            });
-            evicted += before - shard.len();
-        }
-        evicted
+        let idle = idle_past(ttl, self.now_ms());
+        self.session_ids()
+            .into_iter()
+            .filter(|&id| self.evict(id, &idle).is_some())
+            .count()
     }
 
     /// Number of live sessions.
@@ -488,10 +492,11 @@ impl SessionManager {
 
     // -- durability ---------------------------------------------------------
 
-    /// Attach an append-only journal: from now on `create_session`,
-    /// `end_session`, and every [`SessionManager::apply_op`] mutation is
-    /// recorded so a crashed fleet can be resurrected with
-    /// [`SessionManager::recover`].
+    /// Attach an append-only journal: from now on `create_session`, every
+    /// session exit (close, TTL eviction; see
+    /// [`SessionManager::close_session`]), and every
+    /// [`SessionManager::apply_op`] mutation is recorded so a crashed fleet
+    /// can be resurrected with [`SessionManager::recover`].
     pub fn attach_journal(&self, journal: Journal) {
         self.attach_journal_with_base(journal, 0);
     }
@@ -523,8 +528,9 @@ impl SessionManager {
         }
     }
 
-    /// Journal appends that failed: the infallible create/end paths plus
-    /// turn appends that fail-stopped their session.
+    /// Journal appends that failed: best-effort `Create`/`End` records
+    /// (every session exit, closes included) plus turn appends that
+    /// fail-stopped their session.
     pub fn journal_write_errors(&self) -> u64 {
         self.journal_write_errors.load(Ordering::Relaxed)
     }
@@ -593,7 +599,7 @@ impl SessionManager {
     /// journal are untouched, and the session keeps serving.
     ///
     /// Lifecycle ops are not applicable here: use
-    /// [`SessionManager::create_session`] / [`SessionManager::end_session`],
+    /// [`SessionManager::create_session`] / [`SessionManager::close_session`],
     /// which journal themselves.
     pub fn apply_op(
         &self,
@@ -962,14 +968,10 @@ impl SessionManager {
     /// compaction that erased its history), so a replica holding it would
     /// serve stale reads forever. Returns how many sessions were dropped.
     pub fn retain_sessions(&self, keep: &std::collections::HashSet<SessionId>) -> usize {
-        let mut dropped = 0;
-        for shard in &self.shards {
-            let mut shard = recover_guard(shard.write());
-            let before = shard.len();
-            shard.retain(|id, _| keep.contains(id));
-            dropped += before - shard.len();
-        }
-        dropped
+        self.session_ids()
+            .into_iter()
+            .filter(|&id| !keep.contains(&id) && self.evict(id, |_| true).is_some())
+            .count()
     }
 }
 
@@ -996,8 +998,11 @@ mod tests {
         assert_eq!(ea, "Jim Carrey");
         assert_eq!(eb, "Julia Roberts");
         assert_eq!(m.len(), 2);
-        assert!(m.end_session(a));
-        assert!(!m.end_session(a));
+        m.close_session(a).unwrap();
+        assert!(matches!(
+            m.close_session(a),
+            Err(SquidError::UnknownSession { .. })
+        ));
         assert_eq!(m.len(), 1);
     }
 
@@ -1086,7 +1091,7 @@ mod tests {
             Ok(())
         })
         .unwrap();
-        m.end_session(a);
+        m.close_session(a).unwrap();
         let published = m.shared_cache_stats().expect("shared cache on");
         assert!(published.entries > 0, "session A published bitmaps");
 
@@ -1184,7 +1189,7 @@ mod tests {
             .ok();
         a.apply_op(s2, &SessionOp::AddExample("Julia Roberts".into()))
             .unwrap();
-        a.end_session(s2);
+        a.close_session(s2).unwrap();
         let sql_before = a
             .with_session(s1, |s| Ok(s.discovery().unwrap().sql()))
             .unwrap();
@@ -1219,6 +1224,67 @@ mod tests {
         let s3 = b.create_session();
         assert!(s3 > s2.max(s1));
         std::fs::remove_file(&path).ok();
+    }
+
+    /// Host one journaled session with `ttl`, add an example, let `evict`
+    /// remove it, and recover the journal into a fresh manager: the
+    /// eviction must have journaled its `End`, so the session stays gone.
+    fn assert_eviction_is_journaled(
+        name: &str,
+        ttl: Duration,
+        evict: impl Fn(&SessionManager, SessionId),
+    ) {
+        let adb = Arc::new(ADb::build(&mini_imdb()).unwrap());
+        let path = journal_path(name);
+        std::fs::remove_file(&path).ok();
+        let m = SessionManager::new(Arc::clone(&adb)).with_ttl(ttl);
+        m.attach_journal(Journal::open(&path, FsyncPolicy::Flush).unwrap());
+        let id = m.create_session();
+        m.apply_op(id, &SessionOp::AddExample("Jim Carrey".into()))
+            .unwrap();
+        evict(&m, id);
+        assert!(m.is_empty());
+        assert_eq!(m.journal_write_errors(), 0);
+        m.journal_sync().unwrap();
+
+        let fresh = SessionManager::new(adb);
+        let stats = fresh.recover(&path, FsyncPolicy::Flush).unwrap();
+        assert_eq!(stats.live_sessions, 0, "{stats}");
+        assert!(!fresh.contains_session(id));
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// Long enough that the add lands inside it, short enough to outwait.
+    const SHORT_TTL: Duration = Duration::from_millis(200);
+
+    #[test]
+    fn ttl_sweep_journals_the_eviction() {
+        assert_eviction_is_journaled("evicted_sweep.journal", SHORT_TTL, |m, _| {
+            std::thread::sleep(SHORT_TTL * 2);
+            assert_eq!(m.evict_expired(), 1);
+        });
+    }
+
+    #[test]
+    fn lazy_ttl_expiry_journals_the_eviction() {
+        assert_eviction_is_journaled("evicted_lazy.journal", SHORT_TTL, |m, id| {
+            std::thread::sleep(SHORT_TTL * 2);
+            let err = m.with_session(id, |_| Ok(())).unwrap_err();
+            assert!(matches!(err, SquidError::UnknownSession { .. }));
+        });
+    }
+
+    #[test]
+    fn poisoned_session_eviction_is_journaled() {
+        let ttl = Duration::from_secs(600);
+        assert_eviction_is_journaled("evicted_poisoned.journal", ttl, |m, id| {
+            let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _: Result<(), _> = m.with_session(id, |_| panic!("injected turn panic"));
+            }));
+            assert!(panicked.is_err());
+            let err = m.with_session(id, |_| Ok(())).unwrap_err();
+            assert!(matches!(err, SquidError::UnknownSession { .. }));
+        });
     }
 
     #[test]
@@ -1392,7 +1458,7 @@ mod tests {
         a.apply_op(s1, &SessionOp::AddExample("Eddie Murphy".into()))
             .unwrap();
         let dead = a.create_session();
-        a.end_session(dead);
+        a.close_session(dead).unwrap();
         let sql_before = a
             .with_session(s1, |s| Ok(s.discovery().unwrap().sql()))
             .unwrap();
@@ -1668,7 +1734,7 @@ mod tests {
                                 Ok(s.discovery().unwrap().sql())
                             })
                             .unwrap();
-                        m.end_session(id);
+                        m.close_session(id).unwrap();
                         sql
                     })
                 })
@@ -1750,7 +1816,7 @@ mod tests {
         // End flows through; the zombie sweep drops sessions the stream no
         // longer mentions at all.
         let zombie = standby.create_session();
-        primary.end_session(s1);
+        primary.close_session(s1).unwrap();
         ship_full(&standby, &path);
         assert!(!standby.contains_session(s1));
         let replay = crate::journal::read_journal(&path).unwrap();

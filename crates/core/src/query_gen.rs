@@ -794,7 +794,7 @@ mod tests {
         // themselves must satisfy all of them (Lemma 3.1).
         let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
         let e = adb.entity("person").unwrap();
-        let rows = vec![e.pk_to_row[&1], e.pk_to_row[&2]];
+        let rows = vec![e.row_of(1).unwrap(), e.row_of(2).unwrap()];
         let filters = discover_contexts(e, &rows, &SquidParams::default());
         let result = evaluate(e, &filters);
         for r in &rows {

@@ -53,8 +53,8 @@ use crate::query_gen::violators;
 use crate::squid::Discovery;
 
 /// Default `min_uncertainty` threshold below which a filter decision is
-/// considered settled (shared by [`recommend_examples`] callers: the
-/// session's `suggest`, the REPL, and the CLI `--recommend` flag).
+/// considered settled (what the session's `suggest`, and so the served
+/// and REPL `suggest` verb, passes to [`recommend_examples`]).
 pub const DEFAULT_MIN_UNCERTAINTY: f64 = 0.05;
 
 /// A recommended next example with its diagnostic score.

@@ -757,7 +757,7 @@ impl<'a> SquidSession<'a> {
                     let row = self
                         .adb
                         .entity(table)
-                        .and_then(|e| e.pk_to_row.get(&pk).copied())
+                        .and_then(|e| e.row_of(pk))
                         .filter(|r| rows.contains(r));
                     match row {
                         Some(r) => vec![r],
@@ -1334,8 +1334,8 @@ mod tests {
         session.add_example("Eddie Murphy").unwrap();
         // Similarity resolves "Jim Carrey" to the comedy actor (pk 1).
         let e = adb.entity("person").unwrap();
-        let comedian = e.pk_to_row[&1];
-        let impostor = e.pk_to_row[&100];
+        let comedian = e.row_of(1).unwrap();
+        let impostor = e.row_of(100).unwrap();
         assert!(session
             .discovery()
             .unwrap()

@@ -58,7 +58,7 @@ proptest! {
             let _ = live.apply_op(s[step.session], &step.op);
         }
         if end_second {
-            live.end_session(s[1]);
+            live.close_session(s[1]).unwrap();
         }
         live.journal_sync().unwrap();
 

@@ -172,7 +172,7 @@ fn tiny_bounded_fleet_matches_one_shot() {
                                 Ok(s.discovery().unwrap().sql())
                             })
                             .unwrap();
-                        m.end_session(id);
+                        m.close_session(id).unwrap();
                         sql
                     })
                 })

@@ -83,7 +83,7 @@ fn primary_script(primary: &SessionManager) -> (Vec<u64>, Vec<Vec<Read>>) {
         let _ = m.apply_op(ids[2], &target);
     });
     step(primary, &|m| {
-        m.end_session(ids[2]);
+        m.close_session(ids[2]).unwrap();
     });
     step(primary, &|m| {
         let _ = m.apply_op(ids[0], &SessionOp::UnpinFilter("person:gender".into()));

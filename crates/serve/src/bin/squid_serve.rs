@@ -224,6 +224,7 @@ fn main() {
                 println!("{USAGE}");
                 return;
             }
+            flag if flag.starts_with("--") => die(&format!("unknown flag {flag}\n{USAGE}")),
             other => positional.push(other.to_string()),
         }
     }

@@ -159,6 +159,11 @@ const REFUSAL_DRAIN_BYTES: usize = 64 * 1024;
 /// closes or expires, which is slower than a backlog drain.
 const RETRY_SESSION_LIMIT_MS: u64 = 1000;
 
+/// Longest client id the `client` handshake accepts. Ids are kept for the
+/// server's lifetime and listed by every `stats` reply, so they are names,
+/// not payloads.
+const MAX_CLIENT_ID_BYTES: usize = 128;
+
 /// Monotonic serving counters (all relaxed: they are reporting, not
 /// synchronization).
 #[derive(Debug, Default)]
@@ -297,9 +302,13 @@ struct Shared {
     /// standby attached.
     repl: Arc<ReplState>,
     /// Per-client token buckets (clients that sent the `client`
-    /// handshake; charged *in addition to* the per-session bucket).
+    /// handshake; charged *in addition to* the per-session bucket). Keyed
+    /// by accepted identities only, so bounded like `clients`.
     client_buckets: Mutex<HashMap<String, Bucket>>,
-    /// Per-client admission counters, surfaced by `stats` and `health`.
+    /// Per-client admission counters, surfaced by `stats` and `health`:
+    /// one per identity the handshake accepted, at most `max_sessions` of
+    /// them (identities are never forgotten — a reconnecting client
+    /// replays its handshake).
     clients: Mutex<HashMap<String, ClientStats>>,
 }
 
@@ -348,8 +357,11 @@ impl Shared {
     /// anonymous connections).
     fn bump_client(&self, ctx: &ConnCtx, f: impl FnOnce(&mut ClientStats)) {
         if let Some(id) = &ctx.client {
-            let mut clients = locked(&self.clients);
-            f(clients.entry(id.clone()).or_default());
+            // Only identities the handshake accepted are set on a
+            // connection, so this never adds one.
+            if let Some(c) = locked(&self.clients).get_mut(id) {
+                f(c);
+            }
         }
     }
 
@@ -1172,9 +1184,21 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
             ok(fields)
         }
         Verb::Client { id: client_id } => {
-            locked(&shared.clients)
-                .entry(client_id.clone())
-                .or_default();
+            if client_id.len() > MAX_CLIENT_ID_BYTES {
+                let detail = format!("client id longer than {MAX_CLIENT_ID_BYTES} bytes");
+                return Err(Refusal::new(ErrorCode::BadRequest, detail));
+            }
+            let mut clients = locked(&shared.clients);
+            if !clients.contains_key(&client_id) {
+                // A known identity is always taken back; a new one only
+                // while there is room.
+                if clients.len() >= shared.cfg.max_sessions {
+                    let detail = format!("client limit {} reached", shared.cfg.max_sessions);
+                    return Err(Refusal::new(ErrorCode::BadRequest, detail));
+                }
+                clients.insert(client_id.clone(), ClientStats::default());
+            }
+            drop(clients);
             ctx.client = Some(client_id.clone());
             ok(vec![("client".into(), Json::Str(client_id))])
         }

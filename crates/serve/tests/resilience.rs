@@ -150,6 +150,37 @@ fn a_turn_refused_on_the_session_bucket_does_not_charge_the_client() {
     assert_eq!(report.metrics.turns, 2);
 }
 
+/// Client identities are bounded: at most `max_sessions` of them, each a
+/// short name. A known identity is always taken back (a retrying client
+/// replays its handshake on every reconnect), and `stats` lists no more
+/// identities than the bound.
+#[test]
+fn client_identities_are_bounded() {
+    let server = start_with(
+        SessionManager::new(test_adb()),
+        ServeConfig {
+            max_sessions: 2,
+            ..ServeConfig::default()
+        },
+    );
+    let mut c = Client::connect(server.local_addr()).unwrap();
+    c.identify("alice").unwrap();
+    let err = c.identify(&"x".repeat(129)).unwrap_err();
+    assert_eq!(err.code(), Some("bad_request"), "{err}");
+    c.identify("bob").unwrap();
+    let err = c.identify("carol").unwrap_err();
+    assert_eq!(err.code(), Some("bad_request"), "{err}");
+    c.identify("alice").unwrap();
+    c.identify("bob").unwrap();
+    let stats = c.stats(None).unwrap();
+    let Some(Json::Obj(clients)) = stats.get("clients") else {
+        panic!("stats carries a clients object: {stats}");
+    };
+    let names: Vec<&str> = clients.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["alice", "bob"]);
+    server.shutdown();
+}
+
 #[test]
 fn rate_limited_turns_carry_hints_and_retry_clients_absorb_them() {
     let server = start_with(

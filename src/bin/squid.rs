@@ -6,7 +6,7 @@
 //! ```text
 //! squid imdb "Person 000121" "Person 000620"
 //! squid --normalized imdb "Person 000019" "Person 000026"
-//! squid --alternatives 3 --recommend 5 dblp "Author 00012" "Author 00044"
+//! squid --optimistic dblp "Author 00012" "Author 00044"
 //! ```
 //!
 //! Interactive session mode (`--repl`): drop examples in one at a time and
@@ -36,8 +36,7 @@ use std::sync::Arc;
 
 use squid_adb::ADb;
 use squid_core::{
-    recommend_examples, top_k_queries, Discovery, FsyncPolicy, SessionId, SessionManager,
-    SessionOp, Squid, SquidParams,
+    Discovery, FsyncPolicy, SessionId, SessionManager, SessionOp, Squid, SquidParams,
 };
 use squid_serve::{acquire_adb, repl, ClientError, Json, Transport, Verb};
 
@@ -48,9 +47,6 @@ datasets: imdb | dblp | adult
 flags:
   --normalized        use normalized association strength (case-study mode)
   --optimistic        QRE preset (closed-world reverse engineering)
-  --alternatives <k>  also print the k best alternative queries
-  --recommend <k>     suggest k informative next examples
-  --rho <x>           override the base filter prior
   --repl              interactive session mode (incremental discovery)
   --batch             with --repl: read commands from stdin, no prompts,
                       exit non-zero on the first failed command
@@ -63,8 +59,6 @@ flags:
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut params = SquidParams::default();
-    let mut alternatives = 0usize;
-    let mut recommend = 0usize;
     let mut repl = false;
     let mut batch = false;
     let mut snapshot: Option<PathBuf> = None;
@@ -81,13 +75,11 @@ fn main() {
             "--snapshot" => snapshot = Some(value(&mut it, &a, "a path")),
             "--journal" => journal = Some(value(&mut it, &a, "a path")),
             "--fsync" => fsync = value(&mut it, &a, "one of: always | flush | never"),
-            "--alternatives" => alternatives = value(&mut it, &a, "a number"),
-            "--recommend" => recommend = value(&mut it, &a, "a number"),
-            "--rho" => params.rho = value(&mut it, &a, "a number"),
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return;
             }
+            flag if flag.starts_with("--") => die(&format!("unknown flag {flag}\n{USAGE}")),
             other => positional.push(other.to_string()),
         }
     }
@@ -123,36 +115,6 @@ fn main() {
         .unwrap_or_else(|e| die(&format!("discovery failed: {e}")));
     println!("discovered in {:?}", d.elapsed);
     print_discovery(&adb, &d);
-
-    if alternatives > 0 {
-        println!("\ntop-{alternatives} alternative queries (log-posterior):");
-        for (i, alt) in top_k_queries(&d.scored, alternatives + 1)
-            .iter()
-            .enumerate()
-            .skip(1)
-        {
-            let filters: Vec<String> = alt
-                .included_indices()
-                .iter()
-                .map(|&j| d.scored[j].filter.describe())
-                .collect();
-            println!(
-                "  {i}. {:.3}: {{{}}}",
-                alt.log_posterior,
-                filters.join(", ")
-            );
-        }
-    }
-
-    if recommend > 0 {
-        let entity = adb.entity(&d.entity_table).expect("entity");
-        println!();
-        print_recommendations(
-            &adb,
-            &d,
-            &recommend_examples(entity, &d, recommend, squid_core::DEFAULT_MIN_UNCERTAINTY),
-        );
-    }
 }
 
 /// `squid --repl`: the protocol answered by a local [`SessionManager`]
@@ -294,24 +256,6 @@ fn run_repl(mut local: Local, initial: &[&str], batch: bool) {
     // Push any buffered journal tail to the OS before exiting.
     let _ = local.manager.journal_sync();
     ran.unwrap_or_else(|e| die(&e));
-}
-
-/// Print ranked next-example recommendations for a discovery (the
-/// one-shot `--recommend` flag).
-fn print_recommendations(adb: &ADb, d: &Discovery, recs: &[squid_core::Recommendation]) {
-    if recs.is_empty() {
-        println!("no contested filters — no examples to recommend.");
-        return;
-    }
-    println!("informative next examples (confirming one refutes the listed filters):");
-    for r in recs {
-        println!(
-            "  {} (score {:.3}) — tests {}",
-            d.projection_value(adb, r.row).unwrap_or_default(),
-            r.score,
-            r.discriminates.join(", ")
-        );
-    }
 }
 
 /// The target, the abduction decisions, the query and the first ten

@@ -1,52 +1,10 @@
-//! Integration tests for the extension features: top-k alternative
-//! queries, example recommendation, and disjunctive categorical filters.
+//! Integration tests for the extension features: example recommendation,
+//! disjunctive categorical filters, and normalized association strength.
 
 use squid_adb::{test_fixtures, ADb};
-use squid_core::{
-    evaluate, evaluate_per_row, recommend_examples, top_k_queries, Squid, SquidParams,
-};
+use squid_core::{recommend_examples, Squid, SquidParams};
 use squid_datasets::{generate_imdb, imdb_queries, ImdbConfig};
 use squid_engine::Executor;
-
-#[test]
-fn alternatives_rank_real_discoveries() {
-    let db = generate_imdb(&ImdbConfig::tiny());
-    let adb = ADb::build(&db).unwrap();
-    let squid = Squid::new(&adb);
-    let queries = imdb_queries(&db);
-    let q = queries.iter().find(|q| q.id == "IQ15").unwrap();
-    let rs = Executor::new(&db).execute(&q.query).unwrap();
-    let values: Vec<String> = rs
-        .project(&db, "title")
-        .unwrap()
-        .iter()
-        .take(8)
-        .map(|v| v.to_string())
-        .collect();
-    let refs: Vec<&str> = values.iter().map(String::as_str).collect();
-    let d = squid.discover_on("movie", "title", &refs).unwrap();
-
-    let alts = top_k_queries(&d.scored, 5);
-    assert!(!alts.is_empty());
-    // The optimum comes first and matches Algorithm 1's decisions.
-    let algo1: Vec<bool> = d.scored.iter().map(|s| s.included).collect();
-    assert_eq!(alts[0].include, algo1);
-    // Each alternative still contains the examples (validity is a property
-    // of the candidate set, not of the chosen subset).
-    let entity = adb.entity("movie").unwrap();
-    for alt in &alts {
-        let filters: Vec<_> = alt
-            .included_indices()
-            .iter()
-            .map(|&i| d.scored[i].filter.clone())
-            .collect();
-        let rows = evaluate(entity, &filters);
-        assert_eq!(rows, evaluate_per_row(entity, &filters));
-        for r in &d.example_rows {
-            assert!(rows.contains(*r));
-        }
-    }
-}
 
 #[test]
 fn recommendations_target_contested_filters() {
