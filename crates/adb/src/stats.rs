@@ -564,7 +564,13 @@ impl CategoricalStats {
 
     /// ψ(φ⟨A, v, ⊥⟩) relative to `n` entities.
     pub fn selectivity_eq(&self, v: &Value, n: usize) -> f64 {
-        psi(self.count_with(v), n)
+        self.code_of(v)
+            .map_or(0.0, |code| self.selectivity_code(code, n))
+    }
+
+    /// ψ(φ⟨A, v, ⊥⟩) of the value of code `code`, read off its postings.
+    pub fn selectivity_code(&self, code: u32, n: usize) -> f64 {
+        psi(self.rows_of(code).len(), n)
     }
 
     /// ψ of a disjunctive `IN` filter (sum of per-value entity counts; an
@@ -811,9 +817,14 @@ impl DerivedStats {
     /// count then row; `theta ≤ 1` yields every entity associated with `v`
     /// at all. Empty when `v` is absent.
     pub fn postings_ge(&self, v: &Value, theta: u64) -> &[u64] {
-        self.dict.code(v).map_or(&[], |code| {
-            count_suffix(self.postings.group(code as usize), theta)
-        })
+        self.dict
+            .code(v)
+            .map_or(&[], |code| self.postings_ge_code(code, theta))
+    }
+
+    /// [`DerivedStats::postings_ge`] of the value of code `code`.
+    pub fn postings_ge_code(&self, code: u32, theta: u64) -> &[u64] {
+        count_suffix(self.postings.group(code as usize), theta)
     }
 
     /// Number of entities the statistics cover.
@@ -844,14 +855,28 @@ impl DerivedStats {
 
     /// ψ(φ⟨A, v, θ⟩) relative to `n` entities.
     pub fn selectivity(&self, v: &Value, theta: u64, n: usize) -> f64 {
-        psi(self.postings_ge(v, theta).len(), n)
+        self.dict
+            .code(v)
+            .map_or(0.0, |code| self.selectivity_code(code, theta, n))
+    }
+
+    /// ψ(φ⟨A, v, θ⟩) of the value of code `code`.
+    pub fn selectivity_code(&self, code: u32, theta: u64, n: usize) -> f64 {
+        psi(self.postings_ge_code(code, theta).len(), n)
     }
 
     /// ψ of a *normalized* filter: fraction of entities whose share of
     /// associations to `v` is at least `frac` (case-study mode, §7.4) — one
     /// walk over `v`'s postings with [`DerivedStats::reaches_share`].
     pub fn selectivity_frac(&self, v: &Value, frac: f64, n: usize) -> f64 {
-        let postings = self.postings_ge(v, 0);
+        self.dict
+            .code(v)
+            .map_or(0.0, |code| self.selectivity_frac_code(code, frac, n))
+    }
+
+    /// [`DerivedStats::selectivity_frac`] of the value of code `code`.
+    pub fn selectivity_frac_code(&self, code: u32, frac: f64, n: usize) -> f64 {
+        let postings = self.postings_ge_code(code, 0);
         let reaching = postings.iter().filter(|&&p| self.reaches_share(p, frac));
         psi(reaching.count(), n)
     }

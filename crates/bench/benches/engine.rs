@@ -28,7 +28,7 @@ fn bench_fig11_actual_vs_abduced(c: &mut Criterion) {
         let (examples, _) = sample_examples(&db, &q.query, 10, 1);
         let refs: Vec<&str> = examples.iter().map(String::as_str).collect();
         if let Ok(d) = squid.discover_on(q.query.root(), q.query.projection.as_str(), &refs) {
-            let abduced = d.adb_query.clone().unwrap_or_else(|| d.query.clone());
+            let abduced = d.adb_query(&adb).unwrap_or_else(|| d.query.clone());
             group.bench_function(format!("{id}/abduced"), |b| {
                 let exec = Executor::new(adb.query_database());
                 b.iter(|| exec.execute(std::hint::black_box(&abduced)).unwrap())

@@ -49,7 +49,8 @@ fn run_workload(workload: &Workload, repeats: u32) {
         let (actual_ms, _) = time_query(&workload.db, &q.query, repeats, &q.id);
         // Run the abduced query in its cheapest executable form, as SQuID
         // would: the αDB SPJ form when available, else the original SPJAI.
-        let (abduced, form) = match &d.adb_query {
+        let adb_form = d.adb_query(&workload.adb);
+        let (abduced, form) = match &adb_form {
             Some(aq) => (aq, "yes"),
             None => (&d.query, "no"),
         };

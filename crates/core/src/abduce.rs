@@ -11,11 +11,11 @@
 //! Ties drop the filter (Occam's razor). The result maximizes
 //! Pr*(Qᵠ|E) (Theorem 1; property-tested in this module).
 
-use squid_relation::FxHashMap;
+use squid_relation::{FxHashMap, Sym};
 
 use crate::filter::CandidateFilter;
 use crate::params::SquidParams;
-use crate::prior::filter_prior;
+use crate::prior::{filter_prior, OutlierGate};
 
 /// One abduction decision with its diagnostics.
 #[derive(Debug, Clone)]
@@ -33,35 +33,38 @@ pub struct ScoredFilter {
 }
 
 /// Association-strength families: derived candidates grouped by property
-/// (Figure 8's "family of derived filters sharing the same attribute").
-/// Keys borrow from `candidates` — this runs on every interactive session
-/// update, so no per-call `String` clones.
-pub fn strength_families(candidates: &[CandidateFilter]) -> FxHashMap<&str, Vec<f64>> {
-    let mut families: FxHashMap<&str, Vec<f64>> = FxHashMap::default();
+/// (Figure 8's "family of derived filters sharing the same attribute"),
+/// keyed by the interned property id.
+pub fn strength_families(candidates: &[CandidateFilter]) -> FxHashMap<Sym, Vec<f64>> {
+    let mut families: FxHashMap<Sym, Vec<f64>> = FxHashMap::default();
     for c in candidates {
         if let Some(s) = c.value.strength() {
-            families.entry(c.prop_id.as_str()).or_default().push(s);
+            families.entry(c.prop_id).or_default().push(s);
         }
     }
     families
 }
 
 /// Algorithm 1: decide inclusion for every candidate filter independently.
+/// λ's outlier test is summarised once per family, so the whole pass is
+/// linear in the candidates.
 pub fn abduce(
     candidates: Vec<CandidateFilter>,
     example_count: usize,
     params: &SquidParams,
 ) -> Vec<ScoredFilter> {
-    let families = strength_families(&candidates);
-    let empty: Vec<f64> = Vec::new();
+    let gates: FxHashMap<Sym, OutlierGate> = strength_families(&candidates)
+        .into_iter()
+        .map(|(prop, family)| (prop, OutlierGate::new(&family, params)))
+        .collect();
     let priors: Vec<f64> = candidates
         .iter()
         .map(|filter| {
-            let family = families.get(filter.prop_id.as_str()).unwrap_or(&empty);
-            filter_prior(filter, family, params)
+            let gate = gates.get(&filter.prop_id).unwrap_or(&OutlierGate::All);
+            filter_prior(filter, gate, params)
         })
         .collect();
-    drop(families);
+    drop(gates);
     candidates
         .into_iter()
         .zip(priors)
@@ -246,6 +249,6 @@ mod tests {
         ];
         let fams = strength_families(&cands);
         assert_eq!(fams.len(), 1);
-        assert_eq!(fams["person~genre"], vec![10.0, 3.0]);
+        assert_eq!(fams[&Sym::intern("person~genre")], vec![10.0, 3.0]);
     }
 }

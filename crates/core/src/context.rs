@@ -265,7 +265,7 @@ fn emit_prop(
                     out.push(CandidateFilter {
                         prop_id,
                         attr_name,
-                        selectivity: s.selectivity_eq(&v, n),
+                        selectivity: s.selectivity_code(code, n),
                         coverage: s.coverage_eq(),
                         value: FilterValue::CatEq(v),
                     });
@@ -315,12 +315,12 @@ fn emit_prop(
                             frac,
                             raw_theta: theta,
                         },
-                        s.selectivity_frac(&v, frac, n),
+                        s.selectivity_frac_code(code, frac, n),
                     )
                 } else {
                     (
                         FilterValue::DerivedEq { value: v, theta },
-                        s.selectivity(&v, theta, n),
+                        s.selectivity_code(code, theta, n),
                     )
                 };
                 out.push(CandidateFilter {

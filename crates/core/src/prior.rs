@@ -40,6 +40,14 @@ pub fn strength_impact(filter: &CandidateFilter, params: &SquidParams) -> f64 {
     }
 }
 
+/// Mean and sample standard deviation `s` of a distribution (n ≥ 2).
+fn mean_sd(values: &[f64]) -> (f64, f64) {
+    let nf = values.len() as f64;
+    let mean = values.iter().sum::<f64>() / nf;
+    let var = values.iter().map(|a| (a - mean).powi(2)).sum::<f64>() / (nf - 1.0);
+    (mean, var.sqrt())
+}
+
 /// Sample skewness of a distribution (Appendix B):
 /// `n·Σ(aᵢ−ā)³ / (s³·(n−1)·(n−2))`. `None` when n < 3 or s = 0.
 pub fn skewness(values: &[f64]) -> Option<f64> {
@@ -47,47 +55,69 @@ pub fn skewness(values: &[f64]) -> Option<f64> {
     if n < 3 {
         return None;
     }
-    let nf = n as f64;
-    let mean = values.iter().sum::<f64>() / nf;
-    let var = values.iter().map(|a| (a - mean).powi(2)).sum::<f64>() / (nf - 1.0);
-    let s = var.sqrt();
+    let (mean, s) = mean_sd(values);
     if s == 0.0 {
         return Some(0.0);
     }
+    let nf = n as f64;
     let m3 = values.iter().map(|a| (a - mean).powi(3)).sum::<f64>();
     Some(nf * m3 / (s.powi(3) * (nf - 1.0) * (nf - 2.0)))
 }
 
-/// Mean/standard-deviation outlier test (Appendix B): `(a − ā) > k·s`.
-/// For n < 3 every element is treated as an outlier.
-pub fn is_outlier(a: f64, values: &[f64], k: f64) -> bool {
-    let n = values.len();
-    if n < 3 {
-        return true;
+/// λ's test for the derived filters of one family (Appendix B), decided
+/// once per family: the skewness and the mean/standard-deviation outlier
+/// cut-off `(a − ā) > k·s` are the family's, not the filter's.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum OutlierGate {
+    /// Every member passes: the outlier test is disabled (τs = N/A in
+    /// Figure 26), or the family has under 3 members (skewness undefined).
+    All,
+    /// No member passes: the family is not skewed beyond τs.
+    None,
+    /// A member passes iff `strength − mean > cut` (`cut` = k·s).
+    Above {
+        /// The family's mean strength ā.
+        mean: f64,
+        /// k·s.
+        cut: f64,
+    },
+}
+
+impl OutlierGate {
+    /// Summarise `family`, the strengths of all derived candidates on one
+    /// attribute.
+    pub fn new(family: &[f64], params: &SquidParams) -> OutlierGate {
+        let Some(tau_s) = params.tau_s else {
+            return OutlierGate::All;
+        };
+        if family.len() < 3 {
+            return OutlierGate::All;
+        }
+        if !skewness(family).is_some_and(|sk| sk > tau_s) {
+            return OutlierGate::None;
+        }
+        let (mean, s) = mean_sd(family);
+        OutlierGate::Above {
+            mean,
+            cut: params.outlier_k * s,
+        }
     }
-    let nf = n as f64;
-    let mean = values.iter().sum::<f64>() / nf;
-    let var = values.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (nf - 1.0);
-    let s = var.sqrt();
-    (a - mean) > k * s
 }
 
 /// Outlier impact λ(φ) (Appendix B): 1 for basic filters; for derived
 /// filters, 1 iff the family's association-strength distribution is skewed
-/// beyond τs AND this filter's strength is an outlier in it. `family` holds
-/// the strengths of all derived candidates on the same attribute.
-pub fn outlier_impact(filter: &CandidateFilter, family: &[f64], params: &SquidParams) -> f64 {
+/// beyond τs AND this filter's strength is an outlier in it. `gate` is
+/// the test of the filter's family.
+pub fn outlier_impact(filter: &CandidateFilter, gate: &OutlierGate) -> f64 {
     let Some(strength) = filter.value.strength() else {
         return 1.0; // basic filter, θ = ⊥
     };
-    let Some(tau_s) = params.tau_s else {
-        return 1.0; // outlier test disabled (τs = N/A in Figure 26)
+    let passes = match *gate {
+        OutlierGate::All => true,
+        OutlierGate::None => false,
+        OutlierGate::Above { mean, cut } => (strength - mean) > cut,
     };
-    if family.len() < 3 {
-        return 1.0; // skewness undefined → all elements are outliers
-    }
-    let skewed = skewness(family).is_some_and(|sk| sk > tau_s);
-    if skewed && is_outlier(strength, family, params.outlier_k) {
+    if passes {
         1.0
     } else {
         0.0
@@ -95,11 +125,11 @@ pub fn outlier_impact(filter: &CandidateFilter, family: &[f64], params: &SquidPa
 }
 
 /// Full filter-event prior Pr(φ) = ρ · δ · α · λ, clamped below 1.
-pub fn filter_prior(filter: &CandidateFilter, family: &[f64], params: &SquidParams) -> f64 {
+pub fn filter_prior(filter: &CandidateFilter, gate: &OutlierGate, params: &SquidParams) -> f64 {
     let p = params.rho
         * domain_impact(filter.coverage, params)
         * strength_impact(filter, params)
-        * outlier_impact(filter, family, params);
+        * outlier_impact(filter, gate);
     p.clamp(0.0, 1.0 - 1e-12)
 }
 
@@ -195,23 +225,26 @@ mod tests {
     #[test]
     fn lambda_for_basic_filters_is_one() {
         let params = SquidParams::default();
-        assert_eq!(outlier_impact(&basic(0.1), &[], &params), 1.0);
+        assert_eq!(
+            outlier_impact(&basic(0.1), &OutlierGate::new(&[], &params)),
+            1.0
+        );
     }
 
     #[test]
     fn lambda_keeps_outliers_in_skewed_families() {
         let params = SquidParams::default();
-        let family = [40.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0];
-        assert_eq!(outlier_impact(&derived(40), &family, &params), 1.0);
-        assert_eq!(outlier_impact(&derived(2), &family, &params), 0.0);
+        let gate = OutlierGate::new(&[40.0, 2.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.0], &params);
+        assert_eq!(outlier_impact(&derived(40), &gate), 1.0);
+        assert_eq!(outlier_impact(&derived(2), &gate), 0.0);
     }
 
     #[test]
     fn lambda_rejects_flat_families() {
         // Figure 8 Case B: nothing stands out → no filter is interesting.
         let params = SquidParams::default();
-        let family = [12.0, 10.0, 10.0, 9.0, 9.0];
-        assert_eq!(outlier_impact(&derived(12), &family, &params), 0.0);
+        let gate = OutlierGate::new(&[12.0, 10.0, 10.0, 9.0, 9.0], &params);
+        assert_eq!(outlier_impact(&derived(12), &gate), 0.0);
     }
 
     #[test]
@@ -220,28 +253,110 @@ mod tests {
             tau_s: None,
             ..SquidParams::default()
         };
-        let family = [12.0, 10.0, 10.0, 9.0, 9.0];
-        assert_eq!(outlier_impact(&derived(12), &family, &params), 1.0);
+        let gate = OutlierGate::new(&[12.0, 10.0, 10.0, 9.0, 9.0], &params);
+        assert_eq!(outlier_impact(&derived(12), &gate), 1.0);
     }
 
     #[test]
     fn small_families_pass_lambda() {
         let params = SquidParams::default();
-        assert_eq!(outlier_impact(&derived(10), &[10.0, 2.0], &params), 1.0);
+        let gate = OutlierGate::new(&[10.0, 2.0], &params);
+        assert_eq!(outlier_impact(&derived(10), &gate), 1.0);
     }
 
     #[test]
     fn prior_composition() {
         let params = SquidParams::default();
         // Basic filter, low coverage: prior = ρ.
-        assert!((filter_prior(&basic(0.1), &[], &params) - 0.1).abs() < 1e-9);
+        let none = OutlierGate::new(&[], &params);
+        assert!((filter_prior(&basic(0.1), &none, &params) - 0.1).abs() < 1e-9);
         // Weak derived filter: prior = 0.
-        assert_eq!(filter_prior(&derived(2), &[2.0, 1.0], &params), 0.0);
+        let pair = OutlierGate::new(&[2.0, 1.0], &params);
+        assert_eq!(filter_prior(&derived(2), &pair, &params), 0.0);
         // Prior never reaches 1.
         let p = SquidParams {
             rho: 5.0,
             ..SquidParams::default()
         };
-        assert!(filter_prior(&basic(0.1), &[], &p) < 1.0);
+        assert!(filter_prior(&basic(0.1), &none, &p) < 1.0);
+    }
+
+    /// Mean/standard-deviation outlier test (Appendix B): `(a − ā) > k·s`,
+    /// recomputed per element. For n < 3 every element is an outlier.
+    fn is_outlier(a: f64, values: &[f64], k: f64) -> bool {
+        if values.len() < 3 {
+            return true;
+        }
+        let (mean, s) = mean_sd(values);
+        (a - mean) > k * s
+    }
+
+    /// λ as it was decided per filter, each call recomputing the family's
+    /// skewness, mean and s: the oracle for [`OutlierGate`].
+    fn per_filter_outlier_impact(
+        filter: &CandidateFilter,
+        family: &[f64],
+        params: &SquidParams,
+    ) -> f64 {
+        let Some(strength) = filter.value.strength() else {
+            return 1.0;
+        };
+        let Some(tau_s) = params.tau_s else {
+            return 1.0;
+        };
+        if family.len() < 3 {
+            return 1.0;
+        }
+        let skewed = skewness(family).is_some_and(|sk| sk > tau_s);
+        if skewed && is_outlier(strength, family, params.outlier_k) {
+            1.0
+        } else {
+            0.0
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(2_000))]
+        #[test]
+        fn gate_decides_as_per_filter_lambda(
+            shape in 0..3u32,
+            drawn in proptest::collection::vec(1..50u64, 0..13usize),
+        ) {
+            // Sizes 0–12 (n < 3 included); constant families (zero
+            // variance), spread ones, and one dominant strength over a tail.
+            let thetas: Vec<u64> = match shape {
+                0 => vec![drawn.first().copied().unwrap_or(1); drawn.len()],
+                1 => drawn,
+                _ => drawn
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &t)| if i == 0 { 200 } else { t % 8 + 1 })
+                    .collect(),
+            };
+            let family: Vec<f64> = thetas.iter().map(|&t| t as f64).collect();
+            let settings = [
+                SquidParams::default(),
+                SquidParams {
+                    tau_s: None,
+                    ..SquidParams::default()
+                },
+                SquidParams {
+                    tau_s: Some(0.5),
+                    outlier_k: 1.0,
+                    ..SquidParams::default()
+                },
+            ];
+            for params in &settings {
+                let gate = OutlierGate::new(&family, params);
+                for &theta in &thetas {
+                    let f = derived(theta);
+                    proptest::prop_assert_eq!(
+                        outlier_impact(&f, &gate).to_bits(),
+                        per_filter_outlier_impact(&f, &family, params).to_bits()
+                    );
+                }
+                proptest::prop_assert_eq!(outlier_impact(&basic(0.1), &gate), 1.0);
+            }
+        }
     }
 }

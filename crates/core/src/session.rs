@@ -55,7 +55,7 @@ use crate::error::SquidError;
 use crate::filter::CandidateFilter;
 use crate::journal::SessionOp;
 use crate::params::SquidParams;
-use crate::query_gen::{adb_query, evaluate, filter_fingerprint, original_query};
+use crate::query_gen::{evaluate, filter_fingerprint, original_query};
 use crate::recommend::{recommend_examples, Recommendation, DEFAULT_MIN_UNCERTAINTY};
 use crate::squid::Discovery;
 
@@ -1004,16 +1004,13 @@ impl<'a> SquidSession<'a> {
             .filter(|p| p.entity_table == table)
             .cloned();
 
-        // Queries depend only on (entity, chosen, projection): an unchanged
-        // turn reuses the previous turn's forms instead of re-deriving them.
-        let (query, adb_q) = match &prev_same_target {
+        // The query depends only on (entity, chosen, projection): an
+        // unchanged turn reuses the previous turn's instead of re-deriving it.
+        let query = match &prev_same_target {
             Some(prev) if unchanged && prev.projection_column == projection_column => {
-                (prev.query.clone(), prev.adb_query.clone())
+                prev.query.clone()
             }
-            _ => (
-                original_query(entity, &chosen, &projection_column).0,
-                adb_query(entity, &chosen, &projection_column),
-            ),
+            _ => original_query(entity, &chosen, &projection_column).0,
         };
 
         let removed_any = self.last_fps.iter().any(|fp| !fps.contains(fp));
@@ -1043,7 +1040,6 @@ impl<'a> SquidSession<'a> {
             example_rows: distinct,
             scored,
             query,
-            adb_query: adb_q,
             rows,
             elapsed: started.elapsed(),
         });

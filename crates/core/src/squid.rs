@@ -20,6 +20,7 @@ use crate::abduce::ScoredFilter;
 use crate::error::SquidError;
 use crate::filter::CandidateFilter;
 use crate::params::SquidParams;
+use crate::query_gen;
 use crate::session::SquidSession;
 
 /// The outcome of one query intent discovery run.
@@ -35,11 +36,6 @@ pub struct Discovery {
     pub scored: Vec<ScoredFilter>,
     /// The abduced SPJAI query over the original database.
     pub query: Query,
-    /// The equivalent SPJ query over the αDB's derived relations, when
-    /// expressible. Execute it on
-    /// [`ADb::query_database`](squid_adb::ADb::query_database), which
-    /// builds those relations on its first call.
-    pub adb_query: Option<Query>,
     /// Result rows (entity row ids) of the abduced query, evaluated
     /// directly against the αDB statistics (a dense bitmap).
     pub rows: RowSet,
@@ -60,6 +56,17 @@ impl Discovery {
     /// SQL rendering of the abduced query.
     pub fn sql(&self) -> String {
         squid_engine::to_sql(&self.query)
+    }
+
+    /// The equivalent SPJ query over the αDB's derived relations, when
+    /// expressible ([`query_gen::adb_query`]). Built on demand from the
+    /// chosen filters: no turn pays for it. Execute it on
+    /// [`ADb::query_database`], which builds those relations on its first
+    /// call. `adb` must be the αDB this discovery ran on.
+    pub fn adb_query(&self, adb: &ADb) -> Option<Query> {
+        let entity = adb.entity(&self.entity_table)?;
+        let chosen: Vec<CandidateFilter> = self.chosen_filters().into_iter().cloned().collect();
+        query_gen::adb_query(entity, &chosen, &self.projection_column)
     }
 
     /// The projected value of one entity row, rendered the way the CLI

@@ -29,7 +29,7 @@ const FIGURE6_NAMES: &[&str] = &[
 
 /// Render every observable field of a discovery (scores included) so that
 /// equality failures show exactly what drifted.
-fn render(d: &Discovery) -> String {
+fn render(adb: &ADb, d: &Discovery) -> String {
     let scored: Vec<String> = d
         .scored
         .iter()
@@ -52,7 +52,7 @@ fn render(d: &Discovery) -> String {
         d.example_rows,
         scored,
         d.sql(),
-        d.adb_query.as_ref().map(squid_engine::to_sql),
+        d.adb_query(adb).as_ref().map(squid_engine::to_sql),
         rows
     )
 }
@@ -83,8 +83,8 @@ fn check_parity(adb: &ADb, params: &SquidParams, examples: &[&str], round_trip_i
         session.add_example(e).expect("session add");
     }
     assert_eq!(
-        render(session.discovery().expect("session discovery")),
-        render(&one_shot),
+        render(adb, session.discovery().expect("session discovery")),
+        render(adb, &one_shot),
         "incremental adds diverged from one-shot on {examples:?}"
     );
 
@@ -105,15 +105,15 @@ fn check_parity(adb: &ADb, params: &SquidParams, examples: &[&str], round_trip_i
         };
         let partial = squid.discover(&rest).expect("one-shot on the rest");
         assert_eq!(
-            render(session.discovery().expect("post-removal discovery")),
-            render(&partial),
+            render(adb, session.discovery().expect("post-removal discovery")),
+            render(adb, &partial),
             "removal diverged from one-shot on {rest:?}"
         );
     }
     session.add_example(victim).expect("session re-add");
     assert_eq!(
-        render(session.discovery().expect("post-round-trip discovery")),
-        render(&one_shot),
+        render(adb, session.discovery().expect("post-round-trip discovery")),
+        render(adb, &one_shot),
         "add→remove→re-add diverged from one-shot on {examples:?}"
     );
 }

@@ -1,5 +1,10 @@
 //! Rendering [`Query`] values as human-readable SQL, matching the style the
 //! paper uses for its example queries (Q2, Q4, Q5).
+//!
+//! [`to_sql`] writes the query into one `String`, one pass per clause: FROM
+//! and WHERE walk the semi-join paths in the same order (the k-th step is
+//! alias `tk` in both), and text literals are copied by runs, `'` doubled.
+//! Every served reply carries the rendered query, up to 100 filters long.
 
 use std::fmt::Write as _;
 
@@ -7,102 +12,96 @@ use squid_relation::Value;
 
 use crate::ast::{CmpOp, Pred, Query, QueryBlock};
 
-/// Render a SQL literal.
-fn literal(v: &Value) -> String {
-    match v {
-        Value::Text(s) => format!("'{}'", s.as_str().replace('\'', "''")),
-        other => other.to_string(),
+/// Append a SQL literal (text quoted, each `'` doubled).
+fn literal(out: &mut String, v: &Value) {
+    let Value::Text(s) = v else {
+        let _ = write!(out, "{v}");
+        return;
+    };
+    out.push('\'');
+    for (i, run) in s.as_str().split('\'').enumerate() {
+        out.push_str(if i > 0 { "''" } else { "" });
+        out.push_str(run);
     }
+    out.push('\'');
 }
 
-fn render_pred(alias: &str, pred: &Pred, out: &mut String) {
-    let col = format!("{alias}.{}", pred.column);
+fn render_pred(out: &mut String, alias: usize, pred: &Pred) {
+    let _ = write!(out, "t{alias}.{}", pred.column);
     match &pred.op {
-        CmpOp::Eq => {
-            let _ = write!(out, "{col} = {}", literal(&pred.value));
-        }
-        CmpOp::Ge => {
-            let _ = write!(out, "{col} >= {}", literal(&pred.value));
-        }
-        CmpOp::Le => {
-            let _ = write!(out, "{col} <= {}", literal(&pred.value));
-        }
+        CmpOp::Eq => out.push_str(" = "),
+        CmpOp::Ge => out.push_str(" >= "),
+        CmpOp::Le => out.push_str(" <= "),
         CmpOp::Between(lo, hi) => {
-            let _ = write!(out, "{col} BETWEEN {} AND {}", literal(lo), literal(hi));
+            out.push_str(" BETWEEN ");
+            literal(out, lo);
+            out.push_str(" AND ");
+            return literal(out, hi);
         }
         CmpOp::In(vals) => {
-            let list: Vec<String> = vals.iter().map(literal).collect();
-            let _ = write!(out, "{col} IN ({})", list.join(", "));
+            out.push_str(" IN (");
+            for (i, v) in vals.iter().enumerate() {
+                out.push_str(if i > 0 { ", " } else { "" });
+                literal(out, v);
+            }
+            return out.push(')');
         }
     }
+    literal(out, &pred.value);
 }
 
-fn render_block(block: &QueryBlock, projection: &str) -> String {
-    let root_alias = "t0";
-    let mut from = vec![format!("{} AS {root_alias}", block.root)];
-    let mut conds: Vec<String> = Vec::new();
-    let mut having: Vec<String> = Vec::new();
-    let mut alias_no = 1usize;
-
+fn render_block(out: &mut String, block: &QueryBlock, projection: &str) {
+    let root = block.root;
+    let _ = write!(out, "SELECT DISTINCT t0.{projection}\nFROM {root} AS t0");
+    for (i, step) in block.semi_joins.iter().flat_map(|sj| &sj.path).enumerate() {
+        let _ = write!(out, ", {} AS t{}", step.table, i + 1);
+    }
+    let mut sep = "\nWHERE ";
     for pred in &block.root_predicates {
-        let mut s = String::new();
-        render_pred(root_alias, pred, &mut s);
-        conds.push(s);
+        out.push_str(std::mem::replace(&mut sep, "\n  AND "));
+        render_pred(out, 0, pred);
     }
-
-    let mut needs_group = false;
+    let mut alias = 0;
     for sj in &block.semi_joins {
-        let mut parent_alias = root_alias.to_string();
-        let mut first_alias_of_path = String::new();
-        for (i, step) in sj.path.iter().enumerate() {
-            let alias = format!("t{alias_no}");
-            alias_no += 1;
-            from.push(format!("{} AS {alias}", step.table));
-            conds.push(format!(
-                "{parent_alias}.{} = {alias}.{}",
-                step.parent_column, step.child_column
-            ));
+        let mut parent = 0;
+        for step in &sj.path {
+            alias += 1;
+            out.push_str(std::mem::replace(&mut sep, "\n  AND "));
+            let (pc, cc) = (step.parent_column, step.child_column);
+            let _ = write!(out, "t{parent}.{pc} = t{alias}.{cc}");
             for pred in &step.predicates {
-                let mut s = String::new();
-                render_pred(&alias, pred, &mut s);
-                conds.push(s);
+                out.push_str(sep);
+                render_pred(out, alias, pred);
             }
-            if i == 0 {
-                first_alias_of_path = alias.clone();
-            }
-            parent_alias = alias;
-        }
-        if sj.min_count > 1 {
-            needs_group = true;
-            having.push(format!(
-                "count(DISTINCT {first_alias_of_path}.*) >= {}",
-                sj.min_count
-            ));
+            parent = alias;
         }
     }
 
-    let mut sql = format!(
-        "SELECT DISTINCT {root_alias}.{projection}\nFROM {}",
-        from.join(", ")
-    );
-    if !conds.is_empty() {
-        let _ = write!(sql, "\nWHERE {}", conds.join("\n  AND "));
+    // HAVING counts each aggregated semi-join on its path's first alias.
+    if block.semi_joins.iter().any(|sj| sj.min_count > 1) {
+        let _ = write!(out, "\nGROUP BY t0.{projection}\nHAVING ");
+        let (mut sep, mut first) = ("count(DISTINCT ", 1);
+        for sj in &block.semi_joins {
+            if sj.min_count > 1 {
+                out.push_str(std::mem::replace(&mut sep, " AND count(DISTINCT "));
+                if !sj.path.is_empty() {
+                    let _ = write!(out, "t{first}");
+                }
+                let _ = write!(out, ".*) >= {}", sj.min_count);
+            }
+            first += sj.path.len();
+        }
     }
-    if needs_group {
-        let _ = write!(sql, "\nGROUP BY {root_alias}.{projection}");
-        let _ = write!(sql, "\nHAVING {}", having.join(" AND "));
-    }
-    sql
 }
 
 /// Render a full query (blocks joined with `INTERSECT`).
 pub fn to_sql(query: &Query) -> String {
-    query
-        .blocks
-        .iter()
-        .map(|b| render_block(b, query.projection.as_str()))
-        .collect::<Vec<_>>()
-        .join("\nINTERSECT\n")
+    let mut out = String::new();
+    for (i, block) in query.blocks.iter().enumerate() {
+        out.push_str(if i > 0 { "\nINTERSECT\n" } else { "" });
+        render_block(&mut out, block, query.projection.as_str());
+    }
+    out
 }
 
 #[cfg(test)]

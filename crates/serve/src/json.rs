@@ -12,7 +12,7 @@
 //! ids are `u64`-ish and must survive a round trip without drifting
 //! through a double.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 
 /// Maximum nesting depth accepted by the parser. Protocol messages are
 /// two levels deep; anything deeper is hostile or broken input, and a
@@ -150,12 +150,14 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
             Json::Bool(false) => out.push_str("false"),
-            Json::Int(n) => out.push_str(&n.to_string()),
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
             Json::Float(x) => {
                 if x.is_finite() {
                     // `{:?}` keeps a ".0" on integral floats, preserving
                     // the float-ness of the value across a round trip.
-                    out.push_str(&format!("{x:?}"));
+                    let _ = write!(out, "{x:?}");
                 } else {
                     // JSON has no NaN/Infinity; null is the standard
                     // lossy mapping.
@@ -195,21 +197,30 @@ impl fmt::Display for Json {
     }
 }
 
+/// Append `s` quoted, copying the runs between the bytes that need an
+/// escape (`"`, `\` and controls, all ASCII, so every cut is a char
+/// boundary) as they are.
 fn encode_str(s: &str, out: &mut String) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| b == b'"' || b == b'\\' || b < 0x20)
+    {
+        out.push_str(&rest[..i]);
+        match rest.as_bytes()[i] {
+            b'"' => out.push_str("\\\""),
+            b'\\' => out.push_str("\\\\"),
+            b'\n' => out.push_str("\\n"),
+            b'\r' => out.push_str("\\r"),
+            b'\t' => out.push_str("\\t"),
+            b => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
         }
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
     out.push('"');
 }
 
@@ -495,6 +506,62 @@ mod tests {
         // Lone surrogates are rejected.
         assert!(parse(r#""\ud800""#).is_err());
         assert!(parse(r#""\ud800\u0041""#).is_err());
+    }
+
+    #[test]
+    fn encodes_exact_bytes() {
+        let enc = |s: &str| Json::Str(s.into()).encode();
+        for b in 0u8..0x20 {
+            let want = match b {
+                b'\n' => "\"\\n\"".to_string(),
+                b'\r' => "\"\\r\"".to_string(),
+                b'\t' => "\"\\t\"".to_string(),
+                _ => format!("\"\\u{b:04x}\""),
+            };
+            assert_eq!(enc(&char::from(b).to_string()), want, "byte {b:#04x}");
+        }
+        assert_eq!(enc("\u{1f}\u{b}"), r#""\u001f\u000b""#, "lowercase hex");
+        assert_eq!(enc("\""), r#""\"""#);
+        assert_eq!(enc("\\"), r#""\\""#);
+        assert_eq!(enc("\u{7f}"), "\"\u{7f}\"", "DEL passes through");
+        assert_eq!(enc(""), r#""""#);
+        // 2-, 3- and 4-byte chars copy through: at either end, between
+        // escapes and next to them.
+        assert_eq!(enc("é"), "\"é\"");
+        assert_eq!(enc("é€😀"), "\"é€😀\"");
+        assert_eq!(enc("😀\n€"), "\"😀\\n€\"");
+        assert_eq!(enc("\"é\\"), r#""\"é\\""#);
+        assert_eq!(enc("a€\u{0}😀\té"), "\"a€\\u0000😀\\té\"");
+        assert_eq!(
+            Json::obj([("k\"ey", Json::str("v\u{1}"))]).encode(),
+            r#"{"k\"ey":"v\u0001"}"#
+        );
+    }
+
+    /// An arbitrary char, weighted towards the ones the encoder treats
+    /// specially: controls, `"`, `\`, DEL and multi-byte UTF-8.
+    fn any_char((class, bits): (u8, u32)) -> char {
+        let c = match class % 6 {
+            0 => bits % 0x20,
+            1 => [0x22, 0x5c, 0x7f][(bits % 3) as usize],
+            2 => 0x20 + bits % 0x60,
+            3 => 0x80 + bits % 0x780,
+            4 => 0x800 + bits % 0xF800,
+            _ => 0x10000 + bits % 0x100000,
+        };
+        char::from_u32(c).unwrap_or('\u{fffd}')
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn strings_round_trip(
+            chars in proptest::collection::vec((proptest::any::<u8>(), proptest::any::<u32>()), 0..48)
+        ) {
+            let s: String = chars.into_iter().map(any_char).collect();
+            let line = Json::Str(s.clone()).encode();
+            proptest::prop_assert!(!line.contains('\n'));
+            proptest::prop_assert_eq!(parse(&line).unwrap(), Json::Str(s));
+        }
     }
 
     #[test]

@@ -212,7 +212,7 @@ impl RetryClient {
         let mut last_err: Option<ClientError> = None;
         for off in 0..n {
             let idx = (self.active + off) % n;
-            let client = match Client::connect(self.addrs[idx].as_str()) {
+            let mut client = match Client::connect(self.addrs[idx].as_str()) {
                 Ok(c) => c,
                 Err(e) => {
                     last_err = Some(ClientError::Io(e));
@@ -220,6 +220,20 @@ impl RetryClient {
                 }
             };
             client.set_read_timeout(self.policy.read_timeout)?;
+            if let Some(cid) = &self.client_id {
+                // A refused identity is the caller's error, classified by
+                // `call` like any refusal (a `bad_request` fails fast)
+                // instead of running anonymously; a transport error
+                // re-dials like a failed connect.
+                match client.identify(cid) {
+                    Ok(()) => {}
+                    Err(ClientError::Io(e)) => {
+                        last_err = Some(ClientError::Io(e));
+                        continue;
+                    }
+                    Err(refused) => return Err(refused),
+                }
+            }
             if self.ever_connected {
                 self.counters.reconnects += 1;
                 if idx != self.active {
@@ -228,12 +242,6 @@ impl RetryClient {
             }
             self.active = idx;
             self.ever_connected = true;
-            let mut client = client;
-            if let Some(cid) = &self.client_id {
-                // Best-effort: a handshake failure surfaces on the real
-                // request right after, which retries and re-dials.
-                let _ = client.identify(cid);
-            }
             self.conn = Some(client);
             return Ok(());
         }

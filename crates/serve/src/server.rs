@@ -1072,7 +1072,7 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
             squid_core::SeqOutcome::Applied(delta) => {
                 shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
                 shared.bump_client(ctx, |c| c.turns += 1);
-                let fields = delta.as_ref().map(delta_fields).unwrap_or_default();
+                let fields = delta.map(delta_fields).unwrap_or_default();
                 locked(&shared.acked).insert(session, (seq, fields.clone()));
                 ok(fields)
             }
@@ -1257,7 +1257,7 @@ pub(crate) fn answer(m: &SessionManager, verb: &Verb) -> Result<Vec<(String, Jso
             seq: None,
         } => {
             let delta = m.apply_op(*session, op).map_err(squid_error)?;
-            Ok(delta.as_ref().map(delta_fields).unwrap_or_default())
+            Ok(delta.map(delta_fields).unwrap_or_default())
         }
         Verb::Suggest { session, k } => {
             let suggestions = m
@@ -1448,12 +1448,13 @@ fn journal_members(js: &squid_core::JournalStats) -> Vec<(String, Json)> {
 
 /// Response fields of a session-mutating turn: the wire rendering of a
 /// [`DiscoveryDelta`], incremental-path evidence included.
-fn delta_fields(delta: &DiscoveryDelta) -> Vec<(String, Json)> {
+fn delta_fields(delta: DiscoveryDelta) -> Vec<(String, Json)> {
     let mut fields: Vec<(String, Json)> = Vec::with_capacity(10);
     match &delta.discovery {
         Some(d) => {
+            let chosen = d.scored.iter().filter(|s| s.included).count();
             fields.push(("rows".into(), d.rows.len().into()));
-            fields.push(("filters".into(), d.chosen_filters().len().into()));
+            fields.push(("filters".into(), chosen.into()));
             fields.push(("sql".into(), Json::Str(d.sql())));
         }
         None => {
@@ -1463,11 +1464,11 @@ fn delta_fields(delta: &DiscoveryDelta) -> Vec<(String, Json)> {
     }
     fields.push((
         "added_filters".into(),
-        Json::Arr(delta.added_filters.iter().map(Json::str).collect()),
+        Json::Arr(delta.added_filters.into_iter().map(Json::Str).collect()),
     ));
     fields.push((
         "removed_filters".into(),
-        Json::Arr(delta.removed_filters.iter().map(Json::str).collect()),
+        Json::Arr(delta.removed_filters.into_iter().map(Json::Str).collect()),
     ));
     fields.push(("rows_added".into(), delta.rows_added.into()));
     fields.push(("rows_removed".into(), delta.rows_removed.into()));

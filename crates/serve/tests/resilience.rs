@@ -181,6 +181,39 @@ fn client_identities_are_bounded() {
     server.shutdown();
 }
 
+/// A retrying client whose identity the server refuses gets the refusal,
+/// not an anonymous session: its handshake is not best-effort.
+#[test]
+fn retry_client_surfaces_a_refused_identity() {
+    let server = start_with(
+        SessionManager::new(test_adb()),
+        ServeConfig {
+            max_sessions: 1,
+            ..ServeConfig::default()
+        },
+    );
+    let mut alice = Client::connect(server.local_addr()).unwrap();
+    alice.identify("alice").unwrap();
+    let mut bob = RetryClient::new(server.local_addr().to_string());
+    bob.identify("bob");
+    match bob.create() {
+        Err(ClientError::Server { code, .. }) => assert_eq!(code, "bad_request"),
+        other => panic!("expected a bad_request refusal, got {other:?}"),
+    }
+    assert_eq!(
+        bob.counters().retries,
+        0,
+        "a refused identity is not retried"
+    );
+    let stats = alice.stats(None).unwrap();
+    let Some(Json::Obj(clients)) = stats.get("clients") else {
+        panic!("stats carries a clients object: {stats}");
+    };
+    let names: Vec<&str> = clients.iter().map(|(k, _)| k.as_str()).collect();
+    assert_eq!(names, ["alice"]);
+    server.shutdown();
+}
+
 #[test]
 fn rate_limited_turns_carry_hints_and_retry_clients_absorb_them() {
     let server = start_with(

@@ -129,8 +129,8 @@ fn main() {
     // replace the aggregation joins); the first call builds them.
     let names = {
         let db = adb.query_database();
-        let query = d.adb_query.as_ref().unwrap_or(&d.query);
-        let rs = squid_engine::Executor::new(db).execute(query).unwrap();
+        let query = d.adb_query(&adb).unwrap_or_else(|| d.query.clone());
+        let rs = squid_engine::Executor::new(db).execute(&query).unwrap();
         rs.project(db, "name").unwrap()
     };
     println!("\nResult ({} tuples):", names.len());
