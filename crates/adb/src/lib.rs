@@ -21,5 +21,5 @@ pub use properties::{discover_properties, PropKind, PropertyDef, QueryFragments}
 pub use stats::{
     posting_row, CategoricalStats, DerivedNumericStats, DerivedStats, FilterFingerprint,
     FilterSetCache, NumericStats, Overflow, PropStats, SharedCacheStats, SharedFilterSetCache,
-    ValueRows, ValuesOf, DEFAULT_SHARED_CACHE_BYTES, SHARED_CACHE_SHARDS,
+    ValueRows, DEFAULT_SHARED_CACHE_BYTES, SHARED_CACHE_SHARDS,
 };

@@ -562,12 +562,6 @@ impl CategoricalStats {
         self.dict.code(v)
     }
 
-    /// ψ(φ⟨A, v, ⊥⟩) relative to `n` entities.
-    pub fn selectivity_eq(&self, v: &Value, n: usize) -> f64 {
-        self.code_of(v)
-            .map_or(0.0, |code| self.selectivity_code(code, n))
-    }
-
     /// ψ(φ⟨A, v, ⊥⟩) of the value of code `code`, read off its postings.
     pub fn selectivity_code(&self, code: u32, n: usize) -> f64 {
         psi(self.rows_of(code).len(), n)
@@ -597,14 +591,6 @@ impl CategoricalStats {
         self.per_entity.group(row)
     }
 
-    /// Value set of one entity, ascending, decoded as it is read.
-    pub fn values_of(&self, row: RowId) -> ValuesOf<'_> {
-        ValuesOf {
-            codes: self.codes_of(row),
-            domain: &self.dict.values,
-        }
-    }
-
     /// Whether entity `row` carries `v`: one binary search over its codes.
     pub fn carries(&self, row: RowId, v: &Value) -> bool {
         self.code_of(v)
@@ -621,37 +607,6 @@ impl CategoricalStats {
                 .iter()
                 .map(|(_, set)| set.heap_bytes())
                 .sum::<usize>()
-    }
-}
-
-/// One entity's categorical value set ([`CategoricalStats::values_of`]):
-/// its codes, decoded through the property's dictionary as they are read.
-#[derive(Debug, Clone, Copy)]
-pub struct ValuesOf<'a> {
-    codes: &'a [u32],
-    domain: &'a [Value],
-}
-
-impl<'a> ValuesOf<'a> {
-    /// The values, ascending.
-    pub fn iter(self) -> impl Iterator<Item = &'a Value> {
-        let domain = self.domain;
-        self.codes.iter().map(move |&c| &domain[c as usize])
-    }
-
-    /// Number of values.
-    pub fn len(self) -> usize {
-        self.codes.len()
-    }
-
-    /// True iff the entity carries no value.
-    pub fn is_empty(self) -> bool {
-        self.codes.is_empty()
-    }
-
-    /// The values, ascending, copied out.
-    pub fn to_vec(self) -> Vec<Value> {
-        self.iter().copied().collect()
     }
 }
 
@@ -853,28 +808,16 @@ impl DerivedStats {
         self.dict.values[code as usize]
     }
 
-    /// ψ(φ⟨A, v, θ⟩) relative to `n` entities.
-    pub fn selectivity(&self, v: &Value, theta: u64, n: usize) -> f64 {
-        self.dict
-            .code(v)
-            .map_or(0.0, |code| self.selectivity_code(code, theta, n))
-    }
-
-    /// ψ(φ⟨A, v, θ⟩) of the value of code `code`.
+    /// ψ(φ⟨A, v, θ⟩) of the value of code `code`, relative to `n`
+    /// entities.
     pub fn selectivity_code(&self, code: u32, theta: u64, n: usize) -> f64 {
         psi(self.postings_ge_code(code, theta).len(), n)
     }
 
-    /// ψ of a *normalized* filter: fraction of entities whose share of
-    /// associations to `v` is at least `frac` (case-study mode, §7.4) — one
-    /// walk over `v`'s postings with [`DerivedStats::reaches_share`].
-    pub fn selectivity_frac(&self, v: &Value, frac: f64, n: usize) -> f64 {
-        self.dict
-            .code(v)
-            .map_or(0.0, |code| self.selectivity_frac_code(code, frac, n))
-    }
-
-    /// [`DerivedStats::selectivity_frac`] of the value of code `code`.
+    /// ψ of a *normalized* filter on the value of code `code`: fraction of
+    /// entities whose share of associations to that value is at least
+    /// `frac` (case-study mode, §7.4) — one walk over its postings with
+    /// [`DerivedStats::reaches_share`].
     pub fn selectivity_frac_code(&self, code: u32, frac: f64, n: usize) -> f64 {
         let postings = self.postings_ge_code(code, 0);
         let reaching = postings.iter().filter(|&&p| self.reaches_share(p, frac));
@@ -899,14 +842,6 @@ impl DerivedStats {
     /// out-of-range rows).
     pub fn runs_of(&self, row: RowId) -> &[(u32, u32)] {
         self.runs.group(row)
-    }
-
-    /// One entity's `(value, count)` run, decoded, ascending by value.
-    pub fn counts_of(&self, row: RowId) -> Vec<(Value, u64)> {
-        self.runs_of(row)
-            .iter()
-            .map(|&(code, count)| (self.value(code), u64::from(count)))
-            .collect()
     }
 
     /// Association count of one entity for one value: the value's code,
@@ -1058,18 +993,9 @@ impl DerivedNumericStats {
     }
 
     /// One entity's `(cutpoint rank, count)` run, ascending by rank (empty
-    /// for out-of-range rows).
-    pub(crate) fn runs_of(&self, row: RowId) -> &[(u32, u32)] {
+    /// for out-of-range rows): the value of rank `r` is `cutpoints()[r]`.
+    pub fn runs_of(&self, row: RowId) -> &[(u32, u32)] {
         self.runs.group(row)
-    }
-
-    /// One entity's `(attribute value, count)` run, decoded, ascending by
-    /// value: each value is the property's cutpoint for it.
-    pub fn counts_of(&self, row: RowId) -> Vec<(f64, u64)> {
-        self.runs_of(row)
-            .iter()
-            .map(|&(rank, count)| (self.cutpoints[rank as usize], u64::from(count)))
-            .collect()
     }
 
     /// The `reach << 32 | row` postings ([`posting_row`]) of exactly the
@@ -1139,14 +1065,9 @@ impl DerivedNumericStats {
         run[first..].iter().map(|&(_, c)| u64::from(c)).sum()
     }
 
-    /// ψ(φ⟨A ≥ cut, θ⟩): fraction of entities with suffix count ≥ θ.
-    pub fn selectivity_ge(&self, cut: f64, theta: u64, n: usize) -> f64 {
-        psi(self.postings_ge(cut, theta).len(), n)
-    }
-
-    /// ψ at cutpoint *index* `ci` — the candidate-emission fast path: the
-    /// frontier scan already walks cutpoints by index, so it must not pay
-    /// the cut-snapping binary search per point.
+    /// ψ(φ⟨A ≥ c, θ⟩) at cutpoint *index* `ci`: the fraction of entities
+    /// with suffix count ≥ θ. Candidate emission walks cutpoints by index,
+    /// so it never pays a cut-snapping binary search per point.
     pub fn selectivity_at(&self, ci: usize, theta: u64, n: usize) -> f64 {
         psi(self.postings_at(ci, theta).len(), n)
     }
@@ -1705,13 +1626,18 @@ mod tests {
         Value::text(s)
     }
 
+    /// The code of `x` in an ascending active domain.
+    fn code(domain: &[Value], x: &str) -> u32 {
+        domain.binary_search(&v(x)).unwrap() as u32
+    }
+
     #[test]
     fn categorical_selectivity_and_coverage() {
         let mut sets = vec![vec![v("Male")]; 3];
         sets.extend(vec![vec![v("Female")]; 3]);
         let s = CategoricalStats::from_sets(sets).unwrap();
-        assert_eq!(s.selectivity_eq(&v("Male"), 6), 0.5);
-        assert_eq!(s.selectivity_eq(&v("Other"), 6), 0.0);
+        assert_eq!(s.selectivity_code(s.code_of(&v("Male")).unwrap(), 6), 0.5);
+        assert_eq!(s.code_of(&v("Other")), None);
         assert_eq!(s.coverage_eq(), 0.5);
         assert_eq!(s.selectivity_in(&[v("Male"), v("Female")], 6), 1.0);
         assert_eq!(s.coverage_in(2), 1.0);
@@ -1724,11 +1650,12 @@ mod tests {
         let mut sets = vec![Vec::new(); 100];
         sets[0] = vec![v("a"), v("a")];
         let s = CategoricalStats::from_sets(sets).unwrap();
-        assert_eq!(s.selectivity_eq(&v("a"), 100), 0.01);
+        let a = s.code_of(&v("a")).unwrap();
+        assert_eq!(s.selectivity_code(a, 100), 0.01);
         let mut rows = Vec::new();
         s.rows_with(&v("a")).unwrap().for_each(|row| rows.push(row));
         assert_eq!(rows, vec![0]);
-        assert_eq!(s.values_of(0).to_vec(), vec![v("a")]);
+        assert_eq!(s.codes_of(0), [a]);
     }
 
     /// A single-valued categorical property costs 8 bytes an entity: one
@@ -1799,10 +1726,11 @@ mod tests {
             mk(&[("Comedy", 1)]),
         ])
         .unwrap();
-        assert_eq!(s.selectivity(&v("Comedy"), 1, 4), 0.75);
-        assert_eq!(s.selectivity(&v("Comedy"), 3, 4), 0.5);
-        assert_eq!(s.selectivity(&v("Comedy"), 6, 4), 0.0);
-        assert_eq!(s.selectivity(&v("Missing"), 1, 4), 0.0);
+        let comedy = code(s.domain(), "Comedy");
+        assert_eq!(s.selectivity_code(comedy, 1, 4), 0.75);
+        assert_eq!(s.selectivity_code(comedy, 3, 4), 0.5);
+        assert_eq!(s.selectivity_code(comedy, 6, 4), 0.0);
+        assert!(s.domain().binary_search(&v("Missing")).is_err());
         assert_eq!(s.count_of(0, &v("Comedy")), 5);
         assert_eq!(s.count_of(2, &v("Comedy")), 0);
         assert_eq!(s.domain_size(), 2);
@@ -1824,11 +1752,16 @@ mod tests {
         let s = DerivedStats::from_runs(vec![run.clone(), run[..3].to_vec()]).unwrap();
         let mut expected = run;
         expected.sort_by_key(|&(x, _)| x);
-        assert_eq!(s.counts_of(0), expected);
         assert_eq!(
             s.domain(),
             expected.iter().map(|&(x, _)| x).collect::<Vec<_>>()
         );
+        let decoded: Vec<(Value, u64)> = s
+            .runs_of(0)
+            .iter()
+            .map(|&(c, n)| (s.value(c), u64::from(n)))
+            .collect();
+        assert_eq!(decoded, expected);
         let codes: Vec<u32> = s.runs_of(0).iter().map(|&(c, _)| c).collect();
         assert_eq!(codes, (0..6).collect::<Vec<u32>>());
         assert_eq!(s.count_of(1, &values[0]), 1);
@@ -1844,8 +1777,9 @@ mod tests {
         ])
         .unwrap();
         assert!((s.frac_of(0, &v("Comedy")) - 0.75).abs() < 1e-12);
-        assert_eq!(s.selectivity_frac(&v("Comedy"), 0.5, 2), 0.5);
-        assert_eq!(s.selectivity_frac(&v("Comedy"), 0.2, 2), 1.0);
+        let comedy = code(s.domain(), "Comedy");
+        assert_eq!(s.selectivity_frac_code(comedy, 0.5, 2), 0.5);
+        assert_eq!(s.selectivity_frac_code(comedy, 0.2, 2), 1.0);
     }
 
     #[test]
@@ -1856,10 +1790,11 @@ mod tests {
         assert_eq!(s.suffix_count_of(0, 2010.0), 3);
         assert_eq!(s.suffix_count_of(0, 2000.0), 5);
         assert_eq!(s.suffix_count_of(1, 2010.0), 0);
-        // ψ(year ≥ 2010, θ=3) = 1/2 entities.
-        assert_eq!(s.selectivity_ge(2010.0, 3, 2), 0.5);
-        assert_eq!(s.selectivity_ge(2010.0, 4, 2), 0.0);
-        assert_eq!(s.selectivity_ge(2000.0, 1, 2), 1.0);
+        // ψ(year ≥ 2010, θ=3) = 1/2 entities; 2010 snaps to cutpoint 2012.
+        assert_eq!(s.postings_ge(2010.0, 3).len(), 1);
+        assert_eq!(s.selectivity_at(2, 3, 2), 0.5);
+        assert_eq!(s.postings_ge(2010.0, 4).len(), 0);
+        assert_eq!(s.selectivity_at(0, 1, 2), 1.0);
         // Coverage shrinks as the cut rises.
         assert!(s.coverage_ge(2012.0) < s.coverage_ge(2005.0));
     }
@@ -2019,7 +1954,7 @@ mod tests {
     #[test]
     fn derived_numeric_empty_is_safe() {
         let s = DerivedNumericStats::build(vec![vec![], vec![]]).unwrap();
-        assert_eq!(s.selectivity_ge(0.0, 1, 2), 0.0);
+        assert!(s.postings_ge(0.0, 1).is_empty());
         assert_eq!(s.coverage_ge(0.0), 1.0);
     }
 

@@ -121,7 +121,10 @@ proptest! {
             .filter(|m| m.get(&key).copied().unwrap_or(0) >= theta)
             .count() as f64
             / n as f64;
-        let got = stats.selectivity(&key, theta, n);
+        let got = stats
+            .domain()
+            .binary_search(&key)
+            .map_or(0.0, |code| stats.selectivity_code(code as u32, theta, n));
         prop_assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
     }
 
@@ -157,7 +160,10 @@ proptest! {
             })
             .count() as f64
             / n as f64;
-        let got = stats.selectivity_frac(&key, frac, n);
+        let got = stats
+            .domain()
+            .binary_search(&key)
+            .map_or(0.0, |code| stats.selectivity_frac_code(code as u32, frac, n));
         prop_assert!((got - expected).abs() < 1e-9, "{got} vs {expected}");
     }
 
@@ -194,7 +200,7 @@ proptest! {
             })
             .count() as f64
             / n as f64;
-        let got = stats.selectivity_ge(cut as f64, theta, n);
+        let got = stats.postings_ge(cut as f64, theta).len() as f64 / n as f64;
         prop_assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
     }
 
@@ -208,8 +214,12 @@ proptest! {
             CategoricalStats::from_sets(vals.iter().map(|v| vec![Value::Int(*v as i64)]).collect())
                 .unwrap();
         let n = vals.len();
-        let sa = stats.selectivity_eq(&Value::Int(a as i64), n);
-        let sb = stats.selectivity_eq(&Value::Int(b as i64), n);
+        let psi = |x: u8| {
+            stats
+                .code_of(&Value::Int(x as i64))
+                .map_or(0.0, |code| stats.selectivity_code(code, n))
+        };
+        let (sa, sb) = (psi(a), psi(b));
         let sin = stats.selectivity_in(&[Value::Int(a as i64), Value::Int(b as i64)], n);
         prop_assert!(sin >= sa.max(sb) - 1e-12);
         prop_assert!(sin <= 1.0);
@@ -229,8 +239,9 @@ proptest! {
             let mut canonical = set.clone();
             canonical.sort();
             canonical.dedup();
-            prop_assert_eq!(stats.values_of(row).to_vec(), canonical.clone());
             let codes = stats.codes_of(row);
+            let decoded: Vec<Value> = codes.iter().map(|&code| stats.value(code)).collect();
+            prop_assert_eq!(decoded, canonical.clone());
             prop_assert!(codes.windows(2).all(|w| w[0] < w[1]));
             for (&code, v) in codes.iter().zip(&canonical) {
                 prop_assert_eq!(stats.value(code), *v);
@@ -265,7 +276,12 @@ proptest! {
         for (row, run) in per_entity.iter().enumerate() {
             let mut canonical = summed(run, |a, b| a == b);
             canonical.sort_by_key(|&(v, _)| v);
-            prop_assert_eq!(stats.counts_of(row), canonical.clone());
+            let decoded: Vec<(Value, u64)> = stats
+                .runs_of(row)
+                .iter()
+                .map(|&(code, c)| (stats.value(code), u64::from(c)))
+                .collect();
+            prop_assert_eq!(decoded, canonical.clone());
             prop_assert_eq!(stats.total_of(row), canonical.iter().map(|e| e.1).sum::<u64>());
             for &(v, c) in &canonical {
                 prop_assert_eq!(stats.count_of(row, &v), c);
@@ -291,8 +307,11 @@ proptest! {
             let keyed: Vec<(u64, u64)> = run.iter().map(|&(x, c)| (cut_key(x), c)).collect();
             let mut canonical = summed(&keyed, |a, b| a == b);
             canonical.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
-            let decoded: Vec<(u64, u64)> =
-                stats.counts_of(row).into_iter().map(|(x, c)| (cut_key(x), c)).collect();
+            let decoded: Vec<(u64, u64)> = stats
+                .runs_of(row)
+                .iter()
+                .map(|&(rank, c)| (cut_key(cutpoints[rank as usize]), u64::from(c)))
+                .collect();
             prop_assert_eq!(decoded, canonical);
         }
     }

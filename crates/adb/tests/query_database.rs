@@ -142,13 +142,17 @@ fn probes(p: &Property) -> Vec<(Value, u64, Vec<RowId>)> {
     // (row, value, count) triples the statistics hold.
     let triples: Vec<(RowId, Value, u64)> = match &p.stats {
         PropStats::Derived(s) => (0..s.entity_count())
-            .flat_map(|r| s.counts_of(r).into_iter().map(move |(v, c)| (r, v, c)))
+            .flat_map(|r| {
+                s.runs_of(r)
+                    .iter()
+                    .map(move |&(code, c)| (r, s.value(code), u64::from(c)))
+            })
             .collect(),
         PropStats::DerivedNumeric(s) => (0..s.entity_count())
             .flat_map(|r| {
-                s.counts_of(r)
-                    .into_iter()
-                    .map(move |(x, c)| (r, Value::Float(x), c))
+                s.runs_of(r).iter().map(move |&(rank, c)| {
+                    (r, Value::Float(s.cutpoints()[rank as usize]), u64::from(c))
+                })
             })
             .collect(),
         _ => unreachable!("only derived properties have derived tables"),

@@ -42,25 +42,28 @@ use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criteri
 use squid_adb::ADb;
 use squid_bench::{params_for, sample_examples};
 use squid_core::{
-    discover_contexts, evaluate, CandidateFilter, FilterValue, SessionManager, SquidSession,
+    discover_contexts, evaluate, CandidateFilter, FilterValue, SessionManager, SessionOp,
+    SquidSession,
 };
 use squid_datasets::{generate_imdb_variant, imdb_queries, ImdbConfig, ImdbVariant};
 use squid_relation::Database;
 
 const FLEET: usize = 8;
 
-/// Drive one session through a slate inside `manager`, returning the
-/// result size (kept live so the work cannot be optimized away).
+/// Drive one session through a slate inside `manager` — one `apply_op`
+/// per example, the path a served turn takes — returning the result size
+/// (kept live so the work cannot be optimized away).
 fn replay(manager: &SessionManager, slate: &[&str]) -> usize {
     let id = manager.create_session();
+    for e in slate {
+        let op = SessionOp::AddExample((*e).to_string());
+        manager.apply_op(id, &op).expect("replay succeeds");
+    }
     let rows = manager
         .with_session(id, |s| {
-            for e in slate {
-                s.add_example(e)?;
-            }
             Ok(s.discovery().expect("slate resolves").rows.len())
         })
-        .expect("replay succeeds");
+        .expect("the session is live");
     manager.close_session(id).expect("the session is live");
     rows
 }

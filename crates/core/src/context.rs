@@ -388,7 +388,11 @@ fn fresh_state(stats: &PropStats) -> PropState {
 
 /// Fold one row into a property state, returning whether the state's
 /// emitted filters may have changed (the snapshot-cache invalidation
-/// signal; conservative — `true` never misses a real change).
+/// signal; conservative — `true` never misses a real change). The first
+/// row into a fresh state takes the same step as every other: the range
+/// and suffix minima start at the fold's identity, and only an
+/// intersection has to take the first row's codes instead of narrowing.
+/// It constrains everything, so it always reports dirty.
 fn add_row_to_state(
     state: &mut PropState,
     stats: &PropStats,
@@ -396,12 +400,7 @@ fn add_row_to_state(
     first: bool,
     buf: &mut Vec<u64>,
 ) -> bool {
-    if first {
-        // The first row constrains everything: fold it in and report dirty.
-        fold_first_row(state, stats, row, buf);
-        return true;
-    }
-    match (state, stats) {
+    let changed = match (state, stats) {
         (
             PropState::Cat {
                 shared,
@@ -412,7 +411,11 @@ fn add_row_to_state(
         ) => {
             let codes = s.codes_of(row);
             let before = shared.len();
-            retain_in(shared, codes);
+            if first {
+                shared.extend_from_slice(codes);
+            } else {
+                retain_in(shared, codes);
+            }
             let mut changed = shared.len() != before;
             if *all_single {
                 if let [code] = codes {
@@ -465,9 +468,15 @@ fn add_row_to_state(
         },
         (PropState::Derived { shared }, PropStats::Derived(s)) => {
             // A merge of two code-ascending lists: the shared values and
-            // this row's run.
+            // this row's run. The first row's codes enter at the minima's
+            // identity, and the merge sets both minima. Runs ascend by
+            // code, which is value order, so emission is canonical; a run
+            // holds positive counts, so its entity's total is positive.
             let run = s.runs_of(row);
             let total = s.total_of(row) as f64;
+            if first {
+                shared.extend(run.iter().map(|&(code, _)| (code, u64::MAX, f64::INFINITY)));
+            }
             let before = shared.len();
             let mut changed = false;
             let mut j = 0;
@@ -506,65 +515,8 @@ fn add_row_to_state(
             changed
         }
         _ => unreachable!("state/stats kinds are built in lockstep"),
-    }
-}
-
-/// Fold the first row into a fresh property state.
-fn fold_first_row(state: &mut PropState, stats: &PropStats, row: RowId, buf: &mut Vec<u64>) {
-    match (state, stats) {
-        (
-            PropState::Cat {
-                shared,
-                union,
-                all_single,
-            },
-            PropStats::Categorical(s),
-        ) => {
-            let codes = s.codes_of(row);
-            shared.extend_from_slice(codes);
-            if let [code] = codes {
-                union.push(*code);
-            } else {
-                *all_single = false;
-            }
-        }
-        (
-            PropState::Num {
-                lo,
-                hi,
-                lo_count,
-                hi_count,
-                null_count,
-            },
-            PropStats::Numeric(s),
-        ) => match s.value_of(row).filter(|x| !x.is_nan()) {
-            None => *null_count += 1,
-            Some(x) => {
-                *lo = x;
-                *hi = x;
-                *lo_count = 1;
-                *hi_count = 1;
-            }
-        },
-        (PropState::Derived { shared }, PropStats::Derived(s)) => {
-            // Runs ascend by code, which is value order, so emission is
-            // canonical as it stands. A run holds positive counts, so its
-            // entity's total is positive too.
-            let total = s.total_of(row) as f64;
-            *shared = s
-                .runs_of(row)
-                .iter()
-                .map(|&(code, c)| (code, u64::from(c), f64::from(c) / total))
-                .collect();
-        }
-        (PropState::DerivedNum { thetas }, PropStats::DerivedNumeric(s)) => {
-            s.suffix_counts_into(row, buf);
-            for (t, &c) in thetas.iter_mut().zip(buf.iter()) {
-                *t = (*t).min(c);
-            }
-        }
-        _ => unreachable!("state/stats kinds are built in lockstep"),
-    }
+    };
+    first || changed
 }
 
 /// Keep the codes of ascending `shared` that ascending `codes` holds too:

@@ -13,20 +13,23 @@
 //! poisoned session's eviction all journal the session's `End`, so
 //! recovery and a standby drop it too.
 //!
+//! A hosted session changes only through [`SessionManager::apply_op`]
+//! (and its sequenced form), which journals the change and moves the
+//! session's turn cursor with it; [`SessionManager::with_session`] reads.
+//!
 //! ```
 //! use std::sync::Arc;
 //! use squid_adb::{test_fixtures, ADb};
-//! use squid_core::SessionManager;
+//! use squid_core::{SessionManager, SessionOp};
 //!
 //! let adb = Arc::new(ADb::build(&test_fixtures::mini_imdb()).unwrap());
 //! let manager = SessionManager::new(adb);
 //! let id = manager.create_session();
+//! for name in ["Jim Carrey", "Eddie Murphy"] {
+//!     manager.apply_op(id, &SessionOp::AddExample(name.into())).unwrap();
+//! }
 //! let rows = manager
-//!     .with_session(id, |s| {
-//!         s.add_example("Jim Carrey")?;
-//!         s.add_example("Eddie Murphy")?;
-//!         Ok(s.discovery().unwrap().rows.len())
-//!     })
+//!     .with_session(id, |s| Ok(s.discovery().unwrap().rows.len()))
 //!     .unwrap();
 //! assert!(rows >= 2);
 //! manager.close_session(id).unwrap();
@@ -174,7 +177,11 @@ pub enum SeqOutcome {
     Applied(Option<DiscoveryDelta>),
     /// The sequence number was at or below the session's cursor: the
     /// operation was already applied (a retried turn) and was not re-run.
-    Duplicate,
+    /// Carries the delta it was answered with when it is the session's
+    /// latest sequenced turn in this process; `None` for an older turn, or
+    /// once a restart or a promotion has rebuilt the session (the answer
+    /// is not journaled).
+    Duplicate(Option<DiscoveryDelta>),
 }
 
 /// Hosts many concurrent [`SquidSession`]s over one shared αDB (see the
@@ -311,7 +318,7 @@ impl SessionManager {
     /// the ones journal replay reinstalls it with.
     pub fn create_session(&self) -> SessionId {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
-        self.install_session(id);
+        self.install_session(id, 0);
         // Best-effort journaling on the infallible create path; failures
         // are counted (surfaced via `journal_write_errors`) and the next
         // fallible `apply_op` on this journal will report the condition.
@@ -321,14 +328,16 @@ impl SessionManager {
         id
     }
 
-    /// Install a session under a fixed id (the create path minus id
-    /// allocation and journaling — also the journal-replay path).
-    fn install_session(&self, id: SessionId) {
-        let session = SquidSession::hosted(
+    /// Install a fresh session under a fixed id with its cursor at
+    /// `op_seq`, replacing any session hosted there (the create path minus
+    /// id allocation and journaling — also the journal-replay path).
+    fn install_session(&self, id: SessionId, op_seq: u64) {
+        let mut session = SquidSession::hosted(
             Arc::clone(&self.adb),
             self.params.clone(),
             Arc::clone(&self.shared_cache),
         );
+        session.advance_op_seq(op_seq);
         let entry = Arc::new(Entry {
             session: Mutex::new(session),
             last_used_ms: AtomicU64::new(self.now_ms()),
@@ -336,17 +345,30 @@ impl SessionManager {
         recover_guard(self.shard(id).write()).insert(id, entry);
     }
 
-    /// Run `f` against session `id`. The registry lock is held only long
+    /// Read session `id` through `f`. The registry lock is held only long
     /// enough to clone the entry handle; `f` runs under the session's own
     /// mutex. Expired sessions are evicted and reported as unknown.
     ///
     /// A session that replay left stale (recovery before its final
     /// refresh, or a standby applying a replication stream) is refreshed
     /// first, so `f` sees the discovery an uninterrupted run would have.
+    ///
+    /// `f` only reads: a change that bypassed [`SessionManager::apply_op`]
+    /// would be missing from the journal, so recovery and a standby would
+    /// lose it.
+    ///
+    /// ```compile_fail
+    /// # use std::sync::Arc;
+    /// # use squid_adb::{test_fixtures, ADb};
+    /// # use squid_core::SessionManager;
+    /// # let manager = SessionManager::new(Arc::new(ADb::build(&test_fixtures::mini_imdb()).unwrap()));
+    /// # let id = manager.create_session();
+    /// manager.with_session(id, |s| s.add_example("Jim Carrey")).unwrap();
+    /// ```
     pub fn with_session<T>(
         &self,
         id: SessionId,
-        f: impl FnOnce(&mut SquidSession<'static>) -> Result<T, SquidError>,
+        f: impl FnOnce(&SquidSession<'static>) -> Result<T, SquidError>,
     ) -> Result<T, SquidError> {
         self.with_session_state(id, |s| {
             s.settle();
@@ -354,9 +376,9 @@ impl SessionManager {
         })
     }
 
-    /// [`with_session`](Self::with_session) without the refresh, for the
-    /// paths that read or stage session *state* only: replay, its cursor
-    /// checks, and compaction's snapshot.
+    /// The session under its mutex, unrefreshed: the one writer
+    /// ([`SessionManager::apply_op`]'s path, which settles first), replay
+    /// and its cursor checks, and compaction's snapshot.
     fn with_session_state<T>(
         &self,
         id: SessionId,
@@ -608,7 +630,7 @@ impl SessionManager {
     ) -> Result<Option<DiscoveryDelta>, SquidError> {
         match self.sequenced_apply(id, None, op)? {
             SeqOutcome::Applied(delta) => Ok(delta),
-            SeqOutcome::Duplicate => unreachable!("unsequenced ops are never duplicates"),
+            SeqOutcome::Duplicate(_) => unreachable!("unsequenced ops are never duplicates"),
         }
     }
 
@@ -616,7 +638,8 @@ impl SessionManager {
     /// client's per-session turn number (1-based, contiguous): at or below
     /// the session's cursor the turn was already applied — a retry of an
     /// acknowledged request — and is reported as
-    /// [`SeqOutcome::Duplicate`] without re-running anything; exactly
+    /// [`SeqOutcome::Duplicate`] without re-running anything (carrying
+    /// the turn's delta when it is the latest sequenced one); exactly
     /// `cursor + 1` applies and journals like
     /// [`SessionManager::apply_op`] (same atomicity and append-failure
     /// semantics); anything further ahead is a
@@ -642,16 +665,15 @@ impl SessionManager {
         seq: Option<u64>,
         op: &SessionOp,
     ) -> Result<SeqOutcome, SquidError> {
-        enum Step {
-            Applied(Option<DiscoveryDelta>, bool),
-            Duplicate,
-        }
         let mut durability_lost = false;
-        let step = self.with_session(id, |s| {
+        let step = self.with_session_state(id, |s| {
+            s.settle();
             let cur = s.op_seq();
             let next = match seq {
                 None => cur + 1,
-                Some(seq) if seq <= cur => return Ok(Step::Duplicate),
+                Some(seq) if seq <= cur => {
+                    return Ok((SeqOutcome::Duplicate(s.answer_of(seq)), false))
+                }
                 Some(seq) if seq != cur + 1 => {
                     return Err(SquidError::SequenceGap {
                         id,
@@ -673,7 +695,10 @@ impl SessionManager {
                     // absorbed as a duplicate of a turn that never
                     // happened.
                     s.advance_op_seq(next);
-                    Ok(Step::Applied(delta, compact))
+                    if seq.is_some() {
+                        s.remember_answer(next, delta.as_ref());
+                    }
+                    Ok((SeqOutcome::Applied(delta), compact))
                 }
                 Err(e) => {
                     durability_lost = true;
@@ -688,15 +713,11 @@ impl SessionManager {
             recover_guard(self.shard(id).write()).remove(&id);
             self.journal_write_errors.fetch_add(1, Ordering::Relaxed);
         }
-        match step? {
-            Step::Duplicate => Ok(SeqOutcome::Duplicate),
-            Step::Applied(delta, compact) => {
-                if compact {
-                    self.autocompact();
-                }
-                Ok(SeqOutcome::Applied(delta))
-            }
+        let (outcome, compact) = step?;
+        if compact {
+            self.autocompact();
         }
+        Ok(outcome)
     }
 
     /// Rewrite the journal as a snapshot of the live sessions, discarding
@@ -892,40 +913,26 @@ impl SessionManager {
             match op {
                 SessionOp::Create => {
                     let have = self.with_session_state(*sid, |s| Ok(s.op_seq())).ok();
-                    match have {
+                    if have.is_some_and(|cursor| cursor >= *seq) {
                         // Our replica already covers this snapshot (or it
                         // is a duplicate live create): keep our state and
                         // ignore the section's seq-0 state ops.
-                        Some(cursor) if cursor >= *seq => {
-                            snapshot_skip.insert(*sid);
-                            stats.records_skipped += 1;
-                        }
-                        // We fell behind across a compaction: the ops
-                        // between our cursor and the snapshot's are gone
-                        // from the stream, so rebuild from the snapshot.
-                        Some(_) => {
-                            recover_guard(self.shard(*sid).write()).remove(sid);
-                            self.install_session(*sid);
-                            let _ = self.with_session_state(*sid, |s| {
-                                s.advance_op_seq(*seq);
-                                Ok(())
-                            });
-                            snapshot_skip.remove(sid);
-                            journal_applied(self, *sid, *seq, op);
+                        snapshot_skip.insert(*sid);
+                        stats.records_skipped += 1;
+                    } else {
+                        // New, or we fell behind across a compaction (the
+                        // ops between our cursor and the snapshot's are
+                        // gone from the stream): install from this record,
+                        // replacing any stale copy.
+                        self.install_session(*sid, *seq);
+                        snapshot_skip.remove(sid);
+                        journal_applied(self, *sid, *seq, op);
+                        if have.is_some() {
                             stats.sessions_reinstalled += 1;
-                            stats.records_applied += 1;
-                        }
-                        None => {
-                            self.install_session(*sid);
-                            let _ = self.with_session_state(*sid, |s| {
-                                s.advance_op_seq(*seq);
-                                Ok(())
-                            });
-                            snapshot_skip.remove(sid);
-                            journal_applied(self, *sid, *seq, op);
+                        } else {
                             stats.sessions_installed += 1;
-                            stats.records_applied += 1;
                         }
+                        stats.records_applied += 1;
                     }
                 }
                 SessionOp::End => {
@@ -985,14 +992,20 @@ mod tests {
         SessionManager::new(Arc::new(ADb::build(&mini_imdb()).unwrap()))
     }
 
+    /// Add `examples` to session `id` through the journaled apply path.
+    fn add_all(m: &SessionManager, id: SessionId, examples: &[&str]) {
+        for &e in examples {
+            m.apply_op(id, &SessionOp::AddExample(e.into())).unwrap();
+        }
+    }
+
     #[test]
     fn sessions_are_isolated() {
         let m = manager();
         let a = m.create_session();
         let b = m.create_session();
-        m.with_session(a, |s| s.add_example("Jim Carrey")).unwrap();
-        m.with_session(b, |s| s.add_example("Julia Roberts"))
-            .unwrap();
+        add_all(&m, a, &["Jim Carrey"]);
+        add_all(&m, b, &["Julia Roberts"]);
         let ea = m.with_session(a, |s| Ok(s.examples().join(","))).unwrap();
         let eb = m.with_session(b, |s| Ok(s.examples().join(","))).unwrap();
         assert_eq!(ea, "Jim Carrey");
@@ -1084,13 +1097,7 @@ mod tests {
         let m = manager();
         let slate = ["Jim Carrey", "Eddie Murphy"];
         let a = m.create_session();
-        m.with_session(a, |s| {
-            for e in slate {
-                s.add_example(e)?;
-            }
-            Ok(())
-        })
-        .unwrap();
+        add_all(&m, a, &slate);
         m.close_session(a).unwrap();
         let published = m.shared_cache_stats().expect("shared cache on");
         assert!(published.entries > 0, "session A published bitmaps");
@@ -1098,14 +1105,8 @@ mod tests {
         // A brand-new session replaying the same turns is served from the
         // fleet's cache: it computes nothing the fleet already knows.
         let b = m.create_session();
-        let stats = m
-            .with_session(b, |s| {
-                for e in slate {
-                    s.add_example(e)?;
-                }
-                Ok(s.cache_stats())
-            })
-            .unwrap();
+        add_all(&m, b, &slate);
+        let stats = m.with_session(b, |s| Ok(s.cache_stats())).unwrap();
         assert!(
             stats.hits > 0 && stats.misses == 0,
             "cross-session turns must hit the shared cache: {stats:?}"
@@ -1119,12 +1120,7 @@ mod tests {
     fn ttl_sweep_keeps_shared_entries() {
         let m = manager().with_ttl(Duration::from_millis(0));
         let id = m.create_session();
-        m.with_session(id, |s| {
-            s.add_example("Jim Carrey")?;
-            s.add_example("Eddie Murphy")?;
-            Ok(())
-        })
-        .unwrap();
+        add_all(&m, id, &["Jim Carrey", "Eddie Murphy"]);
         let before = m.shared_cache_stats().unwrap();
         assert!(before.entries > 0);
         std::thread::sleep(Duration::from_millis(5));
@@ -1140,14 +1136,12 @@ mod tests {
         let m = manager();
         let doomed = m.create_session();
         let sibling = m.create_session();
-        m.with_session(sibling, |s| s.add_example("Jim Carrey"))
-            .unwrap();
-        // A turn that panics mid-operation poisons only its own session.
+        add_all(&m, sibling, &["Jim Carrey"]);
+        add_all(&m, doomed, &["Eddie Murphy"]);
+        // A call that panics under the session's lock poisons only its own
+        // session.
         let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _: Result<(), _> = m.with_session(doomed, |s| {
-                s.add_example("Eddie Murphy")?;
-                panic!("injected turn panic");
-            });
+            let _: Result<(), _> = m.with_session(doomed, |_| panic!("injected turn panic"));
         }));
         assert!(panicked.is_err());
         // The sibling keeps working, through the same shard registry.
@@ -1160,8 +1154,7 @@ mod tests {
         assert!(matches!(err, SquidError::UnknownSession { .. }));
         // And new sessions can still be created afterwards.
         let fresh = m.create_session();
-        m.with_session(fresh, |s| s.add_example("Julia Roberts"))
-            .unwrap();
+        add_all(&m, fresh, &["Julia Roberts"]);
     }
 
     fn journal_path(name: &str) -> std::path::PathBuf {
@@ -1514,14 +1507,18 @@ mod tests {
         let m = manager();
         let id = m.create_session();
         let op = SessionOp::AddExample("Jim Carrey".into());
-        assert!(matches!(
-            m.apply_op_at(id, 1, &op).unwrap(),
-            SeqOutcome::Applied(_)
-        ));
-        // A retry of an acknowledged turn is absorbed, not re-applied.
-        assert!(matches!(
-            m.apply_op_at(id, 1, &op).unwrap(),
-            SeqOutcome::Duplicate
+        let SeqOutcome::Applied(Some(first)) = m.apply_op_at(id, 1, &op).unwrap() else {
+            panic!("a fresh turn applies");
+        };
+        // A retry of an acknowledged turn is absorbed, not re-applied, and
+        // answered with the turn's own delta.
+        let SeqOutcome::Duplicate(Some(again)) = m.apply_op_at(id, 1, &op).unwrap() else {
+            panic!("the latest sequenced turn keeps its answer");
+        };
+        assert_eq!(again.added_filters, first.added_filters);
+        assert!(Arc::ptr_eq(
+            again.discovery.as_ref().unwrap(),
+            first.discovery.as_ref().unwrap()
         ));
         let examples = m.with_session(id, |s| Ok(s.examples().len())).unwrap();
         assert_eq!(examples, 1, "duplicate must not add the example twice");
@@ -1541,11 +1538,20 @@ mod tests {
         m.apply_op(id, &SessionOp::AddExample("Eddie Murphy".into()))
             .unwrap();
         assert!(matches!(
+            m.apply_op_at(id, 1, &op).unwrap(),
+            SeqOutcome::Duplicate(Some(_))
+        ));
+        assert!(matches!(
             m.apply_op_at(id, 3, &SessionOp::AddExample("Robin Williams".into()))
                 .unwrap(),
             SeqOutcome::Applied(_)
         ));
         assert_eq!(m.with_session(id, |s| Ok(s.op_seq())).unwrap(), 3);
+        // Only the latest sequenced turn's answer is kept.
+        assert!(matches!(
+            m.apply_op_at(id, 1, &op).unwrap(),
+            SeqOutcome::Duplicate(None)
+        ));
     }
 
     #[test]
@@ -1726,13 +1732,9 @@ mod tests {
                     let m = &m;
                     scope.spawn(move || {
                         let id = m.create_session();
+                        add_all(m, id, slate);
                         let sql = m
-                            .with_session(id, |s| {
-                                for e in slate {
-                                    s.add_example(e)?;
-                                }
-                                Ok(s.discovery().unwrap().sql())
-                            })
+                            .with_session(id, |s| Ok(s.discovery().unwrap().sql()))
                             .unwrap();
                         m.close_session(id).unwrap();
                         sql

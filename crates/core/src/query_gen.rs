@@ -829,12 +829,17 @@ mod tests {
                     continue;
                 };
                 for row in (0..entity.n).step_by(29) {
-                    if stats.values_of(row).len() > 1 {
+                    let values: Vec<Value> = stats
+                        .codes_of(row)
+                        .iter()
+                        .map(|&c| stats.value(c))
+                        .collect();
+                    if values.len() > 1 {
                         shared_row_lists += 1;
                         filters.push(CandidateFilter {
                             prop_id: prop.id_sym,
                             attr_name: prop.attr_sym,
-                            value: FilterValue::CatIn(stats.values_of(row).to_vec()),
+                            value: FilterValue::CatIn(values),
                             selectivity: 0.5,
                             coverage: 0.5,
                         });

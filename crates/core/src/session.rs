@@ -205,6 +205,11 @@ pub struct SquidSession<'a> {
     /// journal records carry it so replay (and retried serving turns) can
     /// skip operations already folded into this state.
     op_seq: u64,
+    /// The latest sequenced turn's number and delta, kept so a retry of
+    /// that turn is answered as it was (see
+    /// [`SessionManager::apply_op_at`](crate::SessionManager::apply_op_at)).
+    /// Not journaled: a session rebuilt by recovery or a standby has none.
+    answered: Option<(u64, DiscoveryDelta)>,
     /// Replayed ops have changed the state since `last` was computed (see
     /// [`replay`](Self::replay) and [`settle`](Self::settle)).
     stale: bool,
@@ -251,6 +256,7 @@ impl<'a> SquidSession<'a> {
             cache,
             last_scored: None,
             op_seq: 0,
+            answered: None,
             stale: false,
         }
     }
@@ -289,8 +295,23 @@ impl<'a> SquidSession<'a> {
     /// Move the operation cursor forward (replay installs the journaled
     /// seq; live mutation paths use `seq = op_seq() + 1`). Backward moves
     /// are ignored — the cursor is monotonic by construction.
-    pub fn advance_op_seq(&mut self, seq: u64) {
+    pub(crate) fn advance_op_seq(&mut self, seq: u64) {
         self.op_seq = self.op_seq.max(seq);
+    }
+
+    /// Keep sequenced turn `seq`'s delta as the answer to its retries,
+    /// replacing the previous turn's.
+    pub(crate) fn remember_answer(&mut self, seq: u64, delta: Option<&DiscoveryDelta>) {
+        self.answered = delta.map(|d| (seq, d.clone()));
+    }
+
+    /// The delta sequenced turn `seq` was answered with, if it is the
+    /// latest one remembered.
+    pub(crate) fn answer_of(&self, seq: u64) -> Option<DiscoveryDelta> {
+        self.answered
+            .as_ref()
+            .filter(|(s, _)| *s == seq)
+            .map(|(_, d)| d.clone())
     }
 
     /// The minimal operation sequence that rebuilds this session's logical

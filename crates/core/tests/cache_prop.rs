@@ -59,7 +59,7 @@ proptest! {
                 panic!("{attr} is categorical");
             };
             let mut values: Vec<Value> = (0..entity.n)
-                .flat_map(|r| stats.values_of(r).iter().copied())
+                .flat_map(|r| stats.codes_of(r).iter().map(|&code| stats.value(code)))
                 .collect();
             values.sort();
             values.dedup();

@@ -134,9 +134,9 @@ fn sweep(entity: &EntityProps, prop: &Property, seen: &mut Seen) -> Vec<(Candida
     let mut out = Vec::new();
     match &prop.stats {
         PropStats::Categorical(s) => {
-            let mut domain: Vec<Value> = (0..n)
-                .flat_map(|row| s.values_of(row).iter().copied())
-                .collect();
+            let values_of = |row| s.codes_of(row).iter().map(|&code| s.value(code));
+            let psi_eq = |v: &Value| s.code_of(v).map_or(0.0, |code| s.selectivity_code(code, n));
+            let mut domain: Vec<Value> = (0..n).flat_map(values_of).collect();
             domain.sort();
             domain.dedup();
             assert_eq!(domain.len(), s.domain_size());
@@ -145,26 +145,19 @@ fn sweep(entity: &EntityProps, prop: &Property, seen: &mut Seen) -> Vec<(Candida
                     ValueRows::Dense(_) => seen.dense += 1,
                     ValueRows::Sparse(_) => seen.sparse += 1,
                 }
-                out.push((
-                    filter(prop, FilterValue::CatEq(*v), s.selectivity_eq(v, n)),
-                    Exact::Both,
-                ));
+                out.push((filter(prop, FilterValue::CatEq(*v), psi_eq(v)), Exact::Both));
             }
             let absent = Value::text("no such value");
             seen.absent += 1;
             out.push((
-                filter(
-                    prop,
-                    FilterValue::CatEq(absent),
-                    s.selectivity_eq(&absent, n),
-                ),
+                filter(prop, FilterValue::CatEq(absent), psi_eq(&absent)),
                 Exact::Both,
             ));
             // `IN` lists: the value sets of multi-valued rows (their values
             // share at least that row), neighbouring domain values, and a
             // list with an absent value in it.
             let mut lists: Vec<Vec<Value>> = (0..n)
-                .map(|row| s.values_of(row).to_vec())
+                .map(|row| values_of(row).collect::<Vec<_>>())
                 .filter(|vs| vs.len() > 1)
                 .collect();
             lists.sort();
@@ -210,17 +203,18 @@ fn sweep(entity: &EntityProps, prop: &Property, seen: &mut Seen) -> Vec<(Candida
         PropStats::Derived(s) => {
             let mut max_count: std::collections::BTreeMap<Value, u64> = Default::default();
             for row in 0..n {
-                for (v, c) in s.counts_of(row) {
-                    let m = max_count.entry(v).or_insert(0);
-                    *m = (*m).max(c);
+                for &(code, c) in s.runs_of(row) {
+                    let m = max_count.entry(s.value(code)).or_insert(0);
+                    *m = (*m).max(u64::from(c));
                 }
             }
             assert_eq!(max_count.len(), s.domain_size());
             max_count.insert(Value::text("no such value"), 0);
             for (v, max) in max_count {
+                let code = s.domain().binary_search(&v).ok().map(|code| code as u32);
                 for theta in 1..=max + 1 {
                     seen.derived_eq += 1;
-                    let psi = s.selectivity(&v, theta, n);
+                    let psi = code.map_or(0.0, |code| s.selectivity_code(code, theta, n));
                     out.push((
                         filter(prop, FilterValue::DerivedEq { value: v, theta }, psi),
                         Exact::Both,
@@ -234,7 +228,7 @@ fn sweep(entity: &EntityProps, prop: &Property, seen: &mut Seen) -> Vec<(Candida
                         frac,
                         raw_theta: 1,
                     };
-                    let psi = s.selectivity_frac(&v, frac, n);
+                    let psi = code.map_or(0.0, |code| s.selectivity_frac_code(code, frac, n));
                     out.push((filter(prop, value, psi), Exact::Psi));
                 }
             }
@@ -257,7 +251,7 @@ fn sweep(entity: &EntityProps, prop: &Property, seen: &mut Seen) -> Vec<(Candida
                 thetas.dedup();
                 for theta in thetas {
                     seen.derived_ge += 1;
-                    let psi = s.selectivity_ge(cut, theta, n);
+                    let psi = s.postings_ge(cut, theta).len() as f64 / n as f64;
                     out.push((
                         filter(prop, FilterValue::DerivedGe { cut, theta }, psi),
                         Exact::Both,

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use squid_adb::{test_fixtures, ADb, FilterSetCache, SharedFilterSetCache};
 use squid_core::{
     discover_contexts, evaluate_cached, evaluate_per_row, CandidateFilter, FilterValue,
-    SessionManager, Squid, SquidParams,
+    SessionManager, SessionOp, Squid, SquidParams,
 };
 use squid_datasets::{generate_imdb, ImdbConfig};
 use squid_relation::{RowSet, Value};
@@ -164,13 +164,11 @@ fn tiny_bounded_fleet_matches_one_shot() {
                     let m = &m;
                     scope.spawn(move || {
                         let id = m.create_session();
+                        for e in slate {
+                            m.apply_op(id, &SessionOp::AddExample(e.clone())).unwrap();
+                        }
                         let sql = m
-                            .with_session(id, |s| {
-                                for e in slate {
-                                    s.add_example(e)?;
-                                }
-                                Ok(s.discovery().unwrap().sql())
-                            })
+                            .with_session(id, |s| Ok(s.discovery().unwrap().sql()))
                             .unwrap();
                         m.close_session(id).unwrap();
                         sql

@@ -72,6 +72,10 @@
 //! (the response carries `"deduped":true`), which upgrades at-least-once
 //! retries to exactly-once application; a `seq` beyond the next expected
 //! turn is a `bad_request` (the client claims turns the server never saw).
+//! The answer to a replay of the session's latest sequenced turn is that
+//! turn's reply again, rendered from the delta the session keeps beside
+//! its cursor ([`squid_core::SeqOutcome::Duplicate`]); any other replay,
+//! and any replay after a restart or a promotion, is a minimal ack.
 //!
 //! Error codes are machine-stable strings ([`ErrorCode`]); a protocol
 //! error is a *response*, never a dropped connection — except the two

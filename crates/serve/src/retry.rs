@@ -379,8 +379,10 @@ impl RetryClient {
         Ok(resp)
     }
 
-    /// Open a session (retried; a retry that raced a successful create
-    /// may orphan a server-side session, which the idle reaper expires).
+    /// Open a session (retried). A retry that raced a successful create
+    /// may orphan a server-side session: it lives until a `close` or the
+    /// server's `--ttl` expires it, and counts against `max_sessions`
+    /// meanwhile (the idle timeout reaps connections, not sessions).
     pub fn create(&mut self) -> Result<u64, ClientError> {
         let resp = self.send(Verb::Create)?;
         let sid = resp

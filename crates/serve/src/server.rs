@@ -26,6 +26,10 @@
 //! local [`squid_core::SquidSession`] turn takes — the response carries
 //! the `incremental` flag and cache counters of the underlying
 //! [`squid_core::DiscoveryDelta`] so clients (and CI) can verify that.
+//! Exactly-once lives in the manager: a retried sequenced turn comes back
+//! as [`squid_core::SeqOutcome::Duplicate`], carrying the delta its
+//! session kept for its latest sequenced turn, and is rendered like any
+//! other turn; the server keeps no copy of a reply.
 //!
 //! Protocol errors are *responses*, never worker deaths; the two framing
 //! errors (oversized line, invalid UTF-8) poison the byte stream, so the
@@ -250,20 +254,22 @@ impl Bucket {
     }
 }
 
-/// Admission counters of one identified client (the `client` handshake)
-/// — who is consuming the fleet, not just which session.
-#[derive(Debug, Default, Clone, Copy)]
-struct ClientStats {
+/// One identified client (the `client` handshake): its admission
+/// counters — who is consuming the fleet, not just which session — and,
+/// once a rate limit has charged it, its token bucket.
+#[derive(Default)]
+struct ClientState {
     requests: u64,
     turns: u64,
     rate_limited: u64,
     shed: u64,
+    bucket: Option<Bucket>,
 }
 
 /// Per-connection state: what this connection has told us about itself.
 struct ConnCtx {
     /// Identity from the optional `client <id>` handshake; keys the
-    /// per-client token bucket and admission counters.
+    /// client's [`ClientState`].
     client: Option<String>,
 }
 
@@ -292,29 +298,17 @@ struct Shared {
     /// is configured; created only for validated session ids, pruned on
     /// `close`, unknown-session turns, and the TTL sweep).
     buckets: Mutex<HashMap<u64, Bucket>>,
-    /// Per-session last acknowledged sequenced turn and its response
-    /// fields: a retry of that exact turn gets the original answer back
-    /// (plus `deduped`) instead of re-running. Pruned like `buckets`;
-    /// after a crash the cache is empty and duplicates get a minimal ack.
-    acked: Mutex<HashMap<u64, AckedTurn>>,
     /// Replication role, promotion latch, and lag bookkeeping. Always
     /// present — an unreplicated server is simply a primary with no
     /// standby attached.
     repl: Arc<ReplState>,
-    /// Per-client token buckets (clients that sent the `client`
-    /// handshake; charged *in addition to* the per-session bucket). Keyed
-    /// by accepted identities only, so bounded like `clients`.
-    client_buckets: Mutex<HashMap<String, Bucket>>,
-    /// Per-client admission counters, surfaced by `stats` and `health`:
-    /// one per identity the handshake accepted, at most `max_sessions` of
-    /// them (identities are never forgotten — a reconnecting client
-    /// replays its handshake).
-    clients: Mutex<HashMap<String, ClientStats>>,
+    /// Per-client state: admission counters, surfaced by `stats` and
+    /// `health`, and a token bucket charged *in addition to* the
+    /// per-session one. One entry per identity the handshake accepted, at
+    /// most `max_sessions` of them (identities are never forgotten — a
+    /// reconnecting client replays its handshake).
+    clients: Mutex<HashMap<String, ClientState>>,
 }
-
-/// A session's last acknowledged sequence number and the response fields
-/// it was answered with.
-type AckedTurn = (u64, Vec<(String, Json)>);
 
 impl Shared {
     /// Spend one turn's tokens: one from `session`'s bucket and, for an
@@ -332,11 +326,13 @@ impl Shared {
             tokens: rl.burst,
             last: Instant::now(),
         };
-        let mut by_client = locked(&self.client_buckets);
+        let mut clients = locked(&self.clients);
         let mut by_session = locked(&self.buckets);
         let mut drawn = Vec::with_capacity(2);
-        if let Some(id) = client {
-            let bucket = by_client.entry(id.to_string()).or_insert_with(full);
+        // Only identities the handshake accepted are set on a connection,
+        // so an identified client always has its entry.
+        if let Some((id, state)) = client.and_then(|id| clients.get_mut(id).map(|s| (id, s))) {
+            let bucket = state.bucket.get_or_insert_with(full);
             drawn.push((format!("client {id}"), bucket));
         }
         let bucket = by_session.entry(session).or_insert_with(full);
@@ -355,7 +351,7 @@ impl Shared {
 
     /// Bump an identified client's admission counters (no-op for
     /// anonymous connections).
-    fn bump_client(&self, ctx: &ConnCtx, f: impl FnOnce(&mut ClientStats)) {
+    fn bump_client(&self, ctx: &ConnCtx, f: impl FnOnce(&mut ClientState)) {
         if let Some(id) = &ctx.client {
             // Only identities the handshake accepted are set on a
             // connection, so this never adds one.
@@ -365,20 +361,24 @@ impl Shared {
         }
     }
 
-    /// Forget per-session serving state (rate bucket, dedupe cache).
-    fn forget_session(&self, session: u64) {
-        locked(&self.buckets).remove(&session);
-        locked(&self.acked).remove(&session);
+    /// Count one applied turn, fleet-wide and for an identified client.
+    fn count_turn(&self, ctx: &ConnCtx) {
+        self.metrics.turns.fetch_add(1, Ordering::Relaxed);
+        self.bump_client(ctx, |c| c.turns += 1);
     }
 
-    /// Drop per-session serving state for sessions the manager no longer
-    /// hosts: the TTL sweep, lazy expiry, and durability fail-stops all
-    /// remove sessions without going through the `close` verb, and their
-    /// buckets and cached responses must not accumulate forever.
+    /// Forget a session's serving state (its rate bucket).
+    fn forget_session(&self, session: u64) {
+        locked(&self.buckets).remove(&session);
+    }
+
+    /// Drop the rate buckets of sessions the manager no longer hosts: the
+    /// TTL sweep, lazy expiry, and durability fail-stops all remove
+    /// sessions without going through the `close` verb, and their buckets
+    /// must not accumulate forever.
     fn prune_serving_state(&self) {
         let live: std::collections::HashSet<u64> = self.manager.session_ids().into_iter().collect();
         locked(&self.buckets).retain(|id, _| live.contains(id));
-        locked(&self.acked).retain(|id, _| live.contains(id));
     }
 }
 
@@ -436,9 +436,7 @@ impl Server {
             started: Instant::now(),
             pending: AtomicUsize::new(0),
             buckets: Mutex::new(HashMap::new()),
-            acked: Mutex::new(HashMap::new()),
             repl: Arc::clone(&repl),
-            client_buckets: Mutex::new(HashMap::new()),
             clients: Mutex::new(HashMap::new()),
         });
         let repl_listener = match &shared.cfg.replicate_to {
@@ -955,7 +953,7 @@ fn do_promote(shared: &Shared, deadline: Duration) -> Role {
 type ExecResult = Result<(Json, Flow), Refusal>;
 
 /// Like [`squid_error`], but drops the session's serving-side state
-/// (rate bucket, dedupe cache) when the manager reports the session
+/// (its rate bucket) when the manager reports the session
 /// gone — it can vanish between validation and apply via the TTL sweep
 /// or a durability fail-stop, and nothing else would prune those maps.
 fn session_error(shared: &Shared, session: u64, e: SquidError) -> Refusal {
@@ -1050,10 +1048,11 @@ fn admit(shared: &Shared, ctx: &ConnCtx, cmd: &Command, verb: &Verb) -> Result<(
 }
 
 /// Run an admitted request and build its reply: the verbs that need the
-/// server (sequenced turns and their dedupe cache, `health`, `client`,
-/// `promote`, `shutdown`, and the serving counters of `stats`) here, every
-/// other verb through [`answer`], the dispatcher the in-process transport
-/// of [`crate::repl`] calls too.
+/// server (sequenced turns, `health`, `client`, `promote`, `shutdown`, and
+/// the serving counters of `stats`) here, every other verb through
+/// [`answer`], the dispatcher the in-process transport of [`crate::repl`]
+/// calls too. A retried sequenced turn is answered from the delta its
+/// session kept ([`squid_core::SeqOutcome::Duplicate`]).
 fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> ExecResult {
     let m = &shared.manager;
     let id = req.id;
@@ -1070,23 +1069,16 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
             .map_err(|e| session_error(shared, session, e))?
         {
             squid_core::SeqOutcome::Applied(delta) => {
-                shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
-                shared.bump_client(ctx, |c| c.turns += 1);
-                let fields = delta.map(delta_fields).unwrap_or_default();
-                locked(&shared.acked).insert(session, (seq, fields.clone()));
-                ok(fields)
+                shared.count_turn(ctx);
+                ok(delta.map(delta_fields).unwrap_or_default())
             }
-            squid_core::SeqOutcome::Duplicate => {
-                // An acknowledged turn retried: hand back the
-                // original answer when we still have it (same
-                // process), else a minimal ack (post-crash replay
-                // already restored the state the answer described).
+            squid_core::SeqOutcome::Duplicate(delta) => {
+                // An acknowledged turn retried: the session hands back
+                // the delta its latest sequenced turn was answered with,
+                // rendered again; any other retry gets a minimal ack
+                // (the state the answer described is already there).
                 shared.metrics.deduped.fetch_add(1, Ordering::Relaxed);
-                let cached = locked(&shared.acked)
-                    .get(&session)
-                    .filter(|(s, _)| *s == seq)
-                    .map(|(_, fields)| fields.clone());
-                let mut fields = cached.unwrap_or_default();
+                let mut fields = delta.map(delta_fields).unwrap_or_default();
                 fields.push(("deduped".into(), Json::Bool(true)));
                 ok(fields)
             }
@@ -1196,7 +1188,7 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
                     let detail = format!("client limit {} reached", shared.cfg.max_sessions);
                     return Err(Refusal::new(ErrorCode::BadRequest, detail));
                 }
-                clients.insert(client_id.clone(), ClientStats::default());
+                clients.insert(client_id.clone(), ClientState::default());
             }
             drop(clients);
             ctx.client = Some(client_id.clone());
@@ -1222,11 +1214,10 @@ fn execute(shared: &Shared, ctx: &mut ConnCtx, cmd: &Command, req: Request) -> E
             Ok((resp, Flow::Close))
         }
         verb => {
-            if let Verb::Apply { .. } = verb {
-                shared.metrics.turns.fetch_add(1, Ordering::Relaxed);
-                shared.bump_client(ctx, |c| c.turns += 1);
-            }
             let fields = answer(m, &verb);
+            if let (Verb::Apply { .. }, Ok(_)) = (&verb, &fields) {
+                shared.count_turn(ctx);
+            }
             // A session gone from the manager (closed, swept, fail-stopped)
             // takes its serving-side state with it.
             let gone = match &fields {

@@ -86,6 +86,107 @@ fn sequenced_turns_dedupe_and_reject_gaps_over_the_wire() {
     server.shutdown();
 }
 
+/// What a retried sequenced turn is answered with: the latest one gets
+/// its original reply back byte for byte (plus `deduped`), even after an
+/// unsequenced turn moved the cursor; an older one, or any retry after a
+/// restart, gets the minimal ack.
+#[test]
+fn a_retried_turn_gets_its_reply_back_until_the_server_restarts() {
+    let path = temp_path("retried-reply");
+    let _ = std::fs::remove_file(&path);
+    let manager = SessionManager::new(test_adb());
+    manager.attach_journal(Journal::open(&path, FsyncPolicy::Flush).unwrap());
+    let server = start_with(manager, ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let sid = client.create().unwrap();
+    let add = |seq: i64, value: &str| {
+        Json::obj([
+            ("op", Json::str("add")),
+            ("session", Json::Int(sid as i64)),
+            ("seq", Json::Int(seq)),
+            ("value", Json::str(value)),
+        ])
+    };
+    let deduped = |reply: &Json| {
+        let Json::Obj(members) = reply else {
+            panic!("a reply is an object: {reply}");
+        };
+        let mut members = members.clone();
+        members.push(("deduped".into(), Json::Bool(true)));
+        Json::Obj(members).encode()
+    };
+    let minimal = r#"{"ok":true,"op":"add","deduped":true}"#;
+
+    client.request(&add(1, "Jim Carrey")).unwrap();
+    let second = client.request(&add(2, "Eddie Murphy")).unwrap();
+    assert!(second.get("sql").is_some(), "{second}");
+    let retried = client.request(&add(2, "Eddie Murphy")).unwrap();
+    assert_eq!(retried.encode(), deduped(&second));
+
+    // An unsequenced turn moves the cursor past the memo, not over it.
+    client.add(sid, "Robin Williams").unwrap();
+    let retried = client.request(&add(2, "Eddie Murphy")).unwrap();
+    assert_eq!(retried.encode(), deduped(&second));
+    let older = client.request(&add(1, "Jim Carrey")).unwrap();
+    assert_eq!(older.encode(), minimal);
+    server.shutdown();
+
+    // The answer is not journaled: a restarted server acks the retry.
+    let manager = SessionManager::new(test_adb());
+    manager.recover(&path, FsyncPolicy::Flush).unwrap();
+    let server = start_with(manager, ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let retried = client.request(&add(2, "Eddie Murphy")).unwrap();
+    assert_eq!(retried.encode(), minimal);
+    let examples = client
+        .request(&Json::obj([
+            ("op", Json::str("examples")),
+            ("session", Json::Int(sid as i64)),
+        ]))
+        .unwrap();
+    assert_eq!(
+        examples
+            .get("examples")
+            .and_then(Json::as_arr)
+            .map(<[Json]>::len),
+        Some(3),
+        "no retry ran twice"
+    );
+    server.shutdown();
+    let _ = std::fs::remove_file(&path);
+}
+
+/// `turns` counts turns that applied, sequenced or not: a refused turn
+/// leaves the server's and the identified client's counters alone.
+#[test]
+fn refused_turns_are_not_counted_as_turns() {
+    let server = start_with(SessionManager::new(test_adb()), ServeConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.identify("alice").unwrap();
+    let sid = client.create().unwrap();
+    let turns = |client: &mut Client| {
+        let stats = client.stats(None).unwrap();
+        let server = stats.get("server").and_then(|s| s.get("turns"));
+        let alice = stats
+            .get("clients")
+            .and_then(|c| c.get("alice"))
+            .and_then(|a| a.get("turns"));
+        (
+            server.and_then(Json::as_u64).unwrap(),
+            alice.and_then(Json::as_u64).unwrap(),
+        )
+    };
+    assert_eq!(turns(&mut client), (0, 0));
+    let err = client.add(sid, "Nobody At All").unwrap_err();
+    assert_eq!(err.code(), Some("discovery"), "{err}");
+    let err = client.add(9999, "Jim Carrey").unwrap_err();
+    assert_eq!(err.code(), Some("unknown_session"), "{err}");
+    assert_eq!(turns(&mut client), (0, 0), "refused turns are not turns");
+    client.add(sid, "Jim Carrey").unwrap();
+    assert_eq!(turns(&mut client), (1, 1));
+    server.shutdown();
+}
+
 #[test]
 fn an_ill_typed_seq_is_refused_and_never_applied_unsequenced() {
     let server = start_with(SessionManager::new(test_adb()), ServeConfig::default());
