@@ -98,7 +98,11 @@
 //! ([`DerivedNumericStats::suffix_counts_into`], O(C)), and candidate
 //! emission scans those C cutpoints for the most selective one.
 //!
-//! The constructors consume the raw per-entity lists entity by entity,
+//! Each kind has one assembler, which takes the per-entity codes in one
+//! CSR arena: the αDB build fills that arena straight from the fact
+//! tables (`crate::build`), and the public constructors (`from_sets`,
+//! `from_runs`, [`DerivedNumericStats::build`]) pack their per-entity
+//! lists into it, so there is no second implementation. The assemblers
 //! size every group array from counts before filling it, and trim what
 //! grew by pushes to its length (`shrink_to_fit`): an αDB lives as long as
 //! its process, and doubling growth leaves up to half of an array unused.
@@ -143,15 +147,15 @@ pub(crate) fn narrow(value: u64, what: &'static str) -> Result<u32, Overflow> {
 /// `entries[offsets[i]..offsets[i + 1]]` (compressed sparse rows). No
 /// group owns an allocation.
 #[derive(Debug, Clone, PartialEq)]
-struct Csr<T> {
+pub(crate) struct Csr<T> {
     /// `groups + 1` ascending offsets, the first 0.
     offsets: Vec<u32>,
-    entries: Vec<T>,
+    pub(crate) entries: Vec<T>,
 }
 
 impl<T: Copy> Csr<T> {
     /// No groups yet, room for `groups` of them.
-    fn with_groups(groups: usize) -> Csr<T> {
+    pub(crate) fn with_groups(groups: usize) -> Csr<T> {
         let mut offsets = Vec::with_capacity(groups + 1);
         offsets.push(0);
         Csr {
@@ -162,7 +166,7 @@ impl<T: Copy> Csr<T> {
 
     /// Groups of the given lengths, every entry `fill`: the caller places
     /// the entries through a cursor per group.
-    fn sized(lens: impl IntoIterator<Item = u32>, fill: T) -> Result<Csr<T>, Overflow> {
+    pub(crate) fn sized(lens: impl IntoIterator<Item = u32>, fill: T) -> Result<Csr<T>, Overflow> {
         let mut offsets = vec![0];
         let mut total = 0u64;
         for len in lens {
@@ -178,18 +182,18 @@ impl<T: Copy> Csr<T> {
 
     /// End the group being pushed: it holds the entries pushed since the
     /// last group ended.
-    fn end_group(&mut self) -> Result<(), Overflow> {
+    pub(crate) fn end_group(&mut self) -> Result<(), Overflow> {
         let end = narrow(self.entries.len() as u64, "arena offset")?;
         self.offsets.push(end);
         Ok(())
     }
 
-    fn groups(&self) -> usize {
+    pub(crate) fn groups(&self) -> usize {
         self.offsets.len() - 1
     }
 
     /// Group `i` (empty past the last group).
-    fn group(&self, i: usize) -> &[T] {
+    pub(crate) fn group(&self, i: usize) -> &[T] {
         match (self.offsets.get(i), self.offsets.get(i + 1)) {
             (Some(&a), Some(&b)) => &self.entries[a as usize..b as usize],
             _ => &[],
@@ -197,7 +201,7 @@ impl<T: Copy> Csr<T> {
     }
 
     /// The first entry of every group, for placing entries group by group.
-    fn cursors(&self) -> Vec<u32> {
+    pub(crate) fn cursors(&self) -> Vec<u32> {
         self.offsets[..self.groups()].to_vec()
     }
 
@@ -290,13 +294,13 @@ impl Dictionary {
 /// Codes handed out in first-seen order while one property's raw lists
 /// are read; [`Coder::finish`] renumbers them in value order.
 #[derive(Default)]
-struct Coder {
+pub(crate) struct Coder {
     codes: FxHashMap<Value, u32>,
     values: Vec<Value>,
 }
 
 impl Coder {
-    fn code(&mut self, v: Value) -> Result<u32, Overflow> {
+    pub(crate) fn code(&mut self, v: Value) -> Result<u32, Overflow> {
         let next = self.values.len();
         match self.codes.entry(v) {
             Entry::Occupied(e) => Ok(*e.get()),
@@ -315,7 +319,14 @@ impl Coder {
             values: seen,
         } = self;
         let mut order: Vec<u32> = (0..seen.len()).map(|i| i as u32).collect();
-        order.sort_unstable_by(|&a, &b| seen[a as usize].cmp(&seen[b as usize]));
+        let text: Option<Vec<&str>> = seen.iter().map(Value::as_text).collect();
+        match text {
+            // Distinct symbols are distinct strings, and `Value::cmp` orders
+            // text by its string: the same order, with each string resolved
+            // once instead of twice per comparison.
+            Some(text) => order.sort_unstable_by_key(|&i| text[i as usize]),
+            None => order.sort_unstable_by(|&a, &b| seen[a as usize].cmp(&seen[b as usize])),
+        }
         let mut remap = vec![0u32; seen.len()];
         for (code, &first) in order.iter().enumerate() {
             remap[first as usize] = code as u32;
@@ -457,9 +468,8 @@ impl CategoricalStats {
     }
 
     /// Assemble from per-entity value sets (a value listed twice in one set
-    /// counts once). Each set is coded and freed in turn, then the codes
-    /// are transposed into per-value row postings; a value's entity count
-    /// is its postings' length.
+    /// counts once). Each set is coded and freed in turn, then assembled
+    /// as the αDB build's coded sets are.
     pub fn from_sets(per_entity: Vec<Vec<Value>>) -> Result<CategoricalStats, Overflow> {
         let mut coder = Coder::default();
         let mut sets = Csr::with_groups(per_entity.len());
@@ -473,8 +483,12 @@ impl CategoricalStats {
     }
 
     /// Renumber `per_entity`'s first-seen codes in value order, sort and
-    /// dedup each set, and lay out each value's rows.
-    fn assemble(coder: Coder, mut per_entity: Csr<u32>) -> Result<CategoricalStats, Overflow> {
+    /// dedup each set, and transpose the codes into per-value row postings;
+    /// a value's entity count is its postings' length.
+    pub(crate) fn assemble(
+        coder: Coder,
+        mut per_entity: Csr<u32>,
+    ) -> Result<CategoricalStats, Overflow> {
         let n = per_entity.groups();
         // Every row and every per-value row count is below n.
         narrow(n as u64, "entity count")?;
@@ -718,14 +732,11 @@ pub struct DerivedStats {
 impl DerivedStats {
     /// Build from raw per-entity `(value, count)` runs — unsorted, with
     /// duplicate values allowed (they coalesce by summing) and zero counts
-    /// dropped. This is the αDB build path: fact scans push pairs, no
-    /// per-entity hash maps; each entity's run is coded and freed in turn.
+    /// dropped. Each entity's run is coded and freed in turn, then
+    /// assembled as the αDB build's coded runs are.
     pub fn from_runs(per_entity: Vec<Vec<(Value, u64)>>) -> Result<Self, Overflow> {
-        let n = per_entity.len();
-        // Every row and every per-value entity count is below n.
-        narrow(n as u64, "entity count")?;
         let mut coder = Coder::default();
-        let mut runs = Csr::with_groups(n);
+        let mut runs = Csr::with_groups(per_entity.len());
         for run in per_entity {
             for (v, count) in run {
                 if count > 0 {
@@ -735,6 +746,16 @@ impl DerivedStats {
             }
             runs.end_group()?;
         }
+        Self::assemble(coder, runs)
+    }
+
+    /// Renumber `runs`' first-seen codes in value order, sort and coalesce
+    /// each entity's run, and lay out each value's postings. A run may list
+    /// a code more than once; every count is positive.
+    pub(crate) fn assemble(coder: Coder, mut runs: Csr<(u32, u32)>) -> Result<Self, Overflow> {
+        let n = runs.groups();
+        // Every row and every per-value entity count is below n.
+        narrow(n as u64, "entity count")?;
         let (dict, remap) = coder.finish();
         runs.compact(|run| {
             run.iter_mut().for_each(|e| e.0 = remap[e.0 as usize]);
@@ -904,40 +925,36 @@ pub struct DerivedNumericStats {
 impl DerivedNumericStats {
     /// Build from raw per-entity `(value, count)` pairs — unsorted, with
     /// duplicate values allowed (they coalesce by summing; every NaN is one
-    /// value, as are `-0.0` and `0.0`) and zero counts dropped.
-    ///
-    /// Each entity pushes one posting per association into the θ-lists,
-    /// walking its values from the largest down; each list is sorted once.
+    /// value, as are `-0.0` and `0.0`) and zero counts dropped. The values
+    /// give the cutpoints, each pair is ranked, and the ranked runs are
+    /// assembled as the αDB build's are.
     pub fn build(per_entity: Vec<Vec<(f64, u64)>>) -> Result<Self, Overflow> {
-        let n = per_entity.len();
-        narrow(n as u64, "entity count")?;
-        let mut cutpoints: Vec<f64> = per_entity
-            .iter()
-            .flatten()
-            .filter(|&&(_, count)| count > 0)
-            .map(|&(x, _)| if x.is_nan() { f64::NAN } else { x })
-            .collect();
-        cutpoints.sort_by(f64::total_cmp);
-        cutpoints.dedup_by(|a, b| same_cut(*a, *b));
-        cutpoints.shrink_to_fit();
-        let rank = |x: f64| {
-            let rank = if x.is_nan() {
-                cutpoints.len() - 1
-            } else {
-                cutpoints.partition_point(|&c| c < x)
-            };
-            narrow(rank as u64, "cutpoint rank")
-        };
-        let mut runs = Csr::with_groups(n);
+        let counted = per_entity.iter().flatten().filter(|&&(_, count)| count > 0);
+        let cutpoints = cutpoints_of(counted.map(|&(x, _)| x).collect());
+        let mut runs = Csr::with_groups(per_entity.len());
         for run in per_entity {
             for (x, count) in run {
                 if count > 0 {
+                    let rank = rank_of(&cutpoints, x)?;
                     runs.entries
-                        .push((rank(x)?, narrow(count, "association count")?));
+                        .push((rank, narrow(count, "association count")?));
                 }
             }
             runs.end_group()?;
         }
+        Self::assemble(cutpoints, runs)
+    }
+
+    /// Sort and coalesce each entity's `(rank, count)` run (a rank may be
+    /// listed more than once; every count is positive), then lay out the
+    /// θ-lists: each entity pushes one posting per association, walking
+    /// its values from the largest down, and each list is sorted once.
+    pub(crate) fn assemble(
+        cutpoints: Vec<f64>,
+        mut runs: Csr<(u32, u32)>,
+    ) -> Result<Self, Overflow> {
+        let n = runs.groups();
+        narrow(n as u64, "entity count")?;
         runs.compact(|run| {
             run.sort_unstable_by_key(|e| e.0);
             coalesce(run)
@@ -1087,6 +1104,31 @@ impl DerivedNumericStats {
 /// `-0.0` and `0.0` are one), or both NaN.
 fn same_cut(a: f64, b: f64) -> bool {
     a == b || (a.is_nan() && b.is_nan())
+}
+
+/// The cutpoints of a derived-numeric property whose associations take
+/// `values`: its distinct values ascending (every NaN one, positive and
+/// last; `-0.0` and `0.0` one).
+pub(crate) fn cutpoints_of(mut values: Vec<f64>) -> Vec<f64> {
+    values
+        .iter_mut()
+        .filter(|x| x.is_nan())
+        .for_each(|x| *x = f64::NAN);
+    values.sort_by(f64::total_cmp);
+    values.dedup_by(|a, b| same_cut(*a, *b));
+    values.shrink_to_fit();
+    values
+}
+
+/// The rank of value `x` among `cutpoints` ([`cutpoints_of`] of a set of
+/// values holding `x`).
+pub(crate) fn rank_of(cutpoints: &[f64], x: f64) -> Result<u32, Overflow> {
+    let rank = if x.is_nan() {
+        cutpoints.len() - 1
+    } else {
+        cutpoints.partition_point(|&c| c < x)
+    };
+    narrow(rank as u64, "cutpoint rank")
 }
 
 /// The suffix of ascending `reach << 32 | row` postings with reach ≥ `ci`.

@@ -237,3 +237,199 @@ pub fn figure6_db() -> Database {
     }
     db
 }
+
+/// A small database of the cases the αDB build must get right beyond the
+/// well-formed generated slates, in the shape of [`mini_imdb`] plus a
+/// single-key fact table:
+///
+/// * `person(id, name, gender)` and `movie(id, title, year, country)` —
+///   entities whose keys span far more than their rows (a sparse key map);
+/// * `genre(id, name)` — property, with a NULL name and a genre no movie
+///   has;
+/// * `castinfo(person_id, movie_id, role)` — fact, with a person key and a
+///   movie key that match no row, NULL keys and NULL roles, and one person
+///   reaching the same movie through two rows;
+/// * `movietogenre(movie_id, genre_id)` — fact, with rows for the missing
+///   movie key (a two-hop path still counts them), a NULL genre key and a
+///   genre key that matches no row;
+/// * `research(person_id, interest)` — single-key fact (inline values),
+///   with a repeated interest, a NULL interest and a missing person key.
+///
+/// `movie.year` is a float holding NaN, `-0.0`, `0.0` and NULL; movie 12
+/// and genre 4 are reached by no person, so their values must stay out of
+/// the person properties' domains. Person 2 000 000 has no fact rows.
+pub fn edge_cases() -> Database {
+    let mut db = Database::new();
+    db.create_table(
+        TableSchema::new(
+            "person",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("name", DataType::Text),
+                Column::new("gender", DataType::Text),
+            ],
+        )
+        .with_primary_key("id"),
+    )
+    .unwrap();
+    db.create_table(
+        TableSchema::new(
+            "movie",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("title", DataType::Text),
+                Column::new("year", DataType::Float),
+                Column::new("country", DataType::Text),
+            ],
+        )
+        .with_primary_key("id"),
+    )
+    .unwrap();
+    db.create_table(
+        TableSchema::new(
+            "genre",
+            vec![
+                Column::new("id", DataType::Int),
+                Column::new("name", DataType::Text),
+            ],
+        )
+        .with_primary_key("id")
+        .with_role(TableRole::Property),
+    )
+    .unwrap();
+    db.create_table(
+        TableSchema::new(
+            "castinfo",
+            vec![
+                Column::new("person_id", DataType::Int),
+                Column::new("movie_id", DataType::Int),
+                Column::new("role", DataType::Text),
+            ],
+        )
+        .with_role(TableRole::Fact)
+        .with_foreign_key("person_id", "person", 0)
+        .with_foreign_key("movie_id", "movie", 0),
+    )
+    .unwrap();
+    db.create_table(
+        TableSchema::new(
+            "movietogenre",
+            vec![
+                Column::new("movie_id", DataType::Int),
+                Column::new("genre_id", DataType::Int),
+            ],
+        )
+        .with_role(TableRole::Fact)
+        .with_foreign_key("movie_id", "movie", 0)
+        .with_foreign_key("genre_id", "genre", 0),
+    )
+    .unwrap();
+    db.create_table(
+        TableSchema::new(
+            "research",
+            vec![
+                Column::new("person_id", DataType::Int),
+                Column::new("interest", DataType::Text),
+            ],
+        )
+        .with_role(TableRole::Fact)
+        .with_foreign_key("person_id", "person", 0),
+    )
+    .unwrap();
+    db.meta.exclude("person", "name");
+    db.meta.exclude("movie", "title");
+
+    let text = |s: Option<&str>| s.map_or(Value::Null, Value::text);
+    let int = |k: Option<i64>| k.map_or(Value::Null, Value::Int);
+    for (id, name, gender) in [
+        (10, "Ann", Some("F")),
+        (100_000, "Bob", Some("M")),
+        (7, "Cy", None),
+        (2_000_000, "Dee", Some("F")),
+        (-5, "Eve", Some("F")),
+    ] {
+        db.insert(
+            "person",
+            vec![Value::Int(id), Value::text(name), text(gender)],
+        )
+        .unwrap();
+    }
+    for (id, title, year, country) in [
+        (1, "One", Some(f64::NAN), Some("US")),
+        (50_000, "Two", Some(-0.0), Some("UK")),
+        (3, "Three", Some(0.0), None),
+        (900_000, "Four", None, Some("US")),
+        (12, "Five", Some(2077.0), Some("Atlantis")),
+        (8, "Six", Some(1990.5), Some("FR")),
+    ] {
+        db.insert(
+            "movie",
+            vec![
+                Value::Int(id),
+                Value::text(title),
+                year.map_or(Value::Null, Value::Float),
+                text(country),
+            ],
+        )
+        .unwrap();
+    }
+    for (id, name) in [
+        (0, Some("Comedy")),
+        (1, Some("Drama")),
+        (2, None),
+        (3, Some("Noir")),
+        (4, Some("Western")),
+    ] {
+        db.insert("genre", vec![Value::Int(id), text(name)])
+            .unwrap();
+    }
+    for (person, movie, role) in [
+        (Some(10), Some(1), Some("actor")),
+        (Some(10), Some(50_000), Some("actor")),
+        (Some(10), Some(1), Some("actor")),
+        (Some(10), Some(8), Some("writer")),
+        (Some(100_000), Some(3), None),
+        (Some(100_000), Some(777), Some("extra")),
+        (Some(100_000), Some(8), Some("actor")),
+        (Some(999), Some(1), Some("actor")),
+        (None, Some(3), Some("actor")),
+        (Some(7), None, Some("director")),
+        (Some(7), Some(900_000), Some("director")),
+        (Some(-5), Some(50_000), None),
+        (Some(-5), Some(3), Some("actor")),
+    ] {
+        db.insert("castinfo", vec![int(person), int(movie), text(role)])
+            .unwrap();
+    }
+    for (movie, genre) in [
+        (Some(1), Some(0)),
+        (Some(1), Some(1)),
+        (Some(50_000), Some(0)),
+        (Some(3), None),
+        (Some(3), Some(2)),
+        (Some(777), Some(1)),
+        (Some(777), Some(0)),
+        (Some(777), Some(1)),
+        (Some(900_000), Some(4242)),
+        (Some(8), Some(3)),
+        (Some(12), Some(1)),
+        (None, Some(0)),
+    ] {
+        db.insert("movietogenre", vec![int(movie), int(genre)])
+            .unwrap();
+    }
+    for (person, interest) in [
+        (Some(10), Some("db")),
+        (Some(10), Some("db")),
+        (Some(10), None),
+        (Some(999), Some("ml")),
+        (Some(7), Some("ml")),
+        (Some(-5), Some("ir")),
+        (None, Some("ir")),
+    ] {
+        db.insert("research", vec![int(person), text(interest)])
+            .unwrap();
+    }
+    db.validate().unwrap();
+    db
+}

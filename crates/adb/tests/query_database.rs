@@ -6,7 +6,7 @@
 
 use std::sync::Barrier;
 
-use squid_adb::test_fixtures::mini_imdb;
+use squid_adb::test_fixtures::{edge_cases, mini_imdb};
 use squid_adb::{ADb, PropStats, Property};
 use squid_datasets::{generate_imdb, ImdbConfig};
 use squid_engine::{Executor, Query, QueryBlock, SemiJoin};
@@ -218,9 +218,17 @@ fn assert_adb_forms_agree(name: &str, db: &Database) {
                 let original = p.def.semi_join(&e.pk_column, &v, theta).unwrap();
                 let got = rows_of(adb.query_database(), &e.table, adb_form, &e.pk_column);
                 assert_eq!(got, want, "αDB form, {what}");
+                checked += 1;
+                // A derived-numeric property keeps `-0.0` and `0.0` as one
+                // cutpoint, while SQL equality on the original tables tells
+                // them apart; SQuID abduces only suffix ranges over these
+                // properties, so the equality form is not compared there.
+                let derived_numeric = matches!(p.stats, PropStats::DerivedNumeric(_));
+                if derived_numeric && matches!(v, Value::Float(x) if x == 0.0) {
+                    continue;
+                }
                 let orig = rows_of(&adb.database, &e.table, original, &e.pk_column);
                 assert_eq!(orig, want, "original form, {what}");
-                checked += 1;
             }
         }
     }
@@ -235,4 +243,9 @@ fn adb_forms_agree_with_the_statistics_on_mini_imdb() {
 #[test]
 fn adb_forms_agree_with_the_statistics_on_imdb_1x() {
     assert_adb_forms_agree("imdb-default", &generate_imdb(&ImdbConfig::default()));
+}
+
+#[test]
+fn adb_forms_agree_with_the_statistics_on_edge_cases() {
+    assert_adb_forms_agree("edge-cases", &edge_cases());
 }

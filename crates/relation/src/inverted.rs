@@ -132,19 +132,24 @@ impl InvertedIndex {
     }
 
     /// Index one text column into `map` (the per-worker unit of work).
+    /// Each distinct symbol of the column is folded and interned once, at
+    /// its first cell.
     fn index_column(table: &Table, ti: u16, ci: u16, map: &mut FxHashMap<Sym, Vec<Posting>>) {
         let syms = table.column(ci as usize).syms().expect("text column");
+        let mut folded_of: FxHashMap<u32, Sym> = FxHashMap::default();
         for (rid, &sym) in syms.iter().enumerate() {
             if sym == NULL_SYM {
                 continue;
             }
-            let raw = Sym::from_id(sym);
-            let folded = match Self::fold(raw.as_str()) {
-                // Identity fold (trim removed nothing): reuse the
-                // cell's own symbol, zero allocations.
-                Cow::Borrowed(b) if b.len() == raw.as_str().len() => raw,
-                other => Sym::intern(&other),
-            };
+            let folded = *folded_of.entry(sym).or_insert_with(|| {
+                let raw = Sym::from_id(sym);
+                match Self::fold(raw.as_str()) {
+                    // Identity fold (trim removed nothing): reuse the
+                    // cell's own symbol, zero allocations.
+                    Cow::Borrowed(b) if b.len() == raw.as_str().len() => raw,
+                    other => Sym::intern(&other),
+                }
+            });
             map.entry(folded).or_default().push(Posting {
                 table: ti,
                 column: ci,
