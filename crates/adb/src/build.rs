@@ -1476,14 +1476,7 @@ mod parallel_tests {
                     for (a, b) in e_seq.props.iter().zip(&e_par.props) {
                         assert_eq!(a.def, b.def);
                         assert_eq!(a.derived_table, b.derived_table);
-                        // `==` on statistics holding a NaN is false however
-                        // they were built; those compare by rendering.
-                        assert!(
-                            a.stats == b.stats
-                                || format!("{:?}", a.stats) == format!("{:?}", b.stats),
-                            "{} at {workers} workers",
-                            a.def.id
-                        );
+                        assert!(a.stats == b.stats, "{} at {workers} workers", a.def.id);
                     }
                 }
                 // The query databases (originals + derived relations) must be

@@ -58,6 +58,13 @@
 //! [`FrameError::Corrupt`]; corruption can never panic, allocate
 //! unboundedly, or hand back silently wrong data.
 //!
+//! Float cells must be canonical ([`squid_relation::canonical_float`]): a
+//! table never stores a NaN or `-0.0`, so a file holding one is refused as
+//! [`FrameError::Corrupt`], never decoded into a table no write could
+//! make. That covers a crafted file and one written by an older build
+//! that stored such cells; its owner rebuilds, as for any unreadable
+//! snapshot.
+//!
 //! The statistics are computed, not read: no posting, count or row id
 //! comes from the file, so the invariants evaluation reads its answers off
 //! (ascending postings, rows inside the entity count, runs ordered under
@@ -91,8 +98,8 @@ use std::path::Path;
 
 use squid_relation::frame::{next_record, put_record, ByteReader, ByteWriter, FrameError};
 use squid_relation::{
-    db_verification_hash, Column, ColumnBuilder, ColumnData, DataType, Database, ForeignKey,
-    FrameResult, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
+    canonical_float, db_verification_hash, Column, ColumnBuilder, ColumnData, DataType, Database,
+    ForeignKey, FrameResult, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
 };
 
 use crate::build::ADb;
@@ -134,17 +141,7 @@ impl ADb {
 
     /// Serialize this αDB to an arbitrary writer (see [`ADb::save_snapshot`]).
     pub fn save_snapshot_to<W: Write>(&self, w: &mut W) -> FrameResult<u64> {
-        w.write_all(SNAPSHOT_MAGIC)?;
-        w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
-        let mut written = 12;
-        for payload in [
-            self.encode_header(),
-            encode_interner(),
-            encode_database(&self.database),
-        ] {
-            written += put_record(w, &payload, MAX_SECTION)? as u64;
-        }
-        Ok(written)
+        write_snapshot(&self.database, w)
     }
 
     /// Load an αDB from a snapshot file written by [`ADb::save_snapshot`].
@@ -173,15 +170,19 @@ impl ADb {
     pub fn load_snapshot_bytes(bytes: &[u8]) -> FrameResult<ADb> {
         build_loaded(decode_snapshot(bytes)?)
     }
+}
 
-    fn encode_header(&self) -> Vec<u8> {
-        let mut w = section(TAG_HEADER);
-        w.put_u64(db_verification_hash(
-            &self.database.meta,
-            self.database.tables(),
-        ));
-        w.into_bytes()
+/// Write the snapshot of `db` to `w`; returns the bytes written.
+fn write_snapshot<W: Write>(db: &Database, w: &mut W) -> FrameResult<u64> {
+    w.write_all(SNAPSHOT_MAGIC)?;
+    w.write_all(&SNAPSHOT_VERSION.to_le_bytes())?;
+    let mut header = section(TAG_HEADER);
+    header.put_u64(db_verification_hash(&db.meta, db.tables()));
+    let mut written = 12;
+    for payload in [header.into_bytes(), encode_interner(), encode_database(db)] {
+        written += put_record(w, &payload, MAX_SECTION)? as u64;
     }
+    Ok(written)
 }
 
 // ---------------------------------------------------------------------------
@@ -496,6 +497,13 @@ fn decode_table(r: &mut ByteReader<'_>, remap: &SymRemap) -> FrameResult<Table> 
                     .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
                     .collect();
                 nulls.iter().for_each(|row| xs[row] = 0.0);
+                let canonical = |x: f64| canonical_float(x).map(f64::to_bits) == Some(x.to_bits());
+                if let Some(row) = xs.iter().position(|&x| !canonical(x)) {
+                    return Err(FrameError::corrupt(
+                        S,
+                        format!("table {name}: float cell {row} is not canonical"),
+                    ));
+                }
                 ColumnData::Float(xs)
             }
             DataType::Text => {
@@ -521,7 +529,7 @@ fn decode_table(r: &mut ByteReader<'_>, remap: &SymRemap) -> FrameResult<Table> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::test_fixtures::mini_imdb;
+    use crate::test_fixtures::{edge_cases, mini_imdb};
     use squid_relation::db_fingerprint;
     use squid_relation::frame::failpoint::flip_bit;
 
@@ -710,6 +718,59 @@ mod tests {
         match ADb::load_snapshot_from(&mut bytes.as_slice()) {
             Err(FrameError::Corrupt { section, .. }) => assert_eq!(section, "fingerprint"),
             other => panic!("want a fingerprint mismatch, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    /// The edge-case fixture inserts NaN, `-0.0` and `0.0` years: they
+    /// are stored as NULL, `0.0` and `0.0`, and a snapshot round trip
+    /// keeps exactly that. (`table::tests::float_cells_are_stored_canonical`
+    /// runs the same values through the column builders.)
+    #[test]
+    fn edge_case_floats_are_stored_canonical_and_survive_a_round_trip() {
+        let db = edge_cases();
+        let years = |db: &Database| -> Vec<Option<u64>> {
+            let movie = db.table("movie").unwrap();
+            let col = movie.column(movie.schema().column_index("year").unwrap());
+            (0..movie.len())
+                .map(|r| col.float_at(r).map(f64::to_bits))
+                .collect()
+        };
+        // Movies 1 (NaN), 50 000 (-0.0), 3 (0.0), 900 000 (NULL), 12, 8.
+        let want = vec![
+            None,
+            Some(0),
+            Some(0),
+            None,
+            Some(2077f64.to_bits()),
+            Some(1990.5f64.to_bits()),
+        ];
+        assert_eq!(years(&db), want, "insert");
+        let mut bytes = Vec::new();
+        write_snapshot(&db, &mut bytes).unwrap();
+        let loaded = ADb::load_snapshot_from(&mut bytes.as_slice()).unwrap();
+        assert_eq!(years(&loaded.database), want, "snapshot round trip");
+    }
+
+    /// A file whose float cells are not canonical — crafted, or written by
+    /// a build that stored a NaN or `-0.0` — is refused, whatever its hash
+    /// and CRCs say.
+    #[test]
+    fn a_non_canonical_float_cell_is_corrupt() {
+        for x in [-0.0, f64::NAN, -f64::NAN] {
+            let schema = TableSchema::new("t", vec![Column::new("x", DataType::Float)]);
+            let column = ColumnBuilder::from_parts(ColumnData::Float(vec![1.0, x]), RowSet::new());
+            let mut db = Database::new();
+            db.add_table(Table::from_columns(schema, vec![column]).unwrap())
+                .unwrap();
+            let mut bytes = Vec::new();
+            write_snapshot(&db, &mut bytes).unwrap();
+            match ADb::load_snapshot_from(&mut bytes.as_slice()) {
+                Err(FrameError::Corrupt { section, detail }) => {
+                    assert_eq!(section, "database");
+                    assert!(detail.contains("float cell 1 is not canonical"), "{detail}");
+                }
+                other => panic!("{x}: want Corrupt, got {:?}", other.map(|_| ())),
+            }
         }
     }
 

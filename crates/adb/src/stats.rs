@@ -21,6 +21,12 @@
 //! place ([`narrow`]): a property whose figures do not fit is refused at
 //! build with an [`Overflow`], never wrapped.
 //!
+//! The statistics read table cells, which hold no NaN and no `-0.0`
+//! (ingest stores them as NULL and `0.0`,
+//! [`canonical_float`](squid_relation::canonical_float)). So every float
+//! they sort or compare is ordered by plain IEEE comparison, which agrees
+//! with `Value`'s total order and with the executed SQL there.
+//!
 //! ## Postings layout
 //!
 //! Every filter kind the online phase abduces reads its answer off one
@@ -40,9 +46,7 @@
 //!   cutpoint rank. The entities satisfying `⟨A ≥ c, θ⟩` are the suffix
 //!   of list θ from the first reach ≥ `c`'s rank: again one binary
 //!   search for both ψ and the rows. The lists hold one posting per
-//!   association, whatever the domain size. At a NaN cutpoint every
-//!   association counts (no value is below NaN), so there the answer is
-//!   the whole list.
+//!   association, whatever the domain size.
 //! * **Numeric ranges** ([`NumericStats`]): `(value, row)` pairs ascending
 //!   by value; a range is the slice between two binary searches.
 //! * **Categorical values** ([`CategoricalStats`]): per value code its
@@ -647,36 +651,27 @@ impl NumericStats {
         Self::build(per_entity)
     }
 
-    /// Build from per-entity values.
+    /// Build from per-entity values, canonical as table cells are (no NaN;
+    /// panics on one).
     pub fn build(per_entity: Vec<Option<f64>>) -> Self {
         let mut sorted_rows: Vec<(f64, RowId)> = per_entity
             .iter()
             .enumerate()
             .filter_map(|(rid, v)| v.map(|x| (x, rid)))
             .collect();
-        sorted_rows.sort_by(|a, b| a.0.total_cmp(&b.0));
+        sorted_rows.sort_by(|a, b| a.0.partial_cmp(&b.0).expect(NO_NAN));
         NumericStats {
             per_entity,
             sorted_rows,
         }
     }
 
-    /// The `(value, row)` pairs with `l ≤ value ≤ h` under IEEE comparison
-    /// semantics (matching `CandidateFilter::matches_row`), located with
-    /// two binary searches over the value-sorted postings. Total-order
-    /// comparisons keep the predicates partitioned even around NaN; zero
-    /// bounds are widened to the signed-zero pair so `-0.0 == 0.0` holds
-    /// like it does for IEEE `>=`/`<=`.
+    /// The `(value, row)` pairs with `l ≤ value ≤ h` (the test
+    /// `CandidateFilter::matches_row` makes), located with two binary
+    /// searches over the value-sorted postings.
     pub fn rows_in_range(&self, l: f64, h: f64) -> &[(f64, RowId)] {
-        use std::cmp::Ordering;
-        let l = if l == 0.0 { -0.0 } else { l };
-        let h = if h == 0.0 { 0.0 } else { h };
-        let start = self
-            .sorted_rows
-            .partition_point(|&(v, _)| v.total_cmp(&l) == Ordering::Less);
-        let end = self
-            .sorted_rows
-            .partition_point(|&(v, _)| v.total_cmp(&h) != Ordering::Greater);
+        let start = self.sorted_rows.partition_point(|&(v, _)| v < l);
+        let end = self.sorted_rows.partition_point(|&(v, _)| v <= h);
         &self.sorted_rows[start.min(end)..end]
     }
 
@@ -907,9 +902,8 @@ impl DerivedStats {
 /// (e.g. number of movies with `year >= c`). Supports suffix-range filters.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DerivedNumericStats {
-    /// Sorted distinct attribute values (candidate cutpoints), `-0.0` and
-    /// `0.0` one of them; at most one NaN, positive, last. The property's
-    /// dictionary: a value's code is its rank here.
+    /// Sorted distinct attribute values (candidate cutpoints). The
+    /// property's dictionary: a value's code is its rank here.
     cutpoints: Vec<f64>,
     /// Entity `r`'s `(rank, count)` run, ascending by rank, every count
     /// positive: group `r`.
@@ -924,10 +918,11 @@ pub struct DerivedNumericStats {
 
 impl DerivedNumericStats {
     /// Build from raw per-entity `(value, count)` pairs — unsorted, with
-    /// duplicate values allowed (they coalesce by summing; every NaN is one
-    /// value, as are `-0.0` and `0.0`) and zero counts dropped. The values
-    /// give the cutpoints, each pair is ranked, and the ranked runs are
-    /// assembled as the αDB build's are.
+    /// duplicate values allowed (they coalesce by summing) and zero counts
+    /// dropped. The values are canonical as table cells are: no NaN (a
+    /// NaN panics), and `-0.0` is `0.0`. They give the cutpoints, each
+    /// pair is ranked, and the ranked runs are assembled as the αDB
+    /// build's are.
     pub fn build(per_entity: Vec<Vec<(f64, u64)>>) -> Result<Self, Overflow> {
         let counted = per_entity.iter().flatten().filter(|&&(_, count)| count > 0);
         let cutpoints = cutpoints_of(counted.map(|&(x, _)| x).collect());
@@ -1018,23 +1013,10 @@ impl DerivedNumericStats {
     /// The `reach << 32 | row` postings ([`posting_row`]) of exactly the
     /// entities with at least `theta` (≥ 1) associations of value ≥ `cut`.
     pub fn postings_ge(&self, cut: f64, theta: u64) -> &[u64] {
-        // Every association counts at a NaN cut (no value is below it).
-        // Any other cut snaps to the smallest cutpoint ≥ cut: suffix counts
-        // are piecewise constant between cutpoints.
-        if cut.is_nan() {
-            return self.theta_list(theta);
-        }
+        // A cut snaps to the smallest cutpoint ≥ cut: suffix counts are
+        // piecewise constant between cutpoints.
         let ci = self.cutpoints.partition_point(|&c| c < cut);
         reach_suffix(self.theta_list(theta), ci)
-    }
-
-    /// The postings of the entities whose suffix count at cutpoint *index*
-    /// `ci` is at least `theta`.
-    fn postings_at(&self, ci: usize, theta: u64) -> &[u64] {
-        match self.cutpoints.get(ci) {
-            Some(cut) if cut.is_nan() => self.theta_list(theta),
-            _ => reach_suffix(self.theta_list(theta), ci),
-        }
     }
 
     /// θ-list `max(theta, 1)`: every entity with at least that many
@@ -1045,22 +1027,13 @@ impl DerivedNumericStats {
 
     /// Fill `out[ci]` with this entity's suffix count at every cutpoint
     /// (one descending walk over its run; `out` is resized to
-    /// `cutpoints.len()`). An association's rank is at least every
-    /// finite cutpoint's index it is not below, and a NaN's is the last, so
-    /// below the NaN cutpoint the suffix count at `ci` sums the ranks ≥
-    /// `ci`; at the NaN cutpoint no value is below the cut, so it is the
-    /// entity's total.
+    /// `cutpoints.len()`): the count at `ci` sums the ranks ≥ `ci`.
     pub fn suffix_counts_into(&self, row: RowId, out: &mut Vec<u64>) {
         let run = self.runs_of(row);
         out.clear();
         out.resize(self.cutpoints.len(), 0);
-        let mut top = self.cutpoints.len();
-        if self.cutpoints.last().is_some_and(|c| c.is_nan()) {
-            top -= 1;
-            out[top] = run.iter().map(|&(_, c)| u64::from(c)).sum();
-        }
         let (mut j, mut sum) = (run.len(), 0u64);
-        for ci in (0..top).rev() {
+        for ci in (0..out.len()).rev() {
             while j > 0 && run[j - 1].0 as usize >= ci {
                 sum += u64::from(run[j - 1].1);
                 j -= 1;
@@ -1069,16 +1042,11 @@ impl DerivedNumericStats {
         }
     }
 
-    /// Suffix count for one entity: #associations with value ≥ `cut`
-    /// (every association at a NaN cut).
+    /// Suffix count for one entity: #associations with value ≥ `cut`.
     pub fn suffix_count_of(&self, row: RowId, cut: f64) -> u64 {
         let run = self.runs_of(row);
-        let first = if cut.is_nan() {
-            0
-        } else {
-            let ci = self.cutpoints.partition_point(|&c| c < cut);
-            run.partition_point(|&(rank, _)| (rank as usize) < ci)
-        };
+        let ci = self.cutpoints.partition_point(|&c| c < cut);
+        let first = run.partition_point(|&(rank, _)| (rank as usize) < ci);
         run[first..].iter().map(|&(_, c)| u64::from(c)).sum()
     }
 
@@ -1086,7 +1054,7 @@ impl DerivedNumericStats {
     /// with suffix count ≥ θ. Candidate emission walks cutpoints by index,
     /// so it never pays a cut-snapping binary search per point.
     pub fn selectivity_at(&self, ci: usize, theta: u64, n: usize) -> f64 {
-        psi(self.postings_at(ci, theta).len(), n)
+        psi(reach_suffix(self.theta_list(theta), ci).len(), n)
     }
 
     /// Domain coverage of the suffix range `[cut, max]`.
@@ -1100,22 +1068,15 @@ impl DerivedNumericStats {
     }
 }
 
-/// Whether two attribute values are one cutpoint: equal as floats (so
-/// `-0.0` and `0.0` are one), or both NaN.
-fn same_cut(a: f64, b: f64) -> bool {
-    a == b || (a.is_nan() && b.is_nan())
-}
+/// Why a sort of statistics floats cannot meet an unordered pair: they
+/// are table cells, which hold no NaN.
+const NO_NAN: &str = "statistics floats are canonical: no NaN";
 
 /// The cutpoints of a derived-numeric property whose associations take
-/// `values`: its distinct values ascending (every NaN one, positive and
-/// last; `-0.0` and `0.0` one).
+/// `values`: its distinct values ascending.
 pub(crate) fn cutpoints_of(mut values: Vec<f64>) -> Vec<f64> {
-    values
-        .iter_mut()
-        .filter(|x| x.is_nan())
-        .for_each(|x| *x = f64::NAN);
-    values.sort_by(f64::total_cmp);
-    values.dedup_by(|a, b| same_cut(*a, *b));
+    values.sort_by(|a, b| a.partial_cmp(b).expect(NO_NAN));
+    values.dedup();
     values.shrink_to_fit();
     values
 }
@@ -1123,11 +1084,7 @@ pub(crate) fn cutpoints_of(mut values: Vec<f64>) -> Vec<f64> {
 /// The rank of value `x` among `cutpoints` ([`cutpoints_of`] of a set of
 /// values holding `x`).
 pub(crate) fn rank_of(cutpoints: &[f64], x: f64) -> Result<u32, Overflow> {
-    let rank = if x.is_nan() {
-        cutpoints.len() - 1
-    } else {
-        cutpoints.partition_point(|&c| c < x)
-    };
+    let rank = cutpoints.partition_point(|&c| c < x);
     narrow(rank as u64, "cutpoint rank")
 }
 
@@ -1848,49 +1805,6 @@ mod tests {
         rows
     }
 
-    #[test]
-    fn derived_numeric_nan_entries_count_into_every_suffix() {
-        // partition_point(|x| x < cut) keeps NaN in every suffix; the
-        // postings must agree with the point query.
-        let s =
-            DerivedNumericStats::build(vec![vec![(2010.0, 3), (f64::NAN, 1)], vec![(2005.0, 1)]])
-                .unwrap();
-        for &cut in &[1990.0, 2005.0, 2010.0] {
-            let count = s.suffix_count_of(0, cut);
-            assert_eq!(count, if cut <= 2010.0 { 4 } else { 1 });
-            assert!(
-                rows(s.postings_ge(cut, count)).contains(&0),
-                "postings and point query disagree at cut {cut}"
-            );
-            assert!(!rows(s.postings_ge(cut, count + 1)).contains(&0));
-        }
-        // The NaN does not leak into the other entity's finite cuts.
-        assert_eq!(rows(s.postings_ge(2010.0, 1)), vec![0]);
-        assert_eq!(s.suffix_count_of(1, 2010.0), 0);
-        let mut buf = Vec::new();
-        s.suffix_counts_into(1, &mut buf);
-        assert_eq!(buf, vec![1, 0, 1]);
-        // At the NaN cut itself every association counts.
-        assert_eq!(s.suffix_count_of(1, f64::NAN), 1);
-        assert_eq!(rows(s.postings_ge(f64::NAN, 1)), vec![0, 1]);
-    }
-
-    #[test]
-    fn derived_numeric_nans_canonicalise_to_one_cutpoint() {
-        let s = DerivedNumericStats::build(vec![
-            vec![(-f64::NAN, 1), (1.0, 1)],
-            vec![(f64::NAN, 2), (0.0, 1), (-0.0, 1)],
-        ])
-        .unwrap();
-        assert_eq!(s.cutpoints().len(), 3);
-        assert!(s.cutpoints()[2].is_nan() && s.cutpoints()[2].is_sign_positive());
-        assert_eq!(rows(s.postings_ge(1.0, 1)), vec![0, 1]);
-        assert_eq!(rows(s.postings_ge(1.0, 2)), vec![0, 1]);
-        assert!(s.postings_ge(1.0, 3).is_empty());
-        assert_eq!(rows(s.postings_ge(0.0, 4)), vec![1]);
-        assert_eq!(rows(s.postings_ge(2.0, 2)), vec![1]);
-    }
-
     /// xorshift64*: a seeded stream for the randomized checks below.
     struct Rng(u64);
 
@@ -1909,34 +1823,25 @@ mod tests {
 
     /// The θ-lists answer exactly what the per-row definition answers, at
     /// every cutpoint, one past the last, and every θ up to one past the
-    /// largest entity total — over multisets with duplicates, infinities,
-    /// signed zeros and NaNs of either sign.
+    /// largest entity total — over multisets with duplicates, zero and
+    /// infinities.
     #[test]
     fn derived_numeric_theta_lists_are_exact() {
-        const VALUES: [f64; 8] = [
-            -1.5,
-            -0.0,
-            0.0,
-            2.0,
-            3.0,
-            f64::INFINITY,
-            f64::NAN,
-            -f64::NAN,
-        ];
+        const VALUES: [f64; 5] = [-1.5, 0.0, 2.0, 3.0, f64::INFINITY];
         let mut rng = Rng(0x9E37_79B9_7F4A_7C15);
         for _ in 0..300 {
             let n = 1 + rng.below(12) as usize;
             let per_entity: Vec<Vec<(f64, u64)>> = (0..n)
                 .map(|_| {
                     (0..rng.below(6))
-                        .map(|_| (VALUES[rng.below(8) as usize], 1 + rng.below(3)))
+                        .map(|_| (VALUES[rng.below(5) as usize], 1 + rng.below(3)))
                         .collect()
                 })
                 .collect();
             let s = DerivedNumericStats::build(per_entity).unwrap();
             let cutpoints = s.cutpoints().to_vec();
             let max = (0..n)
-                .map(|row| s.suffix_count_of(row, f64::NAN))
+                .map(|row| s.suffix_count_of(row, f64::NEG_INFINITY))
                 .max()
                 .unwrap_or(0);
             let mut buf = Vec::new();
@@ -1957,7 +1862,7 @@ mod tests {
                         None => Vec::new(),
                     };
                     assert_eq!(
-                        rows(s.postings_at(ci, theta)),
+                        rows(reach_suffix(s.theta_list(theta), ci)),
                         expected,
                         "ci {ci}, θ {theta}"
                     );

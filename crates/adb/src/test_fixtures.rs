@@ -255,9 +255,10 @@ pub fn figure6_db() -> Database {
 /// * `research(person_id, interest)` — single-key fact (inline values),
 ///   with a repeated interest, a NULL interest and a missing person key.
 ///
-/// `movie.year` is a float holding NaN, `-0.0`, `0.0` and NULL; movie 12
-/// and genre 4 are reached by no person, so their values must stay out of
-/// the person properties' domains. Person 2 000 000 has no fact rows.
+/// `movie.year` is a float column inserted with NaN, `-0.0`, `0.0` and
+/// NULL, which ingest stores as NULL, `0.0`, `0.0` and NULL; movie 12 and
+/// genre 4 are reached by no person, so their values must stay out of the
+/// person properties' domains. Person 2 000 000 has no fact rows.
 pub fn edge_cases() -> Database {
     let mut db = Database::new();
     db.create_table(

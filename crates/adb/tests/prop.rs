@@ -16,46 +16,21 @@ fn runs(per_entity: &[FxHashMap<Value, u64>]) -> Vec<Vec<(Value, u64)>> {
 }
 
 /// Values that stress the coding: duplicates by `Eq` across variants
-/// (`Int(1)` is `Float(1.0)`, `Int(0)` is `Float(0.0)`), a signed zero that
-/// is its own value, NaNs of both signs, and text.
-fn pool() -> [Value; 10] {
+/// (`Int(1)` is `Float(1.0)`, `Int(0)` is `Float(0.0)`), and text.
+fn pool() -> [Value; 7] {
     [
         Value::Int(0),
         Value::Int(1),
-        Value::Float(-0.0),
         Value::Float(0.0),
         Value::Float(1.0),
-        Value::Float(f64::NAN),
-        Value::Float(-f64::NAN),
         Value::Float(2.5),
         Value::text("coded-b"),
         Value::text("coded-a"),
     ]
 }
 
-/// Attribute values for derived-numeric runs: one cutpoint for both zeros,
-/// one for every NaN.
-const FLOATS: [f64; 8] = [
-    -1.5,
-    -0.0,
-    0.0,
-    2.0,
-    f64::INFINITY,
-    f64::NEG_INFINITY,
-    f64::NAN,
-    -f64::NAN,
-];
-
-/// A float's cutpoint identity: both zeros are one, every NaN is one.
-fn cut_key(x: f64) -> u64 {
-    if x == 0.0 {
-        0
-    } else if x.is_nan() {
-        f64::NAN.to_bits()
-    } else {
-        x.to_bits()
-    }
-}
+/// Attribute values for derived-numeric runs.
+const FLOATS: [f64; 5] = [-1.5, 0.0, 2.0, f64::INFINITY, f64::NEG_INFINITY];
 
 /// Each entity's `(value, count)` pairs summed per value (by `eq`), zero
 /// totals dropped.
@@ -227,7 +202,7 @@ proptest! {
 
     #[test]
     fn categorical_codes_decode_to_the_canonical_sets(
-        sets in prop::collection::vec(prop::collection::vec(0usize..10, 0..5), 1..40),
+        sets in prop::collection::vec(prop::collection::vec(0usize..7, 0..5), 1..40),
     ) {
         let pool = pool();
         let per_entity: Vec<Vec<Value>> =
@@ -261,7 +236,7 @@ proptest! {
     #[test]
     fn derived_codes_decode_to_the_canonical_runs(
         runs in prop::collection::vec(
-            prop::collection::vec((0usize..10, 0u64..4), 0..6),
+            prop::collection::vec((0usize..7, 0u64..4), 0..6),
             1..30,
         ),
     ) {
@@ -292,7 +267,7 @@ proptest! {
     #[test]
     fn derived_numeric_ranks_decode_to_the_canonical_runs(
         runs in prop::collection::vec(
-            prop::collection::vec((0usize..8, 0u64..4), 0..6),
+            prop::collection::vec((0usize..5, 0u64..4), 0..6),
             1..30,
         ),
     ) {
@@ -302,15 +277,14 @@ proptest! {
             .collect();
         let stats = DerivedNumericStats::build(per_entity.clone()).unwrap();
         let cutpoints = stats.cutpoints();
-        prop_assert!(cutpoints.windows(2).all(|w| w[0].total_cmp(&w[1]).is_lt()));
+        prop_assert!(cutpoints.windows(2).all(|w| w[0] < w[1]));
         for (row, run) in per_entity.iter().enumerate() {
-            let keyed: Vec<(u64, u64)> = run.iter().map(|&(x, c)| (cut_key(x), c)).collect();
-            let mut canonical = summed(&keyed, |a, b| a == b);
-            canonical.sort_by(|a, b| f64::from_bits(a.0).total_cmp(&f64::from_bits(b.0)));
-            let decoded: Vec<(u64, u64)> = stats
+            let mut canonical = summed(run, |a, b| a == b);
+            canonical.sort_by(|a, b| a.0.partial_cmp(&b.0).unwrap());
+            let decoded: Vec<(f64, u64)> = stats
                 .runs_of(row)
                 .iter()
-                .map(|&(rank, c)| (cut_key(cutpoints[rank as usize]), u64::from(c)))
+                .map(|&(rank, c)| (cutpoints[rank as usize], u64::from(c)))
                 .collect();
             prop_assert_eq!(decoded, canonical);
         }

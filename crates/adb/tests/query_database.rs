@@ -2,13 +2,20 @@
 //! exactly the input, `ADb::query_database` adds one
 //! `(entity_id, value, count)` relation per derived property on its first
 //! call, and the αDB form of a filter on those relations answers exactly
-//! what the statistics and the original SPJAI form answer.
+//! what the statistics and the original SPJAI form answer. On the
+//! generated slates, every candidate filter's ψ is the row count of its
+//! rendered SQL, and the discovered query returns the evaluated rows.
 
+use std::collections::HashMap;
 use std::sync::Barrier;
 
 use squid_adb::test_fixtures::{edge_cases, mini_imdb};
-use squid_adb::{ADb, PropStats, Property};
-use squid_datasets::{generate_imdb, ImdbConfig};
+use squid_adb::{posting_row, ADb, PropStats, Property};
+use squid_core::{abduce_filters, evaluate, original_query, ContextState, SquidParams};
+use squid_datasets::{
+    adult_queries, dblp_queries, generate_adult, generate_dblp, generate_imdb, imdb_queries,
+    AdultConfig, BenchmarkQuery, DblpConfig, ImdbConfig,
+};
 use squid_engine::{Executor, Query, QueryBlock, SemiJoin};
 use squid_relation::{db_fingerprint, Database, RowId, Value};
 
@@ -219,14 +226,6 @@ fn assert_adb_forms_agree(name: &str, db: &Database) {
                 let got = rows_of(adb.query_database(), &e.table, adb_form, &e.pk_column);
                 assert_eq!(got, want, "αDB form, {what}");
                 checked += 1;
-                // A derived-numeric property keeps `-0.0` and `0.0` as one
-                // cutpoint, while SQL equality on the original tables tells
-                // them apart; SQuID abduces only suffix ranges over these
-                // properties, so the equality form is not compared there.
-                let derived_numeric = matches!(p.stats, PropStats::DerivedNumeric(_));
-                if derived_numeric && matches!(v, Value::Float(x) if x == 0.0) {
-                    continue;
-                }
                 let orig = rows_of(&adb.database, &e.table, original, &e.pk_column);
                 assert_eq!(orig, want, "original form, {what}");
             }
@@ -248,4 +247,123 @@ fn adb_forms_agree_with_the_statistics_on_imdb_1x() {
 #[test]
 fn adb_forms_agree_with_the_statistics_on_edge_cases() {
     assert_adb_forms_agree("edge-cases", &edge_cases());
+}
+
+/// `person~castinfo~movie.year` on the edge cases, whose years were
+/// inserted as NaN, `-0.0`, `0.0` and NULL: at every cutpoint and every θ,
+/// the statistics' rows are the rows its rendered `year >= c` semi-join
+/// returns on the tables.
+#[test]
+fn derived_numeric_rows_are_the_executed_sql_rows_at_every_cutpoint() {
+    let adb = ADb::build(&edge_cases()).unwrap();
+    let person = adb.entity("person").unwrap();
+    let p = person.property("person~castinfo~movie.year").unwrap();
+    let PropStats::DerivedNumeric(s) = &p.stats else {
+        panic!("movie.year is a derived-numeric property")
+    };
+    assert!(s.cutpoints().len() >= 2, "{:?}", s.cutpoints());
+    for &cut in s.cutpoints() {
+        let max = (0..person.n)
+            .map(|r| s.suffix_count_of(r, cut))
+            .max()
+            .unwrap();
+        for theta in 1..=max + 1 {
+            let mut want: Vec<RowId> = s
+                .postings_ge(cut, theta)
+                .iter()
+                .map(|&posting| posting_row(posting))
+                .collect();
+            want.sort_unstable();
+            let sj = p
+                .def
+                .semi_join_ge(&person.pk_column, &Value::Float(cut), theta)
+                .unwrap();
+            let got = rows_of(&adb.database, &person.table, sj, &person.pk_column);
+            assert_eq!(got, want, "year ≥ {cut}, θ = {theta}");
+        }
+    }
+}
+
+/// Every suite query with `k` examples spread over its result: each
+/// candidate filter context discovery emits has ψ·n equal to the row count
+/// of its rendered SQL on the query database, and the chosen filters'
+/// evaluated rows are the rows of the query they render. Returns the
+/// number of candidates checked. Candidates repeat across queries, so
+/// each distinct one is executed once.
+fn assert_psi_is_the_sql_row_count(name: &str, db: &Database, queries: &[BenchmarkQuery]) -> usize {
+    let adb = ADb::build(db).unwrap();
+    let qdb = adb.query_database();
+    let params = SquidParams::default();
+    let execute = |q: &Query| Executor::new(qdb).execute(q).unwrap().rows;
+    let mut counted: HashMap<String, usize> = HashMap::new();
+    let mut checked = 0;
+    for q in queries {
+        let entity = adb.entity(q.query.root()).unwrap();
+        let truth: Vec<RowId> = Executor::new(&adb.database)
+            .execute(&q.query)
+            .unwrap()
+            .rows
+            .iter()
+            .collect();
+        for k in [3, 10] {
+            let what = format!("{name} {} k={k}", q.id);
+            let step = truth.len().div_ceil(k).max(1);
+            let examples: Vec<RowId> = truth.iter().step_by(step).copied().collect();
+            let mut ctx = ContextState::new(entity);
+            for &row in &examples {
+                ctx.add_row(entity, row);
+            }
+            let candidates = ctx.candidates(entity, &params);
+            for c in &candidates {
+                let (sql, normalized) =
+                    original_query(entity, std::slice::from_ref(c), &entity.pk_column);
+                assert!(!normalized, "{what}: {}", c.describe());
+                let block = &sql.blocks[0];
+                assert_eq!(
+                    block.root_predicates.len() + block.semi_joins.len(),
+                    1,
+                    "{what}: {} renders one constraint",
+                    c.describe()
+                );
+                let key = format!("{} {}", c.prop_id, c.describe());
+                let rows = *counted.entry(key).or_insert_with(|| execute(&sql).len());
+                let psi_n = (c.selectivity * entity.n as f64).round() as usize;
+                assert_eq!(psi_n, rows, "{what}: ψ·n of {}", c.describe());
+                checked += 1;
+            }
+            let chosen: Vec<_> = abduce_filters(candidates, examples.len(), &params)
+                .into_iter()
+                .filter(|s| s.included)
+                .map(|s| s.filter)
+                .collect();
+            let (sql, _) = original_query(entity, &chosen, &entity.pk_column);
+            assert_eq!(
+                evaluate(entity, &chosen),
+                execute(&sql),
+                "{what}: evaluated rows vs the discovered query's rows"
+            );
+        }
+    }
+    checked
+}
+
+#[test]
+fn candidate_psi_is_the_sql_row_count_on_imdb_1x() {
+    let db = generate_imdb(&ImdbConfig::default());
+    let queries = imdb_queries(&db);
+    assert!(assert_psi_is_the_sql_row_count("imdb", &db, &queries) > 0);
+}
+
+#[test]
+fn candidate_psi_is_the_sql_row_count_on_dblp_1x() {
+    let db = generate_dblp(&DblpConfig::default());
+    let queries = dblp_queries(&db);
+    assert!(assert_psi_is_the_sql_row_count("dblp", &db, &queries) > 0);
+}
+
+#[test]
+fn candidate_psi_is_the_sql_row_count_on_adult_1x() {
+    let db = generate_adult(&AdultConfig::default());
+    let queries = adult_queries(&db, 0xA0, 20);
+    assert!(assert_psi_is_the_sql_row_count("adult", &db, &queries) > 0);
 }

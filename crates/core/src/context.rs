@@ -46,8 +46,7 @@ enum PropState {
         /// Examples attaining `lo` / `hi` (for removal without rebuild).
         lo_count: usize,
         hi_count: usize,
-        /// Examples with a NULL (or NaN — which no range filter can
-        /// satisfy) value; any > 0 kills the filter.
+        /// Examples with a NULL value; any > 0 kills the filter.
         null_count: usize,
     },
     /// Derived counted: shared value codes with running θ and fraction
@@ -167,7 +166,7 @@ impl ContextState {
                         null_count,
                     },
                     PropStats::Numeric(s),
-                ) => match s.value_of(row).filter(|x| !x.is_nan()) {
+                ) => match s.value_of(row) {
                     None => {
                         *null_count -= 1;
                         // Output changes if the last null example left.
@@ -440,7 +439,7 @@ fn add_row_to_state(
                 null_count,
             },
             PropStats::Numeric(s),
-        ) => match s.value_of(row).filter(|x| !x.is_nan()) {
+        ) => match s.value_of(row) {
             None => {
                 *null_count += 1;
                 *null_count == 1 // only the first null flips validity

@@ -7,7 +7,7 @@
 //! add/remove history that ends at the same set emits the same filters.
 //!
 //! The fixtures are `mini_imdb` and `figure6_db`, each also drawn with a
-//! few extra rows that give a first example a NULL or NaN numeric value, a
+//! few extra rows that give a first example a NULL numeric value, a
 //! multi-valued categorical value, or an empty derived run.
 
 use std::collections::BTreeSet;
@@ -19,8 +19,8 @@ use squid_core::{discover_contexts, CandidateFilter, ContextState, FilterValue, 
 use squid_relation::{Column, DataType, Database, RowId, TableRole, TableSchema, Value};
 
 /// `award(id, name, score FLOAT)` plus `personaward(person_id, award_id)`:
-/// a direct float with a NaN and a NULL, and a derived numeric property
-/// of persons whose domain holds a NaN.
+/// a direct float with a NULL and a NaN (which ingest stores as NULL), and
+/// a derived numeric property of persons.
 fn add_awards(db: &mut Database) {
     db.create_table(
         TableSchema::new(
@@ -166,22 +166,17 @@ fn entities(adb: &ADb) -> Vec<&EntityProps> {
 }
 
 /// What makes `row` an edge case as a first example, if anything: a NULL
-/// or NaN numeric value, a multi-valued categorical value, or an empty
-/// derived run.
+/// numeric value, a multi-valued categorical value, or an empty derived
+/// run.
 fn edge_kinds(e: &EntityProps, row: RowId) -> BTreeSet<&'static str> {
     e.props
         .iter()
         .filter_map(|p| match &p.stats {
-            PropStats::Numeric(s) => match s.value_of(row) {
-                None => Some("null numeric"),
-                Some(x) if x.is_nan() => Some("nan numeric"),
-                Some(_) => None,
-            },
+            PropStats::Numeric(s) => s.value_of(row).is_none().then_some("null numeric"),
             PropStats::Categorical(s) => (s.codes_of(row).len() > 1).then_some("multi-valued"),
             PropStats::Derived(s) => s.runs_of(row).is_empty().then_some("empty derived run"),
-            // At a NaN cut every association counts.
             PropStats::DerivedNumeric(s) => {
-                (s.suffix_count_of(row, f64::NAN) == 0).then_some("empty derived run")
+                s.runs_of(row).is_empty().then_some("empty derived run")
             }
         })
         .collect()
@@ -225,10 +220,7 @@ fn oracle(e: &EntityProps, rows: &BTreeSet<RowId>, params: &SquidParams) -> Vec<
                 }
             }
             PropStats::Numeric(s) => {
-                let values: Option<Vec<f64>> = rows
-                    .iter()
-                    .map(|&r| s.value_of(r).filter(|x| !x.is_nan()))
-                    .collect();
+                let values: Option<Vec<f64>> = rows.iter().map(|&r| s.value_of(r)).collect();
                 let Some(values) = values else { continue };
                 let lo = values.iter().copied().fold(f64::INFINITY, f64::min);
                 let hi = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
@@ -309,8 +301,8 @@ fn oracle(e: &EntityProps, rows: &BTreeSet<RowId>, params: &SquidParams) -> Vec<
     out
 }
 
-/// A filter's attribute, value (floats by bits, so NaN and signed zeros
-/// compare exactly) and ψ.
+/// A filter's attribute, value (floats by bits, so they compare exactly)
+/// and ψ.
 fn render_parts(attr: &str, value: &FilterValue, selectivity: f64) -> String {
     let value = match value {
         FilterValue::NumRange(l, h) => format!("[{:#x}, {:#x}]", l.to_bits(), h.to_bits()),
@@ -361,14 +353,9 @@ fn the_fixtures_hold_every_first_row_edge_case() {
             }
         }
     }
-    let want: BTreeSet<&str> = [
-        "null numeric",
-        "nan numeric",
-        "multi-valued",
-        "empty derived run",
-    ]
-    .into_iter()
-    .collect();
+    let want: BTreeSet<&str> = ["null numeric", "multi-valued", "empty derived run"]
+        .into_iter()
+        .collect();
     assert_eq!(seen, want);
 }
 

@@ -77,8 +77,9 @@ fn column_index(table: &Table, column: &str) -> Result<usize> {
 
 /// Compile a predicate list into a batch [`ScanPlan`]: each predicate
 /// becomes a typed 64-row kernel against its column's storage (the shared
-/// kernel module owns the bounds translation, including the −0.0 / NaN /
-/// 2^63 fallback rules), and the plan ANDs their match words.
+/// kernel module owns the bounds translation, including the 2^63 fallback
+/// and the −0.0 / NaN rules for operands; stored cells are never NaN or
+/// −0.0), and the plan ANDs their match words.
 fn compile_plan<'t>(table: &'t Table, preds: &[Pred]) -> Result<ScanPlan<'t>> {
     let kernels = preds
         .iter()

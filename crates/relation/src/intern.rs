@@ -31,10 +31,10 @@ use crate::fxhash::{FxBuildHasher, FxHashMap};
 /// An interned string: a dense `u32` id into the global dictionary.
 ///
 /// Two `Sym`s are equal iff their underlying strings are equal, so `Eq` /
-/// `Hash` are single integer operations. Ordering of raw `Sym`s is by id
-/// (insertion order), NOT lexicographic — callers needing lexicographic
-/// order compare [`Sym::as_str`] (as `Value`'s `Ord` does).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// `Hash` are single integer operations. A `Sym` has no order: its id
+/// follows interning order, which concurrent interning races, so callers
+/// that sort compare [`Sym::as_str`] (as `Value`'s `Ord` does).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Sym(u32);
 
 /// Number of hash shards of the string→id dictionary.

@@ -72,7 +72,9 @@
 //!   which evaluates the [`kernel::CmpSpec`] per reconstructed `Copy`
 //!   cell. Either path is bit-for-bit equal to `Value`'s total order
 //!   (−0.0 below 0, NaN above +∞); `tests/kernel_prop.rs` pins the parity
-//!   on adversarial columns.
+//!   on adversarial columns. A table cell is never NaN or −0.0 (ingest
+//!   stores them as NULL and 0.0, [`value::canonical_float`]), so those
+//!   rules decide only for query operands, which can be any `Value`.
 
 #![warn(missing_docs)]
 
@@ -102,4 +104,4 @@ pub use kernel::{CmpSpec, Kernel, ScanPlan};
 pub use rowset::RowSet;
 pub use schema::{Column, ForeignKey, SchemaMeta, TableRole, TableSchema};
 pub use table::{ColumnBuilder, ColumnData, ColumnVec, RowId, Table, NULL_SYM};
-pub use value::{DataType, Value};
+pub use value::{canonical_float, DataType, Value};

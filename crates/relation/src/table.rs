@@ -6,14 +6,16 @@
 //! [`Value`]s from the columns; there is no row-major copy.
 //!
 //! Tables are append-only: rows get dense ids (`RowId`) equal to their
-//! insertion position, which indexes, bitmaps, and the αDB rely on.
+//! insertion position, which indexes, bitmaps, and the αDB rely on. Every
+//! float cell is stored through [`canonical_float`]: a NaN becomes NULL and
+//! `-0.0` becomes `0.0`, whichever write path carries it.
 
 use std::sync::OnceLock;
 
 use crate::error::{RelationError, Result};
 use crate::rowset::RowSet;
 use crate::schema::TableSchema;
-use crate::value::{DataType, Value};
+use crate::value::{canonical_float, DataType, Value};
 
 /// Dense row identifier within a single table.
 pub type RowId = usize;
@@ -83,6 +85,10 @@ impl ColumnVec {
 
     fn push(&mut self, row: RowId, v: &Value) {
         self.values.take();
+        let v = match *v {
+            Value::Float(x) => canonical_float(x).map_or(Value::Null, Value::Float),
+            v => v,
+        };
         if v.is_null() {
             self.nulls.insert(row);
         }
@@ -287,11 +293,18 @@ impl ColumnBuilder {
         self.len += 1;
     }
 
-    /// Append an `f64` cell (Float columns only).
+    /// Append an `f64` cell (Float columns only), stored as
+    /// [`canonical_float`] decides: a NaN is a NULL cell.
     pub fn push_float(&mut self, v: f64) {
-        match &mut self.data {
-            ColumnData::Float(xs) => xs.push(v),
-            _ => panic!("push_float on a {} column", self.dtype()),
+        let ColumnData::Float(xs) = &mut self.data else {
+            panic!("push_float on a {} column", self.dtype());
+        };
+        match canonical_float(v) {
+            Some(x) => xs.push(x),
+            None => {
+                xs.push(0.0);
+                self.nulls.insert(self.len);
+            }
         }
         self.len += 1;
     }
@@ -307,9 +320,10 @@ impl ColumnBuilder {
 
     /// Assemble a builder directly from bulk-decoded parts: the typed
     /// storage and its null bitmap, with no per-cell push. The caller
-    /// guarantees two invariants the push methods normally maintain:
+    /// guarantees three invariants the push methods normally maintain:
     /// every set bit in `nulls` addresses a cell below `data`'s length,
-    /// and null positions hold the type's sentinel value.
+    /// null positions hold the type's sentinel value, and every float cell
+    /// is its own [`canonical_float`].
     pub fn from_parts(data: ColumnData, nulls: RowSet) -> ColumnBuilder {
         let len = match &data {
             ColumnData::Int(xs) => xs.len(),
@@ -325,18 +339,9 @@ impl ColumnBuilder {
     pub fn push_value(&mut self, v: &Value) -> Result<()> {
         match (v, &mut self.data) {
             (Value::Null, _) => self.push_null(),
-            (Value::Int(x), ColumnData::Int(xs)) => {
-                xs.push(*x);
-                self.len += 1;
-            }
-            (Value::Float(x), ColumnData::Float(xs)) => {
-                xs.push(*x);
-                self.len += 1;
-            }
-            (Value::Text(s), ColumnData::Text(xs)) => {
-                xs.push(s.id());
-                self.len += 1;
-            }
+            (Value::Int(x), ColumnData::Int(_)) => self.push_int(*x),
+            (Value::Float(x), ColumnData::Float(_)) => self.push_float(*x),
+            (Value::Text(s), ColumnData::Text(_)) => self.push_sym(*s),
             (Value::Bool(b), ColumnData::Bool(xs)) => {
                 xs.push(*b);
                 self.len += 1;
@@ -694,6 +699,35 @@ mod tests {
         b.push_value(&Value::Null).unwrap();
         assert!(b.push_value(&Value::text("no")).is_err());
         assert_eq!(b.len(), 2);
+    }
+
+    /// NaN (either sign) is stored as NULL and `-0.0` as `0.0` by every
+    /// write path: row inserts, the typed push and the generic push.
+    #[test]
+    fn float_cells_are_stored_canonical() {
+        let inputs = [f64::NAN, -f64::NAN, -0.0, 0.0, 1.5];
+        let want = [None, None, Some(0), Some(0), Some(1.5f64.to_bits())];
+        let schema = TableSchema::new("f", vec![Column::new("x", DataType::Float)]);
+        let mut by_rows = Table::new(schema.clone());
+        let mut typed = ColumnBuilder::new(DataType::Float);
+        let mut generic = ColumnBuilder::new(DataType::Float);
+        for x in inputs {
+            by_rows.insert(vec![Value::Float(x)]).unwrap();
+            typed.push_float(x);
+            generic.push_value(&Value::Float(x)).unwrap();
+        }
+        let typed = Table::from_columns(schema.clone(), vec![typed]).unwrap();
+        let generic = Table::from_columns(schema, vec![generic]).unwrap();
+        for t in [&by_rows, &typed, &generic] {
+            let col = t.column(0);
+            let stored: Vec<Option<u64>> = (0..t.len())
+                .map(|r| col.float_at(r).map(f64::to_bits))
+                .collect();
+            assert_eq!(stored, want);
+            assert_eq!(col.nulls().iter().collect::<Vec<_>>(), vec![0, 1]);
+            assert_eq!(col.floats().unwrap()[..2], [0.0, 0.0], "null sentinels");
+            assert_eq!(t.cell(0, 0), Some(Value::Null));
+        }
     }
 
     #[test]

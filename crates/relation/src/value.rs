@@ -6,6 +6,17 @@
 //! used as keys in ordered indexes and for range predicates; floats are
 //! ordered with `f64::total_cmp` and hashed through their bit pattern.
 //!
+//! ## One float domain
+//!
+//! A table holds no NaN and no `-0.0`. Every write of a float cell goes
+//! through [`canonical_float`], which stores a NaN of either sign as NULL
+//! (SQL's "no value", which every layer already skips) and `-0.0` as
+//! `0.0`. So the statistics, the evaluator and the executed SQL read one
+//! number line on which IEEE comparisons and `Value`'s total order agree,
+//! and no layer above the tables special-cases either value. The total
+//! order's NaN and `-0.0` rules (`-0.0` below `0.0`, NaN above `+inf`)
+//! remain for query operands, which can be any `Value`.
+//!
 //! Text values are dictionary-encoded through the global interner
 //! ([`Sym`]): a `Value` is a 16-byte `Copy` scalar, text equality and
 //! hashing are single integer operations, and "cloning" a value is a
@@ -39,6 +50,19 @@ impl fmt::Display for DataType {
             DataType::Text => write!(f, "TEXT"),
             DataType::Bool => write!(f, "BOOL"),
         }
+    }
+}
+
+/// The float a table stores for `x`: `None` (a NULL cell) for a NaN of
+/// either sign, `0.0` for `-0.0`, and `x` itself otherwise. Every float
+/// cell a table holds was decided here (see the module docs).
+pub fn canonical_float(x: f64) -> Option<f64> {
+    if x.is_nan() {
+        None
+    } else if x == 0.0 {
+        Some(0.0)
+    } else {
+        Some(x)
     }
 }
 

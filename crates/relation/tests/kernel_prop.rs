@@ -1,9 +1,11 @@
 //! Property tests for the batch predicate kernels: every typed 64-row
 //! kernel must be bit-for-bit equivalent to the scalar `CmpSpec::matches`
-//! oracle applied to each reconstructed cell — including NULLs, NaN
-//! (positive and negative), −0.0, infinities, and values straddling the
-//! 2^63 int/float widening boundary — and emitted words must round-trip
-//! through `RowSet` exactly. The per-word entry point is checked on its
+//! oracle applied to each reconstructed cell — including NULLs,
+//! infinities, and values straddling the 2^63 int/float widening boundary,
+//! under operands that include NaN (positive and negative) and −0.0 — and
+//! emitted words must round-trip through `RowSet` exactly. A NaN or −0.0
+//! cell is stored as NULL or 0.0 by the insert, so those inputs reach the
+//! kernels as canonical cells. The per-word entry point is checked on its
 //! own too: it must equal the collected word and never set a bit at or
 //! past the table's last row.
 
@@ -353,19 +355,37 @@ fn boundary_semantics_pin_down() {
             Value::Null,
         ],
     );
-    // Eq(NaN) matches NaN (total order), not -NaN.
+    // What each inserted cell is stored as: both zeros as 0.0, a NaN of
+    // either sign as NULL.
+    let stored: Vec<Option<u64>> = (0..floats.len())
+        .map(|r| floats.column(0).float_at(r).map(f64::to_bits))
+        .collect();
+    let bits = |x: f64| Some(x.to_bits());
+    assert_eq!(
+        stored,
+        vec![
+            bits(0.0),
+            bits(0.0),
+            None,
+            None,
+            bits(f64::INFINITY),
+            bits(f64::NEG_INFINITY),
+            None,
+        ]
+    );
+    // Eq(NaN) matches NaN (total order), not -NaN: no stored cell.
     assert_parity(
         &floats,
         DataType::Float,
         &CmpSpec::Eq(Value::Float(f64::NAN)),
     );
-    // Between(-0.0, 0.0) separates the zero signs from everything else.
+    // Between(-0.0, 0.0) admits the stored zeros and nothing else.
     assert_parity(
         &floats,
         DataType::Float,
         &CmpSpec::Between(Value::Float(-0.0), Value::Float(0.0)),
     );
-    // Ge(+inf) still admits positive NaN, which sorts above it.
+    // Ge(+inf) admits +inf; NaN, which sorts above it, is never stored.
     assert_parity(
         &floats,
         DataType::Float,
