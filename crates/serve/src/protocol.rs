@@ -49,6 +49,20 @@
 //! present but ill-typed — optional ones included (`"seq":"7"`, `7.0`,
 //! `-1`, `null`) — is a `bad_request` naming it.
 //!
+//! ## Replies
+//!
+//! A mutating verb (`add`, `remove`, `target`, `auto`, `pin`, `unpin`,
+//! `ban`, `unban`, `choose`, `unchoose`) answers with the turn's delta,
+//! not the query: `rows` and `filters` (the result's size and the number
+//! of chosen filters; while the session has no examples, `rows` is 0 and
+//! `"empty":true` stands in for `filters`), `added_filters` and
+//! `removed_filters` (the rendered filters that entered and left the
+//! query), `rows_added`, `rows_removed`, and the evaluation evidence
+//! `incremental`, `cache_hits` and `cache_misses`.
+//! Folding the two filter lists over a session's replies yields its
+//! current filters. `sql` renders the query when it is asked for, and is
+//! the only verb whose reply carries it.
+//!
 //! The text form of a verb (the one line loop of [`crate::repl`] that
 //! `squid --repl` and `squid-serve --client` share) is its name, then its
 //! arguments as words, the one that may contain spaces last:

@@ -1438,7 +1438,9 @@ fn journal_members(js: &squid_core::JournalStats) -> Vec<(String, Json)> {
 }
 
 /// Response fields of a session-mutating turn: the wire rendering of a
-/// [`DiscoveryDelta`], incremental-path evidence included.
+/// [`DiscoveryDelta`], incremental-path evidence included. It carries the
+/// filters that came and went, not the query: the `sql` verb renders the
+/// SQL when it is asked for (see the protocol's "Replies").
 fn delta_fields(delta: DiscoveryDelta) -> Vec<(String, Json)> {
     let mut fields: Vec<(String, Json)> = Vec::with_capacity(10);
     match &delta.discovery {
@@ -1446,7 +1448,6 @@ fn delta_fields(delta: DiscoveryDelta) -> Vec<(String, Json)> {
             let chosen = d.scored.iter().filter(|s| s.included).count();
             fields.push(("rows".into(), d.rows.len().into()));
             fields.push(("filters".into(), chosen.into()));
-            fields.push(("sql".into(), Json::Str(d.sql())));
         }
         None => {
             fields.push(("rows".into(), Json::Int(0)));

@@ -119,7 +119,9 @@ fn a_retried_turn_gets_its_reply_back_until_the_server_restarts() {
 
     client.request(&add(1, "Jim Carrey")).unwrap();
     let second = client.request(&add(2, "Eddie Murphy")).unwrap();
-    assert!(second.get("sql").is_some(), "{second}");
+    // A full delta, not the minimal ack: the second example adds filters.
+    let added = second.get("added_filters").and_then(Json::as_arr);
+    assert!(added.is_some_and(|a| !a.is_empty()), "{second}");
     let retried = client.request(&add(2, "Eddie Murphy")).unwrap();
     assert_eq!(retried.encode(), deduped(&second));
 
