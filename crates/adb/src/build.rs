@@ -1442,8 +1442,8 @@ mod tests {
         for (p, v, theta, want) in [
             (fact_attr, Value::text("1990"), 2, vec!["Ann"]),
             (fact_attr, Value::text("2000"), 1, vec!["Bob", "Cy"]),
-            (mid_attr, Value::Float(1990.0), 1, vec!["Ann", "Bob"]),
-            (mid_attr, Value::Float(2000.0), 1, vec!["Bob", "Cy"]),
+            (mid_attr, Value::float(1990.0), 1, vec!["Ann", "Bob"]),
+            (mid_attr, Value::float(2000.0), 1, vec!["Bob", "Cy"]),
         ] {
             let adb_form = p.fragments.adb_semi_join(&v, theta).unwrap();
             let original = p.def.semi_join("id", &v, theta).unwrap();

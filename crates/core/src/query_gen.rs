@@ -224,7 +224,7 @@ pub fn filter_fingerprint(f: &CandidateFilter) -> FilterFingerprint {
             Value::Null => [0, 0],
             Value::Bool(b) => [1, *b as u64],
             Value::Int(i) => [2, *i as u64],
-            Value::Float(x) => [3, x.to_bits()],
+            Value::Float(x) => [3, x.get().to_bits()],
             Value::Text(s) => [4, s.id() as u64],
         }
     }
@@ -688,7 +688,7 @@ fn num_value(x: f64) -> Value {
     if x.fract() == 0.0 && x.abs() < i64::MAX as f64 {
         Value::Int(x as i64)
     } else {
-        Value::Float(x)
+        Value::float(x)
     }
 }
 

@@ -36,11 +36,11 @@ fn add_awards(db: &mut Database) {
     .unwrap();
     db.meta.exclude("award", "name");
     let awards = [
-        (1, "Gold", Value::Float(9.5)),
-        (2, "Silver", Value::Float(7.0)),
-        (3, "Odd", Value::Float(f64::NAN)),
+        (1, "Gold", Value::float(9.5)),
+        (2, "Silver", Value::float(7.0)),
+        (3, "Odd", Value::float(f64::NAN)),
         (4, "Unscored", Value::Null),
-        (5, "Bronze", Value::Float(7.0)),
+        (5, "Bronze", Value::float(7.0)),
     ];
     for (id, name, score) in awards {
         db.insert("award", vec![Value::Int(id), Value::text(name), score])

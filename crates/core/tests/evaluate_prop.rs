@@ -72,7 +72,7 @@ fn signed_zero_db() -> Database {
             vec![
                 Value::Int(i as i64),
                 Value::text(format!("probe {i}")),
-                x.map_or(Value::Null, Value::Float),
+                x.map_or(Value::Null, Value::float),
             ],
         )
         .unwrap();

@@ -77,9 +77,9 @@ fn column_index(table: &Table, column: &str) -> Result<usize> {
 
 /// Compile a predicate list into a batch [`ScanPlan`]: each predicate
 /// becomes a typed 64-row kernel against its column's storage (the shared
-/// kernel module owns the bounds translation, including the 2^63 fallback
-/// and the −0.0 / NaN rules for operands; stored cells are never NaN or
-/// −0.0), and the plan ANDs their match words.
+/// kernel module owns the bounds translation, including the 2^53 fallback;
+/// no float, stored or operand, is NaN or −0.0), and the plan ANDs their
+/// match words.
 fn compile_plan<'t>(table: &'t Table, preds: &[Pred]) -> Result<ScanPlan<'t>> {
     let kernels = preds
         .iter()
@@ -625,12 +625,12 @@ mod tests {
                 .unwrap()
                 .len()
         };
-        assert_eq!(run(Pred::eq("x", Value::Float(3.0))), 1);
-        assert_eq!(run(Pred::eq("x", Value::Float(3.5))), 0);
-        assert_eq!(run(Pred::ge("x", Value::Float(2.5))), 7);
-        assert_eq!(run(Pred::le("x", Value::Float(2.5))), 3);
+        assert_eq!(run(Pred::eq("x", Value::float(3.0))), 1);
+        assert_eq!(run(Pred::eq("x", Value::float(3.5))), 0);
+        assert_eq!(run(Pred::ge("x", Value::float(2.5))), 7);
+        assert_eq!(run(Pred::le("x", Value::float(2.5))), 3);
         assert_eq!(
-            run(Pred::between("x", Value::Float(1.5), Value::Float(4.0))),
+            run(Pred::between("x", Value::float(1.5), Value::float(4.0))),
             3
         );
         // Nulls never match, even for ranges covering the 0 sentinel.

@@ -15,7 +15,7 @@ fn full_block() -> QueryBlock {
         .filter(Pred::between("born", -10, 2.0))
         .filter(Pred::in_set(
             "country",
-            vec![Value::text("It's"), Value::Int(7), Value::Float(-0.25)],
+            vec![Value::text("It's"), Value::Int(7), Value::float(-0.25)],
         ))
         .filter(Pred::eq("alive", Value::Bool(true)))
         .semi_join(SemiJoin::exists(vec![

@@ -63,7 +63,7 @@ pub fn db_fingerprint(db: &Database) -> u64 {
                     }
                     Value::Float(x) => {
                         eat(&[2]);
-                        eat(&x.to_bits().to_le_bytes());
+                        eat(&x.get().to_bits().to_le_bytes());
                     }
                     Value::Text(s) => {
                         eat(&[3]);

@@ -37,20 +37,19 @@
 //!
 //! Typed kernels exist for `i64`/`f64` range tests, symbol
 //! equality/membership, boolean equality, and null tests. Everything
-//! else — string ranges, numeric `IN`, and numeric bounds that cannot be
-//! translated exactly (a NaN operand, or a float bound at magnitude
-//! `2^53`+ where the scalar order's `i64 as f64` cell-widening is
-//! lossy) — compiles to
-//! [`Kernel::Generic`], which reconstructs each cell as a `Copy`
-//! [`Value`] and evaluates the [`CmpSpec`] through `Value`'s total order.
-//! The typed kernels are bit-for-bit equivalent to that order (including
-//! `-0.0 < 0`, NaN above `+inf` via `total_cmp`, and exact int/float
-//! widening); the property tests in `tests/kernel_prop.rs` assert parity
-//! on adversarial columns.
+//! else — string ranges, numeric `IN`, and float bounds on an Int column
+//! at magnitude `2^53`+ (where the scalar order's `i64 as f64`
+//! cell-widening is lossy) — compiles to [`Kernel::Generic`], which
+//! reconstructs each cell as a `Copy` [`Value`] and evaluates the
+//! [`CmpSpec`] through `Value`'s total order. Cells and operands alike
+//! are never NaN or `-0.0` ([`crate::value::Real`]), so a float range is
+//! a plain IEEE compare; the typed kernels are bit-for-bit equivalent to
+//! the total order (exact int/float widening included), and the property
+//! tests in `tests/kernel_prop.rs` assert parity on adversarial columns.
 
 use crate::rowset::RowSet;
 use crate::table::{ColumnData, ColumnVec, RowId};
-use crate::value::{DataType, Value};
+use crate::value::{DataType, Real, Value};
 
 /// A comparison against a column, with the exact semantics of the query
 /// AST's selection predicates: NULL cells never match, numeric values
@@ -129,15 +128,6 @@ fn lane_word<T: Copy>(lanes: &[T], pred: impl Fn(T) -> bool) -> u64 {
     w
 }
 
-/// Map an `f64` to an `i64` key that orders exactly like
-/// `f64::total_cmp`: sign-magnitude IEEE bits folded into two's
-/// complement. Lets float range kernels run on integer compares.
-#[inline]
-fn f64_total_key(x: f64) -> i64 {
-    let b = x.to_bits() as i64;
-    b ^ (((b >> 63) as u64) >> 1) as i64
-}
-
 /// A predicate compiled against one column's typed storage, evaluated 64
 /// rows at a time. Borrows the column's slices for the scan's lifetime.
 pub enum Kernel<'t> {
@@ -154,17 +144,16 @@ pub enum Kernel<'t> {
         /// Inclusive upper bound.
         hi: i64,
     },
-    /// `lo <= cell <= hi` in `total_cmp` order on a Float column,
-    /// precomputed as integer total-order keys.
+    /// `lo <= cell <= hi` on a Float column (nulls masked by word).
     FloatRange {
         /// Dense cells (sentinel 0.0 at nulls).
         vals: &'t [f64],
         /// Null bitmap of the column.
         nulls: &'t RowSet,
-        /// Total-order key of the inclusive lower bound.
-        lo_key: i64,
-        /// Total-order key of the inclusive upper bound.
-        hi_key: i64,
+        /// Inclusive lower bound (`-inf` when open).
+        lo: f64,
+        /// Inclusive upper bound (`+inf` when open).
+        hi: f64,
     },
     /// Symbol equality on a Text column (the `NULL_SYM` sentinel never
     /// equals a real symbol, so no null word is needed).
@@ -229,14 +218,9 @@ impl Kernel<'_> {
             Kernel::FloatRange {
                 vals,
                 nulls,
-                lo_key,
-                hi_key,
-            } => {
-                lane_word(&vals[base..end], |v| {
-                    let k = f64_total_key(v);
-                    *lo_key <= k && k <= *hi_key
-                }) & !nulls.word(batch)
-            }
+                lo,
+                hi,
+            } => lane_word(&vals[base..end], |v| *lo <= v && v <= *hi) & !nulls.word(batch),
             Kernel::SymEq { vals, sym } => lane_word(&vals[base..end], |v| v == *sym),
             Kernel::SymIn { vals, syms } => lane_word(&vals[base..end], |v| syms.contains(&v)),
             Kernel::BoolEq {
@@ -304,8 +288,8 @@ pub fn compile<'t>(col: &'t ColumnVec, dtype: DataType, spec: &CmpSpec) -> Kerne
             Some((lo, hi)) => Kernel::FloatRange {
                 vals: col.floats().expect("float column"),
                 nulls: col.nulls(),
-                lo_key: f64_total_key(lo),
-                hi_key: f64_total_key(hi),
+                lo,
+                hi,
             },
             None => generic(),
         },
@@ -329,41 +313,29 @@ enum Bounds {
 
 /// Integer bounds `[lo, hi]` equivalent to `spec` on an Int column,
 /// widening float operands through ceil/floor exactly like `Value`'s
-/// numeric order. NaN operands fall back to the generic kernel (which
-/// reproduces the total-order semantics precisely).
+/// numeric order.
 fn int_bounds(spec: &CmpSpec) -> Bounds {
-    // Smallest integer >= v (total order), or None when no such integer
-    // exists. -0.0 sorts strictly below Int(0) in `Value`'s order, and any
-    // finite float at or above 2^63 exceeds every i64. Cross-type
-    // operands follow `Value`'s type ranks: every int sorts above Null
-    // and Bool and below Text.
+    // Smallest integer >= v, or None when no such integer exists (a float
+    // at or above 2^63, +inf). Cross-type operands follow `Value`'s type
+    // ranks: every int sorts above Null and Bool and below Text.
     fn lo_of(v: &Value) -> Option<i64> {
         match v {
             Value::Int(i) => Some(*i),
-            Value::Float(x) if x.is_finite() && *x < i64::MAX as f64 => Some(clamp_i64(x.ceil())),
-            Value::Float(x) if *x == f64::NEG_INFINITY => Some(i64::MIN),
+            Value::Float(x) => (x.get() < i64::MAX as f64).then(|| clamp_i64(x.get().ceil())),
             Value::Null | Value::Bool(_) => Some(i64::MIN),
-            _ => None, // Text / lossy-widening / NaN / +inf handled by callers
+            Value::Text(_) => None,
         }
     }
-    // Largest integer <= v (total order).
+    // Largest integer <= v, or None when no such integer exists (a float
+    // below -2^63, -inf, or an operand ranked below Int).
     fn hi_of(v: &Value) -> Option<i64> {
         match v {
             Value::Int(i) => Some(*i),
-            Value::Float(x) if *x == 0.0 && x.is_sign_negative() => Some(-1),
-            Value::Float(x) if x.is_finite() => {
-                if *x < i64::MIN as f64 {
-                    None
-                } else {
-                    Some(clamp_i64(x.floor()))
-                }
-            }
-            Value::Float(x) if *x == f64::INFINITY => Some(i64::MAX),
+            Value::Float(x) => (x.get() >= i64::MIN as f64).then(|| clamp_i64(x.get().floor())),
             Value::Text(_) => Some(i64::MAX),
-            _ => None, // Null / Bool sort below every int
+            Value::Null | Value::Bool(_) => None,
         }
     }
-    let is_nan = |v: &Value| matches!(v, Value::Float(x) if x.is_nan());
     // `Value` compares Int-vs-Float by widening the INT CELL through
     // `as f64`, which is lossy for |cell| >= 2^53 — a cell can round onto
     // (or across) the bound, so exact integer bounds diverge from the
@@ -373,45 +345,27 @@ fn int_bounds(spec: &CmpSpec) -> Bounds {
     // bounds fall back to the generic kernel, which reproduces the widened
     // semantics exactly.
     const LOSSY_WIDENING: f64 = 9_007_199_254_740_992.0; // 2^53
-    let lossy =
-        |v: &Value| matches!(v, Value::Float(x) if x.is_finite() && x.abs() >= LOSSY_WIDENING);
+    let lossy = |v: &Value| match v {
+        Value::Float(x) => x.get().is_finite() && x.get().abs() >= LOSSY_WIDENING,
+        _ => false,
+    };
     match spec {
-        CmpSpec::Eq(v) | CmpSpec::Ge(v) | CmpSpec::Le(v) if is_nan(v) => Bounds::Fallback,
         CmpSpec::Eq(v) | CmpSpec::Ge(v) | CmpSpec::Le(v) if lossy(v) => Bounds::Fallback,
-        CmpSpec::Between(l, h) if is_nan(l) || is_nan(h) => Bounds::Fallback,
         CmpSpec::Between(l, h) if lossy(l) || lossy(h) => Bounds::Fallback,
-        CmpSpec::Eq(v) => match v {
-            Value::Int(i) => Bounds::Range(*i, *i),
-            Value::Float(x)
-                if x.is_finite()
-                    && x.fract() == 0.0
-                    && in_i64(*x)
-                    && !(*x == 0.0 && x.is_sign_negative()) =>
-            {
-                Bounds::Range(*x as i64, *x as i64)
-            }
-            Value::Float(_) => Bounds::Never, // non-integral / -0.0 / infinite
-            _ => Bounds::Never,               // cross-type eq with Int
-        },
-        CmpSpec::Ge(v) => match lo_of(v) {
-            Some(lo) => Bounds::Range(lo, i64::MAX),
-            None => Bounds::Never, // v >= +inf (NaN handled above)
-        },
-        CmpSpec::Le(v) => match hi_of(v) {
-            Some(hi) => Bounds::Range(i64::MIN, hi),
-            None => Bounds::Never, // v <= -inf
-        },
+        CmpSpec::Eq(Value::Int(i)) => Bounds::Range(*i, *i),
+        // A finite float here is below 2^53, so an integral one is an i64.
+        CmpSpec::Eq(Value::Float(x)) if x.get().is_finite() && x.get().fract() == 0.0 => {
+            Bounds::Range(x.get() as i64, x.get() as i64)
+        }
+        CmpSpec::Eq(_) => Bounds::Never, // non-integral / infinite / cross-type
+        CmpSpec::Ge(v) => lo_of(v).map_or(Bounds::Never, |lo| Bounds::Range(lo, i64::MAX)),
+        CmpSpec::Le(v) => hi_of(v).map_or(Bounds::Never, |hi| Bounds::Range(i64::MIN, hi)),
         CmpSpec::Between(l, h) => match (lo_of(l), hi_of(h)) {
             (Some(lo), Some(hi)) => Bounds::Range(lo, hi),
-            (None, _) => Bounds::Never, // lower bound above all ints
-            (_, None) => Bounds::Never, // upper bound below all ints
+            _ => Bounds::Never, // a bound beyond every int
         },
         CmpSpec::In(_) => Bounds::Fallback,
     }
-}
-
-fn in_i64(x: f64) -> bool {
-    x >= i64::MIN as f64 && x < i64::MAX as f64
 }
 
 fn clamp_i64(x: f64) -> i64 {
@@ -424,26 +378,15 @@ fn clamp_i64(x: f64) -> i64 {
     }
 }
 
-/// Lowest / highest values of `f64::total_cmp`'s order (negative and
-/// positive NaN with full payload).
-const TOTAL_MIN: f64 = f64::from_bits(u64::MAX);
-const TOTAL_MAX: f64 = f64::from_bits(0x7FFF_FFFF_FFFF_FFFF);
-
-/// Float bounds `[lo, hi]` (total order) equivalent to `spec` on a Float
-/// column; `None` falls back to the generic kernel.
+/// Float bounds `[lo, hi]` equivalent to `spec` on a Float column, Int
+/// operands widened as `Value`'s order widens them; `None` falls back to
+/// the generic kernel.
 fn float_bounds(spec: &CmpSpec) -> Option<(f64, f64)> {
-    fn num(v: &Value) -> Option<f64> {
-        match v {
-            Value::Int(i) => Some(*i as f64),
-            Value::Float(x) => Some(*x),
-            _ => None,
-        }
-    }
     match spec {
-        CmpSpec::Eq(v) => num(v).map(|x| (x, x)),
-        CmpSpec::Ge(v) => num(v).map(|x| (x, TOTAL_MAX)),
-        CmpSpec::Le(v) => num(v).map(|x| (TOTAL_MIN, x)),
-        CmpSpec::Between(l, h) => Some((num(l)?, num(h)?)),
+        CmpSpec::Eq(v) => v.as_float().map(|x| (x, x)),
+        CmpSpec::Ge(v) => v.as_float().map(|x| (x, f64::INFINITY)),
+        CmpSpec::Le(v) => v.as_float().map(|x| (f64::NEG_INFINITY, x)),
+        CmpSpec::Between(l, h) => Some((l.as_float()?, h.as_float()?)),
         CmpSpec::In(_) => None,
     }
 }
@@ -523,18 +466,6 @@ fn for_each_non_null_word(nulls: &RowSet, n: usize, mut f: impl FnMut(usize, u64
     }
 }
 
-/// [`for_each_non_null_word`] over the OR of two null bitmaps (both
-/// columns must be non-null).
-#[inline]
-fn for_each_non_null_pair_word(na: &RowSet, nb: &RowSet, n: usize, mut f: impl FnMut(usize, u64)) {
-    for b in 0..batch_count(n) {
-        let w = tail_mask(n, b) & !(na.word(b) | nb.word(b));
-        if w != 0 {
-            f(b, w);
-        }
-    }
-}
-
 /// Batch scan of an Int column: `f(row, value)` for every non-null row,
 /// ascending. Columns of any other type yield nothing (mirroring
 /// `int_at`'s `None`).
@@ -545,34 +476,9 @@ pub fn scan_ints(col: &ColumnVec, n: usize, mut f: impl FnMut(RowId, i64)) {
     });
 }
 
-/// Batch scan of two Int columns in lockstep (the αDB's fact-table shape:
-/// entity fk + property fk): `f(row, a, b)` where **both** are non-null.
-/// The null words of the two columns are ORed once per 64 rows, so the
-/// inner loop touches only rows that survive both bitmaps.
-pub fn scan_int_pairs(
-    ca: &ColumnVec,
-    cb: &ColumnVec,
-    n: usize,
-    mut f: impl FnMut(RowId, i64, i64),
-) {
-    let (Some(va), Some(vb)) = (ca.ints(), cb.ints()) else {
-        return;
-    };
-    for_each_non_null_pair_word(ca.nulls(), cb.nulls(), n, |b, w| {
-        for_each_row(b, w, |r| f(r, va[r], vb[r]));
-    });
-}
-
 /// Batch scan of the non-null rows of any column: `f(row)` ascending.
 pub fn scan_non_null(col: &ColumnVec, n: usize, mut f: impl FnMut(RowId)) {
     for_each_non_null_word(col.nulls(), n, |b, w| for_each_row(b, w, &mut f));
-}
-
-/// Batch scan of the rows where **both** columns are non-null (null words
-/// ORed once per 64 rows): `f(row)` ascending. The αDB's inline-attribute
-/// shape: an Int fk column paired with an attribute column of any type.
-pub fn scan_non_null_pair(ca: &ColumnVec, cb: &ColumnVec, n: usize, mut f: impl FnMut(RowId)) {
-    for_each_non_null_pair_word(ca.nulls(), cb.nulls(), n, |b, w| for_each_row(b, w, &mut f));
 }
 
 /// Batch scan of a numeric column widened to `f64` (Int or Float, the
@@ -605,12 +511,13 @@ pub fn join_key_at(col: &ColumnVec, dtype: DataType, row: RowId) -> Option<u64> 
     }
 }
 
-/// Decode a [`join_key_at`] key back into a `Value`.
+/// Decode a [`join_key_at`] key back into a `Value`. A float key is a
+/// cell's bits, so it is read back as a [`Real`] unchecked.
 #[inline]
 pub fn key_to_value(dtype: DataType, key: u64) -> Value {
     match dtype {
         DataType::Int => Value::Int(key as i64),
-        DataType::Float => Value::Float(f64::from_bits(key)),
+        DataType::Float => Value::Float(Real::from_cell(f64::from_bits(key))),
         DataType::Text => Value::Text(crate::intern::Sym::from_id(key as u32)),
         DataType::Bool => Value::Bool(key != 0),
     }
@@ -641,7 +548,7 @@ pub fn gather(col: &ColumnVec, rows: &RowSet) -> Vec<Value> {
             out.push(if null {
                 Value::Null
             } else {
-                Value::Float(xs[r])
+                Value::Float(Real::from_cell(xs[r]))
             })
         }),
         ColumnData::Text(xs) => for_each_gathered(rows, nulls, |r, null| {
@@ -685,30 +592,6 @@ mod tests {
         assert_eq!(tail_mask(64, 1), 0);
         assert_eq!(tail_mask(65, 1), 1);
         assert_eq!(tail_mask(130, 2), 0b11);
-    }
-
-    #[test]
-    fn f64_total_key_orders_like_total_cmp() {
-        let xs = [
-            f64::NEG_INFINITY,
-            -1.5,
-            -0.0,
-            0.0,
-            1.0,
-            f64::INFINITY,
-            f64::NAN,
-            -f64::NAN,
-            f64::MIN_POSITIVE,
-        ];
-        for &a in &xs {
-            for &b in &xs {
-                assert_eq!(
-                    f64_total_key(a).cmp(&f64_total_key(b)),
-                    a.total_cmp(&b),
-                    "{a} vs {b}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -765,7 +648,7 @@ mod tests {
         ));
         t.insert(vec![
             Value::Int(-7),
-            Value::Float(2.5),
+            Value::float(2.5),
             Value::text("key"),
             Value::Bool(true),
         ])
@@ -784,35 +667,6 @@ mod tests {
             assert_eq!(key_to_value(*dt, key), col.value_at(0));
             assert_eq!(join_key_at(col, *dt, 1), None, "null never encodes");
         }
-    }
-
-    #[test]
-    fn scan_int_pairs_skips_any_null() {
-        let mut t = Table::new(TableSchema::new(
-            "t",
-            vec![
-                Column::new("a", DataType::Int),
-                Column::new("b", DataType::Int),
-            ],
-        ));
-        let rows = [
-            (Some(1), Some(10)),
-            (None, Some(20)),
-            (Some(3), None),
-            (Some(4), Some(40)),
-        ];
-        for (a, b) in rows {
-            t.insert(vec![
-                a.map(Value::Int).unwrap_or(Value::Null),
-                b.map(Value::Int).unwrap_or(Value::Null),
-            ])
-            .unwrap();
-        }
-        let mut seen = Vec::new();
-        scan_int_pairs(t.column(0), t.column(1), t.len(), |r, a, b| {
-            seen.push((r, a, b))
-        });
-        assert_eq!(seen, vec![(0, 1, 10), (3, 4, 40)]);
     }
 
     #[test]

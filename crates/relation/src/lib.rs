@@ -60,21 +60,20 @@
 //!   null-bitmap kernel ANDs [`kernel::tail_mask`] instead), so no word
 //!   ever carries bits past the table.
 //! * **Null words**: null bitmaps participate word-wise (`!nulls.word(b)`
-//!   masks), never as per-row branches; [`kernel::scan_ints`],
-//!   [`kernel::scan_int_pairs`], and friends give the αDB's fact scans the
-//!   same 64-rows-at-a-time shape.
+//!   masks), never as per-row branches; [`kernel::scan_ints`] and
+//!   [`kernel::scan_floats`] give the αDB's column scans the same
+//!   64-rows-at-a-time shape.
 //! * **Fallback rules**: typed kernels cover `i64`/`f64` ranges (floats
-//!   via `total_cmp`-order integer keys), symbol equality/membership, and
-//!   bool equality. Shapes a typed kernel cannot translate exactly — NaN
-//!   operands, float bounds at magnitude `2^53`+ (where the scalar
+//!   by plain IEEE compares), symbol equality/membership, and bool
+//!   equality. Shapes a typed kernel cannot translate exactly — float
+//!   bounds at magnitude `2^53`+ on an Int column (where the scalar
 //!   order's int-cell widening is lossy), string ranges, numeric `IN` —
-//!   fall back to [`kernel::Kernel::Generic`],
-//!   which evaluates the [`kernel::CmpSpec`] per reconstructed `Copy`
-//!   cell. Either path is bit-for-bit equal to `Value`'s total order
-//!   (−0.0 below 0, NaN above +∞); `tests/kernel_prop.rs` pins the parity
-//!   on adversarial columns. A table cell is never NaN or −0.0 (ingest
-//!   stores them as NULL and 0.0, [`value::canonical_float`]), so those
-//!   rules decide only for query operands, which can be any `Value`.
+//!   fall back to [`kernel::Kernel::Generic`], which evaluates the
+//!   [`kernel::CmpSpec`] per reconstructed `Copy` cell. Either path is
+//!   bit-for-bit equal to `Value`'s total order; `tests/kernel_prop.rs`
+//!   pins the parity on adversarial columns. No float, cell or operand,
+//!   is NaN or −0.0 ([`value::Real`]: a NaN is NULL, −0.0 is 0.0), so
+//!   neither path has a rule for them.
 
 #![warn(missing_docs)]
 
@@ -104,4 +103,4 @@ pub use kernel::{CmpSpec, Kernel, ScanPlan};
 pub use rowset::RowSet;
 pub use schema::{Column, ForeignKey, SchemaMeta, TableRole, TableSchema};
 pub use table::{ColumnBuilder, ColumnData, ColumnVec, RowId, Table, NULL_SYM};
-pub use value::{canonical_float, DataType, Value};
+pub use value::{DataType, Real, Value};

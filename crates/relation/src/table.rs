@@ -7,15 +7,16 @@
 //!
 //! Tables are append-only: rows get dense ids (`RowId`) equal to their
 //! insertion position, which indexes, bitmaps, and the αDB rely on. Every
-//! float cell is stored through [`canonical_float`]: a NaN becomes NULL and
-//! `-0.0` becomes `0.0`, whichever write path carries it.
+//! float cell is a [`Real`]: a NaN is stored as NULL and `-0.0` as `0.0`,
+//! whichever write path carries it, and a cell is read back as a `Real`
+//! without a second check.
 
 use std::sync::OnceLock;
 
 use crate::error::{RelationError, Result};
 use crate::rowset::RowSet;
 use crate::schema::TableSchema;
-use crate::value::{canonical_float, DataType, Value};
+use crate::value::{DataType, Real, Value};
 
 /// Dense row identifier within a single table.
 pub type RowId = usize;
@@ -85,10 +86,6 @@ impl ColumnVec {
 
     fn push(&mut self, row: RowId, v: &Value) {
         self.values.take();
-        let v = match *v {
-            Value::Float(x) => canonical_float(x).map_or(Value::Null, Value::Float),
-            v => v,
-        };
         if v.is_null() {
             self.nulls.insert(row);
         }
@@ -216,7 +213,7 @@ impl ColumnVec {
         }
         match &self.data {
             ColumnData::Int(xs) => Value::Int(xs[row]),
-            ColumnData::Float(xs) => Value::Float(xs[row]),
+            ColumnData::Float(xs) => Value::Float(Real::from_cell(xs[row])),
             ColumnData::Text(xs) => Value::Text(crate::intern::Sym::from_id(xs[row])),
             ColumnData::Bool(xs) => Value::Bool(xs[row]),
         }
@@ -293,14 +290,14 @@ impl ColumnBuilder {
         self.len += 1;
     }
 
-    /// Append an `f64` cell (Float columns only), stored as
-    /// [`canonical_float`] decides: a NaN is a NULL cell.
+    /// Append an `f64` cell (Float columns only), stored as [`Real::new`]
+    /// decides: a NaN is a NULL cell.
     pub fn push_float(&mut self, v: f64) {
         let ColumnData::Float(xs) = &mut self.data else {
             panic!("push_float on a {} column", self.dtype());
         };
-        match canonical_float(v) {
-            Some(x) => xs.push(x),
+        match Real::new(v) {
+            Some(x) => xs.push(x.get()),
             None => {
                 xs.push(0.0);
                 self.nulls.insert(self.len);
@@ -323,7 +320,7 @@ impl ColumnBuilder {
     /// guarantees three invariants the push methods normally maintain:
     /// every set bit in `nulls` addresses a cell below `data`'s length,
     /// null positions hold the type's sentinel value, and every float cell
-    /// is its own [`canonical_float`].
+    /// is its own [`Real`].
     pub fn from_parts(data: ColumnData, nulls: RowSet) -> ColumnBuilder {
         let len = match &data {
             ColumnData::Int(xs) => xs.len(),
@@ -340,7 +337,7 @@ impl ColumnBuilder {
         match (v, &mut self.data) {
             (Value::Null, _) => self.push_null(),
             (Value::Int(x), ColumnData::Int(_)) => self.push_int(*x),
-            (Value::Float(x), ColumnData::Float(_)) => self.push_float(*x),
+            (Value::Float(x), ColumnData::Float(_)) => self.push_float(x.get()),
             (Value::Text(s), ColumnData::Text(_)) => self.push_sym(*s),
             (Value::Bool(b), ColumnData::Bool(xs)) => {
                 xs.push(*b);
@@ -712,9 +709,9 @@ mod tests {
         let mut typed = ColumnBuilder::new(DataType::Float);
         let mut generic = ColumnBuilder::new(DataType::Float);
         for x in inputs {
-            by_rows.insert(vec![Value::Float(x)]).unwrap();
+            by_rows.insert(vec![Value::float(x)]).unwrap();
             typed.push_float(x);
-            generic.push_value(&Value::Float(x)).unwrap();
+            generic.push_value(&Value::float(x)).unwrap();
         }
         let typed = Table::from_columns(schema.clone(), vec![typed]).unwrap();
         let generic = Table::from_columns(schema, vec![generic]).unwrap();

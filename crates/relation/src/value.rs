@@ -3,19 +3,18 @@
 //! The engine is dynamically typed at the cell level: every cell holds a
 //! [`Value`], and every column declares a [`DataType`] that its non-null
 //! values must conform to. Values carry a total order (`Ord`) so they can be
-//! used as keys in ordered indexes and for range predicates; floats are
-//! ordered with `f64::total_cmp` and hashed through their bit pattern.
+//! used as keys in ordered indexes and for range predicates.
 //!
 //! ## One float domain
 //!
-//! A table holds no NaN and no `-0.0`. Every write of a float cell goes
-//! through [`canonical_float`], which stores a NaN of either sign as NULL
-//! (SQL's "no value", which every layer already skips) and `-0.0` as
-//! `0.0`. So the statistics, the evaluator and the executed SQL read one
-//! number line on which IEEE comparisons and `Value`'s total order agree,
-//! and no layer above the tables special-cases either value. The total
-//! order's NaN and `-0.0` rules (`-0.0` below `0.0`, NaN above `+inf`)
-//! remain for query operands, which can be any `Value`.
+//! A float is a [`Real`]: never NaN, never `-0.0`. [`Real::new`] is the
+//! one decision: a NaN of either sign has no `Real` (a float write stores
+//! it as NULL, SQL's "no value", which every layer already skips) and
+//! `-0.0` becomes `0.0`. `Value::Float` holds a `Real`, so neither a table
+//! cell nor a query operand can carry either value. The statistics, the
+//! evaluator, the predicate kernels and the executed SQL read one number
+//! line on which IEEE comparisons and `Value`'s total order agree, and no
+//! layer special-cases NaN or `-0.0`.
 //!
 //! Text values are dictionary-encoded through the global interner
 //! ([`Sym`]): a `Value` is a 16-byte `Copy` scalar, text equality and
@@ -34,7 +33,7 @@ use crate::intern::Sym;
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
-    /// 64-bit IEEE float with total ordering.
+    /// 64-bit IEEE float, never NaN or `-0.0` ([`Real`]).
     Float,
     /// Interned UTF-8 string (dictionary-encoded, `Copy`).
     Text,
@@ -53,16 +52,44 @@ impl fmt::Display for DataType {
     }
 }
 
-/// The float a table stores for `x`: `None` (a NULL cell) for a NaN of
-/// either sign, `0.0` for `-0.0`, and `x` itself otherwise. Every float
-/// cell a table holds was decided here (see the module docs).
-pub fn canonical_float(x: f64) -> Option<f64> {
-    if x.is_nan() {
-        None
-    } else if x == 0.0 {
-        Some(0.0)
-    } else {
-        Some(x)
+/// A float that is never NaN and never `-0.0` (see the module docs).
+///
+/// Outside this crate a `Real` comes only from [`Real::new`], so a raw
+/// `f64` cannot be written into a [`Value`]:
+///
+/// ```compile_fail
+/// # use squid_relation::Value;
+/// let v = Value::Float(f64::NAN);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Real(f64);
+
+impl Real {
+    /// The `Real` for `x`: `None` for a NaN of either sign, `0.0` for
+    /// `-0.0`, and `x` itself otherwise.
+    pub fn new(x: f64) -> Option<Real> {
+        if x.is_nan() {
+            None
+        } else if x == 0.0 {
+            Some(Real(0.0))
+        } else {
+            Some(Real(x))
+        }
+    }
+
+    /// A float already in the domain: a table cell, which every write
+    /// stored through [`Real::new`]. Reads of cells use this, so they cost
+    /// nothing beyond the load.
+    #[inline]
+    pub(crate) fn from_cell(x: f64) -> Real {
+        debug_assert!(Real::new(x).is_some_and(|r| r.0.to_bits() == x.to_bits()));
+        Real(x)
+    }
+
+    /// The float.
+    #[inline]
+    pub fn get(self) -> f64 {
+        self.0
     }
 }
 
@@ -77,8 +104,8 @@ pub enum Value {
     Null,
     /// Integer value.
     Int(i64),
-    /// Floating point value.
-    Float(f64),
+    /// Floating point value: never NaN, never `-0.0`.
+    Float(Real),
     /// Text value, dictionary-encoded via the global interner.
     Text(Sym),
     /// Boolean value.
@@ -89,6 +116,11 @@ impl Value {
     /// Construct a text value from anything string-like (interns it).
     pub fn text(s: impl AsRef<str>) -> Self {
         Value::Text(Sym::intern(s.as_ref()))
+    }
+
+    /// A float value; a NaN of either sign is `Null` (see [`Real::new`]).
+    pub fn float(x: f64) -> Self {
+        Real::new(x).map_or(Value::Null, Value::Float)
     }
 
     /// The dynamic type of this value, or `None` for `Null`.
@@ -118,7 +150,7 @@ impl Value {
     /// Float payload; integers are widened so numeric columns interoperate.
     pub fn as_float(&self) -> Option<f64> {
         match self {
-            Value::Float(x) => Some(*x),
+            Value::Float(x) => Some(x.get()),
             Value::Int(i) => Some(*i as f64),
             _ => None,
         }
@@ -187,9 +219,9 @@ impl Ord for Value {
             (Null, Null) => Ordering::Equal,
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
-            (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Float(a), Float(b)) => a.get().total_cmp(&b.get()),
+            (Int(a), Float(b)) => (*a as f64).total_cmp(&b.get()),
+            (Float(a), Int(b)) => a.get().total_cmp(&(*b as f64)),
             // Same symbol is equal without resolving; otherwise compare the
             // underlying strings to keep the order lexicographic.
             (Text(a), Text(b)) => {
@@ -218,7 +250,7 @@ impl Hash for Value {
             }
             Value::Float(x) => {
                 2u8.hash(state);
-                x.to_bits().hash(state);
+                x.get().to_bits().hash(state);
             }
             Value::Text(s) => {
                 // Symbol ids are injective over strings, so hashing the id
@@ -235,7 +267,7 @@ impl fmt::Display for Value {
         match self {
             Value::Null => write!(f, "NULL"),
             Value::Int(i) => write!(f, "{i}"),
-            Value::Float(x) => write!(f, "{x}"),
+            Value::Float(x) => write!(f, "{}", x.get()),
             Value::Text(s) => write!(f, "{}", s.as_str()),
             Value::Bool(b) => write!(f, "{b}"),
         }
@@ -256,7 +288,7 @@ impl From<i32> for Value {
 
 impl From<f64> for Value {
     fn from(v: f64) -> Self {
-        Value::Float(v)
+        Value::float(v)
     }
 }
 
@@ -304,15 +336,15 @@ mod tests {
 
     #[test]
     fn int_float_compare_numerically() {
-        assert_eq!(Value::Int(3), Value::Float(3.0));
-        assert!(Value::Int(3) < Value::Float(3.5));
-        assert!(Value::Float(2.5) < Value::Int(3));
+        assert_eq!(Value::Int(3), Value::float(3.0));
+        assert!(Value::Int(3) < Value::float(3.5));
+        assert!(Value::float(2.5) < Value::Int(3));
     }
 
     #[test]
     fn int_float_hash_consistently_with_eq() {
         // Int(3) == Float(3.0) so their hashes must agree.
-        assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::Float(3.0)));
+        assert_eq!(hash_of(&Value::Int(3)), hash_of(&Value::float(3.0)));
     }
 
     #[test]
@@ -342,18 +374,43 @@ mod tests {
         assert!(std::mem::size_of::<Value>() <= 16);
     }
 
+    /// `Real::new` is the one float decision, and `Value::float` and
+    /// `From<f64>` follow it: NaN of either sign is no value, `-0.0` is
+    /// `0.0`, every other float (±∞ included) is itself.
     #[test]
-    fn nan_has_a_total_order() {
-        let nan = Value::Float(f64::NAN);
-        assert_eq!(nan.cmp(&nan), Ordering::Equal);
-        assert!(Value::Float(f64::INFINITY) < nan);
+    fn the_float_domain_is_decided_once() {
+        let cases = [
+            (f64::NAN, None),
+            (-f64::NAN, None),
+            (-0.0, Some(0.0f64)),
+            (0.0, Some(0.0)),
+            (f64::INFINITY, Some(f64::INFINITY)),
+            (f64::NEG_INFINITY, Some(f64::NEG_INFINITY)),
+            (1.5, Some(1.5)),
+        ];
+        for (x, want) in cases {
+            let bits = want.map(f64::to_bits);
+            assert_eq!(Real::new(x).map(|r| r.get().to_bits()), bits, "{x}");
+            for v in [Value::float(x), Value::from(x)] {
+                match v {
+                    Value::Float(r) => assert_eq!(Some(r.get().to_bits()), bits, "{x}"),
+                    Value::Null => assert_eq!(bits, None, "{x}"),
+                    other => panic!("{x} became {other:?}"),
+                }
+            }
+        }
+        let (neg_zero, zero) = (Value::float(-0.0), Value::float(0.0));
+        assert_eq!(neg_zero, zero);
+        assert_eq!(neg_zero, Value::Int(0));
+        assert_eq!(hash_of(&neg_zero), hash_of(&zero));
+        assert_eq!(hash_of(&neg_zero), hash_of(&Value::Int(0)));
     }
 
     #[test]
     fn accessors_roundtrip() {
         assert_eq!(Value::Int(7).as_int(), Some(7));
         assert_eq!(Value::Int(7).as_float(), Some(7.0));
-        assert_eq!(Value::Float(1.5).as_float(), Some(1.5));
+        assert_eq!(Value::float(1.5).as_float(), Some(1.5));
         assert_eq!(Value::text("x").as_text(), Some("x"));
         assert_eq!(Value::Bool(true).as_bool(), Some(true));
         assert!(Value::Null.is_null());

@@ -1,13 +1,13 @@
 //! Property tests for the batch predicate kernels: every typed 64-row
 //! kernel must be bit-for-bit equivalent to the scalar `CmpSpec::matches`
 //! oracle applied to each reconstructed cell — including NULLs,
-//! infinities, and values straddling the 2^63 int/float widening boundary,
-//! under operands that include NaN (positive and negative) and −0.0 — and
-//! emitted words must round-trip through `RowSet` exactly. A NaN or −0.0
-//! cell is stored as NULL or 0.0 by the insert, so those inputs reach the
-//! kernels as canonical cells. The per-word entry point is checked on its
-//! own too: it must equal the collected word and never set a bit at or
-//! past the table's last row.
+//! infinities, and values straddling the 2^63 int/float widening boundary —
+//! and emitted words must round-trip through `RowSet` exactly. The float
+//! generators draw NaN (positive and negative) and −0.0 too; cells and
+//! operands alike go through `Value::float`, which makes them NULL and 0.0,
+//! so those inputs reach the kernels canonical. The per-word entry point is
+//! checked on its own too: it must equal the collected word and never set a
+//! bit at or past the table's last row.
 
 use proptest::prelude::*;
 use squid_relation::kernel::{self, CmpSpec};
@@ -59,7 +59,7 @@ fn arb_float_cell() -> impl Strategy<Value = f64> {
 fn arb_num_operand() -> impl Strategy<Value = Value> {
     prop_oneof![
         arb_int_cell().prop_map(Value::Int),
-        arb_float_cell().prop_map(Value::Float),
+        arb_float_cell().prop_map(Value::float),
         Just(Value::Null),
         Just(Value::Bool(true)), // cross-type: never matches numerics
     ]
@@ -151,7 +151,7 @@ proptest! {
     ) {
         let cells: Vec<Value> = cells
             .into_iter()
-            .map(|c| c.map(Value::Float).unwrap_or(Value::Null))
+            .map(|c| c.map_or(Value::Null, Value::float))
             .collect();
         let t = one_column_table("floats", DataType::Float, cells);
         assert_parity(&t, DataType::Float, &spec_of(op, a, b, set));
@@ -257,9 +257,9 @@ proptest! {
                 let r = next();
                 match r % 13 {
                     0 => Value::Null,
-                    1 => Value::Float(-0.0),
-                    2 => Value::Float(f64::NAN),
-                    _ => Value::Float((r >> 33) as i64 as f64 / 64.0 - 60.0),
+                    1 => Value::float(-0.0),
+                    2 => Value::float(f64::NAN),
+                    _ => Value::float((r >> 33) as i64 as f64 / 64.0 - 60.0),
                 }
             })
             .collect();
@@ -307,18 +307,19 @@ fn boundary_semantics_pin_down() {
             Value::Null,
         ],
     );
-    // -0.0 sorts strictly below Int(0): Le(-0.0) excludes 0.
-    let le_neg_zero = CmpSpec::Le(Value::Float(-0.0));
-    assert!(!le_neg_zero.matches(&Value::Int(0)));
+    // -0.0 is 0.0: Le(-0.0) admits Int(0).
+    let le_neg_zero = CmpSpec::Le(Value::float(-0.0));
+    assert!(le_neg_zero.matches(&Value::Int(0)));
     assert_parity(&ints, DataType::Int, &le_neg_zero);
     // Ge(2^63 as f64) must keep admitting i64::MAX (widening is lossy
     // exactly there: i64::MAX as f64 == 2^63).
-    let ge_two63 = CmpSpec::Ge(Value::Float(TWO_63));
+    let ge_two63 = CmpSpec::Ge(Value::float(TWO_63));
     assert!(ge_two63.matches(&Value::Int(i64::MAX)));
     assert_parity(&ints, DataType::Int, &ge_two63);
-    // NaN operands fall back to total-order semantics: Int < NaN.
-    let le_nan = CmpSpec::Le(Value::Float(f64::NAN));
-    assert!(le_nan.matches(&Value::Int(i64::MAX)));
+    // A NaN is no value: Le(NaN) is Le(NULL), which admits no int.
+    let le_nan = CmpSpec::Le(Value::float(f64::NAN));
+    assert_eq!(le_nan, CmpSpec::Le(Value::Null));
+    assert!(!le_nan.matches(&Value::Int(i64::MIN)));
     assert_parity(&ints, DataType::Int, &le_nan);
     // Lossy cell-widening band: Int(2^62 - 1) widens to exactly 2^62, so
     // the scalar order admits it under Ge(Float(2^62)) — the kernel must
@@ -333,12 +334,12 @@ fn boundary_semantics_pin_down() {
             Value::Int((1i64 << 53) + 1),
         ],
     );
-    let ge_two62 = CmpSpec::Ge(Value::Float(two_62));
+    let ge_two62 = CmpSpec::Ge(Value::float(two_62));
     assert!(ge_two62.matches(&Value::Int((1i64 << 62) - 1)));
     assert_parity(&wide, DataType::Int, &ge_two62);
-    assert_parity(&wide, DataType::Int, &CmpSpec::Eq(Value::Float(two_62)));
+    assert_parity(&wide, DataType::Int, &CmpSpec::Eq(Value::float(two_62)));
     // Int(2^53 + 1) widens DOWN to 2^53: Le(Float(2^53)) admits it.
-    let le_two53 = CmpSpec::Le(Value::Float(TWO_53));
+    let le_two53 = CmpSpec::Le(Value::float(TWO_53));
     assert!(le_two53.matches(&Value::Int((1i64 << 53) + 1)));
     assert_parity(&wide, DataType::Int, &le_two53);
 
@@ -346,12 +347,12 @@ fn boundary_semantics_pin_down() {
         "pin_f",
         DataType::Float,
         vec![
-            Value::Float(-0.0),
-            Value::Float(0.0),
-            Value::Float(f64::NAN),
-            Value::Float(-f64::NAN),
-            Value::Float(f64::INFINITY),
-            Value::Float(f64::NEG_INFINITY),
+            Value::float(-0.0),
+            Value::float(0.0),
+            Value::float(f64::NAN),
+            Value::float(-f64::NAN),
+            Value::float(f64::INFINITY),
+            Value::float(f64::NEG_INFINITY),
             Value::Null,
         ],
     );
@@ -373,22 +374,21 @@ fn boundary_semantics_pin_down() {
             None,
         ]
     );
-    // Eq(NaN) matches NaN (total order), not -NaN: no stored cell.
+    // Eq(NaN) is Eq(NULL): it matches no cell.
+    let eq_nan = CmpSpec::Eq(Value::float(f64::NAN));
+    assert_eq!(eq_nan, CmpSpec::Eq(Value::Null));
+    assert_parity(&floats, DataType::Float, &eq_nan);
+    // Between(-0.0, 0.0) is Between(0.0, 0.0): it admits the stored zeros
+    // and nothing else.
     assert_parity(
         &floats,
         DataType::Float,
-        &CmpSpec::Eq(Value::Float(f64::NAN)),
+        &CmpSpec::Between(Value::float(-0.0), Value::float(0.0)),
     );
-    // Between(-0.0, 0.0) admits the stored zeros and nothing else.
+    // Ge(+inf) admits +inf and nothing else.
     assert_parity(
         &floats,
         DataType::Float,
-        &CmpSpec::Between(Value::Float(-0.0), Value::Float(0.0)),
-    );
-    // Ge(+inf) admits +inf; NaN, which sorts above it, is never stored.
-    assert_parity(
-        &floats,
-        DataType::Float,
-        &CmpSpec::Ge(Value::Float(f64::INFINITY)),
+        &CmpSpec::Ge(Value::float(f64::INFINITY)),
     );
 }

@@ -12,7 +12,7 @@ fn arb_value() -> impl Strategy<Value = Value> {
     prop_oneof![
         Just(Value::Null),
         any::<i64>().prop_map(Value::Int),
-        any::<f64>().prop_map(Value::Float),
+        any::<f64>().prop_map(Value::float),
         any::<bool>().prop_map(Value::Bool),
         "[a-z]{0,8}".prop_map(Value::text),
     ]

@@ -47,7 +47,7 @@ impl Fnv {
             }
             Value::Float(x) => {
                 self.u64(3);
-                self.u64(x.to_bits());
+                self.u64(x.get().to_bits());
             }
             Value::Text(s) => {
                 self.u64(4);
