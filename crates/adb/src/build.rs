@@ -44,8 +44,8 @@ use squid_relation::{
 
 use crate::properties::{discover_properties, PropKind, PropertyDef};
 use crate::stats::{
-    cutpoints_of, narrow, rank_of, CategoricalStats, Coder, Csr, DerivedNumericStats, DerivedStats,
-    NumericStats, Overflow, PropStats,
+    code_floats, narrow, CategoricalStats, Coder, Csr, DerivedNumericStats, DerivedStats,
+    NumericStats, Overflow, PropStats, NULL_CODE,
 };
 
 /// Build-time statistics (Figure 18 reports these for the paper datasets).
@@ -557,7 +557,18 @@ impl<'a> Shared<'a> {
         let targets = self.db.table(target)?.len();
         slot(&self.groupings, |&(f, c)| (f, c) == (fact, column))
             .ok_or_else(|| not_a_foreign_key(fact, column))?
-            .get_or_init(|| Grouping::build(key, fact_t.len(), keys, targets))
+            .get_or_init(|| {
+                // A counting sort; fact rows and referenced rows are `u32`s.
+                narrow(fact_t.len() as u64, "fact row")?;
+                narrow(targets as u64, "referenced row")?;
+                let mut referenced = vec![NO_ROW; fact_t.len()];
+                kernel::scan_ints(key, fact_t.len(), |row, k| {
+                    if let Some(r) = keys.get(k) {
+                        referenced[row] = r as u32;
+                    }
+                });
+                Csr::group_by(&referenced, targets)
+            })
             .as_ref()
             .map_err(|overflow| RelationError::TooLarge(format!("{fact}.{column}: {overflow}")))
     }
@@ -579,7 +590,7 @@ impl<'a> Shared<'a> {
         .ok_or_else(|| not_a_foreign_key(fact, other))?;
         Ok(targets.get_or_init(|| {
             let row = |&r: &u32| key.row(r).map_or(NO_ROW, |t| t as u32);
-            facts.rows.entries.iter().map(row).collect()
+            facts.entries.iter().map(row).collect()
         }))
     }
 
@@ -616,41 +627,7 @@ fn not_a_foreign_key(table: &str, column: &str) -> RelationError {
 /// references: group `r` holds, ascending, the fact rows whose key is row
 /// `r`'s primary key. A NULL key, or one that matches no row, is in no
 /// group.
-struct Grouping {
-    rows: Csr<u32>,
-}
-
-impl Grouping {
-    /// Counting sort of the `len` rows of key column `key` by the row of
-    /// `keys` (over `targets` rows) each key references.
-    fn build(
-        key: &ColumnVec,
-        len: usize,
-        keys: &IdMap,
-        targets: usize,
-    ) -> std::result::Result<Grouping, Overflow> {
-        // Fact rows and referenced rows are stored as `u32`s.
-        narrow(len as u64, "fact row")?;
-        narrow(targets as u64, "referenced row")?;
-        let mut target = vec![NO_ROW; len];
-        let mut lens = vec![0u32; targets];
-        kernel::scan_ints(key, len, |row, k| {
-            if let Some(r) = keys.get(k) {
-                target[row] = r as u32;
-                lens[r] += 1;
-            }
-        });
-        let mut rows = Csr::sized(lens, 0)?;
-        let mut next = rows.cursors();
-        for (row, &t) in target.iter().enumerate() {
-            if t != NO_ROW {
-                rows.entries[next[t as usize] as usize] = row as u32;
-                next[t as usize] += 1;
-            }
-        }
-        Ok(Grouping { rows })
-    }
-}
+type Grouping = Csr<u32>;
 
 /// A fact table's key column read through the referenced table's key map.
 struct KeyColumn<'a> {
@@ -734,7 +711,9 @@ fn compute_stats(shared: &Shared<'_>, def: &PropertyDef) -> Result<PropStats> {
         }
         PropKind::DirectNumeric { column } => {
             let ci = col(db, &def.entity, column)?;
-            PropStats::Numeric(NumericStats::from_column(entity_table.column(ci), n))
+            PropStats::Numeric(
+                NumericStats::from_column(entity_table.column(ci), n).map_err(refuse)?,
+            )
         }
         PropKind::FactCategorical {
             fact,
@@ -766,7 +745,7 @@ fn compute_stats(shared: &Shared<'_>, def: &PropertyDef) -> Result<PropStats> {
             let fc = db.table(fact)?.column(col(db, fact, column)?);
             let mut coder = Coder::default();
             let visit = |i: usize, out: &mut Vec<u32>| {
-                let row = facts.rows.entries[i] as RowId;
+                let row = facts.entries[i] as RowId;
                 if !fc.is_null(row) {
                     out.push(coder.code(fc.value_at(row))?);
                 }
@@ -784,7 +763,7 @@ fn compute_stats(shared: &Shared<'_>, def: &PropertyDef) -> Result<PropStats> {
             let fc = db.table(fact)?.column(col(db, fact, column)?);
             let mut coder = Coder::default();
             let visit = |i: usize, out: &mut Vec<(u32, u32)>| {
-                let row = facts.rows.entries[i] as RowId;
+                let row = facts.entries[i] as RowId;
                 if !fc.is_null(row) {
                     out.push((coder.code(fc.value_at(row))?, 1));
                 }
@@ -805,28 +784,17 @@ fn compute_stats(shared: &Shared<'_>, def: &PropertyDef) -> Result<PropStats> {
             let grouping = (fact.as_str(), fact_entity_col.as_str(), def.entity.as_str());
             let mids = shared.targets(grouping, fact_mid_col, mid_table)?;
             if *numeric {
-                // The cutpoints are the distinct values of the mid rows some
-                // entity reaches; each such row is ranked once.
+                // The cutpoints: the distinct values of the mid rows reached.
                 let mid_col = db.table(mid_table)?.column(col(db, mid_table, column)?);
-                let mut ranks = vec![NO_VALUE; db.table(mid_table)?.len()];
+                let mut values = vec![None; db.table(mid_table)?.len()];
                 for &m in mids.iter().filter(|&&m| m != NO_ROW) {
-                    ranks[m as usize] = UNCODED;
+                    values[m as usize] = mid_col.float_at(m as usize);
                 }
-                let value = |m: usize| mid_col.value_at(m).as_float();
-                let reached = (0..ranks.len()).filter(|&m| ranks[m] == UNCODED);
-                let cutpoints = cutpoints_of(reached.filter_map(value).collect());
-                for (m, rank) in ranks.iter_mut().enumerate() {
-                    if *rank == UNCODED {
-                        *rank = match value(m) {
-                            Some(x) => rank_of(&cutpoints, x).map_err(refuse)?,
-                            None => NO_VALUE,
-                        };
-                    }
-                }
+                let (cutpoints, ranks) = code_floats(&values).map_err(refuse)?;
                 let visit = |i: usize, out: &mut Vec<(u32, u32)>| {
                     match mids[i] {
                         NO_ROW => {}
-                        m if ranks[m as usize] == NO_VALUE => {}
+                        m if ranks[m as usize] == NULL_CODE => {}
                         m => out.push((ranks[m as usize], 1)),
                     }
                     Ok(())
@@ -872,9 +840,9 @@ fn compute_stats(shared: &Shared<'_>, def: &PropertyDef) -> Result<PropStats> {
             // no mid row) still join fact1 to fact2 in the live query, so
             // they must still count: their property rows sit beside the
             // key, in fact2 row order.
-            let mut mid_props = Csr::with_groups(mids.rows.groups());
-            for m in 0..mids.rows.groups() {
-                let rows = mids.rows.group(m);
+            let mut mid_props = Csr::with_groups(mids.groups());
+            for m in 0..mids.groups() {
+                let rows = mids.group(m);
                 let reached = rows.iter().filter_map(|&r| prop.row(r));
                 mid_props.entries.extend(reached.map(|p| p as u32));
                 mid_props.end_group().map_err(refuse)?;
@@ -896,7 +864,7 @@ fn compute_stats(shared: &Shared<'_>, def: &PropertyDef) -> Result<PropStats> {
             let visit = |i: usize, out: &mut Vec<(u32, u32)>| {
                 let reached = match mid_rows[i] {
                     NO_ROW => {
-                        let Some(key) = mid.key(facts.rows.entries[i]) else {
+                        let Some(key) = mid.key(facts.entries[i]) else {
                             return Ok(());
                         };
                         let from = dangling_keys.partition_point(|&k| k < key);
@@ -924,10 +892,10 @@ fn per_entity<T: Copy>(
     facts: &Grouping,
     mut visit: impl FnMut(usize, &mut Vec<T>) -> std::result::Result<(), Overflow>,
 ) -> std::result::Result<Csr<T>, Overflow> {
-    let mut arena = Csr::with_groups(facts.rows.groups());
+    let mut arena = Csr::with_groups(facts.groups());
     let mut i = 0;
-    for entity in 0..facts.rows.groups() {
-        for _ in facts.rows.group(entity) {
+    for entity in 0..facts.groups() {
+        for _ in facts.group(entity) {
             visit(i, &mut arena.entries)?;
             i += 1;
         }

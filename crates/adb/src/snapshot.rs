@@ -99,7 +99,7 @@ use std::path::Path;
 use squid_relation::frame::{next_record, put_record, ByteReader, ByteWriter, FrameError};
 use squid_relation::{
     db_verification_hash, Column, ColumnBuilder, ColumnData, DataType, Database, ForeignKey,
-    FrameResult, Real, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
+    FrameResult, RowSet, Sym, Table, TableRole, TableSchema, NULL_SYM,
 };
 
 use crate::build::ADb;
@@ -497,14 +497,6 @@ fn decode_table(r: &mut ByteReader<'_>, remap: &SymRemap) -> FrameResult<Table> 
                     .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("8 bytes"))))
                     .collect();
                 nulls.iter().for_each(|row| xs[row] = 0.0);
-                let canonical =
-                    |x: f64| Real::new(x).map(|r| r.get().to_bits()) == Some(x.to_bits());
-                if let Some(row) = xs.iter().position(|&x| !canonical(x)) {
-                    return Err(FrameError::corrupt(
-                        S,
-                        format!("table {name}: float cell {row} is not canonical"),
-                    ));
-                }
                 ColumnData::Float(xs)
             }
             DataType::Text => {
@@ -521,7 +513,9 @@ fn decode_table(r: &mut ByteReader<'_>, remap: &SymRemap) -> FrameResult<Table> 
                 ColumnData::Bool(xs)
             }
         };
-        builders.push(ColumnBuilder::from_parts(data, nulls));
+        let column = ColumnBuilder::from_parts(data, nulls)
+            .map_err(|e| FrameError::corrupt(S, format!("table {name}: {e}")))?;
+        builders.push(column);
     }
     Table::from_columns(schema, builders)
         .map_err(|e| FrameError::corrupt(S, format!("table {name} rejected: {e}")))
@@ -754,18 +748,36 @@ mod tests {
 
     /// A file whose float cells are not canonical — crafted, or written by
     /// a build that stored a NaN or `-0.0` — is refused, whatever its hash
-    /// and CRCs say.
+    /// and CRCs say. The file is a valid snapshot with one float cell of
+    /// its database section patched and the record resealed.
     #[test]
     fn a_non_canonical_float_cell_is_corrupt() {
+        let schema = TableSchema::new("t", vec![Column::new("x", DataType::Float)]);
+        let mut column = ColumnBuilder::new(DataType::Float);
+        column.push_float(1.0);
+        column.push_float(4321.125);
+        let mut db = Database::new();
+        db.add_table(Table::from_columns(schema, vec![column]).unwrap())
+            .unwrap();
+        let mut bytes = Vec::new();
+        write_snapshot(&db, &mut bytes).unwrap();
+        let (_, header_len) = next_record(&bytes[12..], MAX_SECTION).unwrap().unwrap();
+        let (_, interner_len) = next_record(&bytes[12 + header_len..], MAX_SECTION)
+            .unwrap()
+            .unwrap();
+        let at = 12 + header_len + interner_len;
+        let (database, _) = next_record(&bytes[at..], MAX_SECTION).unwrap().unwrap();
+        let cell = 4321.125f64.to_le_bytes();
+        let found: Vec<usize> = (0..database.len() - 7)
+            .filter(|&i| database[i..i + 8] == cell)
+            .collect();
+        assert_eq!(found.len(), 1, "the cell's bytes occur once");
         for x in [-0.0, f64::NAN, -f64::NAN] {
-            let schema = TableSchema::new("t", vec![Column::new("x", DataType::Float)]);
-            let column = ColumnBuilder::from_parts(ColumnData::Float(vec![1.0, x]), RowSet::new());
-            let mut db = Database::new();
-            db.add_table(Table::from_columns(schema, vec![column]).unwrap())
-                .unwrap();
-            let mut bytes = Vec::new();
-            write_snapshot(&db, &mut bytes).unwrap();
-            match ADb::load_snapshot_from(&mut bytes.as_slice()) {
+            let mut patched = database.to_vec();
+            patched[found[0]..found[0] + 8].copy_from_slice(&x.to_le_bytes());
+            let mut resealed = bytes[..at].to_vec();
+            put_record(&mut resealed, &patched, MAX_SECTION).unwrap();
+            match ADb::load_snapshot_from(&mut resealed.as_slice()) {
                 Err(FrameError::Corrupt { section, detail }) => {
                     assert_eq!(section, "database");
                     assert!(detail.contains("float cell 1 is not canonical"), "{detail}");

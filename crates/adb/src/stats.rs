@@ -7,25 +7,24 @@
 //!
 //! ## Value codes
 //!
-//! A categorical or derived property gives its distinct values dense `u32`
-//! codes at build, assigned in [`Value`]'s total order: code `c` is the
-//! `c`-th smallest value, so codes sort the way their values do. Each such
-//! property keeps one dictionary — its values ascending (`domain`) and one
-//! `Value → code` map — and stores every per-entity and per-value array by
-//! code. A derived-numeric property's dictionary is its cutpoints: an
-//! entity's values are stored as cutpoint ranks. Filters, fingerprints and
-//! the wire carry `Value`s; only the statistics store codes, and a read
-//! that starts from a `Value` maps it to its code once.
+//! Every property gives its distinct values dense `u32` codes at build,
+//! assigned in value order: code `c` is the `c`-th smallest value, so
+//! codes sort the way their values do. Each property keeps one
+//! dictionary, its values ascending, and stores every per-entity and
+//! per-value array by code. A categorical or derived dictionary also maps
+//! `Value → code`; a numeric or derived-numeric one is its distinct floats
+//! (`cutpoints_of`), and a value's code is its rank. Filters, fingerprints
+//! and the wire carry `Value`s; only the statistics store codes, and a
+//! read that starts from a `Value` maps it to its code once.
 //!
 //! Every code, count, offset and row is a `u32`, narrowed in one checked
 //! place ([`narrow`]): a property whose figures do not fit is refused at
 //! build with an [`Overflow`], never wrapped.
 //!
 //! The statistics read table cells, which hold no NaN and no `-0.0`
-//! (ingest stores them as NULL and `0.0`,
-//! [`Real::new`](squid_relation::Real::new)). So every float
-//! they sort or compare is ordered by plain IEEE comparison, which agrees
-//! with `Value`'s total order and with the executed SQL there.
+//! ([`Real::new`](squid_relation::Real::new) stores them as NULL and
+//! `0.0`), so plain IEEE comparison orders every float they sort or
+//! compare, agreeing with `Value`'s total order and the executed SQL.
 //!
 //! ## Postings layout
 //!
@@ -47,8 +46,9 @@
 //!   of list θ from the first reach ≥ `c`'s rank: again one binary
 //!   search for both ψ and the rows. The lists hold one posting per
 //!   association, whatever the domain size.
-//! * **Numeric ranges** ([`NumericStats`]): `(value, row)` pairs ascending
-//!   by value; a range is the slice between two binary searches.
+//! * **Numeric ranges** ([`NumericStats`]): per value code its ascending
+//!   rows, the groups in value order, so a range is one slice between two
+//!   binary searches over the domain; the offsets are the prefix counts.
 //! * **Categorical values** ([`CategoricalStats`]): per value code its
 //!   rows, stored in whichever form is smaller ([`ValueRows`]) — ascending
 //!   `u32` row ids, or one bit per entity once the list would be at least
@@ -66,11 +66,12 @@
 //! entity `r`'s entries being `entries[offsets[r]..offsets[r + 1]]`. A
 //! categorical entity holds its distinct value codes, ascending; a derived
 //! entity its `(code, count)` run, ascending by code; a derived-numeric
-//! entity its `(rank, count)` run, ascending by rank. No entity owns an
-//! allocation. Context discovery folds example rows through these arenas
-//! (its intersections are merges over sorted codes), and the per-row
-//! filter definition (`CandidateFilter::matches_row` in squid-core) — the
-//! oracle every set-algebra path is tested against — reads nothing else.
+//! entity its `(rank, count)` run, ascending by rank; a numeric entity its
+//! one code, in a flat `u32` array (past the domain for NULL). No entity
+//! owns an allocation. Context discovery folds example rows through these
+//! arenas (its intersections are merges over sorted codes), and the
+//! per-row filter definition (`CandidateFilter::matches_row`, squid-core),
+//! the oracle every set-algebra path is tested against, reads nothing else.
 //!
 //! ## One store per fact
 //!
@@ -79,9 +80,8 @@
 //!
 //! * ψ_eq, ψ_in and the categorical domain: a value code's row group or
 //!   bitmap, whose length is O(1) ([`ValueRows::len`]), and the dictionary.
-//! * ψ of a numeric range: the length of its slice of `sorted_rows`
-//!   ([`NumericStats::rows_in_range`]); min, max and coverage: the two
-//!   ends of `sorted_rows`.
+//! * ψ of a numeric range: the length of its slice of the row groups
+//!   ([`NumericStats::rows_in_range`]); min, max, coverage: the domain's ends.
 //! * ψ of `⟨A, v, θ⟩`: the length of a θ-suffix of the value's postings.
 //! * ψ of `⟨A ≥ c, θ⟩`: the length of a reach-suffix of θ-list θ.
 //! * Normalized ψ (`⟨A, v, frac⟩`): one walk over `v`'s postings, keeping
@@ -103,8 +103,9 @@
 //! emission scans those C cutpoints for the most selective one.
 //!
 //! Each kind has one assembler, which takes the per-entity codes in one
-//! CSR arena: the αDB build fills that arena straight from the fact
-//! tables (`crate::build`), and the public constructors (`from_sets`,
+//! CSR arena (a numeric property's, [`NumericStats::build`], its values):
+//! the αDB build fills that arena straight from the fact tables
+//! (`crate::build`), and the public constructors (`from_sets`,
 //! `from_runs`, [`DerivedNumericStats::build`]) pack their per-entity
 //! lists into it, so there is no second implementation. The assemblers
 //! size every group array from counts before filling it, and trim what
@@ -113,6 +114,7 @@
 
 use std::collections::hash_map::Entry;
 use std::fmt;
+use std::ops::Range;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use squid_relation::heap::{map_bytes, vec_bytes};
@@ -204,6 +206,11 @@ impl<T: Copy> Csr<T> {
         }
     }
 
+    /// Groups `a..b` as one slice, in group order.
+    fn span(&self, groups: Range<usize>) -> &[T] {
+        &self.entries[self.offsets[groups.start] as usize..self.offsets[groups.end] as usize]
+    }
+
     /// The first entry of every group, for placing entries group by group.
     pub(crate) fn cursors(&self) -> Vec<u32> {
         self.offsets[..self.groups()].to_vec()
@@ -244,6 +251,24 @@ impl<T: Copy + Ord> Csr<T> {
             let (a, b) = (self.offsets[i] as usize, self.offsets[i + 1] as usize);
             self.entries[a..b].sort_unstable();
         }
+    }
+}
+
+impl Csr<u32> {
+    /// Counting sort of indices by key: group `g` holds, ascending, every
+    /// `i` with `keys[i] == g`; a key past the last group is in no group.
+    /// Every index fits a `u32` (the callers narrow `keys.len()`).
+    pub(crate) fn group_by(keys: &[u32], groups: usize) -> Result<Csr<u32>, Overflow> {
+        let grouped = || (0u32..).zip(keys).filter(|&(_, &k)| (k as usize) < groups);
+        let mut lens = vec![0u32; groups];
+        grouped().for_each(|(_, &k)| lens[k as usize] += 1);
+        let mut csr = Csr::sized(lens, 0)?;
+        let mut next = csr.cursors();
+        for (i, &k) in grouped() {
+            csr.entries[next[k as usize] as usize] = i;
+            next[k as usize] += 1;
+        }
+        Ok(csr)
     }
 }
 
@@ -628,55 +653,54 @@ impl CategoricalStats {
     }
 }
 
-/// Statistics for a direct numeric attribute. Stores the non-null
-/// `(value, row)` pairs ascending by value, so that ψ(φ⟨A, [l, h], ⊥⟩) and
-/// the range's rows are the slice between two binary searches — the
-/// paper's trick of only precomputing ψ(φ⟨A, [min, v], ⊥⟩) for every v,
-/// with the position in the array as the prefix count.
+/// Statistics for a direct numeric attribute: its dictionary, each
+/// entity's code, and per code its rows. ψ(φ⟨A, [l, h], ⊥⟩) and its rows
+/// are one slice of the row groups: the paper's trick of only precomputing
+/// ψ(φ⟨A, [min, v], ⊥⟩) for every v, the group offsets being those counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NumericStats {
-    /// Per-entity value (None for null).
-    per_entity: Vec<Option<f64>>,
-    /// `(value, row)` pairs ascending by value: range filters enumerate
-    /// their matches with two binary searches.
-    sorted_rows: Vec<(f64, RowId)>,
+    /// Distinct non-null values ascending: code `c` is `domain[c]`.
+    domain: Vec<f64>,
+    /// Entity `r`'s code, [`NULL_CODE`] for NULL.
+    codes: Vec<u32>,
+    /// Code `c`'s rows, ascending: group `c`.
+    rows: Csr<u32>,
 }
 
 impl NumericStats {
     /// Build from a direct numeric attribute column, scanning batch-wise
     /// (non-null words; Int cells widened to `f64` like `float_at`).
-    pub fn from_column(cv: &ColumnVec, n: usize) -> NumericStats {
+    pub fn from_column(cv: &ColumnVec, n: usize) -> Result<NumericStats, Overflow> {
         let mut per_entity: Vec<Option<f64>> = vec![None; n];
         kernel::scan_floats(cv, n, |rid, x| per_entity[rid] = Some(x));
         Self::build(per_entity)
     }
 
     /// Build from per-entity values, canonical as table cells are (no NaN;
-    /// panics on one).
-    pub fn build(per_entity: Vec<Option<f64>>) -> Self {
-        let mut sorted_rows: Vec<(f64, RowId)> = per_entity
-            .iter()
-            .enumerate()
-            .filter_map(|(rid, v)| v.map(|x| (x, rid)))
-            .collect();
-        sorted_rows.sort_by(|a, b| a.0.partial_cmp(&b.0).expect(NO_NAN));
-        NumericStats {
-            per_entity,
-            sorted_rows,
-        }
+    /// panics on one), coded by [`code_floats`]; rows are grouped by code.
+    pub fn build(per_entity: Vec<Option<f64>>) -> Result<Self, Overflow> {
+        // Every row and every code is below n.
+        narrow(per_entity.len() as u64, "entity count")?;
+        let (domain, codes) = code_floats(&per_entity)?;
+        let rows = Csr::group_by(&codes, domain.len())?;
+        Ok(NumericStats {
+            domain,
+            codes,
+            rows,
+        })
     }
 
-    /// The `(value, row)` pairs with `l ≤ value ≤ h` (the test
-    /// `CandidateFilter::matches_row` makes), located with two binary
-    /// searches over the value-sorted postings.
-    pub fn rows_in_range(&self, l: f64, h: f64) -> &[(f64, RowId)] {
-        let start = self.sorted_rows.partition_point(|&(v, _)| v < l);
-        let end = self.sorted_rows.partition_point(|&(v, _)| v <= h);
-        &self.sorted_rows[start.min(end)..end]
+    /// The rows with `l ≤ value ≤ h` (`CandidateFilter::matches_row`'s
+    /// test), ascending by value, then row: the row groups of the codes
+    /// between two binary searches over the domain.
+    pub fn rows_in_range(&self, l: f64, h: f64) -> &[u32] {
+        let start = self.domain.partition_point(|&v| v < l);
+        let end = self.domain.partition_point(|&v| v <= h);
+        self.rows.span(start.min(end)..end)
     }
 
     /// ψ(φ⟨A, [l, h], ⊥⟩) relative to `n` entities: the length of the
-    /// range's postings ([`NumericStats::rows_in_range`]).
+    /// range's rows ([`NumericStats::rows_in_range`]).
     pub fn selectivity_range(&self, l: f64, h: f64, n: usize) -> f64 {
         psi(self.rows_in_range(l, h).len(), n)
     }
@@ -688,21 +712,24 @@ impl NumericStats {
 
     /// Smallest observed value.
     pub fn min(&self) -> Option<f64> {
-        self.sorted_rows.first().map(|&(v, _)| v)
+        self.domain.first().copied()
     }
 
     /// Largest observed value.
     pub fn max(&self) -> Option<f64> {
-        self.sorted_rows.last().map(|&(v, _)| v)
+        self.domain.last().copied()
     }
 
-    /// Value of one entity.
+    /// Value of one entity: its code's domain value.
     pub fn value_of(&self, row: RowId) -> Option<f64> {
-        self.per_entity.get(row).copied().flatten()
+        self.codes
+            .get(row)
+            .and_then(|&c| self.domain.get(c as usize))
+            .copied()
     }
 
     fn heap_bytes(&self) -> usize {
-        vec_bytes(&self.per_entity) + vec_bytes(&self.sorted_rows)
+        vec_bytes(&self.domain) + vec_bytes(&self.codes) + self.rows.heap_bytes()
     }
 }
 
@@ -1068,14 +1095,11 @@ impl DerivedNumericStats {
     }
 }
 
-/// Why a sort of statistics floats cannot meet an unordered pair: they
-/// are table cells, which hold no NaN.
-const NO_NAN: &str = "statistics floats are canonical: no NaN";
-
-/// The cutpoints of a derived-numeric property whose associations take
-/// `values`: its distinct values ascending.
+/// The dictionary of a numeric or derived-numeric property whose entities
+/// or associations take `values` (table cells, so no NaN): its distinct
+/// values ascending.
 pub(crate) fn cutpoints_of(mut values: Vec<f64>) -> Vec<f64> {
-    values.sort_by(|a, b| a.partial_cmp(b).expect(NO_NAN));
+    values.sort_by(|a, b| a.partial_cmp(b).expect("statistics floats hold no NaN"));
     values.dedup();
     values.shrink_to_fit();
     values
@@ -1086,6 +1110,20 @@ pub(crate) fn cutpoints_of(mut values: Vec<f64>) -> Vec<f64> {
 pub(crate) fn rank_of(cutpoints: &[f64], x: f64) -> Result<u32, Overflow> {
     let rank = cutpoints.partition_point(|&c| c < x);
     narrow(rank as u64, "cutpoint rank")
+}
+
+/// The code of an absent float: past every dictionary.
+pub(crate) const NULL_CODE: u32 = u32::MAX;
+
+/// The dictionary of `values` ([`cutpoints_of`]) and each value's code,
+/// its rank there ([`NULL_CODE`] for `None`).
+pub(crate) fn code_floats(values: &[Option<f64>]) -> Result<(Vec<f64>, Vec<u32>), Overflow> {
+    let dict = cutpoints_of(values.iter().flatten().copied().collect());
+    let mut codes = Vec::with_capacity(values.len());
+    for v in values {
+        codes.push(v.map_or(Ok(NULL_CODE), |x| rank_of(&dict, x))?);
+    }
+    Ok((dict, codes))
 }
 
 /// The suffix of ascending `reach << 32 | row` postings with reach ≥ `ci`.
@@ -1689,7 +1727,8 @@ mod tests {
             Some(50.0),
             Some(29.0),
             Some(60.0),
-        ]);
+        ])
+        .unwrap();
         // ψ(φ⟨age,[50,90],⊥⟩) = 5/6 per the paper.
         assert!((s.selectivity_range(50.0, 90.0, 6) - 5.0 / 6.0).abs() < 1e-12);
         assert!((s.selectivity_range(29.0, 29.0, 6) - 1.0 / 6.0).abs() < 1e-12);
@@ -1699,7 +1738,7 @@ mod tests {
 
     #[test]
     fn numeric_coverage() {
-        let s = NumericStats::build(vec![Some(0.0), Some(100.0)]);
+        let s = NumericStats::build(vec![Some(0.0), Some(100.0)]).unwrap();
         assert!((s.coverage_range(40.0, 90.0) - 0.5).abs() < 1e-12);
         assert!((s.coverage_range(-10.0, 200.0) - 1.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(0.0));
@@ -1708,7 +1747,7 @@ mod tests {
 
     #[test]
     fn numeric_empty_is_safe() {
-        let s = NumericStats::build(vec![None, None]);
+        let s = NumericStats::build(vec![None, None]).unwrap();
         assert_eq!(s.selectivity_range(0.0, 1.0, 2), 0.0);
         assert_eq!(s.coverage_range(0.0, 1.0), 1.0);
         assert_eq!(s.value_of(0), None);

@@ -145,13 +145,48 @@ fn assert_build_matches_brute_force(name: &str, db: &Database) -> usize {
                     }
                 }
                 PropStats::Numeric(s) => {
-                    for (row, list) in lists.iter().enumerate() {
-                        let want = list.first().and_then(Value::as_float);
+                    let values: Vec<Option<f64>> = lists
+                        .iter()
+                        .map(|list| list.first().and_then(Value::as_float))
+                        .collect();
+                    for (row, want) in values.iter().enumerate() {
                         assert_eq!(
                             s.value_of(row).map(f64::to_bits),
                             want.map(f64::to_bits),
                             "{what}: row {row}"
                         );
+                    }
+                    let mut domain: Vec<f64> = values.iter().flatten().copied().collect();
+                    domain.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                    domain.dedup();
+                    assert_eq!(s.min(), domain.first().copied(), "{what}: min");
+                    assert_eq!(s.max(), domain.last().copied(), "{what}: max");
+                    // Every domain value, the points between neighbours and
+                    // ±∞, as either bound: l > h and empty ranges included.
+                    let mut bounds = vec![f64::NEG_INFINITY, f64::INFINITY];
+                    bounds.extend(&domain);
+                    bounds.extend(domain.windows(2).map(|w| w[0] / 2.0 + w[1] / 2.0));
+                    bounds.retain(|x| !x.is_nan());
+                    for &l in &bounds {
+                        for &h in &bounds {
+                            let mut want: Vec<(f64, RowId)> = (0..e.n)
+                                .filter_map(|r| {
+                                    values[r].filter(|&x| l <= x && x <= h).map(|x| (x, r))
+                                })
+                                .collect();
+                            want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+                            let got: Vec<(f64, RowId)> = s
+                                .rows_in_range(l, h)
+                                .iter()
+                                .map(|&r| (s.value_of(r as RowId).unwrap(), r as RowId))
+                                .collect();
+                            assert_eq!(got, want, "{what}: rows in [{l}, {h}]");
+                            assert_eq!(
+                                s.selectivity_range(l, h, e.n),
+                                want.len() as f64 / e.n as f64,
+                                "{what}: ψ of [{l}, {h}]"
+                            );
+                        }
                     }
                 }
                 PropStats::Derived(s) => {

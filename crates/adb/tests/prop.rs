@@ -57,7 +57,7 @@ proptest! {
     ) {
         let per_entity: Vec<Option<f64>> = vals.iter().map(|v| v.map(|x| x as f64)).collect();
         let n = per_entity.len();
-        let stats = NumericStats::build(per_entity.clone());
+        let stats = NumericStats::build(per_entity.clone()).unwrap();
         let hi = lo + width;
         let expected = per_entity
             .iter()
@@ -67,6 +67,19 @@ proptest! {
             / n as f64;
         let got = stats.selectivity_range(lo as f64, hi as f64, n);
         prop_assert!((got - expected).abs() < 1e-12, "{got} vs {expected}");
+        // The rows too, in (value, row) order.
+        let mut want: Vec<(f64, usize)> = per_entity
+            .iter()
+            .enumerate()
+            .filter_map(|(r, v)| v.filter(|&x| x >= lo as f64 && x <= hi as f64).map(|x| (x, r)))
+            .collect();
+        want.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let rows: Vec<(f64, usize)> = stats
+            .rows_in_range(lo as f64, hi as f64)
+            .iter()
+            .map(|&r| (stats.value_of(r as usize).unwrap(), r as usize))
+            .collect();
+        prop_assert_eq!(rows, want);
     }
 
     #[test]

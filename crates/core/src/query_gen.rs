@@ -273,17 +273,16 @@ pub(crate) enum Source<'a> {
 }
 
 /// The postings of one filter that is not held as a bitmap. The first
-/// three are exactly the satisfying rows, each once; the last two are a
+/// two are exactly the satisfying rows, each once; the last two are a
 /// superset walked with a check (`Frac`) or may meet a row once per value
 /// (`In`), so their [`len`](Slice::len) is an upper bound.
 pub(crate) enum Slice<'a> {
-    /// Ascending ids of a sparse categorical value (`CatEq`).
+    /// Row ids, ascending within each value: a sparse categorical value's
+    /// (`CatEq`) or a numeric range's (`NumRange`).
     Rows(&'a [u32]),
     /// A suffix of `key << 32 | row` postings: a value's θ-suffix
     /// (`DerivedEq`) or a θ-list's cutpoint suffix (`DerivedGe`).
     Postings(&'a [u64]),
-    /// The `(value, row)` pairs of a numeric range (`NumRange`).
-    Range(&'a [(f64, RowId)]),
     /// The row sets of an `IN` list's values (`CatIn`).
     In(Vec<ValueRows<'a>>),
     /// The postings of every entity associated with a value, each kept
@@ -301,7 +300,6 @@ impl Slice<'_> {
         match self {
             Slice::Rows(ids) => ids.len(),
             Slice::Postings(postings) => postings.len(),
-            Slice::Range(pairs) => pairs.len(),
             Slice::In(values) => values.iter().map(|rows| rows.len()).sum(),
             Slice::Frac { postings, .. } => postings.len(),
         }
@@ -312,7 +310,6 @@ impl Slice<'_> {
         match self {
             Slice::Rows(ids) => ids.iter().for_each(|&id| visit(id as RowId)),
             Slice::Postings(postings) => postings.iter().for_each(|&p| visit(posting_row(p))),
-            Slice::Range(pairs) => pairs.iter().for_each(|&(_, row)| visit(row)),
             Slice::In(values) => values.iter().for_each(|rows| rows.for_each(&mut visit)),
             Slice::Frac {
                 postings,
@@ -405,7 +402,7 @@ fn source<'a>(
             Slice::In(vs.iter().filter_map(|v| s.rows_with(v)).collect())
         }
         (FilterValue::NumRange(l, h), PropStats::Numeric(s)) => {
-            Slice::Range(s.rows_in_range(*l, *h))
+            Slice::Rows(s.rows_in_range(*l, *h))
         }
         (FilterValue::DerivedEq { value, theta }, PropStats::Derived(s)) => {
             Slice::Postings(s.postings_ge(value, *theta))

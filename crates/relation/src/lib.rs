@@ -102,5 +102,5 @@ pub use inverted::{InvertedIndex, Posting};
 pub use kernel::{CmpSpec, Kernel, ScanPlan};
 pub use rowset::RowSet;
 pub use schema::{Column, ForeignKey, SchemaMeta, TableRole, TableSchema};
-pub use table::{ColumnBuilder, ColumnData, ColumnVec, RowId, Table, NULL_SYM};
+pub use table::{ColumnBuilder, ColumnData, ColumnVec, NonCanonicalFloat, RowId, Table, NULL_SYM};
 pub use value::{DataType, Real, Value};

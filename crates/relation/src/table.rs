@@ -220,6 +220,22 @@ impl ColumnVec {
     }
 }
 
+/// A float cell that [`ColumnBuilder::from_parts`] refuses: a NaN or
+/// `-0.0`, which no table stores ([`Real::new`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct NonCanonicalFloat {
+    /// The cell's row.
+    pub row: RowId,
+}
+
+impl std::fmt::Display for NonCanonicalFloat {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "float cell {} is not canonical", self.row)
+    }
+}
+
+impl std::error::Error for NonCanonicalFloat {}
+
 /// Typed staging storage for one column of a columnar bulk build (see
 /// [`Table::from_columns`]): push cells through the typed methods — no
 /// `Value` wrapping, no per-row type dispatch — then hand the builders to
@@ -317,18 +333,29 @@ impl ColumnBuilder {
 
     /// Assemble a builder directly from bulk-decoded parts: the typed
     /// storage and its null bitmap, with no per-cell push. The caller
-    /// guarantees three invariants the push methods normally maintain:
+    /// guarantees two invariants the push methods normally maintain:
     /// every set bit in `nulls` addresses a cell below `data`'s length,
-    /// null positions hold the type's sentinel value, and every float cell
-    /// is its own [`Real`].
-    pub fn from_parts(data: ColumnData, nulls: RowSet) -> ColumnBuilder {
+    /// and null positions hold the type's sentinel value. The third is
+    /// checked here, in one pass: every float cell must be its own
+    /// [`Real`], so a NaN or `-0.0` cell is refused and named.
+    pub fn from_parts(
+        data: ColumnData,
+        nulls: RowSet,
+    ) -> std::result::Result<ColumnBuilder, NonCanonicalFloat> {
         let len = match &data {
             ColumnData::Int(xs) => xs.len(),
-            ColumnData::Float(xs) => xs.len(),
+            ColumnData::Float(xs) => {
+                let canonical =
+                    |x: f64| Real::new(x).is_some_and(|r| r.get().to_bits() == x.to_bits());
+                if let Some(row) = xs.iter().position(|&x| !canonical(x)) {
+                    return Err(NonCanonicalFloat { row });
+                }
+                xs.len()
+            }
             ColumnData::Text(xs) => xs.len(),
             ColumnData::Bool(xs) => xs.len(),
         };
-        ColumnBuilder { data, nulls, len }
+        Ok(ColumnBuilder { data, nulls, len })
     }
 
     /// Append an arbitrary `Value`, type-checked (the generic path for
@@ -725,6 +752,18 @@ mod tests {
             assert_eq!(col.floats().unwrap()[..2], [0.0, 0.0], "null sentinels");
             assert_eq!(t.cell(0, 0), Some(Value::Null));
         }
+    }
+
+    #[test]
+    fn from_parts_refuses_a_non_canonical_float_cell() {
+        for x in [-0.0, f64::NAN, -f64::NAN] {
+            let data = ColumnData::Float(vec![1.0, 0.0, x]);
+            let err = ColumnBuilder::from_parts(data, RowSet::new()).unwrap_err();
+            assert_eq!(err, NonCanonicalFloat { row: 2 }, "{x}");
+            assert_eq!(err.to_string(), "float cell 2 is not canonical");
+        }
+        let data = ColumnData::Float(vec![1.0, 0.0, f64::INFINITY]);
+        assert!(ColumnBuilder::from_parts(data, RowSet::new()).is_ok());
     }
 
     #[test]

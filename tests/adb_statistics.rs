@@ -97,9 +97,10 @@ fn statistics_digest(db: &Database) -> u64 {
                     }
                     let range = s.rows_in_range(f64::NEG_INFINITY, f64::INFINITY);
                     h.u64(range.len() as u64);
-                    for &(x, row) in range {
+                    for &row in range {
+                        let x = s.value_of(row as usize).expect("a ranged row has a value");
                         h.u64(x.to_bits());
-                        h.u64(row as u64);
+                        h.u64(u64::from(row));
                     }
                 }
                 PropStats::Derived(s) => {
