@@ -19,12 +19,15 @@
 //!   cutpoint suffix of a derived-numeric θ-list, a value range of the
 //!   numeric postings, a sparse value's ids.
 //!
-//! `source` is the one function that builds them, and [`evaluate`] (the
-//! one-shot `Squid::discover` path), [`evaluate_cached`], the session's
-//! add-only step `restrict_rows`, [`filter_row_set`] and example
-//! recommendation's `violators` all go through it. Sources are ordered by
-//! size and intersected smallest first, in one of two representations
-//! chosen by the smallest source's size:
+//! `source` is the one function that builds them, and [`evaluate`],
+//! [`evaluate_cached`], the session's turns (the one-shot
+//! `Squid::discover` among them), the session's add-only step
+//! `restrict_rows`, [`filter_row_set`] and example recommendation's
+//! `violators` all go through it. The filters are ordered by the size each
+//! carries from emission, ψ·n, so ordering reads no postings and touches
+//! no cache, and intersected smallest first; a filter's source is built
+//! only when the intersection reaches it. The running result takes one of
+//! two representations, chosen by the first source's size:
 //!
 //! * a **small** set, `len · bit_length(len) ≤ n / 64` ([`is_small`]:
 //!   sorting its rows costs no more than one pass over an n-bit bitmap;
@@ -42,10 +45,19 @@
 //!
 //! This is the array/bitmap container split of Roaring bitmaps (Chambi et
 //! al., 2016), decided at the one place that picks a filter's source. The
-//! sizes that decide are exact ([`match_estimate`]): a
-//! slice's length *is* its match count, ψ·n, for `CatEq`, `NumRange`,
-//! `DerivedEq` and `DerivedGe`; only `CatIn` (values may share rows) and
-//! the case-study-only `DerivedFrac` report an upper bound.
+//! sizes that decide are exact: ψ·n is the match count for every kind but
+//! `CatIn` (values may share rows), and a slice's length
+//! ([`match_estimate`]) is too for `CatEq`, `NumRange`, `DerivedEq` and
+//! `DerivedGe`.
+//!
+//! A session's evaluation stops as soon as the survivors are exactly its
+//! examples. Every candidate filter holds every example (paper Defs.
+//! 3.1–3.2), so the result always contains them, and once nothing else
+//! survives no later filter can remove a row: the filters never reached
+//! are never built, looked up or published. The first `add` of a prolific
+//! person — a title filter per movie, one row left after the first few —
+//! reads a handful of them. Without examples ([`evaluate`],
+//! [`evaluate_cached`]) the stop is the empty set.
 //!
 //! The cache decides one thing: whether a bitmap built from a slice is
 //! kept, for slices between the two edges of the admission band — above
@@ -189,7 +201,7 @@ pub fn adb_query(
 /// empty filter list is the whole table. A filter over an unknown property
 /// excludes every row.
 pub fn evaluate(entity: &EntityProps, filters: &[CandidateFilter]) -> RowSet {
-    intersect_sources(entity, filters, None)
+    intersect_sources(entity, filters, &[], None)
 }
 
 /// The per-row definition of evaluation: every row `r` with
@@ -564,83 +576,93 @@ pub fn evaluate_cached(
     cache: &mut FilterSetCache,
 ) -> RowSet {
     let fps: Vec<FilterFingerprint> = filters.iter().map(filter_fingerprint).collect();
-    evaluate_cached_fps(entity, filters, &fps, cache)
+    intersect_sources(entity, filters, &[], Some((&fps, cache)))
 }
 
-/// [`evaluate_cached`] with the fingerprints precomputed by the caller
-/// (the session already maintains them for its turn-over-turn diff).
-pub(crate) fn evaluate_cached_fps(
-    entity: &EntityProps,
-    filters: &[CandidateFilter],
-    fps: &[FilterFingerprint],
-    cache: &mut FilterSetCache,
-) -> RowSet {
-    intersect_sources(entity, filters, Some((fps, cache)))
-}
-
-/// The one evaluator: a [`Source`] per filter, ordered by size, the
-/// smallest materialized and each next one restricting what survived.
+/// The one evaluator: the filters ordered by the size each one carries,
+/// ψ·n from emission, and intersected smallest first, each filter's
+/// [`Source`] built only when the intersection reaches it.
 ///
-/// When the smallest source is a [small](is_small) slice, the survivors
+/// Ordering reads no postings and touches no cache. ψ·n is the satisfying
+/// row count for every kind but `IN` lists, where it is the same upper
+/// bound their slice length is.
+///
+/// When the first source is a [small](is_small) slice, the survivors
 /// are its sorted row ids and each next source filters them in place
 /// ([`retain`]). The list hands off to the bitmap as soon as the next
 /// source is a slice that the cost rule would walk and whose walk by
 /// binary search (`len · bit_length(survivors)`) costs more than one
 /// bitmap pass (`n / 64`); that source and every later one then restrict
-/// the bitmap, as they do when the smallest source is not small. One
-/// n-bit [`RowSet`] is built either way.
-fn intersect_sources(
+/// the bitmap, as they do when the first source is not small. One n-bit
+/// [`RowSet`] is built either way.
+///
+/// Evaluation stops as soon as the survivors are exactly `examples`: every
+/// chosen filter holds every example (paper Defs. 3.1–3.2), so no later
+/// filter can remove a survivor, and a filter never reached is never
+/// built, looked up or published. With no examples (the public entry
+/// points) that is the empty set.
+pub(crate) fn intersect_sources(
     entity: &EntityProps,
     filters: &[CandidateFilter],
+    examples: &[RowId],
     mut cached: Option<(&[FilterFingerprint], &mut FilterSetCache)>,
 ) -> RowSet {
     let n = entity.n;
     if filters.is_empty() {
         return RowSet::full(n);
     }
-    let mut props = Vec::with_capacity(filters.len());
-    for f in filters {
+    let mut order = Vec::with_capacity(filters.len());
+    for (i, f) in filters.iter().enumerate() {
         let Some(prop) = entity.property(f.prop_id) else {
             return RowSet::with_universe(n);
         };
-        props.push(prop);
+        order.push((i, f, prop));
     }
-    let mut sources = Vec::with_capacity(filters.len());
-    for (i, (f, prop)) in filters.iter().zip(props).enumerate() {
-        let slot = cached.as_mut().map(|(fps, cache)| CacheSlot {
-            n,
-            fp: &fps[i],
-            cache,
-        });
-        let source = source(f, prop, slot);
-        sources.push((source.len(), f, prop, source));
-    }
-    sources.sort_by_key(|(len, ..)| *len);
-    let mut sources = sources.into_iter().peekable();
-    let (len, _, _, smallest) = sources.next().expect("at least one filter");
-    let mut out = match smallest {
-        Source::Slice(slice) if is_small(len, n) => {
-            let mut rows = Vec::with_capacity(len);
+    // ψ·n orders as ψ does: every filter shares the one n.
+    order.sort_by(|(_, a, _), (_, b, _)| a.selectivity.total_cmp(&b.selectivity));
+    let mut sources = order
+        .into_iter()
+        .map(|(i, f, prop)| {
+            let slot = cached.as_mut().map(|(fps, cache)| CacheSlot {
+                n,
+                fp: &fps[i],
+                cache,
+            });
+            (f, prop, source(f, prop, slot))
+        })
+        .peekable();
+    let settled = |survivors: usize| survivors == examples.len();
+    let (_, _, first) = sources.next().expect("at least one filter");
+    let mut out = match first {
+        Source::Slice(slice) if is_small(slice.len(), n) => {
+            let mut rows = Vec::with_capacity(slice.len());
             slice.for_each(|row| rows.push(row));
             rows.sort_unstable();
             rows.dedup();
-            while let Some((_, f, prop, source)) = sources
-                .next_if(|(_, _, _, source)| !rows.is_empty() && !hands_off(source, rows.len(), n))
-            {
+            while !settled(rows.len()) {
+                let Some((f, prop, source)) =
+                    sources.next_if(|(_, _, source)| !hands_off(source, rows.len(), n))
+                else {
+                    break;
+                };
                 retain(&mut rows, f, prop, &source);
             }
             let mut out = RowSet::with_universe(n);
             out.extend(rows);
             out
         }
-        smallest => smallest.to_set(n),
+        first => first.to_set(n),
     };
-    for (_, f, prop, source) in sources {
-        if out.is_empty() {
+    while !settled(out.len()) {
+        let Some((f, prop, source)) = sources.next() else {
             break;
-        }
+        };
         restrict(&mut out, f, prop, &source);
     }
+    debug_assert!(
+        examples.iter().all(|&row| out.contains(row)),
+        "every chosen filter holds every example"
+    );
     out
 }
 

@@ -55,7 +55,7 @@ use crate::error::SquidError;
 use crate::filter::CandidateFilter;
 use crate::journal::SessionOp;
 use crate::params::SquidParams;
-use crate::query_gen::{evaluate, filter_fingerprint, original_query};
+use crate::query_gen::{filter_fingerprint, intersect_sources, original_query, restrict_rows};
 use crate::recommend::{recommend_examples, Recommendation, DEFAULT_MIN_UNCERTAINTY};
 use crate::squid::Discovery;
 
@@ -150,10 +150,12 @@ pub struct DiscoveryDelta {
     /// Evaluation-cache hits this operation: chosen filters whose row
     /// bitmaps were already resident in the cache's store, so their
     /// contribution to the result was a word-wise intersection instead of
-    /// a postings walk.
+    /// a postings walk. Only a filter the intersection reaches is looked
+    /// up: evaluation stops once only the examples survive.
     pub cache_hits: u64,
     /// Evaluation-cache misses this operation (each computed and published
-    /// one filter row set).
+    /// one filter row set), counted, like the hits, over the filters the
+    /// intersection reaches.
     pub cache_misses: u64,
 }
 
@@ -975,6 +977,10 @@ impl<'a> SquidSession<'a> {
     ///   with the added filters' cached sets (one word-wise AND each);
     /// * any removal re-intersects the cached per-filter sets — with a warm
     ///   cache that is still pure bitmap work, no postings walks.
+    ///
+    /// The last two stop once only the examples survive (see
+    /// [`query_gen`](crate::query_gen)), as the uncached one-shot
+    /// evaluation does.
     fn snapshot(
         &mut self,
         started: Instant,
@@ -1035,8 +1041,10 @@ impl<'a> SquidSession<'a> {
         };
 
         let removed_any = self.last_fps.iter().any(|fp| !fps.contains(fp));
+        // Every branch stops once only the examples survive: every chosen
+        // filter holds them all, so none can remove a row after that.
         let rows = match (&mut self.cache, &prev_same_target) {
-            (None, _) => evaluate(entity, &chosen),
+            (None, _) => intersect_sources(entity, &chosen, &distinct, None),
             (_, Some(prev)) if unchanged => prev.rows.clone(),
             (Some(cache), Some(prev)) if !removed_any => {
                 // Add-only turn: restrict the previous result by each newly
@@ -1044,13 +1052,16 @@ impl<'a> SquidSession<'a> {
                 // own — or the cheaper side of a slice not worth keeping).
                 let mut rows = prev.rows.clone();
                 for (f, fp) in chosen.iter().zip(&fps) {
+                    if rows.len() == distinct.len() {
+                        break;
+                    }
                     if !self.last_fps.contains(fp) {
-                        crate::query_gen::restrict_rows(&mut rows, entity, f, fp, cache);
+                        restrict_rows(&mut rows, entity, f, fp, cache);
                     }
                 }
                 rows
             }
-            (Some(cache), _) => crate::query_gen::evaluate_cached_fps(entity, &chosen, &fps, cache),
+            (Some(cache), _) => intersect_sources(entity, &chosen, &distinct, Some((&fps, cache))),
         };
         let after = self.cache_stats();
         let (cache_hits, cache_misses) = (after.hits - before.hits, after.misses - before.misses);

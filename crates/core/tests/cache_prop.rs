@@ -187,13 +187,18 @@ fn re_add_turn_is_served_from_the_cache() {
 /// The pinned filter, ⟨genre.name, Comedy, 4⟩, is a θ-suffix of postings,
 /// which the cache keeps as a bitmap. A dense categorical value (on eight
 /// rows, every one: gender = Male) is a bitmap in the αDB already and goes
-/// through the cache on neither pin.
+/// through the cache on neither pin. The two examples' own filters are
+/// banned first: they leave only the examples, and evaluation stops there,
+/// before a pinned filter is reached.
 #[test]
 fn repeated_pin_toggle_hits_the_cache() {
     let adb = ADb::build(&test_fixtures::mini_imdb()).unwrap();
     let mut session = SquidSession::new(&adb);
     session.add_example("Jim Carrey").unwrap();
     session.add_example("Eddie Murphy").unwrap();
+    session.ban_filter("birth_year").unwrap();
+    session.ban_filter("movie.title").unwrap();
+    assert_eq!(session.discovery().unwrap().rows.len(), 8);
     let first = session.pin_filter("genre.name").unwrap();
     assert!(first.cache_misses > 0, "first pin admits: {first:?}");
     let pinned_rows = first.discovery.as_ref().unwrap().rows.clone();

@@ -13,7 +13,11 @@
 //! slate reaches the evaluator's other representation: conjunctions whose
 //! smallest set is small enough to be kept as sorted row ids, followed by
 //! filters in every role that list meets (dense and cached bitmaps, slices
-//! walked, probed, or handed over to a bitmap). The sizes the
+//! walked, probed, or handed over to a bitmap). Session turns over that
+//! slate — random examples added and removed, random pins and bans — stop
+//! evaluating once only the examples survive, and must still return the
+//! per-row rows of their chosen filters, as must `Squid::discover`. The
+//! sizes the
 //! evaluator orders by are held to the same oracle: `match_estimate` is the
 //! per-row count for the four exact kinds, and so is `round(ψ · n)` — for
 //! normalized fractions too, whose ψ walks the evaluator's own test.
@@ -24,7 +28,7 @@ use proptest::prelude::*;
 use squid_adb::{test_fixtures, ADb, EntityProps, FilterSetCache, PropStats, Property, ValueRows};
 use squid_core::{
     evaluate, evaluate_cached, evaluate_per_row, filter_row_set, match_estimate, CandidateFilter,
-    FilterValue,
+    Discovery, FilterValue, Squid, SquidSession,
 };
 use squid_datasets::{generate_imdb, ImdbConfig};
 use squid_relation::{Column, DataType, Database, RowSet, TableSchema, Value};
@@ -618,4 +622,158 @@ proptest! {
         let what = filters.iter().map(|f| f.describe()).collect::<Vec<_>>().join(" & ");
         assert_all_paths(entity, &filters, &mut cache, &what);
     }
+}
+
+/// The rows a discovery holds must be the per-row rows of its chosen
+/// filters, and contain every example.
+fn assert_per_row(entity: &EntityProps, d: &Discovery, what: &str) {
+    let chosen: Vec<CandidateFilter> = d.chosen_filters().into_iter().cloned().collect();
+    assert_eq!(d.rows, evaluate_per_row(entity, &chosen), "{what}");
+    assert!(
+        d.example_rows.iter().all(|&row| d.rows.contains(row)),
+        "examples outside the result, {what}"
+    );
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A session's evaluation stops once only its examples survive; every
+    /// turn — a first add, a re-intersection after a removal, a pin, a
+    /// ban, the add-only turn that lifts a ban — must still equal the
+    /// per-row definition,
+    /// and so must the one-shot discovery of the final examples.
+    #[test]
+    fn session_turns_that_stop_at_the_examples_match_the_per_row_definition(
+        steps in proptest::collection::vec((0u8..6, any::<u32>()), 1..10),
+    ) {
+        let adb = wide_slate();
+        let entity = adb.entity("person").unwrap();
+        let mut session = SquidSession::new(adb);
+        let mut trail = Vec::new();
+        for (kind, pick) in steps {
+            let keys: Vec<String> = session.discovery().map_or_else(Vec::new, |d| {
+                d.scored.iter().map(|s| s.filter.attr_name.as_str().to_string()).collect()
+            });
+            let examples: Vec<String> =
+                session.examples().into_iter().map(str::to_string).collect();
+            let turn = match kind {
+                0 | 1 => {
+                    let name = format!("Person {:06}", pick as usize % entity.n);
+                    trail.push(format!("add {name}"));
+                    session.add_example(&name)
+                }
+                2 if !examples.is_empty() => {
+                    let name = &examples[pick as usize % examples.len()];
+                    trail.push(format!("remove {name}"));
+                    session.remove_example(name)
+                }
+                3 if !keys.is_empty() => {
+                    let key = &keys[pick as usize % keys.len()];
+                    trail.push(format!("pin {key}"));
+                    session.pin_filter(key)
+                }
+                4 if !keys.is_empty() => {
+                    let key = &keys[pick as usize % keys.len()];
+                    trail.push(format!("ban {key}"));
+                    session.ban_filter(key)
+                }
+                // Lifting a ban chooses its filters again: an add-only turn.
+                5 if !session.banned().is_empty() => {
+                    let key = session.banned()[pick as usize % session.banned().len()].clone();
+                    trail.push(format!("unban {key}"));
+                    session.unban_filter(&key)
+                }
+                _ => continue,
+            };
+            if turn.is_err() {
+                trail.pop();
+                continue;
+            }
+            if let Some(d) = session.discovery() {
+                assert_per_row(entity, d, &trail.join("; "));
+            }
+        }
+        let examples = session.examples();
+        if !examples.is_empty() {
+            let d = Squid::new(adb).discover(&examples).unwrap();
+            assert_per_row(entity, &d, &format!("discover {examples:?}"));
+        }
+    }
+}
+
+/// The first `add` of the IMDb 1× person with the most movies chooses a
+/// title filter per movie and leaves one row: evaluation stops at that
+/// row, before any filter large enough for the cache is reached, so the
+/// turn looks nothing up and publishes nothing. The titles alone leave
+/// that row too; banning them as well and lifting that ban again is an
+/// add-only turn over the whole table, which must come back to it.
+#[test]
+fn the_first_add_of_a_prolific_person_stops_at_its_row() {
+    let adb = ADb::build(&generate_imdb(&ImdbConfig::default())).unwrap();
+    let entity = adb.entity("person").unwrap();
+    let castinfo = adb.database.table("castinfo").unwrap();
+    let person_id = castinfo.schema().column_index("person_id").unwrap();
+    let mut movies = vec![0usize; entity.n];
+    for row in 0..castinfo.len() {
+        let id = castinfo.column(person_id).int_at(row).unwrap();
+        movies[entity.row_of(id).unwrap()] += 1;
+    }
+    let prolific = (0..entity.n)
+        .max_by_key(|&row| (movies[row], std::cmp::Reverse(row)))
+        .unwrap();
+    let name = format!("Person {prolific:06}");
+
+    let mut session = SquidSession::new(&adb);
+    let first = session.add_example(&name).unwrap();
+    let d = first.discovery.as_deref().unwrap();
+    assert_eq!(d.example_rows, [prolific], "{name}");
+    assert_eq!(d.rows.len(), 1, "{name}");
+    assert_eq!((first.cache_hits, first.cache_misses), (0, 0), "{name}");
+    assert_per_row(entity, d, &name);
+    let mut titles = d.chosen_filters();
+    titles.retain(|f| f.describe().starts_with("⟨movie.title,"));
+    assert!(titles.len() >= 20, "{name}: {} title filters", titles.len());
+
+    // Only the titles chosen, then none, then the titles again.
+    let title = titles[0].attr_name.as_str().to_string();
+    let others: Vec<String> = d
+        .chosen_filters()
+        .iter()
+        .map(|f| f.attr_name.as_str().to_string())
+        .filter(|key| *key != title)
+        .collect();
+    for key in &others {
+        session.ban_filter(key).unwrap();
+    }
+    let only_titles = session.discovery().unwrap().rows.clone();
+    assert_eq!(only_titles.len(), 1, "{name}, titles only");
+    session.ban_filter(&title).unwrap();
+    assert_eq!(session.discovery().unwrap().rows.len(), entity.n);
+    let lifted = session.unban_filter(&title).unwrap();
+    let d = lifted.discovery.as_deref().unwrap();
+    assert_eq!(d.rows, only_titles, "{name}, unban {title}");
+    assert_per_row(entity, d, &format!("{name}, unban {title}"));
+}
+
+/// A session whose result holds more than its examples never meets the
+/// stop: every chosen filter is intersected, as without examples.
+#[test]
+fn a_result_larger_than_the_examples_is_the_full_intersection() {
+    let adb = wide_slate();
+    let entity = adb.entity("person").unwrap();
+    let mut larger = 0;
+    for first in (0..entity.n).step_by(41) {
+        let mut session = SquidSession::new(adb);
+        let pair = [first, first + 1].map(|i| format!("Person {i:06}"));
+        if pair.iter().any(|name| session.add_example(name).is_err()) {
+            continue;
+        }
+        let d = session.discovery().unwrap();
+        if d.rows.len() > d.example_rows.len() && d.chosen_filters().len() >= 2 {
+            larger += 1;
+            assert_per_row(entity, d, &format!("{pair:?}"));
+        }
+    }
+    assert!(larger >= 5, "{larger} sessions with a larger result");
 }

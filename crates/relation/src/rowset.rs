@@ -109,6 +109,11 @@ impl RowSet {
         crate::heap::vec_bytes(&self.words)
     }
 
+    /// Drop the word storage's spare capacity.
+    pub fn shrink_to_fit(&mut self) {
+        self.words.shrink_to_fit();
+    }
+
     /// The raw word storage (`words()[i]` covers rows `i*64 .. i*64+64`).
     #[inline]
     pub fn words(&self) -> &[u64] {

@@ -48,6 +48,15 @@ impl ColumnData {
             ColumnData::Bool(_) => DataType::Bool,
         }
     }
+
+    fn shrink_to_fit(&mut self) {
+        match self {
+            ColumnData::Int(xs) => xs.shrink_to_fit(),
+            ColumnData::Float(xs) => xs.shrink_to_fit(),
+            ColumnData::Text(xs) => xs.shrink_to_fit(),
+            ColumnData::Bool(xs) => xs.shrink_to_fit(),
+        }
+    }
 }
 
 /// One column: typed data plus a null bitmap.
@@ -382,7 +391,12 @@ impl ColumnBuilder {
         Ok(())
     }
 
-    fn into_column_vec(self) -> ColumnVec {
+    /// The builder as a table column, its cells and null bitmap trimmed to
+    /// their length, so a table reports the same heap whether its columns
+    /// were pushed or decoded from a snapshot.
+    fn into_column_vec(mut self) -> ColumnVec {
+        self.data.shrink_to_fit();
+        self.nulls.shrink_to_fit();
         ColumnVec {
             data: self.data,
             nulls: self.nulls,

@@ -152,6 +152,26 @@ fn snapshot_round_trip_is_fingerprint_identical_for_every_slate() {
     );
 }
 
+/// A generated table holds no more heap than the same table decoded from a
+/// snapshot: `Table::from_columns` trims each pushed column's cells and
+/// null bitmap to their length, as the decoder sizes them (IMDb 1×, both
+/// after `ADb::build`).
+#[test]
+fn generated_and_reloaded_tables_hold_equal_heap() {
+    let adb = ADb::build(&generate_imdb(&ImdbConfig::default())).unwrap();
+    let mut buf = Vec::new();
+    adb.save_snapshot_to(&mut buf).unwrap();
+    let loaded = ADb::load_snapshot_from(&mut buf.as_slice()).unwrap();
+    let per_table = |a: &ADb| -> Vec<(String, usize)> {
+        a.database
+            .tables()
+            .map(|t| (t.name().to_string(), t.heap_bytes()))
+            .collect()
+    };
+    assert_eq!(per_table(&adb), per_table(&loaded));
+    assert_eq!(adb.heap_bytes().tables, loaded.heap_bytes().tables);
+}
+
 /// Discovery over a snapshot-loaded αDB must abduce the same query as over
 /// the αDB it was saved from (the interner remap must be transparent to
 /// the whole online phase, not just the fingerprint).
